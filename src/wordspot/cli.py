@@ -205,21 +205,24 @@ def _cmd_index(args) -> int:
 
 
 class _PageLoader:
-    """Loads and caches page images recorded in an index.
+    """Loads page images recorded in an index, caching the binarized ones.
 
     Paths are tried as given, then relative to the index file's directory.
+    A page whose size differs from the one the index recorded is refused:
+    the index's boxes no longer describe it. Grayscale pages are only
+    needed to annotate, so they are read again on request, not kept.
     """
 
     def __init__(self, index: WordIndex, base_dir: Path):
-        self._paths = {doc.doc_id: doc.path for doc in index.docs}
+        self._docs = {doc.doc_id: doc for doc in index.docs}
         self._base_dir = base_dir
-        self._gray: dict[str, GrayImage] = {}
         self._binary: dict[str, BinaryImage] = {}
 
     def _resolve(self, doc_id: str) -> Path:
-        raw = self._paths.get(doc_id)
-        if raw is None:
+        doc = self._docs.get(doc_id)
+        if doc is None:
             raise MissingPageError(doc_id, "doc not present in index")
+        raw = doc.path
         path = Path(raw)
         if path.exists():
             return path
@@ -229,10 +232,14 @@ class _PageLoader:
         raise MissingPageError(doc_id, f"page file {raw!r} not found")
 
     def gray(self, doc_id: str) -> GrayImage:
-        img = self._gray.get(doc_id)
-        if img is None:
-            img = _load_page_file(str(self._resolve(doc_id)))
-            self._gray[doc_id] = img
+        img = _load_page_file(str(self._resolve(doc_id)))
+        doc = self._docs[doc_id]
+        if (img.width, img.height) != (doc.width, doc.height):
+            raise MissingPageError(
+                doc_id,
+                f"page is {img.width}x{img.height}, "
+                f"index recorded {doc.width}x{doc.height}",
+            )
         return img
 
     def __call__(self, doc_id: str) -> BinaryImage:
@@ -283,11 +290,7 @@ def _write_annotations(loader: _PageLoader, results, out_arg: str) -> None:
 def _run_queries(args, texts: list[str], annotate_out: str | None) -> int:
     index = _read_index(args.index)
     loader = _PageLoader(index, Path(args.index).resolve().parent)
-    params = SearchParams(
-        threshold=args.threshold,
-        char_width=args.char_width,
-        annotate=annotate_out is not None,
-    )
+    params = SearchParams(threshold=args.threshold, char_width=args.char_width)
     shape = ShapeParams(valley_slack=args.valley_slack, zone_fraction=args.zone_fraction)
     out = sys.stdout
     for text in texts:

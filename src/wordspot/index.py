@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import enum
 import urllib.parse
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .pnm import BinaryImage
@@ -86,10 +87,7 @@ def classify_size(norm_length: int) -> SizeClass:
     """Map a normalized pixel length onto its size class (lower-inclusive)."""
     if norm_length < 0:
         raise ValueError(f"norm_length must be >= 0, got {norm_length}")
-    for cls, bound in zip(SizeClass, SIZE_BOUNDS):
-        if norm_length < bound:
-            return cls
-    return SizeClass.VERY_LARGE
+    return SizeClass(bisect_right(SIZE_BOUNDS, norm_length))
 
 
 _WST_ALPHABET = set("Axg")

@@ -12,6 +12,7 @@ Pixel conventions used throughout the pipeline:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,7 +78,7 @@ class BinaryImage:
         self.bits = np.asarray(self.bits, dtype=np.uint8).reshape(
             self.height, self.width
         )
-        if not ((self.bits == 0) | (self.bits == 1)).all():
+        if self.bits.max() > 1:
             raise ValueError("binary image bits must be 0 or 1")
 
     def __eq__(self, other: object) -> bool:
@@ -248,8 +249,10 @@ def binarize(img: GrayImage, threshold_fraction: float = 0.5) -> BinaryImage:
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError(f"threshold_fraction {threshold_fraction} not in (0, 1)")
-    cut = threshold_fraction * img.maxval
-    bits = (img.pixels >= cut).astype(np.uint8)
+    # Pixels are integers, so comparing with the ceiling is exact and keeps
+    # the comparison in the raster's integer dtype.
+    cut = math.ceil(threshold_fraction * img.maxval)
+    bits = (img.pixels >= cut).view(np.uint8)
     return BinaryImage(img.width, img.height, bits)
 
 

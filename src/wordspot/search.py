@@ -36,7 +36,6 @@ class MissingPageError(OSError):
 class SearchParams:
     threshold: float = DEFAULT_THRESHOLD
     char_width: int = DEFAULT_CHAR_WIDTH
-    annotate: bool = False
 
     def __post_init__(self):
         if self.threshold < 0:

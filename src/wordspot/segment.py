@@ -34,7 +34,7 @@ class Profile:
     def __post_init__(self):
         if self.axis not in ("row", "column"):
             raise ValueError(f"axis must be 'row' or 'column', got {self.axis!r}")
-        if any(c < 0 or c > self.extent for c in self.counts):
+        if self.counts and (min(self.counts) < 0 or max(self.counts) > self.extent):
             raise ValueError("profile count outside 0..extent")
 
 
@@ -83,34 +83,34 @@ def _check_band(img: BinaryImage, band: LineBand) -> None:
         )
 
 
+def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices (inclusive) of the maximal True runs of a 1-D mask."""
+    padded = np.zeros(len(mask) + 2, dtype=bool)
+    padded[1:-1] = mask
+    # Edges alternate: a run starts at one and ends just before the next.
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[::2], edges[1::2] - 1
+
+
 def _runs_above(counts: list[int], threshold: int) -> list[tuple[int, int]]:
     """Maximal inclusive runs of indices with count > threshold."""
-    runs = []
-    start = None
-    for i, c in enumerate(counts):
-        if c > threshold:
-            if start is None:
-                start = i
-        elif start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(counts) - 1))
-    return runs
+    starts, ends = mask_runs(np.asarray(counts) > threshold)
+    return list(zip(starts.tolist(), ends.tolist()))
 
 
 def row_profile(img: BinaryImage) -> Profile:
     """Ink pixels per row of the whole image."""
-    ink = img.width - img.bits.sum(axis=1, dtype=np.int64)
-    return Profile([int(v) for v in ink], "row", img.width)
+    # Counts are bounded by the image size, far below 2**31.
+    ink = img.width - img.bits.sum(axis=1, dtype=np.int32)
+    return Profile(ink.tolist(), "row", img.width)
 
 
 def column_profile(img: BinaryImage, band: LineBand) -> Profile:
     """Ink pixels per column, restricted to the band's rows."""
     _check_band(img, band)
     sub = img.bits[band.row_start : band.row_end + 1]
-    ink = band.height - sub.sum(axis=0, dtype=np.int64)
-    return Profile([int(v) for v in ink], "column", band.height)
+    ink = band.height - sub.sum(axis=0, dtype=np.int32)
+    return Profile(ink.tolist(), "column", band.height)
 
 
 def default_noise_threshold(width: int) -> int:
@@ -143,30 +143,24 @@ def segment_words(
     the minimal bounding box of its ink on both axes.
     """
     _check_band(img, band)
-    counts = column_profile(img, band).counts
-    ink_runs = _runs_above(counts, 0)
-    if not ink_runs:
+    ink = img.bits[band.row_start : band.row_end + 1] == 0
+    starts, ends = mask_runs(ink.any(axis=0))
+    if len(starts) == 0:
         return []
 
     gap_limit = round_half_up(gap_factor * band.height)
-    groups: list[list[tuple[int, int]]] = [[ink_runs[0]]]
-    for run in ink_runs[1:]:
-        gap = run[0] - groups[-1][-1][1] - 1
-        if gap <= gap_limit:
-            groups[-1].append(run)
-        else:
-            groups.append([run])
-
-    boxes = []
-    band_rows = img.bits[band.row_start : band.row_end + 1]
-    for group in groups:
-        x1, x2 = group[0][0], group[-1][1]
-        sub = band_rows[:, x1 : x2 + 1]
-        ink_rows = np.where((sub == 0).any(axis=1))[0]
-        y1 = band.row_start + int(ink_rows[0])
-        y2 = band.row_start + int(ink_rows[-1])
-        boxes.append(WordBox(x1, y1, x2, y2))
-    return boxes
+    split = starts[1:] - ends[:-1] - 1 > gap_limit
+    x1s = np.concatenate((starts[:1], starts[1:][split]))
+    x2s = np.concatenate((ends[:-1][split], ends[-1:]))
+    # Column slices x1s[i]..x1s[i+1]-1 add only blank columns to word i, so
+    # OR-ing each slice gives the word's ink rows.
+    word_rows = np.logical_or.reduceat(ink, x1s, axis=1)
+    y1s = band.row_start + word_rows.argmax(axis=0)
+    y2s = band.row_end - word_rows[::-1].argmax(axis=0)
+    return [
+        WordBox(x1, y1, x2, y2)
+        for x1, y1, x2, y2 in zip(x1s.tolist(), y1s.tolist(), x2s.tolist(), y2s.tolist())
+    ]
 
 
 def crop_box(img: BinaryImage, box: WordBox) -> BinaryImage:

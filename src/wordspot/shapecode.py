@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage
-from .segment import LineBand, WordBox, column_profile, crop_box
+from .segment import LineBand, WordBox, column_profile, crop_box, mask_runs
 from .util import round_half_up
 
 
@@ -155,27 +155,17 @@ def char_region_segment(
     Over-segmentation relative to true characters is expected.
     """
     band = LineBand(0, word.height - 1)
-    counts = column_profile(word, band).counts
-    ink_counts = [c for c in counts if c > 0]
-    if not ink_counts:
+    counts = np.array(column_profile(word, band).counts)
+    ink_counts = counts[counts > 0]
+    if len(ink_counts) == 0:
         raise NoInkError("word image has no ink")
-    valley_cut = min(ink_counts) + valley_slack
+    valley_cut = int(ink_counts.min()) + valley_slack
 
     width = word.width
-    valley_runs = []
-    start = None
-    for col, count in enumerate(counts):
-        if count <= valley_cut:
-            if start is None:
-                start = col
-        elif start is not None:
-            valley_runs.append((start, col - 1))
-            start = None
-    if start is not None:
-        valley_runs.append((start, width - 1))
-
+    run_starts, run_ends = mask_runs(counts <= valley_cut)
     # Runs touching either edge have no second side to separate; no cut.
-    cuts = [(a + b) // 2 for a, b in valley_runs if a > 0 and b < width - 1]
+    interior = (run_starts > 0) & (run_ends < width - 1)
+    cuts = ((run_starts[interior] + run_ends[interior]) // 2).tolist()
 
     starts = [0] + cuts
     regions = [

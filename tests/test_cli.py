@@ -155,6 +155,16 @@ class TestQueryCommand:
         assert main(["query", str(index_path), "help"]) == 3
         assert "page1" in capsys.readouterr().err
 
+    def test_replaced_page_of_other_size_exits_3(self, corpus, capsys):
+        layout, page, index_path = corpus
+        small = GrayImage(10, 10, 255, np.full((10, 10), 255, dtype=np.uint16))
+        page.write_bytes(write_gray(small))
+        capsys.readouterr()
+        assert main(["query", str(index_path), "help"]) == 3
+        err = capsys.readouterr().err
+        assert "page1" in err
+        assert "page is 10x10" in err
+
     def test_usage_errors(self, corpus, capsys, monkeypatch):
         layout, page, index_path = corpus
         assert main(["query", str(index_path)]) == 1

@@ -4,12 +4,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wordspot.pnm import BinaryImage
 from wordspot.segment import (
     LineBand,
     Profile,
     WordBox,
+    _runs_above,
     column_profile,
     crop_box,
     default_noise_threshold,
@@ -17,6 +20,7 @@ from wordspot.segment import (
     segment_lines,
     segment_words,
 )
+from wordspot.util import round_half_up
 
 
 def image_from_rows(rows):
@@ -204,3 +208,71 @@ class TestCrop:
         img = image_from_rows([[0]])
         with pytest.raises(ValueError):
             crop_box(img, WordBox(0, 0, 1, 0))
+
+
+def reference_runs_above(counts, threshold):
+    """Plain loop: maximal inclusive runs of indices with count > threshold."""
+    runs = []
+    start = None
+    for i, c in enumerate(counts):
+        if c > threshold:
+            if start is None:
+                start = i
+        elif start is not None:
+            runs.append((start, i - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(counts) - 1))
+    return runs
+
+
+def reference_segment_words(img, band, gap_factor):
+    """Word boxes one group at a time: split ink-column runs at gaps longer
+    than the limit, then tighten each group's rows over its own columns."""
+    rows = img.bits[band.row_start : band.row_end + 1]
+    counts = [int((rows[:, c] == 0).sum()) for c in range(img.width)]
+    runs = reference_runs_above(counts, 0)
+    if not runs:
+        return []
+    gap_limit = round_half_up(gap_factor * band.height)
+    groups = [[runs[0]]]
+    for run in runs[1:]:
+        if run[0] - groups[-1][-1][1] - 1 <= gap_limit:
+            groups[-1].append(run)
+        else:
+            groups.append([run])
+    boxes = []
+    for group in groups:
+        x1, x2 = group[0][0], group[-1][1]
+        ink_rows = [r for r in range(band.height) if (rows[r, x1 : x2 + 1] == 0).any()]
+        boxes.append(WordBox(x1, band.row_start + ink_rows[0], x2, band.row_start + ink_rows[-1]))
+    return boxes
+
+
+@st.composite
+def images_and_bands(draw):
+    width = draw(st.integers(1, 40))
+    height = draw(st.integers(1, 12))
+    ink_share = draw(st.floats(0.05, 0.6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.random((height, width)) >= ink_share).astype(np.uint8)
+    row_start = draw(st.integers(0, height - 1))
+    row_end = draw(st.integers(row_start, height - 1))
+    return BinaryImage(width, height, bits), LineBand(row_start, row_end)
+
+
+class TestReferenceEquivalence:
+    @given(st.lists(st.integers(-3, 6), max_size=60), st.integers(-4, 6))
+    @example([], 0)
+    @example([5, 5, 5], 0)
+    @example([1, 0, 0, 1], 0)
+    @example([2, 0, 2, 0, 2], 1)
+    def test_runs_above_matches_loop(self, counts, threshold):
+        assert _runs_above(counts, threshold) == reference_runs_above(counts, threshold)
+
+    @given(images_and_bands(), st.floats(0.0, 2.0))
+    def test_segment_words_matches_per_group_boxes(self, image_band, gap_factor):
+        img, band = image_band
+        assert segment_words(img, band, gap_factor) == reference_segment_words(
+            img, band, gap_factor
+        )
