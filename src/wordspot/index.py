@@ -70,6 +70,16 @@ class IndexFormatError(ValueError):
         self.line = line
 
 
+class IndexInvariantError(ValueError):
+    """A WordIndex entry breaks an index invariant. `kind` is "doc" or
+    "record" and `position` the entry's place in that list."""
+
+    def __init__(self, message: str, kind: str, position: int):
+        super().__init__(message)
+        self.kind = kind
+        self.position = position
+
+
 def normalize_length(length: int, height: int, ref_font: int) -> int:
     """Word length rescaled to the reference font size, rounded half-up.
 
@@ -142,27 +152,36 @@ class WordIndex:
     )
 
     def __post_init__(self):
+        """Checks every invariant across entries, once; `load_index` maps an
+        IndexInvariantError back to the offending line."""
         if self.ref_font < 1:
             raise ValueError("ref_font must be >= 1")
         seen_docs = set()
-        for doc in self.docs:
+        for position, doc in enumerate(self.docs):
             if doc.doc_id in seen_docs:
-                raise ValueError(f"duplicate doc_id {doc.doc_id!r}")
+                raise IndexInvariantError(f"duplicate doc_id {doc.doc_id!r}", "doc", position)
             seen_docs.add(doc.doc_id)
         seen_words = set()
         self.buckets = {cls: [] for cls in SizeClass}
-        for rec in self.records:
+        for position, rec in enumerate(self.records):
             key = (rec.doc_id, rec.line_idx, rec.word_idx)
             if key in seen_words:
-                raise ValueError(f"duplicate word key {key}")
+                raise IndexInvariantError(f"duplicate word key {key}", "record", position)
             seen_words.add(key)
-            expected = normalize_length(rec.length, rec.height, self.ref_font)
-            if rec.norm_length != expected:
-                raise ValueError(
-                    f"record {key}: norm_length {rec.norm_length} != {expected}"
+            if rec.norm_length != normalize_length(rec.length, rec.height, self.ref_font):
+                raise IndexInvariantError(
+                    f"record {key}: normalized length {rec.norm_length} inconsistent "
+                    f"with length {rec.length}, height {rec.height}, K {self.ref_font}",
+                    "record",
+                    position,
                 )
             if rec.size_class != classify_size(rec.norm_length):
-                raise ValueError(f"record {key}: size class mismatch")
+                raise IndexInvariantError(
+                    f"record {key}: size class {rec.size_class.code} inconsistent "
+                    f"with length {rec.norm_length}",
+                    "record",
+                    position,
+                )
             self.buckets[rec.size_class].append(rec)
 
     def __eq__(self, other: object) -> bool:
@@ -251,7 +270,13 @@ def _parse_int(token: str, what: str, line_no: int, lo: int = 0) -> int:
 
 
 def load_index(data: bytes) -> WordIndex:
-    """Parse index bytes; raises IndexFormatError naming the bad line."""
+    """Parse index bytes; raises IndexFormatError naming the bad line.
+
+    Lines are parsed one at a time; the invariants across entries (unique
+    doc ids and word keys, normalized length and size class consistent with
+    K) are checked once, by WordIndex. When several lines are bad, a parse
+    error is reported before an invariant error.
+    """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -272,7 +297,10 @@ def load_index(data: bytes) -> WordIndex:
     docs: list[DocEntry] = []
     doc_ids: set[str] = set()
     records: list[WordRecord] = []
-    seen_words: set[tuple[str, int, int]] = set()
+    # Line numbers of the DOC and W lines, to name the line of an entry that
+    # WordIndex finds inconsistent with the others.
+    doc_lines: list[int] = []
+    record_lines: list[int] = []
 
     for line_no, line in enumerate(lines[2:], start=3):
         fields = line.split(" ")
@@ -283,12 +311,11 @@ def load_index(data: bytes) -> WordIndex:
                     f"DOC line needs 5 fields, got {len(fields)}", line_no
                 )
             doc_id = _decode(fields[1])
-            if doc_id in doc_ids:
-                raise IndexFormatError(f"duplicate doc_id {doc_id!r}", line_no)
             doc_ids.add(doc_id)
             width = _parse_int(fields[3], "doc width", line_no, lo=1)
             height = _parse_int(fields[4], "doc height", line_no, lo=1)
             docs.append(DocEntry(doc_id, _decode(fields[2]), width, height))
+            doc_lines.append(line_no)
         elif kind == "W":
             if len(fields) != 13:
                 raise IndexFormatError(
@@ -299,10 +326,6 @@ def load_index(data: bytes) -> WordIndex:
                 raise IndexFormatError(f"record references unknown doc {doc_id!r}", line_no)
             line_idx = _parse_int(fields[2], "line index", line_no)
             word_idx = _parse_int(fields[3], "word index", line_no)
-            key = (doc_id, line_idx, word_idx)
-            if key in seen_words:
-                raise IndexFormatError(f"duplicate word key {key}", line_no)
-            seen_words.add(key)
             x1, y1, x2, y2 = (
                 _parse_int(fields[i], name, line_no)
                 for i, name in ((4, "x1"), (5, "y1"), (6, "x2"), (7, "y2"))
@@ -316,23 +339,17 @@ def load_index(data: bytes) -> WordIndex:
             wst = None if fields[12] == "-" else fields[12]
             try:
                 box = WordBox(x1, y1, x2, y2)
-                record = WordRecord(
-                    doc_id, line_idx, word_idx, box, height, length, norm, cls, wst
+                records.append(
+                    WordRecord(doc_id, line_idx, word_idx, box, height, length, norm, cls, wst)
                 )
             except ValueError as exc:
                 raise IndexFormatError(str(exc), line_no) from None
-            if norm != normalize_length(length, height, ref_font):
-                raise IndexFormatError(
-                    f"normalized length {norm} inconsistent with "
-                    f"length {length}, height {height}, K {ref_font}",
-                    line_no,
-                )
-            if cls != classify_size(norm):
-                raise IndexFormatError(
-                    f"size class {fields[11]} inconsistent with length {norm}", line_no
-                )
-            records.append(record)
+            record_lines.append(line_no)
         else:
             raise IndexFormatError(f"unknown line kind {kind!r}", line_no)
 
-    return WordIndex(ref_font, docs, records)
+    try:
+        return WordIndex(ref_font, docs, records)
+    except IndexInvariantError as exc:
+        line_nos = doc_lines if exc.kind == "doc" else record_lines
+        raise IndexFormatError(str(exc), line_nos[exc.position]) from None

@@ -5,6 +5,12 @@ records whose normalized pixel length is within one expected character width
 of the query's, scanning just the size-class buckets that can intersect that
 interval. Survivors are compared by Levenshtein distance between the query's
 shape token and the word image's (computed lazily and cached on the record).
+Each distinct word token is scored once per query, and a token whose length
+differs from the query token's by more than the threshold is rejected
+without a DP: the edit distance is at least the length difference.
+
+Line bands and x-height zones are re-derived from each loaded page's row
+profile, once per page and once per band within a query.
 """
 
 from __future__ import annotations
@@ -12,10 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from .index import SizeClass, WordIndex, WordRecord, classify_size
 from .pnm import BinaryImage
 from .segment import LineBand, row_profile, segment_lines
-from .shapecode import ShapeParams, ZoneBands, estimate_zones, query_to_wst, word_to_wst
+from .shapecode import (
+    NoInkError,
+    ShapeParams,
+    ZoneBands,
+    query_to_wst,
+    word_to_wst,
+    zones_from_rows,
+)
 
 DEFAULT_THRESHOLD = 2.5
 DEFAULT_CHAR_WIDTH = 40
@@ -92,32 +107,55 @@ def size_prefilter(
     return out
 
 
-def _load(cache: dict[str, BinaryImage], provider: PageProvider, doc_id: str) -> BinaryImage:
-    page = cache.get(doc_id)
-    if page is None:
-        try:
-            page = provider(doc_id)
-        except MissingPageError:
-            raise
-        except (OSError, KeyError, LookupError) as exc:
-            raise MissingPageError(doc_id, str(exc)) from exc
-        cache[doc_id] = page
-    return page
+def _load(provider: PageProvider, doc_id: str) -> BinaryImage:
+    try:
+        return provider(doc_id)
+    except MissingPageError:
+        raise
+    except (OSError, KeyError, LookupError) as exc:
+        raise MissingPageError(doc_id, str(exc)) from exc
 
 
-def _band_for(
-    cache: dict[str, list[LineBand]], page: BinaryImage, rec: WordRecord
-) -> LineBand:
-    bands = cache.get(rec.doc_id)
-    if bands is None:
-        bands = segment_lines(row_profile(page))
-        cache[rec.doc_id] = bands
+def _band_for(bands: list[LineBand], rec: WordRecord) -> LineBand:
     if rec.line_idx < len(bands):
         band = bands[rec.line_idx]
         if band.row_start <= rec.box.y1 and rec.box.y2 <= band.row_end:
             return band
     # Re-derived lines no longer match the index; fall back to the word rows.
     return LineBand(rec.box.y1, rec.box.y2)
+
+
+@dataclass
+class _PageLines:
+    """A loaded page with its row ink counts, line bands and the zones of
+    the bands used so far; lives for one query."""
+
+    page: BinaryImage
+    row_counts: np.ndarray
+    bands: list[LineBand]
+    zones: dict[LineBand, ZoneBands]
+
+    @classmethod
+    def of(cls, page: BinaryImage) -> "_PageLines":
+        profile = row_profile(page)
+        return cls(page, np.asarray(profile.counts), segment_lines(profile), {})
+
+    def encode(self, rec: WordRecord, shape: ShapeParams) -> str:
+        band = _band_for(self.bands, rec)
+        try:
+            zones = self.zones.get(band)
+            if zones is None:
+                zones = self.zones[band] = zones_from_rows(
+                    self.row_counts, band, shape.zone_fraction
+                )
+            return word_to_wst(self.page, band, rec.box, shape, zones=zones)
+        except NoInkError:
+            b = rec.box
+            raise MissingPageError(
+                rec.doc_id,
+                f"no ink in word box {b.x1} {b.y1} {b.x2} {b.y2} "
+                f"(line {rec.line_idx}, word {rec.word_idx}) recorded by the index",
+            ) from None
 
 
 def search(
@@ -131,8 +169,12 @@ def search(
 
     Candidates come from the size prefilter; each candidate without a cached
     shape token gets one computed from its page image (cached write-once on
-    the in-memory record). Matches at distance <= params.threshold are
-    returned ordered by distance, then (doc_id, line_idx, word_idx).
+    the in-memory record). A candidate whose token length differs from the
+    query token's by more than params.threshold is rejected without a DP,
+    since the edit distance is at least that difference; every other
+    distinct token is scored once per query. Matches at distance <=
+    params.threshold are returned ordered by distance, then (doc_id,
+    line_idx, word_idx).
     """
     if params is None:
         params = SearchParams()
@@ -142,22 +184,21 @@ def search(
         raise ValueError("query text must be non-empty")
     query = query_to_wst(text)
 
-    pages: dict[str, BinaryImage] = {}
-    bands: dict[str, list[LineBand]] = {}
-    zones: dict[tuple[str, LineBand], ZoneBands] = {}
+    pages: dict[str, _PageLines] = {}
+    distances: dict[str, int] = {}
 
     results = []
     for rec in size_prefilter(index, len(text), params):
         if rec.wst is None:
-            page = _load(pages, load_page, rec.doc_id)
-            band = _band_for(bands, page, rec)
-            zone_key = (rec.doc_id, band)
-            line_zones = zones.get(zone_key)
-            if line_zones is None:
-                line_zones = estimate_zones(page, band, shape.zone_fraction)
-                zones[zone_key] = line_zones
-            rec.wst = word_to_wst(page, band, rec.box, shape, zones=line_zones)
-        distance = levenshtein(query, rec.wst)
+            lines = pages.get(rec.doc_id)
+            if lines is None:
+                lines = pages[rec.doc_id] = _PageLines.of(_load(load_page, rec.doc_id))
+            rec.wst = lines.encode(rec, shape)
+        if abs(len(rec.wst) - len(query)) > params.threshold:
+            continue
+        distance = distances.get(rec.wst)
+        if distance is None:
+            distance = distances[rec.wst] = levenshtein(query, rec.wst)
         if distance <= params.threshold:
             results.append(MatchResult(rec, distance))
 

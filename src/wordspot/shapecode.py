@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage
-from .segment import LineBand, WordBox, column_profile, crop_box, mask_runs
+from .segment import LineBand, WordBox, crop_box, mask_runs
 from .util import round_half_up
 
 
@@ -112,31 +112,99 @@ def query_to_wst(text: str) -> str:
     return "".join(parts)
 
 
+def _check_band_rows(band: LineBand, height: int) -> None:
+    if band.row_start < 0 or band.row_end >= height:
+        raise ValueError(f"band {band} outside image rows 0..{height - 1}")
+
+
+def zones_from_rows(
+    row_counts: np.ndarray, band: LineBand, zone_fraction: float = 0.5
+) -> ZoneBands:
+    """Locate the x-height body band of a line from per-row ink counts.
+
+    `row_counts[r]` is the ink count of row r (a page's row profile, or any
+    array indexed in the frame of `band`). The body band is the maximal
+    contiguous run of band rows whose count is at least zone_fraction of the
+    peak row count, containing the (first) peak row.
+    """
+    _check_band_rows(band, len(row_counts))
+    counts = row_counts[band.row_start : band.row_end + 1]
+    peak_row = int(counts.argmax())
+    peak = int(counts[peak_row])
+    if peak == 0:
+        raise NoInkError("band has no ink, zones undefined")
+    body = counts >= zone_fraction * peak
+    # The peak row belongs to the body even when zone_fraction exceeds 1.
+    body[peak_row] = True
+    starts, ends = mask_runs(body)
+    run = int(np.searchsorted(ends, peak_row))
+    return ZoneBands(band.row_start + int(starts[run]), band.row_start + int(ends[run]))
+
+
 def estimate_zones(
     img: BinaryImage, band: LineBand, zone_fraction: float = 0.5
 ) -> ZoneBands:
-    """Locate the x-height body band inside a line band.
+    """Locate the x-height body band inside a line band of `img`.
 
-    The body band is the maximal contiguous run of rows whose ink count is at
-    least zone_fraction of the peak row count, containing the peak row.
-    Returned rows use the same coordinate frame as `img`.
+    See `zones_from_rows`; returned rows use the same coordinate frame as
+    `img`.
     """
-    if band.row_start < 0 or band.row_end >= img.height:
-        raise ValueError(f"band {band} outside image rows 0..{img.height - 1}")
+    _check_band_rows(band, img.height)
     sub = img.bits[band.row_start : band.row_end + 1]
     counts = img.width - sub.sum(axis=1, dtype=np.int64)
-    peak = int(counts.max())
-    if peak == 0:
-        raise NoInkError("band has no ink, zones undefined")
-    cut = zone_fraction * peak
-    peak_row = int(np.argmax(counts))
-    top = peak_row
-    while top > 0 and counts[top - 1] >= cut:
-        top -= 1
-    bottom = peak_row
-    while bottom < len(counts) - 1 and counts[bottom + 1] >= cut:
-        bottom += 1
-    return ZoneBands(band.row_start + top, band.row_start + bottom)
+    local = zones_from_rows(counts, LineBand(0, band.height - 1), zone_fraction)
+    return local.shifted(band.row_start)
+
+
+def _region_starts(
+    column_counts: np.ndarray, font_size: int, valley_slack: int, min_region_width: float
+) -> list[int]:
+    """First column of each region; region i ends where region i + 1 starts.
+
+    m is the minimum count over ink-bearing columns; columns with count
+    <= m + valley_slack are valleys. Each interior maximal valley run is cut
+    at its midpoint column (the midpoint itself starts the right-hand
+    region). Regions narrower than round(min_region_width * font_size) are
+    merged into their left neighbor, or right neighbor for the leftmost.
+    """
+    ink_counts = column_counts[column_counts > 0]
+    if len(ink_counts) == 0:
+        raise NoInkError("word image has no ink")
+    valley_cut = int(ink_counts.min()) + valley_slack
+
+    width = len(column_counts)
+    run_starts, run_ends = mask_runs(column_counts <= valley_cut)
+    # Runs touching either edge have no second side to separate; no cut.
+    interior = (run_starts > 0) & (run_ends < width - 1)
+    cuts = ((run_starts[interior] + run_ends[interior]) // 2).tolist()
+
+    # A narrow region joins its left neighbor: its start stops being a
+    # boundary. Whether it merges depends on its own width only, so each
+    # boundary is decided on its own.
+    min_width = round_half_up(min_region_width * font_size)
+    starts = [0] + [c for c, end in zip(cuts, cuts[1:] + [width]) if end - c >= min_width]
+    if len(starts) > 1 and starts[1] < min_width:
+        del starts[1]
+    return starts
+
+
+# Region code by index: 0 plain, 1 ascender, 2 descender.
+_CODE_BYTES = np.frombuffer(b"xAg", dtype=np.uint8)
+
+
+def _zone_codes(reach: np.ndarray, zones: ZoneBands, margin: float) -> str:
+    """Codes of regions from their ink rows: `reach[r, i]` is True when
+    region i has ink in row r, in the row frame of `zones`.
+
+    A margin of round(margin * body height) rows around the body band must
+    be cleared before ink counts as reaching the ascender or descender zone;
+    descender wins over ascender, and a region reaching neither is 'x'.
+    """
+    delta = round_half_up(margin * zones.body_height)
+    ascender = reach[: max(0, zones.body_top - delta)].any(axis=0)
+    descender = reach[max(0, zones.body_bottom + delta + 1) :].any(axis=0)
+    codes = np.where(descender, 2, ascender)
+    return _CODE_BYTES[codes].tobytes().decode("ascii")
 
 
 def char_region_segment(
@@ -147,43 +215,13 @@ def char_region_segment(
 ) -> list[Region]:
     """Cut a word image into regions at near-minimum column-profile valleys.
 
-    m is the minimum count over ink-bearing columns; columns with count
-    <= m + valley_slack are valleys. Each interior maximal valley run is cut
-    at its midpoint column (the midpoint itself starts the right-hand
-    region). Regions narrower than round(min_region_width * font_size) are
-    merged into their left neighbor, or right neighbor for the leftmost.
-    Over-segmentation relative to true characters is expected.
+    See `_region_starts` for the valley and merge rules. Over-segmentation
+    relative to true characters is expected.
     """
-    band = LineBand(0, word.height - 1)
-    counts = np.array(column_profile(word, band).counts)
-    ink_counts = counts[counts > 0]
-    if len(ink_counts) == 0:
-        raise NoInkError("word image has no ink")
-    valley_cut = int(ink_counts.min()) + valley_slack
-
-    width = word.width
-    run_starts, run_ends = mask_runs(counts <= valley_cut)
-    # Runs touching either edge have no second side to separate; no cut.
-    interior = (run_starts > 0) & (run_ends < width - 1)
-    cuts = ((run_starts[interior] + run_ends[interior]) // 2).tolist()
-
-    starts = [0] + cuts
-    regions = [
-        Region(s, (starts[i + 1] - 1) if i + 1 < len(starts) else width - 1)
-        for i, s in enumerate(starts)
-    ]
-
-    min_width = round_half_up(min_region_width * font_size)
-    merged: list[Region] = []
-    for region in regions:
-        if merged and region.width < min_width:
-            merged[-1] = Region(merged[-1].col_start, region.col_end)
-        else:
-            merged.append(region)
-    if len(merged) > 1 and merged[0].width < min_width:
-        merged[1] = Region(merged[0].col_start, merged[1].col_end)
-        merged.pop(0)
-    return merged
+    counts = (word.bits == 0).sum(axis=0, dtype=np.int32)
+    starts = _region_starts(counts, font_size, valley_slack, min_region_width)
+    ends = [s - 1 for s in starts[1:]] + [word.width - 1]
+    return [Region(s, e) for s, e in zip(starts, ends)]
 
 
 def classify_region(
@@ -196,18 +234,9 @@ def classify_region(
     round(margin * body height) rows around the body band must be cleared
     before ink counts as an ascender or descender.
     """
-    delta = round_half_up(margin * zones.body_height)
     sub = word.bits[:, region.col_start : region.col_end + 1]
-    ink_rows = np.where((sub == 0).any(axis=1))[0]
-    if len(ink_rows) == 0:
-        return "x"
-    ascender = int(ink_rows[0]) < zones.body_top - delta
-    descender = int(ink_rows[-1]) > zones.body_bottom + delta
-    if descender:
-        return "g"
-    if ascender:
-        return "A"
-    return "x"
+    reach = (sub == 0).any(axis=1)
+    return _zone_codes(reach[:, None], zones, margin)
 
 
 def word_to_wst(
@@ -221,17 +250,17 @@ def word_to_wst(
 
     Zones default to the line band of the page (stable for short words); pass
     a precomputed `zones` to reuse one estimate across a line or to scope it
-    to the word itself.
+    to the word itself. The word is cut and classified in one pass over its
+    ink: all regions' ink rows come from one `logical_or.reduceat`.
     """
     if params is None:
         params = ShapeParams()
     if zones is None:
         zones = estimate_zones(page, band, params.zone_fraction)
-    word = crop_box(page, box)
-    local_zones = zones.shifted(-box.y1)
-    regions = char_region_segment(
-        word, band.height, params.valley_slack, params.min_region_width
+    ink = crop_box(page, box).bits == 0
+    counts = ink.sum(axis=0, dtype=np.int32)
+    starts = _region_starts(
+        counts, band.height, params.valley_slack, params.min_region_width
     )
-    return "".join(
-        classify_region(word, region, local_zones, params.margin) for region in regions
-    )
+    reach = np.logical_or.reduceat(ink, starts, axis=1)
+    return _zone_codes(reach, zones.shifted(-box.y1), params.margin)

@@ -165,6 +165,18 @@ class TestQueryCommand:
         assert "page1" in err
         assert "page is 10x10" in err
 
+    def test_replaced_page_of_same_size_without_ink_exits_3(self, corpus, capsys):
+        layout, page, index_path = corpus
+        img = layout.image
+        blank = GrayImage(img.width, img.height, 255,
+                          np.full((img.height, img.width), 255, dtype=np.uint16))
+        page.write_bytes(write_gray(blank))
+        capsys.readouterr()
+        assert main(["query", str(index_path), "help"]) == 3
+        err = capsys.readouterr().err
+        assert "'page1'" in err
+        assert "no ink in word box" in err
+
     def test_usage_errors(self, corpus, capsys, monkeypatch):
         layout, page, index_path = corpus
         assert main(["query", str(index_path)]) == 1

@@ -221,9 +221,43 @@ class TestLoadErrors:
         fields[10] = str(int(fields[10]) + 1)
         self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
 
+    def test_inconsistent_size_class(self, lines):
+        fields = lines[5 - 1].split(" ")
+        fields[11] = "VL"
+        self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
+
+    def test_parse_error_reported_before_invariant_error(self, lines):
+        fields = lines[5 - 1].split(" ")
+        fields[10] = str(int(fields[10]) + 1)
+        bad = corrupt(lines, 5, " ".join(fields)).decode().strip().split("\n")
+        self.assert_error_line(corrupt(bad, 6, "W doc1 0 1 1 2 3"), 6)
+
     def test_non_utf8(self):
         with pytest.raises(IndexFormatError):
             load_index(b"\xff\xfe\x00")
+
+
+class TestDirectConstruction:
+    def test_duplicate_word_key_rejected(self):
+        with pytest.raises(ValueError):
+            WordIndex(60, [], [make_record("d", 0, 0), make_record("d", 0, 0)])
+
+    def test_inconsistent_norm_length_rejected(self):
+        rec = make_record("d", 0, 0)
+        rec.norm_length += 1
+        with pytest.raises(ValueError):
+            WordIndex(60, [], [rec])
+
+    def test_inconsistent_size_class_rejected(self):
+        rec = make_record("d", 0, 0)
+        rec.size_class = SizeClass.VERY_LARGE
+        with pytest.raises(ValueError):
+            WordIndex(60, [], [rec])
+
+    def test_duplicate_doc_rejected(self):
+        doc = DocEntry("d", "d.pgm", 10, 10)
+        with pytest.raises(ValueError):
+            WordIndex(60, [doc, doc], [])
 
 
 class TestScaleInvariance:

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from glyphs import compose_page, metrics
 from wordspot.index import (
@@ -22,8 +24,13 @@ from wordspot.search import (
     search,
     size_prefilter,
 )
-from wordspot.segment import WordBox
-from wordspot.shapecode import UnsupportedCharacterError
+from wordspot.segment import LineBand, WordBox, row_profile, segment_lines
+from wordspot.shapecode import (
+    LETTER_CODES,
+    UnsupportedCharacterError,
+    query_to_wst,
+    word_to_wst,
+)
 
 
 def naive_levenshtein(a, b):
@@ -227,3 +234,71 @@ class TestFormatResult:
         rec = record_with_norm("doc1", 2, 7, 100)
         line = format_result(MatchResult(rec, 1))
         assert line == "1 doc1 2 7 0 0 99 59"
+
+
+def brute_force_matches(index, text, params):
+    """Every prefilter survivor scored by `levenshtein`, no gate, no memo."""
+    query = query_to_wst(text)
+    scored = [
+        (levenshtein(query, rec.wst), rec.doc_id, rec.line_idx, rec.word_idx)
+        for rec in size_prefilter(index, len(text), params)
+    ]
+    return sorted(m for m in scored if m[0] <= params.threshold)
+
+
+class TestDistanceGateAndMemo:
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 500), st.text("Axg", min_size=1, max_size=14)),
+            max_size=80,
+        ),
+        st.text("".join(LETTER_CODES), min_size=1, max_size=8),
+        st.floats(0.0, 5.0),
+    )
+    @example([(100, "x"), (100, "xA"), (90, "xAg"), (100, "xA"), (80, "x")], "at", 2.5)
+    @example([(100, "xxA"), (100, "xxA"), (100, "Ax")], "to", 0.0)
+    def test_same_matches_as_scoring_every_pair(self, words, text, threshold):
+        # Few distinct token lengths and repeats, so both the gate and the
+        # per-query memo are exercised.
+        records = [record_with_norm("d", 0, i, n) for i, (n, _) in enumerate(words)]
+        for rec, (_, wst) in zip(records, words):
+            rec.wst = wst
+        index = WordIndex(60, [DocEntry("d", "d", 800, 600)], records)
+        params = SearchParams(threshold=threshold)
+
+        def no_pages(doc):
+            raise AssertionError("every token is cached")
+
+        got = sorted(
+            (m.distance, m.record.doc_id, m.record.line_idx, m.record.word_idx)
+            for m in search(index, no_pages, text, params)
+        )
+        assert got == brute_force_matches(index, text, params)
+
+
+class TestBandFallback:
+    def test_records_off_their_rederived_band_use_word_rows(self):
+        # A lone one-letter line is below the build's high noise threshold,
+        # so the build numbers the other lines from 0 while the default
+        # bands re-derived at query time still count the lone line first.
+        layout = corpus_page(
+            [["a"], ["dipped", "help", "sauce"], ["drop", "paper", "noon"]], width=1200
+        )
+        page = layout.image
+        index = build_index([("page", page)], ref_font=60, noise_threshold=30)
+        default_bands = segment_lines(row_profile(page))
+        assert len(default_bands) == 3
+
+        for n in range(1, 12):
+            search(index, lambda doc: page, "x" * n, SearchParams(threshold=0))
+        fallback = 0
+        for rec in index.records:
+            assert rec.wst is not None
+            band = default_bands[rec.line_idx] if rec.line_idx < 3 else None
+            if band and band.row_start <= rec.box.y1 and rec.box.y2 <= band.row_end:
+                assert rec.wst == word_to_wst(page, band, rec.box)
+            else:
+                fallback += 1
+                rows = LineBand(rec.box.y1, rec.box.y2)
+                assert rec.wst == word_to_wst(page, rows, rec.box)
+        assert fallback >= 3

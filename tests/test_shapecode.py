@@ -4,15 +4,25 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from glyphs import compose_page, metrics, word_symbols
 from wordspot.pnm import BinaryImage
-from wordspot.segment import LineBand, WordBox, row_profile, segment_lines, segment_words
+from wordspot.segment import (
+    LineBand,
+    WordBox,
+    crop_box,
+    row_profile,
+    segment_lines,
+    segment_words,
+)
 from wordspot.shapecode import (
     LETTER_CODES,
     SHAPE_CODE_ROWS,
     NoInkError,
     Region,
+    ShapeParams,
     UnsupportedCharacterError,
     ZoneBands,
     char_region_segment,
@@ -20,7 +30,9 @@ from wordspot.shapecode import (
     estimate_zones,
     query_to_wst,
     word_to_wst,
+    zones_from_rows,
 )
+from wordspot.util import round_half_up
 
 # Independent copy of the published letter-expansion table, frozen here so a
 # typo in the shipped table cannot silently agree with itself.
@@ -275,3 +287,197 @@ class TestWordToWst:
         img = BinaryImage(10, 10, bits)
         with pytest.raises(NoInkError):
             word_to_wst(img, LineBand(5, 9), WordBox(5, 5, 7, 7))
+
+
+# Plain per-column and per-region reference of the shape coder: the valley
+# cut, merge and zone-reach rules written one column, row or region at a time.
+
+
+def reference_zone_run(counts, zone_fraction):
+    """(top, bottom) of the run of rows at or above the cut that holds the
+    first peak row, walking outwards from it one row at a time."""
+    peak = max(counts)
+    if peak == 0:
+        raise NoInkError("band has no ink")
+    cut = zone_fraction * peak
+    peak_row = counts.index(peak)
+    top = bottom = peak_row
+    while top > 0 and counts[top - 1] >= cut:
+        top -= 1
+    while bottom < len(counts) - 1 and counts[bottom + 1] >= cut:
+        bottom += 1
+    return top, bottom
+
+
+def reference_estimate_zones(img, band, zone_fraction):
+    counts = [
+        int((img.bits[r] == 0).sum()) for r in range(band.row_start, band.row_end + 1)
+    ]
+    top, bottom = reference_zone_run(counts, zone_fraction)
+    return ZoneBands(band.row_start + top, band.row_start + bottom)
+
+
+def reference_char_region_segment(word, font_size, valley_slack, min_region_width):
+    counts = [int((word.bits[:, c] == 0).sum()) for c in range(word.width)]
+    ink_counts = [c for c in counts if c > 0]
+    if not ink_counts:
+        raise NoInkError("word image has no ink")
+    valley_cut = min(ink_counts) + valley_slack
+    cuts = []
+    run_start = None
+    for c, count in enumerate(counts + [None]):
+        if count is not None and count <= valley_cut:
+            if run_start is None:
+                run_start = c
+            continue
+        if run_start is not None and run_start > 0 and count is not None:
+            cuts.append((run_start + c - 1) // 2)
+        run_start = None
+    starts = [0] + cuts
+    ends = [s - 1 for s in cuts] + [word.width - 1]
+    regions = [Region(s, e) for s, e in zip(starts, ends)]
+    min_width = round_half_up(min_region_width * font_size)
+    merged = []
+    for region in regions:
+        if merged and region.width < min_width:
+            merged[-1] = Region(merged[-1].col_start, region.col_end)
+        else:
+            merged.append(region)
+    if len(merged) > 1 and merged[0].width < min_width:
+        merged[1] = Region(merged[0].col_start, merged[1].col_end)
+        merged.pop(0)
+    return merged
+
+
+def reference_classify_region(word, region, zones, margin):
+    delta = round_half_up(margin * zones.body_height)
+    ink_rows = [
+        r
+        for r in range(word.height)
+        if (word.bits[r, region.col_start : region.col_end + 1] == 0).any()
+    ]
+    if not ink_rows:
+        return "x"
+    if ink_rows[-1] > zones.body_bottom + delta:
+        return "g"
+    if ink_rows[0] < zones.body_top - delta:
+        return "A"
+    return "x"
+
+
+def reference_word_to_wst(page, band, box, params, zones):
+    if zones is None:
+        zones = reference_estimate_zones(page, band, params.zone_fraction)
+    word = crop_box(page, box)
+    local = zones.shifted(-box.y1)
+    regions = reference_char_region_segment(
+        word, band.height, params.valley_slack, params.min_region_width
+    )
+    return "".join(
+        reference_classify_region(word, region, local, params.margin) for region in regions
+    )
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type of the NoInkError it raised."""
+    try:
+        return fn(*args)
+    except NoInkError:
+        return NoInkError
+
+
+@st.composite
+def random_images(draw, max_height=24, max_width=40):
+    width = draw(st.integers(1, max_width))
+    height = draw(st.integers(1, max_height))
+    ink_share = draw(st.floats(0.0, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bits = (rng.random((height, width)) >= ink_share).astype(np.uint8)
+    return BinaryImage(width, height, bits)
+
+
+@st.composite
+def random_zones(draw, height):
+    top = draw(st.integers(-3, height + 2))
+    return ZoneBands(top, draw(st.integers(top, height + 3)))
+
+
+shape_params = st.builds(
+    ShapeParams,
+    valley_slack=st.integers(-1, 4),
+    min_region_width=st.floats(0.0, 0.6),
+    margin=st.floats(0.0, 0.5),
+    zone_fraction=st.floats(0.0, 1.3),
+)
+
+
+@st.composite
+def pages_bands_boxes(draw):
+    page = draw(random_images(max_height=30))
+    row_start = draw(st.integers(0, page.height - 1))
+    band = LineBand(row_start, draw(st.integers(row_start, page.height - 1)))
+    y1 = draw(st.integers(band.row_start, band.row_end))
+    y2 = draw(st.integers(y1, band.row_end))
+    x1 = draw(st.integers(0, page.width - 1))
+    x2 = draw(st.integers(x1, page.width - 1))
+    return page, band, WordBox(x1, y1, x2, y2)
+
+
+class TestReferenceEquivalence:
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.floats(-0.5, 1.5))
+    @example([3, 5, 5, 1, 5], 0.5)  # tied peaks in separate runs: the first wins
+    @example([5, 5, 5], 1.0)
+    @example([2, 7, 3], 2.0)  # cut above the peak keeps only the peak row
+    @example([0, 0], 0.5)
+    def test_zone_run_matches_row_walk(self, counts, zone_fraction):
+        pad = [9] * 3  # rows outside the band must not matter
+        rows = np.array(pad + counts + pad)
+        band = LineBand(3, 3 + len(counts) - 1)
+        expected = outcome(reference_zone_run, counts, zone_fraction)
+        if expected is not NoInkError:
+            expected = ZoneBands(3 + expected[0], 3 + expected[1])
+        assert outcome(zones_from_rows, rows, band, zone_fraction) == expected
+
+    @given(random_images(), st.data())
+    def test_estimate_zones_matches_reference(self, img, data):
+        row_start = data.draw(st.integers(0, img.height - 1))
+        band = LineBand(row_start, data.draw(st.integers(row_start, img.height - 1)))
+        fraction = data.draw(st.floats(0.0, 1.3))
+        assert outcome(estimate_zones, img, band, fraction) == outcome(
+            reference_estimate_zones, img, band, fraction
+        )
+
+    @given(random_images(), st.integers(1, 60), st.integers(-1, 4), st.floats(0.0, 0.6))
+    def test_char_region_segment_matches_column_loop(
+        self, word, font_size, valley_slack, min_region_width
+    ):
+        args = (word, font_size, valley_slack, min_region_width)
+        assert outcome(char_region_segment, *args) == outcome(
+            reference_char_region_segment, *args
+        )
+
+    @given(random_images(), st.data(), st.floats(0.0, 0.5))
+    def test_classify_region_matches_reference(self, word, data, margin):
+        col_start = data.draw(st.integers(0, word.width - 1))
+        region = Region(col_start, data.draw(st.integers(col_start, word.width - 1)))
+        zones = data.draw(random_zones(word.height))
+        assert classify_region(word, region, zones, margin) == reference_classify_region(
+            word, region, zones, margin
+        )
+
+    @given(pages_bands_boxes(), shape_params, st.booleans(), st.data())
+    def test_word_to_wst_matches_per_region_reference(
+        self, page_band_box, params, given_zones, data
+    ):
+        page, band, box = page_band_box
+        zones = data.draw(random_zones(page.height)) if given_zones else None
+        args = (page, band, box, params, zones)
+        assert outcome(word_to_wst, *args) == outcome(reference_word_to_wst, *args)
+
+    def test_word_to_wst_matches_reference_on_rendered_lines(self):
+        img, band, boxes = render_line_page(["dipped", "python", "sauce", "mummy"])
+        params = ShapeParams()
+        for box in boxes:
+            assert word_to_wst(img, band, box) == reference_word_to_wst(
+                img, band, box, params, None
+            )
