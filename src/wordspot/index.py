@@ -156,11 +156,11 @@ class WordIndex:
         IndexInvariantError back to the offending line."""
         if self.ref_font < 1:
             raise ValueError("ref_font must be >= 1")
-        seen_docs = set()
+        page_sizes = {}
         for position, doc in enumerate(self.docs):
-            if doc.doc_id in seen_docs:
+            if doc.doc_id in page_sizes:
                 raise IndexInvariantError(f"duplicate doc_id {doc.doc_id!r}", "doc", position)
-            seen_docs.add(doc.doc_id)
+            page_sizes[doc.doc_id] = (doc.width, doc.height)
         seen_words = set()
         self.buckets = {cls: [] for cls in SizeClass}
         for position, rec in enumerate(self.records):
@@ -168,6 +168,17 @@ class WordIndex:
             if key in seen_words:
                 raise IndexInvariantError(f"duplicate word key {key}", "record", position)
             seen_words.add(key)
+            size = page_sizes.get(rec.doc_id)
+            box = rec.box
+            if size is not None and not (
+                0 <= box.x1 and box.x2 < size[0] and 0 <= box.y1 and box.y2 < size[1]
+            ):
+                raise IndexInvariantError(
+                    f"record {key}: box x {box.x1}..{box.x2}, y {box.y1}..{box.y2} "
+                    f"outside its page of {size[0]}x{size[1]}",
+                    "record",
+                    position,
+                )
             if rec.norm_length != normalize_length(rec.length, rec.height, self.ref_font):
                 raise IndexInvariantError(
                     f"record {key}: normalized length {rec.norm_length} inconsistent "
@@ -273,9 +284,10 @@ def load_index(data: bytes) -> WordIndex:
     """Parse index bytes; raises IndexFormatError naming the bad line.
 
     Lines are parsed one at a time; the invariants across entries (unique
-    doc ids and word keys, normalized length and size class consistent with
-    K) are checked once, by WordIndex. When several lines are bad, a parse
-    error is reported before an invariant error.
+    doc ids and word keys, boxes inside their page, normalized length and
+    size class consistent with K) are checked once, by WordIndex. When
+    several lines are bad, a parse error is reported before an invariant
+    error.
     """
     try:
         text = data.decode("utf-8")

@@ -8,6 +8,11 @@ PGM (P5) with maxval 255.
 Pixel conventions used throughout the pipeline:
   - grayscale: 0 is black, maxval is white
   - binary: bit 0 is ink (black), bit 1 is background (white)
+
+Gray rasters are uint8 when the file stores 8-bit samples (P5 with maxval
+below 256) and uint16 otherwise. An 8-bit P5 raster is not copied: its
+pixels are a read-only view of the bytes passed to load_image, so the first
+new allocation for a page is binarize's output.
 """
 
 from __future__ import annotations
@@ -17,11 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# ITU-R BT.601 luma weights for the RGB -> gray conversion.
-_LUMA = np.array([0.299, 0.587, 0.114])
+# ITU-R BT.601 luma weights for the RGB -> gray conversion, in thousandths so
+# that rounding half-up is exact.
+_LUMA_MILLI = np.array([299, 587, 114], dtype=np.int64)
 
 _WS = b" \t\n\r\x0b\x0c"
 _MAX_PIXELS = 100_000_000
+_GRAY_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
 
 
 class PnmError(ValueError):
@@ -35,7 +42,13 @@ class PnmError(ValueError):
 
 @dataclass(eq=False)
 class GrayImage:
-    """Grayscale raster; `pixels` has shape (height, width), row-major."""
+    """Grayscale raster; `pixels` has shape (height, width), row-major.
+
+    A uint8 or uint16 array is kept as given, with its dtype; anything else
+    is converted to uint16. So a page loaded from an 8-bit file holds uint8
+    pixels, which may be a read-only view of the file's bytes: copy before
+    writing (rescale_to_255 does).
+    """
 
     width: int
     height: int
@@ -47,9 +60,10 @@ class GrayImage:
             raise ValueError("image dimensions must be >= 1")
         if not 1 <= self.maxval <= 65535:
             raise ValueError(f"maxval {self.maxval} out of range 1..65535")
-        self.pixels = np.asarray(self.pixels, dtype=np.uint16).reshape(
-            self.height, self.width
-        )
+        pixels = self.pixels
+        if not (isinstance(pixels, np.ndarray) and pixels.dtype in _GRAY_DTYPES):
+            pixels = np.asarray(pixels, dtype=np.uint16)
+        self.pixels = pixels.reshape(self.height, self.width)
         if int(self.pixels.max()) > self.maxval:
             raise ValueError("pixel value exceeds maxval")
 
@@ -139,15 +153,20 @@ class _Reader:
             raise PnmError("raster must follow a single whitespace byte", self.pos)
         self.pos += 1
 
-    def raw(self, count: int, what: str) -> tuple[bytes, int]:
+    def skip_raster(self, count: int, what: str) -> int:
+        """Step over `count` raster bytes; return the offset they start at.
+
+        Callers read the raster in place, with np.frombuffer at that offset,
+        so no bytes are copied.
+        """
         start = self.pos
-        have = len(self.data) - self.pos
+        have = len(self.data) - start
         if have < count:
             raise PnmError(
                 f"truncated {what}: need {count} bytes, have {have}", len(self.data)
             )
         self.pos += count
-        return self.data[start : start + count], start
+        return start
 
 
 def _ascii_samples(r: _Reader, count: int, maxval: int) -> np.ndarray:
@@ -176,32 +195,32 @@ def _ascii_bits(r: _Reader, count: int) -> np.ndarray:
 
 
 def _raw_samples(r: _Reader, count: int, maxval: int) -> np.ndarray:
-    if maxval < 256:
-        raw, start = r.raw(count, "raster")
-        vals = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)
-        size = 1
-    else:
-        raw, start = r.raw(2 * count, "raster")
-        vals = np.frombuffer(raw, dtype=">u2").astype(np.uint16)
-        size = 2
+    """8-bit samples as a uint8 view of r.data; 16-bit ones as a uint16 copy,
+    since big-endian samples need a byte swap."""
+    dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
+    start = r.skip_raster(count * dtype.itemsize, "raster")
+    vals = np.frombuffer(r.data, dtype, count=count, offset=start)
     if int(vals.max(initial=0)) > maxval:
         idx = int(np.argmax(vals > maxval))
-        raise PnmError(f"sample {int(vals[idx])} exceeds maxval {maxval}", start + idx * size)
-    return vals
+        raise PnmError(
+            f"sample {int(vals[idx])} exceeds maxval {maxval}", start + idx * dtype.itemsize
+        )
+    return vals if maxval < 256 else vals.astype(np.uint16)
 
 
 def _luma(rgb: np.ndarray) -> np.ndarray:
-    flat = rgb.astype(np.float64).reshape(-1, 3)
-    return np.floor(flat @ _LUMA + 0.5).astype(np.uint16)
+    flat = rgb.astype(np.int64).reshape(-1, 3)
+    return ((flat @ _LUMA_MILLI + 500) // 1000).astype(np.uint16)
 
 
 def load_image(data: bytes) -> GrayImage:
     """Parse PBM (P1/P4), PGM (P2/P5) or PPM (P3/P6) bytes into a GrayImage.
 
-    PGM values are copied verbatim. PBM ink bits map to gray 0 and white bits
+    PGM values are kept verbatim. PBM ink bits map to gray 0 and white bits
     to gray 1 (maxval 1). PPM pixels are converted with BT.601 luma, rounded
-    half-up. Raises PnmError with the offending byte offset on malformed
-    input.
+    half-up. Pixels are uint8 for P5 with maxval below 256, a read-only view
+    of `data`, and uint16 otherwise. Raises PnmError with the offending byte
+    offset on malformed input.
     """
     r = _Reader(data)
     magic, start = r.token("magic number")
@@ -220,8 +239,10 @@ def load_image(data: bytes) -> GrayImage:
         else:
             r.single_whitespace()
             row_bytes = (width + 7) // 8
-            raw, _ = r.raw(row_bytes * height, "bitmap raster")
-            packed = np.frombuffer(raw, dtype=np.uint8).reshape(height, row_bytes)
+            start = r.skip_raster(row_bytes * height, "bitmap raster")
+            packed = np.frombuffer(
+                r.data, np.uint8, count=row_bytes * height, offset=start
+            ).reshape(height, row_bytes)
             bits = np.unpackbits(packed, axis=1)[:, :width]
             gray = (1 - bits).astype(np.uint16)  # bit 1 = ink = gray 0
         return GrayImage(width, height, maxval, gray)

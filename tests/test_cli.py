@@ -177,6 +177,23 @@ class TestQueryCommand:
         assert "'page1'" in err
         assert "no ink in word box" in err
 
+    def test_record_box_outside_its_page_exits_2_naming_the_line(self, corpus, capsys):
+        layout, page, index_path = corpus
+        lines = index_path.read_text().splitlines()
+        # Line 5 is the record of "help". Move its box past the page's last
+        # row, keeping its height, so its length and size class still agree.
+        fields = lines[4].split(" ")
+        assert fields[1:4] == ["page1", "0", "1"]
+        y1 = layout.image.height - 5
+        fields[5], fields[7] = str(y1), str(y1 + int(fields[8]) - 1)
+        lines[4] = " ".join(fields)
+        index_path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["query", str(index_path), "help"]) == 2
+        err = capsys.readouterr().err
+        assert "outside its page" in err
+        assert "(line 5)" in err
+
     def test_usage_errors(self, corpus, capsys, monkeypatch):
         layout, page, index_path = corpus
         assert main(["query", str(index_path)]) == 1

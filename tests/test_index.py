@@ -129,7 +129,7 @@ def small_index():
     ]
     docs = [
         DocEntry("doc1", "pages/doc one.pgm", 640, 480),
-        DocEntry("doc2", "d2.pbm", 320, 200),
+        DocEntry("doc2", "d2.pbm", 640, 200),
     ]
     return WordIndex(60, docs, records)
 
@@ -232,6 +232,12 @@ class TestLoadErrors:
         bad = corrupt(lines, 5, " ".join(fields)).decode().strip().split("\n")
         self.assert_error_line(corrupt(bad, 6, "W doc1 0 1 1 2 3"), 6)
 
+    def test_record_box_outside_its_page(self, lines):
+        # Line 5 is doc1's first record; doc1 is 640 pixels wide.
+        fields = lines[5 - 1].split(" ")
+        fields[4], fields[6] = "600", "649"
+        self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
+
     def test_non_utf8(self):
         with pytest.raises(IndexFormatError):
             load_index(b"\xff\xfe\x00")
@@ -253,6 +259,17 @@ class TestDirectConstruction:
         rec.size_class = SizeClass.VERY_LARGE
         with pytest.raises(ValueError):
             WordIndex(60, [], [rec])
+
+    @pytest.mark.parametrize("x,y", [(51, 20), (10, 76), (-1, 20), (10, -1)])
+    def test_box_outside_its_page_rejected(self, x, y):
+        # make_record's box is 50 wide and 25 high; the page is 100x100.
+        doc = DocEntry("d", "d.pgm", 100, 100)
+        with pytest.raises(ValueError, match="outside its page"):
+            WordIndex(60, [doc], [make_record("d", 0, 0, x=x, y=y)])
+
+    def test_box_touching_page_edges_accepted(self):
+        doc = DocEntry("d", "d.pgm", 100, 100)
+        WordIndex(60, [doc], [make_record("d", 0, 0, x=50, y=75), make_record("d", 0, 1, x=0, y=0)])
 
     def test_duplicate_doc_rejected(self):
         doc = DocEntry("d", "d.pgm", 10, 10)

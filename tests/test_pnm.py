@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wordspot.pnm import (
     BinaryImage,
@@ -42,6 +44,11 @@ class TestLoadAscii:
         # 0.587 * 100 = 58.7 -> 59; 0.299*1 + 0.114*2 = 0.527 -> 1
         assert load_image(b"P3\n1 1\n255\n0 100 0").pixels[0, 0] == 59
         assert load_image(b"P3\n1 1\n255\n1 0 2").pixels[0, 0] == 1
+
+    def test_p3_luma_exact_tie_rounds_up(self):
+        # 0.587 * 36 + 0.114 * 12 = 22.5 exactly; in binary floating point
+        # the sum comes out just below 22.5.
+        assert load_image(b"P3\n1 1\n255\n0 36 12").pixels[0, 0] == 23
 
     def test_comments_and_whitespace(self):
         data = b"P2 # magic\n# a comment line\n 2\t1 # dims\n255\n 0 # zero\n 255"
@@ -198,3 +205,202 @@ class TestImageInvariants:
     def test_binary_rejects_non_bits(self):
         with pytest.raises(ValueError):
             BinaryImage(1, 1, np.array([[2]], dtype=np.uint8))
+
+
+class TestInPlaceRaster:
+    def test_8bit_p5_pixels_are_a_read_only_uint8_view_of_the_input(self):
+        data = b"P5\n3 2\n255\n" + bytes([0, 1, 2, 253, 254, 255])
+        img = load_image(data)
+        assert img.pixels.dtype == np.uint8
+        assert np.shares_memory(img.pixels, np.frombuffer(data, np.uint8))
+        assert not img.pixels.flags.writeable
+        assert img.pixels.tolist() == [[0, 1, 2], [253, 254, 255]]
+
+    def test_other_rasters_are_native_uint16(self):
+        for data in (b"P1\n1 1\n1", b"P2\n1 1\n255\n9", b"P4\n1 1\n\x80",
+                     b"P5\n1 1\n65535\n\x9c\x40", b"P6\n1 1\n255\n\x00\x00\x00"):
+            assert load_image(data).pixels.dtype == np.dtype(np.uint16)
+
+    def test_gray_image_keeps_uint8_and_uint16_and_casts_the_rest(self):
+        for dtype, kept in ((np.uint8, np.uint8), (np.uint16, np.uint16),
+                            (np.int64, np.uint16), (np.bool_, np.uint16)):
+            img = GrayImage(2, 1, 1, np.array([0, 1], dtype=dtype))
+            assert img.pixels.dtype == kept
+
+    def test_uint8_pixels_above_maxval_rejected(self):
+        with pytest.raises(ValueError):
+            GrayImage(1, 1, 100, np.array([[200]], dtype=np.uint8))
+
+    @given(
+        st.integers(1, 255),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.lists(st.integers(0, 255), min_size=1, max_size=40),
+    )
+    @example(255, 0.5, [127, 128])
+    @example(3, 0.3333333333333333, [0, 1, 2, 3])
+    def test_binarize_same_bits_for_uint8_and_uint16(self, maxval, fraction, values):
+        values = [v % (maxval + 1) for v in values]
+        narrow = GrayImage(len(values), 1, maxval, np.array(values, dtype=np.uint8))
+        wide = GrayImage(len(values), 1, maxval, np.array(values, dtype=np.uint16))
+        assert binarize(narrow, fraction) == binarize(wide, fraction)
+
+    def test_binarize_uint8_with_maxval_above_255(self):
+        img = GrayImage(2, 1, 1000, np.array([200, 255], dtype=np.uint8))
+        assert binarize(img, 0.5).bits.tolist() == [[0, 0]]
+
+
+# A plain NetPBM decoder for the property tests below: a byte loop over the
+# header and the samples, with no numpy, for well-formed files only.
+_SPACE = b" \t\n\r\x0b\x0c"
+
+
+def reference_decode(data: bytes):
+    """Return (width, height, maxval, gray values row-major) of `data`."""
+    pos = 0
+
+    def skip_filler():
+        nonlocal pos
+        while pos < len(data):
+            if data[pos] in _SPACE:
+                pos += 1
+            elif data[pos] == ord("#"):
+                while data[pos] not in b"\r\n":
+                    pos += 1
+            else:
+                return
+
+    def token():
+        nonlocal pos
+        skip_filler()
+        start = pos
+        while pos < len(data) and data[pos] not in _SPACE and data[pos] != ord("#"):
+            pos += 1
+        return data[start:pos]
+
+    magic = token()
+    width, height = int(token()), int(token())
+    maxval = 1 if magic in (b"P1", b"P4") else int(token())
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    count = width * height * channels
+    if magic == b"P1":
+        bits = []
+        while len(bits) < count:
+            skip_filler()
+            bits.append(int(chr(data[pos])))
+            pos += 1
+        samples = [1 - b for b in bits]
+    elif magic == b"P4":
+        pos += 1
+        row_bytes = (width + 7) // 8
+        samples = []
+        for y in range(height):
+            row = data[pos + y * row_bytes : pos + (y + 1) * row_bytes]
+            for x in range(width):
+                bit = (row[x // 8] >> (7 - x % 8)) & 1
+                samples.append(1 - bit)
+    elif magic in (b"P2", b"P3"):
+        samples = [int(token()) for _ in range(count)]
+    else:
+        pos += 1
+        size = 1 if maxval < 256 else 2
+        samples = [
+            int.from_bytes(data[pos + i * size : pos + (i + 1) * size], "big")
+            for i in range(count)
+        ]
+    if channels == 3:
+        samples = [
+            (299 * r + 587 * g + 114 * b + 500) // 1000
+            for r, g, b in zip(samples[0::3], samples[1::3], samples[2::3])
+        ]
+    return width, height, maxval, samples
+
+
+_FILLERS = [b" ", b"\n", b"\t", b"\r\n", b"  \x0b", b"\x0c", b" # note\n", b"#\n"]
+
+
+@st.composite
+def netpbm_files(draw):
+    """A well-formed NetPBM file and the gray values it holds, row-major."""
+    magic = draw(st.sampled_from([b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"]))
+    width = draw(st.integers(1, 19))
+    height = draw(st.integers(1, 4))
+    if magic in (b"P1", b"P4"):
+        maxval = 1
+    else:
+        maxval = draw(st.sampled_from([1, 2, 255, 256, 65535]) | st.integers(1, 65535))
+    channels = 3 if magic in (b"P3", b"P6") else 1
+    count = width * height * channels
+    samples = draw(st.lists(st.integers(0, maxval), min_size=count, max_size=count))
+
+    def filler():
+        return draw(st.sampled_from(_FILLERS))
+
+    head = [magic, str(width).encode(), str(height).encode()]
+    if maxval != 1 or magic not in (b"P1", b"P4"):
+        head.append(str(maxval).encode())
+    data = filler().join(head)
+    if magic == b"P1":
+        # Bits may be packed with no separators; 1 is ink.
+        sep = draw(st.sampled_from([b"", b" ", b"\n", b" # c\n"]))
+        data += filler() + sep.join(b"0" if v else b"1" for v in samples)
+    elif magic in (b"P2", b"P3"):
+        data += filler() + b" ".join(str(v).encode() for v in samples)
+    else:
+        data += draw(st.sampled_from([b" ", b"\n", b"\t", b"\r"]))
+        if magic == b"P4":
+            row_bytes = (width + 7) // 8
+            for y in range(height):
+                row = samples[y * width : (y + 1) * width]
+                padding = draw(st.lists(st.integers(0, 1), min_size=8 * row_bytes - width,
+                                        max_size=8 * row_bytes - width))
+                bits = [1 - v for v in row] + padding
+                data += bytes(
+                    int("".join(map(str, bits[i : i + 8])), 2) for i in range(0, len(bits), 8)
+                )
+        else:
+            size = 1 if maxval < 256 else 2
+            data += b"".join(v.to_bytes(size, "big") for v in samples)
+    if channels == 3:
+        gray_values = [
+            (299 * r + 587 * g + 114 * b + 500) // 1000
+            for r, g, b in zip(samples[0::3], samples[1::3], samples[2::3])
+        ]
+    else:
+        gray_values = samples
+    return data, (width, height, maxval, gray_values)
+
+
+class TestDecodeProperties:
+    @given(netpbm_files())
+    @example((b"P6 1 1 255 " + bytes([0, 36, 12]), (1, 1, 255, [23])))
+    @example((b"P4 9 1\n" + bytes([0b01000000, 0b10111111]), (9, 1, 1, [1, 0] + [1] * 6 + [0])))
+    def test_matches_reference_decoder(self, case):
+        data, expected = case
+        assert reference_decode(data) == expected
+        width, height, maxval, values = expected
+        img = load_image(data)
+        assert (img.width, img.height, img.maxval) == (width, height, maxval)
+        assert img.pixels.shape == (height, width)
+        assert img.pixels.ravel().tolist() == values
+
+    @given(netpbm_files(), st.data())
+    def test_truncated_extended_or_mutated_bytes_give_image_or_pnm_error(self, case, data):
+        original, _ = case
+        how = data.draw(st.sampled_from(["truncate", "extend", "mutate"]))
+        if how == "truncate":
+            cut = data.draw(st.integers(0, len(original) - 1))
+            damaged = original[:cut]
+        elif how == "extend":
+            damaged = original + data.draw(st.binary(min_size=1, max_size=8))
+        else:
+            damaged = bytearray(original)
+            for _ in range(data.draw(st.integers(1, 4))):
+                at = data.draw(st.integers(0, len(damaged) - 1))
+                damaged[at] = data.draw(st.integers(0, 255))
+            damaged = bytes(damaged)
+        try:
+            img = load_image(damaged)
+        except PnmError:
+            return
+        assert isinstance(img, GrayImage)
+        assert int(img.pixels.max()) <= img.maxval
