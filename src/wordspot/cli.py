@@ -23,6 +23,7 @@ import numpy as np
 
 from .index import (
     DEFAULT_REF_FONT,
+    DocEntry,
     IndexFormatError,
     SizeClass,
     WordIndex,
@@ -218,10 +219,7 @@ class _PageLoader:
         self._base_dir = base_dir
         self._binary: dict[str, BinaryImage] = {}
 
-    def _resolve(self, doc_id: str) -> Path:
-        doc = self._docs.get(doc_id)
-        if doc is None:
-            raise MissingPageError(doc_id, "doc not present in index")
+    def _resolve(self, doc: DocEntry) -> Path:
         raw = doc.path
         path = Path(raw)
         if path.exists():
@@ -229,11 +227,12 @@ class _PageLoader:
         alt = self._base_dir / raw
         if alt.exists():
             return alt
-        raise MissingPageError(doc_id, f"page file {raw!r} not found")
+        raise MissingPageError(doc.doc_id, f"page file {raw!r} not found")
 
     def gray(self, doc_id: str) -> GrayImage:
-        img = _load_page_file(str(self._resolve(doc_id)))
+        # WordIndex refuses records of unlisted docs, so every record's doc is here.
         doc = self._docs[doc_id]
+        img = _load_page_file(str(self._resolve(doc)))
         if (img.width, img.height) != (doc.width, doc.height):
             raise MissingPageError(
                 doc_id,
@@ -278,12 +277,11 @@ def _write_annotations(loader: _PageLoader, results, out_arg: str) -> None:
     out = Path(out_arg)
     single = len(by_doc) == 1
     for doc_id in sorted(by_doc):
-        gray = rescale_to_255(loader.gray(doc_id))
-        pixels = gray.pixels.copy()
+        # rescale_to_255 returns a fresh copy, so its pixels can be drawn on.
+        annotated = rescale_to_255(loader.gray(doc_id))
         for box in by_doc[doc_id]:
-            draw_box_border(pixels, box)
+            draw_box_border(annotated.pixels, box)
         target = out if single else out.with_name(f"{out.stem}.{doc_id}{out.suffix}")
-        annotated = GrayImage(gray.width, gray.height, 255, pixels)
         target.write_bytes(write_gray(annotated))
 
 
@@ -329,11 +327,11 @@ def _cmd_inspect(args) -> int:
     img = binarize(load_image(data))
     what = args.what
     if what == "rows":
-        print(" ".join(str(c) for c in row_profile(img).counts))
+        print(" ".join(map(str, row_profile(img).counts.tolist())))
         return EXIT_OK
     if what == "cols":
         full = LineBand(0, img.height - 1)
-        print(" ".join(str(c) for c in column_profile(img, full).counts))
+        print(" ".join(map(str, column_profile(img, full).counts.tolist())))
         return EXIT_OK
 
     bands = segment_lines(row_profile(img))

@@ -1,18 +1,21 @@
 """Word records, size classification, and the searchable index.
 
-Segmented word lengths are normalized to a reference font size so that one
-pixel-length scale applies across documents with varying handwriting sizes;
-records are bucketed into five size classes for fast query prefiltering.
+A record holds only where its word is (doc, line, word, box) and its cached
+shape token. The word's length is normalized to a reference font size from
+its box, so that one pixel-length scale applies across documents with
+varying handwriting sizes, and records are bucketed into five size classes
+for fast query prefiltering; both are derived by WordIndex, never stored.
 
 Index file format (UTF-8, LF, space-separated fields):
 
-    WSIDX 1
+    WSIDX 2
     K <ref_font_pixels>
     DOC <doc_id> <path> <width> <height>
-    W <doc_id> <line_idx> <word_idx> <x1> <y1> <x2> <y2> <H> <L> <Lnorm> <class> <wst>
+    W <doc_id> <line_idx> <word_idx> <x1> <y1> <x2> <y2> <wst>
 
-class is one of VS S M L VL; wst is a string over {A, x, g} or `-` when not
-cached. doc_id and path are percent-encoded so they never contain whitespace.
+wst is a string over {A, x, g} or `-` when not cached. doc_id and path are
+percent-encoded so they never contain whitespace. Files of another version
+are refused; rebuild them with `wordspot index`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ DEFAULT_REF_FONT = 60
 SIZE_BOUNDS = (80, 240, 320, 480)
 
 FORMAT_MAGIC = "WSIDX"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 class SizeClass(enum.IntEnum):
@@ -59,7 +62,6 @@ _CLASS_CODES = {
     SizeClass.LARGE: "L",
     SizeClass.VERY_LARGE: "VL",
 }
-_CODE_CLASSES = {code: cls for cls, code in _CLASS_CODES.items()}
 
 
 class IndexFormatError(ValueError):
@@ -110,7 +112,7 @@ def _check_wst(wst: str | None) -> None:
 
 @dataclass
 class WordRecord:
-    """One segmented word: location, raw and normalized size, cached token.
+    """One segmented word: its place on its page and its cached token.
 
     `wst` is the only field mutated after construction: queries fill it
     lazily and the value is deterministic, so concurrent writes are benign.
@@ -120,15 +122,9 @@ class WordRecord:
     line_idx: int
     word_idx: int
     box: WordBox
-    height: int
-    length: int
-    norm_length: int
-    size_class: SizeClass
     wst: str | None = None
 
     def __post_init__(self):
-        if self.height < 1 or self.length < 1:
-            raise ValueError("record height and length must be >= 1")
         _check_wst(self.wst)
 
 
@@ -142,12 +138,16 @@ class DocEntry:
 
 @dataclass(eq=False)
 class WordIndex:
-    """All word records of a document set, bucketed by size class."""
+    """All word records of a document set, bucketed by size class.
+
+    Each bucket holds (normalized length, record) pairs in record order; the
+    length comes from the record's box and `ref_font`.
+    """
 
     ref_font: int
     docs: list[DocEntry]
     records: list[WordRecord]
-    buckets: dict[SizeClass, list[WordRecord]] = field(
+    buckets: dict[SizeClass, list[tuple[int, WordRecord]]] = field(
         init=False, repr=False, compare=False
     )
 
@@ -169,31 +169,20 @@ class WordIndex:
                 raise IndexInvariantError(f"duplicate word key {key}", "record", position)
             seen_words.add(key)
             size = page_sizes.get(rec.doc_id)
+            if size is None:
+                raise IndexInvariantError(
+                    f"record {key}: unknown doc {rec.doc_id!r}", "record", position
+                )
             box = rec.box
-            if size is not None and not (
-                0 <= box.x1 and box.x2 < size[0] and 0 <= box.y1 and box.y2 < size[1]
-            ):
+            if not (0 <= box.x1 and box.x2 < size[0] and 0 <= box.y1 and box.y2 < size[1]):
                 raise IndexInvariantError(
                     f"record {key}: box x {box.x1}..{box.x2}, y {box.y1}..{box.y2} "
                     f"outside its page of {size[0]}x{size[1]}",
                     "record",
                     position,
                 )
-            if rec.norm_length != normalize_length(rec.length, rec.height, self.ref_font):
-                raise IndexInvariantError(
-                    f"record {key}: normalized length {rec.norm_length} inconsistent "
-                    f"with length {rec.length}, height {rec.height}, K {self.ref_font}",
-                    "record",
-                    position,
-                )
-            if rec.size_class != classify_size(rec.norm_length):
-                raise IndexInvariantError(
-                    f"record {key}: size class {rec.size_class.code} inconsistent "
-                    f"with length {rec.norm_length}",
-                    "record",
-                    position,
-                )
-            self.buckets[rec.size_class].append(rec)
+            norm = normalize_length(box.width, box.height, self.ref_font)
+            self.buckets[classify_size(norm)].append((norm, rec))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WordIndex):
@@ -227,20 +216,7 @@ def build_index(
         bands = segment_lines(row_profile(img), noise_threshold)
         for line_idx, band in enumerate(bands):
             for word_idx, box in enumerate(segment_words(img, band, gap_factor)):
-                length, height = box.width, box.height
-                norm = normalize_length(length, height, ref_font)
-                records.append(
-                    WordRecord(
-                        doc_id,
-                        line_idx,
-                        word_idx,
-                        box,
-                        height,
-                        length,
-                        norm,
-                        classify_size(norm),
-                    )
-                )
+                records.append(WordRecord(doc_id, line_idx, word_idx, box))
     return WordIndex(ref_font, docs, records)
 
 
@@ -263,9 +239,7 @@ def save_index(index: WordIndex) -> bytes:
         b = r.box
         lines.append(
             f"W {_encode(r.doc_id)} {r.line_idx} {r.word_idx} "
-            f"{b.x1} {b.y1} {b.x2} {b.y2} "
-            f"{r.height} {r.length} {r.norm_length} {r.size_class.code} "
-            f"{r.wst if r.wst is not None else '-'}"
+            f"{b.x1} {b.y1} {b.x2} {b.y2} {r.wst if r.wst is not None else '-'}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -284,10 +258,9 @@ def load_index(data: bytes) -> WordIndex:
     """Parse index bytes; raises IndexFormatError naming the bad line.
 
     Lines are parsed one at a time; the invariants across entries (unique
-    doc ids and word keys, boxes inside their page, normalized length and
-    size class consistent with K) are checked once, by WordIndex. When
-    several lines are bad, a parse error is reported before an invariant
-    error.
+    doc ids and word keys, records of a listed doc, boxes inside their
+    page) are checked once, by WordIndex. When several lines are bad, a
+    parse error is reported before an invariant error.
     """
     try:
         text = data.decode("utf-8")
@@ -307,7 +280,6 @@ def load_index(data: bytes) -> WordIndex:
     ref_font = _parse_int(lines[1][2:], "reference font size", 2, lo=1)
 
     docs: list[DocEntry] = []
-    doc_ids: set[str] = set()
     records: list[WordRecord] = []
     # Line numbers of the DOC and W lines, to name the line of an entry that
     # WordIndex finds inconsistent with the others.
@@ -323,37 +295,26 @@ def load_index(data: bytes) -> WordIndex:
                     f"DOC line needs 5 fields, got {len(fields)}", line_no
                 )
             doc_id = _decode(fields[1])
-            doc_ids.add(doc_id)
             width = _parse_int(fields[3], "doc width", line_no, lo=1)
             height = _parse_int(fields[4], "doc height", line_no, lo=1)
             docs.append(DocEntry(doc_id, _decode(fields[2]), width, height))
             doc_lines.append(line_no)
         elif kind == "W":
-            if len(fields) != 13:
+            if len(fields) != 9:
                 raise IndexFormatError(
-                    f"record line needs 13 fields, got {len(fields)}", line_no
+                    f"record line needs 9 fields, got {len(fields)}", line_no
                 )
             doc_id = _decode(fields[1])
-            if doc_id not in doc_ids:
-                raise IndexFormatError(f"record references unknown doc {doc_id!r}", line_no)
             line_idx = _parse_int(fields[2], "line index", line_no)
             word_idx = _parse_int(fields[3], "word index", line_no)
             x1, y1, x2, y2 = (
                 _parse_int(fields[i], name, line_no)
                 for i, name in ((4, "x1"), (5, "y1"), (6, "x2"), (7, "y2"))
             )
-            height = _parse_int(fields[8], "word height", line_no, lo=1)
-            length = _parse_int(fields[9], "word length", line_no, lo=1)
-            norm = _parse_int(fields[10], "normalized length", line_no)
-            cls = _CODE_CLASSES.get(fields[11])
-            if cls is None:
-                raise IndexFormatError(f"unknown size class {fields[11]!r}", line_no)
-            wst = None if fields[12] == "-" else fields[12]
+            wst = None if fields[8] == "-" else fields[8]
             try:
                 box = WordBox(x1, y1, x2, y2)
-                records.append(
-                    WordRecord(doc_id, line_idx, word_idx, box, height, length, norm, cls, wst)
-                )
+                records.append(WordRecord(doc_id, line_idx, word_idx, box, wst))
             except ValueError as exc:
                 raise IndexFormatError(str(exc), line_no) from None
             record_lines.append(line_no)

@@ -101,8 +101,8 @@ def size_prefilter(
     first, last = classify_size(lo), classify_size(hi)
     out = []
     for cls in range(first, last + 1):
-        for rec in index.buckets[SizeClass(cls)]:
-            if lo <= rec.norm_length <= hi:
+        for norm, rec in index.buckets[SizeClass(cls)]:
+            if lo <= norm <= hi:
                 out.append(rec)
     return out
 
@@ -138,7 +138,7 @@ class _PageLines:
     @classmethod
     def of(cls, page: BinaryImage) -> "_PageLines":
         profile = row_profile(page)
-        return cls(page, np.asarray(profile.counts), segment_lines(profile), {})
+        return cls(page, profile.counts, segment_lines(profile), {})
 
     def encode(self, rec: WordRecord, shape: ShapeParams) -> str:
         band = _band_for(self.bands, rec)

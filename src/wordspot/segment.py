@@ -20,21 +20,21 @@ DEFAULT_GAP_FACTOR = 0.2
 
 @dataclass
 class Profile:
-    """Ink-pixel counts per row or per column.
+    """Ink-pixel counts per row or per column, as a 1-D integer array.
 
     `extent` is the size of the profiled region in the direction
     perpendicular to the axis (image width for a row profile, band height
     for a column profile); every count is bounded by it.
     """
 
-    counts: list[int]
+    counts: np.ndarray
     axis: str
     extent: int
 
     def __post_init__(self):
         if self.axis not in ("row", "column"):
             raise ValueError(f"axis must be 'row' or 'column', got {self.axis!r}")
-        if self.counts and (min(self.counts) < 0 or max(self.counts) > self.extent):
+        if len(self.counts) and (self.counts.min() < 0 or self.counts.max() > self.extent):
             raise ValueError("profile count outside 0..extent")
 
 
@@ -92,17 +92,11 @@ def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[::2], edges[1::2] - 1
 
 
-def _runs_above(counts: list[int], threshold: int) -> list[tuple[int, int]]:
-    """Maximal inclusive runs of indices with count > threshold."""
-    starts, ends = mask_runs(np.asarray(counts) > threshold)
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 def row_profile(img: BinaryImage) -> Profile:
     """Ink pixels per row of the whole image."""
     # Counts are bounded by the image size, far below 2**31.
     ink = img.width - img.bits.sum(axis=1, dtype=np.int32)
-    return Profile(ink.tolist(), "row", img.width)
+    return Profile(ink, "row", img.width)
 
 
 def column_profile(img: BinaryImage, band: LineBand) -> Profile:
@@ -110,7 +104,7 @@ def column_profile(img: BinaryImage, band: LineBand) -> Profile:
     _check_band(img, band)
     sub = img.bits[band.row_start : band.row_end + 1]
     ink = band.height - sub.sum(axis=0, dtype=np.int32)
-    return Profile(ink.tolist(), "column", band.height)
+    return Profile(ink, "column", band.height)
 
 
 def default_noise_threshold(width: int) -> int:
@@ -128,7 +122,8 @@ def segment_lines(profile: Profile, noise_threshold: int | None = None) -> list[
         raise ValueError("segment_lines needs a row profile")
     if noise_threshold is None:
         noise_threshold = default_noise_threshold(profile.extent)
-    return [LineBand(a, b) for a, b in _runs_above(profile.counts, noise_threshold)]
+    starts, ends = mask_runs(profile.counts > noise_threshold)
+    return [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
 def segment_words(

@@ -348,15 +348,11 @@ def synthetic_index(n_records: int = 1000) -> WordIndex:
         y1 = rng.randint(0, 1400)
         w = rng.randint(5, 299)
         h = rng.randint(8, 120)
-        norm = normalize_length(w, h, 60)
         wst = None
         if rng.random() < 0.5:
             wst = "".join(rng.choice("Axg") for _ in range(rng.randint(1, 20)))
         records.append(
-            WordRecord(
-                doc, line, word, WordBox(x1, y1, x1 + w - 1, y1 + h - 1),
-                h, w, norm, classify_size(norm), wst,
-            )
+            WordRecord(doc, line, word, WordBox(x1, y1, x1 + w - 1, y1 + h - 1), wst)
         )
     return WordIndex(60, docs, records)
 

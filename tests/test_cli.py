@@ -146,7 +146,7 @@ class TestQueryCommand:
 
     def test_garbage_index_exits_2(self, tmp_path):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 1\nK 60\njunk line\n")
+        bad.write_bytes(b"WSIDX 2\nK 60\njunk line\n")
         assert main(["query", str(bad), "help"]) == 2
 
     def test_missing_page_file_exits_3(self, corpus, capsys):
@@ -181,11 +181,12 @@ class TestQueryCommand:
         layout, page, index_path = corpus
         lines = index_path.read_text().splitlines()
         # Line 5 is the record of "help". Move its box past the page's last
-        # row, keeping its height, so its length and size class still agree.
+        # row, keeping its height.
         fields = lines[4].split(" ")
         assert fields[1:4] == ["page1", "0", "1"]
+        height = int(fields[7]) - int(fields[5]) + 1
         y1 = layout.image.height - 5
-        fields[5], fields[7] = str(y1), str(y1 + int(fields[8]) - 1)
+        fields[5], fields[7] = str(y1), str(y1 + height - 1)
         lines[4] = " ".join(fields)
         index_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()

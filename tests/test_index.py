@@ -1,13 +1,17 @@
 """Length normalization, size classes, index build and persistence."""
 
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordspot.index import (
     DocEntry,
     IndexFormatError,
+    IndexInvariantError,
     SizeClass,
     WordIndex,
     WordRecord,
@@ -92,11 +96,10 @@ class TestBuildIndex:
         assert len(index.records) == 1
         rec = index.records[0]
         assert rec.box == WordBox(40, 20, 139, 49)
-        assert rec.height == 30 and rec.length == 100
-        assert rec.norm_length == 200
-        assert rec.size_class == SizeClass.SMALL
+        assert rec.box.height == 30 and rec.box.width == 100
         assert rec.wst is None
-        assert index.buckets[SizeClass.SMALL] == [rec]
+        # Normalized length 200, size class SMALL.
+        assert index.buckets[SizeClass.SMALL] == [(200, rec)]
 
     def test_two_pages_same_content(self):
         pages = [("a", blob_page()), ("b", blob_page())]
@@ -115,10 +118,8 @@ class TestBuildIndex:
             build_index([("a", blob_page()), ("a", blob_page())])
 
 
-def make_record(doc, line, word, ref_font=60, *, x=10, y=20, w=50, h=25, wst=None):
-    box = WordBox(x, y, x + w - 1, y + h - 1)
-    norm = normalize_length(w, h, ref_font)
-    return WordRecord(doc, line, word, box, h, w, norm, classify_size(norm), wst)
+def make_record(doc, line, word, *, x=10, y=20, w=50, h=25, wst=None):
+    return WordRecord(doc, line, word, WordBox(x, y, x + w - 1, y + h - 1), wst)
 
 
 def small_index():
@@ -136,7 +137,7 @@ def small_index():
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex(60, [], [])) == b"WSIDX 1\nK 60\n"
+        assert save_index(WordIndex(60, [], [])) == b"WSIDX 2\nK 60\n"
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
@@ -155,13 +156,14 @@ class TestPersistence:
                           [make_record("d", 2, 5, x=1, y=2, w=30, h=10)])
         lines = save_index(index).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
-        assert lines[3] == "W d 2 5 1 2 30 11 10 30 180 S -"
+        assert lines[3] == "W d 2 5 1 2 30 11 -"
 
     def test_buckets_rebuilt_on_load(self):
         again = load_index(save_index(small_index()))
         for cls in SizeClass:
-            for rec in again.buckets[cls]:
-                assert rec.size_class == cls
+            for norm, rec in again.buckets[cls]:
+                assert norm == normalize_length(rec.box.width, rec.box.height, 60)
+                assert classify_size(norm) == cls
         assert sum(len(b) for b in again.buckets.values()) == 3
 
 
@@ -182,7 +184,7 @@ class TestLoadErrors:
         assert err.value.line == line_no
 
     def test_bad_version(self, lines):
-        self.assert_error_line(corrupt(lines, 1, "WSIDX 2"), 1)
+        self.assert_error_line(corrupt(lines, 1, "WSIDX 1"), 1)
 
     def test_bad_magic(self, lines):
         self.assert_error_line(corrupt(lines, 1, "NOTANINDEX"), 1)
@@ -195,10 +197,6 @@ class TestLoadErrors:
 
     def test_short_record_line(self, lines):
         self.assert_error_line(corrupt(lines, 5, "W doc1 0 0 1 2 3"), 5)
-
-    def test_bad_class_code(self, lines):
-        bad = lines[5 - 1].rsplit(" ", 2)[0] + " XXL -"
-        self.assert_error_line(corrupt(lines, 5, bad), 5)
 
     def test_bad_wst_token(self, lines):
         bad = lines[5 - 1][:-1] + "Q"
@@ -216,19 +214,10 @@ class TestLoadErrors:
         data = ("\n".join(lines[:4] + [lines[3 - 1]] + lines[4:]) + "\n").encode()
         self.assert_error_line(data, 5)
 
-    def test_inconsistent_norm_length(self, lines):
-        fields = lines[5 - 1].split(" ")
-        fields[10] = str(int(fields[10]) + 1)
-        self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
-
-    def test_inconsistent_size_class(self, lines):
-        fields = lines[5 - 1].split(" ")
-        fields[11] = "VL"
-        self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
-
     def test_parse_error_reported_before_invariant_error(self, lines):
+        # Line 5's box is moved outside its page; line 6 is short.
         fields = lines[5 - 1].split(" ")
-        fields[10] = str(int(fields[10]) + 1)
+        fields[4], fields[6] = "600", "649"
         bad = corrupt(lines, 5, " ".join(fields)).decode().strip().split("\n")
         self.assert_error_line(corrupt(bad, 6, "W doc1 0 1 1 2 3"), 6)
 
@@ -243,22 +232,98 @@ class TestLoadErrors:
             load_index(b"\xff\xfe\x00")
 
 
+# Doc ids and paths mix plain characters with the ones the format must
+# percent-encode: spaces, `%` (also before hex digits), line breaks, non-ASCII.
+names = st.lists(
+    st.sampled_from([" ", "%", "%41", "%zz", "+", "/", ".", "\n", "\t", "a", "é", "€"])
+    | st.characters(blacklist_categories=("Cs",)),
+    max_size=6,
+).map("".join)
+
+
+@st.composite
+def word_indexes(draw):
+    """A valid WordIndex: unique doc ids and word keys, boxes inside their
+    page, records of all docs interleaved, tokens cached or not."""
+    docs = [
+        DocEntry(doc_id, draw(names), draw(st.integers(1, 300)), draw(st.integers(1, 300)))
+        for doc_id in draw(st.lists(names, max_size=3, unique=True))
+    ]
+    records = {}
+    for doc in docs:
+        for _ in range(draw(st.integers(0, 4))):
+            key = (doc.doc_id, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
+            x1 = draw(st.integers(0, doc.width - 1))
+            y1 = draw(st.integers(0, doc.height - 1))
+            box = WordBox(
+                x1, y1, draw(st.integers(x1, doc.width - 1)), draw(st.integers(y1, doc.height - 1))
+            )
+            wst = draw(st.none() | st.text("Axg", min_size=1, max_size=12))
+            records[key] = WordRecord(*key, box, wst)
+    order = draw(st.permutations(list(records.values())))
+    return WordIndex(draw(st.integers(1, 120)), docs, order)
+
+
+class TestLoadProperties:
+    @given(word_indexes())
+    def test_round_trip(self, index):
+        data = save_index(index)
+        again = load_index(data)
+        assert again == index
+        assert save_index(again) == data
+
+    @given(word_indexes(), st.data())
+    def test_truncated_extended_or_mutated_bytes_give_index_or_format_error(self, index, data):
+        original = save_index(index)
+        # Bytes the format gives meaning to are drawn often, so that many
+        # mutations leave a line that still parses up to a later field.
+        byte = st.sampled_from(b" \n-%0123456789WDOCKAxg") | st.integers(0, 255)
+        how = data.draw(st.sampled_from(["truncate", "extend", "mutate", "field"]))
+        if how == "field":
+            # Replace one whole field of one line.
+            lines = [line.split(" ") for line in original.decode().split("\n")]
+            fields = data.draw(st.sampled_from(lines))
+            fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
+                st.sampled_from(["", "-", "0", "-1", "07", "x", "Q", "W", "DOC", "%", "1e3"])
+                | st.integers(0, 400).map(str)
+            )
+            damaged = "\n".join(" ".join(f) for f in lines).encode()
+        elif how == "truncate":
+            damaged = original[: data.draw(st.integers(0, len(original) - 1))]
+        elif how == "extend":
+            damaged = original + bytes(data.draw(st.lists(byte, min_size=1, max_size=12)))
+        else:
+            damaged = bytearray(original)
+            for _ in range(data.draw(st.integers(1, 4))):
+                damaged[data.draw(st.integers(0, len(damaged) - 1))] = data.draw(byte)
+            damaged = bytes(damaged)
+        try:
+            loaded = load_index(damaged)
+        except IndexFormatError as exc:
+            assert exc.line >= 1
+            return
+        assert isinstance(loaded, WordIndex)
+
+
+def test_readme_format_example_loads_and_saves_back():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("## Index file format", 1)[1].split("```\n", 2)[1]
+    index = load_index(example.encode())
+    assert len(index.records) == 1
+    assert save_index(index) == example.encode()
+
+
 class TestDirectConstruction:
     def test_duplicate_word_key_rejected(self):
-        with pytest.raises(ValueError):
-            WordIndex(60, [], [make_record("d", 0, 0), make_record("d", 0, 0)])
+        doc = DocEntry("d", "d.pgm", 100, 100)
+        with pytest.raises(ValueError, match="duplicate word key"):
+            WordIndex(60, [doc], [make_record("d", 0, 0), make_record("d", 0, 0)])
 
-    def test_inconsistent_norm_length_rejected(self):
-        rec = make_record("d", 0, 0)
-        rec.norm_length += 1
-        with pytest.raises(ValueError):
-            WordIndex(60, [], [rec])
-
-    def test_inconsistent_size_class_rejected(self):
-        rec = make_record("d", 0, 0)
-        rec.size_class = SizeClass.VERY_LARGE
-        with pytest.raises(ValueError):
-            WordIndex(60, [], [rec])
+    def test_record_of_unknown_doc_rejected(self):
+        doc = DocEntry("d", "d.pgm", 100, 100)
+        with pytest.raises(IndexInvariantError, match="unknown doc 'ghost'") as err:
+            WordIndex(60, [doc], [make_record("d", 0, 0), make_record("ghost", 0, 0)])
+        assert (err.value.kind, err.value.position) == ("record", 1)
 
     @pytest.mark.parametrize("x,y", [(51, 20), (10, 76), (-1, 20), (10, -1)])
     def test_box_outside_its_page_rejected(self, x, y):

@@ -13,7 +13,6 @@ from wordspot.index import (
     WordIndex,
     WordRecord,
     build_index,
-    classify_size,
 )
 from wordspot.search import (
     MatchResult,
@@ -85,11 +84,8 @@ class TestLevenshtein:
 
 
 def record_with_norm(doc, line, word, norm, ref_font=60):
-    # Height ref_font makes the stored length equal the normalized length.
-    box = WordBox(0, 0, norm - 1, ref_font - 1)
-    return WordRecord(
-        doc, line, word, box, ref_font, norm, norm, classify_size(norm)
-    )
+    # Height ref_font makes the box width equal the normalized length.
+    return WordRecord(doc, line, word, WordBox(0, 0, norm - 1, ref_font - 1))
 
 
 def index_with_norms(norms):
@@ -101,12 +97,12 @@ class TestSizePrefilter:
     def test_window_for_five_letters(self):
         index = index_with_norms([159, 160, 200, 240, 241, 300])
         kept = size_prefilter(index, 5, SearchParams(char_width=40))
-        assert [r.norm_length for r in kept] == [160, 200, 240]
+        assert [r.box.width for r in kept] == [160, 200, 240]
 
     def test_single_letter_window_starts_at_zero(self):
         index = index_with_norms([1, 40, 80, 81])
         kept = size_prefilter(index, 1, SearchParams(char_width=40))
-        assert [r.norm_length for r in kept] == [1, 40, 80]
+        assert [r.box.width for r in kept] == [1, 40, 80]
 
     def test_matches_brute_force_over_all_records(self):
         rng = random.Random(31)
@@ -116,7 +112,7 @@ class TestSizePrefilter:
             lo = (query_len - 1) * 40
             hi = (query_len + 1) * 40
             expected = sorted(
-                r.word_idx for r in index.records if lo <= r.norm_length <= hi
+                r.word_idx for r in index.records if lo <= r.box.width <= hi
             )
             got = sorted(r.word_idx for r in size_prefilter(index, query_len))
             assert got == expected
