@@ -11,6 +11,7 @@ from .index import (
     DEFAULT_REF_FONT,
     DocEntry,
     IndexFormatError,
+    LineEntry,
     SizeClass,
     WordIndex,
     WordRecord,
@@ -62,6 +63,7 @@ __all__ = [
     "IndexFormatError",
     "LETTER_CODES",
     "LineBand",
+    "LineEntry",
     "MatchResult",
     "MissingPageError",
     "NoInkError",

@@ -40,16 +40,8 @@ from .search import (
     format_result,
     search,
 )
-from .segment import (
-    DEFAULT_GAP_FACTOR,
-    LineBand,
-    WordBox,
-    column_profile,
-    row_profile,
-    segment_lines,
-    segment_words,
-)
-from .shapecode import ShapeParams, UnsupportedCharacterError, estimate_zones, word_to_wst
+from .segment import DEFAULT_GAP_FACTOR, LineBand, WordBox, column_profile, row_profile
+from .shapecode import UnsupportedCharacterError, word_to_wst
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -105,8 +97,6 @@ def _build_parser() -> _Parser:
     p_inspect.add_argument("--what", required=True,
                            choices=["rows", "cols", "lines", "words", "zones", "wst"])
     p_inspect.add_argument("--gap-factor", type=float, default=DEFAULT_GAP_FACTOR)
-    p_inspect.add_argument("--valley-slack", type=int, default=1)
-    p_inspect.add_argument("--zone-fraction", type=float, default=0.5)
     p_inspect.set_defaults(func=_cmd_inspect)
 
     return parser
@@ -118,10 +108,6 @@ def _add_query_args(p: argparse.ArgumentParser) -> None:
                    help="maximum shape-token edit distance (default 2.5)")
     p.add_argument("--char-width", type=int, default=DEFAULT_CHAR_WIDTH,
                    help="expected character width in pixels at the reference font")
-    p.add_argument("--valley-slack", type=int, default=1,
-                   help="how far above the column minimum still counts as a valley")
-    p.add_argument("--zone-fraction", type=float, default=0.5,
-                   help="row-count fraction of the peak defining the x-height band")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -175,7 +161,9 @@ def _cmd_index(args) -> int:
     used_ids: set[str] = set()
     for path in args.images:
         gray = _load_page_file(path)
-        base = re.sub(r"\s+", "_", Path(path).stem) or "page"
+        # Name bytes that are not UTF-8 become `\xNN`: ids go to stdout.
+        stem = os.fsencode(Path(path).stem).decode("utf-8", "backslashreplace")
+        base = re.sub(r"\s+", "_", stem) or "page"
         doc_id = base
         serial = 2
         while doc_id in used_ids:
@@ -289,10 +277,9 @@ def _run_queries(args, texts: list[str], annotate_out: str | None) -> int:
     index = _read_index(args.index)
     loader = _PageLoader(index, Path(args.index).resolve().parent)
     params = SearchParams(threshold=args.threshold, char_width=args.char_width)
-    shape = ShapeParams(valley_slack=args.valley_slack, zone_fraction=args.zone_fraction)
     out = sys.stdout
     for text in texts:
-        results = search(index, loader, text, params, shape)
+        results = search(index, loader, text, params)
         out.write(f"Q {text}\n")
         for match in results:
             out.write(format_result(match) + "\n")
@@ -322,49 +309,35 @@ def _cmd_annotate(args) -> int:
 
 def _cmd_inspect(args) -> int:
     data = Path(args.input).read_bytes()
-    if data.startswith(b"WSIDX"):
-        return _inspect_index(load_index(data), args.what)
-    img = binarize(load_image(data))
     what = args.what
-    if what == "rows":
-        print(" ".join(map(str, row_profile(img).counts.tolist())))
-        return EXIT_OK
-    if what == "cols":
-        full = LineBand(0, img.height - 1)
-        print(" ".join(map(str, column_profile(img, full).counts.tolist())))
-        return EXIT_OK
-
-    bands = segment_lines(row_profile(img))
-    if what == "lines":
-        for band in bands:
-            print(f"{band.row_start} {band.row_end}")
-        return EXIT_OK
-
-    shape = ShapeParams(valley_slack=args.valley_slack, zone_fraction=args.zone_fraction)
-    for band in bands:
-        if what == "zones":
-            zones = estimate_zones(img, band, shape.zone_fraction)
-            print(f"{band.row_start} {band.row_end} {zones.body_top} {zones.body_bottom}")
-            continue
-        for box in segment_words(img, band, args.gap_factor):
-            if what == "words":
-                print(f"{box.x1} {box.y1} {box.x2} {box.y2}")
-            else:  # wst
-                print(word_to_wst(img, band, box, shape))
-    return EXIT_OK
-
-
-def _inspect_index(index: WordIndex, what: str) -> int:
-    if what == "words":
+    if data.startswith(b"WSIDX"):
+        index = load_index(data)
+    else:
+        img = binarize(load_image(data))
+        if what == "rows":
+            print(" ".join(map(str, row_profile(img).counts.tolist())))
+            return EXIT_OK
+        if what == "cols":
+            full = LineBand(0, img.height - 1)
+            print(" ".join(map(str, column_profile(img, full).counts.tolist())))
+            return EXIT_OK
+        # The lines and words `index` records, with the tokens `query` computes.
+        index = build_index([("page", img)], gap_factor=args.gap_factor)
+        for rec in index.records if what == "wst" else ():
+            line = index.line_of(rec)
+            rec.wst = word_to_wst(img, line.band, rec.box, zones=line.zones)
+    if what in ("lines", "zones"):
+        for line in index.lines:
+            band, zones = line.band, line.zones
+            body = f" {zones.body_top} {zones.body_bottom}" if what == "zones" else ""
+            print(f"{band.row_start} {band.row_end}{body}")
+    elif what in ("words", "wst"):
         for rec in index.records:
             b = rec.box
-            print(f"{b.x1} {b.y1} {b.x2} {b.y2}")
-        return EXIT_OK
-    if what == "wst":
-        for rec in index.records:
-            print(rec.wst if rec.wst is not None else "-")
-        return EXIT_OK
-    raise _UsageError(f"--what {what} needs a page image, not an index file")
+            print(f"{b.x1} {b.y1} {b.x2} {b.y2}" if what == "words" else rec.wst or "-")
+    else:
+        raise _UsageError(f"--what {what} needs a page image, not an index file")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,38 +1,46 @@
-"""Word records, size classification, and the searchable index.
+"""Word records, text lines, size classification, and the searchable index.
 
-A record holds only where its word is (doc, line, word, box) and its cached
-shape token. The word's length is normalized to a reference font size from
-its box, so that one pixel-length scale applies across documents with
-varying handwriting sizes, and records are bucketed into five size classes
-for fast query prefiltering; both are derived by WordIndex, never stored.
+A line holds its rows and x-height body band, against which queries encode
+its words. A record holds only where its word is (doc, line, word, box) and
+its cached shape token. The word's length is normalized to a reference font
+size from its box, so that one pixel-length scale applies across documents
+with varying handwriting sizes, and records are bucketed into five size
+classes for fast query prefiltering; both are derived by WordIndex.
 
-Index file format (UTF-8, LF, space-separated fields):
+Index file format (UTF-8, LF, space-separated fields), nested by position:
 
-    WSIDX 2
+    WSIDX 3
     K <ref_font_pixels>
     DOC <doc_id> <path> <width> <height>
-    W <doc_id> <line_idx> <word_idx> <x1> <y1> <x2> <y2> <wst>
+    L <row_start> <row_end> <body_top> <body_bottom>
+    W <x1> <y1> <x2> <y2> <wst>
 
-wst is a string over {A, x, g} or `-` when not cached. doc_id and path are
-percent-encoded so they never contain whitespace. Files of another version
-are refused; rebuild them with `wordspot index`.
+DOC opens a page, L the page's next text line and W that line's next word;
+line and word numbers are these positions, from 0. wst is a string over
+{A, x, g} or `-` when not cached. doc_id and path (as file-system bytes)
+are percent-encoded. Files of another version are refused; rebuild them.
 """
 
 from __future__ import annotations
 
 import enum
+import os
 import urllib.parse
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .pnm import BinaryImage
 from .segment import (
     DEFAULT_GAP_FACTOR,
+    LineBand,
     WordBox,
+    check_band,
     row_profile,
     segment_lines,
     segment_words,
 )
+from .shapecode import ZoneBands, zones_from_rows
 
 DEFAULT_REF_FONT = 60
 
@@ -40,7 +48,7 @@ DEFAULT_REF_FONT = 60
 SIZE_BOUNDS = (80, 240, 320, 480)
 
 FORMAT_MAGIC = "WSIDX"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class SizeClass(enum.IntEnum):
@@ -73,8 +81,8 @@ class IndexFormatError(ValueError):
 
 
 class IndexInvariantError(ValueError):
-    """A WordIndex entry breaks an index invariant. `kind` is "doc" or
-    "record" and `position` the entry's place in that list."""
+    """A WordIndex entry breaks an index invariant. `kind` is "doc", "line"
+    or "record" and `position` the entry's place in that list."""
 
     def __init__(self, message: str, kind: str, position: int):
         super().__init__(message)
@@ -99,7 +107,12 @@ def classify_size(norm_length: int) -> SizeClass:
     """Map a normalized pixel length onto its size class (lower-inclusive)."""
     if norm_length < 0:
         raise ValueError(f"norm_length must be >= 0, got {norm_length}")
-    return SizeClass(bisect_right(SIZE_BOUNDS, norm_length))
+    return _SIZE_CLASSES[bisect_right(SIZE_BOUNDS, norm_length)]
+
+
+# Indexing a tuple is several times faster than calling the enum, and every
+# record is classified when an index is built or loaded.
+_SIZE_CLASSES = tuple(SizeClass)
 
 
 _WST_ALPHABET = set("Axg")
@@ -136,17 +149,45 @@ class DocEntry:
     height: int
 
 
-@dataclass(eq=False)
-class WordIndex:
-    """All word records of a document set, bucketed by size class.
+@dataclass(frozen=True)
+class LineEntry:
+    """One text line of a page: its rows and the x-height body band inside
+    them, both in page rows. The line's words are encoded against them."""
 
-    Each bucket holds (normalized length, record) pairs in record order; the
-    length comes from the record's box and `ref_font`.
+    doc_id: str
+    line_idx: int
+    band: LineBand
+    zones: ZoneBands
+
+
+def _page_order_key(rank: dict[str, int], previous: tuple, doc_id: str, *numbers: int):
+    """(doc rank, *numbers) of an entry that must come right after `previous`
+    (-1s before the first entry) in page order: the next number in the same
+    group, or number 0 in a later group."""
+    if doc_id not in rank:
+        raise ValueError(f"unknown doc {doc_id!r}")
+    key = (rank[doc_id], *numbers)
+    if key[-1] != (previous[-1] + 1 if key[:-1] == previous[:-1] else 0) or key < previous:
+        raise ValueError("out of page order")
+    return key
+
+
+@dataclass
+class WordIndex:
+    """All text lines and word records of a document set.
+
+    Lines and records come in page order: pages in the order of `docs`, the
+    lines of a page and the words of a line each numbered from 0.
+    `page_lines` maps each doc id to its lines. Each bucket holds
+    (normalized length, record) pairs in record order; the length comes from
+    the record's box and `ref_font`.
     """
 
     ref_font: int
     docs: list[DocEntry]
+    lines: list[LineEntry]
     records: list[WordRecord]
+    page_lines: dict[str, list[LineEntry]] = field(init=False, repr=False, compare=False)
     buckets: dict[SizeClass, list[tuple[int, WordRecord]]] = field(
         init=False, repr=False, compare=False
     )
@@ -156,42 +197,53 @@ class WordIndex:
         IndexInvariantError back to the offending line."""
         if self.ref_font < 1:
             raise ValueError("ref_font must be >= 1")
-        page_sizes = {}
+        rank = {}
         for position, doc in enumerate(self.docs):
-            if doc.doc_id in page_sizes:
+            if doc.doc_id in rank:
                 raise IndexInvariantError(f"duplicate doc_id {doc.doc_id!r}", "doc", position)
-            page_sizes[doc.doc_id] = (doc.width, doc.height)
-        seen_words = set()
+            rank[doc.doc_id] = position
+        self.page_lines = {doc.doc_id: [] for doc in self.docs}
         self.buckets = {cls: [] for cls in SizeClass}
-        for position, rec in enumerate(self.records):
-            key = (rec.doc_id, rec.line_idx, rec.word_idx)
-            if key in seen_words:
-                raise IndexInvariantError(f"duplicate word key {key}", "record", position)
-            seen_words.add(key)
-            size = page_sizes.get(rec.doc_id)
-            if size is None:
-                raise IndexInvariantError(
-                    f"record {key}: unknown doc {rec.doc_id!r}", "record", position
-                )
-            box = rec.box
-            if not (0 <= box.x1 and box.x2 < size[0] and 0 <= box.y1 and box.y2 < size[1]):
-                raise IndexInvariantError(
-                    f"record {key}: box x {box.x1}..{box.x2}, y {box.y1}..{box.y2} "
-                    f"outside its page of {size[0]}x{size[1]}",
-                    "record",
-                    position,
-                )
-            norm = normalize_length(box.width, box.height, self.ref_font)
-            self.buckets[classify_size(norm)].append((norm, rec))
+        for kind, entries, add in (
+            ("line", self.lines, self._add_line),
+            ("record", self.records, self._add_record),
+        ):
+            previous = (-1, -1, -1)
+            for position, entry in enumerate(entries):
+                try:
+                    previous = add(rank, previous, entry)
+                except ValueError as exc:
+                    message = f"{kind} {position}: {exc}"
+                    raise IndexInvariantError(message, kind, position) from None
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordIndex):
-            return NotImplemented
-        return (
-            self.ref_font == other.ref_font
-            and self.docs == other.docs
-            and self.records == other.records
-        )
+    def _add_line(self, rank, previous, line: LineEntry):
+        key = _page_order_key(rank, previous, line.doc_id, line.line_idx)
+        band, zones = line.band, line.zones
+        check_band(band, self.docs[key[0]].height)
+        if not band.row_start <= zones.body_top <= zones.body_bottom <= band.row_end:
+            raise ValueError(f"body rows {zones.body_top}..{zones.body_bottom} outside its band")
+        self.page_lines[line.doc_id].append(line)
+        return key
+
+    def _add_record(self, rank, previous, rec: WordRecord):
+        key = _page_order_key(rank, previous, rec.doc_id, rec.line_idx, rec.word_idx)
+        lines = self.page_lines[rec.doc_id]
+        if rec.line_idx >= len(lines):
+            raise ValueError(f"its page has {len(lines)} lines")
+        width, band, box = self.docs[key[0]].width, lines[rec.line_idx].band, rec.box
+        in_columns = 0 <= box.x1 and box.x2 < width
+        if not (in_columns and band.row_start <= box.y1 and box.y2 <= band.row_end):
+            raise ValueError(
+                f"box x {box.x1}..{box.x2}, y {box.y1}..{box.y2} outside its page columns "
+                f"0..{width - 1} or its line rows {band.row_start}..{band.row_end}"
+            )
+        norm = normalize_length(box.width, box.height, self.ref_font)
+        self.buckets[classify_size(norm)].append((norm, rec))
+        return key
+
+    def line_of(self, rec: WordRecord) -> LineEntry:
+        """The text line a record of this index lies in."""
+        return self.page_lines[rec.doc_id][rec.line_idx]
 
 
 def build_index(
@@ -202,46 +254,49 @@ def build_index(
     noise_threshold: int | None = None,
     source_paths: dict[str, str] | None = None,
 ) -> WordIndex:
-    """Segment every page and index one record per word.
+    """Segment every page and index each text line and one record per word.
 
-    Shape tokens are not computed here; they are filled lazily at query time.
-    `source_paths` maps doc_id to the file the page came from (defaults to
-    the doc_id itself) so that queries can reload page images.
+    A line's body band is found from the page's row counts with the default
+    zone fraction. Shape tokens are not computed here; they are filled
+    lazily at query time. `source_paths` maps doc_id to the file the page
+    came from (defaults to the doc_id itself) so that queries can reload
+    page images.
     """
     docs = []
+    lines = []
     records = []
     for doc_id, img in pages:
         path = (source_paths or {}).get(doc_id, doc_id)
         docs.append(DocEntry(doc_id, path, img.width, img.height))
-        bands = segment_lines(row_profile(img), noise_threshold)
-        for line_idx, band in enumerate(bands):
+        profile = row_profile(img)
+        for line_idx, band in enumerate(segment_lines(profile, noise_threshold)):
+            lines.append(LineEntry(doc_id, line_idx, band, zones_from_rows(profile.counts, band)))
             for word_idx, box in enumerate(segment_words(img, band, gap_factor)):
                 records.append(WordRecord(doc_id, line_idx, word_idx, box))
-    return WordIndex(ref_font, docs, records)
+    return WordIndex(ref_font, docs, lines, records)
 
 
-def _encode(text: str) -> str:
+def _encode(text: str | bytes) -> str:
     return urllib.parse.quote(text, safe="/.-_")
-
-
-def _decode(text: str) -> str:
-    return urllib.parse.unquote(text)
 
 
 def save_index(index: WordIndex) -> bytes:
     """Serialize to the text index format; load_index inverts this exactly."""
-    lines = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", f"K {index.ref_font}"]
+    out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", f"K {index.ref_font}"]
+    words = defaultdict(list)
+    for rec in index.records:
+        words[rec.doc_id, rec.line_idx].append(rec)
     for doc in index.docs:
-        lines.append(
-            f"DOC {_encode(doc.doc_id)} {_encode(doc.path)} {doc.width} {doc.height}"
-        )
-    for r in index.records:
-        b = r.box
-        lines.append(
-            f"W {_encode(r.doc_id)} {r.line_idx} {r.word_idx} "
-            f"{b.x1} {b.y1} {b.x2} {b.y2} {r.wst if r.wst is not None else '-'}"
-        )
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        # File-system bytes, so that a name that is not UTF-8 reloads the file.
+        path = _encode(os.fsencode(doc.path))
+        out.append(f"DOC {_encode(doc.doc_id)} {path} {doc.width} {doc.height}")
+        for line in index.page_lines[doc.doc_id]:
+            band, zones = line.band, line.zones
+            out.append(f"L {band.row_start} {band.row_end} {zones.body_top} {zones.body_bottom}")
+            for rec in words[doc.doc_id, line.line_idx]:
+                b = rec.box
+                out.append(f"W {b.x1} {b.y1} {b.x2} {b.y2} {rec.wst or '-'}")
+    return ("\n".join(out) + "\n").encode("utf-8")
 
 
 def _parse_int(token: str, what: str, line_no: int, lo: int = 0) -> int:
@@ -254,75 +309,84 @@ def _parse_int(token: str, what: str, line_no: int, lo: int = 0) -> int:
     return value
 
 
+# The fields that follow the kind of each line of an index file.
+_FIELDS = {
+    "DOC": ("doc_id", "path", "doc width", "doc height"),
+    "L": ("row_start", "row_end", "body_top", "body_bottom"),
+    "W": ("x1", "y1", "x2", "y2", "wst"),
+}
+
+
 def load_index(data: bytes) -> WordIndex:
     """Parse index bytes; raises IndexFormatError naming the bad line.
 
-    Lines are parsed one at a time; the invariants across entries (unique
-    doc ids and word keys, records of a listed doc, boxes inside their
-    page) are checked once, by WordIndex. When several lines are bad, a
-    parse error is reported before an invariant error.
+    Lines are parsed one at a time, each L line numbered within its page and
+    each W line within its text line; the invariants across entries (unique
+    doc ids, bands inside their page, boxes inside their page and line) are
+    checked once, by WordIndex. When several lines are bad, a parse error is
+    reported before an invariant error.
     """
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IndexFormatError(f"index is not valid UTF-8: {exc}", 1) from None
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    rows = text.split("\n")
+    if rows and rows[-1] == "":
+        rows.pop()
 
-    if not lines or lines[0] != f"{FORMAT_MAGIC} {FORMAT_VERSION}":
-        got = lines[0] if lines else ""
+    if not rows or rows[0] != f"{FORMAT_MAGIC} {FORMAT_VERSION}":
+        got = rows[0] if rows else ""
         raise IndexFormatError(
             f"expected header {FORMAT_MAGIC!r} version {FORMAT_VERSION}, got {got!r}", 1
         )
-    if len(lines) < 2 or not lines[1].startswith("K "):
+    if len(rows) < 2 or not rows[1].startswith("K "):
         raise IndexFormatError("expected reference font line 'K <pixels>'", 2)
-    ref_font = _parse_int(lines[1][2:], "reference font size", 2, lo=1)
+    ref_font = _parse_int(rows[1][2:], "reference font size", 2, lo=1)
 
     docs: list[DocEntry] = []
+    lines: list[LineEntry] = []
     records: list[WordRecord] = []
-    # Line numbers of the DOC and W lines, to name the line of an entry that
-    # WordIndex finds inconsistent with the others.
-    doc_lines: list[int] = []
-    record_lines: list[int] = []
+    # Line numbers of the DOC, L and W lines, to name the line of an entry
+    # that WordIndex finds inconsistent with the others.
+    line_nos: dict[str, list[int]] = {kind: [] for kind in _FIELDS}
+    line_idx = word_idx = -1
 
-    for line_no, line in enumerate(lines[2:], start=3):
-        fields = line.split(" ")
-        kind = fields[0]
-        if kind == "DOC":
-            if len(fields) != 5:
-                raise IndexFormatError(
-                    f"DOC line needs 5 fields, got {len(fields)}", line_no
-                )
-            doc_id = _decode(fields[1])
-            width = _parse_int(fields[3], "doc width", line_no, lo=1)
-            height = _parse_int(fields[4], "doc height", line_no, lo=1)
-            docs.append(DocEntry(doc_id, _decode(fields[2]), width, height))
-            doc_lines.append(line_no)
-        elif kind == "W":
-            if len(fields) != 9:
-                raise IndexFormatError(
-                    f"record line needs 9 fields, got {len(fields)}", line_no
-                )
-            doc_id = _decode(fields[1])
-            line_idx = _parse_int(fields[2], "line index", line_no)
-            word_idx = _parse_int(fields[3], "word index", line_no)
-            x1, y1, x2, y2 = (
-                _parse_int(fields[i], name, line_no)
-                for i, name in ((4, "x1"), (5, "y1"), (6, "x2"), (7, "y2"))
+    for line_no, row in enumerate(rows[2:], start=3):
+        kind, *fields = row.split(" ")
+        names = _FIELDS.get(kind)
+        if names is None:
+            raise IndexFormatError(f"unknown line kind {kind!r}", line_no)
+        if len(fields) != len(names):
+            raise IndexFormatError(
+                f"{kind} line needs {len(names) + 1} fields, got {len(fields) + 1}", line_no
             )
-            wst = None if fields[8] == "-" else fields[8]
+        if kind == "DOC":
+            width, height = (_parse_int(fields[i], names[i], line_no, lo=1) for i in (2, 3))
+            path = os.fsdecode(urllib.parse.unquote_to_bytes(fields[1]))
+            docs.append(DocEntry(urllib.parse.unquote(fields[0]), path, width, height))
+            line_idx = -1
+        elif kind == "L" and not docs:
+            raise IndexFormatError("L line before any DOC line", line_no)
+        elif kind == "W" and line_idx < 0:
+            raise IndexFormatError("W line before its page's first L line", line_no)
+        else:
+            a, b, c, d = (_parse_int(v, name, line_no) for v, name in zip(fields[:4], names))
             try:
-                box = WordBox(x1, y1, x2, y2)
-                records.append(WordRecord(doc_id, line_idx, word_idx, box, wst))
+                if kind == "L":
+                    line_idx, word_idx = line_idx + 1, -1
+                    band, zones = LineBand(a, b), ZoneBands(c, d)
+                    lines.append(LineEntry(docs[-1].doc_id, line_idx, band, zones))
+                else:
+                    word_idx += 1
+                    wst = None if fields[4] == "-" else fields[4]
+                    box = WordBox(a, b, c, d)
+                    records.append(WordRecord(docs[-1].doc_id, line_idx, word_idx, box, wst))
             except ValueError as exc:
                 raise IndexFormatError(str(exc), line_no) from None
-            record_lines.append(line_no)
-        else:
-            raise IndexFormatError(f"unknown line kind {kind!r}", line_no)
+        line_nos[kind].append(line_no)
 
     try:
-        return WordIndex(ref_font, docs, records)
+        return WordIndex(ref_font, docs, lines, records)
     except IndexInvariantError as exc:
-        line_nos = doc_lines if exc.kind == "doc" else record_lines
-        raise IndexFormatError(str(exc), line_nos[exc.position]) from None
+        kind = {"doc": "DOC", "line": "L", "record": "W"}[exc.kind]
+        raise IndexFormatError(str(exc), line_nos[kind][exc.position]) from None

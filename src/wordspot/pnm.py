@@ -278,18 +278,21 @@ def binarize(img: GrayImage, threshold_fraction: float = 0.5) -> BinaryImage:
 
 
 def rescale_to_255(img: GrayImage) -> GrayImage:
-    """Return a copy with maxval 255, rescaling values half-up if needed."""
+    """Return a writable uint8 copy with maxval 255, rescaled half-up if needed."""
     if img.maxval == 255:
-        return GrayImage(img.width, img.height, 255, img.pixels.copy())
+        return GrayImage(img.width, img.height, 255, img.pixels.astype(np.uint8))
     scaled = np.floor(img.pixels.astype(np.float64) * 255.0 / img.maxval + 0.5)
-    return GrayImage(img.width, img.height, 255, scaled.astype(np.uint16))
+    return GrayImage(img.width, img.height, 255, scaled.astype(np.uint8))
 
 
 def write_gray(img: GrayImage) -> bytes:
     """Serialize as binary PGM (P5), maxval 255.
 
-    Round-trips through load_image bit-exactly when img.maxval is 255.
+    Round-trips through load_image bit-exactly when img.maxval is 255; a
+    uint8 page at maxval 255 is not copied before the output is built.
     """
-    px = rescale_to_255(img).pixels
+    if img.maxval != 255:
+        img = rescale_to_255(img)
+    px = np.ascontiguousarray(img.pixels.astype(np.uint8, copy=False))
     header = f"P5\n{img.width} {img.height}\n255\n".encode("ascii")
-    return header + px.astype(np.uint8).tobytes()
+    return b"".join((header, px.data))

@@ -9,8 +9,8 @@ Each distinct word token is scored once per query, and a token whose length
 differs from the query token's by more than the threshold is rejected
 without a DP: the edit distance is at least the length difference.
 
-Line bands and x-height zones are re-derived from each loaded page's row
-profile, once per page and once per band within a query.
+A word is encoded against the line band and x-height zones its index
+records, so a query loads the pages of its candidates but segments none.
 """
 
 from __future__ import annotations
@@ -18,19 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from .index import SizeClass, WordIndex, WordRecord, classify_size
+from .index import LineEntry, SizeClass, WordIndex, WordRecord, classify_size
 from .pnm import BinaryImage
-from .segment import LineBand, row_profile, segment_lines
-from .shapecode import (
-    NoInkError,
-    ShapeParams,
-    ZoneBands,
-    query_to_wst,
-    word_to_wst,
-    zones_from_rows,
-)
+from .shapecode import NoInkError, query_to_wst, word_to_wst
 
 DEFAULT_THRESHOLD = 2.5
 DEFAULT_CHAR_WIDTH = 40
@@ -116,46 +106,16 @@ def _load(provider: PageProvider, doc_id: str) -> BinaryImage:
         raise MissingPageError(doc_id, str(exc)) from exc
 
 
-def _band_for(bands: list[LineBand], rec: WordRecord) -> LineBand:
-    if rec.line_idx < len(bands):
-        band = bands[rec.line_idx]
-        if band.row_start <= rec.box.y1 and rec.box.y2 <= band.row_end:
-            return band
-    # Re-derived lines no longer match the index; fall back to the word rows.
-    return LineBand(rec.box.y1, rec.box.y2)
-
-
-@dataclass
-class _PageLines:
-    """A loaded page with its row ink counts, line bands and the zones of
-    the bands used so far; lives for one query."""
-
-    page: BinaryImage
-    row_counts: np.ndarray
-    bands: list[LineBand]
-    zones: dict[LineBand, ZoneBands]
-
-    @classmethod
-    def of(cls, page: BinaryImage) -> "_PageLines":
-        profile = row_profile(page)
-        return cls(page, profile.counts, segment_lines(profile), {})
-
-    def encode(self, rec: WordRecord, shape: ShapeParams) -> str:
-        band = _band_for(self.bands, rec)
-        try:
-            zones = self.zones.get(band)
-            if zones is None:
-                zones = self.zones[band] = zones_from_rows(
-                    self.row_counts, band, shape.zone_fraction
-                )
-            return word_to_wst(self.page, band, rec.box, shape, zones=zones)
-        except NoInkError:
-            b = rec.box
-            raise MissingPageError(
-                rec.doc_id,
-                f"no ink in word box {b.x1} {b.y1} {b.x2} {b.y2} "
-                f"(line {rec.line_idx}, word {rec.word_idx}) recorded by the index",
-            ) from None
+def _encode(page: BinaryImage, line: LineEntry, rec: WordRecord) -> str:
+    try:
+        return word_to_wst(page, line.band, rec.box, zones=line.zones)
+    except NoInkError:
+        b = rec.box
+        raise MissingPageError(
+            rec.doc_id,
+            f"no ink in word box {b.x1} {b.y1} {b.x2} {b.y2} "
+            f"(line {rec.line_idx}, word {rec.word_idx}) recorded by the index",
+        ) from None
 
 
 def search(
@@ -163,37 +123,34 @@ def search(
     load_page: PageProvider,
     text: str,
     params: SearchParams | None = None,
-    shape: ShapeParams | None = None,
 ) -> list[MatchResult]:
     """Ranked matches for a text query.
 
     Candidates come from the size prefilter; each candidate without a cached
-    shape token gets one computed from its page image (cached write-once on
-    the in-memory record). A candidate whose token length differs from the
-    query token's by more than params.threshold is rejected without a DP,
-    since the edit distance is at least that difference; every other
-    distinct token is scored once per query. Matches at distance <=
-    params.threshold are returned ordered by distance, then (doc_id,
-    line_idx, word_idx).
+    shape token gets one computed from its page image and the line the index
+    records for it (cached write-once on the in-memory record). A candidate
+    whose token length differs from the query token's by more than
+    params.threshold is rejected without a DP, since the edit distance is at
+    least that difference; every other distinct token is scored once per
+    query. Matches at distance <= params.threshold are returned ordered by
+    distance, then (doc_id, line_idx, word_idx).
     """
     if params is None:
         params = SearchParams()
-    if shape is None:
-        shape = ShapeParams()
     if not text:
         raise ValueError("query text must be non-empty")
     query = query_to_wst(text)
 
-    pages: dict[str, _PageLines] = {}
+    pages: dict[str, BinaryImage] = {}
     distances: dict[str, int] = {}
 
     results = []
     for rec in size_prefilter(index, len(text), params):
         if rec.wst is None:
-            lines = pages.get(rec.doc_id)
-            if lines is None:
-                lines = pages[rec.doc_id] = _PageLines.of(_load(load_page, rec.doc_id))
-            rec.wst = lines.encode(rec, shape)
+            page = pages.get(rec.doc_id)
+            if page is None:
+                page = pages[rec.doc_id] = _load(load_page, rec.doc_id)
+            rec.wst = _encode(page, index.line_of(rec), rec)
         if abs(len(rec.wst) - len(query)) > params.threshold:
             continue
         distance = distances.get(rec.wst)

@@ -76,10 +76,11 @@ class WordBox:
         return self.y2 - self.y1 + 1
 
 
-def _check_band(img: BinaryImage, band: LineBand) -> None:
-    if band.row_start < 0 or band.row_end >= img.height:
+def check_band(band: LineBand, height: int) -> None:
+    """Raise ValueError unless the band lies within rows 0..height-1."""
+    if band.row_start < 0 or band.row_end >= height:
         raise ValueError(
-            f"band {band.row_start}..{band.row_end} outside image rows 0..{img.height - 1}"
+            f"band {band.row_start}..{band.row_end} outside image rows 0..{height - 1}"
         )
 
 
@@ -101,7 +102,7 @@ def row_profile(img: BinaryImage) -> Profile:
 
 def column_profile(img: BinaryImage, band: LineBand) -> Profile:
     """Ink pixels per column, restricted to the band's rows."""
-    _check_band(img, band)
+    check_band(band, img.height)
     sub = img.bits[band.row_start : band.row_end + 1]
     ink = band.height - sub.sum(axis=0, dtype=np.int32)
     return Profile(ink, "column", band.height)
@@ -137,7 +138,7 @@ def segment_words(
     columns are trimmed, never treated as splits. Each box is tightened to
     the minimal bounding box of its ink on both axes.
     """
-    _check_band(img, band)
+    check_band(band, img.height)
     ink = img.bits[band.row_start : band.row_end + 1] == 0
     starts, ends = mask_runs(ink.any(axis=0))
     if len(starts) == 0:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage
-from .segment import LineBand, WordBox, crop_box, mask_runs
+from .segment import LineBand, WordBox, check_band, crop_box, mask_runs
 from .util import round_half_up
 
 
@@ -112,11 +112,6 @@ def query_to_wst(text: str) -> str:
     return "".join(parts)
 
 
-def _check_band_rows(band: LineBand, height: int) -> None:
-    if band.row_start < 0 or band.row_end >= height:
-        raise ValueError(f"band {band} outside image rows 0..{height - 1}")
-
-
 def zones_from_rows(
     row_counts: np.ndarray, band: LineBand, zone_fraction: float = 0.5
 ) -> ZoneBands:
@@ -127,7 +122,7 @@ def zones_from_rows(
     contiguous run of band rows whose count is at least zone_fraction of the
     peak row count, containing the (first) peak row.
     """
-    _check_band_rows(band, len(row_counts))
+    check_band(band, len(row_counts))
     counts = row_counts[band.row_start : band.row_end + 1]
     peak_row = int(counts.argmax())
     peak = int(counts[peak_row])
@@ -149,7 +144,7 @@ def estimate_zones(
     See `zones_from_rows`; returned rows use the same coordinate frame as
     `img`.
     """
-    _check_band_rows(band, img.height)
+    check_band(band, img.height)
     sub = img.bits[band.row_start : band.row_end + 1]
     counts = img.width - sub.sum(axis=1, dtype=np.int64)
     local = zones_from_rows(counts, LineBand(0, band.height - 1), zone_fraction)

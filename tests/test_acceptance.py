@@ -20,6 +20,7 @@ from glyphs import (
 )
 from wordspot.index import (
     DocEntry,
+    LineEntry,
     WordIndex,
     WordRecord,
     build_index,
@@ -29,8 +30,8 @@ from wordspot.index import (
     save_index,
 )
 from wordspot.search import levenshtein, search
-from wordspot.segment import WordBox, row_profile, segment_lines, segment_words
-from wordspot.shapecode import SHAPE_CODE_ROWS, query_to_wst
+from wordspot.segment import LineBand, WordBox, row_profile, segment_lines, segment_words
+from wordspot.shapecode import SHAPE_CODE_ROWS, ZoneBands, query_to_wst
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -338,23 +339,32 @@ def test_short_query_behavior(retrieval_corpus):
 
 
 def synthetic_index(n_records: int = 1000) -> WordIndex:
+    """Records in page order: 5 pages of 20 lines of 10 words, each line a
+    75-row band whose boxes start in its first 11 rows."""
     rng = random.Random(20242)
     docs = [DocEntry(f"doc{d}", f"pages/doc{d}.pgm", 1200, 1600) for d in range(5)]
+    lines = []
     records = []
     for i in range(n_records):
-        doc = f"doc{i % 5}"
-        line, word = divmod(i // 5, 10)
+        doc_no, rest = divmod(i, n_records // 5)
+        doc = f"doc{doc_no}"
+        line, word = divmod(rest, 10)
+        top = 75 * line
+        if word == 0:
+            lines.append(
+                LineEntry(doc, line, LineBand(top, top + 74), ZoneBands(top + 20, top + 50))
+            )
         x1 = rng.randint(0, 900)
-        y1 = rng.randint(0, 1400)
+        y1 = top + rng.randint(0, 10)
         w = rng.randint(5, 299)
-        h = rng.randint(8, 120)
+        h = rng.randint(8, 64)
         wst = None
         if rng.random() < 0.5:
             wst = "".join(rng.choice("Axg") for _ in range(rng.randint(1, 20)))
         records.append(
             WordRecord(doc, line, word, WordBox(x1, y1, x1 + w - 1, y1 + h - 1), wst)
         )
-    return WordIndex(60, docs, records)
+    return WordIndex(60, docs, lines, records)
 
 
 def test_persistence_round_trip():

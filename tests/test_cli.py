@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, atomicity, annotation."""
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ import pytest
 from glyphs import compose_page, metrics
 from wordspot.cli import main
 from wordspot.index import load_index
-from wordspot.pnm import GrayImage, load_image, write_gray
+from wordspot.pnm import GrayImage, binarize, load_image, write_gray
+from wordspot.search import SearchParams, search
 from wordspot.segment import row_profile, segment_lines, segment_words
 
 
@@ -146,7 +148,7 @@ class TestQueryCommand:
 
     def test_garbage_index_exits_2(self, tmp_path):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 2\nK 60\njunk line\n")
+        bad.write_bytes(b"WSIDX 3\nK 60\njunk line\n")
         assert main(["query", str(bad), "help"]) == 2
 
     def test_missing_page_file_exits_3(self, corpus, capsys):
@@ -180,20 +182,32 @@ class TestQueryCommand:
     def test_record_box_outside_its_page_exits_2_naming_the_line(self, corpus, capsys):
         layout, page, index_path = corpus
         lines = index_path.read_text().splitlines()
-        # Line 5 is the record of "help". Move its box past the page's last
-        # row, keeping its height.
-        fields = lines[4].split(" ")
-        assert fields[1:4] == ["page1", "0", "1"]
-        height = int(fields[7]) - int(fields[5]) + 1
+        # Line 6 is the record of "help": DOC, L, then the line's words.
+        # Move its box past the page's last row, keeping its height.
+        assert [line.split(" ")[0] for line in lines[2:6]] == ["DOC", "L", "W", "W"]
+        fields = lines[5].split(" ")
+        height = int(fields[4]) - int(fields[2]) + 1
         y1 = layout.image.height - 5
-        fields[5], fields[7] = str(y1), str(y1 + height - 1)
-        lines[4] = " ".join(fields)
+        fields[2], fields[4] = str(y1), str(y1 + height - 1)
+        lines[5] = " ".join(fields)
         index_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert main(["query", str(index_path), "help"]) == 2
         err = capsys.readouterr().err
         assert "outside its page" in err
-        assert "(line 5)" in err
+        assert "(line 6)" in err
+
+    def test_page_name_that_is_not_utf8_indexes_and_queries(self, corpus, tmp_path, capsys):
+        layout, page, index_path = corpus
+        odd = tmp_path / os.fsdecode(b"a\xff.pgm")
+        odd.write_bytes(page.read_bytes())
+        assert main(["index", str(odd), "--out", str(index_path)]) == 0
+        capsys.readouterr()
+        assert main(["query", str(index_path), "help"]) == 0
+        top = capsys.readouterr().out.splitlines()[1].split()
+        box = layout.boxes[0][1]
+        assert top[:2] == ["0", "a\\xff"]
+        assert [int(v) for v in top[4:]] == [box.x1, box.y1, box.x2, box.y2]
 
     def test_usage_errors(self, corpus, capsys, monkeypatch):
         layout, page, index_path = corpus
@@ -202,6 +216,10 @@ class TestQueryCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO("help\n"))
         assert main(["query", str(index_path), "--stdin",
                      "--annotate", "out.pgm"]) == 1
+        # Shape tokens are made one way only: their parameters are no flags.
+        for flag in ("--valley-slack", "--zone-fraction"):
+            assert main(["query", str(index_path), "help", flag, "1"]) == 1
+            assert main(["inspect", str(page), "--what", "wst", flag, "1"]) == 1
 
     def test_bad_flag_domains_are_usage_errors(self, corpus, tmp_path, capsys):
         layout, page, index_path = corpus
@@ -301,6 +319,34 @@ class TestInspect:
         for line in lines:
             start, end, top, bottom = (int(v) for v in line.split())
             assert start <= top <= bottom <= end
+
+    def test_index_lines_and_query_tokens_equal_inspect_output(self, tmp_path, capsys):
+        layout = compose_page(
+            [
+                (metrics(40), ["dipped", "help", "sauce"]),
+                (metrics(30), ["drop", "tenth", "noon", "quill"]),
+                (metrics(50), ["yellow", "bright"]),
+            ],
+            width=1200,
+        )
+        page = tmp_path / "page.pgm"
+        page.write_bytes(page_to_pgm(layout))
+        index_path = tmp_path / "page.wsidx"
+        assert main(["index", str(page), "--out", str(index_path)]) == 0
+        assert main(["inspect", str(page), "--what", "zones"]) == 0
+        assert main(["inspect", str(page), "--what", "wst"]) == 0
+        assert main(["inspect", str(index_path), "--what", "zones"]) == 0
+        out = capsys.readouterr().out.splitlines()
+        zones, tokens, index_zones = out[6:9], out[9:18], out[18:]
+
+        index_text = index_path.read_text().splitlines()
+        assert [line[2:] for line in index_text if line.startswith("L ")] == zones
+        assert index_zones == zones
+        index = load_index(index_path.read_bytes())
+        image = binarize(load_image(page.read_bytes()))
+        for n in range(1, 20):
+            search(index, lambda doc: image, "x" * n, SearchParams(threshold=0))
+        assert [rec.wst for rec in index.records] == tokens
 
     def test_index_input_words(self, corpus, capsys):
         layout, page, index_path = corpus

@@ -1,5 +1,6 @@
 """Length normalization, size classes, index build and persistence."""
 
+import os
 import random
 from pathlib import Path
 
@@ -12,6 +13,7 @@ from wordspot.index import (
     DocEntry,
     IndexFormatError,
     IndexInvariantError,
+    LineEntry,
     SizeClass,
     WordIndex,
     WordRecord,
@@ -22,7 +24,8 @@ from wordspot.index import (
     save_index,
 )
 from wordspot.pnm import BinaryImage
-from wordspot.segment import WordBox
+from wordspot.segment import LineBand, WordBox, row_profile, segment_lines
+from wordspot.shapecode import ZoneBands, zones_from_rows
 
 
 class TestNormalizeLength:
@@ -89,7 +92,7 @@ def blob_page(width=200, height=80, x=40, y=20, blob_w=100, blob_h=30):
 class TestBuildIndex:
     def test_empty_page_list(self):
         index = build_index([], ref_font=60)
-        assert index.records == [] and index.docs == []
+        assert index.records == [] and index.docs == [] and index.lines == []
 
     def test_single_blob_record(self):
         index = build_index([("page", blob_page())], ref_font=60)
@@ -113,6 +116,18 @@ class TestBuildIndex:
         )
         assert index.docs == [DocEntry("a", "pages/a.pgm", 200, 80)]
 
+    def test_lines_hold_band_and_body_from_row_counts(self):
+        page = blob_page()
+        page.bits[25:30, 40:140] = 1  # a gap inside the blob's rows
+        index = build_index([("a", page)], noise_threshold=0)
+        counts = row_profile(page).counts
+        bands = segment_lines(row_profile(page), 0)
+        assert index.lines == [
+            LineEntry("a", n, band, zones_from_rows(counts, band))
+            for n, band in enumerate(bands)
+        ]
+        assert [index.line_of(r) for r in index.records] == index.lines
+
     def test_duplicate_doc_ids_rejected(self):
         with pytest.raises(ValueError):
             build_index([("a", blob_page()), ("a", blob_page())])
@@ -122,22 +137,38 @@ def make_record(doc, line, word, *, x=10, y=20, w=50, h=25, wst=None):
     return WordRecord(doc, line, word, WordBox(x, y, x + w - 1, y + h - 1), wst)
 
 
+def make_line(doc, line, row_start, row_end, body_top=None, body_bottom=None):
+    """A line whose body band is its whole band unless given."""
+    body = (
+        row_start if body_top is None else body_top,
+        row_end if body_bottom is None else body_bottom,
+    )
+    return LineEntry(doc, line, LineBand(row_start, row_end), ZoneBands(*body))
+
+
 def small_index():
+    # Index file lines: 3 DOC doc1, 4 L, 5-6 W, 7 DOC doc2, 8 L (no words),
+    # 9 L, 10 W.
+    lines = [
+        make_line("doc1", 0, 20, 79, 30, 60),
+        make_line("doc2", 0, 0, 10, 2, 8),
+        make_line("doc2", 1, 20, 80, 40, 60),
+    ]
     records = [
         make_record("doc1", 0, 0, w=50, h=25),
         make_record("doc1", 0, 1, w=300, h=60, wst="AxxgA"),
-        make_record("doc2", 3, 0, w=555, h=61),
+        make_record("doc2", 1, 0, w=555, h=61),
     ]
     docs = [
         DocEntry("doc1", "pages/doc one.pgm", 640, 480),
         DocEntry("doc2", "d2.pbm", 640, 200),
     ]
-    return WordIndex(60, docs, records)
+    return WordIndex(60, docs, lines, records)
 
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex(60, [], [])) == b"WSIDX 2\nK 60\n"
+        assert save_index(WordIndex(60, [], [], [])) == b"WSIDX 3\nK 60\n"
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
@@ -145,6 +176,7 @@ class TestPersistence:
         assert again == index
         assert again.records[1].wst == "AxxgA"
         assert again.docs[0].path == "pages/doc one.pgm"
+        assert again.lines[2] == make_line("doc2", 1, 20, 80, 40, 60)
 
     def test_no_whitespace_in_encoded_lines(self):
         data = save_index(small_index()).decode()
@@ -153,10 +185,19 @@ class TestPersistence:
 
     def test_known_record_line(self):
         index = WordIndex(60, [DocEntry("d", "d.pgm", 100, 50)],
-                          [make_record("d", 2, 5, x=1, y=2, w=30, h=10)])
+                          [make_line("d", 0, 0, 20, 5, 15)],
+                          [make_record("d", 0, 0, x=1, y=2, w=30, h=10)])
         lines = save_index(index).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
-        assert lines[3] == "W d 2 5 1 2 30 11 -"
+        assert lines[3] == "L 0 20 5 15"
+        assert lines[4] == "W 1 2 30 11 -"
+
+    def test_path_that_is_not_utf8_round_trips(self):
+        path = os.fsdecode(b"pages/a\xff b.pgm")
+        index = WordIndex(60, [DocEntry("a", path, 10, 10)], [], [])
+        data = save_index(index)
+        assert b"DOC a pages/a%FF%20b.pgm 10 10" in data
+        assert load_index(data).docs[0].path == path
 
     def test_buckets_rebuilt_on_load(self):
         again = load_index(save_index(small_index()))
@@ -184,6 +225,7 @@ class TestLoadErrors:
         assert err.value.line == line_no
 
     def test_bad_version(self, lines):
+        self.assert_error_line(corrupt(lines, 1, "WSIDX 2"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 1"), 1)
 
     def test_bad_magic(self, lines):
@@ -196,36 +238,54 @@ class TestLoadErrors:
         self.assert_error_line(corrupt(lines, 5, "X what"), 5)
 
     def test_short_record_line(self, lines):
-        self.assert_error_line(corrupt(lines, 5, "W doc1 0 0 1 2 3"), 5)
+        self.assert_error_line(corrupt(lines, 5, "W 1 2 3"), 5)
+
+    def test_short_L_line(self, lines):
+        self.assert_error_line(corrupt(lines, 4, "L 20 79 30"), 4)
 
     def test_bad_wst_token(self, lines):
         bad = lines[5 - 1][:-1] + "Q"
         self.assert_error_line(corrupt(lines, 5, bad), 5)
 
-    def test_duplicate_record_key(self, lines):
-        data = ("\n".join(lines + [lines[5 - 1]]) + "\n").encode()
-        self.assert_error_line(data, len(lines) + 1)
+    def test_line_before_any_doc(self, lines):
+        data = ("\n".join(lines[:2] + [lines[4 - 1]] + lines[2:]) + "\n").encode()
+        self.assert_error_line(data, 3)
 
-    def test_unknown_doc_reference(self, lines):
-        bad = lines[5 - 1].replace("W doc1", "W ghost")
-        self.assert_error_line(corrupt(lines, 5, bad), 5)
+    def test_record_before_its_pages_first_line(self, lines):
+        # Line 7 opens doc2; a word right after it has no line to belong to.
+        data = ("\n".join(lines[:7] + [lines[5 - 1]] + lines[7:]) + "\n").encode()
+        self.assert_error_line(data, 8)
 
     def test_duplicate_doc(self, lines):
-        data = ("\n".join(lines[:4] + [lines[3 - 1]] + lines[4:]) + "\n").encode()
-        self.assert_error_line(data, 5)
+        data = ("\n".join(lines + [lines[3 - 1]]) + "\n").encode()
+        self.assert_error_line(data, len(lines) + 1)
 
     def test_parse_error_reported_before_invariant_error(self, lines):
         # Line 5's box is moved outside its page; line 6 is short.
         fields = lines[5 - 1].split(" ")
-        fields[4], fields[6] = "600", "649"
+        fields[1], fields[3] = "600", "649"
         bad = corrupt(lines, 5, " ".join(fields)).decode().strip().split("\n")
-        self.assert_error_line(corrupt(bad, 6, "W doc1 0 1 1 2 3"), 6)
+        self.assert_error_line(corrupt(bad, 6, "W 1 2 3"), 6)
 
     def test_record_box_outside_its_page(self, lines):
         # Line 5 is doc1's first record; doc1 is 640 pixels wide.
         fields = lines[5 - 1].split(" ")
-        fields[4], fields[6] = "600", "649"
+        fields[1], fields[3] = "600", "649"
         self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
+
+    def test_record_box_outside_its_line(self, lines):
+        # Line 5's box starts on row 20, the first row of line 4's band.
+        fields = lines[5 - 1].split(" ")
+        fields[2] = "19"
+        self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
+
+    @pytest.mark.parametrize(
+        "bad", ["L 20 480 30 60", "L 20 79 19 60", "L 20 79 30 80", "L 79 20 30 60",
+                "L 20 79 60 30"]
+    )
+    def test_line_band_outside_its_page_or_body_outside_its_band(self, lines, bad):
+        # doc1 is 480 rows high; line 4's band is rows 20..79.
+        self.assert_error_line(corrupt(lines, 4, bad), 4)
 
     def test_non_utf8(self):
         with pytest.raises(IndexFormatError):
@@ -239,29 +299,41 @@ names = st.lists(
     | st.characters(blacklist_categories=("Cs",)),
     max_size=6,
 ).map("".join)
+# A path may also be any file-system name, UTF-8 or not.
+paths = names | st.binary(max_size=6).map(os.fsdecode)
+
+
+@st.composite
+def rows_within(draw, first, last):
+    """An inclusive row range inside first..last."""
+    start = draw(st.integers(first, last))
+    return start, draw(st.integers(start, last))
 
 
 @st.composite
 def word_indexes(draw):
-    """A valid WordIndex: unique doc ids and word keys, boxes inside their
-    page, records of all docs interleaved, tokens cached or not."""
+    """A valid WordIndex: unique doc ids; each page's lines in order with
+    their band inside the page and their body inside the band; each line's
+    words in order with their box inside the page's columns and the line's
+    rows; tokens cached or not."""
     docs = [
-        DocEntry(doc_id, draw(names), draw(st.integers(1, 300)), draw(st.integers(1, 300)))
+        DocEntry(doc_id, draw(paths), draw(st.integers(1, 300)), draw(st.integers(1, 300)))
         for doc_id in draw(st.lists(names, max_size=3, unique=True))
     ]
-    records = {}
+    lines, records = [], []
     for doc in docs:
-        for _ in range(draw(st.integers(0, 4))):
-            key = (doc.doc_id, draw(st.integers(0, 3)), draw(st.integers(0, 3)))
-            x1 = draw(st.integers(0, doc.width - 1))
-            y1 = draw(st.integers(0, doc.height - 1))
-            box = WordBox(
-                x1, y1, draw(st.integers(x1, doc.width - 1)), draw(st.integers(y1, doc.height - 1))
-            )
-            wst = draw(st.none() | st.text("Axg", min_size=1, max_size=12))
-            records[key] = WordRecord(*key, box, wst)
-    order = draw(st.permutations(list(records.values())))
-    return WordIndex(draw(st.integers(1, 120)), docs, order)
+        for line_idx in range(draw(st.integers(0, 3))):
+            band = LineBand(*draw(rows_within(0, doc.height - 1)))
+            body = ZoneBands(*draw(rows_within(band.row_start, band.row_end)))
+            lines.append(LineEntry(doc.doc_id, line_idx, band, body))
+            for word_idx in range(draw(st.integers(0, 3))):
+                x1, x2 = draw(rows_within(0, doc.width - 1))
+                y1, y2 = draw(rows_within(band.row_start, band.row_end))
+                wst = draw(st.none() | st.text("Axg", min_size=1, max_size=12))
+                records.append(
+                    WordRecord(doc.doc_id, line_idx, word_idx, WordBox(x1, y1, x2, y2), wst)
+                )
+    return WordIndex(draw(st.integers(1, 120)), docs, lines, records)
 
 
 class TestLoadProperties:
@@ -277,14 +349,14 @@ class TestLoadProperties:
         original = save_index(index)
         # Bytes the format gives meaning to are drawn often, so that many
         # mutations leave a line that still parses up to a later field.
-        byte = st.sampled_from(b" \n-%0123456789WDOCKAxg") | st.integers(0, 255)
+        byte = st.sampled_from(b" \n-%0123456789WLDOCKAxg") | st.integers(0, 255)
         how = data.draw(st.sampled_from(["truncate", "extend", "mutate", "field"]))
         if how == "field":
             # Replace one whole field of one line.
             lines = [line.split(" ") for line in original.decode().split("\n")]
             fields = data.draw(st.sampled_from(lines))
             fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
-                st.sampled_from(["", "-", "0", "-1", "07", "x", "Q", "W", "DOC", "%", "1e3"])
+                st.sampled_from(["", "-", "0", "-1", "07", "x", "Q", "W", "L", "DOC", "%", "1e3"])
                 | st.integers(0, 400).map(str)
             )
             damaged = "\n".join(" ".join(f) for f in lines).encode()
@@ -314,32 +386,87 @@ def test_readme_format_example_loads_and_saves_back():
 
 
 class TestDirectConstruction:
+    # A 100x100 page with one line over all its rows.
+    doc = DocEntry("d", "d.pgm", 100, 100)
+    line = make_line("d", 0, 0, 99)
+
     def test_duplicate_word_key_rejected(self):
-        doc = DocEntry("d", "d.pgm", 100, 100)
-        with pytest.raises(ValueError, match="duplicate word key"):
-            WordIndex(60, [doc], [make_record("d", 0, 0), make_record("d", 0, 0)])
+        with pytest.raises(ValueError, match="out of page order"):
+            WordIndex(60, [self.doc], [self.line],
+                      [make_record("d", 0, 0), make_record("d", 0, 0)])
 
     def test_record_of_unknown_doc_rejected(self):
-        doc = DocEntry("d", "d.pgm", 100, 100)
         with pytest.raises(IndexInvariantError, match="unknown doc 'ghost'") as err:
-            WordIndex(60, [doc], [make_record("d", 0, 0), make_record("ghost", 0, 0)])
+            WordIndex(60, [self.doc], [self.line],
+                      [make_record("d", 0, 0), make_record("ghost", 0, 0)])
         assert (err.value.kind, err.value.position) == ("record", 1)
 
     @pytest.mark.parametrize("x,y", [(51, 20), (10, 76), (-1, 20), (10, -1)])
     def test_box_outside_its_page_rejected(self, x, y):
         # make_record's box is 50 wide and 25 high; the page is 100x100.
-        doc = DocEntry("d", "d.pgm", 100, 100)
         with pytest.raises(ValueError, match="outside its page"):
-            WordIndex(60, [doc], [make_record("d", 0, 0, x=x, y=y)])
+            WordIndex(60, [self.doc], [self.line], [make_record("d", 0, 0, x=x, y=y)])
 
     def test_box_touching_page_edges_accepted(self):
-        doc = DocEntry("d", "d.pgm", 100, 100)
-        WordIndex(60, [doc], [make_record("d", 0, 0, x=50, y=75), make_record("d", 0, 1, x=0, y=0)])
+        WordIndex(60, [self.doc], [self.line],
+                  [make_record("d", 0, 0, x=50, y=75), make_record("d", 0, 1, x=0, y=0)])
 
     def test_duplicate_doc_rejected(self):
         doc = DocEntry("d", "d.pgm", 10, 10)
         with pytest.raises(ValueError):
-            WordIndex(60, [doc, doc], [])
+            WordIndex(60, [doc, doc], [], [])
+
+    @pytest.mark.parametrize(
+        "lines,records,kind,position",
+        [
+            # Lines: numbered from 0 within their page, pages in docs order.
+            ([make_line("d", 1, 0, 49)], [], "line", 0),
+            ([make_line("d", 0, 0, 49), make_line("d", 0, 50, 99)], [], "line", 1),
+            ([make_line("d", 0, 0, 49), make_line("d", 2, 50, 99)], [], "line", 1),
+            ([make_line("e", 0, 0, 49), make_line("d", 0, 0, 49)], [], "line", 1),
+            ([make_line("ghost", 0, 0, 49)], [], "line", 0),
+            # Records: words numbered from 0 within a listed line.
+            ([make_line("d", 0, 0, 99)], [make_record("d", 0, 1)], "record", 0),
+            ([make_line("d", 0, 0, 99)], [make_record("d", 1, 0)], "record", 0),
+            ([make_line("d", 0, 0, 99), make_line("e", 0, 0, 99)],
+             [make_record("e", 0, 0), make_record("d", 0, 0)], "record", 1),
+            ([make_line("d", 0, 0, 49), make_line("d", 1, 50, 99)],
+             [make_record("d", 1, 0, y=50), make_record("d", 0, 0)], "record", 1),
+            ([make_line("d", 0, 0, 99)],
+             [make_record("d", 0, 0), make_record("d", 0, 2)], "record", 1),
+        ],
+    )
+    def test_lines_and_records_out_of_page_order_rejected(self, lines, records, kind, position):
+        docs = [self.doc, DocEntry("e", "e.pgm", 100, 100)]
+        with pytest.raises(IndexInvariantError) as err:
+            WordIndex(60, docs, lines, records)
+        assert (err.value.kind, err.value.position) == (kind, position)
+
+    def test_empty_lines_and_a_later_line_accepted(self):
+        # Words are numbered within their line; a line may have none.
+        lines = [make_line("d", 0, 0, 9), make_line("d", 1, 10, 49), make_line("d", 2, 50, 99)]
+        records = [make_record("d", 2, 0, y=50), make_record("d", 2, 1, y=60)]
+        index = WordIndex(60, [self.doc], lines, records)
+        assert [index.line_of(r) for r in records] == [lines[2], lines[2]]
+
+    @pytest.mark.parametrize(
+        "line,match",
+        [
+            (make_line("d", 0, 0, 100), "outside image rows"),
+            (make_line("d", 0, 10, 60, 9, 50), "outside its band"),
+            (make_line("d", 0, 10, 60, 20, 61), "outside its band"),
+        ],
+    )
+    def test_band_outside_its_page_or_body_outside_its_band_rejected(self, line, match):
+        with pytest.raises(IndexInvariantError, match=match) as err:
+            WordIndex(60, [self.doc], [line], [])
+        assert (err.value.kind, err.value.position) == ("line", 0)
+
+    @pytest.mark.parametrize("y", [9, 41])
+    def test_box_outside_its_line_rejected(self, y):
+        # The box is 25 rows high; the line holds rows 10..64.
+        with pytest.raises(IndexInvariantError, match="its line rows 10..64"):
+            WordIndex(60, [self.doc], [make_line("d", 0, 10, 64)], [make_record("d", 0, 0, y=y)])
 
 
 class TestScaleInvariance:

@@ -1,6 +1,7 @@
 """NetPBM parsing, writing, and binarization."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ class TestWriteGray:
         copy = rescale_to_255(img)
         copy.pixels[0, 0] = 0
         assert img.pixels[0, 0] == 9
+
+    def test_writing_an_8bit_page_holds_one_page_sized_buffer(self):
+        # A 2000x1268 page, the size of the benchmark's pages.
+        pixels = np.random.default_rng(5).integers(0, 256, (1268, 2000), dtype=np.uint8)
+        img = GrayImage(2000, 1268, 255, pixels)
+        tracemalloc.start()
+        try:
+            data = write_gray(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pixels.nbytes
+        assert data == b"P5\n2000 1268\n255\n" + pixels.tobytes()
 
 
 class TestImageInvariants:

@@ -1,5 +1,6 @@
 """Edit distance, size prefiltering, and end-to-end search."""
 
+import dataclasses
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from glyphs import compose_page, metrics
 from wordspot.index import (
     DocEntry,
+    LineEntry,
     WordIndex,
     WordRecord,
     build_index,
@@ -27,8 +29,10 @@ from wordspot.segment import LineBand, WordBox, row_profile, segment_lines
 from wordspot.shapecode import (
     LETTER_CODES,
     UnsupportedCharacterError,
+    ZoneBands,
     query_to_wst,
     word_to_wst,
+    zones_from_rows,
 )
 
 
@@ -88,9 +92,14 @@ def record_with_norm(doc, line, word, norm, ref_font=60):
     return WordRecord(doc, line, word, WordBox(0, 0, norm - 1, ref_font - 1))
 
 
+def one_line_index(records, ref_font=60):
+    """An 800x600 page "d" whose line 0 holds the rows of record_with_norm."""
+    line = LineEntry("d", 0, LineBand(0, ref_font - 1), ZoneBands(0, ref_font - 1))
+    return WordIndex(ref_font, [DocEntry("d", "d", 800, 600)], [line], records)
+
+
 def index_with_norms(norms):
-    records = [record_with_norm("d", 0, i, n) for i, n in enumerate(norms)]
-    return WordIndex(60, [DocEntry("d", "d", 800, 600)], records)
+    return one_line_index([record_with_norm("d", 0, i, n) for i, n in enumerate(norms)])
 
 
 class TestSizePrefilter:
@@ -259,7 +268,7 @@ class TestDistanceGateAndMemo:
         records = [record_with_norm("d", 0, i, n) for i, (n, _) in enumerate(words)]
         for rec, (_, wst) in zip(records, words):
             rec.wst = wst
-        index = WordIndex(60, [DocEntry("d", "d", 800, 600)], records)
+        index = one_line_index(records)
         params = SearchParams(threshold=threshold)
 
         def no_pages(doc):
@@ -272,29 +281,38 @@ class TestDistanceGateAndMemo:
         assert got == brute_force_matches(index, text, params)
 
 
-class TestBandFallback:
-    def test_records_off_their_rederived_band_use_word_rows(self):
+class TestBuildLines:
+    def test_tokens_come_from_the_lines_the_build_recorded(self):
         # A lone one-letter line is below the build's high noise threshold,
-        # so the build numbers the other lines from 0 while the default
-        # bands re-derived at query time still count the lone line first.
+        # so the build's lines are narrower than, and numbered differently
+        # from, the bands that default segmentation of the page gives.
         layout = corpus_page(
             [["a"], ["dipped", "help", "sauce"], ["drop", "paper", "noon"]], width=1200
         )
         page = layout.image
         index = build_index([("page", page)], ref_font=60, noise_threshold=30)
-        default_bands = segment_lines(row_profile(page))
-        assert len(default_bands) == 3
+        profile = row_profile(page)
+        build_bands = segment_lines(profile, 30)
+        assert len(segment_lines(profile)) == 3 and len(build_bands) == 2
+        assert [line.band for line in index.lines] == build_bands
+        assert [line.zones for line in index.lines] == [
+            zones_from_rows(profile.counts, band) for band in build_bands
+        ]
 
         for n in range(1, 12):
             search(index, lambda doc: page, "x" * n, SearchParams(threshold=0))
-        fallback = 0
         for rec in index.records:
-            assert rec.wst is not None
-            band = default_bands[rec.line_idx] if rec.line_idx < 3 else None
-            if band and band.row_start <= rec.box.y1 and rec.box.y2 <= band.row_end:
-                assert rec.wst == word_to_wst(page, band, rec.box)
-            else:
-                fallback += 1
-                rows = LineBand(rec.box.y1, rec.box.y2)
-                assert rec.wst == word_to_wst(page, rows, rec.box)
-        assert fallback >= 3
+            line = index.line_of(rec)
+            assert rec.wst == word_to_wst(page, line.band, rec.box, zones=line.zones)
+
+    def test_tokens_follow_the_zones_the_index_records(self):
+        # With each line's body band widened to the whole line, no ink
+        # reaches an ascender or descender zone: every token is all `x`.
+        layout = corpus_page([["dipped", "help", "sauce"], ["drop", "paper", "noon"]])
+        built = build_index([("page", layout.image)], ref_font=60)
+        lines = [dataclasses.replace(line, zones=ZoneBands(line.band.row_start, line.band.row_end))
+                 for line in built.lines]
+        index = WordIndex(60, built.docs, lines, built.records)
+        for n in range(1, 12):
+            search(index, lambda doc: layout.image, "x" * n, SearchParams(threshold=0))
+        assert [set(rec.wst) for rec in index.records] == [{"x"}] * 6
