@@ -31,7 +31,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .pnm import BinaryImage, GrayImage, PnmError, binarize, load_image, rescale_to_255, write_gray
+from .pnm import GrayImage, PnmError, binarize, load_image, rescale_to_255, write_gray
 from .search import (
     DEFAULT_CHAR_WIDTH,
     DEFAULT_THRESHOLD,
@@ -187,25 +187,24 @@ def _cmd_index(args) -> int:
         tmp.unlink(missing_ok=True)
         raise
 
-    for cls in SizeClass:
-        print(f"{cls.code} {len(index.buckets[cls])}")
+    for cls, count in zip(SizeClass, index.size_class_counts()):
+        print(f"{cls.code} {count}")
     print(f"TOTAL {len(index.records)}")
     return EXIT_OK
 
 
 class _PageLoader:
-    """Loads page images recorded in an index, caching the binarized ones.
+    """Loads the gray page images recorded in an index; caches nothing.
 
     Paths are tried as given, then relative to the index file's directory.
     A page whose size differs from the one the index recorded is refused:
-    the index's boxes no longer describe it. Grayscale pages are only
-    needed to annotate, so they are read again on request, not kept.
+    the index's boxes no longer describe it. A query thresholds only the
+    pixels inside its candidates' boxes, so no page is binarized.
     """
 
     def __init__(self, index: WordIndex, base_dir: Path):
         self._docs = {doc.doc_id: doc for doc in index.docs}
         self._base_dir = base_dir
-        self._binary: dict[str, BinaryImage] = {}
 
     def _resolve(self, doc: DocEntry) -> Path:
         raw = doc.path
@@ -217,7 +216,7 @@ class _PageLoader:
             return alt
         raise MissingPageError(doc.doc_id, f"page file {raw!r} not found")
 
-    def gray(self, doc_id: str) -> GrayImage:
+    def __call__(self, doc_id: str) -> GrayImage:
         # WordIndex refuses records of unlisted docs, so every record's doc is here.
         doc = self._docs[doc_id]
         img = _load_page_file(str(self._resolve(doc)))
@@ -227,13 +226,6 @@ class _PageLoader:
                 f"page is {img.width}x{img.height}, "
                 f"index recorded {doc.width}x{doc.height}",
             )
-        return img
-
-    def __call__(self, doc_id: str) -> BinaryImage:
-        img = self._binary.get(doc_id)
-        if img is None:
-            img = binarize(self.gray(doc_id))
-            self._binary[doc_id] = img
         return img
 
 
@@ -266,7 +258,7 @@ def _write_annotations(loader: _PageLoader, results, out_arg: str) -> None:
     single = len(by_doc) == 1
     for doc_id in sorted(by_doc):
         # rescale_to_255 returns a fresh copy, so its pixels can be drawn on.
-        annotated = rescale_to_255(loader.gray(doc_id))
+        annotated = rescale_to_255(loader(doc_id))
         for box in by_doc[doc_id]:
             draw_box_border(annotated.pixels, box)
         target = out if single else out.with_name(f"{out.stem}.{doc_id}{out.suffix}")
@@ -323,9 +315,9 @@ def _cmd_inspect(args) -> int:
             return EXIT_OK
         # The lines and words `index` records, with the tokens `query` computes.
         index = build_index([("page", img)], gap_factor=args.gap_factor)
-        for rec in index.records if what == "wst" else ():
+        for position, rec in enumerate(index.records if what == "wst" else ()):
             line = index.line_of(rec)
-            rec.wst = word_to_wst(img, line.band, rec.box, zones=line.zones)
+            index.tokens[position] = word_to_wst(img, line.band, rec.box, zones=line.zones)
     if what in ("lines", "zones"):
         for line in index.lines:
             band, zones = line.band, line.zones

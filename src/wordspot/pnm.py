@@ -11,16 +11,21 @@ Pixel conventions used throughout the pipeline:
 
 Gray rasters are uint8 when the file stores 8-bit samples (P5 with maxval
 below 256) and uint16 otherwise. An 8-bit P5 raster is not copied: its
-pixels are a read-only view of the bytes passed to load_image, so the first
-new allocation for a page is binarize's output.
+pixels are a read-only view of the bytes passed to load_image. A query
+binarizes no page: `box_ink` applies binarize's threshold to the pixels of
+one word box, so a gray page is read once and only inside its candidates.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .segment import WordBox
 
 # ITU-R BT.601 luma weights for the RGB -> gray conversion, in thousandths so
 # that rounding half-up is exact.
@@ -64,7 +69,7 @@ class GrayImage:
         if not (isinstance(pixels, np.ndarray) and pixels.dtype in _GRAY_DTYPES):
             pixels = np.asarray(pixels, dtype=np.uint16)
         self.pixels = pixels.reshape(self.height, self.width)
-        if int(self.pixels.max()) > self.maxval:
+        if _may_exceed(self.pixels.dtype, self.maxval) and int(self.pixels.max()) > self.maxval:
             raise ValueError("pixel value exceeds maxval")
 
     def __eq__(self, other: object) -> bool:
@@ -106,6 +111,12 @@ class BinaryImage:
 
     def ink_count(self) -> int:
         return int((self.bits == 0).sum())
+
+
+def _may_exceed(dtype: np.dtype, maxval: int) -> bool:
+    """Whether samples of this integer dtype can be above maxval; when they
+    cannot (uint8 at 255, uint16 at 65535), a raster needs no scan."""
+    return np.iinfo(dtype).max > maxval
 
 
 class _Reader:
@@ -200,7 +211,7 @@ def _raw_samples(r: _Reader, count: int, maxval: int) -> np.ndarray:
     dtype = np.dtype(np.uint8) if maxval < 256 else np.dtype(">u2")
     start = r.skip_raster(count * dtype.itemsize, "raster")
     vals = np.frombuffer(r.data, dtype, count=count, offset=start)
-    if int(vals.max(initial=0)) > maxval:
+    if _may_exceed(dtype, maxval) and int(vals.max(initial=0)) > maxval:
         idx = int(np.argmax(vals > maxval))
         raise PnmError(
             f"sample {int(vals[idx])} exceeds maxval {maxval}", start + idx * dtype.itemsize
@@ -262,27 +273,69 @@ def load_image(data: bytes) -> GrayImage:
     return GrayImage(width, height, maxval, vals)
 
 
-def binarize(img: GrayImage, threshold_fraction: float = 0.5) -> BinaryImage:
-    """Threshold a GrayImage: bit 0 (ink) iff gray < threshold_fraction * maxval.
+DEFAULT_THRESHOLD_FRACTION = 0.5
 
-    The comparison is strict, so the 0.5 default is unambiguous at the
-    midpoint. threshold_fraction must lie in the open interval (0, 1).
+
+def ink_cut(maxval: int, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> int:
+    """Smallest background gray: a pixel is ink iff gray < ink_cut(maxval).
+
+    Pixels are integers, so comparing with ceil(threshold_fraction * maxval)
+    is exact and keeps the comparison in the raster's integer dtype. The
+    comparison is strict, so the 0.5 default is unambiguous at the midpoint.
+    threshold_fraction must lie in the open interval (0, 1).
     """
     if not 0.0 < threshold_fraction < 1.0:
         raise ValueError(f"threshold_fraction {threshold_fraction} not in (0, 1)")
-    # Pixels are integers, so comparing with the ceiling is exact and keeps
-    # the comparison in the raster's integer dtype.
-    cut = math.ceil(threshold_fraction * img.maxval)
-    bits = (img.pixels >= cut).view(np.uint8)
+    return math.ceil(threshold_fraction * maxval)
+
+
+def binarize(
+    img: GrayImage, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION
+) -> BinaryImage:
+    """Threshold a GrayImage: bit 0 (ink) iff gray < ink_cut(maxval)."""
+    bits = (img.pixels >= ink_cut(img.maxval, threshold_fraction)).view(np.uint8)
     return BinaryImage(img.width, img.height, bits)
 
 
+def box_ink(img: GrayImage | BinaryImage, box: WordBox) -> np.ndarray:
+    """Ink mask of the pixels inside an (inclusive) box of a page.
+
+    For a GrayImage this is binarize's rule applied to the box's pixels
+    only, `pixels[box] < ink_cut(maxval)`; for a BinaryImage, `bits[box] == 0`.
+    So `box_ink(gray, box)` equals `box_ink(binarize(gray), box)`.
+    """
+    if box.x1 < 0 or box.y1 < 0 or box.x2 >= img.width or box.y2 >= img.height:
+        raise ValueError(f"box {box} outside image {img.width}x{img.height}")
+    rows, cols = slice(box.y1, box.y2 + 1), slice(box.x1, box.x2 + 1)
+    if isinstance(img, BinaryImage):
+        return img.bits[rows, cols] == 0
+    return img.pixels[rows, cols] < ink_cut(img.maxval)
+
+
+# Rows rescaled per step, so that rescale_to_255's wide temporaries stay
+# small next to the page (about 1 MB of uint32 for any page width).
+_RESCALE_PIXELS = 1 << 18
+
+
 def rescale_to_255(img: GrayImage) -> GrayImage:
-    """Return a writable uint8 copy with maxval 255, rescaled half-up if needed."""
+    """Return a writable uint8 copy with maxval 255, rescaled half-up if needed.
+
+    floor(255 * p / maxval + 1/2) is computed exactly in integers as
+    (2 * 255 * p + maxval) // (2 * maxval), at most 2 * 255 * 65535 + 65535
+    < 2**32, in uint32 blocks of rows, so the only page-sized array is the
+    output.
+    """
     if img.maxval == 255:
         return GrayImage(img.width, img.height, 255, img.pixels.astype(np.uint8))
-    scaled = np.floor(img.pixels.astype(np.float64) * 255.0 / img.maxval + 0.5)
-    return GrayImage(img.width, img.height, 255, scaled.astype(np.uint8))
+    out = np.empty((img.height, img.width), dtype=np.uint8)
+    step = max(1, _RESCALE_PIXELS // img.width)
+    for row in range(0, img.height, step):
+        wide = img.pixels[row : row + step].astype(np.uint32)
+        wide *= 2 * 255
+        wide += img.maxval
+        wide //= 2 * img.maxval
+        out[row : row + step] = wide
+    return GrayImage(img.width, img.height, 255, out)
 
 
 def write_gray(img: GrayImage) -> bytes:

@@ -2,15 +2,18 @@
 
 A text query is answered in two passes. The size prefilter keeps only
 records whose normalized pixel length is within one expected character width
-of the query's, scanning just the size-class buckets that can intersect that
-interval. Survivors are compared by Levenshtein distance between the query's
-shape token and the word image's (computed lazily and cached on the record).
+of the query's: two binary searches in the index's records sorted by that
+length. Survivors are compared by Levenshtein distance between the query's
+shape token and the word image's (computed lazily and cached in the index).
 Each distinct word token is scored once per query, and a token whose length
 differs from the query token's by more than the threshold is rejected
 without a DP: the edit distance is at least the length difference.
 
 A word is encoded against the line band and x-height zones its index
-records, so a query loads the pages of its candidates but segments none.
+records, so a query segments no page. It reads each page that holds
+survivors without a token once, as a gray image, takes ink only inside those
+survivors' boxes, and releases the page before it loads the next. Objects
+for records are built only for the matches.
 """
 
 from __future__ import annotations
@@ -18,14 +21,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .index import LineEntry, SizeClass, WordIndex, WordRecord, classify_size
-from .pnm import BinaryImage
-from .shapecode import NoInkError, query_to_wst, word_to_wst
+import numpy as np
+
+from .index import WordIndex, WordRecord
+from .pnm import BinaryImage, GrayImage
+from .segment import LineBand, WordBox
+from .shapecode import NoInkError, ZoneBands, query_to_wst, word_to_wst
 
 DEFAULT_THRESHOLD = 2.5
 DEFAULT_CHAR_WIDTH = 40
 
-PageProvider = Callable[[str], BinaryImage]
+# A gray page, or a binarized one; both give the same tokens.
+PageProvider = Callable[[str], GrayImage | BinaryImage]
 
 
 class MissingPageError(OSError):
@@ -78,26 +85,21 @@ def levenshtein(a: str, b: str) -> int:
 
 def size_prefilter(
     index: WordIndex, query_len: int, params: SearchParams | None = None
-) -> list[WordRecord]:
-    """Records whose normalized length is within +/- one character width of
-    the query's expected pixel length. Only buckets intersecting the interval
-    are scanned."""
+) -> np.ndarray:
+    """Positions, in record order, of the records whose normalized length is
+    within +/- one character width of the query's expected pixel length."""
     if query_len < 1:
         raise ValueError("query_len must be >= 1")
     if params is None:
         params = SearchParams()
     lo = max(0, (query_len - 1) * params.char_width)
     hi = (query_len + 1) * params.char_width
-    first, last = classify_size(lo), classify_size(hi)
-    out = []
-    for cls in range(first, last + 1):
-        for norm, rec in index.buckets[SizeClass(cls)]:
-            if lo <= norm <= hi:
-                out.append(rec)
-    return out
+    first = np.searchsorted(index.sorted_lengths, lo, side="left")
+    last = np.searchsorted(index.sorted_lengths, hi, side="right")
+    return np.sort(index.length_order[first:last])
 
 
-def _load(provider: PageProvider, doc_id: str) -> BinaryImage:
+def _load(provider: PageProvider, doc_id: str) -> GrayImage | BinaryImage:
     try:
         return provider(doc_id)
     except MissingPageError:
@@ -106,16 +108,34 @@ def _load(provider: PageProvider, doc_id: str) -> BinaryImage:
         raise MissingPageError(doc_id, str(exc)) from exc
 
 
-def _encode(page: BinaryImage, line: LineEntry, rec: WordRecord) -> str:
-    try:
-        return word_to_wst(page, line.band, rec.box, zones=line.zones)
-    except NoInkError:
-        b = rec.box
-        raise MissingPageError(
-            rec.doc_id,
-            f"no ink in word box {b.x1} {b.y1} {b.x2} {b.y2} "
-            f"(line {rec.line_idx}, word {rec.word_idx}) recorded by the index",
-        ) from None
+def _encode_missing(index: WordIndex, load_page: PageProvider, positions: list[int]) -> None:
+    """Fill the token of each record at `positions`, page by page in the
+    order of their first record: each page is loaded once, its words are
+    encoded one `word_to_wst` call each, and it is released."""
+    by_doc: dict[int, list[int]] = {}
+    for position, doc in zip(positions, index.record_table[positions, 0].tolist()):
+        by_doc.setdefault(doc, []).append(position)
+    for doc, group in by_doc.items():
+        doc_id = index.docs[doc].doc_id
+        page = _load(load_page, doc_id)
+        records = index.record_table[group].tolist()
+        lines = index.line_table[index.record_lines[group]].tolist()
+        for position, record, line in zip(group, records, lines):
+            _, line_idx, word_idx, x1, y1, x2, y2 = record
+            _, _, row_start, row_end, body_top, body_bottom = line
+            box = WordBox(x1, y1, x2, y2)
+            zones = ZoneBands(body_top, body_bottom)
+            try:
+                index.tokens[position] = word_to_wst(
+                    page, LineBand(row_start, row_end), box, zones=zones
+                )
+            except NoInkError:
+                raise MissingPageError(
+                    doc_id,
+                    f"no ink in word box {x1} {y1} {x2} {y2} "
+                    f"(line {line_idx}, word {word_idx}) recorded by the index",
+                ) from None
+        del page
 
 
 def search(
@@ -128,8 +148,8 @@ def search(
 
     Candidates come from the size prefilter; each candidate without a cached
     shape token gets one computed from its page image and the line the index
-    records for it (cached write-once on the in-memory record). A candidate
-    whose token length differs from the query token's by more than
+    records for it (cached write-once in `index.tokens`). A candidate whose
+    token length differs from the query token's by more than
     params.threshold is rejected without a DP, since the edit distance is at
     least that difference; every other distinct token is scored once per
     query. Matches at distance <= params.threshold are returned ordered by
@@ -141,23 +161,21 @@ def search(
         raise ValueError("query text must be non-empty")
     query = query_to_wst(text)
 
-    pages: dict[str, BinaryImage] = {}
-    distances: dict[str, int] = {}
+    survivors = size_prefilter(index, len(text), params).tolist()
+    tokens = index.tokens
+    _encode_missing(index, load_page, [p for p in survivors if tokens[p] is None])
 
+    distances: dict[str, int] = {}
     results = []
-    for rec in size_prefilter(index, len(text), params):
-        if rec.wst is None:
-            page = pages.get(rec.doc_id)
-            if page is None:
-                page = pages[rec.doc_id] = _load(load_page, rec.doc_id)
-            rec.wst = _encode(page, index.line_of(rec), rec)
-        if abs(len(rec.wst) - len(query)) > params.threshold:
+    for position in survivors:
+        wst = tokens[position]
+        if abs(len(wst) - len(query)) > params.threshold:
             continue
-        distance = distances.get(rec.wst)
+        distance = distances.get(wst)
         if distance is None:
-            distance = distances[rec.wst] = levenshtein(query, rec.wst)
+            distance = distances[wst] = levenshtein(query, wst)
         if distance <= params.threshold:
-            results.append(MatchResult(rec, distance))
+            results.append(MatchResult(index.record(position), distance))
 
     results.sort(
         key=lambda m: (m.distance, m.record.doc_id, m.record.line_idx, m.record.word_idx)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnm import BinaryImage
-from .segment import LineBand, WordBox, check_band, crop_box, mask_runs
+from .pnm import BinaryImage, GrayImage, box_ink
+from .segment import LineBand, WordBox, check_band, mask_runs
 from .util import round_half_up
 
 
@@ -136,8 +136,45 @@ def zones_from_rows(
     return ZoneBands(band.row_start + int(starts[run]), band.row_start + int(ends[run]))
 
 
+def zones_from_bands(
+    row_counts: np.ndarray, starts: np.ndarray, ends: np.ndarray, zone_fraction: float = 0.5
+) -> tuple[np.ndarray, np.ndarray]:
+    """`zones_from_rows` for many bands of one page in one pass: the body
+    band's first and last rows of each band `starts[i]..ends[i]`.
+
+    The bands' rows are laid end to end. The body run around each band's
+    first peak row is bounded by the nearest rows below the threshold, or by
+    the band's edges.
+    """
+    if len(starts) == 0:
+        return starts, ends
+    if starts.min() < 0 or ends.max() >= len(row_counts):
+        raise ValueError(f"band outside rows 0..{len(row_counts) - 1}")
+    lengths = ends - starts + 1
+    firsts = np.concatenate(([0], np.cumsum(lengths[:-1])))
+    lasts = firsts + lengths - 1
+    band_of = np.repeat(np.arange(len(starts)), lengths)
+    positions = np.arange(len(band_of))
+    counts = row_counts[positions - firsts[band_of] + starts[band_of]]
+    peaks = np.maximum.reduceat(counts, firsts)
+    if not peaks.all():
+        raise NoInkError("band has no ink, zones undefined")
+    at_peak = counts == peaks[band_of]
+    peak_pos = np.minimum.reduceat(np.where(at_peak, positions, len(positions)), firsts)
+    body = counts >= zone_fraction * peaks[band_of]
+    # The peak row belongs to the body even when zone_fraction exceeds 1.
+    body[peak_pos] = True
+    # The nearest rows outside the body on either side of each peak (or one
+    # past either end), clipped to the peak's band.
+    gaps = np.concatenate(([-1], np.flatnonzero(~body), [len(body)]))
+    after = np.searchsorted(gaps, peak_pos)
+    tops = np.maximum(gaps[after - 1] + 1, firsts) - firsts + starts
+    bottoms = np.minimum(gaps[after] - 1, lasts) - firsts + starts
+    return tops, bottoms
+
+
 def estimate_zones(
-    img: BinaryImage, band: LineBand, zone_fraction: float = 0.5
+    img: BinaryImage | GrayImage, band: LineBand, zone_fraction: float = 0.5
 ) -> ZoneBands:
     """Locate the x-height body band inside a line band of `img`.
 
@@ -145,8 +182,9 @@ def estimate_zones(
     `img`.
     """
     check_band(band, img.height)
-    sub = img.bits[band.row_start : band.row_end + 1]
-    counts = img.width - sub.sum(axis=1, dtype=np.int64)
+    counts = box_ink(img, WordBox(0, band.row_start, img.width - 1, band.row_end)).sum(
+        axis=1, dtype=np.int64
+    )
     local = zones_from_rows(counts, LineBand(0, band.height - 1), zone_fraction)
     return local.shifted(band.row_start)
 
@@ -235,7 +273,7 @@ def classify_region(
 
 
 def word_to_wst(
-    page: BinaryImage,
+    page: BinaryImage | GrayImage,
     band: LineBand,
     box: WordBox,
     params: ShapeParams | None = None,
@@ -245,14 +283,15 @@ def word_to_wst(
 
     Zones default to the line band of the page (stable for short words); pass
     a precomputed `zones` to reuse one estimate across a line or to scope it
-    to the word itself. The word is cut and classified in one pass over its
-    ink: all regions' ink rows come from one `logical_or.reduceat`.
+    to the word itself. The page may be gray: only the box's pixels are
+    thresholded (`pnm.box_ink`). The word is cut and classified in one pass
+    over its ink: all regions' ink rows come from one `logical_or.reduceat`.
     """
     if params is None:
         params = ShapeParams()
     if zones is None:
         zones = estimate_zones(page, band, params.zone_fraction)
-    ink = crop_box(page, box).bits == 0
+    ink = box_ink(page, box)
     counts = ink.sum(axis=0, dtype=np.int32)
     starts = _region_starts(
         counts, band.height, params.valley_slack, params.min_region_width

@@ -102,7 +102,8 @@ class TestBuildIndex:
         assert rec.box.height == 30 and rec.box.width == 100
         assert rec.wst is None
         # Normalized length 200, size class SMALL.
-        assert index.buckets[SizeClass.SMALL] == [(200, rec)]
+        assert index.norm_lengths.tolist() == [200]
+        assert index.size_class_counts() == [0, 1, 0, 0, 0]
 
     def test_two_pages_same_content(self):
         pages = [("a", blob_page()), ("b", blob_page())]
@@ -199,13 +200,14 @@ class TestPersistence:
         assert b"DOC a pages/a%FF%20b.pgm 10 10" in data
         assert load_index(data).docs[0].path == path
 
-    def test_buckets_rebuilt_on_load(self):
+    def test_norm_lengths_and_classes_rebuilt_on_load(self):
         again = load_index(save_index(small_index()))
-        for cls in SizeClass:
-            for norm, rec in again.buckets[cls]:
-                assert norm == normalize_length(rec.box.width, rec.box.height, 60)
-                assert classify_size(norm) == cls
-        assert sum(len(b) for b in again.buckets.values()) == 3
+        norms = [normalize_length(rec.box.width, rec.box.height, 60) for rec in again.records]
+        assert again.norm_lengths.tolist() == norms
+        assert again.size_class_counts() == [
+            sum(classify_size(norm) == cls for norm in norms) for cls in SizeClass
+        ]
+        assert sum(again.size_class_counts()) == 3
 
 
 def corrupt(lines, line_no, new_value):
@@ -290,6 +292,29 @@ class TestLoadErrors:
     def test_non_utf8(self):
         with pytest.raises(IndexFormatError):
             load_index(b"\xff\xfe\x00")
+
+    @pytest.mark.parametrize(
+        "bad", ["W 1 2 2147483648 30 -", "W 1 99999999999999999999 3 4 -", "W 1 -2 3 4 -"]
+    )
+    def test_number_out_of_range(self, lines, bad):
+        self.assert_error_line(corrupt(lines, 5, bad), 5)
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ("W 1 2 3 x -", "W 1 2"),  # a malformed number before a short line
+            ("W 1 2", "W 1 2 3 x -"),
+            ("W 20 20 10 30 -", "W 1 2 3 4 Q"),  # a degenerate box before a bad token
+            ("W 1 20 3 30 Q", "W 30 20 10 30 -"),
+            ("L 30 20 30 40", "X"),  # an empty band before an unknown kind
+            ("L 20 79 30 60 9", "W 1 x 3 4 -"),
+        ],
+    )
+    def test_first_bad_line_in_file_order_whatever_its_fault(self, lines, first, second):
+        # Lines 4-6 are doc1's line and its two words.
+        at = 4 if first.startswith("L") else 5
+        data = corrupt(corrupt(lines, at, first).decode().strip().split("\n"), 6, second)
+        self.assert_error_line(data, at)
 
 
 # Doc ids and paths mix plain characters with the ones the format must
@@ -467,6 +492,56 @@ class TestDirectConstruction:
         # The box is 25 rows high; the line holds rows 10..64.
         with pytest.raises(IndexInvariantError, match="its line rows 10..64"):
             WordIndex(60, [self.doc], [make_line("d", 0, 10, 64)], [make_record("d", 0, 0, y=y)])
+
+
+class TestColumns:
+    def test_objects_in_columns_out(self):
+        index = small_index()
+        assert index.record_table.tolist() == [
+            [0, 0, 0, 10, 20, 59, 44],
+            [0, 0, 1, 10, 20, 309, 79],
+            [1, 1, 0, 10, 20, 564, 80],
+        ]
+        assert index.line_table.tolist() == [
+            [0, 0, 20, 79, 30, 60], [1, 0, 0, 10, 2, 8], [1, 1, 20, 80, 40, 60],
+        ]
+        assert index.tokens == [None, "AxxgA", None]
+        assert index.record_lines.tolist() == [0, 0, 2]
+        assert index.norm_lengths.tolist() == [120, 300, 546]
+        assert index.sorted_lengths.tolist() == [120, 300, 546]
+        assert index.records[1] == make_record("doc1", 0, 1, w=300, h=60, wst="AxxgA")
+        assert index.records[-1] == index.records[2] == make_record("doc2", 1, 0, w=555, h=61)
+        assert index.lines[1:] == [make_line("doc2", 0, 0, 10, 2, 8),
+                                   make_line("doc2", 1, 20, 80, 40, 60)]
+        with pytest.raises(IndexError):
+            index.records[3]
+
+    def test_length_order_breaks_ties_by_record_order(self):
+        doc = DocEntry("d", "d.pgm", 900, 100)
+        widths = [60, 30, 60, 10, 30]
+        records = [make_record("d", 0, i, x=0, y=0, w=w, h=60) for i, w in enumerate(widths)]
+        index = WordIndex(60, [doc], [make_line("d", 0, 0, 99)], records)
+        assert index.length_order.tolist() == [3, 1, 4, 0, 2]
+
+    def test_record_count_builds_no_record(self, monkeypatch):
+        index = small_index()
+
+        def refuse(position):
+            raise AssertionError("len() built a record")
+
+        monkeypatch.setattr(index, "record", refuse)
+        assert len(index.records) == 3
+
+    def test_tokens_written_show_in_records_and_saved_file(self):
+        index = small_index()
+        index.tokens[0] = "xA"
+        assert index.records[0].wst == "xA"
+        assert load_index(save_index(index)).tokens == ["xA", "AxxgA", None]
+
+    def test_built_loaded_and_object_indexes_agree(self):
+        built = build_index([("a", blob_page()), ("b", blob_page(x=10))], ref_font=50)
+        again = WordIndex(50, built.docs, list(built.lines), list(built.records))
+        assert again == built == load_index(save_index(built))
 
 
 class TestScaleInvariance:

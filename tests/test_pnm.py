@@ -13,10 +13,13 @@ from wordspot.pnm import (
     GrayImage,
     PnmError,
     binarize,
+    box_ink,
+    ink_cut,
     load_image,
     rescale_to_255,
     write_gray,
 )
+from wordspot.segment import WordBox
 
 
 def gray(width, height, maxval, values):
@@ -116,6 +119,20 @@ class TestLoadErrors:
             load_image(b"P2\n2 1\n10\n3 11")
         assert err.value.offset == 12
 
+    def test_16bit_raw_sample_above_maxval_names_its_offset(self):
+        data = b"P5\n2 1\n1000\n" + bytes([0, 3, 3, 233])
+        with pytest.raises(PnmError) as err:
+            load_image(data)
+        assert err.value.offset == len(data) - 2
+
+    def test_full_range_rasters_load_every_value(self):
+        # uint8 at 255 and uint16 at 65535 cannot exceed maxval: no scan,
+        # and every sample is kept.
+        narrow = load_image(b"P5\n256 1\n255\n" + bytes(range(256)))
+        assert narrow.pixels[0].tolist() == list(range(256))
+        wide = load_image(b"P5\n2 1\n65535\n\x00\x00\xff\xff")
+        assert wide.pixels[0].tolist() == [0, 65535]
+
     def test_raw_sample_above_maxval_names_its_offset(self):
         data = b"P5\n2 1\n10\n" + bytes([3, 11])
         with pytest.raises(PnmError) as err:
@@ -205,6 +222,86 @@ class TestWriteGray:
             tracemalloc.stop()
         assert peak < 1.5 * pixels.nbytes
         assert data == b"P5\n2000 1268\n255\n" + pixels.tobytes()
+
+
+def float_rescale(pixels, maxval):
+    """The float formula integer rescaling must reproduce."""
+    return np.floor(pixels.astype(np.float64) * 255.0 / maxval + 0.5).astype(np.uint8)
+
+
+class TestRescaleTo255:
+    @pytest.mark.parametrize("maxval", [1, 2, 254, 256, 1023])
+    def test_every_value_matches_the_float_formula(self, maxval):
+        values = np.arange(maxval + 1)
+        dtype = np.uint8 if maxval < 256 else np.uint16
+        img = GrayImage(len(values), 1, maxval, values.astype(dtype))
+        assert rescale_to_255(img).pixels[0].tolist() == float_rescale(values, maxval).tolist()
+
+    def test_random_16bit_page_matches_the_float_formula(self):
+        # Tall enough to be rescaled in several blocks of rows.
+        pixels = np.random.default_rng(8).integers(0, 65536, (1000, 600), dtype=np.uint16)
+        out = rescale_to_255(GrayImage(600, 1000, 65535, pixels))
+        assert out.maxval == 255 and out.pixels.dtype == np.uint8
+        assert np.array_equal(out.pixels, float_rescale(pixels, 65535))
+
+    @pytest.mark.parametrize(
+        "maxval,dtype", [(65535, np.uint16), (1000, np.uint16), (100, np.uint8)]
+    )
+    def test_writing_a_page_of_another_maxval_peaks_below_three_rasters(self, maxval, dtype):
+        # A 2000x1268 page, the size of the benchmark's pages.
+        rng = np.random.default_rng(6)
+        pixels = rng.integers(0, maxval + 1, (1268, 2000)).astype(dtype)
+        img = GrayImage(2000, 1268, maxval, pixels)
+        tracemalloc.start()
+        try:
+            data = write_gray(img)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * pixels.nbytes
+        assert data == b"P5\n2000 1268\n255\n" + float_rescale(pixels, maxval).tobytes()
+
+
+@st.composite
+def gray_pages_and_boxes(draw):
+    """A random gray page, of uint8 pixels when its maxval allows, and a box
+    inside it."""
+    maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
+    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtype = np.uint8 if maxval < 256 and draw(st.booleans()) else np.uint16
+    pixels = rng.integers(0, maxval + 1, (height, width)).astype(dtype)
+    x1 = draw(st.integers(0, width - 1))
+    y1 = draw(st.integers(0, height - 1))
+    box = WordBox(x1, y1, draw(st.integers(x1, width - 1)), draw(st.integers(y1, height - 1)))
+    return GrayImage(width, height, maxval, pixels), box
+
+
+class TestBoxInk:
+    @given(gray_pages_and_boxes())
+    @example((GrayImage(4, 1, 255, np.array([127, 128, 0, 255], dtype=np.uint8)),
+              WordBox(0, 0, 3, 0)))
+    @example((GrayImage(2, 1, 65535, np.array([32767, 32768], dtype=np.uint16)),
+              WordBox(0, 0, 1, 0)))
+    def test_gray_box_ink_is_the_binarized_pages_ink(self, page_and_box):
+        page, box = page_and_box
+        ink = box_ink(page, box)
+        binary = binarize(page)
+        rows, cols = slice(box.y1, box.y2 + 1), slice(box.x1, box.x2 + 1)
+        assert np.array_equal(ink, binary.bits[rows, cols] == 0)
+        assert np.array_equal(box_ink(binary, box), ink)
+
+    def test_cut_is_the_ceiling_of_the_fraction(self):
+        assert [ink_cut(m) for m in (1, 2, 255, 256, 65535)] == [1, 1, 128, 128, 32768]
+        assert ink_cut(10, 0.25) == 3
+
+    @pytest.mark.parametrize(
+        "box", [WordBox(0, 0, 2, 0), WordBox(0, 0, 0, 1), WordBox(-1, 0, 0, 0)]
+    )
+    def test_box_outside_the_page_rejected(self, box):
+        page = GrayImage(2, 1, 255, np.zeros((1, 2), dtype=np.uint8))
+        with pytest.raises(ValueError, match="outside image 2x1"):
+            box_ink(page, box)
 
 
 class TestImageInvariants:

@@ -3,7 +3,9 @@
 import dataclasses
 import itertools
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from wordspot.index import (
     WordRecord,
     build_index,
 )
+from wordspot.pnm import GrayImage, binarize, ink_cut
 from wordspot.search import (
     MatchResult,
     MissingPageError,
@@ -106,12 +109,12 @@ class TestSizePrefilter:
     def test_window_for_five_letters(self):
         index = index_with_norms([159, 160, 200, 240, 241, 300])
         kept = size_prefilter(index, 5, SearchParams(char_width=40))
-        assert [r.box.width for r in kept] == [160, 200, 240]
+        assert [index.records[p].box.width for p in kept] == [160, 200, 240]
 
     def test_single_letter_window_starts_at_zero(self):
         index = index_with_norms([1, 40, 80, 81])
         kept = size_prefilter(index, 1, SearchParams(char_width=40))
-        assert [r.box.width for r in kept] == [1, 40, 80]
+        assert [index.records[p].box.width for p in kept] == [1, 40, 80]
 
     def test_matches_brute_force_over_all_records(self):
         rng = random.Random(31)
@@ -123,7 +126,7 @@ class TestSizePrefilter:
             expected = sorted(
                 r.word_idx for r in index.records if lo <= r.box.width <= hi
             )
-            got = sorted(r.word_idx for r in size_prefilter(index, query_len))
+            got = sorted(index.records[p].word_idx for p in size_prefilter(index, query_len))
             assert got == expected
 
     def test_rejects_bad_query_len(self):
@@ -173,7 +176,8 @@ class TestSearch:
         narrow_keys = {(m.record.line_idx, m.record.word_idx) for m in narrow}
         assert narrow_keys <= wide_keys
         prefilter_keys = {
-            (r.line_idx, r.word_idx) for r in size_prefilter(index, 4)
+            (index.records[p].line_idx, index.records[p].word_idx)
+            for p in size_prefilter(index, 4)
         }
         assert wide_keys <= prefilter_keys
 
@@ -197,7 +201,7 @@ class TestSearch:
 
         first = search(index, provider, "help")
         assert loads  # pages were needed
-        cached = [r.wst for r in size_prefilter(index, 4)]
+        cached = [index.tokens[p] for p in size_prefilter(index, 4)]
         assert all(w is not None for w in cached)
         loads.clear()
         second = search(index, provider, "help")
@@ -246,7 +250,7 @@ def brute_force_matches(index, text, params):
     query = query_to_wst(text)
     scored = [
         (levenshtein(query, rec.wst), rec.doc_id, rec.line_idx, rec.word_idx)
-        for rec in size_prefilter(index, len(text), params)
+        for rec in map(index.record, size_prefilter(index, len(text), params))
     ]
     return sorted(m for m in scored if m[0] <= params.threshold)
 
@@ -316,3 +320,103 @@ class TestBuildLines:
         for n in range(1, 12):
             search(index, lambda doc: layout.image, "x" * n, SearchParams(threshold=0))
         assert [set(rec.wst) for rec in index.records] == [{"x"}] * 6
+
+
+def gray_page(image, maxval, seed):
+    """A gray page that binarizes to the binary `image`, with ink pixels
+    drawn below the ink cut and background pixels at or above it."""
+    rng = np.random.default_rng(seed)
+    cut = ink_cut(maxval)
+    ink = rng.integers(0, cut, image.bits.shape)
+    background = rng.integers(cut, maxval + 1, image.bits.shape)
+    pixels = np.where(image.bits == 0, ink, background)
+    dtype = np.uint8 if maxval < 256 else np.uint16
+    return GrayImage(image.width, image.height, maxval, pixels.astype(dtype))
+
+
+def two_page_index():
+    """An index of two rendered pages, "one" and "two", and their images."""
+    images = {
+        "one": corpus_page([["dipped", "help", "sauce"], ["drop", "paper", "noon"]]).image,
+        "two": corpus_page([["help", "dotted", "noon"], ["python", "drop", "tenth"]]).image,
+    }
+    return build_index(list(images.items()), ref_font=60), images
+
+
+def tokens_and_matches(index, provider, queries):
+    out = []
+    for text in queries:
+        matches = search(index, provider, text)
+        out.append([(format_result(m), m.record.wst) for m in matches])
+    return out, list(index.tokens)
+
+
+class TestGrayPages:
+    # Words of the pages, then queries of every length, which reach every record.
+    queries = ["help", "drop", "noon", "dipped", "paper", "dotted"]
+    queries += ["x" * n for n in range(1, 16)]
+
+    @pytest.mark.parametrize("maxval", [1, 255, 256, 65535, 1000])
+    def test_gray_provider_gives_the_binarize_providers_matches_and_tokens(self, maxval):
+        _, images = two_page_index()
+        grays = {
+            doc: gray_page(img, maxval, seed) for seed, (doc, img) in enumerate(images.items())
+        }
+        assert all(binarize(grays[doc]) == images[doc] for doc in images)
+        from_gray = tokens_and_matches(two_page_index()[0], grays.__getitem__, self.queries)
+        from_binary = tokens_and_matches(
+            two_page_index()[0], lambda doc: binarize(grays[doc]), self.queries
+        )
+        assert from_gray == from_binary
+        assert None not in from_gray[1]
+
+    def test_match_records_are_word_records_with_their_tokens(self):
+        index, images = two_page_index()
+        matches = search(index, images.__getitem__, "help")
+        assert matches
+        for m in matches:
+            assert isinstance(m.record, WordRecord)
+            assert m.record == index.records[
+                next(p for p, r in enumerate(index.records)
+                     if (r.doc_id, r.line_idx, r.word_idx)
+                     == (m.record.doc_id, m.record.line_idx, m.record.word_idx))
+            ]
+            assert m.record.wst is not None
+
+
+class TestPageLoads:
+    def counting(self, images):
+        loads = Counter()
+
+        def provider(doc):
+            loads[doc] += 1
+            return images[doc]
+
+        return provider, loads
+
+    def test_each_page_loaded_at_most_once_per_query(self):
+        index, images = two_page_index()
+        provider, loads = self.counting(images)
+        for text in ("help", "drop", "dipped", "x", "noon"):
+            loads.clear()
+            search(index, provider, text)
+            assert set(loads.values()) <= {1}
+            survivors = size_prefilter(index, len(text)).tolist()
+            assert sum(loads.values()) <= len({index.records[p].doc_id for p in survivors})
+
+    def test_no_page_loaded_when_every_survivor_has_a_token(self):
+        index, images = two_page_index()
+        provider, loads = self.counting(images)
+        search(index, provider, "help")
+        assert sum(loads.values()) == 2
+        loads.clear()
+        search(index, provider, "noon")  # same length: the same survivors
+        assert loads == Counter()
+
+    def test_pages_loaded_in_first_survivor_order(self):
+        index, images = two_page_index()
+        order = []
+        search(index, lambda doc: order.append(doc) or images[doc], "help")
+        survivors = size_prefilter(index, 4).tolist()
+        first_seen = list(dict.fromkeys(index.records[p].doc_id for p in survivors))
+        assert order == first_seen == ["one", "two"]

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from glyphs import compose_page, metrics, word_symbols
-from wordspot.pnm import BinaryImage
+from wordspot.pnm import BinaryImage, GrayImage, binarize, ink_cut
 from wordspot.segment import (
     LineBand,
     WordBox,
@@ -30,6 +30,7 @@ from wordspot.shapecode import (
     estimate_zones,
     query_to_wst,
     word_to_wst,
+    zones_from_bands,
     zones_from_rows,
 )
 from wordspot.util import round_half_up
@@ -423,6 +424,31 @@ def pages_bands_boxes(draw):
     return page, band, WordBox(x1, y1, x2, y2)
 
 
+@st.composite
+def counts_and_bands(draw):
+    """Row counts of few distinct values, so that peaks tie often, and bands
+    over them that may touch, overlap or repeat."""
+    counts = draw(st.lists(st.integers(0, 4), min_size=1, max_size=40))
+    bands = []
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.integers(0, len(counts) - 1))
+        bands.append((start, draw(st.integers(start, len(counts) - 1))))
+    return counts, bands
+
+
+@st.composite
+def gray_versions(draw, img):
+    """A gray page that binarizes to `img`: ink pixels drawn below the cut,
+    background pixels at or above it."""
+    maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
+    cut = ink_cut(maxval)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ink = rng.integers(0, cut, img.bits.shape)
+    background = rng.integers(cut, maxval + 1, img.bits.shape)
+    pixels = np.where(img.bits == 0, ink, background).astype(np.uint16)
+    return GrayImage(img.width, img.height, maxval, pixels)
+
+
 class TestReferenceEquivalence:
     @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.floats(-0.5, 1.5))
     @example([3, 5, 5, 1, 5], 0.5)  # tied peaks in separate runs: the first wins
@@ -437,6 +463,37 @@ class TestReferenceEquivalence:
         if expected is not NoInkError:
             expected = ZoneBands(3 + expected[0], 3 + expected[1])
         assert outcome(zones_from_rows, rows, band, zone_fraction) == expected
+
+    @given(counts_and_bands(), st.floats(-0.5, 1.5))
+    # Tied peaks: the first wins, in each of two bands.
+    @example(([3, 5, 5, 1, 5, 0, 2, 2, 0, 2], [(0, 4), (6, 9)]), 0.5)
+    @example(([4, 1, 4, 4], [(0, 3), (1, 3), (1, 1)]), 1.0)
+    @example(([2, 0, 3], [(0, 2), (1, 1)]), 0.5)  # one band without ink
+    @example(([1], []), 0.5)
+    def test_zones_from_bands_matches_zones_from_rows_per_band(self, counts_bands, fraction):
+        counts, bands = counts_bands
+        rows = np.array(counts, dtype=np.int32)
+        expected = [outcome(zones_from_rows, rows, LineBand(*band), fraction) for band in bands]
+        starts = np.array([start for start, _ in bands], dtype=np.int64)
+        ends = np.array([end for _, end in bands], dtype=np.int64)
+        if NoInkError in expected:
+            with pytest.raises(NoInkError):
+                zones_from_bands(rows, starts, ends, fraction)
+        else:
+            tops, bottoms = zones_from_bands(rows, starts, ends, fraction)
+            assert list(map(ZoneBands, tops.tolist(), bottoms.tolist())) == expected
+
+    @given(pages_bands_boxes(), st.booleans(), st.data())
+    def test_word_to_wst_same_for_a_gray_page_and_its_binarization(
+        self, page_band_box, given_zones, data
+    ):
+        page, band, box = page_band_box
+        gray = data.draw(gray_versions(page))
+        assert binarize(gray) == page
+        zones = data.draw(random_zones(page.height)) if given_zones else None
+        assert outcome(word_to_wst, gray, band, box, None, zones) == outcome(
+            word_to_wst, page, band, box, None, zones
+        )
 
     @given(random_images(), st.data())
     def test_estimate_zones_matches_reference(self, img, data):
