@@ -33,10 +33,8 @@ from .search import (
 )
 from .segment import (
     LineBand,
-    Profile,
     WordBox,
     column_profile,
-    crop_box,
     row_profile,
     segment_lines,
     segment_words,
@@ -45,7 +43,6 @@ from .shapecode import (
     LETTER_CODES,
     NoInkError,
     Region,
-    ShapeParams,
     UnsupportedCharacterError,
     ZoneBands,
     char_region_segment,
@@ -68,10 +65,8 @@ __all__ = [
     "MissingPageError",
     "NoInkError",
     "PnmError",
-    "Profile",
     "Region",
     "SearchParams",
-    "ShapeParams",
     "SizeClass",
     "UnsupportedCharacterError",
     "WordBox",
@@ -84,7 +79,6 @@ __all__ = [
     "classify_region",
     "classify_size",
     "column_profile",
-    "crop_box",
     "estimate_zones",
     "format_result",
     "levenshtein",

@@ -37,11 +37,12 @@ from .search import (
     DEFAULT_THRESHOLD,
     MissingPageError,
     SearchParams,
+    encode_missing,
     format_result,
     search,
 )
 from .segment import DEFAULT_GAP_FACTOR, LineBand, WordBox, column_profile, row_profile
-from .shapecode import UnsupportedCharacterError, word_to_wst
+from .shapecode import UnsupportedCharacterError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -307,17 +308,16 @@ def _cmd_inspect(args) -> int:
     else:
         img = binarize(load_image(data))
         if what == "rows":
-            print(" ".join(map(str, row_profile(img).counts.tolist())))
+            print(" ".join(map(str, row_profile(img).tolist())))
             return EXIT_OK
         if what == "cols":
             full = LineBand(0, img.height - 1)
-            print(" ".join(map(str, column_profile(img, full).counts.tolist())))
+            print(" ".join(map(str, column_profile(img, full).tolist())))
             return EXIT_OK
         # The lines and words `index` records, with the tokens `query` computes.
         index = build_index([("page", img)], gap_factor=args.gap_factor)
-        for position, rec in enumerate(index.records if what == "wst" else ()):
-            line = index.line_of(rec)
-            index.tokens[position] = word_to_wst(img, line.band, rec.box, zones=line.zones)
+        if what == "wst":
+            encode_missing(index, lambda doc_id: img, list(range(len(index.tokens))))
     if what in ("lines", "zones"):
         for line in index.lines:
             band, zones = line.band, line.zones

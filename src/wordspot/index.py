@@ -3,12 +3,14 @@
 A line holds its rows and x-height body band, against which queries encode
 its words. A record holds only where its word is (doc, line, word, box) and
 its cached shape token. The word's length is normalized to a reference font
-size from its box, so that one pixel-length scale applies across documents
-with varying handwriting sizes. WordIndex holds lines and records as integer
-columns, checks their invariants once, as array checks, and sorts the
-records by normalized length once, so that a query's size prefilter is a
-binary search and a cold query builds objects only for its matches. Size
-classes remain the unit of `wordspot index`'s counts.
+size from its box (`normalize_length`, applied to all records at once), so
+that one pixel-length scale applies across documents with varying
+handwriting sizes. WordIndex holds lines and records as integer columns,
+checks their invariants once, as array checks, and sorts the records by
+normalized length once, so that a query's size prefilter is a binary search
+and a cold query builds objects only for its matches. Size classes remain
+the unit of `wordspot index`'s counts; `classify_size` and
+`WordIndex.size_class_counts` share one boundary rule.
 
 Index file format (UTF-8, LF, space-separated fields), nested by position:
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 import enum
 import os
 import urllib.parse
-from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -41,6 +42,7 @@ from .segment import (
     DEFAULT_GAP_FACTOR,
     LineBand,
     WordBox,
+    default_noise_threshold,
     row_profile,
     segment_lines,
     segment_words,
@@ -99,12 +101,14 @@ class IndexInvariantError(ValueError):
         self.position = position
 
 
-def normalize_length(length: int, height: int, ref_font: int) -> int:
+def normalize_length(length: int | np.ndarray, height: int | np.ndarray, ref_font: int):
     """Word length rescaled to the reference font size, rounded half-up.
 
     Computed exactly in integer arithmetic: round(ref_font * length / height).
+    `length` and `height` may be ints or int64 arrays of equal shape; the
+    result is the same kind.
     """
-    if length < 1 or height < 1 or ref_font < 1:
+    if np.any(length < 1) or np.any(height < 1) or ref_font < 1:
         raise ValueError(
             f"length, height and ref_font must be >= 1 "
             f"(got {length}, {height}, {ref_font})"
@@ -112,11 +116,17 @@ def normalize_length(length: int, height: int, ref_font: int) -> int:
     return (2 * ref_font * length + height) // (2 * height)
 
 
+def _size_class_numbers(norm_lengths: int | np.ndarray) -> np.ndarray:
+    """Size class number of each normalized length: how many of the
+    lower-inclusive SIZE_BOUNDS it reaches."""
+    return np.searchsorted(SIZE_BOUNDS, norm_lengths, side="right")
+
+
 def classify_size(norm_length: int) -> SizeClass:
     """Map a normalized pixel length onto its size class (lower-inclusive)."""
     if norm_length < 0:
         raise ValueError(f"norm_length must be >= 0, got {norm_length}")
-    return SizeClass(bisect_right(SIZE_BOUNDS, norm_length))
+    return SizeClass(int(_size_class_numbers(norm_length)))
 
 
 _WST_ALPHABET = set("Axg")
@@ -303,35 +313,34 @@ class WordIndex:
         return index
 
     def _set_columns(self, ref_font, docs, line_table, record_table, tokens, names):
-        if ref_font < 1:
-            raise ValueError("ref_font must be >= 1")
+        # The index file must be able to hold it.
+        if not 1 <= ref_font <= _MAX_NUMBER:
+            raise ValueError(f"ref_font {ref_font} outside 1..{_MAX_NUMBER}")
         self.ref_font = ref_font
         self.docs = list(docs)
         self.line_table = line_table
         self.record_table = record_table
         self.tokens = tokens
-        self._rank, self.record_lines = self._validate(names)
+        self.record_lines = self._validate(names)
         x1, y1, x2, y2 = record_table[:, 3:].T
-        widths, heights = x2 - x1 + 1, y2 - y1 + 1
-        self.norm_lengths = (2 * ref_font * widths + heights) // (2 * heights)
+        self.norm_lengths = normalize_length(x2 - x1 + 1, y2 - y1 + 1, ref_font)
         self.length_order = np.argsort(self.norm_lengths, kind="stable")
         self.sorted_lengths = self.norm_lengths[self.length_order]
 
-    def _validate(self, names: list[str]) -> tuple[dict[str, int], np.ndarray]:
+    def _validate(self, names: list[str]) -> np.ndarray:
         """Checks every invariant across entries, once, as array checks:
         unique doc ids, then for lines and for records in turn, a listed doc,
         page order, and a band inside its page (a body inside its band) or a
         box inside its page's columns and its line's rows. `names` lists the
         doc ids by rank, with those `docs` lacks past its end.
 
-        Returns each doc id's rank and `record_lines`. Raises
-        IndexInvariantError for the first failing entry, which `load_index`
-        maps back to its line."""
-        rank: dict[str, int] = {}
+        Returns `record_lines`. Raises IndexInvariantError for the first
+        failing entry, which `load_index` maps back to its line."""
+        seen: set[str] = set()
         for position, doc in enumerate(self.docs):
-            if doc.doc_id in rank:
+            if doc.doc_id in seen:
                 raise IndexInvariantError(f"duplicate doc_id {doc.doc_id!r}", "doc", position)
-            rank[doc.doc_id] = position
+            seen.add(doc.doc_id)
         n_docs = len(self.docs)
         # One extra slot stands in for an unlisted doc in the lookups.
         widths = np.array([doc.width for doc in self.docs] + [1], dtype=np.int64)
@@ -367,7 +376,7 @@ class WordIndex:
                        f"columns 0..{widths[page[i]] - 1} or its line rows "
                        f"{line_start[i]}..{line_end[i]}"),
         ])
-        return rank, record_lines
+        return record_lines
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WordIndex):
@@ -406,15 +415,9 @@ class WordIndex:
     def records(self) -> Sequence[WordRecord]:
         return _Entries(len(self.tokens), self.record)
 
-    def line_of(self, rec: WordRecord) -> LineEntry:
-        """The text line a record of this index lies in."""
-        page = self._rank[rec.doc_id]
-        first = np.searchsorted(self.line_table[:, 0], page)
-        return self.line(int(first) + rec.line_idx)
-
     def size_class_counts(self) -> list[int]:
         """Number of records in each size class, in SizeClass order."""
-        classes = np.searchsorted(SIZE_BOUNDS, self.norm_lengths, side="right")
+        classes = _size_class_numbers(self.norm_lengths)
         return np.bincount(classes, minlength=len(SizeClass)).tolist()
 
 
@@ -428,9 +431,10 @@ def build_index(
 ) -> WordIndex:
     """Segment every page and index each text line and one record per word.
 
-    A line's body band is found from the page's row counts with the default
-    zone fraction, for all lines of a page in one pass. Shape tokens are not
-    computed here; they are filled lazily at query time. `source_paths` maps
+    Lines are split at each page's own noise threshold (the default for its
+    width unless `noise_threshold` is given); a line's body band is found
+    from the page's row counts, for all lines of a page in one pass. Shape
+    tokens are not computed here; they are filled lazily at query time. `source_paths` maps
     doc_id to the file the page came from (defaults to the doc_id itself) so
     that queries can reload page images.
     """
@@ -440,11 +444,15 @@ def build_index(
     for rank, (doc_id, img) in enumerate(pages):
         path = (source_paths or {}).get(doc_id, doc_id)
         docs.append(DocEntry(doc_id, path, img.width, img.height))
-        profile = row_profile(img)
-        bands = segment_lines(profile, noise_threshold)
+        counts = row_profile(img)
+        if noise_threshold is None:
+            threshold = default_noise_threshold(img.width)
+        else:
+            threshold = noise_threshold
+        bands = segment_lines(counts, threshold)
         starts = np.array([band.row_start for band in bands], dtype=np.int64)
         ends = np.array([band.row_end for band in bands], dtype=np.int64)
-        tops, bottoms = zones_from_bands(profile.counts, starts, ends)
+        tops, bottoms = zones_from_bands(counts, starts, ends)
         numbers = np.arange(len(bands))
         line_tables.append(
             np.column_stack((np.full(len(bands), rank), numbers, starts, ends, tops, bottoms))

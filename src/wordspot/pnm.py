@@ -109,9 +109,6 @@ class BinaryImage:
             and np.array_equal(self.bits, other.bits)
         )
 
-    def ink_count(self) -> int:
-        return int((self.bits == 0).sum())
-
 
 def _may_exceed(dtype: np.dtype, maxval: int) -> bool:
     """Whether samples of this integer dtype can be above maxval; when they

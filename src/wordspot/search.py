@@ -50,8 +50,9 @@ class SearchParams:
     char_width: int = DEFAULT_CHAR_WIDTH
 
     def __post_init__(self):
-        if self.threshold < 0:
-            raise ValueError("threshold must be >= 0")
+        # Written so that NaN fails too.
+        if not self.threshold >= 0:
+            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         if self.char_width < 1:
             raise ValueError("char_width must be >= 1")
 
@@ -108,7 +109,7 @@ def _load(provider: PageProvider, doc_id: str) -> GrayImage | BinaryImage:
         raise MissingPageError(doc_id, str(exc)) from exc
 
 
-def _encode_missing(index: WordIndex, load_page: PageProvider, positions: list[int]) -> None:
+def encode_missing(index: WordIndex, load_page: PageProvider, positions: list[int]) -> None:
     """Fill the token of each record at `positions`, page by page in the
     order of their first record: each page is loaded once, its words are
     encoded one `word_to_wst` call each, and it is released."""
@@ -163,7 +164,7 @@ def search(
 
     survivors = size_prefilter(index, len(text), params).tolist()
     tokens = index.tokens
-    _encode_missing(index, load_page, [p for p in survivors if tokens[p] is None])
+    encode_missing(index, load_page, [p for p in survivors if tokens[p] is None])
 
     distances: dict[str, int] = {}
     results = []

@@ -1,13 +1,16 @@
 """Projection-profile page segmentation.
 
-Lines are maximal runs of rows whose ink count exceeds a small noise
-threshold; words are runs of columns inside a line band, where zero-ink
-column gaps longer than gap_factor * band height separate words and shorter
-gaps are kept inside a word.
+Profiles are integer arrays of ink-pixel counts per row or per column.
+Lines are maximal runs of rows whose ink count exceeds a noise threshold
+(by default 0.5 % of the page width, worked out per page); words are runs of
+columns inside a line band, where zero-ink column gaps longer than
+gap_factor * band height separate words and shorter gaps are kept inside a
+word. `mask_runs` is the one "maximal runs of a mask" implementation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,26 +19,6 @@ from .pnm import BinaryImage
 from .util import round_half_up
 
 DEFAULT_GAP_FACTOR = 0.2
-
-
-@dataclass
-class Profile:
-    """Ink-pixel counts per row or per column, as a 1-D integer array.
-
-    `extent` is the size of the profiled region in the direction
-    perpendicular to the axis (image width for a row profile, band height
-    for a column profile); every count is bounded by it.
-    """
-
-    counts: np.ndarray
-    axis: str
-    extent: int
-
-    def __post_init__(self):
-        if self.axis not in ("row", "column"):
-            raise ValueError(f"axis must be 'row' or 'column', got {self.axis!r}")
-        if len(self.counts) and (self.counts.min() < 0 or self.counts.max() > self.extent):
-            raise ValueError("profile count outside 0..extent")
 
 
 @dataclass(frozen=True)
@@ -93,19 +76,17 @@ def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edges[::2], edges[1::2] - 1
 
 
-def row_profile(img: BinaryImage) -> Profile:
+def row_profile(img: BinaryImage) -> np.ndarray:
     """Ink pixels per row of the whole image."""
     # Counts are bounded by the image size, far below 2**31.
-    ink = img.width - img.bits.sum(axis=1, dtype=np.int32)
-    return Profile(ink, "row", img.width)
+    return img.width - img.bits.sum(axis=1, dtype=np.int32)
 
 
-def column_profile(img: BinaryImage, band: LineBand) -> Profile:
+def column_profile(img: BinaryImage, band: LineBand) -> np.ndarray:
     """Ink pixels per column, restricted to the band's rows."""
     check_band(band, img.height)
     sub = img.bits[band.row_start : band.row_end + 1]
-    ink = band.height - sub.sum(axis=0, dtype=np.int32)
-    return Profile(ink, "column", band.height)
+    return band.height - sub.sum(axis=0, dtype=np.int32)
 
 
 def default_noise_threshold(width: int) -> int:
@@ -113,17 +94,12 @@ def default_noise_threshold(width: int) -> int:
     return max(1, round_half_up(0.005 * width))
 
 
-def segment_lines(profile: Profile, noise_threshold: int | None = None) -> list[LineBand]:
+def segment_lines(row_counts: np.ndarray, noise_threshold: int) -> list[LineBand]:
     """Group consecutive rows with count above the noise threshold into bands.
 
-    With noise_threshold=None the width-proportional default is used. An
-    all-gap profile yields an empty list.
+    `row_counts` is a row profile; an all-gap profile yields an empty list.
     """
-    if profile.axis != "row":
-        raise ValueError("segment_lines needs a row profile")
-    if noise_threshold is None:
-        noise_threshold = default_noise_threshold(profile.extent)
-    starts, ends = mask_runs(profile.counts > noise_threshold)
+    starts, ends = mask_runs(row_counts > noise_threshold)
     return [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
@@ -138,6 +114,8 @@ def segment_words(
     columns are trimmed, never treated as splits. Each box is tightened to
     the minimal bounding box of its ink on both axes.
     """
+    if not math.isfinite(gap_factor):
+        raise ValueError(f"gap factor must be finite, got {gap_factor}")
     check_band(band, img.height)
     ink = img.bits[band.row_start : band.row_end + 1] == 0
     starts, ends = mask_runs(ink.any(axis=0))
@@ -158,11 +136,3 @@ def segment_words(
         for x1, y1, x2, y2 in zip(x1s.tolist(), y1s.tolist(), x2s.tolist(), y2s.tolist())
     ]
 
-
-def crop_box(img: BinaryImage, box: WordBox) -> BinaryImage:
-    """Sub-view of the image covering exactly the box (shares storage)."""
-    if box.x1 < 0 or box.y1 < 0 or box.x2 >= img.width or box.y2 >= img.height:
-        raise ValueError(f"box {box} outside image {img.width}x{img.height}")
-    return BinaryImage(
-        box.width, box.height, img.bits[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1]
-    )

@@ -1,13 +1,20 @@
 """Shape coding of word images and query text.
 
-A word image is cut into regions at near-minimum valleys of its column
-profile (cursive connector strokes are thin, so they sit at the histogram
-minimum; the same cut happily over-segments some letters, which the coding
-scheme absorbs). Each region is classified by whether its ink reaches the
-ascender or descender zone relative to the line's x-height band:
+A line's x-height body band is the run of its rows, around its peak row,
+whose ink count is at least half the peak's (`zones_from_bands`, one pass
+for all lines of a page). A word image is cut into regions at near-minimum
+valleys of its column profile (cursive connector strokes are thin, so they
+sit at the histogram minimum; the same cut happily over-segments some
+letters, which the coding scheme absorbs). Each region is classified by
+whether its ink reaches the ascender or descender zone relative to the
+line's body band:
 
     ascender only -> A,  descender (with or without ascender) -> g,
     neither -> x
+
+`word_to_wst` encodes with the module's fixed token parameters;
+`char_region_segment`, `classify_region` and `estimate_zones` expose each
+step, with those parameters as keyword defaults.
 
 Query text maps through a fixed per-letter expansion table, one to three
 symbols per letter, so both sides of a search speak the same token alphabet.
@@ -73,14 +80,14 @@ class Region:
         return self.col_end - self.col_start + 1
 
 
-@dataclass(frozen=True)
-class ShapeParams:
-    """Knobs for image-side token generation."""
-
-    valley_slack: int = 1
-    min_region_width: float = 0.1
-    margin: float = 0.1
-    zone_fraction: float = 0.5
+# Token parameters. Columns within VALLEY_SLACK of the least ink count are
+# valleys; regions narrower than MIN_REGION_WIDTH of the band height merge;
+# ink counts as ascender or descender past MARGIN of the body height; rows
+# with at least ZONE_FRACTION of the peak row count make up the body band.
+VALLEY_SLACK = 1
+MIN_REGION_WIDTH = 0.1
+MARGIN = 0.1
+ZONE_FRACTION = 0.5
 
 
 # Per-letter shape code expansion. Both cases are covered; the two-symbol
@@ -112,39 +119,21 @@ def query_to_wst(text: str) -> str:
     return "".join(parts)
 
 
-def zones_from_rows(
-    row_counts: np.ndarray, band: LineBand, zone_fraction: float = 0.5
-) -> ZoneBands:
-    """Locate the x-height body band of a line from per-row ink counts.
-
-    `row_counts[r]` is the ink count of row r (a page's row profile, or any
-    array indexed in the frame of `band`). The body band is the maximal
-    contiguous run of band rows whose count is at least zone_fraction of the
-    peak row count, containing the (first) peak row.
-    """
-    check_band(band, len(row_counts))
-    counts = row_counts[band.row_start : band.row_end + 1]
-    peak_row = int(counts.argmax())
-    peak = int(counts[peak_row])
-    if peak == 0:
-        raise NoInkError("band has no ink, zones undefined")
-    body = counts >= zone_fraction * peak
-    # The peak row belongs to the body even when zone_fraction exceeds 1.
-    body[peak_row] = True
-    starts, ends = mask_runs(body)
-    run = int(np.searchsorted(ends, peak_row))
-    return ZoneBands(band.row_start + int(starts[run]), band.row_start + int(ends[run]))
-
-
 def zones_from_bands(
-    row_counts: np.ndarray, starts: np.ndarray, ends: np.ndarray, zone_fraction: float = 0.5
+    row_counts: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    zone_fraction: float = ZONE_FRACTION,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`zones_from_rows` for many bands of one page in one pass: the body
-    band's first and last rows of each band `starts[i]..ends[i]`.
+    """Locate the x-height body band of many line bands in one pass, from
+    per-row ink counts: the body's first and last rows of each band
+    `starts[i]..ends[i]`, in the rows of `row_counts`.
 
-    The bands' rows are laid end to end. The body run around each band's
-    first peak row is bounded by the nearest rows below the threshold, or by
-    the band's edges.
+    A band's body is the maximal contiguous run of its rows whose count is
+    at least zone_fraction of the band's peak count, containing its (first)
+    peak row. The bands' rows are laid end to end; the body run around each
+    peak is bounded by the nearest rows below the threshold, or by the
+    band's edges.
     """
     if len(starts) == 0:
         return starts, ends
@@ -174,19 +163,21 @@ def zones_from_bands(
 
 
 def estimate_zones(
-    img: BinaryImage | GrayImage, band: LineBand, zone_fraction: float = 0.5
+    img: BinaryImage | GrayImage, band: LineBand, zone_fraction: float = ZONE_FRACTION
 ) -> ZoneBands:
     """Locate the x-height body band inside a line band of `img`.
 
-    See `zones_from_rows`; returned rows use the same coordinate frame as
+    See `zones_from_bands`; returned rows use the same coordinate frame as
     `img`.
     """
     check_band(band, img.height)
     counts = box_ink(img, WordBox(0, band.row_start, img.width - 1, band.row_end)).sum(
         axis=1, dtype=np.int64
     )
-    local = zones_from_rows(counts, LineBand(0, band.height - 1), zone_fraction)
-    return local.shifted(band.row_start)
+    tops, bottoms = zones_from_bands(
+        counts, np.array([0]), np.array([band.height - 1]), zone_fraction
+    )
+    return ZoneBands(band.row_start + int(tops[0]), band.row_start + int(bottoms[0]))
 
 
 def _region_starts(
@@ -243,8 +234,8 @@ def _zone_codes(reach: np.ndarray, zones: ZoneBands, margin: float) -> str:
 def char_region_segment(
     word: BinaryImage,
     font_size: int,
-    valley_slack: int = 1,
-    min_region_width: float = 0.1,
+    valley_slack: int = VALLEY_SLACK,
+    min_region_width: float = MIN_REGION_WIDTH,
 ) -> list[Region]:
     """Cut a word image into regions at near-minimum column-profile valleys.
 
@@ -258,7 +249,7 @@ def char_region_segment(
 
 
 def classify_region(
-    word: BinaryImage, region: Region, zones: ZoneBands, margin: float = 0.1
+    word: BinaryImage, region: Region, zones: ZoneBands, margin: float = MARGIN
 ) -> str:
     """Classify one region as 'A', 'x' or 'g' by its zone reach.
 
@@ -276,7 +267,6 @@ def word_to_wst(
     page: BinaryImage | GrayImage,
     band: LineBand,
     box: WordBox,
-    params: ShapeParams | None = None,
     zones: ZoneBands | None = None,
 ) -> str:
     """Shape token of one segmented word, left to right.
@@ -287,14 +277,10 @@ def word_to_wst(
     thresholded (`pnm.box_ink`). The word is cut and classified in one pass
     over its ink: all regions' ink rows come from one `logical_or.reduceat`.
     """
-    if params is None:
-        params = ShapeParams()
     if zones is None:
-        zones = estimate_zones(page, band, params.zone_fraction)
+        zones = estimate_zones(page, band)
     ink = box_ink(page, box)
     counts = ink.sum(axis=0, dtype=np.int32)
-    starts = _region_starts(
-        counts, band.height, params.valley_slack, params.min_region_width
-    )
+    starts = _region_starts(counts, band.height, VALLEY_SLACK, MIN_REGION_WIDTH)
     reach = np.logical_or.reduceat(ink, starts, axis=1)
-    return _zone_codes(reach, zones.shifted(-box.y1), params.margin)
+    return _zone_codes(reach, zones.shifted(-box.y1), MARGIN)

@@ -30,7 +30,14 @@ from wordspot.index import (
     save_index,
 )
 from wordspot.search import levenshtein, search
-from wordspot.segment import LineBand, WordBox, row_profile, segment_lines, segment_words
+from wordspot.segment import (
+    LineBand,
+    WordBox,
+    default_noise_threshold,
+    row_profile,
+    segment_lines,
+    segment_words,
+)
 from wordspot.shapecode import SHAPE_CODE_ROWS, ZoneBands, query_to_wst
 
 
@@ -200,7 +207,7 @@ def test_segmentation_fidelity():
         layout = random_blocky_page(100 + seed)
         img = layout.image
         started = time.perf_counter()
-        bands = segment_lines(row_profile(img))
+        bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
         recovered = [segment_words(img, band) for band in bands]
         slowest = max(slowest, time.perf_counter() - started)
 

@@ -11,7 +11,7 @@ from wordspot.cli import main
 from wordspot.index import load_index
 from wordspot.pnm import GrayImage, binarize, load_image, write_gray
 from wordspot.search import SearchParams, search
-from wordspot.segment import row_profile, segment_lines, segment_words
+from wordspot.segment import default_noise_threshold, row_profile, segment_lines, segment_words
 
 
 def page_to_pgm(layout) -> bytes:
@@ -227,6 +227,32 @@ class TestQueryCommand:
         assert main(["index", str(page), "--ref-font", "0",
                      "--out", str(tmp_path / "x.wsidx")]) == 1
 
+    def test_ref_font_beyond_the_index_format_exits_1_without_a_file(
+        self, corpus, tmp_path, capsys
+    ):
+        layout, page, index_path = corpus
+        out = tmp_path / "x.wsidx"
+        assert main(["index", str(page), "--ref-font", "2147483648", "--out", str(out)]) == 1
+        assert list(tmp_path.glob("x.wsidx*")) == []
+        assert "ref_font 2147483648 outside 1..2147483647" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_gap_factor_exits_1_naming_it(self, corpus, tmp_path, capsys, value):
+        layout, page, index_path = corpus
+        out = tmp_path / "x.wsidx"
+        flag = f"--gap-factor={value}"
+        assert main(["index", str(page), flag, "--out", str(out)]) == 1
+        assert list(tmp_path.glob("x.wsidx*")) == []
+        assert main(["inspect", str(page), "--what", "words", flag]) == 1
+        assert capsys.readouterr().err.count(f"gap factor must be finite, got {value}") == 2
+
+    def test_nan_threshold_exits_1(self, corpus, capsys):
+        layout, page, index_path = corpus
+        assert main(["query", str(index_path), "help", "--threshold", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold must be >= 0, got nan" in captured.err
+
 
 class TestAnnotate:
     def assert_ring_drawn(self, original_bits, annotated, box):
@@ -298,7 +324,7 @@ class TestInspect:
         printed = capsys.readouterr().out.strip().splitlines()
         img = layout.image
         expected = []
-        for band in segment_lines(row_profile(img)):
+        for band in segment_lines(row_profile(img), default_noise_threshold(img.width)):
             for box in segment_words(img, band):
                 expected.append(f"{box.x1} {box.y1} {box.x2} {box.y2}")
         assert printed == expected

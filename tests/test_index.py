@@ -25,7 +25,7 @@ from wordspot.index import (
 )
 from wordspot.pnm import BinaryImage
 from wordspot.segment import LineBand, WordBox, row_profile, segment_lines
-from wordspot.shapecode import ZoneBands, zones_from_rows
+from wordspot.shapecode import ZoneBands, estimate_zones
 
 
 class TestNormalizeLength:
@@ -105,6 +105,24 @@ class TestBuildIndex:
         assert index.norm_lengths.tolist() == [200]
         assert index.size_class_counts() == [0, 1, 0, 0, 0]
 
+    def test_noise_threshold_follows_each_pages_width(self):
+        # A row of 3 ink pixels clears the default noise threshold of a page
+        # 200 px wide (1), but not that of one 1000 px wide (5).
+        narrow = blob_page(blob_w=3, blob_h=1)
+        wide = blob_page(width=1000, blob_w=3, blob_h=1)
+        for pages, lines_per_page in (
+            ([("n", narrow), ("w", wide)], [1, 0]),
+            ([("w", wide), ("n", narrow)], [0, 1]),
+        ):
+            index = build_index(pages)
+            assert np.bincount(index.line_table[:, 0], minlength=2).tolist() == lines_per_page
+
+    def test_ref_font_must_fit_the_index_format(self):
+        with pytest.raises(ValueError, match="ref_font 2147483648 outside 1..2147483647"):
+            build_index([("page", blob_page())], ref_font=2**31)
+        index = build_index([("page", blob_page())], ref_font=2**31 - 1)
+        assert load_index(save_index(index)) == index
+
     def test_two_pages_same_content(self):
         pages = [("a", blob_page()), ("b", blob_page())]
         index = build_index(pages, ref_font=60)
@@ -121,13 +139,11 @@ class TestBuildIndex:
         page = blob_page()
         page.bits[25:30, 40:140] = 1  # a gap inside the blob's rows
         index = build_index([("a", page)], noise_threshold=0)
-        counts = row_profile(page).counts
         bands = segment_lines(row_profile(page), 0)
         assert index.lines == [
-            LineEntry("a", n, band, zones_from_rows(counts, band))
-            for n, band in enumerate(bands)
+            LineEntry("a", n, band, estimate_zones(page, band)) for n, band in enumerate(bands)
         ]
-        assert [index.line_of(r) for r in index.records] == index.lines
+        assert [index.lines[n] for n in index.record_lines.tolist()] == index.lines
 
     def test_duplicate_doc_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -472,7 +488,7 @@ class TestDirectConstruction:
         lines = [make_line("d", 0, 0, 9), make_line("d", 1, 10, 49), make_line("d", 2, 50, 99)]
         records = [make_record("d", 2, 0, y=50), make_record("d", 2, 1, y=60)]
         index = WordIndex(60, [self.doc], lines, records)
-        assert [index.line_of(r) for r in records] == [lines[2], lines[2]]
+        assert index.record_lines.tolist() == [2, 2]
 
     @pytest.mark.parametrize(
         "line,match",

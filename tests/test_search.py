@@ -28,14 +28,20 @@ from wordspot.search import (
     search,
     size_prefilter,
 )
-from wordspot.segment import LineBand, WordBox, row_profile, segment_lines
+from wordspot.segment import (
+    LineBand,
+    WordBox,
+    default_noise_threshold,
+    row_profile,
+    segment_lines,
+)
 from wordspot.shapecode import (
     LETTER_CODES,
     UnsupportedCharacterError,
     ZoneBands,
+    estimate_zones,
     query_to_wst,
     word_to_wst,
-    zones_from_rows,
 )
 
 
@@ -295,18 +301,19 @@ class TestBuildLines:
         )
         page = layout.image
         index = build_index([("page", page)], ref_font=60, noise_threshold=30)
-        profile = row_profile(page)
-        build_bands = segment_lines(profile, 30)
-        assert len(segment_lines(profile)) == 3 and len(build_bands) == 2
+        counts = row_profile(page)
+        build_bands = segment_lines(counts, 30)
+        assert len(segment_lines(counts, default_noise_threshold(page.width))) == 3
+        assert len(build_bands) == 2
         assert [line.band for line in index.lines] == build_bands
         assert [line.zones for line in index.lines] == [
-            zones_from_rows(profile.counts, band) for band in build_bands
+            estimate_zones(page, band) for band in build_bands
         ]
 
         for n in range(1, 12):
             search(index, lambda doc: page, "x" * n, SearchParams(threshold=0))
-        for rec in index.records:
-            line = index.line_of(rec)
+        for rec, n in zip(index.records, index.record_lines.tolist()):
+            line = index.lines[n]
             assert rec.wst == word_to_wst(page, line.band, rec.box, zones=line.zones)
 
     def test_tokens_follow_the_zones_the_index_records(self):

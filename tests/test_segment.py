@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from wordspot.pnm import BinaryImage
 from wordspot.segment import (
     LineBand,
-    Profile,
     WordBox,
     column_profile,
-    crop_box,
     default_noise_threshold,
     row_profile,
     segment_lines,
@@ -47,15 +45,15 @@ def random_image(rng, width, height, ink_prob=0.3):
 class TestProfiles:
     def test_row_profile_counts_ink(self):
         img = image_from_rows([[0, 0, 1], [1, 1, 1]])
-        assert row_profile(img).counts.tolist() == [2, 0]
+        assert row_profile(img).tolist() == [2, 0]
 
     def test_all_background(self):
         img = image_from_rows([[1, 1], [1, 1], [1, 1]])
-        assert row_profile(img).counts.tolist() == [0, 0, 0]
+        assert row_profile(img).tolist() == [0, 0, 0]
 
     def test_all_ink_counts_width(self):
         img = image_from_rows([[0] * 5, [0] * 5])
-        assert row_profile(img).counts.tolist() == [5, 5]
+        assert row_profile(img).tolist() == [5, 5]
 
     def test_column_profile_restricted_to_band(self):
         img = image_from_rows(
@@ -66,18 +64,15 @@ class TestProfiles:
                 [0, 0, 0, 1],
             ]
         )
-        prof = column_profile(img, LineBand(0, 1))
-        assert prof.counts.tolist() == [2, 1, 0, 0]
-        assert prof.axis == "column"
-        assert prof.extent == 2
+        assert column_profile(img, LineBand(0, 1)).tolist() == [2, 1, 0, 0]
 
     def test_column_profile_empty_band(self):
         img = image_from_rows([[0, 0], [1, 1]])
-        assert column_profile(img, LineBand(1, 1)).counts.tolist() == [0, 0]
+        assert column_profile(img, LineBand(1, 1)).tolist() == [0, 0]
 
     def test_full_band_matches_transpose_count(self):
         img = random_image(random.Random(5), 9, 7)
-        full = column_profile(img, LineBand(0, 6)).counts.tolist()
+        full = column_profile(img, LineBand(0, 6)).tolist()
         expected = [int((img.bits[:, c] == 0).sum()) for c in range(9)]
         assert full == expected
 
@@ -88,44 +83,30 @@ class TestProfiles:
 
     def test_profile_sums_equal_ink_total(self):
         img = random_image(random.Random(6), 11, 8)
-        rows = row_profile(img).counts
-        cols = column_profile(img, LineBand(0, 7)).counts
-        assert sum(rows) == sum(cols) == img.ink_count()
-
-    def test_profile_validates_extent(self):
-        with pytest.raises(ValueError):
-            Profile(np.array([3]), "row", 2)
-        with pytest.raises(ValueError):
-            Profile(np.array([1]), "diagonal", 2)
+        rows = row_profile(img)
+        cols = column_profile(img, LineBand(0, 7))
+        assert sum(rows) == sum(cols) == int((img.bits == 0).sum())
 
 
 class TestSegmentLines:
     def test_runs_between_gaps(self):
-        prof = Profile(np.array([0, 3, 4, 0, 0, 5, 6, 0]), "row", 10)
-        assert segment_lines(prof, 0) == [LineBand(1, 2), LineBand(5, 6)]
+        counts = np.array([0, 3, 4, 0, 0, 5, 6, 0])
+        assert segment_lines(counts, 0) == [LineBand(1, 2), LineBand(5, 6)]
 
     def test_empty_page(self):
-        assert segment_lines(Profile(np.array([0, 0, 0]), "row", 4), 0) == []
+        assert segment_lines(np.array([0, 0, 0]), 0) == []
 
     def test_single_run(self):
-        assert segment_lines(Profile(np.array([2, 2, 2]), "row", 4), 0) == [LineBand(0, 2)]
+        assert segment_lines(np.array([2, 2, 2]), 0) == [LineBand(0, 2)]
 
     def test_threshold_suppresses_noise_rows(self):
-        prof = Profile(np.array([1, 9, 9, 1, 9, 9]), "row", 20)
-        assert segment_lines(prof, 1) == [LineBand(1, 2), LineBand(4, 5)]
+        counts = np.array([1, 9, 9, 1, 9, 9])
+        assert segment_lines(counts, 1) == [LineBand(1, 2), LineBand(4, 5)]
 
     def test_default_noise_threshold(self):
         assert default_noise_threshold(100) == 1
         assert default_noise_threshold(300) == 2  # 1.5 rounds half-up
         assert default_noise_threshold(1000) == 5
-
-    def test_default_threshold_comes_from_extent(self):
-        counts = np.array([5, 5, 5, 0, 6, 6])
-        assert segment_lines(Profile(counts, "row", 1000)) == [LineBand(4, 5)]
-
-    def test_rejects_column_profiles(self):
-        with pytest.raises(ValueError):
-            segment_lines(Profile(np.array([1]), "column", 3), 0)
 
     def test_every_ink_row_in_some_band_at_zero_threshold(self):
         img = random_image(random.Random(8), 12, 20, ink_prob=0.1)
@@ -133,7 +114,7 @@ class TestSegmentLines:
         covered = set()
         for band in bands:
             covered.update(range(band.row_start, band.row_end + 1))
-        for r, count in enumerate(row_profile(img).counts):
+        for r, count in enumerate(row_profile(img)):
             if count > 0:
                 assert r in covered
         # bands are disjoint and ordered
@@ -175,6 +156,12 @@ class TestSegmentWords:
         boxes = segment_words(img, LineBand(0, 7))
         assert boxes == [WordBox(1, 2, 2, 4)]
 
+    @pytest.mark.parametrize("gap_factor", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_gap_factor_rejected(self, gap_factor):
+        img = image_with_column_counts([2, 3, 1, 4], 5)
+        with pytest.raises(ValueError, match="gap factor must be finite"):
+            segment_words(img, LineBand(0, 4), gap_factor)
+
     def test_empty_band_yields_no_words(self):
         img = image_from_rows([[1, 1, 1]])
         assert segment_words(img, LineBand(0, 0)) == []
@@ -194,19 +181,6 @@ class TestSegmentWords:
         boxes = segment_words(img, LineBand(0, 11), 0.1)
         for left, right in zip(boxes, boxes[1:]):
             assert left.x2 < right.x1
-
-
-class TestCrop:
-    def test_crop_box_view(self):
-        img = image_from_rows([[0, 1, 1], [1, 0, 1]])
-        sub = crop_box(img, WordBox(1, 0, 2, 1))
-        assert sub.width == 2 and sub.height == 2
-        assert list(sub.bits.ravel()) == [1, 1, 0, 1]
-
-    def test_crop_box_out_of_range(self):
-        img = image_from_rows([[0]])
-        with pytest.raises(ValueError):
-            crop_box(img, WordBox(0, 0, 1, 0))
 
 
 def reference_runs_above(counts, threshold):
@@ -267,9 +241,8 @@ class TestReferenceEquivalence:
     @example([1, 0, 0, 1], 0)
     @example([2, 0, 2, 0, 2], 1)
     def test_runs_above_matches_loop(self, counts, threshold):
-        profile = Profile(np.array(counts, dtype=np.int32), "row", 9)
         expected = [LineBand(a, b) for a, b in reference_runs_above(counts, threshold)]
-        assert segment_lines(profile, threshold) == expected
+        assert segment_lines(np.array(counts, dtype=np.int32), threshold) == expected
 
     @given(images_and_bands(), st.floats(0.0, 2.0))
     def test_segment_words_matches_per_group_boxes(self, image_band, gap_factor):

@@ -12,7 +12,7 @@ from wordspot.pnm import BinaryImage, GrayImage, binarize, ink_cut
 from wordspot.segment import (
     LineBand,
     WordBox,
-    crop_box,
+    default_noise_threshold,
     row_profile,
     segment_lines,
     segment_words,
@@ -22,7 +22,6 @@ from wordspot.shapecode import (
     SHAPE_CODE_ROWS,
     NoInkError,
     Region,
-    ShapeParams,
     UnsupportedCharacterError,
     ZoneBands,
     char_region_segment,
@@ -31,7 +30,6 @@ from wordspot.shapecode import (
     query_to_wst,
     word_to_wst,
     zones_from_bands,
-    zones_from_rows,
 )
 from wordspot.util import round_half_up
 
@@ -236,7 +234,7 @@ class TestShapeTable:
 def render_line_page(words, font=40):
     layout = compose_page([(metrics(font), words)], width=1200)
     img = layout.image
-    bands = segment_lines(row_profile(img))
+    bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
     assert len(bands) == 1
     boxes = segment_words(img, bands[0])
     assert len(boxes) == len(words)
@@ -268,7 +266,7 @@ class TestWordToWst:
             line_specs.append((metrics(40), probes + ["essence"]))
         layout = compose_page(line_specs, width=900)
         img = layout.image
-        bands = segment_lines(row_profile(img))
+        bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
         assert len(bands) == len(line_specs)
         for band, (_, words) in zip(bands, line_specs):
             boxes = segment_words(img, band)
@@ -308,6 +306,13 @@ def reference_zone_run(counts, zone_fraction):
     while bottom < len(counts) - 1 and counts[bottom + 1] >= cut:
         bottom += 1
     return top, bottom
+
+
+def reference_band_zones(counts, band, zone_fraction):
+    """ZoneBands of the row walk over the rows of one (start, end) band."""
+    start, end = band
+    top, bottom = reference_zone_run(counts[start : end + 1], zone_fraction)
+    return ZoneBands(start + top, start + bottom)
 
 
 def reference_estimate_zones(img, band, zone_fraction):
@@ -366,17 +371,16 @@ def reference_classify_region(word, region, zones, margin):
     return "x"
 
 
-def reference_word_to_wst(page, band, box, params, zones):
+def reference_word_to_wst(page, band, box, zones):
+    """The shape coder's specification, with its token parameters: valley
+    slack 1, minimum region width 0.1, margin 0.1 and zone fraction 0.5."""
     if zones is None:
-        zones = reference_estimate_zones(page, band, params.zone_fraction)
-    word = crop_box(page, box)
+        zones = reference_estimate_zones(page, band, 0.5)
+    bits = page.bits[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1]
+    word = BinaryImage(box.width, box.height, bits)
     local = zones.shifted(-box.y1)
-    regions = reference_char_region_segment(
-        word, band.height, params.valley_slack, params.min_region_width
-    )
-    return "".join(
-        reference_classify_region(word, region, local, params.margin) for region in regions
-    )
+    regions = reference_char_region_segment(word, band.height, 1, 0.1)
+    return "".join(reference_classify_region(word, region, local, 0.1) for region in regions)
 
 
 def outcome(fn, *args):
@@ -403,15 +407,6 @@ def random_zones(draw, height):
     return ZoneBands(top, draw(st.integers(top, height + 3)))
 
 
-shape_params = st.builds(
-    ShapeParams,
-    valley_slack=st.integers(-1, 4),
-    min_region_width=st.floats(0.0, 0.6),
-    margin=st.floats(0.0, 0.5),
-    zone_fraction=st.floats(0.0, 1.3),
-)
-
-
 @st.composite
 def pages_bands_boxes(draw):
     page = draw(random_images(max_height=30))
@@ -436,6 +431,14 @@ def counts_and_bands(draw):
     return counts, bands
 
 
+def zones_of_bands(row_counts, bands, zone_fraction):
+    """ZoneBands of each (start, end) band, from one zones_from_bands pass."""
+    starts = np.array([start for start, _ in bands], dtype=np.int64)
+    ends = np.array([end for _, end in bands], dtype=np.int64)
+    tops, bottoms = zones_from_bands(row_counts, starts, ends, zone_fraction)
+    return list(map(ZoneBands, tops.tolist(), bottoms.tolist()))
+
+
 @st.composite
 def gray_versions(draw, img):
     """A gray page that binarizes to `img`: ink pixels drawn below the cut,
@@ -458,11 +461,11 @@ class TestReferenceEquivalence:
     def test_zone_run_matches_row_walk(self, counts, zone_fraction):
         pad = [9] * 3  # rows outside the band must not matter
         rows = np.array(pad + counts + pad)
-        band = LineBand(3, 3 + len(counts) - 1)
-        expected = outcome(reference_zone_run, counts, zone_fraction)
+        band = (3, 3 + len(counts) - 1)
+        expected = outcome(reference_band_zones, rows.tolist(), band, zone_fraction)
         if expected is not NoInkError:
-            expected = ZoneBands(3 + expected[0], 3 + expected[1])
-        assert outcome(zones_from_rows, rows, band, zone_fraction) == expected
+            expected = [expected]
+        assert outcome(zones_of_bands, rows, [band], zone_fraction) == expected
 
     @given(counts_and_bands(), st.floats(-0.5, 1.5))
     # Tied peaks: the first wins, in each of two bands.
@@ -470,18 +473,13 @@ class TestReferenceEquivalence:
     @example(([4, 1, 4, 4], [(0, 3), (1, 3), (1, 1)]), 1.0)
     @example(([2, 0, 3], [(0, 2), (1, 1)]), 0.5)  # one band without ink
     @example(([1], []), 0.5)
-    def test_zones_from_bands_matches_zones_from_rows_per_band(self, counts_bands, fraction):
+    def test_zones_from_bands_matches_row_walk_per_band(self, counts_bands, fraction):
         counts, bands = counts_bands
         rows = np.array(counts, dtype=np.int32)
-        expected = [outcome(zones_from_rows, rows, LineBand(*band), fraction) for band in bands]
-        starts = np.array([start for start, _ in bands], dtype=np.int64)
-        ends = np.array([end for _, end in bands], dtype=np.int64)
+        expected = [outcome(reference_band_zones, counts, band, fraction) for band in bands]
         if NoInkError in expected:
-            with pytest.raises(NoInkError):
-                zones_from_bands(rows, starts, ends, fraction)
-        else:
-            tops, bottoms = zones_from_bands(rows, starts, ends, fraction)
-            assert list(map(ZoneBands, tops.tolist(), bottoms.tolist())) == expected
+            expected = NoInkError
+        assert outcome(zones_of_bands, rows, bands, fraction) == expected
 
     @given(pages_bands_boxes(), st.booleans(), st.data())
     def test_word_to_wst_same_for_a_gray_page_and_its_binarization(
@@ -491,8 +489,8 @@ class TestReferenceEquivalence:
         gray = data.draw(gray_versions(page))
         assert binarize(gray) == page
         zones = data.draw(random_zones(page.height)) if given_zones else None
-        assert outcome(word_to_wst, gray, band, box, None, zones) == outcome(
-            word_to_wst, page, band, box, None, zones
+        assert outcome(word_to_wst, gray, band, box, zones) == outcome(
+            word_to_wst, page, band, box, zones
         )
 
     @given(random_images(), st.data())
@@ -522,19 +520,14 @@ class TestReferenceEquivalence:
             word, region, zones, margin
         )
 
-    @given(pages_bands_boxes(), shape_params, st.booleans(), st.data())
-    def test_word_to_wst_matches_per_region_reference(
-        self, page_band_box, params, given_zones, data
-    ):
+    @given(pages_bands_boxes(), st.booleans(), st.data())
+    def test_word_to_wst_matches_per_region_reference(self, page_band_box, given_zones, data):
         page, band, box = page_band_box
         zones = data.draw(random_zones(page.height)) if given_zones else None
-        args = (page, band, box, params, zones)
+        args = (page, band, box, zones)
         assert outcome(word_to_wst, *args) == outcome(reference_word_to_wst, *args)
 
     def test_word_to_wst_matches_reference_on_rendered_lines(self):
         img, band, boxes = render_line_page(["dipped", "python", "sauce", "mummy"])
-        params = ShapeParams()
         for box in boxes:
-            assert word_to_wst(img, band, box) == reference_word_to_wst(
-                img, band, box, params, None
-            )
+            assert word_to_wst(img, band, box) == reference_word_to_wst(img, band, box, None)
