@@ -42,6 +42,7 @@ from .segment import (
     DEFAULT_GAP_FACTOR,
     LineBand,
     WordBox,
+    check_gap_factor,
     default_noise_threshold,
     row_profile,
     segment_lines,
@@ -438,6 +439,8 @@ def build_index(
     doc_id to the file the page came from (defaults to the doc_id itself) so
     that queries can reload page images.
     """
+    # Refused whether or not a page has a text line to split.
+    check_gap_factor(gap_factor)
     docs = []
     line_tables = [np.empty((0, len(LINE_COLUMNS)), dtype=np.int64)]
     records = []

@@ -12,8 +12,9 @@ Pixel conventions used throughout the pipeline:
 Gray rasters are uint8 when the file stores 8-bit samples (P5 with maxval
 below 256) and uint16 otherwise. An 8-bit P5 raster is not copied: its
 pixels are a read-only view of the bytes passed to load_image. A query
-binarizes no page: `box_ink` applies binarize's threshold to the pixels of
-one word box, so a gray page is read once and only inside its candidates.
+binarizes no page: `box_ink`, and the shape coder through `ink_raster`,
+apply binarize's threshold to the pixels of word boxes only, so a gray page
+is read once and only inside its candidates.
 """
 
 from __future__ import annotations
@@ -303,10 +304,17 @@ def box_ink(img: GrayImage | BinaryImage, box: WordBox) -> np.ndarray:
     """
     if box.x1 < 0 or box.y1 < 0 or box.x2 >= img.width or box.y2 >= img.height:
         raise ValueError(f"box {box} outside image {img.width}x{img.height}")
-    rows, cols = slice(box.y1, box.y2 + 1), slice(box.x1, box.x2 + 1)
+    raster, cut = ink_raster(img)
+    return raster[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1] < cut
+
+
+def ink_raster(img: GrayImage | BinaryImage) -> tuple[np.ndarray, int]:
+    """A page's raster and the sample value below which a pixel is ink:
+    the pixels and ink_cut(maxval) for a GrayImage, the bits and 1 (ink is
+    bit 0) for a BinaryImage."""
     if isinstance(img, BinaryImage):
-        return img.bits[rows, cols] == 0
-    return img.pixels[rows, cols] < ink_cut(img.maxval)
+        return img.bits, 1
+    return img.pixels, ink_cut(img.maxval)
 
 
 # Rows rescaled per step, so that rescale_to_255's wide temporaries stay

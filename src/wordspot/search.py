@@ -11,9 +11,10 @@ without a DP: the edit distance is at least the length difference.
 
 A word is encoded against the line band and x-height zones its index
 records, so a query segments no page. It reads each page that holds
-survivors without a token once, as a gray image, takes ink only inside those
-survivors' boxes, and releases the page before it loads the next. Objects
-for records are built only for the matches.
+survivors without a token once, as a gray image, encodes all of that page's
+survivors in one `word_to_wst` call from the index's integer columns, taking
+ink only inside their boxes, and releases the page before it loads the next.
+Objects for records are built only for the matches.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 
 from .index import WordIndex, WordRecord
 from .pnm import BinaryImage, GrayImage
-from .segment import LineBand, WordBox
-from .shapecode import NoInkError, ZoneBands, query_to_wst, word_to_wst
+from .shapecode import NoInkError, query_to_wst, word_to_wst
 
 DEFAULT_THRESHOLD = 2.5
 DEFAULT_CHAR_WIDTH = 40
@@ -110,33 +110,35 @@ def _load(provider: PageProvider, doc_id: str) -> GrayImage | BinaryImage:
 
 
 def encode_missing(index: WordIndex, load_page: PageProvider, positions: list[int]) -> None:
-    """Fill the token of each record at `positions`, page by page in the
-    order of their first record: each page is loaded once, its words are
-    encoded one `word_to_wst` call each, and it is released."""
-    by_doc: dict[int, list[int]] = {}
-    for position, doc in zip(positions, index.record_table[positions, 0].tolist()):
-        by_doc.setdefault(doc, []).append(position)
-    for doc, group in by_doc.items():
-        doc_id = index.docs[doc].doc_id
+    """Fill the token of each record at `positions`, page by page in record
+    order: each page is loaded once, all of its words there are encoded by
+    one `word_to_wst` call against the body rows and band heights of their
+    lines, and the page is released before the next is loaded.
+
+    A box without ink on its page raises MissingPageError naming the first
+    such record in record order: its box, line and word.
+    """
+    positions = np.sort(np.asarray(positions, dtype=np.int64))
+    records = index.record_table[positions]
+    lines = index.line_table[index.record_lines[positions]]
+    # Records are in page order, so each page's records are one run of them.
+    bounds = np.flatnonzero(np.diff(records[:, 0], prepend=-1)).tolist() + [len(positions)]
+    for first, end in zip(bounds, bounds[1:]):
+        doc_id = index.docs[records[first, 0]].doc_id
         page = _load(load_page, doc_id)
-        records = index.record_table[group].tolist()
-        lines = index.line_table[index.record_lines[group]].tolist()
-        for position, record, line in zip(group, records, lines):
-            _, line_idx, word_idx, x1, y1, x2, y2 = record
-            _, _, row_start, row_end, body_top, body_bottom = line
-            box = WordBox(x1, y1, x2, y2)
-            zones = ZoneBands(body_top, body_bottom)
-            try:
-                index.tokens[position] = word_to_wst(
-                    page, LineBand(row_start, row_end), box, zones=zones
-                )
-            except NoInkError:
-                raise MissingPageError(
-                    doc_id,
-                    f"no ink in word box {x1} {y1} {x2} {y2} "
-                    f"(line {line_idx}, word {word_idx}) recorded by the index",
-                ) from None
+        words, bands = records[first:end], lines[first:end]
+        try:
+            tokens = word_to_wst(page, words[:, 3:], bands[:, 4:], bands[:, 3] - bands[:, 2] + 1)
+        except NoInkError as exc:
+            _, line_idx, word_idx, x1, y1, x2, y2 = words[exc.position].tolist()
+            raise MissingPageError(
+                doc_id,
+                f"no ink in word box {x1} {y1} {x2} {y2} "
+                f"(line {line_idx}, word {word_idx}) recorded by the index",
+            ) from None
         del page
+        for position, token in zip(positions[first:end].tolist(), tokens):
+            index.tokens[position] = token
 
 
 def search(

@@ -67,6 +67,12 @@ def check_band(band: LineBand, height: int) -> None:
         )
 
 
+def check_gap_factor(gap_factor: float) -> None:
+    """Raise ValueError unless the gap factor is finite."""
+    if not math.isfinite(gap_factor):
+        raise ValueError(f"gap factor must be finite, got {gap_factor}")
+
+
 def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and end indices (inclusive) of the maximal True runs of a 1-D mask."""
     padded = np.zeros(len(mask) + 2, dtype=bool)
@@ -114,8 +120,7 @@ def segment_words(
     columns are trimmed, never treated as splits. Each box is tightened to
     the minimal bounding box of its ink on both axes.
     """
-    if not math.isfinite(gap_factor):
-        raise ValueError(f"gap factor must be finite, got {gap_factor}")
+    check_gap_factor(gap_factor)
     check_band(band, img.height)
     ink = img.bits[band.row_start : band.row_end + 1] == 0
     starts, ends = mask_runs(ink.any(axis=0))

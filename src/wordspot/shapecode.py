@@ -12,9 +12,12 @@ line's body band:
     ascender only -> A,  descender (with or without ascender) -> g,
     neither -> x
 
-`word_to_wst` encodes with the module's fixed token parameters;
+`word_to_wst` encodes many words of one page in one call, with the
+module's fixed token parameters: per word it only thresholds its box and
+reduces it to per-column ink, and the valley cut, merge and zone-reach rules
+run once over the columns of all its words laid end to end.
 `char_region_segment`, `classify_region` and `estimate_zones` expose each
-step, with those parameters as keyword defaults.
+step for one word, with those parameters as keyword defaults.
 
 Query text maps through a fixed per-letter expansion table, one to three
 symbols per letter, so both sides of a search speak the same token alphabet.
@@ -26,13 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnm import BinaryImage, GrayImage, box_ink
-from .segment import LineBand, WordBox, check_band, mask_runs
+from .pnm import BinaryImage, GrayImage, box_ink, ink_raster
+from .segment import LineBand, WordBox, check_band
 from .util import round_half_up
 
 
 class NoInkError(ValueError):
-    """Raised when an operation needs ink pixels and there are none."""
+    """Raised when an operation needs ink pixels and there are none.
+    `position` is the inkless word's place among the words of the call, when
+    the call took words."""
+
+    def __init__(self, message: str, position: int | None = None):
+        super().__init__(message)
+        self.position = position
 
 
 class UnsupportedCharacterError(ValueError):
@@ -55,13 +64,6 @@ class ZoneBands:
     def __post_init__(self):
         if self.body_top > self.body_bottom:
             raise ValueError(f"empty body band {self.body_top}..{self.body_bottom}")
-
-    @property
-    def body_height(self) -> int:
-        return self.body_bottom - self.body_top + 1
-
-    def shifted(self, dy: int) -> "ZoneBands":
-        return ZoneBands(self.body_top + dy, self.body_bottom + dy)
 
 
 @dataclass(frozen=True)
@@ -181,52 +183,105 @@ def estimate_zones(
 
 
 def _region_starts(
-    column_counts: np.ndarray, font_size: int, valley_slack: int, min_region_width: float
-) -> list[int]:
-    """First column of each region; region i ends where region i + 1 starts.
+    counts: np.ndarray,
+    firsts: np.ndarray,
+    font_sizes: np.ndarray,
+    valley_slack: int,
+    min_region_width: float,
+) -> np.ndarray:
+    """First column of each region of words whose column counts are laid end
+    to end in `counts`: word i has the columns from firsts[i] (firsts[0] is
+    0) up to the next word's first. A region ends where the next starts.
 
-    m is the minimum count over ink-bearing columns; columns with count
-    <= m + valley_slack are valleys. Each interior maximal valley run is cut
-    at its midpoint column (the midpoint itself starts the right-hand
-    region). Regions narrower than round(min_region_width * font_size) are
-    merged into their left neighbor, or right neighbor for the leftmost.
+    Per word, m is the minimum count over its ink-bearing columns; its
+    columns with count <= m + valley_slack are valleys. Each interior
+    maximal valley run of a word is cut at its midpoint column (the midpoint
+    itself starts the right-hand region). Regions narrower than
+    round(min_region_width * font size) of their word are merged into their
+    left neighbor, or right neighbor for a word's leftmost.
     """
-    ink_counts = column_counts[column_counts > 0]
-    if len(ink_counts) == 0:
-        raise NoInkError("word image has no ink")
-    valley_cut = int(ink_counts.min()) + valley_slack
+    width = len(counts)
+    ends = np.append(firsts[1:], width)
+    word_of = np.repeat(np.arange(len(firsts)), ends - firsts)
+    inked = counts > 0
+    has_ink = np.logical_or.reduceat(inked, firsts)
+    if not has_ink.all():
+        position = int(has_ink.argmin())
+        raise NoInkError(f"word image {position} has no ink", position)
+    # A column without ink stands in as the most ink a column can hold.
+    ink_min = np.minimum.reduceat(np.where(inked, counts, np.iinfo(counts.dtype).max), firsts)
+    valley = counts <= (ink_min + valley_slack)[word_of]
 
-    width = len(column_counts)
-    run_starts, run_ends = mask_runs(column_counts <= valley_cut)
-    # Runs touching either edge have no second side to separate; no cut.
-    interior = (run_starts > 0) & (run_ends < width - 1)
-    cuts = ((run_starts[interior] + run_ends[interior]) // 2).tolist()
+    # Maximal valley runs, split at word edges: a run starts at a valley
+    # column that starts its word or follows a column that is no valley,
+    # and ends likewise.
+    word_start = np.zeros(width, dtype=bool)
+    word_start[firsts] = True
+    word_end = np.zeros(width, dtype=bool)
+    word_end[ends - 1] = True
+    run_start = valley.copy()
+    run_start[1:] &= ~valley[:-1]
+    run_start[firsts] = valley[firsts]
+    run_end = valley.copy()
+    run_end[:-1] &= ~valley[1:]
+    run_end[ends - 1] = valley[ends - 1]
+    run_starts, run_ends = np.flatnonzero(run_start), np.flatnonzero(run_end)
+    # Runs touching either edge of their word have no second side to
+    # separate; no cut.
+    interior = ~word_start[run_starts] & ~word_end[run_ends]
+    cuts = (run_starts[interior] + run_ends[interior]) // 2
 
     # A narrow region joins its left neighbor: its start stops being a
-    # boundary. Whether it merges depends on its own width only, so each
-    # boundary is decided on its own.
-    min_width = round_half_up(min_region_width * font_size)
-    starts = [0] + [c for c, end in zip(cuts, cuts[1:] + [width]) if end - c >= min_width]
-    if len(starts) > 1 and starts[1] < min_width:
-        del starts[1]
-    return starts
+    # boundary. Whether it merges depends on its own width only, up to the
+    # next cut or its word's end, so each boundary is decided on its own.
+    min_widths = round_half_up(min_region_width * font_sizes)
+    cut_words = word_of[cuts]
+    region_ends = np.minimum(np.append(cuts[1:], width), ends[cut_words])
+    kept = cuts[region_ends - cuts >= min_widths[cut_words]]
+    # A word's narrow leftmost region joins its right neighbor instead: the
+    # word's first kept cut stops being a boundary.
+    kept_words = word_of[kept]
+    leftmost = np.append(True, kept_words[1:] != kept_words[:-1])
+    narrow = kept - firsts[kept_words] < min_widths[kept_words]
+    # Regions start at each word's first column and at its remaining cuts.
+    word_start[kept[~(leftmost & narrow)]] = True
+    return np.flatnonzero(word_start)
+
+
+def _zone_limits(body_top, body_bottom, margin: float):
+    """Rows before the first limit are ascender rows and rows from the
+    second on descender rows: a margin of round(margin * body height) rows
+    around the body band must be cleared. Ints or int64 arrays."""
+    delta = round_half_up(margin * (body_bottom - body_top + 1))
+    return body_top - delta, body_bottom + delta + 1
+
+
+def _ink_columns(
+    ink: np.ndarray, above_rows: int, below_from: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per column of a word's ink mask: its ink count, and whether it has
+    ink in the mask's first `above_rows` rows and in its rows from
+    `below_from` on (both >= 0)."""
+    # An int32 sum of bools takes half the time of the default int64 one.
+    ink_any = np.logical_or.reduce
+    return (
+        np.add.reduce(ink, axis=0, dtype=np.int32),
+        ink_any(ink[:above_rows], axis=0),
+        ink_any(ink[below_from:], axis=0),
+    )
 
 
 # Region code by index: 0 plain, 1 ascender, 2 descender.
 _CODE_BYTES = np.frombuffer(b"xAg", dtype=np.uint8)
 
 
-def _zone_codes(reach: np.ndarray, zones: ZoneBands, margin: float) -> str:
-    """Codes of regions from their ink rows: `reach[r, i]` is True when
-    region i has ink in row r, in the row frame of `zones`.
-
-    A margin of round(margin * body height) rows around the body band must
-    be cleared before ink counts as reaching the ascender or descender zone;
-    descender wins over ascender, and a region reaching neither is 'x'.
-    """
-    delta = round_half_up(margin * zones.body_height)
-    ascender = reach[: max(0, zones.body_top - delta)].any(axis=0)
-    descender = reach[max(0, zones.body_bottom + delta + 1) :].any(axis=0)
+def _zone_codes(above: np.ndarray, below: np.ndarray, starts: np.ndarray) -> str:
+    """Codes of the regions that start at columns `starts`, from whether
+    each column has ink in the ascender (`above`) and descender (`below`)
+    zones: descender wins over ascender, and a region reaching neither is
+    'x'."""
+    ascender = np.logical_or.reduceat(above, starts)
+    descender = np.logical_or.reduceat(below, starts)
     codes = np.where(descender, 2, ascender)
     return _CODE_BYTES[codes].tobytes().decode("ascii")
 
@@ -243,7 +298,9 @@ def char_region_segment(
     relative to true characters is expected.
     """
     counts = (word.bits == 0).sum(axis=0, dtype=np.int32)
-    starts = _region_starts(counts, font_size, valley_slack, min_region_width)
+    starts = _region_starts(
+        counts, np.array([0]), np.array([font_size]), valley_slack, min_region_width
+    ).tolist()
     ends = [s - 1 for s in starts[1:]] + [word.width - 1]
     return [Region(s, e) for s, e in zip(starts, ends)]
 
@@ -258,29 +315,69 @@ def classify_region(
     round(margin * body height) rows around the body band must be cleared
     before ink counts as an ascender or descender.
     """
-    sub = word.bits[:, region.col_start : region.col_end + 1]
-    reach = (sub == 0).any(axis=1)
-    return _zone_codes(reach[:, None], zones, margin)
+    ink = word.bits[:, region.col_start : region.col_end + 1] == 0
+    ascender_end, descender_start = _zone_limits(zones.body_top, zones.body_bottom, margin)
+    _, above, below = _ink_columns(ink, max(0, ascender_end), max(0, descender_start))
+    return _zone_codes(above, below, np.array([0]))
 
 
 def word_to_wst(
     page: BinaryImage | GrayImage,
-    band: LineBand,
-    box: WordBox,
-    zones: ZoneBands | None = None,
-) -> str:
-    """Shape token of one segmented word, left to right.
+    boxes: np.ndarray,
+    bodies: np.ndarray,
+    font_sizes: np.ndarray,
+) -> list[str]:
+    """Shape tokens of words of one page, each left to right, in box order.
 
-    Zones default to the line band of the page (stable for short words); pass
-    a precomputed `zones` to reuse one estimate across a line or to scope it
-    to the word itself. The page may be gray: only the box's pixels are
-    thresholded (`pnm.box_ink`). The word is cut and classified in one pass
-    over its ink: all regions' ink rows come from one `logical_or.reduceat`.
+    Row i of `boxes` is word i's inclusive box `x1 y1 x2 y2`, row i of
+    `bodies` the `body_top body_bottom` rows of its line's x-height band
+    (both in page coordinates) and `font_sizes[i]` its line band's height;
+    int arrays of n rows. The page may be gray: only the boxes' pixels are
+    thresholded, by `pnm.box_ink`'s rule.
+
+    Per word, one slice of the page is thresholded and reduced over its
+    rows (`_ink_columns`). The valley cut, merge and zone-reach rules then
+    run once over the columns of all words laid end to end, so a word's
+    token does not depend on which other words share the call. Raises
+    NoInkError, whose `position` is the first box without ink, and
+    ValueError for a box that is empty or outside the page, or an empty
+    body band.
     """
-    if zones is None:
-        zones = estimate_zones(page, band)
-    ink = box_ink(page, box)
-    counts = ink.sum(axis=0, dtype=np.int32)
-    starts = _region_starts(counts, band.height, VALLEY_SLACK, MIN_REGION_WIDTH)
-    reach = np.logical_or.reduceat(ink, starts, axis=1)
-    return _zone_codes(reach, zones.shifted(-box.y1), MARGIN)
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
+    bodies = np.asarray(bodies, dtype=np.int64).reshape(-1, 2)
+    font_sizes = np.asarray(font_sizes, dtype=np.int64).reshape(-1)
+    if not len(boxes) == len(bodies) == len(font_sizes):
+        raise ValueError("boxes, bodies and font_sizes differ in length")
+    if len(boxes) == 0:
+        return []
+    x1, y1, x2, y2 = boxes.T
+    body_top, body_bottom = bodies.T
+    bad = (x1 < 0) | (y1 < 0) | (x1 > x2) | (y1 > y2) | (x2 >= page.width) | (y2 >= page.height)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            f"box {x1[i]} {y1[i]} {x2[i]} {y2[i]} empty or outside image "
+            f"{page.width}x{page.height}"
+        )
+    if (body_top > body_bottom).any():
+        i = int((body_top > body_bottom).argmax())
+        raise ValueError(f"empty body band {body_top[i]}..{body_bottom[i]}")
+
+    ascender_end, descender_start = _zone_limits(body_top, body_bottom, MARGIN)
+    raster, cut = ink_raster(page)
+    columns = [
+        _ink_columns(raster[top : bottom + 1, left : right + 1] < cut, above, below)
+        for left, top, right, bottom, above, below in zip(
+            x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist(),
+            np.maximum(ascender_end - y1, 0).tolist(),
+            np.maximum(descender_start - y1, 0).tolist(),
+        )
+    ]
+    counts, above, below = (np.concatenate(parts) for parts in zip(*columns))
+    widths = x2 - x1 + 1
+    firsts = np.cumsum(widths) - widths
+    starts = _region_starts(counts, firsts, font_sizes, VALLEY_SLACK, MIN_REGION_WIDTH)
+    codes = _zone_codes(above, below, starts)
+    # Word i's codes are those of its regions, from the one at firsts[i].
+    bounds = np.searchsorted(starts, firsts).tolist() + [len(starts)]
+    return [codes[a:b] for a, b in zip(bounds, bounds[1:])]

@@ -177,7 +177,23 @@ class TestQueryCommand:
         assert main(["query", str(index_path), "help"]) == 3
         err = capsys.readouterr().err
         assert "'page1'" in err
-        assert "no ink in word box" in err
+        # The first candidate in record order, "dipped", is named.
+        b = layout.boxes[0][0]
+        assert f"no ink in word box {b.x1} {b.y1} {b.x2} {b.y2} (line 0, word 0)" in err
+
+        # With "dipped" inked again, the next candidate, "help", is named.
+        pixels = blank.pixels.copy()
+        box = layout.boxes[0][0]
+        pixels[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1] = (
+            img.bits[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1] * 255
+        )
+        page.write_bytes(write_gray(GrayImage(img.width, img.height, 255, pixels)))
+        assert main(["query", str(index_path), "help"]) == 3
+        b = layout.boxes[0][1]
+        assert (
+            f"no ink in word box {b.x1} {b.y1} {b.x2} {b.y2} (line 0, word 1) "
+            "recorded by the index" in capsys.readouterr().err
+        )
 
     def test_record_box_outside_its_page_exits_2_naming_the_line(self, corpus, capsys):
         layout, page, index_path = corpus
@@ -245,6 +261,15 @@ class TestQueryCommand:
         assert list(tmp_path.glob("x.wsidx*")) == []
         assert main(["inspect", str(page), "--what", "words", flag]) == 1
         assert capsys.readouterr().err.count(f"gap factor must be finite, got {value}") == 2
+
+    def test_non_finite_gap_factor_exits_1_on_a_page_without_text(self, tmp_path, capsys):
+        blank = tmp_path / "blank.pgm"
+        blank.write_bytes(write_gray(GrayImage(20, 10, 255, np.full((10, 20), 255))))
+        out = tmp_path / "b.wsidx"
+        assert main(["index", str(blank), "--gap-factor=nan", "--out", str(out)]) == 1
+        assert list(tmp_path.glob("b.wsidx*")) == []
+        assert main(["inspect", str(blank), "--what", "words", "--gap-factor=nan"]) == 1
+        assert capsys.readouterr().err.count("gap factor must be finite, got nan") == 2
 
     def test_nan_threshold_exits_1(self, corpus, capsys):
         layout, page, index_path = corpus

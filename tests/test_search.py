@@ -314,7 +314,13 @@ class TestBuildLines:
             search(index, lambda doc: page, "x" * n, SearchParams(threshold=0))
         for rec, n in zip(index.records, index.record_lines.tolist()):
             line = index.lines[n]
-            assert rec.wst == word_to_wst(page, line.band, rec.box, zones=line.zones)
+            box, zones = rec.box, line.zones
+            assert [rec.wst] == word_to_wst(
+                page,
+                [(box.x1, box.y1, box.x2, box.y2)],
+                [(zones.body_top, zones.body_bottom)],
+                [line.band.height],
+            )
 
     def test_tokens_follow_the_zones_the_index_records(self):
         # With each line's body band widened to the whole line, no ink

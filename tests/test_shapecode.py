@@ -241,18 +241,35 @@ def render_line_page(words, font=40):
     return img, bands[0], boxes
 
 
+def encode_words(page, words):
+    """word_to_wst on (box, zones, font size) words, in one call."""
+    return word_to_wst(
+        page,
+        [(box.x1, box.y1, box.x2, box.y2) for box, _, _ in words],
+        [(zones.body_top, zones.body_bottom) for _, zones, _ in words],
+        [font for _, _, font in words],
+    )
+
+
+def encode_word(page, band, box, zones=None):
+    """word_to_wst on one word, against its line band's height and zones
+    (estimated from the page when not given)."""
+    if zones is None:
+        zones = estimate_zones(page, band)
+    (wst,) = encode_words(page, [(box, zones, band.height)])
+    return wst
+
+
 class TestWordToWst:
     def test_single_ascender_bar_with_explicit_zones(self):
         bits = np.ones((40, 6), dtype=np.uint8)
         bits[0:30, 1:5] = 0  # bar through ascender zone and body
         img = BinaryImage(6, 40, bits)
-        band = LineBand(0, 39)
-        wst = word_to_wst(img, band, WordBox(1, 0, 4, 29), zones=ZoneBands(10, 29))
-        assert wst == "A"
+        assert word_to_wst(img, [(1, 0, 4, 29)], [(10, 29)], [40]) == ["A"]
 
     def test_rendered_the_matches_expansion(self):
         img, band, boxes = render_line_page(["dipped", "the", "sauce"])
-        wst = word_to_wst(img, band, boxes[1])
+        wst = encode_word(img, band, boxes[1])
         assert wst == "AAxx"
         assert wst == query_to_wst("the")
 
@@ -272,20 +289,39 @@ class TestWordToWst:
             boxes = segment_words(img, band)
             assert len(boxes) == len(words)
             for box, text in zip(boxes, words):
-                assert word_to_wst(img, band, box) == word_symbols(text), text
+                assert encode_word(img, band, box) == word_symbols(text), text
 
     def test_deterministic(self):
         img, band, boxes = render_line_page(["dipped", "python"])
-        first = [word_to_wst(img, band, b) for b in boxes]
-        second = [word_to_wst(img, band, b) for b in boxes]
+        first = [encode_word(img, band, b) for b in boxes]
+        second = [encode_word(img, band, b) for b in boxes]
         assert first == second
+
+    def test_a_line_in_one_call_matches_word_by_word(self):
+        img, band, boxes = render_line_page(["dipped", "the", "sauce", "mummy"])
+        zones = estimate_zones(img, band)
+        tokens = encode_words(img, [(box, zones, band.height) for box in boxes])
+        assert tokens == [encode_word(img, band, b) for b in boxes]
+        assert word_to_wst(img, np.empty((0, 4)), np.empty((0, 2)), []) == []
 
     def test_no_ink_propagates(self):
         bits = np.ones((10, 10), dtype=np.uint8)
         bits[2, 2] = 0
         img = BinaryImage(10, 10, bits)
-        with pytest.raises(NoInkError):
-            word_to_wst(img, LineBand(5, 9), WordBox(5, 5, 7, 7))
+        boxes = [(2, 2, 2, 2), (5, 5, 7, 7), (0, 0, 1, 1)]
+        with pytest.raises(NoInkError) as err:
+            word_to_wst(img, boxes, [(5, 9)] * 3, [5] * 3)
+        assert err.value.position == 1
+
+    @pytest.mark.parametrize(
+        "box, body",
+        [((0, 0, 10, 0), (0, 0)), ((0, -1, 0, 0), (0, 0)), ((3, 0, 2, 0), (0, 0)),
+         ((0, 0, 0, 0), (1, 0))],
+    )
+    def test_box_outside_the_page_or_empty_body_rejected(self, box, body):
+        img = BinaryImage(10, 10, np.zeros((10, 10), dtype=np.uint8))
+        with pytest.raises(ValueError):
+            word_to_wst(img, [box], [body], [10])
 
 
 # Plain per-column and per-region reference of the shape coder: the valley
@@ -356,7 +392,7 @@ def reference_char_region_segment(word, font_size, valley_slack, min_region_widt
 
 
 def reference_classify_region(word, region, zones, margin):
-    delta = round_half_up(margin * zones.body_height)
+    delta = round_half_up(margin * (zones.body_bottom - zones.body_top + 1))
     ink_rows = [
         r
         for r in range(word.height)
@@ -378,7 +414,7 @@ def reference_word_to_wst(page, band, box, zones):
         zones = reference_estimate_zones(page, band, 0.5)
     bits = page.bits[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1]
     word = BinaryImage(box.width, box.height, bits)
-    local = zones.shifted(-box.y1)
+    local = ZoneBands(zones.body_top - box.y1, zones.body_bottom - box.y1)
     regions = reference_char_region_segment(word, band.height, 1, 0.1)
     return "".join(reference_classify_region(word, region, local, 0.1) for region in regions)
 
@@ -402,6 +438,21 @@ def random_images(draw, max_height=24, max_width=40):
 
 
 @st.composite
+def stroke_images(draw, max_height=30, max_width=60):
+    """Pages whose columns each hold one vertical stroke or none. Strokes of
+    a few lengths, some one pixel, make many valleys between thicker ones,
+    as cursive connectors do."""
+    width = draw(st.integers(1, max_width))
+    height = draw(st.integers(1, max_height))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = np.minimum(rng.choice([0, 1, 1, 2, height // 2, height], width), height)
+    tops = rng.integers(0, height - lengths + 1)
+    rows = np.arange(height)[:, None]
+    ink = (rows >= tops) & (rows < tops + lengths)
+    return BinaryImage(width, height, (~ink).astype(np.uint8))
+
+
+@st.composite
 def random_zones(draw, height):
     top = draw(st.integers(-3, height + 2))
     return ZoneBands(top, draw(st.integers(top, height + 3)))
@@ -417,6 +468,30 @@ def pages_bands_boxes(draw):
     x1 = draw(st.integers(0, page.width - 1))
     x2 = draw(st.integers(x1, page.width - 1))
     return page, band, WordBox(x1, y1, x2, y2)
+
+
+@st.composite
+def pages_and_words(draw):
+    """A page and words on it, each a box, the body rows of its line and a
+    font size. Boxes need not be tight and may overlap or be one column
+    wide; bodies may lie above, below or across the box rows."""
+    page = draw(random_images(max_height=30) | stroke_images())
+    words = []
+    for _ in range(draw(st.integers(1, 6))):
+        x1 = draw(st.integers(0, page.width - 1))
+        x2 = x1 if draw(st.booleans()) else draw(st.integers(x1, page.width - 1))
+        y1 = draw(st.integers(0, page.height - 1))
+        box = WordBox(x1, y1, x2, draw(st.integers(y1, page.height - 1)))
+        words.append((box, draw(random_zones(page.height)), draw(st.integers(1, 80))))
+    return page, words
+
+
+def first_inkless_or_tokens(page, words):
+    """The tokens of one call, or (NoInkError, position) when it raised."""
+    try:
+        return encode_words(page, words)
+    except NoInkError as exc:
+        return NoInkError, exc.position
 
 
 @st.composite
@@ -440,10 +515,11 @@ def zones_of_bands(row_counts, bands, zone_fraction):
 
 
 @st.composite
-def gray_versions(draw, img):
+def gray_versions(draw, img, maxval=None):
     """A gray page that binarizes to `img`: ink pixels drawn below the cut,
-    background pixels at or above it."""
-    maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
+    background pixels at or above it, in uint16."""
+    if maxval is None:
+        maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
     cut = ink_cut(maxval)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ink = rng.integers(0, cut, img.bits.shape)
@@ -489,9 +565,60 @@ class TestReferenceEquivalence:
         gray = data.draw(gray_versions(page))
         assert binarize(gray) == page
         zones = data.draw(random_zones(page.height)) if given_zones else None
-        assert outcome(word_to_wst, gray, band, box, zones) == outcome(
-            word_to_wst, page, band, box, zones
+        assert outcome(encode_word, gray, band, box, zones) == outcome(
+            encode_word, page, band, box, zones
         )
+
+    @pytest.mark.parametrize(
+        "first, second, font",
+        [
+            # The second word's narrow leftmost region joins its right
+            # neighbor, after a first word that keeps its own cut.
+            ([9, 9, 9, 9, 1, 9, 9, 9, 9], [9, 1, 9, 9, 9, 9], 30),
+            # The first word's last region is narrow up to its own end,
+            # whatever the cuts of the next word.
+            ([9, 9, 9, 9, 1, 9], [9, 9, 9, 9, 9, 1, 9, 9, 9, 9], 30),
+            # A valley run that ends a word is no cut, though the next
+            # word's columns follow it.
+            ([9, 9, 9, 1, 1], [1, 9, 9], 1),
+        ],
+    )
+    def test_one_call_applies_the_merge_rules_within_each_word(self, first, second, font):
+        page = image_with_column_counts(first + second, 9)
+        words = [
+            (WordBox(0, 0, len(first) - 1, 8), ZoneBands(0, 8), font),
+            (WordBox(len(first), 0, len(first) + len(second) - 1, 8), ZoneBands(0, 8), font),
+        ]
+        expected = [
+            reference_word_to_wst(page, LineBand(0, font - 1), box, zones)
+            for box, zones, _ in words
+        ]
+        assert encode_words(page, words) == expected
+
+    @given(pages_and_words(), st.sampled_from([1, 255, 256, 65535]), st.data())
+    def test_one_call_for_many_words_matches_reference_word_by_word(
+        self, page_words, maxval, data
+    ):
+        page, words = page_words
+        per_word = [
+            outcome(reference_word_to_wst, page, LineBand(0, font - 1), box, zones)
+            for box, zones, font in words
+        ]
+
+        def expected(order):
+            inkless = [n for n, i in enumerate(order) if per_word[i] is NoInkError]
+            return (NoInkError, inkless[0]) if inkless else [per_word[i] for i in order]
+
+        gray = data.draw(gray_versions(page, maxval))
+        rasters = [page, gray]
+        if maxval <= 255:
+            as_uint8 = gray.pixels.astype(np.uint8)
+            rasters.append(GrayImage(gray.width, gray.height, maxval, as_uint8))
+        for raster in rasters:
+            assert first_inkless_or_tokens(raster, words) == expected(range(len(words)))
+        # A word's token does not depend on the other words of the call.
+        order = data.draw(st.permutations(range(len(words))))
+        assert first_inkless_or_tokens(page, [words[i] for i in order]) == expected(order)
 
     @given(random_images(), st.data())
     def test_estimate_zones_matches_reference(self, img, data):
@@ -525,9 +652,9 @@ class TestReferenceEquivalence:
         page, band, box = page_band_box
         zones = data.draw(random_zones(page.height)) if given_zones else None
         args = (page, band, box, zones)
-        assert outcome(word_to_wst, *args) == outcome(reference_word_to_wst, *args)
+        assert outcome(encode_word, *args) == outcome(reference_word_to_wst, *args)
 
     def test_word_to_wst_matches_reference_on_rendered_lines(self):
         img, band, boxes = render_line_page(["dipped", "python", "sauce", "mummy"])
         for box in boxes:
-            assert word_to_wst(img, band, box) == reference_word_to_wst(img, band, box, None)
+            assert encode_word(img, band, box) == reference_word_to_wst(img, band, box, None)
