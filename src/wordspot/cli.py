@@ -52,6 +52,10 @@ EXIT_QUERY = 4
 
 BORDER_THICKNESS = 2
 
+# In an annotated file's name, a doc id's `/` and NUL, which no file name can
+# hold, are percent-encoded as in the index file.
+_NAME_ESCAPES = str.maketrans({"/": "%2F", "\0": "%00"})
+
 
 class _UsageError(Exception):
     pass
@@ -218,7 +222,7 @@ class _PageLoader:
         raise MissingPageError(doc.doc_id, f"page file {raw!r} not found")
 
     def __call__(self, doc_id: str) -> GrayImage:
-        # WordIndex refuses records of unlisted docs, so every record's doc is here.
+        # A record's page is a position in the index's docs, so its doc is here.
         doc = self._docs[doc_id]
         img = _load_page_file(str(self._resolve(doc)))
         if (img.width, img.height) != (doc.width, doc.height):
@@ -262,7 +266,8 @@ def _write_annotations(loader: _PageLoader, results, out_arg: str) -> None:
         annotated = rescale_to_255(loader(doc_id))
         for box in by_doc[doc_id]:
             draw_box_border(annotated.pixels, box)
-        target = out if single else out.with_name(f"{out.stem}.{doc_id}{out.suffix}")
+        name = f"{out.stem}.{doc_id.translate(_NAME_ESCAPES)}{out.suffix}"
+        target = out if single else out.with_name(name)
         target.write_bytes(write_gray(annotated))
 
 

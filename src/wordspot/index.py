@@ -5,9 +5,11 @@ its words. A record holds only where its word is (doc, line, word, box) and
 its cached shape token. The word's length is normalized to a reference font
 size from its box (`normalize_length`, applied to all records at once), so
 that one pixel-length scale applies across documents with varying
-handwriting sizes. WordIndex holds lines and records as integer columns,
-checks their invariants once, as array checks, and sorts the records by
-normalized length once, so that a query's size prefilter is a binary search
+handwriting sizes. WordIndex is built from positions alone (each line's
+page, each word's line), so the numbers it derives from them cannot
+disagree; it holds lines and records as integer columns, checks their
+invariants once, as array checks, and sorts the records by normalized
+length once, so that a query's size prefilter is a binary search
 and a cold query builds objects only for its matches. Size classes remain
 the unit of `wordspot index`'s counts; `classify_size` and
 `WordIndex.size_class_counts` share one boundary rule.
@@ -133,13 +135,13 @@ def classify_size(norm_length: int) -> SizeClass:
 _WST_ALPHABET = set("Axg")
 
 
-def _valid_wst(wst: str) -> bool:
-    return wst != "" and set(wst) <= _WST_ALPHABET
-
-
-def _check_wst(wst: str | None) -> None:
-    if wst is not None and not _valid_wst(wst):
-        raise ValueError(f"invalid shape token {wst!r}")
+def _bad_tokens(tokens: Sequence[str | None]) -> np.ndarray:
+    """Whether each token is neither None nor a string over {A, x, g}."""
+    cached = [wst for wst in tokens if wst is not None]
+    if all(cached) and set("".join(cached)) <= _WST_ALPHABET:
+        return np.zeros(len(tokens), dtype=bool)
+    return np.array([wst is not None and not (wst and set(wst) <= _WST_ALPHABET)
+                     for wst in tokens])
 
 
 @dataclass
@@ -155,9 +157,6 @@ class WordRecord:
     word_idx: int
     box: WordBox
     wst: str | None = None
-
-    def __post_init__(self):
-        _check_wst(self.wst)
 
 
 @dataclass(frozen=True)
@@ -218,23 +217,12 @@ def _first_violation(kind: str, checks) -> None:
         raise IndexInvariantError(f"{kind} {position}: {message(position)}", kind, position)
 
 
-def _next_in_page_order(keys: np.ndarray) -> np.ndarray:
-    """Whether each row of `keys` (doc rank, *numbers) comes right after the
-    row before it (-1s before the first) in page order: the next number in
-    the same group, or number 0 in a later group."""
-    previous = np.vstack((np.full((1, keys.shape[1]), -1), keys))[: len(keys)]
-    group, last = keys[:, :-1], keys[:, -1]
-    prev_group, prev_last = previous[:, :-1], previous[:, -1]
-    same = (group == prev_group).all(axis=1)
-    # The first differing column decides whether the group is a later one.
-    differ = (group != prev_group).argmax(axis=1)
-    rows = np.arange(len(keys))
-    later = group[rows, differ] > prev_group[rows, differ]
-    return np.where(same, last == prev_last + 1, later & (last == 0))
-
-
-# Columns of WordIndex.line_table and WordIndex.record_table; "doc" is the
-# page's position in WordIndex.docs.
+# Columns of the rows WordIndex takes and of the tables it derives from
+# them. "page" and "doc" are positions in `docs` and a row's "line" is a
+# position in `lines`; a table's "line" and "word" count from 0 within the
+# page and within the line.
+LINE_ROW = ("page", "row_start", "row_end", "body_top", "body_bottom")
+WORD_ROW = ("line", "x1", "y1", "x2", "y2")
 LINE_COLUMNS = ("doc", "line", "row_start", "row_end", "body_top", "body_bottom")
 RECORD_COLUMNS = ("doc", "line", "word", "x1", "y1", "x2", "y2")
 
@@ -242,15 +230,19 @@ RECORD_COLUMNS = ("doc", "line", "word", "x1", "y1", "x2", "y2")
 class WordIndex:
     """All text lines and word records of a document set, as columns.
 
-    `line_table` has one int64 row per line and `record_table` one per word
-    record, with the columns LINE_COLUMNS and RECORD_COLUMNS. `tokens` holds
-    each record's shape token, or None until a query computes it. Lines and
-    records come in page order: pages in the order of `docs`, the lines of
-    a page and the words of a line each numbered from 0. `record_lines` is
-    the row of each record's line in `line_table`; `norm_lengths` is each
-    record's box length normalized to `ref_font`, and `length_order` the
-    record positions sorted by it (ties in record order), `sorted_lengths`
-    the lengths in that order.
+    An index comes from `build_index` or `load_index`. Its constructor takes
+    positions, not numbers: `lines` has one int row per line with the
+    columns LINE_ROW, `words` one per word with the columns WORD_ROW, and
+    `tokens` each word's shape token, or None until a query computes it.
+    A line's page is a position in `docs` and a word's line a position in
+    `lines`; neither may decrease, so lines and words come in page order.
+
+    From these it derives `line_table`, one int64 row per line, and
+    `record_table`, one per word record, with the columns LINE_COLUMNS and
+    RECORD_COLUMNS. `record_lines` is the row of each record's line in
+    `line_table`; `norm_lengths` is each record's box length normalized to
+    `ref_font`, and `length_order` the record positions sorted by it (ties
+    in record order), `sorted_lengths` the lengths in that order.
 
     `lines` and `records` are read-only sequences of LineEntry and
     WordRecord objects, built when they are read.
@@ -260,98 +252,62 @@ class WordIndex:
         self,
         ref_font: int,
         docs: list[DocEntry],
-        lines: Sequence[LineEntry],
-        records: Sequence[WordRecord],
+        lines: np.ndarray | Sequence[Sequence[int]],
+        words: np.ndarray | Sequence[Sequence[int]],
+        tokens: Sequence[str | None],
     ):
-        """An index of LineEntry and WordRecord objects, converted once to
-        columns; every invariant across entries is checked by the same
-        validator that checks a loaded index."""
-        # Doc ranks in order of first appearance: a doc id that `docs` does
-        # not list gets a rank past its end, so that the validator can name
-        # it. (With a duplicate in `docs` the ranks shift, but the validator
-        # refuses the duplicate first.)
-        rank: dict[str, int] = {}
-        for doc in docs:
-            rank.setdefault(doc.doc_id, len(rank))
-
-        def rank_of(doc_id: str) -> int:
-            return rank.setdefault(doc_id, len(rank))
-
-        line_table = np.array(
-            [
-                (rank_of(line.doc_id), line.line_idx, line.band.row_start, line.band.row_end,
-                 line.zones.body_top, line.zones.body_bottom)
-                for line in lines
-            ],
-            dtype=np.int64,
-        ).reshape(-1, len(LINE_COLUMNS))
-        record_table = np.array(
-            [
-                (rank_of(rec.doc_id), rec.line_idx, rec.word_idx,
-                 rec.box.x1, rec.box.y1, rec.box.x2, rec.box.y2)
-                for rec in records
-            ],
-            dtype=np.int64,
-        ).reshape(-1, len(RECORD_COLUMNS))
-        self._set_columns(
-            ref_font, docs, line_table, record_table, [rec.wst for rec in records], list(rank)
-        )
-
-    @classmethod
-    def _from_columns(
-        cls,
-        ref_font: int,
-        docs: list[DocEntry],
-        line_table: np.ndarray,
-        record_table: np.ndarray,
-        tokens: list[str | None],
-    ) -> WordIndex:
-        """An index of int64 tables (see the class docstring), validated."""
-        index = cls.__new__(cls)
-        index._set_columns(
-            ref_font, docs, line_table, record_table, tokens, [doc.doc_id for doc in docs]
-        )
-        return index
-
-    def _set_columns(self, ref_font, docs, line_table, record_table, tokens, names):
         # The index file must be able to hold it.
         if not 1 <= ref_font <= _MAX_NUMBER:
             raise ValueError(f"ref_font {ref_font} outside 1..{_MAX_NUMBER}")
+        # Copies, so that the caller's rows stay theirs.
+        lines = np.array(lines, dtype=np.int64).reshape(-1, len(LINE_ROW))
+        words = np.array(words, dtype=np.int64).reshape(-1, len(WORD_ROW))
+        if len(tokens) != len(words):
+            raise ValueError(f"{len(tokens)} tokens for {len(words)} words")
         self.ref_font = ref_font
         self.docs = list(docs)
-        self.line_table = line_table
-        self.record_table = record_table
-        self.tokens = tokens
-        self.record_lines = self._validate(names)
-        x1, y1, x2, y2 = record_table[:, 3:].T
+        self.tokens = list(tokens)
+        self._validate(lines, words)
+        page, line = lines[:, 0], words[:, 0]
+        # Positions never decrease, so a page's (a line's) first position is
+        # where its number 0 sits.
+        line_numbers = np.arange(len(page)) - np.searchsorted(page, page)
+        word_numbers = np.arange(len(line)) - np.searchsorted(line, line)
+        self.line_table = np.column_stack((page, line_numbers, lines[:, 1:]))
+        self.record_table = np.column_stack(
+            (page[line], line_numbers[line], word_numbers, words[:, 1:])
+        )
+        self.record_lines = line
+        x1, y1, x2, y2 = words[:, 1:].T
         self.norm_lengths = normalize_length(x2 - x1 + 1, y2 - y1 + 1, ref_font)
         self.length_order = np.argsort(self.norm_lengths, kind="stable")
         self.sorted_lengths = self.norm_lengths[self.length_order]
 
-    def _validate(self, names: list[str]) -> np.ndarray:
+    def _validate(self, lines: np.ndarray, words: np.ndarray) -> None:
         """Checks every invariant across entries, once, as array checks:
-        unique doc ids, then for lines and for records in turn, a listed doc,
-        page order, and a band inside its page (a body inside its band) or a
-        box inside its page's columns and its line's rows. `names` lists the
-        doc ids by rank, with those `docs` lacks past its end.
+        unique doc ids, then for lines and for words in turn, a position in
+        range that does not decrease, and a band inside its page (a body
+        inside its band) or a box inside its page's columns and its line's
+        rows, and a valid token.
 
-        Returns `record_lines`. Raises IndexInvariantError for the first
-        failing entry, which `load_index` maps back to its line."""
+        Raises IndexInvariantError for the first failing entry, which
+        `load_index` maps back to its line."""
         seen: set[str] = set()
         for position, doc in enumerate(self.docs):
             if doc.doc_id in seen:
                 raise IndexInvariantError(f"duplicate doc_id {doc.doc_id!r}", "doc", position)
             seen.add(doc.doc_id)
-        n_docs = len(self.docs)
-        # One extra slot stands in for an unlisted doc in the lookups.
+        n_docs, n_lines = len(self.docs), len(lines)
+        # One extra slot stands in for a position out of range in the lookups.
         widths = np.array([doc.width for doc in self.docs] + [1], dtype=np.int64)
         heights = np.array([doc.height for doc in self.docs] + [1], dtype=np.int64)
 
-        doc, line, row_start, row_end, body_top, body_bottom = self.line_table.T
-        page = np.minimum(doc, n_docs)
+        page, row_start, row_end, body_top, body_bottom = lines.T
+        known = (page >= 0) & (page < n_docs)
+        page = np.where(known, page, n_docs)
         _first_violation("line", [
-            (doc >= n_docs, lambda i: f"unknown doc {names[doc[i]]!r}"),
-            (~_next_in_page_order(self.line_table[:, :2]), lambda i: "out of page order"),
+            (~known, lambda i: f"page {lines[i, 0]} outside 0..{n_docs - 1}"),
+            (np.diff(page, prepend=page[:1]) < 0, lambda i: "out of page order"),
             ((row_start < 0) | (row_end >= heights[page]),
              lambda i: f"band {row_start[i]}..{row_end[i]} outside image rows "
                        f"0..{heights[page[i]] - 1}"),
@@ -359,25 +315,21 @@ class WordIndex:
              lambda i: f"body rows {body_top[i]}..{body_bottom[i]} outside its band"),
         ])
 
-        lines_per_page = np.bincount(doc, minlength=n_docs + 1)
-        first_line = np.concatenate(([0], np.cumsum(lines_per_page)))
-        doc, line, word, x1, y1, x2, y2 = self.record_table.T
-        page = np.minimum(doc, n_docs)
-        has_line = (line >= 0) & (line < lines_per_page[page])
-        # Records of a missing line look up an extra last slot.
-        record_lines = np.where(has_line, first_line[page] + line, len(self.line_table))
-        line_start = np.append(row_start, 0)[record_lines]
-        line_end = np.append(row_end, 0)[record_lines]
+        line, x1, y1, x2, y2 = words.T
+        known = (line >= 0) & (line < n_lines)
+        line = np.where(known, line, n_lines)
+        page = np.append(page, n_docs)[line]
+        line_start = np.append(row_start, 0)[line]
+        line_end = np.append(row_end, 0)[line]
         _first_violation("record", [
-            (doc >= n_docs, lambda i: f"unknown doc {names[doc[i]]!r}"),
-            (~_next_in_page_order(self.record_table[:, :3]), lambda i: "out of page order"),
-            (~has_line, lambda i: f"its page has {lines_per_page[page[i]]} lines"),
+            (~known, lambda i: f"line {words[i, 0]} outside 0..{n_lines - 1}"),
+            (np.diff(line, prepend=line[:1]) < 0, lambda i: "out of page order"),
             ((x1 < 0) | (x2 >= widths[page]) | (y1 < line_start) | (y2 > line_end),
              lambda i: f"box x {x1[i]}..{x2[i]}, y {y1[i]}..{y2[i]} outside its page "
                        f"columns 0..{widths[page[i]] - 1} or its line rows "
                        f"{line_start[i]}..{line_end[i]}"),
+            (_bad_tokens(self.tokens), lambda i: f"invalid shape token {self.tokens[i]!r}"),
         ])
-        return record_lines
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WordIndex):
@@ -442,9 +394,9 @@ def build_index(
     # Refused whether or not a page has a text line to split.
     check_gap_factor(gap_factor)
     docs = []
-    line_tables = [np.empty((0, len(LINE_COLUMNS)), dtype=np.int64)]
-    records = []
-    for rank, (doc_id, img) in enumerate(pages):
+    lines = []
+    words = []
+    for page, (doc_id, img) in enumerate(pages):
         path = (source_paths or {}).get(doc_id, doc_id)
         docs.append(DocEntry(doc_id, path, img.width, img.height))
         counts = row_profile(img)
@@ -456,17 +408,11 @@ def build_index(
         starts = np.array([band.row_start for band in bands], dtype=np.int64)
         ends = np.array([band.row_end for band in bands], dtype=np.int64)
         tops, bottoms = zones_from_bands(counts, starts, ends)
-        numbers = np.arange(len(bands))
-        line_tables.append(
-            np.column_stack((np.full(len(bands), rank), numbers, starts, ends, tops, bottoms))
-        )
-        for line_idx, band in enumerate(bands):
-            for word_idx, b in enumerate(segment_words(img, band, gap_factor)):
-                records.append((rank, line_idx, word_idx, b.x1, b.y1, b.x2, b.y2))
-    record_table = np.array(records, dtype=np.int64).reshape(-1, len(RECORD_COLUMNS))
-    return WordIndex._from_columns(
-        ref_font, docs, np.concatenate(line_tables), record_table, [None] * len(records)
-    )
+        for band, top, bottom in zip(bands, tops.tolist(), bottoms.tolist()):
+            for b in segment_words(img, band, gap_factor):
+                words.append((len(lines), b.x1, b.y1, b.x2, b.y2))
+            lines.append((page, band.row_start, band.row_end, top, bottom))
+    return WordIndex(ref_font, docs, lines, words, [None] * len(words))
 
 
 def _encode(text: str | bytes) -> str:
@@ -550,8 +496,8 @@ _FIELD_COUNTS = np.array([len(names) + 1 for names in _FIELDS] + [0])
 def load_index(data: bytes) -> WordIndex:
     """Parse index bytes; raises IndexFormatError naming the bad line.
 
-    The rows are split once and classified by kind; each L line is numbered
-    within its page and each W line within its text line by cumulative
+    The rows are split once and classified by kind; each L line gets its
+    page's position and each W line its text line's position by cumulative
     counts, and the integer fields of all L lines, then of all W lines, are
     converted together. Every check of a single line runs over all lines at
     once, and the first bad line in file order is reported. Only then are
@@ -610,15 +556,15 @@ def load_index(data: bytes) -> WordIndex:
         path = os.fsdecode(urllib.parse.unquote_to_bytes(path))
         docs.append(DocEntry(urllib.parse.unquote(doc_id), path, int(width), int(height)))
 
-    # Rank of each row's page, and numbers of its line within the page and
-    # its word within the line, from counts of the DOC, L and W lines so far.
+    # Position of each row's page and of its text line, from counts of the
+    # DOC and L lines so far; a W line's text line must be on its page.
     page = np.cumsum(is_doc) - 1
-    lines_so_far = np.cumsum(is_line)
-    line_in_page = lines_so_far - np.maximum.accumulate(np.where(is_doc, lines_so_far, 0)) - 1
-    words_so_far = np.cumsum(is_word)
-    word_in_line = words_so_far - np.maximum.accumulate(np.where(is_line, words_so_far, 0)) - 1
+    line = np.cumsum(is_line) - 1
+    lines_before_page = np.maximum.accumulate(np.where(is_doc, line + 1, 0))
     first_bad(is_line & (page < 0), lambda i: "L line before any DOC line")
-    first_bad(is_word & (line_in_page < 0), lambda i: "W line before its page's first L line")
+    first_bad(
+        is_word & (line < lines_before_page), lambda i: "W line before its page's first L line"
+    )
 
     line_at = np.flatnonzero(is_line & whole)
     word_at = np.flatnonzero(is_word & whole)
@@ -642,21 +588,16 @@ def load_index(data: bytes) -> WordIndex:
         word_at,
     )
     tokens = [None if row[5] == "-" else row[5] for row in word_rows]
-    cached = [wst for wst in tokens if wst is not None]
-    if not (all(cached) and set("".join(cached)) <= _WST_ALPHABET):
-        bad = np.array([wst is not None and not _valid_wst(wst) for wst in tokens])
-        first_bad(bad, lambda n: f"invalid shape token {tokens[n]!r}", word_at)
+    first_bad(_bad_tokens(tokens), lambda n: f"invalid shape token {tokens[n]!r}", word_at)
 
     if errors:
         row, _, message = min(errors)
         raise IndexFormatError(message, row + 3)
 
-    line_table = np.column_stack((page[line_at], line_in_page[line_at], line_values))
-    record_table = np.column_stack(
-        (page[word_at], line_in_page[word_at], word_in_line[word_at], word_values)
-    )
+    lines = np.column_stack((page[line_at], line_values))
+    words = np.column_stack((line[word_at], word_values))
     try:
-        return WordIndex._from_columns(ref_font, docs, line_table, record_table, tokens)
+        return WordIndex(ref_font, docs, lines, words, tokens)
     except IndexInvariantError as exc:
         is_kind = {"doc": is_doc, "line": is_line, "record": is_word}[exc.kind]
         raise IndexFormatError(str(exc), int(np.flatnonzero(is_kind)[exc.position]) + 3) from None

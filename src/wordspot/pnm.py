@@ -271,27 +271,23 @@ def load_image(data: bytes) -> GrayImage:
     return GrayImage(width, height, maxval, vals)
 
 
-DEFAULT_THRESHOLD_FRACTION = 0.5
+# A pixel is ink iff its gray is below this fraction of maxval.
+THRESHOLD_FRACTION = 0.5
 
 
-def ink_cut(maxval: int, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION) -> int:
+def ink_cut(maxval: int) -> int:
     """Smallest background gray: a pixel is ink iff gray < ink_cut(maxval).
 
-    Pixels are integers, so comparing with ceil(threshold_fraction * maxval)
+    Pixels are integers, so comparing with ceil(THRESHOLD_FRACTION * maxval)
     is exact and keeps the comparison in the raster's integer dtype. The
-    comparison is strict, so the 0.5 default is unambiguous at the midpoint.
-    threshold_fraction must lie in the open interval (0, 1).
+    comparison is strict, so the threshold is unambiguous at the midpoint.
     """
-    if not 0.0 < threshold_fraction < 1.0:
-        raise ValueError(f"threshold_fraction {threshold_fraction} not in (0, 1)")
-    return math.ceil(threshold_fraction * maxval)
+    return math.ceil(THRESHOLD_FRACTION * maxval)
 
 
-def binarize(
-    img: GrayImage, threshold_fraction: float = DEFAULT_THRESHOLD_FRACTION
-) -> BinaryImage:
+def binarize(img: GrayImage) -> BinaryImage:
     """Threshold a GrayImage: bit 0 (ink) iff gray < ink_cut(maxval)."""
-    bits = (img.pixels >= ink_cut(img.maxval, threshold_fraction)).view(np.uint8)
+    bits = (img.pixels >= ink_cut(img.maxval)).view(np.uint8)
     return BinaryImage(img.width, img.height, bits)
 
 

@@ -20,9 +20,7 @@ from glyphs import (
 )
 from wordspot.index import (
     DocEntry,
-    LineEntry,
     WordIndex,
-    WordRecord,
     build_index,
     classify_size,
     load_index,
@@ -31,14 +29,13 @@ from wordspot.index import (
 )
 from wordspot.search import levenshtein, search
 from wordspot.segment import (
-    LineBand,
     WordBox,
     default_noise_threshold,
     row_profile,
     segment_lines,
     segment_words,
 )
-from wordspot.shapecode import SHAPE_CODE_ROWS, ZoneBands, query_to_wst
+from wordspot.shapecode import SHAPE_CODE_ROWS, query_to_wst
 
 
 def report(name: str, ok: bool, detail: str = "") -> None:
@@ -351,16 +348,14 @@ def synthetic_index(n_records: int = 1000) -> WordIndex:
     rng = random.Random(20242)
     docs = [DocEntry(f"doc{d}", f"pages/doc{d}.pgm", 1200, 1600) for d in range(5)]
     lines = []
-    records = []
+    words = []
+    tokens = []
     for i in range(n_records):
-        doc_no, rest = divmod(i, n_records // 5)
-        doc = f"doc{doc_no}"
+        page, rest = divmod(i, n_records // 5)
         line, word = divmod(rest, 10)
         top = 75 * line
         if word == 0:
-            lines.append(
-                LineEntry(doc, line, LineBand(top, top + 74), ZoneBands(top + 20, top + 50))
-            )
+            lines.append((page, top, top + 74, top + 20, top + 50))
         x1 = rng.randint(0, 900)
         y1 = top + rng.randint(0, 10)
         w = rng.randint(5, 299)
@@ -368,10 +363,9 @@ def synthetic_index(n_records: int = 1000) -> WordIndex:
         wst = None
         if rng.random() < 0.5:
             wst = "".join(rng.choice("Axg") for _ in range(rng.randint(1, 20)))
-        records.append(
-            WordRecord(doc, line, word, WordBox(x1, y1, x1 + w - 1, y1 + h - 1), wst)
-        )
-    return WordIndex(60, docs, lines, records)
+        words.append((len(lines) - 1, x1, y1, x1 + w - 1, y1 + h - 1))
+        tokens.append(wst)
+    return WordIndex(60, docs, lines, words, tokens)
 
 
 def test_persistence_round_trip():

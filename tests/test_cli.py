@@ -334,6 +334,27 @@ class TestAnnotate:
         assert (tmp_path / "hits.p1.pgm").exists()
         assert (tmp_path / "hits.p2.pgm").exists()
 
+    def test_doc_ids_with_slash_or_nul_name_escaped_files(self, tmp_path, capsys):
+        # The index format allows any doc id; `/` and NUL stay encoded in
+        # the annotated file names.
+        layout = compose_page([(metrics(40), ["dipped", "help", "sauce"])],
+                              width=900)
+        data = page_to_pgm(layout)
+        p1 = tmp_path / "p1.pgm"
+        p2 = tmp_path / "p2.pgm"
+        p1.write_bytes(data)
+        p2.write_bytes(data)
+        index_path = tmp_path / "two.wsidx"
+        assert main(["index", str(p1), str(p2), "--out", str(index_path)]) == 0
+        text = index_path.read_text()
+        text = text.replace("DOC p1 ", "DOC a%2Fb ").replace("DOC p2 ", "DOC c%00d ")
+        index_path.write_text(text)
+        out = tmp_path / "hits.pgm"
+        assert main(["annotate", str(index_path), "help", "--out", str(out)]) == 0
+        assert sorted(path.name for path in tmp_path.glob("hits.*")) == [
+            "hits.a%2Fb.pgm", "hits.c%00d.pgm"
+        ]
+
 
 class TestInspect:
     def test_rows_on_blank_image(self, tmp_path, capsys):

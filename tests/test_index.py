@@ -154,6 +154,11 @@ def make_record(doc, line, word, *, x=10, y=20, w=50, h=25, wst=None):
     return WordRecord(doc, line, word, WordBox(x, y, x + w - 1, y + h - 1), wst)
 
 
+def word_row(line, *, x=10, y=20, w=50, h=25):
+    """The row WordIndex takes for make_record's word, on line position `line`."""
+    return (line, x, y, x + w - 1, y + h - 1)
+
+
 def make_line(doc, line, row_start, row_end, body_top=None, body_bottom=None):
     """A line whose body band is its whole band unless given."""
     body = (
@@ -163,29 +168,33 @@ def make_line(doc, line, row_start, row_end, body_top=None, body_bottom=None):
     return LineEntry(doc, line, LineBand(row_start, row_end), ZoneBands(*body))
 
 
+def line_row(page, row_start, row_end, body_top=None, body_bottom=None):
+    """The row WordIndex takes for make_line's line, on page position `page`."""
+    body_top = row_start if body_top is None else body_top
+    return (page, row_start, row_end, body_top, row_end if body_bottom is None else body_bottom)
+
+
+def own_rows(index):
+    """The lines and words rows an index holds, as its constructor takes them."""
+    lines = index.line_table[:, [0, 2, 3, 4, 5]]
+    return lines, np.column_stack((index.record_lines, index.record_table[:, 3:]))
+
+
 def small_index():
     # Index file lines: 3 DOC doc1, 4 L, 5-6 W, 7 DOC doc2, 8 L (no words),
     # 9 L, 10 W.
-    lines = [
-        make_line("doc1", 0, 20, 79, 30, 60),
-        make_line("doc2", 0, 0, 10, 2, 8),
-        make_line("doc2", 1, 20, 80, 40, 60),
-    ]
-    records = [
-        make_record("doc1", 0, 0, w=50, h=25),
-        make_record("doc1", 0, 1, w=300, h=60, wst="AxxgA"),
-        make_record("doc2", 1, 0, w=555, h=61),
-    ]
+    lines = [line_row(0, 20, 79, 30, 60), line_row(1, 0, 10, 2, 8), line_row(1, 20, 80, 40, 60)]
+    words = [word_row(0, w=50, h=25), word_row(0, w=300, h=60), word_row(2, w=555, h=61)]
     docs = [
         DocEntry("doc1", "pages/doc one.pgm", 640, 480),
         DocEntry("doc2", "d2.pbm", 640, 200),
     ]
-    return WordIndex(60, docs, lines, records)
+    return WordIndex(60, docs, lines, words, [None, "AxxgA", None])
 
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex(60, [], [], [])) == b"WSIDX 3\nK 60\n"
+        assert save_index(WordIndex(60, [], [], [], [])) == b"WSIDX 3\nK 60\n"
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
@@ -201,9 +210,8 @@ class TestPersistence:
             assert len(line.split(" ")) == len(line.split())
 
     def test_known_record_line(self):
-        index = WordIndex(60, [DocEntry("d", "d.pgm", 100, 50)],
-                          [make_line("d", 0, 0, 20, 5, 15)],
-                          [make_record("d", 0, 0, x=1, y=2, w=30, h=10)])
+        index = WordIndex(60, [DocEntry("d", "d.pgm", 100, 50)], [line_row(0, 0, 20, 5, 15)],
+                          [word_row(0, x=1, y=2, w=30, h=10)], [None])
         lines = save_index(index).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
         assert lines[3] == "L 0 20 5 15"
@@ -211,7 +219,7 @@ class TestPersistence:
 
     def test_path_that_is_not_utf8_round_trips(self):
         path = os.fsdecode(b"pages/a\xff b.pgm")
-        index = WordIndex(60, [DocEntry("a", path, 10, 10)], [], [])
+        index = WordIndex(60, [DocEntry("a", path, 10, 10)], [], [], [])
         data = save_index(index)
         assert b"DOC a pages/a%FF%20b.pgm 10 10" in data
         assert load_index(data).docs[0].path == path
@@ -353,28 +361,26 @@ def rows_within(draw, first, last):
 
 @st.composite
 def word_indexes(draw):
-    """A valid WordIndex: unique doc ids; each page's lines in order with
-    their band inside the page and their body inside the band; each line's
-    words in order with their box inside the page's columns and the line's
-    rows; tokens cached or not."""
+    """A valid WordIndex: unique doc ids; lines in page order with their
+    band inside their page and their body inside the band; words in line
+    order with their box inside the page's columns and the line's rows;
+    tokens cached or not."""
     docs = [
         DocEntry(doc_id, draw(paths), draw(st.integers(1, 300)), draw(st.integers(1, 300)))
         for doc_id in draw(st.lists(names, max_size=3, unique=True))
     ]
-    lines, records = [], []
-    for doc in docs:
-        for line_idx in range(draw(st.integers(0, 3))):
-            band = LineBand(*draw(rows_within(0, doc.height - 1)))
-            body = ZoneBands(*draw(rows_within(band.row_start, band.row_end)))
-            lines.append(LineEntry(doc.doc_id, line_idx, band, body))
-            for word_idx in range(draw(st.integers(0, 3))):
+    lines, words, tokens = [], [], []
+    for page, doc in enumerate(docs):
+        for _ in range(draw(st.integers(0, 3))):
+            row_start, row_end = draw(rows_within(0, doc.height - 1))
+            body_top, body_bottom = draw(rows_within(row_start, row_end))
+            for _ in range(draw(st.integers(0, 3))):
                 x1, x2 = draw(rows_within(0, doc.width - 1))
-                y1, y2 = draw(rows_within(band.row_start, band.row_end))
-                wst = draw(st.none() | st.text("Axg", min_size=1, max_size=12))
-                records.append(
-                    WordRecord(doc.doc_id, line_idx, word_idx, WordBox(x1, y1, x2, y2), wst)
-                )
-    return WordIndex(draw(st.integers(1, 120)), docs, lines, records)
+                y1, y2 = draw(rows_within(row_start, row_end))
+                words.append((len(lines), x1, y1, x2, y2))
+                tokens.append(draw(st.none() | st.text("Axg", min_size=1, max_size=12)))
+            lines.append((page, row_start, row_end, body_top, body_bottom))
+    return WordIndex(draw(st.integers(1, 120)), docs, lines, words, tokens)
 
 
 class TestLoadProperties:
@@ -429,89 +435,100 @@ def test_readme_format_example_loads_and_saves_back():
 class TestDirectConstruction:
     # A 100x100 page with one line over all its rows.
     doc = DocEntry("d", "d.pgm", 100, 100)
-    line = make_line("d", 0, 0, 99)
+    line = line_row(0, 0, 99)
 
-    def test_duplicate_word_key_rejected(self):
-        with pytest.raises(ValueError, match="out of page order"):
-            WordIndex(60, [self.doc], [self.line],
-                      [make_record("d", 0, 0), make_record("d", 0, 0)])
+    def test_token_for_each_word_required(self):
+        with pytest.raises(ValueError, match="1 tokens for 2 words"):
+            WordIndex(60, [self.doc], [self.line], [word_row(0), word_row(0)], [None])
 
-    def test_record_of_unknown_doc_rejected(self):
-        with pytest.raises(IndexInvariantError, match="unknown doc 'ghost'") as err:
-            WordIndex(60, [self.doc], [self.line],
-                      [make_record("d", 0, 0), make_record("ghost", 0, 0)])
-        assert (err.value.kind, err.value.position) == ("record", 1)
+    @pytest.mark.parametrize("token", ["", "AxQ"])
+    def test_invalid_token_rejected(self, token):
+        with pytest.raises(IndexInvariantError, match="record 1: invalid shape token"):
+            WordIndex(60, [self.doc], [self.line], [word_row(0), word_row(0)], ["Ax", token])
 
     @pytest.mark.parametrize("x,y", [(51, 20), (10, 76), (-1, 20), (10, -1)])
     def test_box_outside_its_page_rejected(self, x, y):
-        # make_record's box is 50 wide and 25 high; the page is 100x100.
+        # word_row's box is 50 wide and 25 high; the page is 100x100.
         with pytest.raises(ValueError, match="outside its page"):
-            WordIndex(60, [self.doc], [self.line], [make_record("d", 0, 0, x=x, y=y)])
+            WordIndex(60, [self.doc], [self.line], [word_row(0, x=x, y=y)], [None])
 
     def test_box_touching_page_edges_accepted(self):
         WordIndex(60, [self.doc], [self.line],
-                  [make_record("d", 0, 0, x=50, y=75), make_record("d", 0, 1, x=0, y=0)])
+                  [word_row(0, x=50, y=75), word_row(0, x=0, y=0)], [None, None])
 
     def test_duplicate_doc_rejected(self):
         doc = DocEntry("d", "d.pgm", 10, 10)
         with pytest.raises(ValueError):
-            WordIndex(60, [doc, doc], [], [])
+            WordIndex(60, [doc, doc], [], [], [])
 
     @pytest.mark.parametrize(
-        "lines,records,kind,position",
+        "lines,words,kind,position,match",
         [
-            # Lines: numbered from 0 within their page, pages in docs order.
-            ([make_line("d", 1, 0, 49)], [], "line", 0),
-            ([make_line("d", 0, 0, 49), make_line("d", 0, 50, 99)], [], "line", 1),
-            ([make_line("d", 0, 0, 49), make_line("d", 2, 50, 99)], [], "line", 1),
-            ([make_line("e", 0, 0, 49), make_line("d", 0, 0, 49)], [], "line", 1),
-            ([make_line("ghost", 0, 0, 49)], [], "line", 0),
-            # Records: words numbered from 0 within a listed line.
-            ([make_line("d", 0, 0, 99)], [make_record("d", 0, 1)], "record", 0),
-            ([make_line("d", 0, 0, 99)], [make_record("d", 1, 0)], "record", 0),
-            ([make_line("d", 0, 0, 99), make_line("e", 0, 0, 99)],
-             [make_record("e", 0, 0), make_record("d", 0, 0)], "record", 1),
-            ([make_line("d", 0, 0, 49), make_line("d", 1, 50, 99)],
-             [make_record("d", 1, 0, y=50), make_record("d", 0, 0)], "record", 1),
-            ([make_line("d", 0, 0, 99)],
-             [make_record("d", 0, 0), make_record("d", 0, 2)], "record", 1),
+            # A line's page is a position in the two docs.
+            ([line_row(2, 0, 49)], [], "line", 0, "page 2 outside 0..1"),
+            ([line_row(0, 0, 49), line_row(-1, 0, 49)], [], "line", 1, "page -1 outside 0..1"),
+            # A word's line is a position in the lines.
+            ([line_row(0, 0, 99)], [word_row(0), word_row(1)], "record", 1,
+             "line 1 outside 0..0"),
+            ([], [word_row(-1)], "record", 0, r"line -1 outside 0..-1"),
         ],
     )
-    def test_lines_and_records_out_of_page_order_rejected(self, lines, records, kind, position):
+    def test_page_or_line_out_of_range_rejected(self, lines, words, kind, position, match):
         docs = [self.doc, DocEntry("e", "e.pgm", 100, 100)]
-        with pytest.raises(IndexInvariantError) as err:
-            WordIndex(60, docs, lines, records)
+        with pytest.raises(IndexInvariantError, match=match) as err:
+            WordIndex(60, docs, lines, words, [None] * len(words))
         assert (err.value.kind, err.value.position) == (kind, position)
 
-    def test_empty_lines_and_a_later_line_accepted(self):
-        # Words are numbered within their line; a line may have none.
-        lines = [make_line("d", 0, 0, 9), make_line("d", 1, 10, 49), make_line("d", 2, 50, 99)]
-        records = [make_record("d", 2, 0, y=50), make_record("d", 2, 1, y=60)]
-        index = WordIndex(60, [self.doc], lines, records)
-        assert index.record_lines.tolist() == [2, 2]
+    @pytest.mark.parametrize(
+        "lines,words,kind,position",
+        [
+            ([line_row(1, 0, 49), line_row(0, 0, 49)], [], "line", 1),
+            ([line_row(0, 0, 49), line_row(1, 0, 49), line_row(0, 50, 99)], [], "line", 2),
+            ([line_row(0, 0, 49), line_row(0, 50, 99)],
+             [word_row(1, y=50), word_row(0)], "record", 1),
+            ([line_row(0, 0, 99), line_row(1, 0, 99)],
+             [word_row(0), word_row(1), word_row(1), word_row(0)], "record", 3),
+        ],
+    )
+    def test_page_or_line_that_decreases_rejected(self, lines, words, kind, position):
+        docs = [self.doc, DocEntry("e", "e.pgm", 100, 100)]
+        with pytest.raises(IndexInvariantError, match="out of page order") as err:
+            WordIndex(60, docs, lines, words, [None] * len(words))
+        assert (err.value.kind, err.value.position) == (kind, position)
+
+    def test_empty_pages_and_lines_and_repeated_positions_accepted(self):
+        # Numbers count from each page's and each line's first position; a
+        # page or a line may have none.
+        docs = [DocEntry("c", "c.pgm", 100, 100), self.doc, DocEntry("e", "e.pgm", 100, 100)]
+        lines = [line_row(1, 0, 9), line_row(1, 10, 49), line_row(1, 50, 99), line_row(2, 0, 99)]
+        words = [word_row(2, y=50), word_row(2, y=60), word_row(3)]
+        index = WordIndex(60, docs, lines, words, [None] * 3)
+        assert index.record_lines.tolist() == [2, 2, 3]
+        assert index.line_table[:, :2].tolist() == [[1, 0], [1, 1], [1, 2], [2, 0]]
+        assert index.record_table[:, :3].tolist() == [[1, 2, 0], [1, 2, 1], [2, 0, 0]]
 
     @pytest.mark.parametrize(
         "line,match",
         [
-            (make_line("d", 0, 0, 100), "outside image rows"),
-            (make_line("d", 0, 10, 60, 9, 50), "outside its band"),
-            (make_line("d", 0, 10, 60, 20, 61), "outside its band"),
+            (line_row(0, 0, 100), "outside image rows"),
+            (line_row(0, 10, 60, 9, 50), "outside its band"),
+            (line_row(0, 10, 60, 20, 61), "outside its band"),
         ],
     )
     def test_band_outside_its_page_or_body_outside_its_band_rejected(self, line, match):
         with pytest.raises(IndexInvariantError, match=match) as err:
-            WordIndex(60, [self.doc], [line], [])
+            WordIndex(60, [self.doc], [line], [], [])
         assert (err.value.kind, err.value.position) == ("line", 0)
 
     @pytest.mark.parametrize("y", [9, 41])
     def test_box_outside_its_line_rejected(self, y):
         # The box is 25 rows high; the line holds rows 10..64.
         with pytest.raises(IndexInvariantError, match="its line rows 10..64"):
-            WordIndex(60, [self.doc], [make_line("d", 0, 10, 64)], [make_record("d", 0, 0, y=y)])
+            WordIndex(60, [self.doc], [line_row(0, 10, 64)], [word_row(0, y=y)], [None])
 
 
 class TestColumns:
-    def test_objects_in_columns_out(self):
+    def test_positions_in_columns_out(self):
         index = small_index()
         assert index.record_table.tolist() == [
             [0, 0, 0, 10, 20, 59, 44],
@@ -534,9 +551,8 @@ class TestColumns:
 
     def test_length_order_breaks_ties_by_record_order(self):
         doc = DocEntry("d", "d.pgm", 900, 100)
-        widths = [60, 30, 60, 10, 30]
-        records = [make_record("d", 0, i, x=0, y=0, w=w, h=60) for i, w in enumerate(widths)]
-        index = WordIndex(60, [doc], [make_line("d", 0, 0, 99)], records)
+        words = [word_row(0, x=0, y=0, w=w, h=60) for w in [60, 30, 60, 10, 30]]
+        index = WordIndex(60, [doc], [line_row(0, 0, 99)], words, [None] * 5)
         assert index.length_order.tolist() == [3, 1, 4, 0, 2]
 
     def test_record_count_builds_no_record(self, monkeypatch):
@@ -554,10 +570,19 @@ class TestColumns:
         assert index.records[0].wst == "xA"
         assert load_index(save_index(index)).tokens == ["xA", "AxxgA", None]
 
-    def test_built_loaded_and_object_indexes_agree(self):
+    def test_built_loaded_and_rebuilt_indexes_agree(self):
         built = build_index([("a", blob_page()), ("b", blob_page(x=10))], ref_font=50)
-        again = WordIndex(50, built.docs, list(built.lines), list(built.records))
+        lines, words = own_rows(built)
+        again = WordIndex(50, built.docs, lines, words, built.tokens)
+        lines[:], words[:] = 0, 0  # the index holds copies
         assert again == built == load_index(save_index(built))
+        assert again.record_lines.tolist() == built.record_lines.tolist() == [0, 1]
+
+    @given(word_indexes())
+    def test_rebuilt_from_its_own_rows(self, index):
+        again = WordIndex(index.ref_font, index.docs, *own_rows(index), index.tokens)
+        assert again == index
+        assert again.record_lines.tolist() == index.record_lines.tolist()
 
 
 class TestScaleInvariance:

@@ -149,7 +149,7 @@ class TestBinarize:
     def test_strict_midpoint_comparison(self):
         # 0.5 * 255 = 127.5; 64 is ink, 128 is background.
         img = gray(2, 1, 255, [64, 128])
-        assert list(binarize(img, 0.5).bits[0]) == [0, 1]
+        assert list(binarize(img).bits[0]) == [0, 1]
 
     def test_all_zero_is_all_ink(self):
         img = gray(3, 2, 255, [0] * 6)
@@ -159,26 +159,12 @@ class TestBinarize:
         img = gray(3, 2, 255, [255] * 6)
         assert binarize(img).bits.sum() == 6
 
-    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.2, 1.5])
-    def test_threshold_fraction_domain(self, bad):
-        with pytest.raises(ValueError):
-            binarize(gray(1, 1, 255, [0]), bad)
-
-    def test_ink_count_monotone_in_threshold(self):
-        rng = random.Random(7)
-        values = [rng.randrange(256) for _ in range(400)]
-        img = gray(20, 20, 255, values)
-        counts = [
-            int((binarize(img, t).bits == 0).sum()) for t in (0.1, 0.25, 0.5, 0.75, 0.9)
-        ]
-        assert counts == sorted(counts)
-
     def test_pbm_pattern_recovered(self):
         rng = random.Random(11)
         bits = [rng.randrange(2) for _ in range(64)]
         body = " ".join(str(b) for b in bits)
         img = load_image(f"P1\n8 8\n{body}".encode())
-        recovered = binarize(img, 0.5)
+        recovered = binarize(img)
         # PBM bit 1 (black) corresponds to binary bit 0 (ink).
         assert [1 - b for b in bits] == list(recovered.bits.ravel())
 
@@ -293,7 +279,6 @@ class TestBoxInk:
 
     def test_cut_is_the_ceiling_of_the_fraction(self):
         assert [ink_cut(m) for m in (1, 2, 255, 256, 65535)] == [1, 1, 128, 128, 32768]
-        assert ink_cut(10, 0.25) == 3
 
     @pytest.mark.parametrize(
         "box", [WordBox(0, 0, 2, 0), WordBox(0, 0, 0, 1), WordBox(-1, 0, 0, 0)]
@@ -342,22 +327,18 @@ class TestInPlaceRaster:
         with pytest.raises(ValueError):
             GrayImage(1, 1, 100, np.array([[200]], dtype=np.uint8))
 
-    @given(
-        st.integers(1, 255),
-        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        st.lists(st.integers(0, 255), min_size=1, max_size=40),
-    )
-    @example(255, 0.5, [127, 128])
-    @example(3, 0.3333333333333333, [0, 1, 2, 3])
-    def test_binarize_same_bits_for_uint8_and_uint16(self, maxval, fraction, values):
+    @given(st.integers(1, 255), st.lists(st.integers(0, 255), min_size=1, max_size=40))
+    @example(255, [127, 128])
+    @example(3, [0, 1, 2, 3])
+    def test_binarize_same_bits_for_uint8_and_uint16(self, maxval, values):
         values = [v % (maxval + 1) for v in values]
         narrow = GrayImage(len(values), 1, maxval, np.array(values, dtype=np.uint8))
         wide = GrayImage(len(values), 1, maxval, np.array(values, dtype=np.uint16))
-        assert binarize(narrow, fraction) == binarize(wide, fraction)
+        assert binarize(narrow) == binarize(wide)
 
     def test_binarize_uint8_with_maxval_above_255(self):
         img = GrayImage(2, 1, 1000, np.array([200, 255], dtype=np.uint8))
-        assert binarize(img, 0.5).bits.tolist() == [[0, 0]]
+        assert binarize(img).bits.tolist() == [[0, 0]]
 
 
 # A plain NetPBM decoder for the property tests below: a byte loop over the

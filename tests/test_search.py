@@ -1,6 +1,5 @@
 """Edit distance, size prefiltering, and end-to-end search."""
 
-import dataclasses
 import itertools
 import random
 from collections import Counter
@@ -13,7 +12,6 @@ from hypothesis import strategies as st
 from glyphs import compose_page, metrics
 from wordspot.index import (
     DocEntry,
-    LineEntry,
     WordIndex,
     WordRecord,
     build_index,
@@ -29,7 +27,6 @@ from wordspot.search import (
     size_prefilter,
 )
 from wordspot.segment import (
-    LineBand,
     WordBox,
     default_noise_threshold,
     row_profile,
@@ -38,7 +35,6 @@ from wordspot.segment import (
 from wordspot.shapecode import (
     LETTER_CODES,
     UnsupportedCharacterError,
-    ZoneBands,
     estimate_zones,
     query_to_wst,
     word_to_wst,
@@ -96,19 +92,12 @@ class TestLevenshtein:
             assert levenshtein(a, b) == levenshtein(b, a)
 
 
-def record_with_norm(doc, line, word, norm, ref_font=60):
-    # Height ref_font makes the box width equal the normalized length.
-    return WordRecord(doc, line, word, WordBox(0, 0, norm - 1, ref_font - 1))
-
-
-def one_line_index(records, ref_font=60):
-    """An 800x600 page "d" whose line 0 holds the rows of record_with_norm."""
-    line = LineEntry("d", 0, LineBand(0, ref_font - 1), ZoneBands(0, ref_font - 1))
-    return WordIndex(ref_font, [DocEntry("d", "d", 800, 600)], [line], records)
-
-
-def index_with_norms(norms):
-    return one_line_index([record_with_norm("d", 0, i, n) for i, n in enumerate(norms)])
+def index_with_norms(norms, tokens=None):
+    """An 800x600 page "d" with one line of 60 rows, holding a word of each
+    normalized length: a box 60 rows high is as wide as its length."""
+    words = [(0, 0, 0, norm - 1, 59) for norm in norms]
+    tokens = [None] * len(norms) if tokens is None else tokens
+    return WordIndex(60, [DocEntry("d", "d", 800, 600)], [(0, 0, 59, 0, 59)], words, tokens)
 
 
 class TestSizePrefilter:
@@ -246,7 +235,7 @@ class TestSearch:
 
 class TestFormatResult:
     def test_line_format(self):
-        rec = record_with_norm("doc1", 2, 7, 100)
+        rec = WordRecord("doc1", 2, 7, WordBox(0, 0, 99, 59))
         line = format_result(MatchResult(rec, 1))
         assert line == "1 doc1 2 7 0 0 99 59"
 
@@ -275,10 +264,7 @@ class TestDistanceGateAndMemo:
     def test_same_matches_as_scoring_every_pair(self, words, text, threshold):
         # Few distinct token lengths and repeats, so both the gate and the
         # per-query memo are exercised.
-        records = [record_with_norm("d", 0, i, n) for i, (n, _) in enumerate(words)]
-        for rec, (_, wst) in zip(records, words):
-            rec.wst = wst
-        index = one_line_index(records)
+        index = index_with_norms([n for n, _ in words], [wst for _, wst in words])
         params = SearchParams(threshold=threshold)
 
         def no_pages(doc):
@@ -327,9 +313,10 @@ class TestBuildLines:
         # reaches an ascender or descender zone: every token is all `x`.
         layout = corpus_page([["dipped", "help", "sauce"], ["drop", "paper", "noon"]])
         built = build_index([("page", layout.image)], ref_font=60)
-        lines = [dataclasses.replace(line, zones=ZoneBands(line.band.row_start, line.band.row_end))
-                 for line in built.lines]
-        index = WordIndex(60, built.docs, lines, built.records)
+        # Page, rows and rows again as the body band, of each line.
+        lines = built.line_table[:, [0, 2, 3, 2, 3]]
+        words = np.column_stack((built.record_lines, built.record_table[:, 3:]))
+        index = WordIndex(60, built.docs, lines, words, built.tokens)
         for n in range(1, 12):
             search(index, lambda doc: layout.image, "x" * n, SearchParams(threshold=0))
         assert [set(rec.wst) for rec in index.records] == [{"x"}] * 6
