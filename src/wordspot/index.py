@@ -227,6 +227,15 @@ LINE_COLUMNS = ("doc", "line", "row_start", "row_end", "body_top", "body_bottom"
 RECORD_COLUMNS = ("doc", "line", "word", "x1", "y1", "x2", "y2")
 
 
+def _rows(name: str, rows, columns: tuple[str, ...]) -> np.ndarray:
+    """A copy of `rows`, one int64 row each with one column per name. An
+    empty list is no rows."""
+    rows = np.array(rows, dtype=np.int64)
+    if rows.shape != (0,) and (rows.ndim != 2 or rows.shape[1] != len(columns)):
+        raise ValueError(f"{name} rows of shape {rows.shape} need the columns {columns}")
+    return rows.reshape(-1, len(columns))
+
+
 class WordIndex:
     """All text lines and word records of a document set, as columns.
 
@@ -259,9 +268,8 @@ class WordIndex:
         # The index file must be able to hold it.
         if not 1 <= ref_font <= _MAX_NUMBER:
             raise ValueError(f"ref_font {ref_font} outside 1..{_MAX_NUMBER}")
-        # Copies, so that the caller's rows stay theirs.
-        lines = np.array(lines, dtype=np.int64).reshape(-1, len(LINE_ROW))
-        words = np.array(words, dtype=np.int64).reshape(-1, len(WORD_ROW))
+        lines = _rows("lines", lines, LINE_ROW)
+        words = _rows("words", words, WORD_ROW)
         if len(tokens) != len(words):
             raise ValueError(f"{len(tokens)} tokens for {len(words)} words")
         self.ref_font = ref_font

@@ -441,6 +441,20 @@ class TestDirectConstruction:
         with pytest.raises(ValueError, match="1 tokens for 2 words"):
             WordIndex(60, [self.doc], [self.line], [word_row(0), word_row(0)], [None])
 
+    @pytest.mark.parametrize(
+        "lines,words",
+        [
+            # Five line rows that lack body_bottom hold twenty numbers, as
+            # four whole rows would.
+            ([line[:4] for line in [line_row(0, 0, 0)] * 5], []),
+            ([line_row(0, 0, 99)], [word_row(0)[1:]] * 5),
+            ([line_row(0, 0, 99)], [[word_row(0)]]),
+        ],
+    )
+    def test_rows_of_other_widths_rejected(self, lines, words):
+        with pytest.raises(ValueError, match="need the columns"):
+            WordIndex(60, [self.doc], lines, words, [None] * len(words))
+
     @pytest.mark.parametrize("token", ["", "AxQ"])
     def test_invalid_token_rejected(self, token):
         with pytest.raises(IndexInvariantError, match="record 1: invalid shape token"):

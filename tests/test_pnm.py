@@ -151,6 +151,16 @@ class TestBinarize:
         img = gray(2, 1, 255, [64, 128])
         assert list(binarize(img).bits[0]) == [0, 1]
 
+    @given(st.integers(1, 65535), st.lists(st.integers(0, 65535), min_size=1, max_size=40))
+    @example(65535, [32767, 32768])
+    @example(2, [0, 1, 2])
+    @example(1, [0, 1])
+    def test_ink_iff_below_half_of_maxval(self, maxval, values):
+        # The exact rational rule, free of any float rounding.
+        values = [v % (maxval + 1) for v in values]
+        img = gray(len(values), 1, maxval, values)
+        assert binarize(img).bits[0].tolist() == [int(2 * v >= maxval) for v in values]
+
     def test_all_zero_is_all_ink(self):
         img = gray(3, 2, 255, [0] * 6)
         assert binarize(img).bits.sum() == 0
