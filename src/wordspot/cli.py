@@ -13,6 +13,7 @@ character.
 from __future__ import annotations
 
 import argparse
+import mmap
 import os
 import re
 import sys
@@ -53,8 +54,9 @@ EXIT_QUERY = 4
 BORDER_THICKNESS = 2
 
 # In an annotated file's name, a doc id's `/` and NUL, which no file name can
-# hold, are percent-encoded as in the index file.
-_NAME_ESCAPES = str.maketrans({"/": "%2F", "\0": "%00"})
+# hold, are percent-encoded as in the index file; `%` is too, so that no two
+# ids share a name.
+_NAME_ESCAPES = str.maketrans({"/": "%2F", "\0": "%00", "%": "%25"})
 
 
 class _UsageError(Exception):
@@ -152,12 +154,23 @@ def run() -> None:
     raise SystemExit(main())
 
 
-def _load_page_file(path: str) -> GrayImage:
-    data = Path(path).read_bytes()
+def _load_page(path: str, data: bytes | mmap.mmap) -> GrayImage:
+    """The page image in a file's bytes; a PnmError names the file."""
     try:
         return load_image(data)
     except PnmError as exc:
         raise PnmError(f"{path}: {exc.message}", exc.offset) from None
+
+
+def _map_file(path: str) -> bytes | mmap.mmap:
+    """A file's bytes, mapped read-only, so only what is read of them is
+    faulted in. The map stays open while a view of it (an 8-bit page's
+    pixels) lives. An empty file, which mmap refuses, gives b""."""
+    with open(path, "rb") as f:
+        try:
+            return mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # "cannot mmap an empty file"
+            return f.read()
 
 
 def _cmd_index(args) -> int:
@@ -165,7 +178,7 @@ def _cmd_index(args) -> int:
     paths = {}
     used_ids: set[str] = set()
     for path in args.images:
-        gray = _load_page_file(path)
+        gray = _load_page(path, Path(path).read_bytes())
         # Name bytes that are not UTF-8 become `\xNN`: ids go to stdout.
         stem = os.fsencode(Path(path).stem).decode("utf-8", "backslashreplace")
         base = re.sub(r"\s+", "_", stem) or "page"
@@ -204,7 +217,11 @@ class _PageLoader:
     Paths are tried as given, then relative to the index file's directory.
     A page whose size differs from the one the index recorded is refused:
     the index's boxes no longer describe it. A query thresholds only the
-    pixels inside its candidates' boxes, so no page is binarized.
+    pixels inside its candidates' boxes, so no page is binarized, and each
+    page file is mapped, not read: an 8-bit P5 page's pixels are a view of
+    the map, and only the rows under the boxes are read from the file. The
+    map is released with the page image; a query encodes all of its words
+    in one call that holds one page at a time.
     """
 
     def __init__(self, index: WordIndex, base_dir: Path):
@@ -224,7 +241,8 @@ class _PageLoader:
     def __call__(self, doc_id: str) -> GrayImage:
         # A record's page is a position in the index's docs, so its doc is here.
         doc = self._docs[doc_id]
-        img = _load_page_file(str(self._resolve(doc)))
+        path = str(self._resolve(doc))
+        img = _load_page(path, _map_file(path))
         if (img.width, img.height) != (doc.width, doc.height):
             raise MissingPageError(
                 doc_id,

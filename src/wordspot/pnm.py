@@ -11,10 +11,13 @@ Pixel conventions used throughout the pipeline:
 
 Gray rasters are uint8 when the file stores 8-bit samples (P5 with maxval
 below 256) and uint16 otherwise. An 8-bit P5 raster is not copied: its
-pixels are a read-only view of the bytes passed to load_image. A query
-binarizes no page: `box_ink`, and the shape coder through `ink_raster`,
-apply binarize's threshold to the pixels of word boxes only, so a gray page
-is read once and only inside its candidates.
+pixels are a read-only view of the bytes passed to load_image, which may be
+a read-only `mmap` of the file. A query binarizes no page: `box_ink`, and
+the shape coder through `ink_raster`, apply binarize's threshold to the
+pixels of word boxes only. The command line maps the page files a query
+reads, so of an 8-bit P5 page only the rows under its candidates are read
+from the file, and the shape coder encodes all of a query's words in one
+call that holds one page at a time.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
+    import mmap
+
     from .segment import WordBox
 
 # ITU-R BT.601 luma weights for the RGB -> gray conversion, in thousandths so
@@ -222,13 +227,14 @@ def _luma(rgb: np.ndarray) -> np.ndarray:
     return ((flat @ _LUMA_MILLI + 500) // 1000).astype(np.uint16)
 
 
-def load_image(data: bytes) -> GrayImage:
+def load_image(data: bytes | mmap.mmap) -> GrayImage:
     """Parse PBM (P1/P4), PGM (P2/P5) or PPM (P3/P6) bytes into a GrayImage.
 
     PGM values are kept verbatim. PBM ink bits map to gray 0 and white bits
     to gray 1 (maxval 1). PPM pixels are converted with BT.601 luma, rounded
     half-up. Pixels are uint8 for P5 with maxval below 256, a read-only view
-    of `data`, and uint16 otherwise. Raises PnmError with the offending byte
+    of `data` (which then stays mapped while they live), and uint16
+    otherwise. Raises PnmError with the offending byte
     offset on malformed input.
     """
     r = _Reader(data)

@@ -10,11 +10,12 @@ differs from the query token's by more than the threshold is rejected
 without a DP: the edit distance is at least the length difference.
 
 A word is encoded against the line band and x-height zones its index
-records, so a query segments no page. It reads each page that holds
-survivors without a token once, as a gray image, encodes all of that page's
-survivors in one `word_to_wst` call from the index's integer columns, taking
-ink only inside their boxes, and releases the page before it loads the next.
-Objects for records are built only for the matches.
+records, so a query segments no page. All survivors without a token are
+encoded in one `word_to_wst` call from the index's integer columns. It
+loads each page that holds them once, as a gray image (the command line
+maps the page file, so only the rows under their boxes are read), takes
+ink only inside their boxes, and releases the page before it loads the
+next. Objects for records are built only for the matches.
 """
 
 from __future__ import annotations
@@ -110,35 +111,42 @@ def _load(provider: PageProvider, doc_id: str) -> GrayImage | BinaryImage:
 
 
 def encode_missing(index: WordIndex, load_page: PageProvider, positions: list[int]) -> None:
-    """Fill the token of each record at `positions`, page by page in record
-    order: each page is loaded once, all of its words there are encoded by
-    one `word_to_wst` call against the body rows and band heights of their
-    lines, and the page is released before the next is loaded.
+    """Fill the token of each record at `positions` in one `word_to_wst`
+    call, against the body rows and band heights of their lines. Pages are
+    loaded in record order, each once, as the call reaches their words, and
+    each is released before the next is loaded.
 
     A box without ink on its page raises MissingPageError naming the first
-    such record in record order: its box, line and word.
+    such record in record order, its box, line and word, before any later
+    page is loaded.
     """
+    if not len(positions):
+        return
     positions = np.sort(np.asarray(positions, dtype=np.int64))
     records = index.record_table[positions]
     lines = index.line_table[index.record_lines[positions]]
     # Records are in page order, so each page's records are one run of them.
     bounds = np.flatnonzero(np.diff(records[:, 0], prepend=-1)).tolist() + [len(positions)]
-    for first, end in zip(bounds, bounds[1:]):
-        doc_id = index.docs[records[first, 0]].doc_id
-        page = _load(load_page, doc_id)
-        words, bands = records[first:end], lines[first:end]
-        try:
-            tokens = word_to_wst(page, words[:, 3:], bands[:, 4:], bands[:, 3] - bands[:, 2] + 1)
-        except NoInkError as exc:
-            _, line_idx, word_idx, x1, y1, x2, y2 = words[exc.position].tolist()
-            raise MissingPageError(
-                doc_id,
-                f"no ink in word box {x1} {y1} {x2} {y2} "
-                f"(line {line_idx}, word {word_idx}) recorded by the index",
-            ) from None
-        del page
-        for position, token in zip(positions[first:end].tolist(), tokens):
-            index.tokens[position] = token
+
+    def doc_id(row: int) -> str:
+        return index.docs[records[row, 0]].doc_id
+
+    # The generator keeps no page: each is yielded straight from its load.
+    pages = (
+        (_load(load_page, doc_id(first)), end - first)
+        for first, end in zip(bounds, bounds[1:])
+    )
+    try:
+        tokens = word_to_wst(pages, records[:, 3:], lines[:, 4:], lines[:, 3] - lines[:, 2] + 1)
+    except NoInkError as exc:
+        _, line_idx, word_idx, x1, y1, x2, y2 = records[exc.position].tolist()
+        raise MissingPageError(
+            doc_id(exc.position),
+            f"no ink in word box {x1} {y1} {x2} {y2} "
+            f"(line {line_idx}, word {word_idx}) recorded by the index",
+        ) from None
+    for position, token in zip(positions.tolist(), tokens):
+        index.tokens[position] = token
 
 
 def search(

@@ -12,10 +12,11 @@ line's body band:
     ascender only -> A,  descender (with or without ascender) -> g,
     neither -> x
 
-`word_to_wst` encodes many words of one page in one call, with the
-module's fixed token parameters: per word it only thresholds its box and
-reduces it to per-column ink, and the valley cut, merge and zone-reach rules
-run once over the columns of all its words laid end to end.
+`word_to_wst` encodes many words, of one page or of many taken one at a
+time, in one call, with the module's fixed token parameters: per word it
+only thresholds its box and reduces it to per-column ink, and the valley
+cut, merge and zone-reach rules run once over the columns of all its words
+laid end to end.
 `char_region_segment`, `classify_region` and `estimate_zones` expose each
 step for one word, with those parameters as keyword defaults.
 
@@ -25,6 +26,7 @@ symbols per letter, so both sides of a search speak the same token alphabet.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,16 +200,13 @@ def _region_starts(
     maximal valley run of a word is cut at its midpoint column (the midpoint
     itself starts the right-hand region). Regions narrower than
     round(min_region_width * font size) of their word are merged into their
-    left neighbor, or right neighbor for a word's leftmost.
+    left neighbor, or right neighbor for a word's leftmost. Every word must
+    have ink (`_check_ink`).
     """
     width = len(counts)
     ends = np.append(firsts[1:], width)
     word_of = np.repeat(np.arange(len(firsts)), ends - firsts)
     inked = counts > 0
-    has_ink = np.logical_or.reduceat(inked, firsts)
-    if not has_ink.all():
-        position = int(has_ink.argmin())
-        raise NoInkError(f"word image {position} has no ink", position)
     # A column without ink stands in as the most ink a column can hold.
     ink_min = np.minimum.reduceat(np.where(inked, counts, np.iinfo(counts.dtype).max), firsts)
     valley = counts <= (ink_min + valley_slack)[word_of]
@@ -246,6 +245,15 @@ def _region_starts(
     # Regions start at each word's first column and at its remaining cuts.
     word_start[kept[~(leftmost & narrow)]] = True
     return np.flatnonzero(word_start)
+
+
+def _check_ink(counts: np.ndarray, firsts: np.ndarray, base: int = 0) -> None:
+    """Raise NoInkError for the first word, laid out as in `_region_starts`,
+    whose columns hold no ink; its `position` counts words from `base`."""
+    has_ink = np.logical_or.reduceat(counts > 0, firsts)
+    if not has_ink.all():
+        position = base + int(has_ink.argmin())
+        raise NoInkError(f"word image {position} has no ink", position)
 
 
 def _zone_limits(body_top, body_bottom, margin: float):
@@ -298,8 +306,10 @@ def char_region_segment(
     relative to true characters is expected.
     """
     counts = (word.bits == 0).sum(axis=0, dtype=np.int32)
+    firsts = np.array([0])
+    _check_ink(counts, firsts)
     starts = _region_starts(
-        counts, np.array([0]), np.array([font_size]), valley_slack, min_region_width
+        counts, firsts, np.array([font_size]), valley_slack, min_region_width
     ).tolist()
     ends = [s - 1 for s in starts[1:]] + [word.width - 1]
     return [Region(s, e) for s, e in zip(starts, ends)]
@@ -321,27 +331,62 @@ def classify_region(
     return _zone_codes(above, below, np.array([0]))
 
 
-def word_to_wst(
+def _page_columns(
     page: BinaryImage | GrayImage,
+    boxes: np.ndarray,
+    above_rows: np.ndarray,
+    below_from: np.ndarray,
+    base: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_ink_columns` of the words of one page, laid end to end. Their boxes
+    are `boxes`, numbered from `base` in errors."""
+    x1, y1, x2, y2 = boxes.T
+    bad = (x1 < 0) | (y1 < 0) | (x1 > x2) | (y1 > y2) | (x2 >= page.width) | (y2 >= page.height)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            f"box {x1[i]} {y1[i]} {x2[i]} {y2[i]} empty or outside image "
+            f"{page.width}x{page.height}"
+        )
+    raster, cut = ink_raster(page)
+    columns = [
+        _ink_columns(raster[top : bottom + 1, left : right + 1] < cut, above, below)
+        for left, top, right, bottom, above, below in zip(
+            x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist(),
+            above_rows.tolist(), below_from.tolist(),
+        )
+    ]
+    counts, above, below = (np.concatenate(parts) for parts in zip(*columns))
+    widths = x2 - x1 + 1
+    _check_ink(counts, np.cumsum(widths) - widths, base)
+    return counts, above, below
+
+
+def word_to_wst(
+    pages: BinaryImage | GrayImage | Iterable[tuple[BinaryImage | GrayImage, int]],
     boxes: np.ndarray,
     bodies: np.ndarray,
     font_sizes: np.ndarray,
 ) -> list[str]:
-    """Shape tokens of words of one page, each left to right, in box order.
+    """Shape tokens of words, each left to right, in box order.
 
     Row i of `boxes` is word i's inclusive box `x1 y1 x2 y2`, row i of
     `bodies` the `body_top body_bottom` rows of its line's x-height band
     (both in page coordinates) and `font_sizes[i]` its line band's height;
-    int arrays of n rows. The page may be gray: only the boxes' pixels are
-    thresholded, by `pnm.box_ink`'s rule.
+    int arrays of n rows. `pages` is the one page of all the words, or
+    yields `(page, n)` for each run of n consecutive boxes on one page, in
+    box order. A page may be gray: only the boxes' pixels are thresholded,
+    by `pnm.box_ink`'s rule.
 
-    Per word, one slice of the page is thresholded and reduced over its
-    rows (`_ink_columns`). The valley cut, merge and zone-reach rules then
-    run once over the columns of all words laid end to end, so a word's
-    token does not depend on which other words share the call. Raises
-    NoInkError, whose `position` is the first box without ink, and
-    ValueError for a box that is empty or outside the page, or an empty
-    body band.
+    Per word, one slice of its page is thresholded and reduced over its
+    rows (`_ink_columns`); a page is dropped before the next is taken, so
+    one page at a time is held. The valley cut, merge and zone-reach rules
+    then run once over the columns of all words laid end to end, so a
+    word's token does not depend on which other words share the call.
+    Raises NoInkError, whose `position` is the first box without ink,
+    before the next page is taken, and ValueError for a box that is empty
+    or outside its page, an empty body band, or runs that do not cover the
+    boxes.
     """
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
     bodies = np.asarray(bodies, dtype=np.int64).reshape(-1, 2)
@@ -350,31 +395,33 @@ def word_to_wst(
         raise ValueError("boxes, bodies and font_sizes differ in length")
     if len(boxes) == 0:
         return []
-    x1, y1, x2, y2 = boxes.T
+    if isinstance(pages, (BinaryImage, GrayImage)):
+        pages = [(pages, len(boxes))]
     body_top, body_bottom = bodies.T
-    bad = (x1 < 0) | (y1 < 0) | (x1 > x2) | (y1 > y2) | (x2 >= page.width) | (y2 >= page.height)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(
-            f"box {x1[i]} {y1[i]} {x2[i]} {y2[i]} empty or outside image "
-            f"{page.width}x{page.height}"
-        )
     if (body_top > body_bottom).any():
         i = int((body_top > body_bottom).argmax())
         raise ValueError(f"empty body band {body_top[i]}..{body_bottom[i]}")
 
     ascender_end, descender_start = _zone_limits(body_top, body_bottom, MARGIN)
-    raster, cut = ink_raster(page)
-    columns = [
-        _ink_columns(raster[top : bottom + 1, left : right + 1] < cut, above, below)
-        for left, top, right, bottom, above, below in zip(
-            x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist(),
-            np.maximum(ascender_end - y1, 0).tolist(),
-            np.maximum(descender_start - y1, 0).tolist(),
+    y1 = boxes[:, 1]
+    above_rows = np.maximum(ascender_end - y1, 0)
+    below_from = np.maximum(descender_start - y1, 0)
+    columns = []
+    first = 0
+    for page, n in pages:
+        end = first + n
+        if not first < end <= len(boxes):
+            raise ValueError(f"a run of {n} boxes from box {first} of {len(boxes)}")
+        part = slice(first, end)
+        columns.append(
+            _page_columns(page, boxes[part], above_rows[part], below_from[part], first)
         )
-    ]
+        del page  # else it would live on while the next page is taken
+        first = end
+    if first != len(boxes):
+        raise ValueError(f"pages hold {first} of {len(boxes)} boxes")
     counts, above, below = (np.concatenate(parts) for parts in zip(*columns))
-    widths = x2 - x1 + 1
+    widths = boxes[:, 2] - boxes[:, 0] + 1
     firsts = np.cumsum(widths) - widths
     starts = _region_starts(counts, firsts, font_sizes, VALLEY_SLACK, MIN_REGION_WIDTH)
     codes = _zone_codes(above, below, starts)

@@ -21,6 +21,27 @@ def page_to_pgm(layout) -> bytes:
     return write_gray(gray)
 
 
+def page_in_format(bits: np.ndarray, form: str) -> bytes:
+    """A binary page (bit 0 = ink) as a NetPBM file that loads to the same
+    ink: 8-bit P5, 16-bit P5 with maxval 1000, P2, P4 or P6."""
+    h, w = bits.shape
+    white = bits.astype(np.uint16)
+    if form == "P5":
+        return write_gray(GrayImage(w, h, 255, white * 255))
+    if form == "P5-16":
+        raster = (white * 1000).astype(">u2").tobytes()
+        return f"P5\n{w} {h}\n1000\n".encode() + raster
+    if form == "P2":
+        rows = "\n".join(" ".join(map(str, row)) for row in (white * 255).tolist())
+        return f"P2\n{w} {h}\n255\n{rows}\n".encode()
+    if form == "P4":
+        return f"P4\n{w} {h}\n".encode() + np.packbits(1 - bits, axis=1).tobytes()
+    if form == "P6":
+        rgb = np.repeat((white * 255).astype(np.uint8), 3, axis=1)
+        return f"P6\n{w} {h}\n255\n".encode() + rgb.tobytes()
+    raise ValueError(form)
+
+
 @pytest.fixture()
 def corpus(tmp_path):
     layout = compose_page(
@@ -195,6 +216,62 @@ class TestQueryCommand:
             "recorded by the index" in capsys.readouterr().err
         )
 
+    def test_inkless_box_reported_before_a_later_page_is_loaded(self, tmp_path, capsys):
+        layout = compose_page([(metrics(40), ["dipped", "help", "sauce"])], width=900)
+        p1, p2 = tmp_path / "p1.pgm", tmp_path / "p2.pgm"
+        p1.write_bytes(page_to_pgm(layout))
+        p2.write_bytes(page_to_pgm(layout))
+        index_path = tmp_path / "two.wsidx"
+        assert main(["index", str(p1), str(p2), "--out", str(index_path)]) == 0
+        img = layout.image
+        p1.write_bytes(page_in_format(np.ones_like(img.bits), "P5"))
+        p2.unlink()
+        capsys.readouterr()
+        assert main(["query", str(index_path), "help"]) == 3
+        err = capsys.readouterr().err
+        b = layout.boxes[0][0]
+        assert "'p1'" in err and "p2" not in err
+        assert f"no ink in word box {b.x1} {b.y1} {b.x2} {b.y2} (line 0, word 0)" in err
+
+    @pytest.mark.parametrize("part", ["empty", "header", "half raster"])
+    def test_replaced_page_that_does_not_parse_exits_2_naming_file_and_offset(
+        self, corpus, capsys, part
+    ):
+        layout, page, index_path = corpus
+        img = layout.image
+        header = f"P5\n{img.width} {img.height}\n255\n".encode()
+        data = {
+            "empty": b"",
+            "header": header,
+            "half raster": header + bytes(img.width * img.height // 2),
+        }[part]
+        page.write_bytes(data)
+        capsys.readouterr()
+        assert main(["query", str(index_path), "help"]) == 2
+        err = capsys.readouterr().err
+        assert f"wordspot: {page}: " in err
+        assert f"(byte offset {len(data)})" in err
+
+    def test_page_replaced_by_a_directory_exits_3(self, corpus, capsys):
+        layout, page, index_path = corpus
+        page.unlink()
+        page.mkdir()
+        capsys.readouterr()
+        assert main(["query", str(index_path), "help"]) == 3
+        assert "page1" in capsys.readouterr().err
+
+    def test_query_output_same_for_every_page_format(self, corpus, capsys):
+        layout, page, index_path = corpus
+        outputs = {}
+        for form in ("P5", "P5-16", "P2", "P4", "P6"):
+            page.write_bytes(page_in_format(layout.image.bits, form))
+            capsys.readouterr()
+            for text in ("help", "dipped", "noon"):
+                assert main(["query", str(index_path), text, "--threshold", "4"]) == 0
+            outputs[form] = capsys.readouterr().out
+        assert outputs["P5"].count("COUNT") == 3 and "COUNT 0" not in outputs["P5"]
+        assert all(out == outputs["P5"] for out in outputs.values()), outputs
+
     def test_record_box_outside_its_page_exits_2_naming_the_line(self, corpus, capsys):
         layout, page, index_path = corpus
         lines = index_path.read_text().splitlines()
@@ -353,6 +430,27 @@ class TestAnnotate:
         assert main(["annotate", str(index_path), "help", "--out", str(out)]) == 0
         assert sorted(path.name for path in tmp_path.glob("hits.*")) == [
             "hits.a%2Fb.pgm", "hits.c%00d.pgm"
+        ]
+
+    def test_doc_ids_that_differ_by_escapes_write_distinct_files(self, tmp_path, capsys):
+        # Ids `a/b` and `a%2Fb` (`a%2Fb` and `a%252Fb` in the index file):
+        # `%` is escaped too, so the second page does not overwrite the first.
+        layout = compose_page([(metrics(40), ["dipped", "help", "sauce"])],
+                              width=900)
+        data = page_to_pgm(layout)
+        p1 = tmp_path / "p1.pgm"
+        p2 = tmp_path / "p2.pgm"
+        p1.write_bytes(data)
+        p2.write_bytes(data)
+        index_path = tmp_path / "two.wsidx"
+        assert main(["index", str(p1), str(p2), "--out", str(index_path)]) == 0
+        text = index_path.read_text()
+        text = text.replace("DOC p1 ", "DOC a%2Fb ").replace("DOC p2 ", "DOC a%252Fb ")
+        index_path.write_text(text)
+        out = tmp_path / "hits.pgm"
+        assert main(["annotate", str(index_path), "help", "--out", str(out)]) == 0
+        assert sorted(path.name for path in tmp_path.glob("hits.*")) == [
+            "hits.a%252Fb.pgm", "hits.a%2Fb.pgm"
         ]
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ from wordspot.index import (
     WordRecord,
     build_index,
 )
-from wordspot.pnm import GrayImage, binarize, ink_cut
+from wordspot.pnm import BinaryImage, GrayImage, binarize, ink_cut
 from wordspot.search import (
     MatchResult,
     MissingPageError,
@@ -412,6 +413,25 @@ class TestPageLoads:
         loads.clear()
         search(index, provider, "noon")  # same length: the same survivors
         assert loads == Counter()
+
+    def test_each_page_released_before_the_next_is_loaded(self):
+        index, images = two_page_index()
+        refs = []
+        alive_at_load = []
+
+        def provider(doc):
+            alive_at_load.append([ref() is not None for ref in refs])
+            # A fresh image per load, which only the search holds.
+            page = images[doc]
+            page = BinaryImage(page.width, page.height, page.bits.copy())
+            refs.append(weakref.ref(page))
+            return page
+
+        for text in ("help", "dipped", "x", "paper"):
+            search(index, provider, text)
+        assert len(refs) >= 4
+        assert all(not any(alive) for alive in alive_at_load)
+        assert all(ref() is None for ref in refs)
 
     def test_pages_loaded_in_first_survivor_order(self):
         index, images = two_page_index()

@@ -313,6 +313,30 @@ class TestWordToWst:
             word_to_wst(img, boxes, [(5, 9)] * 3, [5] * 3)
         assert err.value.position == 1
 
+    def test_no_ink_raised_before_the_next_page_is_taken(self):
+        bits = np.ones((10, 10), dtype=np.uint8)
+        blank = BinaryImage(10, 10, bits.copy())
+        bits[2, 2] = 0
+        inked = BinaryImage(10, 10, bits)
+        taken = []
+
+        def pages():
+            for page in (inked, blank, inked):
+                taken.append(page)
+                yield page, 1
+
+        with pytest.raises(NoInkError) as err:
+            word_to_wst(pages(), [(2, 2, 2, 2)] * 3, [(5, 9)] * 3, [5] * 3)
+        assert err.value.position == 1
+        assert taken == [inked, blank]
+
+    @pytest.mark.parametrize("runs", [[3, 1], [1, 1], [0, 3], [2, -1, 2]])
+    def test_runs_that_do_not_cover_the_boxes_rejected(self, runs):
+        bits = np.zeros((10, 10), dtype=np.uint8)
+        img = BinaryImage(10, 10, bits)
+        with pytest.raises(ValueError, match="boxes"):
+            word_to_wst([(img, n) for n in runs], [(2, 2, 2, 2)] * 3, [(5, 9)] * 3, [5] * 3)
+
     @pytest.mark.parametrize(
         "box, body",
         [((0, 0, 10, 0), (0, 0)), ((0, -1, 0, 0), (0, 0)), ((3, 0, 2, 0), (0, 0)),
@@ -616,6 +640,11 @@ class TestReferenceEquivalence:
             rasters.append(GrayImage(gray.width, gray.height, maxval, as_uint8))
         for raster in rasters:
             assert first_inkless_or_tokens(raster, words) == expected(range(len(words)))
+        # Runs of the words on separate pages, here the page and its gray
+        # version, give the tokens of one page.
+        cut = data.draw(st.integers(0, len(words)))
+        runs = [(raster, n) for raster, n in ((page, cut), (gray, len(words) - cut)) if n]
+        assert first_inkless_or_tokens(runs, words) == expected(range(len(words)))
         # A word's token does not depend on the other words of the call.
         order = data.draw(st.permutations(range(len(words))))
         assert first_inkless_or_tokens(page, [words[i] for i in order]) == expected(order)
