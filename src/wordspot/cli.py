@@ -174,25 +174,29 @@ def _map_file(path: str) -> bytes | mmap.mmap:
 
 
 def _cmd_index(args) -> int:
-    pages = []
     paths = {}
-    used_ids: set[str] = set()
-    for path in args.images:
-        gray = _load_page(path, Path(path).read_bytes())
-        # Name bytes that are not UTF-8 become `\xNN`: ids go to stdout.
-        stem = os.fsencode(Path(path).stem).decode("utf-8", "backslashreplace")
-        base = re.sub(r"\s+", "_", stem) or "page"
-        doc_id = base
-        serial = 2
-        while doc_id in used_ids:
-            doc_id = f"{base}-{serial}"
-            serial += 1
-        used_ids.add(doc_id)
-        pages.append((doc_id, binarize(gray)))
-        paths[doc_id] = path
+
+    def pages():
+        # Each page file is mapped, binarized and handed on, one at a time:
+        # the gray page and its map go as soon as binarize is done, and
+        # build_index drops the binary page before it asks for the next.
+        used_ids: set[str] = set()
+        for path in args.images:
+            # Name bytes that are not UTF-8 become `\xNN`: ids go to stdout.
+            stem = os.fsencode(Path(path).stem).decode("utf-8", "backslashreplace")
+            base = re.sub(r"\s+", "_", stem) or "page"
+            doc_id = base
+            serial = 2
+            while doc_id in used_ids:
+                doc_id = f"{base}-{serial}"
+                serial += 1
+            used_ids.add(doc_id)
+            # build_index reads a page's path when it takes the page.
+            paths[doc_id] = path
+            yield doc_id, binarize(_load_page(path, _map_file(path)))
 
     index = build_index(
-        pages, ref_font=args.ref_font, gap_factor=args.gap_factor, source_paths=paths
+        pages(), ref_font=args.ref_font, gap_factor=args.gap_factor, source_paths=paths
     )
     data = save_index(index)
 

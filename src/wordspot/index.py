@@ -34,7 +34,7 @@ from __future__ import annotations
 import enum
 import os
 import urllib.parse
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -383,7 +383,7 @@ class WordIndex:
 
 
 def build_index(
-    pages: list[tuple[str, BinaryImage]],
+    pages: Iterable[tuple[str, BinaryImage]],
     ref_font: int = DEFAULT_REF_FONT,
     *,
     gap_factor: float = DEFAULT_GAP_FACTOR,
@@ -392,19 +392,27 @@ def build_index(
 ) -> WordIndex:
     """Segment every page and index each text line and one record per word.
 
-    Lines are split at each page's own noise threshold (the default for its
-    width unless `noise_threshold` is given); a line's body band is found
-    from the page's row counts, for all lines of a page in one pass. Shape
-    tokens are not computed here; they are filled lazily at query time. `source_paths` maps
-    doc_id to the file the page came from (defaults to the doc_id itself) so
-    that queries can reload page images.
+    `pages` is any iterable of (doc_id, page), consumed once, in order; a
+    page is released before the next one is taken, so a generator that
+    loads pages one at a time holds one page at a time. Lines are split at
+    each page's own noise threshold (the default for its width unless
+    `noise_threshold` is given); the body bands and the word boxes of all
+    of a page's lines are found in one pass each. Shape tokens are not
+    computed here; they are filled lazily at query time. `source_paths`
+    maps doc_id to the file the page came from (defaults to the doc_id
+    itself) so that queries can reload page images; it is read as each
+    page is taken.
     """
     # Refused whether or not a page has a text line to split.
     check_gap_factor(gap_factor)
     docs = []
-    lines = []
-    words = []
-    for page, (doc_id, img) in enumerate(pages):
+    lines = [np.empty((0, len(LINE_ROW)), dtype=np.int64)]
+    words = [np.empty((0, len(WORD_ROW)), dtype=np.int64)]
+    line_count = 0
+    # Not enumerate(pages): its reused result tuple would hold the previous
+    # page until the next one is loaded.
+    for doc_id, img in pages:
+        page = len(docs)
         path = (source_paths or {}).get(doc_id, doc_id)
         docs.append(DocEntry(doc_id, path, img.width, img.height))
         counts = row_profile(img)
@@ -416,11 +424,15 @@ def build_index(
         starts = np.array([band.row_start for band in bands], dtype=np.int64)
         ends = np.array([band.row_end for band in bands], dtype=np.int64)
         tops, bottoms = zones_from_bands(counts, starts, ends)
-        for band, top, bottom in zip(bands, tops.tolist(), bottoms.tolist()):
-            for b in segment_words(img, band, gap_factor):
-                words.append((len(lines), b.x1, b.y1, b.x2, b.y2))
-            lines.append((page, band.row_start, band.row_end, top, bottom))
-    return WordIndex(ref_font, docs, lines, words, [None] * len(words))
+        boxes = segment_words(img, bands, gap_factor)
+        del img  # before the loop takes the next page
+        # A word's band becomes its line's position in the whole index.
+        boxes[:, 0] += line_count
+        words.append(boxes)
+        lines.append(np.column_stack((np.full_like(starts, page), starts, ends, tops, bottoms)))
+        line_count += len(bands)
+    words = np.concatenate(words)
+    return WordIndex(ref_font, docs, np.concatenate(lines), words, [None] * len(words))
 
 
 def _encode(text: str | bytes) -> str:

@@ -17,7 +17,9 @@ the shape coder through `ink_raster`, apply binarize's threshold to the
 pixels of word boxes only. The command line maps the page files a query
 reads, so of an 8-bit P5 page only the rows under its candidates are read
 from the file, and the shape coder encodes all of a query's words in one
-call that holds one page at a time.
+call that holds one page at a time. `wordspot index` maps its page files
+too, and binarizes each page once, straight from the map, holding one page
+at a time.
 """
 
 from __future__ import annotations

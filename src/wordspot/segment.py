@@ -5,12 +5,15 @@ Lines are maximal runs of rows whose ink count exceeds a noise threshold
 (by default 0.5 % of the page width, worked out per page); words are runs of
 columns inside a line band, where zero-ink column gaps longer than
 gap_factor * band height separate words and shorter gaps are kept inside a
-word. `mask_runs` is the one "maximal runs of a mask" implementation.
+word. `segment_words` finds the words of all of a page's bands in one call,
+as one row of integers per word. `mask_runs` is the one "maximal runs of a
+mask" implementation.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,34 +113,62 @@ def segment_lines(row_counts: np.ndarray, noise_threshold: int) -> list[LineBand
 
 
 def segment_words(
-    img: BinaryImage, band: LineBand, gap_factor: float = DEFAULT_GAP_FACTOR
-) -> list[WordBox]:
-    """Split one line band into word boxes via its column profile.
+    img: BinaryImage, bands: Sequence[LineBand], gap_factor: float = DEFAULT_GAP_FACTOR
+) -> np.ndarray:
+    """Word boxes of all of a page's line bands, found in one pass.
 
-    The band height stands in for the line's font size. Zero-ink column runs
-    of length <= round(gap_factor * band height) are inter-character gaps and
-    stay inside a word; longer runs split words. Leading and trailing empty
-    columns are trimmed, never treated as splits. Each box is tightened to
-    the minimal bounding box of its ink on both axes.
+    Returns one int64 row per word, `(band, x1, y1, x2, y2)`: the position
+    of the word's band in `bands` and its inclusive box, in band order and
+    left to right within a band. A band's height stands in for its line's
+    font size. Zero-ink column runs of length <= round(gap_factor * band
+    height) are inter-character gaps and stay inside a word; longer runs
+    split words. Leading and trailing empty columns are trimmed, never
+    treated as splits. Each box is tightened to the minimal bounding box of
+    its ink on both axes.
+
+    The bands' "column has ink" masks are laid end to end, each followed by
+    one blank column so that no run crosses into the next band, and their
+    runs are found in one `mask_runs` call.
     """
     check_gap_factor(gap_factor)
-    check_band(band, img.height)
-    ink = img.bits[band.row_start : band.row_end + 1] == 0
-    starts, ends = mask_runs(ink.any(axis=0))
+    for band in bands:
+        check_band(band, img.height)
+    width = img.width
+    stride = width + 1
+    # A column has ink in a band iff its least bit over the band's rows is 0.
+    masks = np.zeros((len(bands), stride), dtype=bool)
+    for row, band in enumerate(bands):
+        np.equal(img.bits[band.row_start : band.row_end + 1].min(axis=0), 0,
+                 out=masks[row, :width])
+    starts, ends = mask_runs(masks.ravel())
     if len(starts) == 0:
-        return []
+        return np.empty((0, 5), dtype=np.int64)
 
-    gap_limit = round_half_up(gap_factor * band.height)
-    split = starts[1:] - ends[:-1] - 1 > gap_limit
-    x1s = np.concatenate((starts[:1], starts[1:][split]))
-    x2s = np.concatenate((ends[:-1][split], ends[-1:]))
-    # Column slices x1s[i]..x1s[i+1]-1 add only blank columns to word i, so
-    # OR-ing each slice gives the word's ink rows.
-    word_rows = np.logical_or.reduceat(ink, x1s, axis=1)
-    y1s = band.row_start + word_rows.argmax(axis=0)
-    y2s = band.row_end - word_rows[::-1].argmax(axis=0)
-    return [
-        WordBox(x1, y1, x2, y2)
-        for x1, y1, x2, y2 in zip(x1s.tolist(), y1s.tolist(), x2s.tolist(), y2s.tolist())
-    ]
-
+    run_bands = starts // stride
+    heights = np.array([band.height for band in bands], dtype=np.int64)
+    # Clipped so that a huge factor cannot overflow int64: a limit of the
+    # page width keeps every gap, and -1 splits at every gap, as 0 does.
+    gap_limits = round_half_up(np.clip(gap_factor * heights, -1.0, float(width)))
+    split = (run_bands[1:] != run_bands[:-1]) | (
+        starts[1:] - ends[:-1] - 1 > gap_limits[run_bands[:-1]]
+    )
+    first = np.concatenate(([True], split))
+    last = np.concatenate((split, [True]))
+    word_bands = run_bands[first]
+    x1s = starts[first] - word_bands * stride
+    x2s = ends[last] - word_bands * stride
+    y1s = np.empty_like(x1s)
+    y2s = np.empty_like(x1s)
+    bounds = np.searchsorted(word_bands, np.arange(len(bands) + 1)).tolist()
+    for row, band in enumerate(bands):
+        lo, hi = bounds[row], bounds[row + 1]
+        if lo == hi:
+            continue
+        # Column slices x1s[i]..x1s[i+1]-1 add only blank columns to word i,
+        # so a word's least bit in a row is 0 iff the word has ink there.
+        word_rows = np.minimum.reduceat(
+            img.bits[band.row_start : band.row_end + 1], x1s[lo:hi], axis=1
+        )
+        y1s[lo:hi] = band.row_start + word_rows.argmin(axis=0)
+        y2s[lo:hi] = band.row_end - word_rows[::-1].argmin(axis=0)
+    return np.column_stack((word_bands, x1s, y1s, x2s, y2s))

@@ -113,6 +113,41 @@ class TestIndexCommand:
         assert main(["index", str(tmp_path / "nope.pgm"),
                      "--out", str(tmp_path / "idx.wsidx")]) == 3
 
+    @pytest.mark.parametrize("part", ["empty", "header", "half raster"])
+    def test_page_that_does_not_parse_exits_2_naming_file_and_offset(
+        self, tmp_path, capsys, part
+    ):
+        # The bad page comes after a good one, which was already segmented.
+        layout = compose_page([(metrics(40), ["dipped"])], width=400)
+        good = tmp_path / "good.pgm"
+        good.write_bytes(page_to_pgm(layout))
+        img = layout.image
+        header = f"P5\n{img.width} {img.height}\n255\n".encode()
+        data = {
+            "empty": b"",
+            "header": header,
+            "half raster": header + bytes(img.width * img.height // 2),
+        }[part]
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(data)
+        out = tmp_path / "idx.wsidx"
+        assert main(["index", str(good), str(bad), "--out", str(out)]) == 2
+        assert list(tmp_path.glob("idx.wsidx*")) == []
+        err = capsys.readouterr().err
+        assert f"wordspot: {bad}: " in err
+        assert f"(byte offset {len(data)})" in err
+
+    def test_directory_as_page_exits_3(self, tmp_path, capsys):
+        layout = compose_page([(metrics(40), ["dipped"])], width=400)
+        good = tmp_path / "good.pgm"
+        good.write_bytes(page_to_pgm(layout))
+        folder = tmp_path / "folder.pgm"
+        folder.mkdir()
+        out = tmp_path / "idx.wsidx"
+        assert main(["index", str(good), str(folder), "--out", str(out)]) == 3
+        assert list(tmp_path.glob("idx.wsidx*")) == []
+        assert "folder.pgm" in capsys.readouterr().err
+
     def test_blank_page_indexes_zero_words(self, tmp_path, capsys):
         gray = GrayImage(50, 40, 255, np.full((40, 50), 255, dtype=np.uint16))
         p = tmp_path / "blank.pgm"
@@ -468,9 +503,9 @@ class TestInspect:
         printed = capsys.readouterr().out.strip().splitlines()
         img = layout.image
         expected = []
-        for band in segment_lines(row_profile(img), default_noise_threshold(img.width)):
-            for box in segment_words(img, band):
-                expected.append(f"{box.x1} {box.y1} {box.x2} {box.y2}")
+        bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
+        for _, x1, y1, x2, y2 in segment_words(img, bands).tolist():
+            expected.append(f"{x1} {y1} {x2} {y2}")
         assert printed == expected
 
     def test_wst_single_word(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import os
 import random
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -148,6 +149,24 @@ class TestBuildIndex:
     def test_duplicate_doc_ids_rejected(self):
         with pytest.raises(ValueError):
             build_index([("a", blob_page()), ("a", blob_page())])
+
+    def test_each_page_released_before_the_next_is_taken(self):
+        refs = []
+        alive_at_take = []
+
+        def pages():
+            for n in range(4):
+                alive_at_take.append([ref() is not None for ref in refs])
+                # A fresh page, which only build_index holds once yielded.
+                page = blob_page(x=10 + n)
+                refs.append(weakref.ref(page))
+                yield f"p{n}", page
+                del page
+
+        index = build_index(pages())
+        assert len(index.records) == 4 and len(alive_at_take) == 4
+        assert all(not any(alive) for alive in alive_at_take)
+        assert all(ref() is None for ref in refs)
 
 
 def make_record(doc, line, word, *, x=10, y=20, w=50, h=25, wst=None):

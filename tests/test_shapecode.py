@@ -236,7 +236,7 @@ def render_line_page(words, font=40):
     img = layout.image
     bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
     assert len(bands) == 1
-    boxes = segment_words(img, bands[0])
+    boxes = [WordBox(*box) for _, *box in segment_words(img, bands).tolist()]
     assert len(boxes) == len(words)
     return img, bands[0], boxes
 
@@ -285,8 +285,9 @@ class TestWordToWst:
         img = layout.image
         bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
         assert len(bands) == len(line_specs)
-        for band, (_, words) in zip(bands, line_specs):
-            boxes = segment_words(img, band)
+        rows = segment_words(img, bands).tolist()
+        for n, (band, (_, words)) in enumerate(zip(bands, line_specs)):
+            boxes = [WordBox(*box) for line, *box in rows if line == n]
             assert len(boxes) == len(words)
             for box, text in zip(boxes, words):
                 assert encode_word(img, band, box) == word_symbols(text), text
