@@ -26,6 +26,7 @@ from .search import (
     MatchResult,
     MissingPageError,
     SearchParams,
+    distances,
     format_result,
     levenshtein,
     search,
@@ -79,6 +80,7 @@ __all__ = [
     "classify_region",
     "classify_size",
     "column_profile",
+    "distances",
     "estimate_zones",
     "format_result",
     "levenshtein",

@@ -5,9 +5,11 @@ records whose normalized pixel length is within one expected character width
 of the query's: two binary searches in the index's records sorted by that
 length. Survivors are compared by Levenshtein distance between the query's
 shape token and the word image's (computed lazily and cached in the index).
-Each distinct word token is scored once per query, and a token whose length
-differs from the query token's by more than the threshold is rejected
-without a DP: the edit distance is at least the length difference.
+A token whose length differs from the query token's by more than the
+threshold is rejected without a DP: the edit distance is at least the
+length difference. The distinct tokens left are scored in one `distances`
+call, a numpy DP over all of them at once that steps through the query's
+symbols; `levenshtein` is its one-word case.
 
 A word is encoded against the line band and x-height zones its index
 records, so a query segments no page. All survivors without a token are
@@ -20,6 +22,7 @@ next. Objects for records are built only for the matches.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable
 
@@ -64,25 +67,47 @@ class MatchResult:
     distance: int
 
 
+def distances(query: str, words: Sequence[str]) -> np.ndarray:
+    """Unit-cost edit distance from `query` to each of `words`, as an int
+    array in word order, from one dynamic program over all the words.
+
+    Words are compared as code points and padded to the longest word. Row j
+    of the table holds, for every word, the distance between the query's
+    first i symbols and the word's first j, less i + j: in that frame a
+    deletion or an insertion costs 0, a substitution -1 and a match -2.
+    Each query symbol takes one substitution/deletion step over all rows
+    and one insertion pass, a running minimum down them. A row depends only
+    on the rows above it, so padding never feeds a word's distance, which
+    is read at its own length.
+    """
+    lengths = [len(word) for word in words]
+    width = max(lengths, default=0)
+    padded = "".join([word.ljust(width) for word in words])
+    symbols = np.frombuffer(padded.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    symbols = symbols.reshape(len(words), width).T.copy()
+    # The step cost of each of the query's distinct symbols, against every
+    # word symbol.
+    alphabet = sorted(set(query))
+    codes = np.array([ord(symbol) for symbol in alphabet], dtype=np.uint32)
+    costs = dict(zip(alphabet, np.where(symbols == codes[:, None, None], -2, -1)))
+    table, step = np.zeros((2, width + 1, len(words)), dtype=np.intp)
+    # Row j of a step comes from rows j - 1 (substitution) and j (deletion).
+    above, below, steps = table[:-1], table[1:], step[1:]
+    for symbol in query:
+        np.add(above, costs[symbol], out=steps)
+        np.minimum(steps, below, out=steps)
+        np.minimum.accumulate(step, axis=0, out=table)
+    ends = np.array(lengths, dtype=np.intp)
+    return table[ends, np.arange(len(words))] + ends + len(query)
+
+
 def levenshtein(a: str, b: str) -> int:
-    """Unit-cost edit distance, O(len(a)*len(b)) time, two-row space."""
-    if len(a) < len(b):
+    """Unit-cost edit distance of two strings: `distances` of one word.
+    The distance is symmetric, so the shorter string is made the query,
+    whose symbols the DP steps through."""
+    if len(b) < len(a):
         a, b = b, a
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,  # delete from a
-                    current[j - 1] + 1,  # insert into a
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[-1]
+    return int(distances(a, [b])[0])
 
 
 def size_prefilter(
@@ -162,9 +187,9 @@ def search(
     records for it (cached write-once in `index.tokens`). A candidate whose
     token length differs from the query token's by more than
     params.threshold is rejected without a DP, since the edit distance is at
-    least that difference; every other distinct token is scored once per
-    query. Matches at distance <= params.threshold are returned ordered by
-    distance, then (doc_id, line_idx, word_idx).
+    least that difference; the other distinct tokens are scored in one
+    `distances` call. Matches at distance <= params.threshold are returned
+    ordered by distance, then (doc_id, line_idx, word_idx).
     """
     if params is None:
         params = SearchParams()
@@ -176,18 +201,14 @@ def search(
     tokens = index.tokens
     encode_missing(index, load_page, [p for p in survivors if tokens[p] is None])
 
-    distances: dict[str, int] = {}
-    results = []
-    for position in survivors:
-        wst = tokens[position]
-        if abs(len(wst) - len(query)) > params.threshold:
-            continue
-        distance = distances.get(wst)
-        if distance is None:
-            distance = distances[wst] = levenshtein(query, wst)
-        if distance <= params.threshold:
-            results.append(MatchResult(index.record(position), distance))
-
+    gated = [p for p in survivors if abs(len(tokens[p]) - len(query)) <= params.threshold]
+    scored = list(dict.fromkeys(tokens[p] for p in gated))
+    scores = dict(zip(scored, distances(query, scored).tolist()))
+    results = [
+        MatchResult(index.record(p), scores[tokens[p]])
+        for p in gated
+        if scores[tokens[p]] <= params.threshold
+    ]
     results.sort(
         key=lambda m: (m.distance, m.record.doc_id, m.record.line_idx, m.record.word_idx)
     )

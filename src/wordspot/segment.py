@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage
-from .util import round_half_up
+from .util import count_dtype, round_half_up
 
 DEFAULT_GAP_FACTOR = 0.2
 
@@ -86,16 +86,18 @@ def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def row_profile(img: BinaryImage) -> np.ndarray:
-    """Ink pixels per row of the whole image."""
-    # Counts are bounded by the image size, far below 2**31.
-    return img.width - img.bits.sum(axis=1, dtype=np.int32)
+    """Ink pixels per row of the whole image, as int32."""
+    # Bits are 0 or 1, so no row sums past the width.
+    background = img.bits.sum(axis=1, dtype=count_dtype(img.width))
+    return np.subtract(img.width, background, dtype=np.int32)
 
 
 def column_profile(img: BinaryImage, band: LineBand) -> np.ndarray:
-    """Ink pixels per column, restricted to the band's rows."""
+    """Ink pixels per column, restricted to the band's rows, as int32."""
     check_band(band, img.height)
     sub = img.bits[band.row_start : band.row_end + 1]
-    return band.height - sub.sum(axis=0, dtype=np.int32)
+    background = sub.sum(axis=0, dtype=count_dtype(band.height))
+    return np.subtract(band.height, background, dtype=np.int32)
 
 
 def default_noise_threshold(width: int) -> int:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .pnm import BinaryImage, GrayImage, box_ink, ink_raster
 from .segment import LineBand, WordBox, check_band
-from .util import round_half_up
+from .util import count_dtype, round_half_up
 
 
 class NoInkError(ValueError):
@@ -267,13 +267,14 @@ def _zone_limits(body_top, body_bottom, margin: float):
 def _ink_columns(
     ink: np.ndarray, above_rows: int, below_from: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per column of a word's ink mask: its ink count, and whether it has
-    ink in the mask's first `above_rows` rows and in its rows from
-    `below_from` on (both >= 0)."""
-    # An int32 sum of bools takes half the time of the default int64 one.
+    """Per column of a word's ink mask: its ink count, in the `count_dtype`
+    of the mask's rows, and whether it has ink in the mask's first
+    `above_rows` rows and in its rows from `below_from` on (both >= 0)."""
+    # Bools are bytes of 0 or 1: a mask of at most 255 rows is summed as
+    # uint8 with no cast.
     ink_any = np.logical_or.reduce
     return (
-        np.add.reduce(ink, axis=0, dtype=np.int32),
+        np.add.reduce(ink.view(np.uint8), axis=0, dtype=count_dtype(len(ink))),
         ink_any(ink[:above_rows], axis=0),
         ink_any(ink[below_from:], axis=0),
     )
@@ -423,6 +424,9 @@ def word_to_wst(
     counts, above, below = (np.concatenate(parts) for parts in zip(*columns))
     widths = boxes[:, 2] - boxes[:, 0] + 1
     firsts = np.cumsum(widths) - widths
+    # The valley rule adds the slack to counts, so they leave their narrow
+    # sum dtypes here, once.
+    counts = counts.astype(np.int32)
     starts = _region_starts(counts, firsts, font_sizes, VALLEY_SLACK, MIN_REGION_WIDTH)
     codes = _zone_codes(above, below, starts)
     # Word i's codes are those of its regions, from the one at firsts[i].

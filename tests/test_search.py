@@ -22,6 +22,7 @@ from wordspot.search import (
     MatchResult,
     MissingPageError,
     SearchParams,
+    distances,
     format_result,
     levenshtein,
     search,
@@ -52,6 +53,20 @@ def naive_levenshtein(a, b):
         naive_levenshtein(a, b[:-1]) + 1,
         naive_levenshtein(a[:-1], b[:-1]) + (a[-1] != b[-1]),
     )
+
+
+def reference_distance(a, b):
+    """Edit distance by the textbook two-row dynamic program, one cell at a
+    time; independent of `distances`."""
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(previous[j] + 1, current[j - 1] + 1, previous[j - 1] + (ca != cb))
+            )
+        previous = current
+    return previous[-1]
 
 
 def random_wst(rng, max_len=12):
@@ -91,6 +106,33 @@ class TestLevenshtein:
         for _ in range(200):
             a, b = random_wst(rng), random_wst(rng)
             assert levenshtein(a, b) == levenshtein(b, a)
+
+
+# Shape symbols, so that words share symbols with the query, or any other
+# character, astral ones too.
+any_text = st.text(st.sampled_from("Axg") | st.characters(), max_size=12)
+
+
+class TestDistances:
+    @given(any_text, st.lists(any_text, max_size=20), st.data())
+    @example("AxgA", ["", "AxgA", "AxgA", "x", "gAxgAxgAx", ""], None)
+    @example("", ["", "xyz"], None)
+    @example("xAg", [], None)
+    @example("é😀x", ["x😀é", "😀", "\ud800", "é😀x\ud800"], None)
+    def test_equal_to_the_reference_dp(self, query, words, data):
+        if words and data is not None:
+            # Repeat some words, so that duplicates are scored too.
+            words = words + data.draw(st.lists(st.sampled_from(words), max_size=5))
+        got = distances(query, words)
+        assert got.shape == (len(words),)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == [reference_distance(query, w) for w in words]
+
+    def test_levenshtein_is_the_one_word_case(self):
+        rng = random.Random(37)
+        words = [random_wst(rng) for _ in range(50)]
+        for query in words[:10]:
+            assert [levenshtein(query, w) for w in words] == distances(query, words).tolist()
 
 
 def index_with_norms(norms, tokens=None):
@@ -242,10 +284,11 @@ class TestFormatResult:
 
 
 def brute_force_matches(index, text, params):
-    """Every prefilter survivor scored by `levenshtein`, no gate, no memo."""
+    """Every prefilter survivor scored by the reference DP, no gate, no
+    memo."""
     query = query_to_wst(text)
     scored = [
-        (levenshtein(query, rec.wst), rec.doc_id, rec.line_idx, rec.word_idx)
+        (reference_distance(query, rec.wst), rec.doc_id, rec.line_idx, rec.word_idx)
         for rec in map(index.record, size_prefilter(index, len(text), params))
     ]
     return sorted(m for m in scored if m[0] <= params.threshold)

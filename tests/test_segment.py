@@ -19,7 +19,7 @@ from wordspot.segment import (
     segment_lines,
     segment_words,
 )
-from wordspot.util import round_half_up
+from wordspot.util import count_dtype, round_half_up
 
 
 def image_from_rows(rows):
@@ -88,6 +88,31 @@ class TestProfiles:
         rows = row_profile(img)
         cols = column_profile(img, LineBand(0, 7))
         assert sum(rows) == sum(cols) == int((img.bits == 0).sum())
+
+    @pytest.mark.parametrize("width", [255, 256, 65_535, 65_536])
+    def test_row_counts_exact_at_the_count_dtype_edges(self, width):
+        # Row 0 is all ink, row 1 all background, row 2 one ink pixel: a
+        # background sum that wrapped would misread rows 0 and 1.
+        bits = np.ones((3, width), dtype=np.uint8)
+        bits[0] = 0
+        bits[2, width - 1] = 0
+        counts = row_profile(BinaryImage(width, 3, bits))
+        assert counts.dtype == np.int32
+        assert counts.tolist() == [width, 0, 1]
+
+    @pytest.mark.parametrize("height", [255, 256, 65_536])
+    def test_column_counts_exact_at_the_count_dtype_edges(self, height):
+        bits = np.ones((height, 3), dtype=np.uint8)
+        bits[:, 0] = 0
+        bits[height - 1, 2] = 0
+        counts = column_profile(BinaryImage(3, height, bits), LineBand(0, height - 1))
+        assert counts.dtype == np.int32
+        assert counts.tolist() == [height, 0, 1]
+
+    def test_count_dtype_holds_the_largest_count(self):
+        assert [count_dtype(n) for n in (0, 255, 256, 65_535, 65_536, 10**8)] == [
+            np.uint8, np.uint8, np.uint16, np.uint16, np.int32, np.int32
+        ]
 
 
 class TestSegmentLines:

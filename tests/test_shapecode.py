@@ -688,3 +688,21 @@ class TestReferenceEquivalence:
         img, band, boxes = render_line_page(["dipped", "python", "sauce", "mummy"])
         for box in boxes:
             assert encode_word(img, band, box) == reference_word_to_wst(img, band, box, None)
+
+    def test_tall_box_counts_past_255_rows(self):
+        # Column 0 of the first word holds exactly 256 ink pixels, which a
+        # uint8 sum would wrap to 0: the column would read as blank, and the
+        # cut at column 1 would be lost. The second word, of 100 rows, is
+        # summed in uint8 and joined with the first's counts. A font of 10
+        # rows keeps regions of one column.
+        bits = np.ones((300, 8), dtype=np.uint8)
+        bits[20:276, 0] = 0
+        bits[150, [1, 5]] = 0
+        bits[120:160, [2, 6]] = 0
+        bits[100:200, 4] = 0
+        page = BinaryImage(8, 300, bits)
+        boxes = [WordBox(0, 0, 2, 299), WordBox(4, 100, 6, 199)]
+        zones = ZoneBands(100, 199)
+        expected = [reference_word_to_wst(page, LineBand(0, 9), box, zones) for box in boxes]
+        assert expected == ["gx", "xx"]
+        assert encode_words(page, [(box, zones, 10) for box in boxes]) == expected
