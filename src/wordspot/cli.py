@@ -256,8 +256,13 @@ class _PageLoader:
         return img
 
 
-def _read_index(path: str) -> WordIndex:
-    return load_index(Path(path).read_bytes())
+def _read_index(path: str, data: bytes | None = None) -> WordIndex:
+    """The index in a file (whose bytes may be given); an IndexFormatError
+    names the file."""
+    try:
+        return load_index(Path(path).read_bytes() if data is None else data)
+    except IndexFormatError as exc:
+        raise IndexFormatError(f"{path}: {exc.message}", exc.line) from None
 
 
 def draw_box_border(pixels: np.ndarray, box: WordBox, thickness: int = BORDER_THICKNESS) -> None:
@@ -331,9 +336,9 @@ def _cmd_inspect(args) -> int:
     data = Path(args.input).read_bytes()
     what = args.what
     if data.startswith(b"WSIDX"):
-        index = load_index(data)
+        index = _read_index(args.input, data)
     else:
-        img = binarize(load_image(data))
+        img = binarize(_load_page(args.input, data))
         if what == "rows":
             print(" ".join(map(str, row_profile(img).tolist())))
             return EXIT_OK

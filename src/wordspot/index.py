@@ -27,6 +27,15 @@ line and word numbers are these positions, from 0. wst is a string over
 {A, x, g} or `-` when not cached. doc_id and path (as file-system bytes)
 are percent-encoded. Numbers are decimal, at most 2**31 - 1. Files of
 another version are refused; rebuild them.
+
+`save_index` writes numbers as plain ASCII digits. `load_index` reads any
+spelling Python's `int()` takes, as it always has: a sign (`+5`, `-0`),
+leading zeros, `_` between digits, non-ASCII decimal digits and whitespace
+around the digits, such as a CR before the LF of a line that ends in a
+number. It finds lines and fields by array passes over the file's bytes and
+converts plain ASCII numbers of up to 10 digits all at once; only other
+spellings, DOC lines, filled shape tokens and the line an error names are
+read one by one.
 """
 
 from __future__ import annotations
@@ -87,10 +96,12 @@ _CLASS_CODES = {
 
 
 class IndexFormatError(ValueError):
-    """Malformed index data. `line` is the 1-based offending line number."""
+    """Malformed index data. `message` says what is wrong and `line` is the
+    1-based offending line number."""
 
     def __init__(self, message: str, line: int):
         super().__init__(f"{message} (line {line})")
+        self.message = message
         self.line = line
 
 
@@ -137,6 +148,8 @@ _WST_ALPHABET = set("Axg")
 
 def _bad_tokens(tokens: Sequence[str | None]) -> np.ndarray:
     """Whether each token is neither None nor a string over {A, x, g}."""
+    if tokens.count(None) == len(tokens):  # nothing cached, as a new index
+        return np.zeros(len(tokens), dtype=bool)
     cached = [wst for wst in tokens if wst is not None]
     if all(cached) and set("".join(cached)) <= _WST_ALPHABET:
         return np.zeros(len(tokens), dtype=bool)
@@ -288,7 +301,11 @@ class WordIndex:
         self.record_lines = line
         x1, y1, x2, y2 = words[:, 1:].T
         self.norm_lengths = normalize_length(x2 - x1 + 1, y2 - y1 + 1, ref_font)
-        self.length_order = np.argsort(self.norm_lengths, kind="stable")
+        # Lengths that fit 16 bits sort by radix, about ten times faster.
+        keys = self.norm_lengths
+        if len(keys) and keys.max() <= 0xFFFF:
+            keys = keys.astype(np.uint16)
+        self.length_order = np.argsort(keys, kind="stable")
         self.sorted_lengths = self.norm_lengths[self.length_order]
 
     def _validate(self, lines: np.ndarray, words: np.ndarray) -> None:
@@ -490,63 +507,117 @@ def _in_range(token: str) -> int:
     return -1 if _number_error(token, "") else int(token)
 
 
-def _numbers(rows: list[list[str]], count: int) -> np.ndarray:
-    """Fields 1..count of each row as a (rows, count) int64 array, converted
-    together; a field that is not a number in 0.._MAX_NUMBER reads -1."""
-    flat = [field for row in rows for field in row[1 : count + 1]]
-    try:
-        values = np.array(flat, dtype=np.int64)
-    except (ValueError, OverflowError):
-        values = np.array([_in_range(field) for field in flat], dtype=np.int64)
-    values[values > _MAX_NUMBER] = -1
-    return values.reshape(-1, count)
+# For a field of n = 0..8 bytes at the end of an 8-byte little-endian word,
+# the mask of the field's bytes; the bytes before the field read as leading
+# zeros.
+_FIELD_BYTES = np.array(
+    [(2**64 - 1) >> 8 * (8 - n) << 8 * (8 - n) for n in range(9)], dtype=np.uint64
+)
+
+
+def _ascii_numbers(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The value of each field data[start:end] that is 1..10 ASCII digits;
+    any other field reads -1. No field may start before byte 8."""
+    # The 8 bytes from each offset of the file, as one little-endian word.
+    windows = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
+
+    def eight_digits(ends: np.ndarray, lengths: np.ndarray):
+        """The last `lengths` (0..8) bytes before each end as decimal digits:
+        their value, and whether they all are ASCII digits."""
+        # An ASCII digit's byte becomes 0..9, a byte before the field 0.
+        digits = (windows.take(ends - 8) ^ 0x3030303030303030) & _FIELD_BYTES[lengths]
+        # A byte is 0..9 when neither it nor it plus 6 reaches 16.
+        plain = (digits | digits + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0 == 0
+        # Pairs, then fours, then all eight digits, one multiply each.
+        digits = digits * (10 << 8 | 1) >> 8 & 0x00FF00FF00FF00FF
+        digits = digits * (100 << 16 | 1) >> 16 & 0x0000FFFF0000FFFF
+        return (digits * (10000 << 32 | 1) >> 32).view(np.int64), plain
+
+    lengths = ends - starts
+    values, plain = eight_digits(ends, np.minimum(lengths, 8))
+    plain &= (lengths >= 1) & (lengths <= 10)
+    long = plain & (lengths > 8)
+    if long.any():
+        high, high_plain = eight_digits(ends[long] - 8, lengths[long] - 8)
+        values[long] += high * 10**8
+        plain[long] &= high_plain
+    return np.where(plain, values, -1)
 
 
 # Line kinds by code, with the fields that follow the kind; any other kind
 # gets code 3.
-_KINDS = {"DOC": 0, "L": 1, "W": 2}
 _FIELDS = (
     ("doc_id", "path", "doc width", "doc height"),
     ("row_start", "row_end", "body_top", "body_bottom"),
     ("x1", "y1", "x2", "y2", "wst"),
 )
 _FIELD_COUNTS = np.array([len(names) + 1 for names in _FIELDS] + [0])
+# The bytes that end a field, end a line, and stand for no token.
+_SPACE, _NEWLINE, _DASH = b" \n-"
 
 
 def load_index(data: bytes) -> WordIndex:
     """Parse index bytes; raises IndexFormatError naming the bad line.
 
-    The rows are split once and classified by kind; each L line gets its
+    After the header, the lines are found by array passes over the bytes:
+    the positions of every space and newline give each line's fields and
+    their count, and a line's first bytes its kind. Each L line gets its
     page's position and each W line its text line's position by cumulative
-    counts, and the integer fields of all L lines, then of all W lines, are
-    converted together. Every check of a single line runs over all lines at
-    once, and the first bad line in file order is reported. Only then are
-    the invariants across entries (unique doc ids, bands inside their page,
-    boxes inside their page and line) checked, by WordIndex's validator, so
-    that a parse error is reported before an invariant error.
+    counts. The four numbers of every L and W line are converted together,
+    eight bytes at a time; a field that is not 1..10 ASCII digits is read by
+    `int()` instead, so that `+5` or `٥` reads 5, as it always has. Shape
+    tokens are read one by one only when the file holds some. DOC lines are
+    few and split one by one.
+
+    Every check of a single line runs over all lines at once, and the first
+    bad line in file order is reported; only its fields are split to word
+    the message. Only then are the invariants across entries (unique doc
+    ids, bands inside their page, boxes inside their page and line) checked,
+    by WordIndex's validator, so that a parse error is reported before an
+    invariant error.
     """
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IndexFormatError(f"index is not valid UTF-8: {exc}", 1) from None
-    rows = text.split("\n")
-    if rows and rows[-1] == "":
-        rows.pop()
-
-    if not rows or rows[0] != f"{FORMAT_MAGIC} {FORMAT_VERSION}":
-        got = rows[0] if rows else ""
+    if not data.endswith(b"\n"):
+        data = data + b"\n"  # so that every line ends in a newline
+    header_end = data.index(b"\n")
+    if data[:header_end] != f"{FORMAT_MAGIC} {FORMAT_VERSION}".encode():
         raise IndexFormatError(
-            f"expected header {FORMAT_MAGIC!r} version {FORMAT_VERSION}, got {got!r}", 1
+            f"expected header {FORMAT_MAGIC!r} version {FORMAT_VERSION}, "
+            f"got {data[:header_end].decode()!r}",
+            1,
         )
-    if len(rows) < 2 or not rows[1].startswith("K "):
+    font_end = data.find(b"\n", header_end + 1)
+    if font_end < 0 or not data.startswith(b"K ", header_end + 1):
         raise IndexFormatError("expected reference font line 'K <pixels>'", 2)
-    ref_font = _parse_int(rows[1][2:], "reference font size", 2, lo=1)
+    ref_font = _parse_int(data[header_end + 3 : font_end].decode(), "reference font size", 2, lo=1)
 
-    fields = [row.split(" ") for row in rows[2:]]
-    kinds = np.array([_KINDS.get(row[0], 3) for row in fields], dtype=np.int64)
-    counts = np.fromiter(map(len, fields), np.int64, len(fields))
+    # `ends` holds the byte position of the space or newline after each
+    # field; `first` and `last` hold the places in `ends` of each line's
+    # first and last field, and `starts` each line's first byte.
+    buf = np.frombuffer(data, np.uint8)
+    body = buf[font_end + 1 :]
+    ends = np.flatnonzero((body == _SPACE) | (body == _NEWLINE)) + (font_end + 1)
+    last = np.flatnonzero(buf[ends] == _NEWLINE)
+    counts = np.diff(last, prepend=-1)
+    first = last - counts + 1
+    starts = np.append(font_end, ends[last])[:-1] + 1
+    head = buf[starts]
+    head_length = ends[first] - starts
+    kinds = np.full(len(last), 3)
+    one, doc_like = head_length == 1, (head_length == 3) & (head == ord("D"))
+    kinds[one & (head == ord("L"))] = 1
+    kinds[one & (head == ord("W"))] = 2
+    doc_at = starts[doc_like]
+    kinds[doc_like] = np.where((buf[doc_at + 1] == ord("O")) & (buf[doc_at + 2] == ord("C")), 0, 3)
     whole = counts == _FIELD_COUNTS[kinds]
     is_doc, is_line, is_word = kinds == 0, kinds == 1, kinds == 2
+
+    def fields(i: int) -> list[str]:
+        """Line i's fields, split only for DOC lines and error messages."""
+        return data[starts[i] : ends[last[i]]].decode().split(" ")
 
     # (row, check number, message) of each check's first bad row; the least
     # is reported. On one row, checks are tried in the order they are added.
@@ -559,16 +630,16 @@ def load_index(data: bytes) -> WordIndex:
             n = int(mask.argmax())
             errors.append((n if at is None else int(at[n]), len(errors), message(n)))
 
-    first_bad(kinds == 3, lambda i: f"unknown line kind {fields[i][0]!r}")
+    first_bad(kinds == 3, lambda i: f"unknown line kind {fields(i)[0]!r}")
     first_bad(
         (kinds != 3) & ~whole,
-        lambda i: f"{fields[i][0]} line needs {_FIELD_COUNTS[kinds[i]]} fields, "
+        lambda i: f"{fields(i)[0]} line needs {_FIELD_COUNTS[kinds[i]]} fields, "
                   f"got {counts[i]}",
     )
 
     docs = []
     for i in np.flatnonzero(is_doc & whole).tolist():
-        _, doc_id, path, width, height = fields[i]
+        _, doc_id, path, width, height = fields(i)
         error = _number_error(width, "doc width", 1) or _number_error(height, "doc height", 1)
         if error is not None:
             errors.append((i, len(errors), error))
@@ -586,39 +657,58 @@ def load_index(data: bytes) -> WordIndex:
         is_word & (line < lines_before_page), lambda i: "W line before its page's first L line"
     )
 
-    line_at = np.flatnonzero(is_line & whole)
-    word_at = np.flatnonzero(is_word & whole)
-    line_rows = [fields[i] for i in line_at.tolist()]
-    word_rows = [fields[i] for i in word_at.tolist()]
-    line_values = _numbers(line_rows, 4)
-    word_values = _numbers(word_rows, 4)
-    first_bad((line_values < 0).any(axis=1), lambda n: _bad_number(line_rows[n], 1), line_at)
-    first_bad((word_values < 0).any(axis=1), lambda n: _bad_number(word_rows[n], 2), word_at)
-    row_start, row_end, body_top, body_bottom = line_values.T
-    x1, y1, x2, y2 = word_values.T
-    first_bad(row_start > row_end, lambda n: f"empty band {row_start[n]}..{row_end[n]}", line_at)
+    # Fields 1..4 of every whole L and W line are its numbers: the bytes
+    # between the ends of its fields 0..4. A field that is not plain digits
+    # is read by `int()`, as `_in_range` reads it.
+    numbered = np.flatnonzero((is_line | is_word) & whole)
+    bounds = ends[first[numbered, None] + np.arange(5)]
+    number_starts, number_ends = bounds[:, :4].ravel() + 1, bounds[:, 1:].ravel()
+    values = _ascii_numbers(data, number_starts, number_ends)
+    for n in np.flatnonzero(values < 0).tolist():
+        values[n] = _in_range(data[number_starts[n] : number_ends[n]].decode())
+    values[values > _MAX_NUMBER] = -1
+    values = values.reshape(-1, 4)
+    on_line = is_line[numbered]
     first_bad(
-        body_top > body_bottom,
-        lambda n: f"empty body band {body_top[n]}..{body_bottom[n]}",
-        line_at,
+        (values < 0).any(axis=1),
+        lambda n: _bad_number(fields(numbered[n]), kinds[numbered[n]]),
+        numbered,
     )
     first_bad(
-        (x1 > x2) | (y1 > y2),
-        lambda n: f"degenerate box {x1[n]} {y1[n]} {x2[n]} {y2[n]}",
-        word_at,
+        on_line & (values[:, 0] > values[:, 1]),
+        lambda n: f"empty band {values[n, 0]}..{values[n, 1]}",
+        numbered,
     )
-    tokens = [None if row[5] == "-" else row[5] for row in word_rows]
-    first_bad(_bad_tokens(tokens), lambda n: f"invalid shape token {tokens[n]!r}", word_at)
+    first_bad(
+        on_line & (values[:, 2] > values[:, 3]),
+        lambda n: f"empty body band {values[n, 2]}..{values[n, 3]}",
+        numbered,
+    )
+    first_bad(
+        ~on_line & ((values[:, 0] > values[:, 2]) | (values[:, 1] > values[:, 3])),
+        lambda n: "degenerate box {} {} {} {}".format(*values[n]),
+        numbered,
+    )
+    line_at, word_at = numbered[on_line], numbered[~on_line]
+    # The last field of a W line is its token; `-` in every W line (a file
+    # no query has filled) is one check.
+    token_ends = ends[last[word_at]]
+    token_starts = ends[last[word_at] - 1] + 1
+    if np.all(token_ends - token_starts == 1) and np.all(buf[token_starts] == _DASH):
+        tokens = [None] * len(word_at)
+    else:
+        tokens = [data[s:e].decode() for s, e in zip(token_starts.tolist(), token_ends.tolist())]
+        tokens = [None if token == "-" else token for token in tokens]
+        first_bad(_bad_tokens(tokens), lambda n: f"invalid shape token {tokens[n]!r}", word_at)
 
     if errors:
         row, _, message = min(errors)
         raise IndexFormatError(message, row + 3)
 
-    lines = np.column_stack((page[line_at], line_values))
-    words = np.column_stack((line[word_at], word_values))
+    lines = np.column_stack((page[line_at], values[on_line]))
+    words = np.column_stack((line[word_at], values[~on_line]))
     try:
         return WordIndex(ref_font, docs, lines, words, tokens)
     except IndexInvariantError as exc:
         is_kind = {"doc": is_doc, "line": is_line, "record": is_word}[exc.kind]
         raise IndexFormatError(str(exc), int(np.flatnonzero(is_kind)[exc.position]) + 3) from None
-

@@ -573,6 +573,44 @@ class TestInspect:
         assert main(["inspect", str(page), "--what", "everything"]) == 1
 
 
+class TestBadInputNamesTheFile:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "{index}", "help"],
+            ["query", "{index}", "--stdin"],
+            ["annotate", "{index}", "help", "--out", "{out}"],
+            ["inspect", "{index}", "--what", "words"],
+            ["inspect", "{index}", "--what", "wst"],
+        ],
+    )
+    def test_bad_index_exits_2_naming_file_and_line(self, tmp_path, capsys, monkeypatch, argv):
+        bad = tmp_path / "bad.wsidx"
+        bad.write_bytes(b"WSIDX 3\nK 60\nX what\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO("help\n"))
+        out = tmp_path / "out.pgm"
+        assert main([arg.format(index=bad, out=out) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"wordspot: {bad}: unknown line kind 'X' (line 3)\n"
+        assert captured.out == "" and not out.exists()
+
+    def test_index_that_breaks_an_invariant_names_file_and_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.wsidx"
+        bad.write_bytes(b"WSIDX 3\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
+        assert main(["query", str(bad), "help"]) == 2
+        assert capsys.readouterr().err == (
+            f"wordspot: {bad}: duplicate doc_id 'a' (line 4)\n"
+        )
+
+    @pytest.mark.parametrize("what", ["rows", "words"])
+    def test_bad_page_exits_2_naming_file_and_offset(self, tmp_path, capsys, what):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n4 4\n255\n" + bytes(3))
+        assert main(["inspect", str(bad), "--what", what]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"wordspot: {bad}: ") and err.endswith("(byte offset 14)\n")
+
+
 class TestEndToEndThroughFiles:
     def test_index_then_query_retrieval_page(self, tmp_path, capsys):
         from test_acceptance import retrieval_words_layout

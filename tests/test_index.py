@@ -2,6 +2,7 @@
 
 import os
 import random
+import urllib.parse
 import weakref
 from pathlib import Path
 
@@ -253,6 +254,143 @@ class TestPersistence:
         assert sum(again.size_class_counts()) == 3
 
 
+# A row-by-row loader, kept as the specification of `load_index`: each row
+# is split in Python and each number is read by `int()` rules. `load_index`
+# must give an equal index, or the same message and line, on any bytes.
+MAX_NUMBER = 2**31 - 1
+FIELDS = (
+    ("doc_id", "path", "doc width", "doc height"),
+    ("row_start", "row_end", "body_top", "body_bottom"),
+    ("x1", "y1", "x2", "y2", "wst"),
+)
+FIELD_COUNTS = np.array([len(names) + 1 for names in FIELDS] + [0])
+
+
+def number_error(token, what, lo=0):
+    try:
+        value = int(token)
+    except ValueError:
+        return f"malformed {what}: {token!r}"
+    if not lo <= value <= MAX_NUMBER:
+        return f"{what} {value} outside {lo}..{MAX_NUMBER}"
+    return None
+
+
+def reference_numbers(rows):
+    """Fields 1..4 of each row as a (rows, 4) array; a field that is not a
+    number in 0..MAX_NUMBER reads -1."""
+    flat = [field for row in rows for field in row[1:5]]
+    values = np.array([-1 if number_error(f, "") else int(f) for f in flat], dtype=np.int64)
+    return values.reshape(-1, 4)
+
+
+def bad_tokens(tokens):
+    return np.array([wst is not None and not (wst and set(wst) <= set("Axg")) for wst in tokens],
+                    dtype=bool)
+
+
+def reference_load_index(data: bytes) -> WordIndex:
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IndexFormatError(f"index is not valid UTF-8: {exc}", 1) from None
+    rows = text.split("\n")
+    if rows and rows[-1] == "":
+        rows.pop()
+    if not rows or rows[0] != "WSIDX 3":
+        got = rows[0] if rows else ""
+        raise IndexFormatError(f"expected header 'WSIDX' version 3, got {got!r}", 1)
+    if len(rows) < 2 or not rows[1].startswith("K "):
+        raise IndexFormatError("expected reference font line 'K <pixels>'", 2)
+    error = number_error(rows[1][2:], "reference font size", 1)
+    if error is not None:
+        raise IndexFormatError(error, 2)
+    ref_font = int(rows[1][2:])
+
+    fields = [row.split(" ") for row in rows[2:]]
+    kinds = np.array([{"DOC": 0, "L": 1, "W": 2}.get(row[0], 3) for row in fields], dtype=np.int64)
+    counts = np.array([len(row) for row in fields], dtype=np.int64)
+    whole = counts == FIELD_COUNTS[kinds]
+    is_doc, is_line, is_word = kinds == 0, kinds == 1, kinds == 2
+    errors = []  # (row, check number, message); the least is reported
+
+    def first_bad(mask, message, at=None):
+        if mask.any():
+            n = int(mask.argmax())
+            errors.append((n if at is None else int(at[n]), len(errors), message(n)))
+
+    first_bad(kinds == 3, lambda i: f"unknown line kind {fields[i][0]!r}")
+    first_bad(
+        (kinds != 3) & ~whole,
+        lambda i: f"{fields[i][0]} line needs {FIELD_COUNTS[kinds[i]]} fields, got {counts[i]}",
+    )
+    docs = []
+    for i in np.flatnonzero(is_doc & whole).tolist():
+        _, doc_id, path, width, height = fields[i]
+        error = number_error(width, "doc width", 1) or number_error(height, "doc height", 1)
+        if error is not None:
+            errors.append((i, len(errors), error))
+            break
+        path = os.fsdecode(urllib.parse.unquote_to_bytes(path))
+        docs.append(DocEntry(urllib.parse.unquote(doc_id), path, int(width), int(height)))
+
+    page = np.cumsum(is_doc) - 1
+    line = np.cumsum(is_line) - 1
+    lines_before_page = np.maximum.accumulate(np.where(is_doc, line + 1, 0))
+    first_bad(is_line & (page < 0), lambda i: "L line before any DOC line")
+    first_bad(
+        is_word & (line < lines_before_page), lambda i: "W line before its page's first L line"
+    )
+
+    def bad_number(row, kind):
+        return next(filter(None, map(number_error, row[1:], FIELDS[kind])))
+
+    line_at = np.flatnonzero(is_line & whole)
+    word_at = np.flatnonzero(is_word & whole)
+    line_rows = [fields[i] for i in line_at.tolist()]
+    word_rows = [fields[i] for i in word_at.tolist()]
+    line_values = reference_numbers(line_rows)
+    word_values = reference_numbers(word_rows)
+    first_bad((line_values < 0).any(axis=1), lambda n: bad_number(line_rows[n], 1), line_at)
+    first_bad((word_values < 0).any(axis=1), lambda n: bad_number(word_rows[n], 2), word_at)
+    row_start, row_end, body_top, body_bottom = line_values.T
+    x1, y1, x2, y2 = word_values.T
+    first_bad(row_start > row_end, lambda n: f"empty band {row_start[n]}..{row_end[n]}", line_at)
+    first_bad(body_top > body_bottom,
+              lambda n: f"empty body band {body_top[n]}..{body_bottom[n]}", line_at)
+    first_bad((x1 > x2) | (y1 > y2),
+              lambda n: f"degenerate box {x1[n]} {y1[n]} {x2[n]} {y2[n]}", word_at)
+    tokens = [None if row[5] == "-" else row[5] for row in word_rows]
+    first_bad(bad_tokens(tokens), lambda n: f"invalid shape token {tokens[n]!r}", word_at)
+    if errors:
+        row, _, message = min(errors)
+        raise IndexFormatError(message, row + 3)
+
+    lines = np.column_stack((page[line_at], line_values))
+    words = np.column_stack((line[word_at], word_values))
+    try:
+        return WordIndex(ref_font, docs, lines, words, tokens)
+    except IndexInvariantError as exc:
+        is_kind = {"doc": is_doc, "line": is_line, "record": is_word}[exc.kind]
+        raise IndexFormatError(str(exc), int(np.flatnonzero(is_kind)[exc.position]) + 3) from None
+
+
+def load_outcome(load, data):
+    """What `load` makes of `data`: its index, or its error's message and line."""
+    try:
+        return load(data)
+    except IndexFormatError as exc:
+        return str(exc), exc.line
+
+
+def assert_loads_as_reference(data):
+    """`load_index` gives the reference's index, or its message and line;
+    returns that outcome."""
+    outcome = load_outcome(load_index, data)
+    assert outcome == load_outcome(reference_load_index, data)
+    return outcome
+
+
 def corrupt(lines, line_no, new_value):
     out = list(lines)
     out[line_no - 1] = new_value
@@ -360,6 +498,97 @@ class TestLoadErrors:
         self.assert_error_line(data, at)
 
 
+class TestArrayParseEdges:
+    """Fields where the array parse of numbers and tokens meets `int()`;
+    each case also agrees with the reference loader."""
+
+    def lines(self):
+        # Line 3 opens doc1 (640 x 480), 4 is its first L line, 5 its first word.
+        return save_index(small_index()).decode().strip().split("\n")
+
+    def load_with(self, line_no, field, value):
+        lines = self.lines()
+        fields = lines[line_no - 1].split(" ")
+        fields[field] = value
+        return assert_loads_as_reference(corrupt(lines, line_no, " ".join(fields)))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [(1, "+10"), (1, "\u0661\u0660"), (1, "1_0"), (1, "010"), (1, "00000000010"),
+         (2, "20\r"), (2, "\t20"), (4, "0044")],
+    )
+    def test_numbers_int_reads_are_accepted(self, field, value):
+        # Line 5 is "W 10 20 59 44 -".
+        assert self.load_with(5, field, value) == small_index()
+
+    def test_minus_zero_reads_zero(self):
+        again = self.load_with(5, 1, "-0")
+        assert again.record_table[0, 3] == 0
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [
+            # Ten digits: the largest number parses, so its box is refused
+            # only for leaving the page.
+            ("2147483647", "record 0: box x 10..2147483647, y 20..44 outside its page columns "
+                           "0..639 or its line rows 20..79"),
+            ("2147483648", "x2 2147483648 outside 0..2147483647"),
+            ("9999999999", "x2 9999999999 outside 0..2147483647"),
+            ("99999999999", "x2 99999999999 outside 0..2147483647"),
+            ("-1", "x2 -1 outside 0..2147483647"),
+            ("", "malformed x2: ''"),
+            ("5x", "malformed x2: '5x'"),
+            ("\u00b2", "malformed x2: '\u00b2'"),
+        ],
+    )
+    def test_numbers_at_the_range_edges(self, value, message):
+        assert self.load_with(5, 3, value) == (f"{message} (line 5)", 5)
+
+    def test_ten_digit_fields_within_a_wide_page(self):
+        data = (b"WSIDX 3\nK 60\nDOC d d.pgm 2147483647 2147483647\n"
+                b"L 1000000000 2147483646 1000000000 2147483646\n"
+                b"W 1999999999 2000000000 2147483646 2147483646 -\n")
+        index = assert_loads_as_reference(data)
+        assert index.line_table[0, 2:].tolist() == [1000000000, 2147483646] * 2
+        assert index.record_table[0, 3:].tolist() == [1999999999, 2000000000] + [2147483646] * 2
+
+    def test_digits_in_encoded_doc_ids_and_paths_are_not_numbers(self):
+        data = (b"WSIDX 3\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
+                b"DOC 12345 0012 640 480\nL 20 79 30 60\nW 10 20 59 44 -\n")
+        index = assert_loads_as_reference(data)
+        assert index.docs == [DocEntry("page 01", "2024/p 01.pgm", 640, 480),
+                              DocEntry("12345", "0012", 640, 480)]
+        assert index.line_table.tolist() == [[1, 0, 20, 79, 30, 60]]
+        assert index.record_table.tolist() == [[1, 0, 0, 10, 20, 59, 44]]
+
+    def test_file_without_a_final_newline(self):
+        data = save_index(small_index())
+        assert assert_loads_as_reference(data[:-1]) == small_index()
+
+    @pytest.mark.parametrize("data", [b"WSIDX 3\nK 60\n", b"WSIDX 3\nK 60"])
+    def test_header_only(self, data):
+        assert assert_loads_as_reference(data) == WordIndex(60, [], [], [], [])
+
+    @pytest.mark.parametrize("tokens", [["g", "AxxgA", None], ["g", "A", "x"], [None, None, "A"]])
+    def test_index_that_holds_tokens(self, tokens):
+        index = small_index()
+        index.tokens[:] = tokens
+        assert assert_loads_as_reference(save_index(index)).tokens == tokens
+
+    @pytest.mark.parametrize("token", ["Ax\u20ac", "\u00e9", "\U0001f600A", "-\r"])
+    def test_bad_token_with_multi_byte_text(self, token):
+        assert self.load_with(5, 5, token) == (f"invalid shape token {token!r} (line 5)", 5)
+
+    @pytest.mark.parametrize("token", ["-\r", "--", "-A", "\u2010"])
+    def test_bad_token_in_a_file_without_tokens(self, token):
+        index = small_index()
+        index.tokens[:] = [None] * 3
+        lines = save_index(index).decode().strip().split("\n")
+        lines[4] = lines[4][:-1] + token
+        data = ("\n".join(lines) + "\n").encode()
+        assert assert_loads_as_reference(data) == (f"invalid shape token {token!r} (line 5)", 5)
+
+
 # Doc ids and paths mix plain characters with the ones the format must
 # percent-encode: spaces, `%` (also before hex digits), line breaks, non-ASCII.
 names = st.lists(
@@ -415,14 +644,20 @@ class TestLoadProperties:
         original = save_index(index)
         # Bytes the format gives meaning to are drawn often, so that many
         # mutations leave a line that still parses up to a later field.
-        byte = st.sampled_from(b" \n-%0123456789WLDOCKAxg") | st.integers(0, 255)
-        how = data.draw(st.sampled_from(["truncate", "extend", "mutate", "field"]))
+        byte = st.sampled_from(b" \n\r-+_%0123456789WLDOCKAxg") | st.integers(0, 255)
+        how = data.draw(
+            st.sampled_from(["truncate", "extend", "mutate", "field", "crlf", "unterminated"])
+        )
         if how == "field":
-            # Replace one whole field of one line.
+            # Replace one whole field of one line, often with a number
+            # spelled as `int()` reads it but not as plain ASCII digits, one
+            # at the edge of the range, or a token with multi-byte text.
             lines = [line.split(" ") for line in original.decode().split("\n")]
             fields = data.draw(st.sampled_from(lines))
             fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
-                st.sampled_from(["", "-", "0", "-1", "07", "x", "Q", "W", "L", "DOC", "%", "1e3"])
+                st.sampled_from(["", "-", "0", "-1", "07", "x", "Q", "W", "L", "DOC", "%", "1e3",
+                                 "+5", "-0", "\u0665", "1_0", "5\r", "00000000005",
+                                 "2147483647", "2147483648", "9999999999", "Ax\u20ac", "\u00e9"])
                 | st.integers(0, 400).map(str)
             )
             damaged = "\n".join(" ".join(f) for f in lines).encode()
@@ -430,17 +665,33 @@ class TestLoadProperties:
             damaged = original[: data.draw(st.integers(0, len(original) - 1))]
         elif how == "extend":
             damaged = original + bytes(data.draw(st.lists(byte, min_size=1, max_size=12)))
+        elif how == "crlf":
+            # CRLF line ends from some line on.
+            at = data.draw(st.integers(0, len(original)))
+            damaged = original[:at] + original[at:].replace(b"\n", b"\r\n")
+        elif how == "unterminated":
+            damaged = original[:-1]
         else:
             damaged = bytearray(original)
             for _ in range(data.draw(st.integers(1, 4))):
                 damaged[data.draw(st.integers(0, len(damaged) - 1))] = data.draw(byte)
             damaged = bytes(damaged)
-        try:
-            loaded = load_index(damaged)
-        except IndexFormatError as exc:
-            assert exc.line >= 1
+        loaded = assert_loads_as_reference(damaged)
+        if isinstance(loaded, tuple):
+            assert loaded[1] >= 1
             return
         assert isinstance(loaded, WordIndex)
+    @given(st.lists(
+        st.text("0123456789+-_\t\r\x0b\x0c\x1c\u0665\u0661\u00b2\u2003\uff15xe.", max_size=12)
+        | st.integers(0, 2**34).map(str),
+        min_size=8, max_size=8,
+    ))
+    def test_any_number_spelling_reads_as_reference(self, spellings):
+        # The four numbers of small_index's first L line and first W line.
+        lines = save_index(small_index()).decode().strip().split("\n")
+        lines[3] = " ".join(["L", *spellings[:4]])
+        lines[4] = " ".join(["W", *spellings[4:], "-"])
+        assert_loads_as_reference(("\n".join(lines) + "\n").encode())
 
 
 def test_readme_format_example_loads_and_saves_back():
