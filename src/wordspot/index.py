@@ -25,17 +25,9 @@ Index file format (UTF-8, LF, space-separated fields), nested by position:
 DOC opens a page, L the page's next text line and W that line's next word;
 line and word numbers are these positions, from 0. wst is a string over
 {A, x, g} or `-` when not cached. doc_id and path (as file-system bytes)
-are percent-encoded. Numbers are decimal, at most 2**31 - 1. Files of
-another version are refused; rebuild them.
-
-`save_index` writes numbers as plain ASCII digits. `load_index` reads any
-spelling Python's `int()` takes, as it always has: a sign (`+5`, `-0`),
-leading zeros, `_` between digits, non-ASCII decimal digits and whitespace
-around the digits, such as a CR before the LF of a line that ends in a
-number. It finds lines and fields by array passes over the file's bytes and
-converts plain ASCII numbers of up to 10 digits all at once; only other
-spellings, DOC lines, filled shape tokens and the line an error names are
-read one by one.
+are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with a
+value of at most 2**31 - 1 (and at least 1 for K and a page's size). Files
+of another version are refused; rebuild them.
 """
 
 from __future__ import annotations
@@ -312,8 +304,8 @@ class WordIndex:
         """Checks every invariant across entries, once, as array checks:
         unique doc ids, then for lines and for words in turn, a position in
         range that does not decrease, and a band inside its page (a body
-        inside its band) or a box inside its page's columns and its line's
-        rows, and a valid token.
+        inside its band) or a box that is not empty, inside its page's
+        columns and its line's rows, and a valid token.
 
         Raises IndexInvariantError for the first failing entry, which
         `load_index` maps back to its line."""
@@ -349,6 +341,7 @@ class WordIndex:
         _first_violation("record", [
             (~known, lambda i: f"line {words[i, 0]} outside 0..{n_lines - 1}"),
             (np.diff(line, prepend=line[:1]) < 0, lambda i: "out of page order"),
+            ((x1 > x2) | (y1 > y2), lambda i: f"degenerate box {x1[i]} {y1[i]} {x2[i]} {y2[i]}"),
             ((x1 < 0) | (x2 >= widths[page]) | (y1 < line_start) | (y2 > line_end),
              lambda i: f"box x {x1[i]}..{x2[i]}, y {y1[i]}..{y2[i]} outside its page "
                        f"columns 0..{widths[page[i]] - 1} or its line rows "
@@ -404,7 +397,6 @@ def build_index(
     ref_font: int = DEFAULT_REF_FONT,
     *,
     gap_factor: float = DEFAULT_GAP_FACTOR,
-    noise_threshold: int | None = None,
     source_paths: dict[str, str] | None = None,
 ) -> WordIndex:
     """Segment every page and index each text line and one record per word.
@@ -412,13 +404,12 @@ def build_index(
     `pages` is any iterable of (doc_id, page), consumed once, in order; a
     page is released before the next one is taken, so a generator that
     loads pages one at a time holds one page at a time. Lines are split at
-    each page's own noise threshold (the default for its width unless
-    `noise_threshold` is given); the body bands and the word boxes of all
-    of a page's lines are found in one pass each. Shape tokens are not
-    computed here; they are filled lazily at query time. `source_paths`
-    maps doc_id to the file the page came from (defaults to the doc_id
-    itself) so that queries can reload page images; it is read as each
-    page is taken.
+    each page's own noise threshold, the default for its width; the body
+    bands and the word boxes of all of a page's lines are found in one pass
+    each. Shape tokens are not computed here; they are filled lazily at
+    query time. `source_paths` maps doc_id to the file the page came from
+    (defaults to the doc_id itself) so that queries can reload page images;
+    it is read as each page is taken.
     """
     # Refused whether or not a page has a text line to split.
     check_gap_factor(gap_factor)
@@ -433,11 +424,7 @@ def build_index(
         path = (source_paths or {}).get(doc_id, doc_id)
         docs.append(DocEntry(doc_id, path, img.width, img.height))
         counts = row_profile(img)
-        if noise_threshold is None:
-            threshold = default_noise_threshold(img.width)
-        else:
-            threshold = noise_threshold
-        bands = segment_lines(counts, threshold)
+        bands = segment_lines(counts, default_noise_threshold(img.width))
         starts = np.array([band.row_start for band in bands], dtype=np.int64)
         ends = np.array([band.row_end for band in bands], dtype=np.int64)
         tops, bottoms = zones_from_bands(counts, starts, ends)
@@ -479,32 +466,11 @@ def save_index(index: WordIndex) -> bytes:
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
-def _number_error(token: str, what: str, lo: int = 0) -> str | None:
-    """Why `token` is not a number in lo.._MAX_NUMBER, or None when it is."""
-    try:
-        value = int(token)
-    except ValueError:
-        return f"malformed {what}: {token!r}"
-    if not lo <= value <= _MAX_NUMBER:
-        return f"{what} {value} outside {lo}..{_MAX_NUMBER}"
-    return None
-
-
-def _parse_int(token: str, what: str, line_no: int, lo: int = 0) -> int:
-    error = _number_error(token, what, lo)
-    if error is not None:
-        raise IndexFormatError(error, line_no)
-    return int(token)
-
-
-def _bad_number(row: list[str], kind: int) -> str:
-    """Why the first bad integer field of a row of this kind code is bad."""
-    return next(filter(None, map(_number_error, row[1:], _FIELDS[kind])))
-
-
-def _in_range(token: str) -> int:
-    """The number `token` holds, or -1 when it is not one in 0.._MAX_NUMBER."""
-    return -1 if _number_error(token, "") else int(token)
+def _number_error(field: str, value: int, what: str, lo: int) -> str:
+    """Why `_ascii_numbers` refused `field`, which it read as `value`."""
+    if value < 0:
+        return f"malformed {what}: {field!r}"
+    return f"{what} {value} outside {lo}..{_MAX_NUMBER}"
 
 
 # For a field of n = 0..8 bytes at the end of an 8-byte little-endian word,
@@ -515,9 +481,13 @@ _FIELD_BYTES = np.array(
 )
 
 
-def _ascii_numbers(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """The value of each field data[start:end] that is 1..10 ASCII digits;
-    any other field reads -1. No field may start before byte 8."""
+def _ascii_numbers(
+    data: bytes, starts: np.ndarray, ends: np.ndarray, lows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each field data[start:end] read by the format's number rule: 1..10
+    ASCII digits, with a value in low.._MAX_NUMBER. Returns each field's
+    value, -1 for a field that is not 1..10 ASCII digits, and whether it is
+    a number in range. No field may start before byte 8."""
     # The 8 bytes from each offset of the file, as one little-endian word.
     windows = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
 
@@ -541,7 +511,8 @@ def _ascii_numbers(data: bytes, starts: np.ndarray, ends: np.ndarray) -> np.ndar
         high, high_plain = eight_digits(ends[long] - 8, lengths[long] - 8)
         values[long] += high * 10**8
         plain[long] &= high_plain
-    return np.where(plain, values, -1)
+    values = np.where(plain, values, -1)
+    return values, (values >= lows) & (values <= _MAX_NUMBER)
 
 
 # Line kinds by code, with the fields that follow the kind; any other kind
@@ -563,11 +534,9 @@ def load_index(data: bytes) -> WordIndex:
     the positions of every space and newline give each line's fields and
     their count, and a line's first bytes its kind. Each L line gets its
     page's position and each W line its text line's position by cumulative
-    counts. The four numbers of every L and W line are converted together,
-    eight bytes at a time; a field that is not 1..10 ASCII digits is read by
-    `int()` instead, so that `+5` or `٥` reads 5, as it always has. Shape
-    tokens are read one by one only when the file holds some. DOC lines are
-    few and split one by one.
+    counts. Every number in the file is read by `_ascii_numbers`, eight
+    bytes at a time. Shape tokens are read one by one only when the file
+    holds some, and the ids and paths of DOC lines, which are few, always.
 
     Every check of a single line runs over all lines at once, and the first
     bad line in file order is reported; only its fields are split to word
@@ -592,7 +561,6 @@ def load_index(data: bytes) -> WordIndex:
     font_end = data.find(b"\n", header_end + 1)
     if font_end < 0 or not data.startswith(b"K ", header_end + 1):
         raise IndexFormatError("expected reference font line 'K <pixels>'", 2)
-    ref_font = _parse_int(data[header_end + 3 : font_end].decode(), "reference font size", 2, lo=1)
 
     # `ends` holds the byte position of the space or newline after each
     # field; `first` and `last` hold the places in `ends` of each line's
@@ -610,8 +578,10 @@ def load_index(data: bytes) -> WordIndex:
     one, doc_like = head_length == 1, (head_length == 3) & (head == ord("D"))
     kinds[one & (head == ord("L"))] = 1
     kinds[one & (head == ord("W"))] = 2
-    doc_at = starts[doc_like]
-    kinds[doc_like] = np.where((buf[doc_at + 1] == ord("O")) & (buf[doc_at + 2] == ord("C")), 0, 3)
+    doc_starts = starts[doc_like]
+    kinds[doc_like] = np.where(
+        (buf[doc_starts + 1] == ord("O")) & (buf[doc_starts + 2] == ord("C")), 0, 3
+    )
     whole = counts == _FIELD_COUNTS[kinds]
     is_doc, is_line, is_word = kinds == 0, kinds == 1, kinds == 2
 
@@ -637,16 +607,6 @@ def load_index(data: bytes) -> WordIndex:
                   f"got {counts[i]}",
     )
 
-    docs = []
-    for i in np.flatnonzero(is_doc & whole).tolist():
-        _, doc_id, path, width, height = fields(i)
-        error = _number_error(width, "doc width", 1) or _number_error(height, "doc height", 1)
-        if error is not None:
-            errors.append((i, len(errors), error))
-            break
-        path = os.fsdecode(urllib.parse.unquote_to_bytes(path))
-        docs.append(DocEntry(urllib.parse.unquote(doc_id), path, int(width), int(height)))
-
     # Position of each row's page and of its text line, from counts of the
     # DOC and L lines so far; a W line's text line must be on its page.
     page = np.cumsum(is_doc) - 1
@@ -657,39 +617,58 @@ def load_index(data: bytes) -> WordIndex:
         is_word & (line < lines_before_page), lambda i: "W line before its page's first L line"
     )
 
-    # Fields 1..4 of every whole L and W line are its numbers: the bytes
-    # between the ends of its fields 0..4. A field that is not plain digits
-    # is read by `int()`, as `_in_range` reads it.
-    numbered = np.flatnonzero((is_line | is_word) & whole)
-    bounds = ends[first[numbered, None] + np.arange(5)]
-    number_starts, number_ends = bounds[:, :4].ravel() + 1, bounds[:, 1:].ravel()
-    values = _ascii_numbers(data, number_starts, number_ends)
-    for n in np.flatnonzero(values < 0).tolist():
-        values[n] = _in_range(data[number_starts[n] : number_ends[n]].decode())
-    values[values > _MAX_NUMBER] = -1
-    values = values.reshape(-1, 4)
-    on_line = is_line[numbered]
+    # Every number in the file is read in one pass: K's, then those of each
+    # whole DOC, L and W line, its last fields up to field 4. A field's
+    # bytes lie between the end of the field before it and its own. The K
+    # line counts as row -1, so that its error, on line 2, comes first.
+    doc_at, line_at, word_at = (np.flatnonzero(whole & (kinds == kind)) for kind in range(3))
+    groups = [
+        (np.array([-1]), ("reference font size",), 1),
+        (doc_at, _FIELDS[0][2:], 1),
+        (line_at, _FIELDS[1], 0),
+        (word_at, _FIELDS[2][:4], 0),
+    ]
+    bounds = [np.array([[header_end + 2, font_end]])] + [
+        ends[first[at, None] + np.arange(4 - len(names), 5)] for at, names, _ in groups[1:]
+    ]
+    group_sizes = [b[:, 1:].size for b in bounds]
+    values, ok = _ascii_numbers(
+        data,
+        np.concatenate([b[:, :-1].ravel() for b in bounds]) + 1,
+        np.concatenate([b[:, 1:].ravel() for b in bounds]),
+        np.repeat([lo for _, _, lo in groups], group_sizes),
+    )
+    offsets = np.cumsum([0] + group_sizes).tolist()
+    tables = [
+        values[i:j].reshape(-1, len(names))
+        for i, j, (_, names, _) in zip(offsets, offsets[1:], groups)
+    ]
+    if not ok.all():
+        for (at, names, lo), table, i, j, field_bounds in zip(
+            groups, tables, offsets, offsets[1:], bounds
+        ):
+            bad = ~ok[i:j].reshape(table.shape)
+
+            def message(n: int) -> str:
+                k = int(bad[n].argmax())
+                field = data[field_bounds[n, k] + 1 : field_bounds[n, k + 1]].decode()
+                return _number_error(field, table[n, k], names[k], lo)
+
+            first_bad(bad.any(axis=1), message, at)
+    ref_font, sizes, line_numbers, word_numbers = tables
+    row_start, row_end, body_top, body_bottom = line_numbers.T
+    x1, y1, x2, y2 = word_numbers.T
+    first_bad(row_start > row_end, lambda n: f"empty band {row_start[n]}..{row_end[n]}", line_at)
     first_bad(
-        (values < 0).any(axis=1),
-        lambda n: _bad_number(fields(numbered[n]), kinds[numbered[n]]),
-        numbered,
+        body_top > body_bottom,
+        lambda n: f"empty body band {body_top[n]}..{body_bottom[n]}",
+        line_at,
     )
     first_bad(
-        on_line & (values[:, 0] > values[:, 1]),
-        lambda n: f"empty band {values[n, 0]}..{values[n, 1]}",
-        numbered,
+        (x1 > x2) | (y1 > y2),
+        lambda n: f"degenerate box {x1[n]} {y1[n]} {x2[n]} {y2[n]}",
+        word_at,
     )
-    first_bad(
-        on_line & (values[:, 2] > values[:, 3]),
-        lambda n: f"empty body band {values[n, 2]}..{values[n, 3]}",
-        numbered,
-    )
-    first_bad(
-        ~on_line & ((values[:, 0] > values[:, 2]) | (values[:, 1] > values[:, 3])),
-        lambda n: "degenerate box {} {} {} {}".format(*values[n]),
-        numbered,
-    )
-    line_at, word_at = numbered[on_line], numbered[~on_line]
     # The last field of a W line is its token; `-` in every W line (a file
     # no query has filled) is one check.
     token_ends = ends[last[word_at]]
@@ -705,10 +684,14 @@ def load_index(data: bytes) -> WordIndex:
         row, _, message = min(errors)
         raise IndexFormatError(message, row + 3)
 
-    lines = np.column_stack((page[line_at], values[on_line]))
-    words = np.column_stack((line[word_at], values[~on_line]))
+    docs = []
+    for (_, doc_id, path, _, _), size in zip(map(fields, doc_at), sizes.tolist()):
+        path = os.fsdecode(urllib.parse.unquote_to_bytes(path))
+        docs.append(DocEntry(urllib.parse.unquote(doc_id), path, *size))
+    lines = np.column_stack((page[line_at], line_numbers))
+    words = np.column_stack((line[word_at], word_numbers))
     try:
-        return WordIndex(ref_font, docs, lines, words, tokens)
+        return WordIndex(int(ref_font[0, 0]), docs, lines, words, tokens)
     except IndexInvariantError as exc:
         is_kind = {"doc": is_doc, "line": is_line, "record": is_word}[exc.kind]
         raise IndexFormatError(str(exc), int(np.flatnonzero(is_kind)[exc.position]) + 3) from None

@@ -27,7 +27,7 @@ from wordspot.index import (
     normalize_length,
     save_index,
 )
-from wordspot.search import levenshtein, search
+from wordspot.search import distances, levenshtein, search
 from wordspot.segment import (
     WordBox,
     default_noise_threshold,
@@ -74,11 +74,14 @@ def test_levenshtein_oracle_equivalence():
     started = time.perf_counter()
     tokens = all_tokens(5)
     assert len(tokens) == 364
+    # Every pair through one batched DP per query token; `levenshtein`, its
+    # one-word case, on every pair of tokens up to length 3.
     mismatches = 0
     for a in tokens:
-        for b in tokens:
-            if levenshtein(a, b) != reference_distance(a, b):
-                mismatches += 1
+        got = distances(a, tokens).tolist()
+        mismatches += sum(d != reference_distance(a, b) for d, b in zip(got, tokens))
+    short = all_tokens(3)
+    mismatches += sum(levenshtein(a, b) != reference_distance(a, b) for a in short for b in short)
     elapsed = time.perf_counter() - started
     ok = mismatches == 0 and elapsed < 10.0
     report(

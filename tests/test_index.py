@@ -26,7 +26,13 @@ from wordspot.index import (
     save_index,
 )
 from wordspot.pnm import BinaryImage
-from wordspot.segment import LineBand, WordBox, row_profile, segment_lines
+from wordspot.segment import (
+    LineBand,
+    WordBox,
+    default_noise_threshold,
+    row_profile,
+    segment_lines,
+)
 from wordspot.shapecode import ZoneBands, estimate_zones
 
 
@@ -140,8 +146,8 @@ class TestBuildIndex:
     def test_lines_hold_band_and_body_from_row_counts(self):
         page = blob_page()
         page.bits[25:30, 40:140] = 1  # a gap inside the blob's rows
-        index = build_index([("a", page)], noise_threshold=0)
-        bands = segment_lines(row_profile(page), 0)
+        index = build_index([("a", page)])
+        bands = segment_lines(row_profile(page), default_noise_threshold(page.width))
         assert index.lines == [
             LineEntry("a", n, band, estimate_zones(page, band)) for n, band in enumerate(bands)
         ]
@@ -255,8 +261,9 @@ class TestPersistence:
 
 
 # A row-by-row loader, kept as the specification of `load_index`: each row
-# is split in Python and each number is read by `int()` rules. `load_index`
-# must give an equal index, or the same message and line, on any bytes.
+# is split in Python and each number must be 1..10 ASCII digits with a value
+# in range. `load_index` must give an equal index, or the same message and
+# line, on any bytes.
 MAX_NUMBER = 2**31 - 1
 FIELDS = (
     ("doc_id", "path", "doc width", "doc height"),
@@ -267,10 +274,9 @@ FIELD_COUNTS = np.array([len(names) + 1 for names in FIELDS] + [0])
 
 
 def number_error(token, what, lo=0):
-    try:
-        value = int(token)
-    except ValueError:
+    if not (token.isascii() and token.isdigit() and len(token) <= 10):
         return f"malformed {what}: {token!r}"
+    value = int(token)
     if not lo <= value <= MAX_NUMBER:
         return f"{what} {value} outside {lo}..{MAX_NUMBER}"
     return None
@@ -499,8 +505,9 @@ class TestLoadErrors:
 
 
 class TestArrayParseEdges:
-    """Fields where the array parse of numbers and tokens meets `int()`;
-    each case also agrees with the reference loader."""
+    """Fields at the edges of the format's number rule (1..10 ASCII digits
+    in range) and of its tokens; each case also agrees with the reference
+    loader."""
 
     def lines(self):
         # Line 3 opens doc1 (640 x 480), 4 is its first L line, 5 its first word.
@@ -512,18 +519,33 @@ class TestArrayParseEdges:
         fields[field] = value
         return assert_loads_as_reference(corrupt(lines, line_no, " ".join(fields)))
 
-    @pytest.mark.parametrize(
-        "field,value",
-        [(1, "+10"), (1, "\u0661\u0660"), (1, "1_0"), (1, "010"), (1, "00000000010"),
-         (2, "20\r"), (2, "\t20"), (4, "0044")],
-    )
-    def test_numbers_int_reads_are_accepted(self, field, value):
+    @pytest.mark.parametrize("field,value", [(1, "010"), (4, "0044"), (3, "0000000059")])
+    def test_leading_zeros_within_ten_digits_are_accepted(self, field, value):
         # Line 5 is "W 10 20 59 44 -".
         assert self.load_with(5, field, value) == small_index()
 
-    def test_minus_zero_reads_zero(self):
-        again = self.load_with(5, 1, "-0")
-        assert again.record_table[0, 3] == 0
+    @pytest.mark.parametrize(
+        "line_no,field,value,message",
+        [
+            # Line 5 is "W 10 20 59 44 -": spellings `int()` would take.
+            (5, 1, "+10", "malformed x1: '+10'"),
+            (5, 1, "\u0661\u0660", "malformed x1: '\u0661\u0660'"),
+            (5, 1, "1_0", "malformed x1: '1_0'"),
+            (5, 1, "00000000010", "malformed x1: '00000000010'"),
+            (5, 1, "-0", "malformed x1: '-0'"),
+            (5, 2, "20\r", "malformed y1: '20\\r'"),
+            (5, 2, "\t20", "malformed y1: '\\t20'"),
+            # Line 4 is "L 20 79 30 60", line 3 doc1's DOC line and line 2 K.
+            (4, 4, "60\r", "malformed body_bottom: '60\\r'"),
+            (3, 3, "\u0665", "malformed doc width: '\u0665'"),
+            (3, 4, "480\r", "malformed doc height: '480\\r'"),
+            (3, 4, "0", "doc height 0 outside 1..2147483647"),
+            (2, 1, "+60", "malformed reference font size: '+60'"),
+            (2, 1, "0", "reference font size 0 outside 1..2147483647"),
+        ],
+    )
+    def test_numbers_outside_the_rule_are_refused(self, line_no, field, value, message):
+        assert self.load_with(line_no, field, value) == (f"{message} (line {line_no})", line_no)
 
     @pytest.mark.parametrize(
         "value,message",
@@ -534,8 +556,8 @@ class TestArrayParseEdges:
                            "0..639 or its line rows 20..79"),
             ("2147483648", "x2 2147483648 outside 0..2147483647"),
             ("9999999999", "x2 9999999999 outside 0..2147483647"),
-            ("99999999999", "x2 99999999999 outside 0..2147483647"),
-            ("-1", "x2 -1 outside 0..2147483647"),
+            ("99999999999", "malformed x2: '99999999999'"),
+            ("-1", "malformed x2: '-1'"),
             ("", "malformed x2: ''"),
             ("5x", "malformed x2: '5x'"),
             ("\u00b2", "malformed x2: '\u00b2'"),
@@ -649,9 +671,10 @@ class TestLoadProperties:
             st.sampled_from(["truncate", "extend", "mutate", "field", "crlf", "unterminated"])
         )
         if how == "field":
-            # Replace one whole field of one line, often with a number
-            # spelled as `int()` reads it but not as plain ASCII digits, one
-            # at the edge of the range, or a token with multi-byte text.
+            # Replace one whole field of one line, often with a number in a
+            # spelling the format refuses (a sign, `_`, other digits, white
+            # space, more than 10 digits), one at the edge of the range, or a
+            # token with multi-byte text.
             lines = [line.split(" ") for line in original.decode().split("\n")]
             fields = data.draw(st.sampled_from(lines))
             fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
@@ -681,6 +704,7 @@ class TestLoadProperties:
             assert loaded[1] >= 1
             return
         assert isinstance(loaded, WordIndex)
+
     @given(st.lists(
         st.text("0123456789+-_\t\r\x0b\x0c\x1c\u0665\u0661\u00b2\u2003\uff15xe.", max_size=12)
         | st.integers(0, 2**34).map(str),
@@ -739,6 +763,14 @@ class TestDirectConstruction:
     def test_box_touching_page_edges_accepted(self):
         WordIndex(60, [self.doc], [self.line],
                   [word_row(0, x=50, y=75), word_row(0, x=0, y=0)], [None, None])
+
+    @pytest.mark.parametrize("box", [(30, 5, 20, 30), (10, 30, 40, 29)])
+    def test_degenerate_box_rejected(self, box):
+        words = [word_row(0), (0, *box)]
+        with pytest.raises(IndexInvariantError) as err:
+            WordIndex(60, [self.doc], [self.line], words, [None, None])
+        assert str(err.value) == "record 1: degenerate box {} {} {} {}".format(*box)
+        assert (err.value.kind, err.value.position) == ("record", 1)
 
     def test_duplicate_doc_rejected(self):
         doc = DocEntry("d", "d.pgm", 10, 10)

@@ -33,6 +33,7 @@ from wordspot.segment import (
     default_noise_threshold,
     row_profile,
     segment_lines,
+    segment_words,
 )
 from wordspot.shapecode import (
     LETTER_CODES,
@@ -40,6 +41,7 @@ from wordspot.shapecode import (
     estimate_zones,
     query_to_wst,
     word_to_wst,
+    zones_from_bands,
 )
 
 
@@ -323,16 +325,23 @@ class TestDistanceGateAndMemo:
 
 class TestBuildLines:
     def test_tokens_come_from_the_lines_the_build_recorded(self):
-        # A lone one-letter line is below the build's high noise threshold,
-        # so the build's lines are narrower than, and numbered differently
-        # from, the bands that default segmentation of the page gives.
+        # A lone one-letter line is below a high noise threshold of 30, so
+        # the lines of an index built at it are narrower than, and numbered
+        # differently from, the bands that default segmentation of the page
+        # gives.
         layout = corpus_page(
             [["a"], ["dipped", "help", "sauce"], ["drop", "paper", "noon"]], width=1200
         )
         page = layout.image
-        index = build_index([("page", page)], ref_font=60, noise_threshold=30)
         counts = row_profile(page)
         build_bands = segment_lines(counts, 30)
+        starts = np.array([band.row_start for band in build_bands])
+        ends = np.array([band.row_end for band in build_bands])
+        tops, bottoms = zones_from_bands(counts, starts, ends)
+        lines = np.column_stack((np.zeros_like(starts), starts, ends, tops, bottoms))
+        words = segment_words(page, build_bands)
+        doc = DocEntry("page", "page", page.width, page.height)
+        index = WordIndex(60, [doc], lines, words, [None] * len(words))
         assert len(segment_lines(counts, default_noise_threshold(page.width))) == 3
         assert len(build_bands) == 2
         assert [line.band for line in index.lines] == build_bands

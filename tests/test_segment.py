@@ -343,12 +343,12 @@ class TestReferenceEquivalence:
         ]
         assert rows.tolist() == expected
 
-    @given(st.lists(pages_and_bands(), min_size=1, max_size=3), st.integers(0, 3))
-    def test_build_index_same_bytes_from_a_list_and_a_generator(self, drawn, threshold):
+    @given(st.lists(pages_and_bands(), min_size=1, max_size=3))
+    def test_build_index_same_bytes_from_a_list_and_a_generator(self, drawn):
         pages = [(f"p{n}", img) for n, (img, _, _) in enumerate(drawn)]
         gap_factor = drawn[0][2]
         built = [
-            save_index(build_index(given_pages, gap_factor=gap_factor, noise_threshold=threshold))
+            save_index(build_index(given_pages, gap_factor=gap_factor))
             for given_pages in (pages, (page for page in pages))
         ]
         assert built[0] == built[1]
