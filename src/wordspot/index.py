@@ -302,10 +302,11 @@ class WordIndex:
 
     def _validate(self, lines: np.ndarray, words: np.ndarray) -> None:
         """Checks every invariant across entries, once, as array checks:
-        unique doc ids, then for lines and for words in turn, a position in
-        range that does not decrease, and a band inside its page (a body
-        inside its band) or a box that is not empty, inside its page's
-        columns and its line's rows, and a valid token.
+        unique doc ids and page sizes the index file can hold, then for
+        lines and for words in turn, a position in range that does not
+        decrease, and a band inside its page (a body inside its band) or a
+        box that is not empty, inside its page's columns and its line's
+        rows, and a valid token.
 
         Raises IndexInvariantError for the first failing entry, which
         `load_index` maps back to its line."""
@@ -313,6 +314,11 @@ class WordIndex:
         for position, doc in enumerate(self.docs):
             if doc.doc_id in seen:
                 raise IndexInvariantError(f"duplicate doc_id {doc.doc_id!r}", "doc", position)
+            if not (1 <= doc.width <= _MAX_NUMBER and 1 <= doc.height <= _MAX_NUMBER):
+                raise IndexInvariantError(
+                    f"doc {position}: page size {doc.width}x{doc.height} "
+                    f"outside 1..{_MAX_NUMBER}", "doc", position,
+                )
             seen.add(doc.doc_id)
         n_docs, n_lines = len(self.docs), len(lines)
         # One extra slot stands in for a position out of range in the lookups.
@@ -495,7 +501,7 @@ def _ascii_numbers(
         """The last `lengths` (0..8) bytes before each end as decimal digits:
         their value, and whether they all are ASCII digits."""
         # An ASCII digit's byte becomes 0..9, a byte before the field 0.
-        digits = (windows.take(ends - 8) ^ 0x3030303030303030) & _FIELD_BYTES[lengths]
+        digits = (windows[ends - 8] ^ 0x3030303030303030) & _FIELD_BYTES[lengths]
         # A byte is 0..9 when neither it nor it plus 6 reaches 16.
         plain = (digits | digits + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0 == 0
         # Pairs, then fours, then all eight digits, one multiply each.

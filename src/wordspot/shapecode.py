@@ -13,10 +13,10 @@ line's body band:
     neither -> x
 
 `word_to_wst` encodes many words, of one page or of many taken one at a
-time, in one call, with the module's fixed token parameters: per word it
-only thresholds its box and reduces it to per-column ink, and the valley
-cut, merge and zone-reach rules run once over the columns of all its words
-laid end to end.
+time, in one call, with the module's fixed token parameters. The columns of
+all its words are laid end to end in arrays allocated once per call; per
+word it only thresholds its box and reduces it into its own columns, and
+the valley cut, merge and zone-reach rules run once over all of them.
 `char_region_segment`, `classify_region` and `estimate_zones` expose each
 step for one word, with those parameters as keyword defaults.
 
@@ -191,9 +191,10 @@ def _region_starts(
     valley_slack: int,
     min_region_width: float,
 ) -> np.ndarray:
-    """First column of each region of words whose column counts are laid end
-    to end in `counts`: word i has the columns from firsts[i] (firsts[0] is
-    0) up to the next word's first. A region ends where the next starts.
+    """First column of each region of words whose int32 column counts are
+    laid end to end in `counts`: word i has the columns from firsts[i]
+    (firsts[0] is 0) up to the next word's first. A region ends where the
+    next starts.
 
     Per word, m is the minimum count over its ink-bearing columns; its
     columns with count <= m + valley_slack are valleys. Each interior
@@ -205,11 +206,10 @@ def _region_starts(
     """
     width = len(counts)
     ends = np.append(firsts[1:], width)
-    word_of = np.repeat(np.arange(len(firsts)), ends - firsts)
-    inked = counts > 0
-    # A column without ink stands in as the most ink a column can hold.
-    ink_min = np.minimum.reduceat(np.where(inked, counts, np.iinfo(counts.dtype).max), firsts)
-    valley = counts <= (ink_min + valley_slack)[word_of]
+    # Counts less one, read as uint32: a column without ink wraps to the
+    # largest value, so it is never the least of a word that has ink.
+    ink_min = np.minimum.reduceat((counts - 1).view(np.uint32), firsts).view(np.int32) + 1
+    valley = counts <= np.repeat(ink_min + valley_slack, ends - firsts)
 
     # Maximal valley runs, split at word edges: a run starts at a valley
     # column that starts its word or follows a column that is no valley,
@@ -234,12 +234,12 @@ def _region_starts(
     # boundary. Whether it merges depends on its own width only, up to the
     # next cut or its word's end, so each boundary is decided on its own.
     min_widths = round_half_up(min_region_width * font_sizes)
-    cut_words = word_of[cuts]
+    cut_words = np.searchsorted(firsts, cuts, side="right") - 1
     region_ends = np.minimum(np.append(cuts[1:], width), ends[cut_words])
-    kept = cuts[region_ends - cuts >= min_widths[cut_words]]
+    wide = region_ends - cuts >= min_widths[cut_words]
+    kept, kept_words = cuts[wide], cut_words[wide]
     # A word's narrow leftmost region joins its right neighbor instead: the
     # word's first kept cut stops being a boundary.
-    kept_words = word_of[kept]
     leftmost = np.append(True, kept_words[1:] != kept_words[:-1])
     narrow = kept - firsts[kept_words] < min_widths[kept_words]
     # Regions start at each word's first column and at its remaining cuts.
@@ -265,19 +265,24 @@ def _zone_limits(body_top, body_bottom, margin: float):
 
 
 def _ink_columns(
-    ink: np.ndarray, above_rows: int, below_from: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per column of a word's ink mask: its ink count, in the `count_dtype`
-    of the mask's rows, and whether it has ink in the mask's first
-    `above_rows` rows and in its rows from `below_from` on (both >= 0)."""
-    # Bools are bytes of 0 or 1: a mask of at most 255 rows is summed as
-    # uint8 with no cast.
-    ink_any = np.logical_or.reduce
-    return (
-        np.add.reduce(ink.view(np.uint8), axis=0, dtype=count_dtype(len(ink))),
-        ink_any(ink[:above_rows], axis=0),
-        ink_any(ink[below_from:], axis=0),
-    )
+    ink: np.ndarray,
+    above_rows: int,
+    below_from: int,
+    counts: np.ndarray,
+    above: np.ndarray,
+    below: np.ndarray,
+) -> None:
+    """Write per column of a word's ink mask its ink count into `counts`,
+    whose dtype must hold the mask's height (`count_dtype`), and whether it
+    has ink in the mask's first `above_rows` rows into `above` and in its
+    rows from `below_from` on into `below` (both >= 0). `above` and `below`
+    must start False: a zone with no rows in the mask is not read."""
+    # Bools are bytes of 0 or 1: summed into uint8 counts with no cast.
+    np.add.reduce(ink.view(np.uint8), axis=0, out=counts)
+    if above_rows > 0:
+        np.logical_or.reduce(ink[:above_rows], axis=0, out=above)
+    if below_from < len(ink):
+        np.logical_or.reduce(ink[below_from:], axis=0, out=below)
 
 
 # Region code by index: 0 plain, 1 ascender, 2 descender.
@@ -289,8 +294,9 @@ def _zone_codes(above: np.ndarray, below: np.ndarray, starts: np.ndarray) -> str
     each column has ink in the ascender (`above`) and descender (`below`)
     zones: descender wins over ascender, and a region reaching neither is
     'x'."""
-    ascender = np.logical_or.reduceat(above, starts)
-    descender = np.logical_or.reduceat(below, starts)
+    # Bools are bytes of 0 or 1, which OR faster as bytes.
+    ascender = np.bitwise_or.reduceat(above.view(np.uint8), starts)
+    descender = np.bitwise_or.reduceat(below.view(np.uint8), starts)
     codes = np.where(descender, 2, ascender)
     return _CODE_BYTES[codes].tobytes().decode("ascii")
 
@@ -328,39 +334,34 @@ def classify_region(
     """
     ink = word.bits[:, region.col_start : region.col_end + 1] == 0
     ascender_end, descender_start = _zone_limits(zones.body_top, zones.body_bottom, margin)
-    _, above, below = _ink_columns(ink, max(0, ascender_end), max(0, descender_start))
+    counts = np.empty(region.width, dtype=count_dtype(word.height))
+    above, below = np.zeros((2, region.width), dtype=bool)
+    _ink_columns(ink, max(0, ascender_end), max(0, descender_start), counts, above, below)
     return _zone_codes(above, below, np.array([0]))
 
 
 def _page_columns(
     page: BinaryImage | GrayImage,
-    boxes: np.ndarray,
-    above_rows: np.ndarray,
-    below_from: np.ndarray,
-    base: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_ink_columns` of the words of one page, laid end to end. Their boxes
-    are `boxes`, numbered from `base` in errors."""
-    x1, y1, x2, y2 = boxes.T
-    bad = (x1 < 0) | (y1 < 0) | (x1 > x2) | (y1 > y2) | (x2 >= page.width) | (y2 >= page.height)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(
-            f"box {x1[i]} {y1[i]} {x2[i]} {y2[i]} empty or outside image "
-            f"{page.width}x{page.height}"
-        )
+    words: list[list[int]],
+    counts: np.ndarray,
+    above: np.ndarray,
+    below: np.ndarray,
+) -> None:
+    """Write `_ink_columns` of words of one page into `counts`, `above` and
+    `below`. Each of `words` is a word's box `x1 y1 x2 y2`, its
+    `above_rows` and `below_from`, and the first and end of its columns in
+    the arrays."""
     raster, cut = ink_raster(page)
-    columns = [
-        _ink_columns(raster[top : bottom + 1, left : right + 1] < cut, above, below)
-        for left, top, right, bottom, above, below in zip(
-            x1.tolist(), y1.tolist(), x2.tolist(), y2.tolist(),
-            above_rows.tolist(), below_from.tolist(),
+    width, height = page.width, page.height
+    for left, top, right, bottom, a, b, first, end in words:
+        if not (0 <= left <= right < width and 0 <= top <= bottom < height):
+            raise ValueError(
+                f"box {left} {top} {right} {bottom} empty or outside image {width}x{height}"
+            )
+        _ink_columns(
+            raster[top : bottom + 1, left : right + 1] < cut, a, b,
+            counts[first:end], above[first:end], below[first:end],
         )
-    ]
-    counts, above, below = (np.concatenate(parts) for parts in zip(*columns))
-    widths = x2 - x1 + 1
-    _check_ink(counts, np.cumsum(widths) - widths, base)
-    return counts, above, below
 
 
 def word_to_wst(
@@ -379,11 +380,17 @@ def word_to_wst(
     box order. A page may be gray: only the boxes' pixels are thresholded,
     by `pnm.box_ink`'s rule.
 
-    Per word, one slice of its page is thresholded and reduced over its
-    rows (`_ink_columns`); a page is dropped before the next is taken, so
-    one page at a time is held. The valley cut, merge and zone-reach rules
-    then run once over the columns of all words laid end to end, so a
-    word's token does not depend on which other words share the call.
+    The columns of all words are laid end to end in three arrays, each
+    allocated once for the call and as wide as all boxes together: ink
+    counts, in the `count_dtype` of the tallest box, and whether a column
+    has ink in its word's ascender zone and in its descender zone, both
+    starting False. Per word, one slice of its page is thresholded and
+    reduced over its rows into the word's own columns (`_ink_columns`);
+    a zone with no rows inside the box keeps its False columns unread. A
+    page is dropped before the next is taken, so one page at a time is
+    held. The valley cut, merge and zone-reach rules then run once over
+    all the columns, so a word's token does not depend on which other
+    words share the call.
     Raises NoInkError, whose `position` is the first box without ink,
     before the next page is taken, and ValueError for a box that is empty
     or outside its page, an empty body band, or runs that do not cover the
@@ -404,30 +411,36 @@ def word_to_wst(
         raise ValueError(f"empty body band {body_top[i]}..{body_bottom[i]}")
 
     ascender_end, descender_start = _zone_limits(body_top, body_bottom, MARGIN)
-    y1 = boxes[:, 1]
+    x1, y1, x2, y2 = boxes.T
     above_rows = np.maximum(ascender_end - y1, 0)
     below_from = np.maximum(descender_start - y1, 0)
-    columns = []
+    # The columns of all words laid end to end, counted in a dtype that
+    # holds the tallest box. An empty box gets no columns; `_page_columns`
+    # refuses it before writing any.
+    offsets = np.append(0, np.cumsum(np.maximum(x2 - x1 + 1, 0)))
+    width = int(offsets[-1])
+    counts = np.empty(width, dtype=count_dtype(int((y2 - y1).max()) + 1))
+    above = np.zeros(width, dtype=bool)
+    below = np.zeros(width, dtype=bool)
+    words = np.column_stack((boxes, above_rows, below_from, offsets[:-1], offsets[1:])).tolist()
     first = 0
     for page, n in pages:
         end = first + n
         if not first < end <= len(boxes):
             raise ValueError(f"a run of {n} boxes from box {first} of {len(boxes)}")
-        part = slice(first, end)
-        columns.append(
-            _page_columns(page, boxes[part], above_rows[part], below_from[part], first)
-        )
+        _page_columns(page, words[first:end], counts, above, below)
         del page  # else it would live on while the next page is taken
+        page_firsts = offsets[first:end] - offsets[first]
+        _check_ink(counts[offsets[first] : offsets[end]], page_firsts, first)
         first = end
     if first != len(boxes):
         raise ValueError(f"pages hold {first} of {len(boxes)} boxes")
-    counts, above, below = (np.concatenate(parts) for parts in zip(*columns))
-    widths = boxes[:, 2] - boxes[:, 0] + 1
-    firsts = np.cumsum(widths) - widths
+    firsts = offsets[:-1]
     # The valley rule adds the slack to counts, so they leave their narrow
-    # sum dtypes here, once.
-    counts = counts.astype(np.int32)
-    starts = _region_starts(counts, firsts, font_sizes, VALLEY_SLACK, MIN_REGION_WIDTH)
+    # sum dtype here, once.
+    starts = _region_starts(
+        counts.astype(np.int32), firsts, font_sizes, VALLEY_SLACK, MIN_REGION_WIDTH
+    )
     codes = _zone_codes(above, below, starts)
     # Word i's codes are those of its regions, from the one at firsts[i].
     bounds = np.searchsorted(starts, firsts).tolist() + [len(starts)]

@@ -777,6 +777,23 @@ class TestDirectConstruction:
         with pytest.raises(ValueError):
             WordIndex(60, [doc, doc], [], [], [])
 
+    @pytest.mark.parametrize("size", [0, -5, 2**31])
+    @pytest.mark.parametrize("side", ["width", "height"])
+    def test_page_size_the_file_cannot_hold_rejected(self, size, side):
+        # The index file holds each page side as 1..2147483647, so an index
+        # that saves any other size would not load again.
+        width, height = (size, 100) if side == "width" else (100, size)
+        docs = [self.doc, DocEntry("e", "e.pgm", width, height)]
+        with pytest.raises(IndexInvariantError) as err:
+            WordIndex(60, docs, [], [], [])
+        assert str(err.value) == f"doc 1: page size {width}x{height} outside 1..2147483647"
+        assert (err.value.kind, err.value.position) == ("doc", 1)
+
+    def test_largest_page_size_saved_and_loaded(self):
+        doc = DocEntry("e", "e.pgm", 2**31 - 1, 2**31 - 1)
+        index = WordIndex(60, [doc], [line_row(0, 0, 99)], [word_row(0)], [None])
+        assert load_index(save_index(index)) == index
+
     @pytest.mark.parametrize(
         "lines,words,kind,position,match",
         [

@@ -690,11 +690,11 @@ class TestReferenceEquivalence:
             assert encode_word(img, band, box) == reference_word_to_wst(img, band, box, None)
 
     def test_tall_box_counts_past_255_rows(self):
-        # Column 0 of the first word holds exactly 256 ink pixels, which a
+        # Column 0 of the tall word holds exactly 256 ink pixels, which a
         # uint8 sum would wrap to 0: the column would read as blank, and the
-        # cut at column 1 would be lost. The second word, of 100 rows, is
-        # summed in uint8 and joined with the first's counts. A font of 10
-        # rows keeps regions of one column.
+        # cut at column 1 would be lost. The other word, of 100 rows, shares
+        # the call's counts, first or last. A font of 10 rows keeps regions
+        # of one column.
         bits = np.ones((300, 8), dtype=np.uint8)
         bits[20:276, 0] = 0
         bits[150, [1, 5]] = 0
@@ -706,3 +706,34 @@ class TestReferenceEquivalence:
         expected = [reference_word_to_wst(page, LineBand(0, 9), box, zones) for box in boxes]
         assert expected == ["gx", "xx"]
         assert encode_words(page, [(box, zones, 10) for box in boxes]) == expected
+        # A count dtype taken from the first box would be uint8 here.
+        assert encode_words(page, [(box, zones, 10) for box in boxes[::-1]]) == expected[::-1]
+
+    def test_zones_that_end_at_a_box_edge_over_two_pages(self):
+        # Boxes of rows 5..24 (20 rows) against bodies of 10 rows, whose
+        # zone margin is 1 row. On each page a box with ink in both zones
+        # comes first. Then, on the first page, strokes over the box's top 4
+        # rows meet an ascender zone that ends at the box's top (none of its
+        # rows inside) or one row below it; on the second, strokes over its
+        # bottom 4 rows meet a descender zone that starts one row past the
+        # box's last or on it.
+        def page_of(strokes):
+            bits = np.ones((30, 12), dtype=np.uint8)
+            for column, (top, bottom) in zip((1, 5, 9), strokes):
+                bits[top : bottom + 1, column] = 0
+            return BinaryImage(12, 30, bits)
+
+        first = page_of([(5, 24), (5, 8), (5, 8)])
+        second = page_of([(5, 24), (21, 24), (21, 24)])
+        boxes = [WordBox(x, 5, x + 2, 24) for x in (0, 4, 8)] * 2
+        bodies = [(10, 19), (6, 15), (7, 16)] + [(10, 19), (13, 22), (14, 23)]
+        expected = [
+            reference_word_to_wst(page, LineBand(0, 9), box, ZoneBands(*body))
+            for page, box, body in zip([first] * 3 + [second] * 3, boxes, bodies)
+        ]
+        assert expected == ["g", "x", "A", "g", "g", "x"]
+        tokens = word_to_wst(
+            [(first, 3), (second, 3)],
+            [(box.x1, box.y1, box.x2, box.y2) for box in boxes], bodies, [10] * 6,
+        )
+        assert tokens == expected
