@@ -43,12 +43,8 @@ from .segment import (
 from .shapecode import (
     LETTER_CODES,
     NoInkError,
-    Region,
     UnsupportedCharacterError,
     ZoneBands,
-    char_region_segment,
-    classify_region,
-    estimate_zones,
     query_to_wst,
     word_to_wst,
 )
@@ -66,7 +62,6 @@ __all__ = [
     "MissingPageError",
     "NoInkError",
     "PnmError",
-    "Region",
     "SearchParams",
     "SizeClass",
     "UnsupportedCharacterError",
@@ -76,12 +71,9 @@ __all__ = [
     "ZoneBands",
     "binarize",
     "build_index",
-    "char_region_segment",
-    "classify_region",
     "classify_size",
     "column_profile",
     "distances",
-    "estimate_zones",
     "format_result",
     "levenshtein",
     "load_image",

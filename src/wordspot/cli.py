@@ -13,6 +13,7 @@ character.
 from __future__ import annotations
 
 import argparse
+import functools
 import mmap
 import os
 import re
@@ -70,6 +71,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Built once per process: each parse_args call returns a fresh namespace.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wordspot", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,14 +12,13 @@ Pixel conventions used throughout the pipeline:
 Gray rasters are uint8 when the file stores 8-bit samples (P5 with maxval
 below 256) and uint16 otherwise. An 8-bit P5 raster is not copied: its
 pixels are a read-only view of the bytes passed to load_image, which may be
-a read-only `mmap` of the file. A query binarizes no page: `box_ink`, and
-the shape coder through `ink_raster`, apply binarize's threshold to the
-pixels of word boxes only. The command line maps the page files a query
-reads, so of an 8-bit P5 page only the rows under its candidates are read
-from the file, and the shape coder encodes all of a query's words in one
-call that holds one page at a time. `wordspot index` maps its page files
-too, and binarizes each page once, straight from the map, holding one page
-at a time.
+a read-only `mmap` of the file. A query binarizes no page: the shape coder,
+through `ink_raster`, applies binarize's threshold to the pixels of word
+boxes only. The command line maps the page files a query reads, so of an
+8-bit P5 page only the rows under its candidates are read from the file,
+and the shape coder encodes all of a query's words in one call that holds
+one page at a time. `wordspot index` maps its page files too, and
+binarizes each page once, straight from the map, holding one page at a time.
 """
 
 from __future__ import annotations
@@ -32,8 +31,6 @@ import numpy as np
 
 if TYPE_CHECKING:
     import mmap
-
-    from .segment import WordBox
 
 # ITU-R BT.601 luma weights for the RGB -> gray conversion, in thousandths so
 # that rounding half-up is exact.
@@ -297,19 +294,6 @@ def binarize(img: GrayImage) -> BinaryImage:
     """Threshold a GrayImage: bit 0 (ink) iff gray < ink_cut(maxval)."""
     bits = (img.pixels >= ink_cut(img.maxval)).view(np.uint8)
     return BinaryImage(img.width, img.height, bits)
-
-
-def box_ink(img: GrayImage | BinaryImage, box: WordBox) -> np.ndarray:
-    """Ink mask of the pixels inside an (inclusive) box of a page.
-
-    For a GrayImage this is binarize's rule applied to the box's pixels
-    only, `pixels[box] < ink_cut(maxval)`; for a BinaryImage, `bits[box] == 0`.
-    So `box_ink(gray, box)` equals `box_ink(binarize(gray), box)`.
-    """
-    if box.x1 < 0 or box.y1 < 0 or box.x2 >= img.width or box.y2 >= img.height:
-        raise ValueError(f"box {box} outside image {img.width}x{img.height}")
-    raster, cut = ink_raster(img)
-    return raster[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1] < cut
 
 
 def ink_raster(img: GrayImage | BinaryImage) -> tuple[np.ndarray, int]:

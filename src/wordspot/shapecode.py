@@ -12,13 +12,14 @@ line's body band:
     ascender only -> A,  descender (with or without ascender) -> g,
     neither -> x
 
-`word_to_wst` encodes many words, of one page or of many taken one at a
-time, in one call, with the module's fixed token parameters. The columns of
-all its words are laid end to end in arrays allocated once per call; per
-word it only thresholds its box and reduces it into its own columns, and
-the valley cut, merge and zone-reach rules run once over all of them.
-`char_region_segment`, `classify_region` and `estimate_zones` expose each
-step for one word, with those parameters as keyword defaults.
+The token parameters are the module constants below, and no function
+takes them as arguments. `word_to_wst` encodes many words, of one page or of
+many taken one at a time, in one call. The columns of all its words are laid
+end to end in arrays allocated once per call; per word it only thresholds
+its box and reduces it into its own columns, and the valley cut, merge and
+zone-reach rules run once over all of them. `estimate_zones`,
+`char_region_segment` and `classify_region` apply the same rules to one line
+band, word or region.
 
 Query text maps through a fixed per-letter expansion table, one to three
 symbols per letter, so both sides of a search speak the same token alphabet.
@@ -31,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnm import BinaryImage, GrayImage, box_ink, ink_raster
-from .segment import LineBand, WordBox, check_band
+from .pnm import BinaryImage, GrayImage, ink_raster
+from .segment import LineBand, check_band, column_profile
 from .util import count_dtype, round_half_up
 
 
@@ -66,22 +67,6 @@ class ZoneBands:
     def __post_init__(self):
         if self.body_top > self.body_bottom:
             raise ValueError(f"empty body band {self.body_top}..{self.body_bottom}")
-
-
-@dataclass(frozen=True)
-class Region:
-    """Inclusive column range within a word image."""
-
-    col_start: int
-    col_end: int
-
-    def __post_init__(self):
-        if self.col_start > self.col_end:
-            raise ValueError(f"empty region {self.col_start}..{self.col_end}")
-
-    @property
-    def width(self) -> int:
-        return self.col_end - self.col_start + 1
 
 
 # Token parameters. Columns within VALLEY_SLACK of the least ink count are
@@ -124,17 +109,14 @@ def query_to_wst(text: str) -> str:
 
 
 def zones_from_bands(
-    row_counts: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    zone_fraction: float = ZONE_FRACTION,
+    row_counts: np.ndarray, starts: np.ndarray, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Locate the x-height body band of many line bands in one pass, from
     per-row ink counts: the body's first and last rows of each band
     `starts[i]..ends[i]`, in the rows of `row_counts`.
 
     A band's body is the maximal contiguous run of its rows whose count is
-    at least zone_fraction of the band's peak count, containing its (first)
+    at least ZONE_FRACTION of the band's peak count, containing its (first)
     peak row. The bands' rows are laid end to end; the body run around each
     peak is bounded by the nearest rows below the threshold, or by the
     band's edges.
@@ -154,9 +136,7 @@ def zones_from_bands(
         raise NoInkError("band has no ink, zones undefined")
     at_peak = counts == peaks[band_of]
     peak_pos = np.minimum.reduceat(np.where(at_peak, positions, len(positions)), firsts)
-    body = counts >= zone_fraction * peaks[band_of]
-    # The peak row belongs to the body even when zone_fraction exceeds 1.
-    body[peak_pos] = True
+    body = counts >= ZONE_FRACTION * peaks[band_of]
     # The nearest rows outside the body on either side of each peak (or one
     # past either end), clipped to the peak's band.
     gaps = np.concatenate(([-1], np.flatnonzero(~body), [len(body)]))
@@ -166,41 +146,17 @@ def zones_from_bands(
     return tops, bottoms
 
 
-def estimate_zones(
-    img: BinaryImage | GrayImage, band: LineBand, zone_fraction: float = ZONE_FRACTION
-) -> ZoneBands:
-    """Locate the x-height body band inside a line band of `img`.
-
-    See `zones_from_bands`; returned rows use the same coordinate frame as
-    `img`.
-    """
-    check_band(band, img.height)
-    counts = box_ink(img, WordBox(0, band.row_start, img.width - 1, band.row_end)).sum(
-        axis=1, dtype=np.int64
-    )
-    tops, bottoms = zones_from_bands(
-        counts, np.array([0]), np.array([band.height - 1]), zone_fraction
-    )
-    return ZoneBands(band.row_start + int(tops[0]), band.row_start + int(bottoms[0]))
-
-
-def _region_starts(
-    counts: np.ndarray,
-    firsts: np.ndarray,
-    font_sizes: np.ndarray,
-    valley_slack: int,
-    min_region_width: float,
-) -> np.ndarray:
+def _region_starts(counts: np.ndarray, firsts: np.ndarray, font_sizes: np.ndarray) -> np.ndarray:
     """First column of each region of words whose int32 column counts are
     laid end to end in `counts`: word i has the columns from firsts[i]
     (firsts[0] is 0) up to the next word's first. A region ends where the
     next starts.
 
     Per word, m is the minimum count over its ink-bearing columns; its
-    columns with count <= m + valley_slack are valleys. Each interior
+    columns with count <= m + VALLEY_SLACK are valleys. Each interior
     maximal valley run of a word is cut at its midpoint column (the midpoint
     itself starts the right-hand region). Regions narrower than
-    round(min_region_width * font size) of their word are merged into their
+    round(MIN_REGION_WIDTH * font size) of their word are merged into their
     left neighbor, or right neighbor for a word's leftmost. Every word must
     have ink (`_check_ink`).
     """
@@ -209,7 +165,7 @@ def _region_starts(
     # Counts less one, read as uint32: a column without ink wraps to the
     # largest value, so it is never the least of a word that has ink.
     ink_min = np.minimum.reduceat((counts - 1).view(np.uint32), firsts).view(np.int32) + 1
-    valley = counts <= np.repeat(ink_min + valley_slack, ends - firsts)
+    valley = counts <= np.repeat(ink_min + VALLEY_SLACK, ends - firsts)
 
     # Maximal valley runs, split at word edges: a run starts at a valley
     # column that starts its word or follows a column that is no valley,
@@ -233,7 +189,7 @@ def _region_starts(
     # A narrow region joins its left neighbor: its start stops being a
     # boundary. Whether it merges depends on its own width only, up to the
     # next cut or its word's end, so each boundary is decided on its own.
-    min_widths = round_half_up(min_region_width * font_sizes)
+    min_widths = round_half_up(MIN_REGION_WIDTH * font_sizes)
     cut_words = np.searchsorted(firsts, cuts, side="right") - 1
     region_ends = np.minimum(np.append(cuts[1:], width), ends[cut_words])
     wide = region_ends - cuts >= min_widths[cut_words]
@@ -256,11 +212,11 @@ def _check_ink(counts: np.ndarray, firsts: np.ndarray, base: int = 0) -> None:
         raise NoInkError(f"word image {position} has no ink", position)
 
 
-def _zone_limits(body_top, body_bottom, margin: float):
+def _zone_limits(body_top, body_bottom):
     """Rows before the first limit are ascender rows and rows from the
-    second on descender rows: a margin of round(margin * body height) rows
+    second on descender rows: a margin of round(MARGIN * body height) rows
     around the body band must be cleared. Ints or int64 arrays."""
-    delta = round_half_up(margin * (body_bottom - body_top + 1))
+    delta = round_half_up(MARGIN * (body_bottom - body_top + 1))
     return body_top - delta, body_bottom + delta + 1
 
 
@@ -301,39 +257,67 @@ def _zone_codes(above: np.ndarray, below: np.ndarray, starts: np.ndarray) -> str
     return _CODE_BYTES[codes].tobytes().decode("ascii")
 
 
-def char_region_segment(
-    word: BinaryImage,
-    font_size: int,
-    valley_slack: int = VALLEY_SLACK,
-    min_region_width: float = MIN_REGION_WIDTH,
-) -> list[Region]:
+# Single-word helpers, with no caller in the package: perfbench/tracing.py wraps them by name.
+
+
+@dataclass(frozen=True)
+class Region:
+    """Inclusive column range within a word image."""
+
+    col_start: int
+    col_end: int
+
+    def __post_init__(self):
+        if self.col_start > self.col_end:
+            raise ValueError(f"empty region {self.col_start}..{self.col_end}")
+
+    @property
+    def width(self) -> int:
+        return self.col_end - self.col_start + 1
+
+
+def estimate_zones(img: BinaryImage | GrayImage, band: LineBand) -> ZoneBands:
+    """Locate the x-height body band inside a line band of `img`, from the
+    ink of its rows (see `zones_from_bands`). `img` may be gray: its band is
+    thresholded as `word_to_wst` thresholds a box. Returned rows use the
+    same coordinate frame as `img`.
+    """
+    check_band(band, img.height)
+    raster, cut = ink_raster(img)
+    counts = (raster[band.row_start : band.row_end + 1] < cut).sum(axis=1, dtype=np.int64)
+    tops, bottoms = zones_from_bands(counts, np.array([0]), np.array([band.height - 1]))
+    return ZoneBands(band.row_start + int(tops[0]), band.row_start + int(bottoms[0]))
+
+
+def char_region_segment(word: BinaryImage, font_size: int) -> list[Region]:
     """Cut a word image into regions at near-minimum column-profile valleys.
 
     See `_region_starts` for the valley and merge rules. Over-segmentation
     relative to true characters is expected.
     """
-    counts = (word.bits == 0).sum(axis=0, dtype=np.int32)
+    counts = column_profile(word, LineBand(0, word.height - 1))
     firsts = np.array([0])
     _check_ink(counts, firsts)
-    starts = _region_starts(
-        counts, firsts, np.array([font_size]), valley_slack, min_region_width
-    ).tolist()
+    starts = _region_starts(counts, firsts, np.array([font_size])).tolist()
     ends = [s - 1 for s in starts[1:]] + [word.width - 1]
     return [Region(s, e) for s, e in zip(starts, ends)]
 
 
-def classify_region(
-    word: BinaryImage, region: Region, zones: ZoneBands, margin: float = MARGIN
-) -> str:
+def classify_region(word: BinaryImage, region: Region, zones: ZoneBands) -> str:
     """Classify one region as 'A', 'x' or 'g' by its zone reach.
 
     `zones` must be expressed in the same row coordinate frame as `word`
-    (shift line-level zones by -box.y1 before calling). A margin of
-    round(margin * body height) rows around the body band must be cleared
-    before ink counts as an ascender or descender.
+    (shift line-level zones by -box.y1 before calling); see `_zone_limits`
+    and `_zone_codes`. Raises ValueError for a region outside the word's
+    columns.
     """
+    if region.col_start < 0 or region.col_end >= word.width:
+        raise ValueError(
+            f"region {region.col_start}..{region.col_end} outside word columns "
+            f"0..{word.width - 1}"
+        )
     ink = word.bits[:, region.col_start : region.col_end + 1] == 0
-    ascender_end, descender_start = _zone_limits(zones.body_top, zones.body_bottom, margin)
+    ascender_end, descender_start = _zone_limits(zones.body_top, zones.body_bottom)
     counts = np.empty(region.width, dtype=count_dtype(word.height))
     above, below = np.zeros((2, region.width), dtype=bool)
     _ink_columns(ink, max(0, ascender_end), max(0, descender_start), counts, above, below)
@@ -378,7 +362,7 @@ def word_to_wst(
     int arrays of n rows. `pages` is the one page of all the words, or
     yields `(page, n)` for each run of n consecutive boxes on one page, in
     box order. A page may be gray: only the boxes' pixels are thresholded,
-    by `pnm.box_ink`'s rule.
+    by binarize's rule (`pnm.ink_raster`).
 
     The columns of all words are laid end to end in three arrays, each
     allocated once for the call and as wide as all boxes together: ink
@@ -410,7 +394,7 @@ def word_to_wst(
         i = int((body_top > body_bottom).argmax())
         raise ValueError(f"empty body band {body_top[i]}..{body_bottom[i]}")
 
-    ascender_end, descender_start = _zone_limits(body_top, body_bottom, MARGIN)
+    ascender_end, descender_start = _zone_limits(body_top, body_bottom)
     x1, y1, x2, y2 = boxes.T
     above_rows = np.maximum(ascender_end - y1, 0)
     below_from = np.maximum(descender_start - y1, 0)
@@ -438,9 +422,7 @@ def word_to_wst(
     firsts = offsets[:-1]
     # The valley rule adds the slack to counts, so they leave their narrow
     # sum dtype here, once.
-    starts = _region_starts(
-        counts.astype(np.int32), firsts, font_sizes, VALLEY_SLACK, MIN_REGION_WIDTH
-    )
+    starts = _region_starts(counts.astype(np.int32), firsts, font_sizes)
     codes = _zone_codes(above, below, starts)
     # Word i's codes are those of its regions, from the one at firsts[i].
     bounds = np.searchsorted(starts, firsts).tolist() + [len(starts)]

@@ -13,13 +13,11 @@ from wordspot.pnm import (
     GrayImage,
     PnmError,
     binarize,
-    box_ink,
     ink_cut,
     load_image,
     rescale_to_255,
     write_gray,
 )
-from wordspot.segment import WordBox
 
 
 def gray(width, height, maxval, values):
@@ -258,45 +256,9 @@ class TestRescaleTo255:
         assert data == b"P5\n2000 1268\n255\n" + float_rescale(pixels, maxval).tobytes()
 
 
-@st.composite
-def gray_pages_and_boxes(draw):
-    """A random gray page, of uint8 pixels when its maxval allows, and a box
-    inside it."""
-    maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
-    width, height = draw(st.integers(1, 12)), draw(st.integers(1, 12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    dtype = np.uint8 if maxval < 256 and draw(st.booleans()) else np.uint16
-    pixels = rng.integers(0, maxval + 1, (height, width)).astype(dtype)
-    x1 = draw(st.integers(0, width - 1))
-    y1 = draw(st.integers(0, height - 1))
-    box = WordBox(x1, y1, draw(st.integers(x1, width - 1)), draw(st.integers(y1, height - 1)))
-    return GrayImage(width, height, maxval, pixels), box
-
-
-class TestBoxInk:
-    @given(gray_pages_and_boxes())
-    @example((GrayImage(4, 1, 255, np.array([127, 128, 0, 255], dtype=np.uint8)),
-              WordBox(0, 0, 3, 0)))
-    @example((GrayImage(2, 1, 65535, np.array([32767, 32768], dtype=np.uint16)),
-              WordBox(0, 0, 1, 0)))
-    def test_gray_box_ink_is_the_binarized_pages_ink(self, page_and_box):
-        page, box = page_and_box
-        ink = box_ink(page, box)
-        binary = binarize(page)
-        rows, cols = slice(box.y1, box.y2 + 1), slice(box.x1, box.x2 + 1)
-        assert np.array_equal(ink, binary.bits[rows, cols] == 0)
-        assert np.array_equal(box_ink(binary, box), ink)
-
+class TestInkCut:
     def test_cut_is_the_ceiling_of_the_fraction(self):
         assert [ink_cut(m) for m in (1, 2, 255, 256, 65535)] == [1, 1, 128, 128, 32768]
-
-    @pytest.mark.parametrize(
-        "box", [WordBox(0, 0, 2, 0), WordBox(0, 0, 0, 1), WordBox(-1, 0, 0, 0)]
-    )
-    def test_box_outside_the_page_rejected(self, box):
-        page = GrayImage(2, 1, 255, np.zeros((1, 2), dtype=np.uint8))
-        with pytest.raises(ValueError, match="outside image 2x1"):
-            box_ink(page, box)
 
 
 class TestImageInvariants:

@@ -68,7 +68,7 @@ def image_with_column_counts(counts, height):
 class TestEstimateZones:
     def test_half_peak_run_containing_peak(self):
         img = image_with_row_counts([1, 1, 8, 9, 8, 1], 10)
-        zones = estimate_zones(img, LineBand(0, 5), 0.5)
+        zones = estimate_zones(img, LineBand(0, 5))
         assert (zones.body_top, zones.body_bottom) == (2, 4)
 
     def test_rows_are_absolute(self):
@@ -76,13 +76,18 @@ class TestEstimateZones:
         inner = image_with_row_counts([1, 1, 8, 9, 8, 1], 10)
         bits = np.vstack([pad, inner.bits])
         img = BinaryImage(10, 16, bits)
-        zones = estimate_zones(img, LineBand(10, 15), 0.5)
+        zones = estimate_zones(img, LineBand(10, 15))
         assert (zones.body_top, zones.body_bottom) == (12, 14)
 
     def test_uniform_counts_fill_band(self):
         img = image_with_row_counts([4, 4, 4, 4], 6)
         zones = estimate_zones(img, LineBand(0, 3))
         assert (zones.body_top, zones.body_bottom) == (0, 3)
+
+    def test_rows_at_half_the_peak_join_the_body(self):
+        img = image_with_row_counts([3, 4, 8, 5, 3], 10)
+        zones = estimate_zones(img, LineBand(0, 4))
+        assert (zones.body_top, zones.body_bottom) == (1, 3)
 
     def test_single_ink_row(self):
         img = image_with_row_counts([0, 3, 0], 5)
@@ -96,33 +101,36 @@ class TestEstimateZones:
 
 
 class TestCharRegionSegment:
+    # The valley slack is 1 column pixel: columns of the least ink count of a
+    # word, or one more, are valleys. A font of 10 rows keeps regions of one
+    # column; at 30, regions under 3 columns merge.
+
     def test_valley_columns_cut_to_right_region(self):
-        img = image_with_column_counts([5, 6, 1, 5, 6, 1, 5], 6)
-        regions = char_region_segment(img, font_size=10, valley_slack=0)
+        img = image_with_column_counts([5, 6, 1, 5, 6, 2, 5], 6)
+        regions = char_region_segment(img, font_size=10)
         assert regions == [Region(0, 1), Region(2, 4), Region(5, 6)]
 
     def test_wide_valley_cut_at_midpoint(self):
-        img = image_with_column_counts([5, 5, 5, 1, 1, 1, 5, 5], 6)
-        regions = char_region_segment(img, font_size=10, valley_slack=0)
+        img = image_with_column_counts([5, 5, 5, 1, 2, 1, 5, 5], 6)
+        regions = char_region_segment(img, font_size=10)
         assert regions == [Region(0, 3), Region(4, 7)]
 
     def test_monotone_bump_single_region(self):
         img = image_with_column_counts([1, 2, 5], 6)
-        assert char_region_segment(img, 10, valley_slack=0) == [Region(0, 2)]
+        assert char_region_segment(img, 10) == [Region(0, 2)]
 
-    def test_slack_widens_valleys(self):
-        img = image_with_column_counts([5, 1, 5, 2, 5], 6)
-        assert len(char_region_segment(img, 10, valley_slack=0)) == 2
-        assert len(char_region_segment(img, 10, valley_slack=1)) == 3
+    def test_valleys_are_within_one_of_the_least_count(self):
+        assert len(char_region_segment(image_with_column_counts([5, 1, 5, 2, 5], 6), 10)) == 3
+        assert len(char_region_segment(image_with_column_counts([5, 1, 5, 3, 5], 6), 10)) == 2
 
     def test_narrow_regions_merge_left(self):
-        img = image_with_column_counts([9, 9, 1, 9, 1, 9, 9], 9)
-        regions = char_region_segment(img, font_size=30, valley_slack=0)
+        img = image_with_column_counts([9, 9, 1, 9, 2, 9, 9], 9)
+        regions = char_region_segment(img, font_size=30)
         assert regions == [Region(0, 3), Region(4, 6)]
 
     def test_leftmost_narrow_region_merges_right(self):
         img = image_with_column_counts([9, 1, 9, 9, 9, 9], 9)
-        regions = char_region_segment(img, font_size=30, valley_slack=0)
+        regions = char_region_segment(img, font_size=30)
         assert regions == [Region(0, 5)]
 
     def test_no_ink_raises(self):
@@ -137,7 +145,7 @@ class TestCharRegionSegment:
             if not any(counts):
                 counts[0] = 1
             img = image_with_column_counts(counts, 8)
-            regions = char_region_segment(img, 20, valley_slack=1)
+            regions = char_region_segment(img, 20)
             assert regions[0].col_start == 0
             assert regions[-1].col_end == img.width - 1
             for a, b in zip(regions, regions[1:]):
@@ -171,12 +179,21 @@ class TestClassifyRegion:
         assert classify_region(word, Region(0, 3), self.zones()) == "g"
 
     def test_margin_absorbs_near_body_ink(self):
-        # body 10..29, height 20 -> delta 2: rows 28..31 are inside the margin.
+        # body 10..29, height 20 -> delta 2: rows 8, 9, 30 and 31 are inside
+        # the margin.
         zones = ZoneBands(10, 29)
         word = self.word(range(8, 32), height=40)
-        assert classify_region(word, Region(0, 3), zones, margin=0.1) == "x"
+        assert classify_region(word, Region(0, 3), zones) == "x"
         word = self.word(range(7, 33), height=40)
-        assert classify_region(word, Region(0, 3), zones, margin=0.1) == "g"
+        assert classify_region(word, Region(0, 3), zones) == "g"
+
+    @pytest.mark.parametrize("region", [Region(2, 9), Region(5, 6), Region(-1, 2)])
+    def test_region_outside_the_word_rejected(self, region):
+        with pytest.raises(ValueError) as err:
+            classify_region(self.word(range(3, 7)), region, self.zones())
+        assert str(err.value) == (
+            f"region {region.col_start}..{region.col_end} outside word columns 0..3"
+        )
 
 
 class TestQueryToWst:
@@ -350,16 +367,19 @@ class TestWordToWst:
 
 
 # Plain per-column and per-region reference of the shape coder: the valley
-# cut, merge and zone-reach rules written one column, row or region at a time.
+# cut, merge and zone-reach rules written one column, row or region at a time,
+# at the token parameters of the specification, frozen here so that a changed
+# constant in the shipped coder cannot agree with itself: zone fraction 0.5,
+# valley slack 1, minimum region width 0.1 and margin 0.1.
 
 
-def reference_zone_run(counts, zone_fraction):
-    """(top, bottom) of the run of rows at or above the cut that holds the
-    first peak row, walking outwards from it one row at a time."""
+def reference_zone_run(counts):
+    """(top, bottom) of the run of rows of at least half the peak count that
+    holds the first peak row, walking outwards from it one row at a time."""
     peak = max(counts)
     if peak == 0:
         raise NoInkError("band has no ink")
-    cut = zone_fraction * peak
+    cut = 0.5 * peak
     peak_row = counts.index(peak)
     top = bottom = peak_row
     while top > 0 and counts[top - 1] >= cut:
@@ -369,27 +389,27 @@ def reference_zone_run(counts, zone_fraction):
     return top, bottom
 
 
-def reference_band_zones(counts, band, zone_fraction):
+def reference_band_zones(counts, band):
     """ZoneBands of the row walk over the rows of one (start, end) band."""
     start, end = band
-    top, bottom = reference_zone_run(counts[start : end + 1], zone_fraction)
+    top, bottom = reference_zone_run(counts[start : end + 1])
     return ZoneBands(start + top, start + bottom)
 
 
-def reference_estimate_zones(img, band, zone_fraction):
+def reference_estimate_zones(img, band):
     counts = [
         int((img.bits[r] == 0).sum()) for r in range(band.row_start, band.row_end + 1)
     ]
-    top, bottom = reference_zone_run(counts, zone_fraction)
+    top, bottom = reference_zone_run(counts)
     return ZoneBands(band.row_start + top, band.row_start + bottom)
 
 
-def reference_char_region_segment(word, font_size, valley_slack, min_region_width):
+def reference_char_region_segment(word, font_size):
     counts = [int((word.bits[:, c] == 0).sum()) for c in range(word.width)]
     ink_counts = [c for c in counts if c > 0]
     if not ink_counts:
         raise NoInkError("word image has no ink")
-    valley_cut = min(ink_counts) + valley_slack
+    valley_cut = min(ink_counts) + 1
     cuts = []
     run_start = None
     for c, count in enumerate(counts + [None]):
@@ -403,7 +423,7 @@ def reference_char_region_segment(word, font_size, valley_slack, min_region_widt
     starts = [0] + cuts
     ends = [s - 1 for s in cuts] + [word.width - 1]
     regions = [Region(s, e) for s, e in zip(starts, ends)]
-    min_width = round_half_up(min_region_width * font_size)
+    min_width = round_half_up(0.1 * font_size)
     merged = []
     for region in regions:
         if merged and region.width < min_width:
@@ -416,8 +436,8 @@ def reference_char_region_segment(word, font_size, valley_slack, min_region_widt
     return merged
 
 
-def reference_classify_region(word, region, zones, margin):
-    delta = round_half_up(margin * (zones.body_bottom - zones.body_top + 1))
+def reference_classify_region(word, region, zones):
+    delta = round_half_up(0.1 * (zones.body_bottom - zones.body_top + 1))
     ink_rows = [
         r
         for r in range(word.height)
@@ -433,15 +453,14 @@ def reference_classify_region(word, region, zones, margin):
 
 
 def reference_word_to_wst(page, band, box, zones):
-    """The shape coder's specification, with its token parameters: valley
-    slack 1, minimum region width 0.1, margin 0.1 and zone fraction 0.5."""
+    """The shape coder's specification, one word and one region at a time."""
     if zones is None:
-        zones = reference_estimate_zones(page, band, 0.5)
+        zones = reference_estimate_zones(page, band)
     bits = page.bits[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1]
     word = BinaryImage(box.width, box.height, bits)
     local = ZoneBands(zones.body_top - box.y1, zones.body_bottom - box.y1)
-    regions = reference_char_region_segment(word, band.height, 1, 0.1)
-    return "".join(reference_classify_region(word, region, local, 0.1) for region in regions)
+    regions = reference_char_region_segment(word, band.height)
+    return "".join(reference_classify_region(word, region, local) for region in regions)
 
 
 def outcome(fn, *args):
@@ -531,11 +550,11 @@ def counts_and_bands(draw):
     return counts, bands
 
 
-def zones_of_bands(row_counts, bands, zone_fraction):
+def zones_of_bands(row_counts, bands):
     """ZoneBands of each (start, end) band, from one zones_from_bands pass."""
     starts = np.array([start for start, _ in bands], dtype=np.int64)
     ends = np.array([end for _, end in bands], dtype=np.int64)
-    tops, bottoms = zones_from_bands(row_counts, starts, ends, zone_fraction)
+    tops, bottoms = zones_from_bands(row_counts, starts, ends)
     return list(map(ZoneBands, tops.tolist(), bottoms.tolist()))
 
 
@@ -554,33 +573,34 @@ def gray_versions(draw, img, maxval=None):
 
 
 class TestReferenceEquivalence:
-    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40), st.floats(-0.5, 1.5))
-    @example([3, 5, 5, 1, 5], 0.5)  # tied peaks in separate runs: the first wins
-    @example([5, 5, 5], 1.0)
-    @example([2, 7, 3], 2.0)  # cut above the peak keeps only the peak row
-    @example([0, 0], 0.5)
-    def test_zone_run_matches_row_walk(self, counts, zone_fraction):
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    @example([3, 5, 5, 1, 5])  # tied peaks in separate runs: the first wins
+    @example([5, 5, 5])
+    @example([2, 6, 3, 2])  # a row at exactly half the peak joins the body
+    @example([2, 7, 3])  # rows under half the peak leave only the peak row
+    @example([0, 0])
+    def test_zone_run_matches_row_walk(self, counts):
         pad = [9] * 3  # rows outside the band must not matter
         rows = np.array(pad + counts + pad)
         band = (3, 3 + len(counts) - 1)
-        expected = outcome(reference_band_zones, rows.tolist(), band, zone_fraction)
+        expected = outcome(reference_band_zones, rows.tolist(), band)
         if expected is not NoInkError:
             expected = [expected]
-        assert outcome(zones_of_bands, rows, [band], zone_fraction) == expected
+        assert outcome(zones_of_bands, rows, [band]) == expected
 
-    @given(counts_and_bands(), st.floats(-0.5, 1.5))
+    @given(counts_and_bands())
     # Tied peaks: the first wins, in each of two bands.
-    @example(([3, 5, 5, 1, 5, 0, 2, 2, 0, 2], [(0, 4), (6, 9)]), 0.5)
-    @example(([4, 1, 4, 4], [(0, 3), (1, 3), (1, 1)]), 1.0)
-    @example(([2, 0, 3], [(0, 2), (1, 1)]), 0.5)  # one band without ink
-    @example(([1], []), 0.5)
-    def test_zones_from_bands_matches_row_walk_per_band(self, counts_bands, fraction):
+    @example(([3, 5, 5, 1, 5, 0, 2, 2, 0, 2], [(0, 4), (6, 9)]))
+    @example(([4, 1, 4, 4], [(0, 3), (1, 3), (1, 1)]))
+    @example(([2, 0, 3], [(0, 2), (1, 1)]))  # one band without ink
+    @example(([1], []))
+    def test_zones_from_bands_matches_row_walk_per_band(self, counts_bands):
         counts, bands = counts_bands
         rows = np.array(counts, dtype=np.int32)
-        expected = [outcome(reference_band_zones, counts, band, fraction) for band in bands]
+        expected = [outcome(reference_band_zones, counts, band) for band in bands]
         if NoInkError in expected:
             expected = NoInkError
-        assert outcome(zones_of_bands, rows, bands, fraction) == expected
+        assert outcome(zones_of_bands, rows, bands) == expected
 
     @given(pages_bands_boxes(), st.booleans(), st.data())
     def test_word_to_wst_same_for_a_gray_page_and_its_binarization(
@@ -654,27 +674,21 @@ class TestReferenceEquivalence:
     def test_estimate_zones_matches_reference(self, img, data):
         row_start = data.draw(st.integers(0, img.height - 1))
         band = LineBand(row_start, data.draw(st.integers(row_start, img.height - 1)))
-        fraction = data.draw(st.floats(0.0, 1.3))
-        assert outcome(estimate_zones, img, band, fraction) == outcome(
-            reference_estimate_zones, img, band, fraction
+        assert outcome(estimate_zones, img, band) == outcome(reference_estimate_zones, img, band)
+
+    @given(random_images() | stroke_images(), st.integers(1, 60))
+    def test_char_region_segment_matches_column_loop(self, word, font_size):
+        assert outcome(char_region_segment, word, font_size) == outcome(
+            reference_char_region_segment, word, font_size
         )
 
-    @given(random_images(), st.integers(1, 60), st.integers(-1, 4), st.floats(0.0, 0.6))
-    def test_char_region_segment_matches_column_loop(
-        self, word, font_size, valley_slack, min_region_width
-    ):
-        args = (word, font_size, valley_slack, min_region_width)
-        assert outcome(char_region_segment, *args) == outcome(
-            reference_char_region_segment, *args
-        )
-
-    @given(random_images(), st.data(), st.floats(0.0, 0.5))
-    def test_classify_region_matches_reference(self, word, data, margin):
+    @given(random_images() | stroke_images(), st.data())
+    def test_classify_region_matches_reference(self, word, data):
         col_start = data.draw(st.integers(0, word.width - 1))
         region = Region(col_start, data.draw(st.integers(col_start, word.width - 1)))
         zones = data.draw(random_zones(word.height))
-        assert classify_region(word, region, zones, margin) == reference_classify_region(
-            word, region, zones, margin
+        assert classify_region(word, region, zones) == reference_classify_region(
+            word, region, zones
         )
 
     @given(pages_bands_boxes(), st.booleans(), st.data())
