@@ -2,8 +2,8 @@
 
 Commands:
   index     build a word index from NetPBM page images
-  query     run one text query (or a stdin batch) against an index
-  annotate  query and write annotated page copies with match boxes
+  query     run one text query (or a stdin batch) against an index, and
+            with --annotate write page copies with the match boxes drawn
   inspect   dump pipeline intermediates for debugging
 
 Exit codes: 0 success, 1 usage, 2 input parse, 3 I/O, 4 unsupported query
@@ -25,7 +25,6 @@ import numpy as np
 
 from .index import (
     DEFAULT_REF_FONT,
-    DocEntry,
     IndexFormatError,
     SizeClass,
     WordIndex,
@@ -94,13 +93,6 @@ def _build_parser() -> _Parser:
     p_query.add_argument("--annotate", metavar="OUT.pgm",
                          help="write matched pages with boxes drawn (one-shot only)")
     p_query.set_defaults(func=_cmd_query)
-
-    p_annot = sub.add_parser("annotate", help="query and write annotated page images")
-    _add_query_args(p_annot)
-    p_annot.add_argument("text", help="query word (letters only)")
-    p_annot.add_argument("--out", required=True, metavar="OUT.pgm",
-                         help="annotated output image")
-    p_annot.set_defaults(func=_cmd_annotate)
 
     p_inspect = sub.add_parser("inspect", help="print pipeline intermediates")
     p_inspect.add_argument("input", help="page image or index file")
@@ -221,9 +213,13 @@ def _cmd_index(args) -> int:
 class _PageLoader:
     """Loads the gray page images recorded in an index; caches nothing.
 
-    Paths are tried as given, then relative to the index file's directory.
-    A page whose size differs from the one the index recorded is refused:
-    the index's boxes no longer describe it. A query thresholds only the
+    A page's recorded path is opened as given and, only when that open
+    finds no file there (`FileNotFoundError`, `NotADirectoryError`),
+    relative to the index file's directory. When neither opens, the page
+    is missing; any other failure to open (a directory, no permission) is
+    reported as it is. A page whose
+    size differs from the one the index recorded is refused: the index's
+    boxes no longer describe it. A query thresholds only the
     pixels inside its candidates' boxes, so no page is binarized, and each
     page file is mapped, not read: an 8-bit P5 page's pixels are a view of
     the map, and only the rows under the boxes are read from the file. The
@@ -235,21 +231,18 @@ class _PageLoader:
         self._docs = {doc.doc_id: doc for doc in index.docs}
         self._base_dir = base_dir
 
-    def _resolve(self, doc: DocEntry) -> Path:
-        raw = doc.path
-        path = Path(raw)
-        if path.exists():
-            return path
-        alt = self._base_dir / raw
-        if alt.exists():
-            return alt
-        raise MissingPageError(doc.doc_id, f"page file {raw!r} not found")
-
     def __call__(self, doc_id: str) -> GrayImage:
         # A record's page is a position in the index's docs, so its doc is here.
         doc = self._docs[doc_id]
-        path = str(self._resolve(doc))
-        img = _load_page(path, _map_file(path))
+        for path in (str(Path(doc.path)), str(self._base_dir / doc.path)):
+            try:
+                data = _map_file(path)
+                break
+            except (FileNotFoundError, NotADirectoryError):
+                pass
+        else:
+            raise MissingPageError(doc_id, f"page file {doc.path!r} not found")
+        img = _load_page(path, data)
         if (img.width, img.height) != (doc.width, doc.height):
             raise MissingPageError(
                 doc_id,
@@ -329,10 +322,6 @@ def _cmd_query(args) -> int:
     else:
         texts = [args.text]
     return _run_queries(args, texts, args.annotate)
-
-
-def _cmd_annotate(args) -> int:
-    return _run_queries(args, [args.text], args.out)
 
 
 def _cmd_inspect(args) -> int:

@@ -18,7 +18,9 @@ boxes only. The command line maps the page files a query reads, so of an
 8-bit P5 page only the rows under its candidates are read from the file,
 and the shape coder encodes all of a query's words in one call that holds
 one page at a time. `wordspot index` maps its page files too, and
-binarizes each page once, straight from the map, holding one page at a time.
+binarizes each page once, straight from the map, holding one page at a time:
+the threshold's bool result is the binary page's bits, taken as 0/1 by type
+with no second pass over the page.
 """
 
 from __future__ import annotations
@@ -90,7 +92,12 @@ class GrayImage:
 
 @dataclass(eq=False)
 class BinaryImage:
-    """Two-level raster; bit 0 = ink, bit 1 = background."""
+    """Two-level raster; bit 0 = ink, bit 1 = background.
+
+    `bits` are uint8. A bool array (binarize's output) is 0/1 by its type:
+    it is viewed as uint8, not copied or scanned. Anything else is converted
+    to uint8 and must hold only 0 and 1.
+    """
 
     width: int
     height: int
@@ -99,10 +106,11 @@ class BinaryImage:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
-        self.bits = np.asarray(self.bits, dtype=np.uint8).reshape(
-            self.height, self.width
-        )
-        if self.bits.max() > 1:
+        bits = self.bits
+        by_type = isinstance(bits, np.ndarray) and bits.dtype == np.bool_
+        bits = bits.view(np.uint8) if by_type else np.asarray(bits, dtype=np.uint8)
+        self.bits = bits.reshape(self.height, self.width)
+        if not by_type and self.bits.max() > 1:
             raise ValueError("binary image bits must be 0 or 1")
 
     def __eq__(self, other: object) -> bool:
@@ -116,9 +124,11 @@ class BinaryImage:
 
 
 def _may_exceed(dtype: np.dtype, maxval: int) -> bool:
-    """Whether samples of this integer dtype can be above maxval; when they
-    cannot (uint8 at 255, uint16 at 65535), a raster needs no scan."""
-    return np.iinfo(dtype).max > maxval
+    """Whether samples of this unsigned dtype, of 8 or 16 bits, can be above
+    maxval; when they cannot (uint8 at 255, uint16 at 65535), a raster needs
+    no scan. Literal limits, as in `util.count_dtype`, not an `np.iinfo`
+    lookup per page."""
+    return maxval < (0xFF if dtype.itemsize == 1 else 0xFFFF)
 
 
 class _Reader:
@@ -291,9 +301,9 @@ def ink_cut(maxval: int) -> int:
 
 
 def binarize(img: GrayImage) -> BinaryImage:
-    """Threshold a GrayImage: bit 0 (ink) iff gray < ink_cut(maxval)."""
-    bits = (img.pixels >= ink_cut(img.maxval)).view(np.uint8)
-    return BinaryImage(img.width, img.height, bits)
+    """Threshold a GrayImage: bit 0 (ink) iff gray < ink_cut(maxval). The
+    comparison's bools become the bits with no further pass."""
+    return BinaryImage(img.width, img.height, img.pixels >= ink_cut(img.maxval))
 
 
 def ink_raster(img: GrayImage | BinaryImage) -> tuple[np.ndarray, int]:

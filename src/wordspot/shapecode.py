@@ -13,13 +13,15 @@ line's body band:
     neither -> x
 
 The token parameters are the module constants below, and no function
-takes them as arguments. `word_to_wst` encodes many words, of one page or of
-many taken one at a time, in one call. The columns of all its words are laid
-end to end in arrays allocated once per call; per word it only thresholds
-its box and reduces it into its own columns, and the valley cut, merge and
-zone-reach rules run once over all of them. `estimate_zones`,
+takes them as arguments. `word_to_wst` encodes many words, given as runs of
+boxes on pages taken one at a time, in one call. The columns of all its
+words are laid end to end in arrays allocated once per call; per word it
+only thresholds its box and reduces it into its own columns, in one loop
+(`_page_columns`, the one box-reduction rule), and the valley cut, merge
+and zone-reach rules run once over all of them. `estimate_zones`,
 `char_region_segment` and `classify_region` apply the same rules to one line
-band, word or region.
+band, word or region; `classify_region` reduces its region through
+`_page_columns` as a box of one word.
 
 Query text maps through a fixed per-letter expansion table, one to three
 symbols per letter, so both sides of a search speak the same token alphabet.
@@ -220,25 +222,40 @@ def _zone_limits(body_top, body_bottom):
     return body_top - delta, body_bottom + delta + 1
 
 
-def _ink_columns(
-    ink: np.ndarray,
-    above_rows: int,
-    below_from: int,
+def _page_columns(
+    page: BinaryImage | GrayImage,
+    words: list[list[int]],
     counts: np.ndarray,
     above: np.ndarray,
     below: np.ndarray,
 ) -> None:
-    """Write per column of a word's ink mask its ink count into `counts`,
-    whose dtype must hold the mask's height (`count_dtype`), and whether it
-    has ink in the mask's first `above_rows` rows into `above` and in its
-    rows from `below_from` on into `below` (both >= 0). `above` and `below`
-    must start False: a zone with no rows in the mask is not read."""
-    # Bools are bytes of 0 or 1: summed into uint8 counts with no cast.
-    np.add.reduce(ink.view(np.uint8), axis=0, out=counts)
-    if above_rows > 0:
-        np.logical_or.reduce(ink[:above_rows], axis=0, out=above)
-    if below_from < len(ink):
-        np.logical_or.reduce(ink[below_from:], axis=0, out=below)
+    """The one box-reduction rule: per word of one page, reduce its box's
+    ink over the box's rows into the word's own columns of `counts`,
+    `above` and `below`. Each of `words` is a word's box `x1 y1 x2 y2`, its
+    `above_rows` and `below_from` (both >= 0) and the first and end of its
+    columns in the arrays.
+
+    A column's count is its ink pixels in the box, in `counts`' dtype, which
+    must hold the box's height (`count_dtype`). `above` is whether it has
+    ink in the box's first `above_rows` rows (the ascender zone), `below`
+    whether it has ink in its rows from `below_from` on (the descender
+    zone). Both must start False: a zone with no rows in the box is not
+    read. Raises ValueError for a box that is empty or outside the page.
+    """
+    raster, cut = ink_raster(page)
+    width, height = page.width, page.height
+    for left, top, right, bottom, above_rows, below_from, first, end in words:
+        if not (0 <= left <= right < width and 0 <= top <= bottom < height):
+            raise ValueError(
+                f"box {left} {top} {right} {bottom} empty or outside image {width}x{height}"
+            )
+        ink = raster[top : bottom + 1, left : right + 1] < cut
+        # Bools are bytes of 0 or 1: summed into uint8 counts with no cast.
+        np.add.reduce(ink.view(np.uint8), axis=0, out=counts[first:end])
+        if above_rows > 0:
+            np.logical_or.reduce(ink[:above_rows], axis=0, out=above[first:end])
+        if below_from <= bottom - top:
+            np.logical_or.reduce(ink[below_from:], axis=0, out=below[first:end])
 
 
 # Region code by index: 0 plain, 1 ascender, 2 descender.
@@ -316,40 +333,19 @@ def classify_region(word: BinaryImage, region: Region, zones: ZoneBands) -> str:
             f"region {region.col_start}..{region.col_end} outside word columns "
             f"0..{word.width - 1}"
         )
-    ink = word.bits[:, region.col_start : region.col_end + 1] == 0
     ascender_end, descender_start = _zone_limits(zones.body_top, zones.body_bottom)
+    box = [region.col_start, 0, region.col_end, word.height - 1]
     counts = np.empty(region.width, dtype=count_dtype(word.height))
     above, below = np.zeros((2, region.width), dtype=bool)
-    _ink_columns(ink, max(0, ascender_end), max(0, descender_start), counts, above, below)
+    _page_columns(
+        word, [box + [max(0, ascender_end), max(0, descender_start), 0, region.width]],
+        counts, above, below,
+    )
     return _zone_codes(above, below, np.array([0]))
 
 
-def _page_columns(
-    page: BinaryImage | GrayImage,
-    words: list[list[int]],
-    counts: np.ndarray,
-    above: np.ndarray,
-    below: np.ndarray,
-) -> None:
-    """Write `_ink_columns` of words of one page into `counts`, `above` and
-    `below`. Each of `words` is a word's box `x1 y1 x2 y2`, its
-    `above_rows` and `below_from`, and the first and end of its columns in
-    the arrays."""
-    raster, cut = ink_raster(page)
-    width, height = page.width, page.height
-    for left, top, right, bottom, a, b, first, end in words:
-        if not (0 <= left <= right < width and 0 <= top <= bottom < height):
-            raise ValueError(
-                f"box {left} {top} {right} {bottom} empty or outside image {width}x{height}"
-            )
-        _ink_columns(
-            raster[top : bottom + 1, left : right + 1] < cut, a, b,
-            counts[first:end], above[first:end], below[first:end],
-        )
-
-
 def word_to_wst(
-    pages: BinaryImage | GrayImage | Iterable[tuple[BinaryImage | GrayImage, int]],
+    pages: Iterable[tuple[BinaryImage | GrayImage, int]],
     boxes: np.ndarray,
     bodies: np.ndarray,
     font_sizes: np.ndarray,
@@ -359,17 +355,17 @@ def word_to_wst(
     Row i of `boxes` is word i's inclusive box `x1 y1 x2 y2`, row i of
     `bodies` the `body_top body_bottom` rows of its line's x-height band
     (both in page coordinates) and `font_sizes[i]` its line band's height;
-    int arrays of n rows. `pages` is the one page of all the words, or
-    yields `(page, n)` for each run of n consecutive boxes on one page, in
-    box order. A page may be gray: only the boxes' pixels are thresholded,
-    by binarize's rule (`pnm.ink_raster`).
+    int arrays of n rows. `pages` yields `(page, n)` for each run of n
+    consecutive boxes on one page, in box order: `[(page, n)]` when all n
+    words are on one page. A page may be gray: only the boxes' pixels are
+    thresholded, by binarize's rule (`pnm.ink_raster`).
 
     The columns of all words are laid end to end in three arrays, each
     allocated once for the call and as wide as all boxes together: ink
     counts, in the `count_dtype` of the tallest box, and whether a column
     has ink in its word's ascender zone and in its descender zone, both
     starting False. Per word, one slice of its page is thresholded and
-    reduced over its rows into the word's own columns (`_ink_columns`);
+    reduced over its rows into the word's own columns (`_page_columns`);
     a zone with no rows inside the box keeps its False columns unread. A
     page is dropped before the next is taken, so one page at a time is
     held. The valley cut, merge and zone-reach rules then run once over
@@ -387,8 +383,6 @@ def word_to_wst(
         raise ValueError("boxes, bodies and font_sizes differ in length")
     if len(boxes) == 0:
         return []
-    if isinstance(pages, (BinaryImage, GrayImage)):
-        pages = [(pages, len(boxes))]
     body_top, body_bottom = bodies.T
     if (body_top > body_bottom).any():
         i = int((body_top > body_bottom).argmax())

@@ -295,6 +295,57 @@ class TestQueryCommand:
         assert main(["query", str(index_path), "help"]) == 3
         assert "page1" in capsys.readouterr().err
 
+    @pytest.fixture()
+    def relative_corpus(self, tmp_path, monkeypatch, capsys):
+        """An index in `books/` that records its page as `scans/page.pgm`,
+        relative to that directory; the query then runs from `elsewhere/`,
+        with the query's stdout from `books/`."""
+        layout = compose_page([(metrics(40), ["dipped", "help", "sauce"])], width=900)
+        books = tmp_path / "books"
+        (books / "scans").mkdir(parents=True)
+        page = books / "scans" / "page.pgm"
+        page.write_bytes(page_to_pgm(layout))
+        monkeypatch.chdir(books)
+        assert main(["index", "scans/page.pgm", "--out", "books.wsidx"]) == 0
+        capsys.readouterr()
+        assert main(["query", "books.wsidx", "help"]) == 0
+        expected = capsys.readouterr().out
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        return books / "books.wsidx", page, elsewhere, expected
+
+    def test_relative_page_found_next_to_the_index_from_another_directory(
+        self, relative_corpus, capsys
+    ):
+        index_path, page, elsewhere, expected = relative_corpus
+        assert "COUNT 0" not in expected
+        assert main(["query", str(index_path), "help"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_recorded_path_under_a_regular_file_falls_through(self, relative_corpus, capsys):
+        # Opening `scans/page.pgm` from here fails with NotADirectoryError.
+        index_path, page, elsewhere, expected = relative_corpus
+        (elsewhere / "scans").write_bytes(b"not a directory")
+        assert main(["query", str(index_path), "help"]) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_recorded_and_index_relative_paths_missing_exit_3(self, relative_corpus, capsys):
+        index_path, page, elsewhere, expected = relative_corpus
+        page.unlink()
+        assert main(["query", str(index_path), "help"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "page file 'scans/page.pgm' not found" in captured.err
+
+    def test_recorded_path_that_is_a_directory_exits_3(self, relative_corpus, capsys):
+        # A directory at the recorded path is no missing page: the page next
+        # to the index is not tried.
+        index_path, page, elsewhere, expected = relative_corpus
+        (elsewhere / "scans" / "page.pgm").mkdir(parents=True)
+        assert main(["query", str(index_path), "help"]) == 3
+        assert "Is a directory: 'scans/page.pgm'" in capsys.readouterr().err
+
     def test_query_output_same_for_every_page_format(self, corpus, capsys):
         layout, page, index_path = corpus
         outputs = {}
@@ -414,13 +465,23 @@ class TestAnnotate:
         box = layout.boxes[0][1]
         self.assert_ring_drawn(layout.image.bits, annotated, box)
 
-    def test_annotate_subcommand_alias(self, corpus, capsys, tmp_path):
+    def test_query_annotate_prints_the_query_output(self, corpus, capsys, tmp_path):
+        layout, page, index_path = corpus
+        capsys.readouterr()
+        assert main(["query", str(index_path), "help"]) == 0
+        plain = capsys.readouterr().out
+        out = tmp_path / "hits.pgm"
+        assert main(["query", str(index_path), "help", "--annotate", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith("Q help\n") and stdout == plain
+        assert out.exists()
+
+    def test_annotate_is_no_subcommand(self, corpus, capsys, tmp_path):
         layout, page, index_path = corpus
         out = tmp_path / "hits.pgm"
-        assert main(["annotate", str(index_path), "help", "--out", str(out)]) == 0
-        stdout = capsys.readouterr().out
-        assert stdout.startswith("Q help\n")
-        assert out.exists()
+        assert main(["annotate", str(index_path), "help", "--out", str(out)]) == 1
+        assert "invalid choice: 'annotate'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_no_matches_no_file(self, corpus, tmp_path):
         layout, page, index_path = corpus
@@ -462,7 +523,7 @@ class TestAnnotate:
         text = text.replace("DOC p1 ", "DOC a%2Fb ").replace("DOC p2 ", "DOC c%00d ")
         index_path.write_text(text)
         out = tmp_path / "hits.pgm"
-        assert main(["annotate", str(index_path), "help", "--out", str(out)]) == 0
+        assert main(["query", str(index_path), "help", "--annotate", str(out)]) == 0
         assert sorted(path.name for path in tmp_path.glob("hits.*")) == [
             "hits.a%2Fb.pgm", "hits.c%00d.pgm"
         ]
@@ -483,7 +544,7 @@ class TestAnnotate:
         text = text.replace("DOC p1 ", "DOC a%2Fb ").replace("DOC p2 ", "DOC a%252Fb ")
         index_path.write_text(text)
         out = tmp_path / "hits.pgm"
-        assert main(["annotate", str(index_path), "help", "--out", str(out)]) == 0
+        assert main(["query", str(index_path), "help", "--annotate", str(out)]) == 0
         assert sorted(path.name for path in tmp_path.glob("hits.*")) == [
             "hits.a%252Fb.pgm", "hits.a%2Fb.pgm"
         ]
@@ -579,7 +640,7 @@ class TestBadInputNamesTheFile:
         [
             ["query", "{index}", "help"],
             ["query", "{index}", "--stdin"],
-            ["annotate", "{index}", "help", "--out", "{out}"],
+            ["query", "{index}", "help", "--annotate", "{out}"],
             ["inspect", "{index}", "--what", "words"],
             ["inspect", "{index}", "--what", "wst"],
         ],

@@ -274,6 +274,16 @@ class TestImageInvariants:
         with pytest.raises(ValueError):
             BinaryImage(1, 1, np.array([[2]], dtype=np.uint8))
 
+    def test_binary_takes_bools_as_uint8_bits_without_a_copy(self):
+        bools = np.array([[True, False, True]])
+        img = BinaryImage(3, 1, bools)
+        assert img.bits.dtype == np.uint8
+        assert img.bits.tolist() == [[1, 0, 1]]
+        assert np.shares_memory(img.bits, bools)
+        # Only bools are 0/1 by type: a uint8 array is still checked.
+        with pytest.raises(ValueError, match="0 or 1"):
+            BinaryImage(3, 1, np.array([[1, 2, 0]], dtype=np.uint8))
+
 
 class TestInPlaceRaster:
     def test_8bit_p5_pixels_are_a_read_only_uint8_view_of_the_input(self):

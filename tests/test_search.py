@@ -355,7 +355,7 @@ class TestBuildLines:
             line = index.lines[n]
             box, zones = rec.box, line.zones
             assert [rec.wst] == word_to_wst(
-                page,
+                [(page, 1)],
                 [(box.x1, box.y1, box.x2, box.y2)],
                 [(zones.body_top, zones.body_bottom)],
                 [line.band.height],

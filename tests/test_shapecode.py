@@ -259,9 +259,15 @@ def render_line_page(words, font=40):
 
 
 def encode_words(page, words):
-    """word_to_wst on (box, zones, font size) words, in one call."""
+    """word_to_wst on (box, zones, font size) words of one page, in one call."""
+    return encode_runs([(page, len(words))], words)
+
+
+def encode_runs(runs, words):
+    """word_to_wst on (box, zones, font size) words, in one call, with runs
+    of them on `(page, n)` pages."""
     return word_to_wst(
-        page,
+        runs,
         [(box.x1, box.y1, box.x2, box.y2) for box, _, _ in words],
         [(zones.body_top, zones.body_bottom) for _, zones, _ in words],
         [font for _, _, font in words],
@@ -282,7 +288,7 @@ class TestWordToWst:
         bits = np.ones((40, 6), dtype=np.uint8)
         bits[0:30, 1:5] = 0  # bar through ascender zone and body
         img = BinaryImage(6, 40, bits)
-        assert word_to_wst(img, [(1, 0, 4, 29)], [(10, 29)], [40]) == ["A"]
+        assert word_to_wst([(img, 1)], [(1, 0, 4, 29)], [(10, 29)], [40]) == ["A"]
 
     def test_rendered_the_matches_expansion(self):
         img, band, boxes = render_line_page(["dipped", "the", "sauce"])
@@ -320,7 +326,7 @@ class TestWordToWst:
         zones = estimate_zones(img, band)
         tokens = encode_words(img, [(box, zones, band.height) for box in boxes])
         assert tokens == [encode_word(img, band, b) for b in boxes]
-        assert word_to_wst(img, np.empty((0, 4)), np.empty((0, 2)), []) == []
+        assert word_to_wst([], np.empty((0, 4)), np.empty((0, 2)), []) == []
 
     def test_no_ink_propagates(self):
         bits = np.ones((10, 10), dtype=np.uint8)
@@ -328,7 +334,7 @@ class TestWordToWst:
         img = BinaryImage(10, 10, bits)
         boxes = [(2, 2, 2, 2), (5, 5, 7, 7), (0, 0, 1, 1)]
         with pytest.raises(NoInkError) as err:
-            word_to_wst(img, boxes, [(5, 9)] * 3, [5] * 3)
+            word_to_wst([(img, 3)], boxes, [(5, 9)] * 3, [5] * 3)
         assert err.value.position == 1
 
     def test_no_ink_raised_before_the_next_page_is_taken(self):
@@ -363,7 +369,7 @@ class TestWordToWst:
     def test_box_outside_the_page_or_empty_body_rejected(self, box, body):
         img = BinaryImage(10, 10, np.zeros((10, 10), dtype=np.uint8))
         with pytest.raises(ValueError):
-            word_to_wst(img, [box], [body], [10])
+            word_to_wst([(img, 1)], [box], [body], [10])
 
 
 # Plain per-column and per-region reference of the shape coder: the valley
@@ -530,10 +536,10 @@ def pages_and_words(draw):
     return page, words
 
 
-def first_inkless_or_tokens(page, words):
+def first_inkless_or_tokens(runs, words):
     """The tokens of one call, or (NoInkError, position) when it raised."""
     try:
-        return encode_words(page, words)
+        return encode_runs(runs, words)
     except NoInkError as exc:
         return NoInkError, exc.position
 
@@ -660,7 +666,8 @@ class TestReferenceEquivalence:
             as_uint8 = gray.pixels.astype(np.uint8)
             rasters.append(GrayImage(gray.width, gray.height, maxval, as_uint8))
         for raster in rasters:
-            assert first_inkless_or_tokens(raster, words) == expected(range(len(words)))
+            runs = [(raster, len(words))]
+            assert first_inkless_or_tokens(runs, words) == expected(range(len(words)))
         # Runs of the words on separate pages, here the page and its gray
         # version, give the tokens of one page.
         cut = data.draw(st.integers(0, len(words)))
@@ -668,7 +675,8 @@ class TestReferenceEquivalence:
         assert first_inkless_or_tokens(runs, words) == expected(range(len(words)))
         # A word's token does not depend on the other words of the call.
         order = data.draw(st.permutations(range(len(words))))
-        assert first_inkless_or_tokens(page, [words[i] for i in order]) == expected(order)
+        shuffled = [words[i] for i in order]
+        assert first_inkless_or_tokens([(page, len(words))], shuffled) == expected(order)
 
     @given(random_images(), st.data())
     def test_estimate_zones_matches_reference(self, img, data):
