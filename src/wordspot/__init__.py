@@ -16,7 +16,6 @@ from .index import (
     WordIndex,
     WordRecord,
     build_index,
-    classify_size,
     load_index,
     normalize_length,
     save_index,
@@ -71,7 +70,6 @@ __all__ = [
     "ZoneBands",
     "binarize",
     "build_index",
-    "classify_size",
     "column_profile",
     "distances",
     "format_result",

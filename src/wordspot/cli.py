@@ -25,6 +25,7 @@ import numpy as np
 
 from .index import (
     DEFAULT_REF_FONT,
+    FORMAT_MAGIC,
     IndexFormatError,
     SizeClass,
     WordIndex,
@@ -42,7 +43,7 @@ from .search import (
     format_result,
     search,
 )
-from .segment import DEFAULT_GAP_FACTOR, LineBand, WordBox, column_profile, row_profile
+from .segment import LineBand, WordBox, column_profile, row_profile
 from .shapecode import UnsupportedCharacterError
 
 EXIT_OK = 0
@@ -80,13 +81,15 @@ def _build_parser() -> _Parser:
     p_index.add_argument("images", nargs="+", help="NetPBM page images (P1-P6)")
     p_index.add_argument("--ref-font", type=int, default=DEFAULT_REF_FONT,
                          help="reference font size in pixels (default 60)")
-    p_index.add_argument("--gap-factor", type=float, default=DEFAULT_GAP_FACTOR,
-                         help="inter-character gap limit as a fraction of line height")
     p_index.add_argument("--out", required=True, help="output index file")
     p_index.set_defaults(func=_cmd_index)
 
     p_query = sub.add_parser("query", help="search an index for a text query")
-    _add_query_args(p_query)
+    p_query.add_argument("index", help="index file built by `wordspot index`")
+    p_query.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
+                         help="maximum shape-token edit distance (default 2.5)")
+    p_query.add_argument("--char-width", type=int, default=DEFAULT_CHAR_WIDTH,
+                         help="expected character width in pixels at the reference font")
     p_query.add_argument("text", nargs="?", help="query word (letters only)")
     p_query.add_argument("--stdin", action="store_true",
                          help="read one query per line from standard input")
@@ -98,18 +101,9 @@ def _build_parser() -> _Parser:
     p_inspect.add_argument("input", help="page image or index file")
     p_inspect.add_argument("--what", required=True,
                            choices=["rows", "cols", "lines", "words", "zones", "wst"])
-    p_inspect.add_argument("--gap-factor", type=float, default=DEFAULT_GAP_FACTOR)
     p_inspect.set_defaults(func=_cmd_inspect)
 
     return parser
-
-
-def _add_query_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("index", help="index file built by `wordspot index`")
-    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
-                   help="maximum shape-token edit distance (default 2.5)")
-    p.add_argument("--char-width", type=int, default=DEFAULT_CHAR_WIDTH,
-                   help="expected character width in pixels at the reference font")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,10 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     except UnsupportedCharacterError as exc:
         print(f"wordspot: {exc}", file=sys.stderr)
         return EXIT_QUERY
-    except MissingPageError as exc:
-        print(f"wordspot: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except OSError as exc:  # MissingPageError too
         print(f"wordspot: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
@@ -190,9 +181,7 @@ def _cmd_index(args) -> int:
             paths[doc_id] = path
             yield doc_id, binarize(_load_page(path, _map_file(path)))
 
-    index = build_index(
-        pages(), ref_font=args.ref_font, gap_factor=args.gap_factor, source_paths=paths
-    )
+    index = build_index(pages(), ref_font=args.ref_font, source_paths=paths)
     data = save_index(index)
 
     out = Path(args.out)
@@ -261,15 +250,15 @@ def _read_index(path: str, data: bytes | None = None) -> WordIndex:
         raise IndexFormatError(f"{path}: {exc.message}", exc.line) from None
 
 
-def draw_box_border(pixels: np.ndarray, box: WordBox, thickness: int = BORDER_THICKNESS) -> None:
-    """Draw a black frame of the given thickness around (outside) the box.
+def draw_box_border(pixels: np.ndarray, box: WordBox) -> None:
+    """Draw a black frame BORDER_THICKNESS pixels wide around (outside) the box.
 
     Only pixels in the frame ring are touched; everything inside the box and
     beyond the ring is left alone. The ring is clamped to the image.
     """
     h, w = pixels.shape
-    ox1, oy1 = max(0, box.x1 - thickness), max(0, box.y1 - thickness)
-    ox2, oy2 = min(w - 1, box.x2 + thickness), min(h - 1, box.y2 + thickness)
+    ox1, oy1 = max(0, box.x1 - BORDER_THICKNESS), max(0, box.y1 - BORDER_THICKNESS)
+    ox2, oy2 = min(w - 1, box.x2 + BORDER_THICKNESS), min(h - 1, box.y2 + BORDER_THICKNESS)
     pixels[oy1 : box.y1, ox1 : ox2 + 1] = 0
     pixels[box.y2 + 1 : oy2 + 1, ox1 : ox2 + 1] = 0
     pixels[box.y1 : box.y2 + 1, ox1 : box.x1] = 0
@@ -327,7 +316,7 @@ def _cmd_query(args) -> int:
 def _cmd_inspect(args) -> int:
     data = Path(args.input).read_bytes()
     what = args.what
-    if data.startswith(b"WSIDX"):
+    if data.startswith(FORMAT_MAGIC.encode()):
         index = _read_index(args.input, data)
     else:
         img = binarize(_load_page(args.input, data))
@@ -339,7 +328,7 @@ def _cmd_inspect(args) -> int:
             print(" ".join(map(str, column_profile(img, full).tolist())))
             return EXIT_OK
         # The lines and words `index` records, with the tokens `query` computes.
-        index = build_index([("page", img)], gap_factor=args.gap_factor)
+        index = build_index([("page", img)])
         if what == "wst":
             encode_missing(index, lambda doc_id: img, list(range(len(index.tokens))))
     if what in ("lines", "zones"):

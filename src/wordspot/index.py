@@ -11,8 +11,7 @@ disagree; it holds lines and records as integer columns, checks their
 invariants once, as array checks, and sorts the records by normalized
 length once, so that a query's size prefilter is a binary search
 and a cold query builds objects only for its matches. Size classes remain
-the unit of `wordspot index`'s counts; `classify_size` and
-`WordIndex.size_class_counts` share one boundary rule.
+the unit of `wordspot index`'s counts (`WordIndex.size_class_counts`).
 
 Index file format (UTF-8, LF, space-separated fields), nested by position:
 
@@ -42,10 +41,8 @@ import numpy as np
 
 from .pnm import BinaryImage
 from .segment import (
-    DEFAULT_GAP_FACTOR,
     LineBand,
     WordBox,
-    check_gap_factor,
     default_noise_threshold,
     row_profile,
     segment_lines,
@@ -126,13 +123,6 @@ def _size_class_numbers(norm_lengths: int | np.ndarray) -> np.ndarray:
     """Size class number of each normalized length: how many of the
     lower-inclusive SIZE_BOUNDS it reaches."""
     return np.searchsorted(SIZE_BOUNDS, norm_lengths, side="right")
-
-
-def classify_size(norm_length: int) -> SizeClass:
-    """Map a normalized pixel length onto its size class (lower-inclusive)."""
-    if norm_length < 0:
-        raise ValueError(f"norm_length must be >= 0, got {norm_length}")
-    return SizeClass(int(_size_class_numbers(norm_length)))
 
 
 _WST_ALPHABET = set("Axg")
@@ -402,7 +392,6 @@ def build_index(
     pages: Iterable[tuple[str, BinaryImage]],
     ref_font: int = DEFAULT_REF_FONT,
     *,
-    gap_factor: float = DEFAULT_GAP_FACTOR,
     source_paths: dict[str, str] | None = None,
 ) -> WordIndex:
     """Segment every page and index each text line and one record per word.
@@ -417,8 +406,6 @@ def build_index(
     (defaults to the doc_id itself) so that queries can reload page images;
     it is read as each page is taken.
     """
-    # Refused whether or not a page has a text line to split.
-    check_gap_factor(gap_factor)
     docs = []
     lines = [np.empty((0, len(LINE_ROW)), dtype=np.int64)]
     words = [np.empty((0, len(WORD_ROW)), dtype=np.int64)]
@@ -434,7 +421,7 @@ def build_index(
         starts = np.array([band.row_start for band in bands], dtype=np.int64)
         ends = np.array([band.row_end for band in bands], dtype=np.int64)
         tops, bottoms = zones_from_bands(counts, starts, ends)
-        boxes = segment_words(img, bands, gap_factor)
+        boxes = segment_words(img, bands)
         del img  # before the loop takes the next page
         # A word's band becomes its line's position in the whole index.
         boxes[:, 0] += line_count

@@ -95,8 +95,9 @@ class BinaryImage:
     """Two-level raster; bit 0 = ink, bit 1 = background.
 
     `bits` are uint8. A bool array (binarize's output) is 0/1 by its type:
-    it is viewed as uint8, not copied or scanned. Anything else is converted
-    to uint8 and must hold only 0 and 1.
+    it is viewed as uint8, not copied or scanned. Anything else must hold
+    only 0 and 1, checked before it is converted to uint8, so that no other
+    value wraps into a bit.
     """
 
     width: int
@@ -107,11 +108,17 @@ class BinaryImage:
         if self.width < 1 or self.height < 1:
             raise ValueError("image dimensions must be >= 1")
         bits = self.bits
-        by_type = isinstance(bits, np.ndarray) and bits.dtype == np.bool_
-        bits = bits.view(np.uint8) if by_type else np.asarray(bits, dtype=np.uint8)
-        self.bits = bits.reshape(self.height, self.width)
-        if not by_type and self.bits.max() > 1:
+        if isinstance(bits, np.ndarray) and bits.dtype == np.bool_:
+            self.bits = bits.view(np.uint8).reshape(self.height, self.width)
+            return
+        bits = np.asarray(bits).reshape(self.height, self.width)
+        if bits.dtype == np.uint8:  # no uint8 value is below 0
+            bad = bits.max() > 1
+        else:
+            bad = ((bits != 0) & (bits != 1)).any()
+        if bad:
             raise ValueError("binary image bits must be 0 or 1")
+        self.bits = bits.astype(np.uint8, copy=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BinaryImage):

@@ -131,7 +131,7 @@ def _load(provider: PageProvider, doc_id: str) -> GrayImage | BinaryImage:
         return provider(doc_id)
     except MissingPageError:
         raise
-    except (OSError, KeyError, LookupError) as exc:
+    except (OSError, LookupError) as exc:
         raise MissingPageError(doc_id, str(exc)) from exc
 
 

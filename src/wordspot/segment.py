@@ -4,15 +4,15 @@ Profiles are integer arrays of ink-pixel counts per row or per column.
 Lines are maximal runs of rows whose ink count exceeds a noise threshold
 (by default 0.5 % of the page width, worked out per page); words are runs of
 columns inside a line band, where zero-ink column gaps longer than
-gap_factor * band height separate words and shorter gaps are kept inside a
-word. `segment_words` finds the words of all of a page's bands in one call,
-as one row of integers per word. `mask_runs` is the one "maximal runs of a
-mask" implementation.
+GAP_FACTOR (0.2) x band height separate words and shorter gaps are kept
+inside a word. `segment_words` finds the words of all of a page's bands in
+one call, as one row of integers per word. `mask_runs` is the one "maximal
+runs of a mask" implementation, for this module and for `shapecode`'s body
+bands and valley runs.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -21,7 +21,8 @@ import numpy as np
 from .pnm import BinaryImage
 from .util import count_dtype, round_half_up
 
-DEFAULT_GAP_FACTOR = 0.2
+# The inter-character gap limit, as a fraction of the band height.
+GAP_FACTOR = 0.2
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,6 @@ def check_band(band: LineBand, height: int) -> None:
         )
 
 
-def check_gap_factor(gap_factor: float) -> None:
-    """Raise ValueError unless the gap factor is finite."""
-    if not math.isfinite(gap_factor):
-        raise ValueError(f"gap factor must be finite, got {gap_factor}")
-
-
 def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and end indices (inclusive) of the maximal True runs of a 1-D mask."""
     padded = np.zeros(len(mask) + 2, dtype=bool)
@@ -114,15 +109,13 @@ def segment_lines(row_counts: np.ndarray, noise_threshold: int) -> list[LineBand
     return [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
 
 
-def segment_words(
-    img: BinaryImage, bands: Sequence[LineBand], gap_factor: float = DEFAULT_GAP_FACTOR
-) -> np.ndarray:
+def segment_words(img: BinaryImage, bands: Sequence[LineBand]) -> np.ndarray:
     """Word boxes of all of a page's line bands, found in one pass.
 
     Returns one int64 row per word, `(band, x1, y1, x2, y2)`: the position
     of the word's band in `bands` and its inclusive box, in band order and
     left to right within a band. A band's height stands in for its line's
-    font size. Zero-ink column runs of length <= round(gap_factor * band
+    font size. Zero-ink column runs of length <= round(GAP_FACTOR * band
     height) are inter-character gaps and stay inside a word; longer runs
     split words. Leading and trailing empty columns are trimmed, never
     treated as splits. Each box is tightened to the minimal bounding box of
@@ -132,7 +125,6 @@ def segment_words(
     one blank column so that no run crosses into the next band, and their
     runs are found in one `mask_runs` call.
     """
-    check_gap_factor(gap_factor)
     for band in bands:
         check_band(band, img.height)
     width = img.width
@@ -148,9 +140,7 @@ def segment_words(
 
     run_bands = starts // stride
     heights = np.array([band.height for band in bands], dtype=np.int64)
-    # Clipped so that a huge factor cannot overflow int64: a limit of the
-    # page width keeps every gap, and -1 splits at every gap, as 0 does.
-    gap_limits = round_half_up(np.clip(gap_factor * heights, -1.0, float(width)))
+    gap_limits = round_half_up(GAP_FACTOR * heights)
     split = (run_bands[1:] != run_bands[:-1]) | (
         starts[1:] - ends[:-1] - 1 > gap_limits[run_bands[:-1]]
     )

@@ -18,7 +18,8 @@ boxes on pages taken one at a time, in one call. The columns of all its
 words are laid end to end in arrays allocated once per call; per word it
 only thresholds its box and reduces it into its own columns, in one loop
 (`_page_columns`, the one box-reduction rule), and the valley cut, merge
-and zone-reach rules run once over all of them. `estimate_zones`,
+and zone-reach rules run once over all of them. Body bands and valley runs
+are maximal runs of a mask, found by `segment.mask_runs`. `estimate_zones`,
 `char_region_segment` and `classify_region` apply the same rules to one line
 band, word or region; `classify_region` reduces its region through
 `_page_columns` as a box of one word.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage, GrayImage, ink_raster
-from .segment import LineBand, check_band, column_profile
+from .segment import LineBand, check_band, column_profile, mask_runs
 from .util import count_dtype, round_half_up
 
 
@@ -119,9 +120,8 @@ def zones_from_bands(
 
     A band's body is the maximal contiguous run of its rows whose count is
     at least ZONE_FRACTION of the band's peak count, containing its (first)
-    peak row. The bands' rows are laid end to end; the body run around each
-    peak is bounded by the nearest rows below the threshold, or by the
-    band's edges.
+    peak row. The bands' rows are laid end to end; each peak's body is the
+    `mask_runs` run that holds it, clipped to the peak's band.
     """
     if len(starts) == 0:
         return starts, ends
@@ -138,13 +138,12 @@ def zones_from_bands(
         raise NoInkError("band has no ink, zones undefined")
     at_peak = counts == peaks[band_of]
     peak_pos = np.minimum.reduceat(np.where(at_peak, positions, len(positions)), firsts)
-    body = counts >= ZONE_FRACTION * peaks[band_of]
-    # The nearest rows outside the body on either side of each peak (or one
-    # past either end), clipped to the peak's band.
-    gaps = np.concatenate(([-1], np.flatnonzero(~body), [len(body)]))
-    after = np.searchsorted(gaps, peak_pos)
-    tops = np.maximum(gaps[after - 1] + 1, firsts) - firsts + starts
-    bottoms = np.minimum(gaps[after] - 1, lasts) - firsts + starts
+    # Each peak row is in the body, so the last run starting at or before
+    # it holds it.
+    run_starts, run_ends = mask_runs(counts >= ZONE_FRACTION * peaks[band_of])
+    runs = np.searchsorted(run_starts, peak_pos, side="right") - 1
+    tops = np.maximum(run_starts[runs], firsts) - firsts + starts
+    bottoms = np.minimum(run_ends[runs], lasts) - firsts + starts
     return tops, bottoms
 
 
@@ -169,30 +168,19 @@ def _region_starts(counts: np.ndarray, firsts: np.ndarray, font_sizes: np.ndarra
     ink_min = np.minimum.reduceat((counts - 1).view(np.uint32), firsts).view(np.int32) + 1
     valley = counts <= np.repeat(ink_min + VALLEY_SLACK, ends - firsts)
 
-    # Maximal valley runs, split at word edges: a run starts at a valley
-    # column that starts its word or follows a column that is no valley,
-    # and ends likewise.
-    word_start = np.zeros(width, dtype=bool)
-    word_start[firsts] = True
-    word_end = np.zeros(width, dtype=bool)
-    word_end[ends - 1] = True
-    run_start = valley.copy()
-    run_start[1:] &= ~valley[:-1]
-    run_start[firsts] = valley[firsts]
-    run_end = valley.copy()
-    run_end[:-1] &= ~valley[1:]
-    run_end[ends - 1] = valley[ends - 1]
-    run_starts, run_ends = np.flatnonzero(run_start), np.flatnonzero(run_end)
-    # Runs touching either edge of their word have no second side to
-    # separate; no cut.
-    interior = ~word_start[run_starts] & ~word_end[run_ends]
+    # A run is cut only if it starts after its word's first column and ends
+    # before its word's last: a run touching either edge has no second side
+    # to separate, and a run that crosses into the next word ends past it.
+    run_starts, run_ends = mask_runs(valley)
+    run_words = np.searchsorted(firsts, run_starts, side="right") - 1
+    interior = (run_starts > firsts[run_words]) & (run_ends < ends[run_words] - 1)
     cuts = (run_starts[interior] + run_ends[interior]) // 2
+    cut_words = run_words[interior]
 
     # A narrow region joins its left neighbor: its start stops being a
     # boundary. Whether it merges depends on its own width only, up to the
     # next cut or its word's end, so each boundary is decided on its own.
     min_widths = round_half_up(MIN_REGION_WIDTH * font_sizes)
-    cut_words = np.searchsorted(firsts, cuts, side="right") - 1
     region_ends = np.minimum(np.append(cuts[1:], width), ends[cut_words])
     wide = region_ends - cuts >= min_widths[cut_words]
     kept, kept_words = cuts[wide], cut_words[wide]
@@ -201,8 +189,10 @@ def _region_starts(counts: np.ndarray, firsts: np.ndarray, font_sizes: np.ndarra
     leftmost = np.append(True, kept_words[1:] != kept_words[:-1])
     narrow = kept - firsts[kept_words] < min_widths[kept_words]
     # Regions start at each word's first column and at its remaining cuts.
-    word_start[kept[~(leftmost & narrow)]] = True
-    return np.flatnonzero(word_start)
+    region_start = np.zeros(width, dtype=bool)
+    region_start[firsts] = True
+    region_start[kept[~(leftmost & narrow)]] = True
+    return np.flatnonzero(region_start)
 
 
 def _check_ink(counts: np.ndarray, firsts: np.ndarray, base: int = 0) -> None:

@@ -20,9 +20,10 @@ from glyphs import (
 )
 from wordspot.index import (
     DocEntry,
+    SizeClass,
     WordIndex,
+    _size_class_numbers,
     build_index,
-    classify_size,
     load_index,
     normalize_length,
     save_index,
@@ -137,7 +138,7 @@ def test_normalization_scale_invariance():
 def test_size_class_boundaries():
     inputs = [0, 79, 80, 239, 240, 319, 320, 479, 480, 481]
     expected = ["VS", "VS", "S", "S", "M", "M", "L", "L", "VL", "VL"]
-    got = [classify_size(v).code for v in inputs]
+    got = [SizeClass(n).code for n in _size_class_numbers(inputs).tolist()]
     report("size class boundaries", got == expected, " ".join(got))
     assert got == expected
 

@@ -19,8 +19,8 @@ from wordspot.index import (
     SizeClass,
     WordIndex,
     WordRecord,
+    _size_class_numbers,
     build_index,
-    classify_size,
     load_index,
     normalize_length,
     save_index,
@@ -63,7 +63,7 @@ class TestNormalizeLength:
             assert normalize_length(L, H, H) == L
 
 
-class TestClassifySize:
+class TestSizeClass:
     @pytest.mark.parametrize(
         "value,expected",
         [
@@ -74,18 +74,11 @@ class TestClassifySize:
         ],
     )
     def test_examples(self, value, expected):
-        assert classify_size(value) == expected
+        assert _size_class_numbers(value) == expected
 
     def test_monotone(self):
-        previous = SizeClass.VERY_SMALL
-        for value in range(0, 600):
-            cls = classify_size(value)
-            assert cls >= previous
-            previous = cls
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            classify_size(-1)
+        classes = _size_class_numbers(np.arange(600))
+        assert classes[0] == SizeClass.VERY_SMALL and (np.diff(classes) >= 0).all()
 
     def test_codes(self):
         assert [c.code for c in SizeClass] == ["VS", "S", "M", "L", "VL"]
@@ -254,9 +247,8 @@ class TestPersistence:
         again = load_index(save_index(small_index()))
         norms = [normalize_length(rec.box.width, rec.box.height, 60) for rec in again.records]
         assert again.norm_lengths.tolist() == norms
-        assert again.size_class_counts() == [
-            sum(classify_size(norm) == cls for norm in norms) for cls in SizeClass
-        ]
+        classes = _size_class_numbers(norms).tolist()
+        assert again.size_class_counts() == [classes.count(cls) for cls in SizeClass]
         assert sum(again.size_class_counts()) == 3
 
 

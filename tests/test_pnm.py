@@ -274,6 +274,27 @@ class TestImageInvariants:
         with pytest.raises(ValueError):
             BinaryImage(1, 1, np.array([[2]], dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([[256]]),
+            np.array([[257]], dtype=np.int32),
+            np.array([[1.7]]),
+            np.array([[0.5]]),
+            np.array([[-1]]),
+        ],
+    )
+    def test_binary_rejects_values_that_would_wrap_into_bits(self, bits):
+        with pytest.raises(ValueError, match="0 or 1"):
+            BinaryImage(1, 1, bits)
+
+    def test_binary_takes_0_and_1_of_any_dtype(self):
+        for dtype in (np.int64, np.int32, np.float64, np.uint16):
+            img = BinaryImage(2, 1, np.array([[0, 1]], dtype=dtype))
+            assert img.bits.dtype == np.uint8 and img.bits.tolist() == [[0, 1]]
+        bits = np.array([[0, 1]], dtype=np.uint8)
+        assert np.shares_memory(BinaryImage(2, 1, bits).bits, bits)
+
     def test_binary_takes_bools_as_uint8_bits_without_a_copy(self):
         bools = np.array([[True, False, True]])
         img = BinaryImage(3, 1, bools)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wordspot.index import build_index, save_index
 from wordspot.pnm import BinaryImage
 from wordspot.segment import (
-    DEFAULT_GAP_FACTOR,
     LineBand,
     WordBox,
     column_profile,
@@ -150,9 +149,9 @@ class TestSegmentLines:
         assert len(covered) == sum(b.height for b in bands)
 
 
-def line_boxes(img, band, gap_factor=DEFAULT_GAP_FACTOR):
+def line_boxes(img, band):
     """The word boxes segment_words finds in a single band."""
-    rows = segment_words(img, [band], gap_factor).tolist()
+    rows = segment_words(img, [band]).tolist()
     assert all(row[0] == 0 for row in rows)
     return [WordBox(*row[1:]) for row in rows]
 
@@ -161,7 +160,7 @@ class TestSegmentWords:
     def test_gap_rule_example(self):
         counts = [3, 4, 0, 5, 6, 0, 0, 0, 2, 3]
         img = image_with_column_counts(counts, 10)
-        boxes = line_boxes(img, LineBand(0, 9), 0.2)  # gap limit 2
+        boxes = line_boxes(img, LineBand(0, 9))  # gap limit 2
         assert [(b.x1, b.x2) for b in boxes] == [(0, 4), (8, 9)]
 
     def test_single_word_no_gaps(self):
@@ -174,13 +173,13 @@ class TestSegmentWords:
         # band height 10 -> limit 2; a 2-column gap does not split.
         counts = [3, 3, 0, 0, 3, 3]
         img = image_with_column_counts(counts, 10)
-        boxes = line_boxes(img, LineBand(0, 9), 0.2)
+        boxes = line_boxes(img, LineBand(0, 9))
         assert len(boxes) == 1
 
     def test_gap_above_limit_splits(self):
         counts = [3, 3, 0, 0, 0, 3, 3]
         img = image_with_column_counts(counts, 10)
-        boxes = line_boxes(img, LineBand(0, 9), 0.2)
+        boxes = line_boxes(img, LineBand(0, 9))
         assert len(boxes) == 2
 
     def test_boxes_are_tight_both_axes(self):
@@ -189,12 +188,6 @@ class TestSegmentWords:
         img = BinaryImage(6, 8, bits)
         boxes = line_boxes(img, LineBand(0, 7))
         assert boxes == [WordBox(1, 2, 2, 4)]
-
-    @pytest.mark.parametrize("gap_factor", [float("inf"), float("-inf"), float("nan")])
-    def test_non_finite_gap_factor_rejected(self, gap_factor):
-        img = image_with_column_counts([2, 3, 1, 4], 5)
-        with pytest.raises(ValueError, match="gap factor must be finite"):
-            segment_words(img, [LineBand(0, 4)], gap_factor)
 
     def test_empty_band_yields_no_words(self):
         img = image_from_rows([[1, 1, 1]])
@@ -210,19 +203,9 @@ class TestSegmentWords:
         with pytest.raises(ValueError, match="outside image rows"):
             segment_words(img, [LineBand(0, 0), LineBand(1, 2)])
 
-    def test_word_count_non_increasing_in_gap_factor(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            img = random_image(rng, 40, 10, ink_prob=0.15)
-            band = LineBand(0, 9)
-            counts = [
-                len(line_boxes(img, band, gf)) for gf in (0.0, 0.1, 0.2, 0.4, 0.8)
-            ]
-            assert counts == sorted(counts, reverse=True)
-
     def test_boxes_disjoint_and_ordered(self):
         img = random_image(random.Random(10), 60, 12, ink_prob=0.12)
-        boxes = line_boxes(img, LineBand(0, 11), 0.1)
+        boxes = line_boxes(img, LineBand(0, 11))
         for left, right in zip(boxes, boxes[1:]):
             assert left.x2 < right.x1
 
@@ -234,22 +217,19 @@ class TestSegmentWords:
         bits[0:10, [0, 1, 4, 5]] = 0
         bits[12:17, [0, 1, 4, 5]] = 0
         img = BinaryImage(6, 17, bits)
-        rows = segment_words(img, [LineBand(0, 9), LineBand(12, 16)], 0.2)
+        rows = segment_words(img, [LineBand(0, 9), LineBand(12, 16)])
         assert rows.tolist() == [[0, 0, 0, 5, 9], [1, 0, 12, 1, 16], [1, 4, 12, 5, 16]]
 
     def test_runs_do_not_join_across_bands(self):
-        # Ink in the last column of one band and the first of the next.
-        bits = np.ones((2, 4), dtype=np.uint8)
+        # Ink in the last column of one band and the first of the next. Laid
+        # end to end, the two are one blank column apart, within the bands'
+        # gap limit of 1.
+        bits = np.ones((10, 4), dtype=np.uint8)
         bits[0, 3] = 0
-        bits[1, 0] = 0
-        img = BinaryImage(4, 2, bits)
-        rows = segment_words(img, [LineBand(0, 0), LineBand(1, 1)], 100.0)
-        assert rows.tolist() == [[0, 3, 0, 3, 0], [1, 0, 1, 0, 1]]
-
-    def test_huge_gap_factor_keeps_every_gap(self):
-        img = image_with_column_counts([3, 0, 0, 0, 3, 0, 3], 10)
-        assert line_boxes(img, LineBand(0, 9), 1e300) == [WordBox(0, 0, 6, 2)]
-        assert len(line_boxes(img, LineBand(0, 9), -1e300)) == 3
+        bits[9, 0] = 0
+        img = BinaryImage(4, 10, bits)
+        rows = segment_words(img, [LineBand(0, 4), LineBand(5, 9)])
+        assert rows.tolist() == [[0, 3, 0, 3, 0], [1, 0, 9, 0, 9]]
 
 
 def reference_runs_above(counts, threshold):
@@ -268,15 +248,16 @@ def reference_runs_above(counts, threshold):
     return runs
 
 
-def reference_segment_words(img, band, gap_factor):
+def reference_segment_words(img, band):
     """Word boxes one group at a time: split ink-column runs at gaps longer
-    than the limit, then tighten each group's rows over its own columns."""
+    than the limit, 0.2 of the band height, then tighten each group's rows
+    over its own columns."""
     rows = img.bits[band.row_start : band.row_end + 1]
     counts = [int((rows[:, c] == 0).sum()) for c in range(img.width)]
     runs = reference_runs_above(counts, 0)
     if not runs:
         return []
-    gap_limit = round_half_up(gap_factor * band.height)
+    gap_limit = round_half_up(0.2 * band.height)
     groups = [[runs[0]]]
     for run in runs[1:]:
         if run[0] - groups[-1][-1][1] - 1 <= gap_limit:
@@ -295,10 +276,10 @@ def reference_segment_words(img, band, gap_factor):
 def pages_and_bands(draw):
     """A random page and several bands, always one at row 0 and one at the
     last row (in any order, possibly overlapping), with ink in the first
-    and last columns and, in one band, two ink columns exactly that band's
-    gap limit apart."""
+    and last columns and, in one band, two ink columns whose gap is one
+    less than, equal to or one more than that band's gap limit."""
     width = draw(st.integers(1, 40))
-    height = draw(st.integers(1, 16))
+    height = draw(st.integers(1, 30))
     ink_share = draw(st.floats(0.05, 0.6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     bits = (rng.random((height, width)) >= ink_share).astype(np.uint8)
@@ -310,15 +291,15 @@ def pages_and_bands(draw):
         row_start = draw(row_ends)
         bands.append(LineBand(row_start, draw(st.integers(row_start, height - 1))))
     bands = draw(st.permutations(bands))
-    gap_factor = draw(st.floats(0.0, 2.0))
     band = draw(st.sampled_from(bands))
-    limit = round_half_up(gap_factor * band.height)
-    if limit + 2 <= width:
-        x = draw(st.integers(0, width - limit - 2))
+    limit = round_half_up(0.2 * band.height)
+    gap = draw(st.integers(max(0, limit - 1), limit + 1))
+    if gap + 2 <= width:
+        x = draw(st.integers(0, width - gap - 2))
         rows = slice(band.row_start, band.row_end + 1)
-        bits[rows, x + 1 : x + limit + 1] = 1
-        bits[draw(st.integers(band.row_start, band.row_end)), [x, x + limit + 1]] = 0
-    return BinaryImage(width, height, bits), bands, gap_factor
+        bits[rows, x + 1 : x + gap + 1] = 1
+        bits[draw(st.integers(band.row_start, band.row_end)), [x, x + gap + 1]] = 0
+    return BinaryImage(width, height, bits), bands
 
 
 class TestReferenceEquivalence:
@@ -333,22 +314,18 @@ class TestReferenceEquivalence:
 
     @given(pages_and_bands())
     def test_segment_words_matches_reference_band_by_band(self, page_bands):
-        img, bands, gap_factor = page_bands
-        rows = segment_words(img, bands, gap_factor)
+        img, bands = page_bands
+        rows = segment_words(img, bands)
         assert rows.dtype == np.int64 and rows.shape[1:] == (5,)
         expected = [
             [n, box.x1, box.y1, box.x2, box.y2]
             for n, band in enumerate(bands)
-            for box in reference_segment_words(img, band, gap_factor)
+            for box in reference_segment_words(img, band)
         ]
         assert rows.tolist() == expected
 
     @given(st.lists(pages_and_bands(), min_size=1, max_size=3))
     def test_build_index_same_bytes_from_a_list_and_a_generator(self, drawn):
-        pages = [(f"p{n}", img) for n, (img, _, _) in enumerate(drawn)]
-        gap_factor = drawn[0][2]
-        built = [
-            save_index(build_index(given_pages, gap_factor=gap_factor))
-            for given_pages in (pages, (page for page in pages))
-        ]
+        pages = [(f"p{n}", img) for n, (img, _) in enumerate(drawn)]
+        built = [save_index(build_index(given)) for given in (pages, (page for page in pages))]
         assert built[0] == built[1]

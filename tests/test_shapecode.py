@@ -564,18 +564,31 @@ def zones_of_bands(row_counts, bands):
     return list(map(ZoneBands, tops.tolist(), bottoms.tolist()))
 
 
-@st.composite
-def gray_versions(draw, img, maxval=None):
+def gray_version(img, maxval, rng):
     """A gray page that binarizes to `img`: ink pixels drawn below the cut,
     background pixels at or above it, in uint16."""
-    if maxval is None:
-        maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
     cut = ink_cut(maxval)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     ink = rng.integers(0, cut, img.bits.shape)
     background = rng.integers(cut, maxval + 1, img.bits.shape)
     pixels = np.where(img.bits == 0, ink, background).astype(np.uint16)
     return GrayImage(img.width, img.height, maxval, pixels)
+
+
+@st.composite
+def gray_versions(draw, img):
+    maxval = draw(st.sampled_from([1, 255, 256, 65535]) | st.integers(1, 65535))
+    return gray_version(img, maxval, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+
+
+def words_of_columns(*words, font=1):
+    """A page whose columns hold the ink counts of `words` laid end to end,
+    and one full-height box per word, with the body band filling it."""
+    counts = [count for word in words for count in word]
+    height = max(counts)
+    page = image_with_column_counts(counts, height)
+    firsts = np.cumsum([0] + [len(word) for word in words]).tolist()
+    boxes = [WordBox(a, 0, b - 1, height - 1) for a, b in zip(firsts, firsts[1:])]
+    return page, [(box, ZoneBands(0, height - 1), font) for box in boxes]
 
 
 class TestReferenceEquivalence:
@@ -600,6 +613,8 @@ class TestReferenceEquivalence:
     @example(([4, 1, 4, 4], [(0, 3), (1, 3), (1, 1)]))
     @example(([2, 0, 3], [(0, 2), (1, 1)]))  # one band without ink
     @example(([1], []))
+    # Adjacent bands whose body rows meet at the band boundary.
+    @example(([1, 5, 5, 5, 5, 1], [(0, 2), (3, 5)]))
     def test_zones_from_bands_matches_row_walk_per_band(self, counts_bands):
         counts, bands = counts_bands
         rows = np.array(counts, dtype=np.int32)
@@ -646,9 +661,18 @@ class TestReferenceEquivalence:
         ]
         assert encode_words(page, words) == expected
 
-    @given(pages_and_words(), st.sampled_from([1, 255, 256, 65535]), st.data())
+    @given(pages_and_words(), st.sampled_from([1, 255, 256, 65535]), st.integers(0, 2**32 - 1))
+    # A valley run from inside one word into the next.
+    @example(words_of_columns([9, 9, 9, 1, 1], [1, 9, 9]), 255, 0)
+    # A word whose every column is a valley, inside one run over three words.
+    @example(words_of_columns([9, 9, 1], [1, 2, 1], [1, 9, 9]), 255, 0)
+    # Runs touching one edge of their word only: the first word's left edge
+    # at the first column of the call, its right edge before a word that
+    # starts with no valley, and the last word's right edge at the call's
+    # last column.
+    @example(words_of_columns([1, 1, 1, 9, 9, 1, 9, 1], [9, 9, 1, 9, 9, 1, 1]), 255, 0)
     def test_one_call_for_many_words_matches_reference_word_by_word(
-        self, page_words, maxval, data
+        self, page_words, maxval, seed
     ):
         page, words = page_words
         per_word = [
@@ -660,7 +684,8 @@ class TestReferenceEquivalence:
             inkless = [n for n, i in enumerate(order) if per_word[i] is NoInkError]
             return (NoInkError, inkless[0]) if inkless else [per_word[i] for i in order]
 
-        gray = data.draw(gray_versions(page, maxval))
+        rng = np.random.default_rng(seed)
+        gray = gray_version(page, maxval, rng)
         rasters = [page, gray]
         if maxval <= 255:
             as_uint8 = gray.pixels.astype(np.uint8)
@@ -670,11 +695,11 @@ class TestReferenceEquivalence:
             assert first_inkless_or_tokens(runs, words) == expected(range(len(words)))
         # Runs of the words on separate pages, here the page and its gray
         # version, give the tokens of one page.
-        cut = data.draw(st.integers(0, len(words)))
+        cut = int(rng.integers(0, len(words) + 1))
         runs = [(raster, n) for raster, n in ((page, cut), (gray, len(words) - cut)) if n]
         assert first_inkless_or_tokens(runs, words) == expected(range(len(words)))
         # A word's token does not depend on the other words of the call.
-        order = data.draw(st.permutations(range(len(words))))
+        order = rng.permutation(len(words)).tolist()
         shuffled = [words[i] for i in order]
         assert first_inkless_or_tokens([(page, len(words))], shuffled) == expected(order)
 
