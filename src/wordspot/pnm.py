@@ -112,11 +112,7 @@ class BinaryImage:
             self.bits = bits.view(np.uint8).reshape(self.height, self.width)
             return
         bits = np.asarray(bits).reshape(self.height, self.width)
-        if bits.dtype == np.uint8:  # no uint8 value is below 0
-            bad = bits.max() > 1
-        else:
-            bad = ((bits != 0) & (bits != 1)).any()
-        if bad:
+        if ((bits != 0) & (bits != 1)).any():
             raise ValueError("binary image bits must be 0 or 1")
         self.bits = bits.astype(np.uint8, copy=False)
 

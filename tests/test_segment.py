@@ -184,7 +184,7 @@ class TestSegmentWords:
 
     @pytest.mark.parametrize("height,limit", [(1, 0), (3, 1), (8, 2), (13, 3), (25, 5)])
     def test_gap_limit_is_a_fifth_of_the_band_height(self, height, limit):
-        # round(0.2 x height), ties up: a gap of the limit joins, one more splits.
+        # round(0.2 x height), never a tie: a gap of the limit joins, one more splits.
         for gap, words in ((limit, 1), (limit + 1, 2)):
             img = image_with_column_counts([1] + [0] * gap + [1], height)
             assert len(line_boxes(img, LineBand(0, height - 1))) == words
