@@ -8,11 +8,11 @@ answered by size prefiltering plus Levenshtein distance on shape tokens.
 __version__ = "0.1.0"
 
 from .index import (
-    DEFAULT_REF_FONT,
+    REF_FONT,
+    SIZE_CODES,
     DocEntry,
     IndexFormatError,
     LineEntry,
-    SizeClass,
     WordIndex,
     WordRecord,
     build_index,
@@ -22,9 +22,9 @@ from .index import (
 )
 from .pnm import BinaryImage, GrayImage, PnmError, binarize, load_image, write_gray
 from .search import (
+    CHAR_WIDTH,
     MatchResult,
     MissingPageError,
-    SearchParams,
     distances,
     format_result,
     levenshtein,
@@ -50,7 +50,7 @@ from .shapecode import (
 
 __all__ = [
     "BinaryImage",
-    "DEFAULT_REF_FONT",
+    "CHAR_WIDTH",
     "DocEntry",
     "GrayImage",
     "IndexFormatError",
@@ -61,8 +61,8 @@ __all__ = [
     "MissingPageError",
     "NoInkError",
     "PnmError",
-    "SearchParams",
-    "SizeClass",
+    "REF_FONT",
+    "SIZE_CODES",
     "UnsupportedCharacterError",
     "WordBox",
     "WordIndex",

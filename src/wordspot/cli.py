@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .index import (
-    DEFAULT_REF_FONT,
     FORMAT_MAGIC,
+    SIZE_CODES,
     IndexFormatError,
-    SizeClass,
     WordIndex,
     build_index,
     load_index,
@@ -35,10 +34,9 @@ from .index import (
 )
 from .pnm import GrayImage, PnmError, binarize, load_image, rescale_to_255, write_gray
 from .search import (
-    DEFAULT_CHAR_WIDTH,
     DEFAULT_THRESHOLD,
     MissingPageError,
-    SearchParams,
+    check_threshold,
     encode_missing,
     format_result,
     search,
@@ -79,8 +77,6 @@ def _build_parser() -> _Parser:
 
     p_index = sub.add_parser("index", help="build a word index from page images")
     p_index.add_argument("images", nargs="+", help="NetPBM page images (P1-P6)")
-    p_index.add_argument("--ref-font", type=int, default=DEFAULT_REF_FONT,
-                         help="reference font size in pixels (default 60)")
     p_index.add_argument("--out", required=True, help="output index file")
     p_index.set_defaults(func=_cmd_index)
 
@@ -88,8 +84,6 @@ def _build_parser() -> _Parser:
     p_query.add_argument("index", help="index file built by `wordspot index`")
     p_query.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD,
                          help="maximum shape-token edit distance (default 2.5)")
-    p_query.add_argument("--char-width", type=int, default=DEFAULT_CHAR_WIDTH,
-                         help="expected character width in pixels at the reference font")
     p_query.add_argument("text", nargs="?", help="query word (letters only)")
     p_query.add_argument("--stdin", action="store_true",
                          help="read one query per line from standard input")
@@ -130,8 +124,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"wordspot: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
-        # Domain errors from flag values (ref font, threshold, ...); the
-        # parse-error subclasses were already handled above.
+        # Domain errors from flag values (the threshold); the parse-error
+        # subclasses were already handled above.
         print(f"wordspot: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
@@ -181,7 +175,7 @@ def _cmd_index(args) -> int:
             paths[doc_id] = path
             yield doc_id, binarize(_load_page(path, _map_file(path)))
 
-    index = build_index(pages(), ref_font=args.ref_font, source_paths=paths)
+    index = build_index(pages(), source_paths=paths)
     data = save_index(index)
 
     out = Path(args.out)
@@ -193,8 +187,8 @@ def _cmd_index(args) -> int:
         tmp.unlink(missing_ok=True)
         raise
 
-    for cls, count in zip(SizeClass, index.size_class_counts()):
-        print(f"{cls.code} {count}")
+    for code, count in zip(SIZE_CODES, index.size_class_counts()):
+        print(f"{code} {count}")
     print(f"TOTAL {len(index.records)}")
     return EXIT_OK
 
@@ -286,10 +280,11 @@ def _write_annotations(loader: _PageLoader, results, out_arg: str) -> None:
 def _run_queries(args, texts: list[str], annotate_out: str | None) -> int:
     index = _read_index(args.index)
     loader = _PageLoader(index, Path(args.index).resolve().parent)
-    params = SearchParams(threshold=args.threshold, char_width=args.char_width)
+    # Before the first query, so that a bad threshold fails an empty batch too.
+    check_threshold(args.threshold)
     out = sys.stdout
     for text in texts:
-        results = search(index, loader, text, params)
+        results = search(index, loader, text, args.threshold)
         out.write(f"Q {text}\n")
         for match in results:
             out.write(format_result(match) + "\n")

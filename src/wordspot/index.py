@@ -2,12 +2,12 @@
 
 A line holds its rows and x-height body band, against which queries encode
 its words. A record holds only where its word is (doc, line, word, box) and
-its cached shape token. The word's length is normalized to a reference font
-size from its box (`normalize_length`, applied to all records at once), so
-that one pixel-length scale applies across documents with varying
-handwriting sizes. WordIndex is built from positions alone (each line's
-page, each word's line), so the numbers it derives from them cannot
-disagree; it holds lines and records as integer columns, checks their
+its cached shape token. The word's length is normalized from its box to
+the reference font size, REF_FONT (`normalize_length`, applied to all
+records at once), so that one pixel-length scale applies across documents
+with varying handwriting sizes. WordIndex is built from positions alone
+(each line's page, each word's line), so the numbers it derives from them
+cannot disagree; it holds lines and records as integer columns, checks their
 invariants once, as array checks, and sorts the records by normalized
 length once, so that a query's size prefilter is a binary search
 and a cold query builds objects only for its matches. Size classes remain
@@ -22,16 +22,19 @@ Index file format (UTF-8, LF, space-separated fields), nested by position:
     W <x1> <y1> <x2> <y2> <wst>
 
 DOC opens a page, L the page's next text line and W that line's next word;
-line and word numbers are these positions, from 0. wst is a string over
+line and word numbers are these positions, from 0. `build_index` writes K
+as REF_FONT; `load_index` reads each file's own K and normalizes its
+lengths to it. wst is a string over
 {A, x, g} or `-` when not cached. doc_id and path (as file-system bytes)
 are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with a
-value of at most 2**31 - 1 (and at least 1 for K and a page's size). Files
-of another version are refused; rebuild them.
+value of at most 2**31 - 1 (and at least 1 for K and a page's size). A
+page's size must also be one a page file can have: at most MAX_SIDE per
+side and MAX_PIXELS in all, as `pnm.load_image` reads. Files of another
+version are refused; rebuild them.
 """
 
 from __future__ import annotations
 
-import enum
 import os
 import urllib.parse
 from collections.abc import Callable, Iterable, Sequence
@@ -39,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pnm import BinaryImage
+from .pnm import MAX_PIXELS, MAX_SIDE, BinaryImage
 from .segment import (
     LineBand,
     WordBox,
@@ -49,11 +52,16 @@ from .segment import (
     segment_words,
 )
 from .shapecode import ZoneBands, zones_from_bands
+from .util import ascii_decimals
 
-DEFAULT_REF_FONT = 60
+# The reference font size in pixels: every word's length is normalized to
+# it, and `wordspot index` writes it as the file's K.
+REF_FONT = 60
 
-# Lower-inclusive size class boundaries in normalized pixels.
+# Lower-inclusive size class boundaries in normalized pixels, and the code
+# of each class, from very small to very large.
 SIZE_BOUNDS = (80, 240, 320, 480)
+SIZE_CODES = ("VS", "S", "M", "L", "VL")
 
 FORMAT_MAGIC = "WSIDX"
 FORMAT_VERSION = 3
@@ -61,27 +69,6 @@ FORMAT_VERSION = 3
 # The largest number an index file may hold; products such as the
 # normalized length's 2 * K * width stay far inside int64.
 _MAX_NUMBER = 2**31 - 1
-
-
-class SizeClass(enum.IntEnum):
-    VERY_SMALL = 0
-    SMALL = 1
-    MEDIUM = 2
-    LARGE = 3
-    VERY_LARGE = 4
-
-    @property
-    def code(self) -> str:
-        return _CLASS_CODES[self]
-
-
-_CLASS_CODES = {
-    SizeClass.VERY_SMALL: "VS",
-    SizeClass.SMALL: "S",
-    SizeClass.MEDIUM: "M",
-    SizeClass.LARGE: "L",
-    SizeClass.VERY_LARGE: "VL",
-}
 
 
 class IndexFormatError(ValueError):
@@ -292,7 +279,7 @@ class WordIndex:
 
     def _validate(self, lines: np.ndarray, words: np.ndarray) -> None:
         """Checks every invariant across entries, once, as array checks:
-        unique doc ids and page sizes the index file can hold, then for
+        unique doc ids and page sizes a page file can have, then for
         lines and for words in turn, a position in range that does not
         decrease, and a band inside its page (a body inside its band) or a
         box that is not empty, inside its page's columns and its line's
@@ -304,10 +291,13 @@ class WordIndex:
         for position, doc in enumerate(self.docs):
             if doc.doc_id in seen:
                 raise IndexInvariantError(f"duplicate doc_id {doc.doc_id!r}", "doc", position)
-            if not (1 <= doc.width <= _MAX_NUMBER and 1 <= doc.height <= _MAX_NUMBER):
+            # `load_image`'s limits, so that no query sizes arrays for a
+            # page that no page file can hold.
+            if not (1 <= doc.width <= MAX_SIDE and 1 <= doc.height <= MAX_SIDE
+                    and doc.width * doc.height <= MAX_PIXELS):
                 raise IndexInvariantError(
-                    f"doc {position}: page size {doc.width}x{doc.height} "
-                    f"outside 1..{_MAX_NUMBER}", "doc", position,
+                    f"doc {position}: page size {doc.width}x{doc.height} outside "
+                    f"1..{MAX_SIDE} per side or above {MAX_PIXELS} pixels", "doc", position,
                 )
             seen.add(doc.doc_id)
         n_docs, n_lines = len(self.docs), len(lines)
@@ -383,18 +373,18 @@ class WordIndex:
         return _Entries(len(self.tokens), self.record)
 
     def size_class_counts(self) -> list[int]:
-        """Number of records in each size class, in SizeClass order."""
+        """Number of records in each size class, in SIZE_CODES order."""
         classes = _size_class_numbers(self.norm_lengths)
-        return np.bincount(classes, minlength=len(SizeClass)).tolist()
+        return np.bincount(classes, minlength=len(SIZE_CODES)).tolist()
 
 
 def build_index(
     pages: Iterable[tuple[str, BinaryImage]],
-    ref_font: int = DEFAULT_REF_FONT,
     *,
     source_paths: dict[str, str] | None = None,
 ) -> WordIndex:
-    """Segment every page and index each text line and one record per word.
+    """Segment every page and index each text line and one record per word,
+    with lengths normalized to REF_FONT.
 
     `pages` is any iterable of (doc_id, page), consumed once, in order; a
     page is released before the next one is taken, so a generator that
@@ -429,7 +419,7 @@ def build_index(
         lines.append(np.column_stack((np.full_like(starts, page), starts, ends, tops, bottoms)))
         line_count += len(bands)
     words = np.concatenate(words)
-    return WordIndex(ref_font, docs, np.concatenate(lines), words, [None] * len(words))
+    return WordIndex(REF_FONT, docs, np.concatenate(lines), words, [None] * len(words))
 
 
 def _encode(text: str | bytes) -> str:
@@ -460,52 +450,11 @@ def save_index(index: WordIndex) -> bytes:
 
 
 def _number_error(field: str, value: int, what: str, lo: int) -> str:
-    """Why `_ascii_numbers` refused `field`, which it read as `value`."""
+    """Why the number rule refused `field`, which `ascii_decimals` read as
+    `value`."""
     if value < 0:
         return f"malformed {what}: {field!r}"
     return f"{what} {value} outside {lo}..{_MAX_NUMBER}"
-
-
-# For a field of n = 0..8 bytes at the end of an 8-byte little-endian word,
-# the mask of the field's bytes; the bytes before the field read as leading
-# zeros.
-_FIELD_BYTES = np.array(
-    [(2**64 - 1) >> 8 * (8 - n) << 8 * (8 - n) for n in range(9)], dtype=np.uint64
-)
-
-
-def _ascii_numbers(
-    data: bytes, starts: np.ndarray, ends: np.ndarray, lows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each field data[start:end] read by the format's number rule: 1..10
-    ASCII digits, with a value in low.._MAX_NUMBER. Returns each field's
-    value, -1 for a field that is not 1..10 ASCII digits, and whether it is
-    a number in range. No field may start before byte 8."""
-    # The 8 bytes from each offset of the file, as one little-endian word.
-    windows = np.ndarray((len(data) - 7,), "<u8", data, strides=(1,))
-
-    def eight_digits(ends: np.ndarray, lengths: np.ndarray):
-        """The last `lengths` (0..8) bytes before each end as decimal digits:
-        their value, and whether they all are ASCII digits."""
-        # An ASCII digit's byte becomes 0..9, a byte before the field 0.
-        digits = (windows[ends - 8] ^ 0x3030303030303030) & _FIELD_BYTES[lengths]
-        # A byte is 0..9 when neither it nor it plus 6 reaches 16.
-        plain = (digits | digits + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0 == 0
-        # Pairs, then fours, then all eight digits, one multiply each.
-        digits = digits * (10 << 8 | 1) >> 8 & 0x00FF00FF00FF00FF
-        digits = digits * (100 << 16 | 1) >> 16 & 0x0000FFFF0000FFFF
-        return (digits * (10000 << 32 | 1) >> 32).view(np.int64), plain
-
-    lengths = ends - starts
-    values, plain = eight_digits(ends, np.minimum(lengths, 8))
-    plain &= (lengths >= 1) & (lengths <= 10)
-    long = plain & (lengths > 8)
-    if long.any():
-        high, high_plain = eight_digits(ends[long] - 8, lengths[long] - 8)
-        values[long] += high * 10**8
-        plain[long] &= high_plain
-    values = np.where(plain, values, -1)
-    return values, (values >= lows) & (values <= _MAX_NUMBER)
 
 
 # Line kinds by code, with the fields that follow the kind; any other kind
@@ -527,9 +476,10 @@ def load_index(data: bytes) -> WordIndex:
     the positions of every space and newline give each line's fields and
     their count, and a line's first bytes its kind. Each L line gets its
     page's position and each W line its text line's position by cumulative
-    counts. Every number in the file is read by `_ascii_numbers`, eight
-    bytes at a time. Shape tokens are read one by one only when the file
-    holds some, and the ids and paths of DOC lines, which are few, always.
+    counts. Every number in the file is read by `util.ascii_decimals`,
+    eight bytes at a time. Shape tokens are read one by one only when the
+    file holds some, and the ids and paths of DOC lines, which are few,
+    always.
 
     Every check of a single line runs over all lines at once, and the first
     bad line in file order is reported; only its fields are split to word
@@ -613,7 +563,8 @@ def load_index(data: bytes) -> WordIndex:
     # Every number in the file is read in one pass: K's, then those of each
     # whole DOC, L and W line, its last fields up to field 4. A field's
     # bytes lie between the end of the field before it and its own. The K
-    # line counts as row -1, so that its error, on line 2, comes first.
+    # line counts as row -1, so that its error, on line 2, comes first. A
+    # number is 1..10 ASCII digits with a value in lo.._MAX_NUMBER.
     doc_at, line_at, word_at = (np.flatnonzero(whole & (kinds == kind)) for kind in range(3))
     groups = [
         (np.array([-1]), ("reference font size",), 1),
@@ -625,12 +576,14 @@ def load_index(data: bytes) -> WordIndex:
         ends[first[at, None] + np.arange(4 - len(names), 5)] for at, names, _ in groups[1:]
     ]
     group_sizes = [b[:, 1:].size for b in bounds]
-    values, ok = _ascii_numbers(
+    values = ascii_decimals(
         data,
         np.concatenate([b[:, :-1].ravel() for b in bounds]) + 1,
         np.concatenate([b[:, 1:].ravel() for b in bounds]),
-        np.repeat([lo for _, _, lo in groups], group_sizes),
+        10,
     )
+    lows = np.repeat([lo for _, _, lo in groups], group_sizes)
+    ok = (values >= lows) & (values <= _MAX_NUMBER)
     offsets = np.cumsum([0] + group_sizes).tolist()
     tables = [
         values[i:j].reshape(-1, len(names))

@@ -2,8 +2,9 @@
 
 Supports the uncompressed NetPBM family only: magics P1-P6, `#` comments,
 arbitrary whitespace between header tokens, and for the raw formats a single
-whitespace byte between the header and the raster. Output is always binary
-PGM (P5) with maxval 255.
+whitespace byte between the header and the raster. ASCII rasters (P1-P3)
+are read in array passes over the bytes after the header. Output is always
+binary PGM (P5) with maxval 255.
 
 Pixel conventions used throughout the pipeline:
   - grayscale: 0 is black, maxval is white
@@ -26,10 +27,13 @@ with no second pass over the page.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
+
+from .util import ascii_decimals, mask_runs
 
 if TYPE_CHECKING:
     import mmap
@@ -39,7 +43,14 @@ if TYPE_CHECKING:
 _LUMA_MILLI = np.array([299, 587, 114], dtype=np.int64)
 
 _WS = b" \t\n\r\x0b\x0c"
-_MAX_PIXELS = 100_000_000
+# Tokens are separated by whitespace and by comments, each from a `#` to the
+# end of its line.
+_COMMENT = re.compile(rb"#[^\r\n]*")
+_FILLER = re.compile(b"(?:[%s]|%s)*" % (_WS, _COMMENT.pattern))
+_TOKEN = re.compile(b"[^#%s]*" % _WS)
+# The largest page side and page a file may describe.
+MAX_SIDE = 1_000_000
+MAX_PIXELS = 100_000_000
 _GRAY_DTYPES = (np.dtype(np.uint8), np.dtype(np.uint16))
 
 
@@ -143,27 +154,12 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def skip_filler(self) -> None:
-        data, n = self.data, len(self.data)
-        while self.pos < n:
-            c = data[self.pos]
-            if c in _WS:
-                self.pos += 1
-            elif c == 0x23:  # '#' comment runs to end of line
-                while self.pos < n and data[self.pos] not in b"\r\n":
-                    self.pos += 1
-            else:
-                break
-
     def token(self, what: str) -> tuple[bytes, int]:
-        self.skip_filler()
-        data, n = self.data, len(self.data)
-        if self.pos >= n:
-            raise PnmError(f"unexpected end of file while reading {what}", n)
-        start = self.pos
-        while self.pos < n and data[self.pos] not in _WS and data[self.pos] != 0x23:
-            self.pos += 1
-        return data[start : self.pos], start
+        self.pos = _FILLER.match(self.data, self.pos).end()
+        if self.pos >= len(self.data):
+            raise PnmError(f"unexpected end of file while reading {what}", len(self.data))
+        start, self.pos = self.pos, _TOKEN.match(self.data, self.pos).end()
+        return self.data[start : self.pos], start
 
     def integer(self, what: str, lo: int, hi: int) -> int:
         tok, start = self.token(what)
@@ -195,29 +191,49 @@ class _Reader:
         return start
 
 
+def _token_bytes(data: bytes | mmap.mmap, start: int) -> np.ndarray:
+    """Which bytes of data[start:] belong to tokens, as the header reader
+    takes them: bytes that are neither whitespace nor in a comment. `start`
+    follows a header token, so it is not inside a comment."""
+    buf = np.frombuffer(data, np.uint8)[start:]
+    mask = (buf - 9 > 4) & (buf != 32)  # not _WS: bytes 9..13 and 32
+    for comment in _COMMENT.finditer(data, start):
+        mask[comment.start() - start : comment.end() - start] = False
+    return mask
+
+
 def _ascii_samples(r: _Reader, count: int, maxval: int) -> np.ndarray:
-    vals = np.empty(count, dtype=np.uint16)
-    for i in range(count):
-        vals[i] = r.integer("sample", 0, maxval)
-    return vals
+    """The first `count` P2/P3 samples after r.pos, each 0..maxval, found
+    and read in array passes. A PnmError names the first bad sample, or else
+    a file that ends before `count` samples."""
+    data, start = r.data, r.pos
+    starts, ends = mask_runs(_token_bytes(data, start))
+    starts, ends = starts[:count] + start, ends[:count] + start + 1
+    values = ascii_decimals(data, starts, ends, 18)
+    # A bad sample, or one of more than 18 digits, is read again as the
+    # header reads a number: the first bad one raises its error, and a long
+    # one in range has leading zeros.
+    for i in np.flatnonzero((values < 0) | (values > maxval)).tolist():
+        r.pos = int(starts[i])
+        values[i] = r.integer("sample", 0, maxval)
+    if len(values) < count:
+        raise PnmError("unexpected end of file while reading sample", len(data))
+    return values.astype(np.uint16)
 
 
 def _ascii_bits(r: _Reader, count: int) -> np.ndarray:
-    # P1 bits may be packed without separators; read digit by digit.
-    vals = np.empty(count, dtype=np.uint16)
-    for i in range(count):
-        r.skip_filler()
-        if r.pos >= len(r.data):
-            raise PnmError("truncated bitmap", len(r.data))
-        c = r.data[r.pos]
-        if c == 0x30:  # '0' = white
-            vals[i] = 1
-        elif c == 0x31:  # '1' = ink
-            vals[i] = 0
-        else:
-            raise PnmError(f"invalid bitmap digit {chr(c)!r}", r.pos)
-        r.pos += 1
-    return vals
+    """The first `count` P1 digits after r.pos as gray values (a `0` is
+    white, 1; a `1` is ink, 0). Digits may be packed without separators. A
+    PnmError names the first bad digit, or else a file that ends early."""
+    at = np.flatnonzero(_token_bytes(r.data, r.pos))[:count] + r.pos
+    digits = np.frombuffer(r.data, np.uint8)[at]
+    bad = (digits != ord("0")) & (digits != ord("1"))
+    if bad.any():
+        i = int(at[bad.argmax()])
+        raise PnmError(f"invalid bitmap digit {chr(r.data[i])!r}", i)
+    if len(at) < count:
+        raise PnmError("truncated bitmap", len(r.data))
+    return (digits == ord("0")).astype(np.uint16)
 
 
 def _raw_samples(r: _Reader, count: int, maxval: int) -> np.ndarray:
@@ -254,9 +270,9 @@ def load_image(data: bytes | mmap.mmap) -> GrayImage:
     if magic not in (b"P1", b"P2", b"P3", b"P4", b"P5", b"P6"):
         raise PnmError(f"unsupported or malformed magic number {magic!r}", start)
 
-    width = r.integer("width", 1, 1_000_000)
-    height = r.integer("height", 1, 1_000_000)
-    if width * height > _MAX_PIXELS:
+    width = r.integer("width", 1, MAX_SIDE)
+    height = r.integer("height", 1, MAX_SIDE)
+    if width * height > MAX_PIXELS:
         raise PnmError(f"image too large: {width}x{height}", r.pos)
 
     if magic in (b"P1", b"P4"):

@@ -1,9 +1,10 @@
 """Query answering: size prefilter, lazy shape tokens, ranked edit distance.
 
 A text query is answered in two passes. The size prefilter keeps only
-records whose normalized pixel length is within one expected character width
-of the query's: two binary searches in the index's records sorted by that
-length. Survivors are compared by Levenshtein distance between the query's
+records whose normalized pixel length is within one character width,
+CHAR_WIDTH pixels at the reference font, of the query's expected length:
+two binary searches in the index's records sorted by that length.
+Survivors are compared by Levenshtein distance between the query's
 shape token and the word image's (computed lazily and cached in the index).
 A token whose length differs from the query token's by more than the
 threshold is rejected without a DP: the edit distance is at least the
@@ -33,7 +34,8 @@ from .pnm import BinaryImage, GrayImage
 from .shapecode import NoInkError, query_to_wst, word_to_wst
 
 DEFAULT_THRESHOLD = 2.5
-DEFAULT_CHAR_WIDTH = 40
+# The expected width of one character, in pixels at the reference font.
+CHAR_WIDTH = 40
 
 # A gray page, or a binarized one; both give the same tokens.
 PageProvider = Callable[[str], GrayImage | BinaryImage]
@@ -48,17 +50,11 @@ class MissingPageError(OSError):
         self.doc_id = doc_id
 
 
-@dataclass(frozen=True)
-class SearchParams:
-    threshold: float = DEFAULT_THRESHOLD
-    char_width: int = DEFAULT_CHAR_WIDTH
-
-    def __post_init__(self):
-        # Written so that NaN fails too.
-        if not self.threshold >= 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-        if self.char_width < 1:
-            raise ValueError("char_width must be >= 1")
+def check_threshold(threshold: float) -> None:
+    """Refuse an edit-distance threshold below 0, or NaN."""
+    # Written so that NaN fails too.
+    if not threshold >= 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
 
 
 @dataclass
@@ -110,17 +106,13 @@ def levenshtein(a: str, b: str) -> int:
     return int(distances(a, [b])[0])
 
 
-def size_prefilter(
-    index: WordIndex, query_len: int, params: SearchParams | None = None
-) -> np.ndarray:
+def size_prefilter(index: WordIndex, query_len: int) -> np.ndarray:
     """Positions, in record order, of the records whose normalized length is
-    within +/- one character width of the query's expected pixel length."""
+    within +/- CHAR_WIDTH of the query's expected pixel length."""
     if query_len < 1:
         raise ValueError("query_len must be >= 1")
-    if params is None:
-        params = SearchParams()
-    lo = max(0, (query_len - 1) * params.char_width)
-    hi = (query_len + 1) * params.char_width
+    lo = max(0, (query_len - 1) * CHAR_WIDTH)
+    hi = (query_len + 1) * CHAR_WIDTH
     first = np.searchsorted(index.sorted_lengths, lo, side="left")
     last = np.searchsorted(index.sorted_lengths, hi, side="right")
     return np.sort(index.length_order[first:last])
@@ -178,36 +170,35 @@ def search(
     index: WordIndex,
     load_page: PageProvider,
     text: str,
-    params: SearchParams | None = None,
+    threshold: float = DEFAULT_THRESHOLD,
 ) -> list[MatchResult]:
     """Ranked matches for a text query.
 
     Candidates come from the size prefilter; each candidate without a cached
     shape token gets one computed from its page image and the line the index
     records for it (cached write-once in `index.tokens`). A candidate whose
-    token length differs from the query token's by more than
-    params.threshold is rejected without a DP, since the edit distance is at
-    least that difference; the other distinct tokens are scored in one
-    `distances` call. Matches at distance <= params.threshold are returned
-    ordered by distance, then (doc_id, line_idx, word_idx).
+    token length differs from the query token's by more than `threshold`
+    is rejected without a DP, since the edit distance is at least that
+    difference; the other distinct tokens are scored in one `distances`
+    call. Matches at distance <= `threshold` are returned ordered by
+    distance, then (doc_id, line_idx, word_idx).
     """
-    if params is None:
-        params = SearchParams()
+    check_threshold(threshold)
     if not text:
         raise ValueError("query text must be non-empty")
     query = query_to_wst(text)
 
-    survivors = size_prefilter(index, len(text), params).tolist()
+    survivors = size_prefilter(index, len(text)).tolist()
     tokens = index.tokens
     encode_missing(index, load_page, [p for p in survivors if tokens[p] is None])
 
-    gated = [p for p in survivors if abs(len(tokens[p]) - len(query)) <= params.threshold]
+    gated = [p for p in survivors if abs(len(tokens[p]) - len(query)) <= threshold]
     scored = list(dict.fromkeys(tokens[p] for p in gated))
     scores = dict(zip(scored, distances(query, scored).tolist()))
     results = [
         MatchResult(index.record(p), scores[tokens[p]])
         for p in gated
-        if scores[tokens[p]] <= params.threshold
+        if scores[tokens[p]] <= threshold
     ]
     results.sort(
         key=lambda m: (m.distance, m.record.doc_id, m.record.line_idx, m.record.word_idx)

@@ -6,9 +6,10 @@ Lines are maximal runs of rows whose ink count exceeds a noise threshold
 columns inside a line band, where zero-ink column gaps longer than
 GAP_FACTOR (0.2) x band height separate words and shorter gaps are kept
 inside a word. `segment_words` finds the words of all of a page's bands in
-one call, as one row of integers per word. `mask_runs` is the one "maximal
-runs of a mask" implementation, for this module and for `shapecode`'s body
-bands and valley runs.
+one call, as one row of integers per word. Lines and words are runs of
+`util.mask_runs`, the one "maximal runs of a mask" implementation, which
+also finds `shapecode`'s body bands and valley runs and `pnm`'s ASCII
+raster tokens.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage
-from .util import count_dtype, round_half_up
+from .util import count_dtype, mask_runs, round_half_up
 
 # The inter-character gap limit, as a fraction of the band height.
 GAP_FACTOR = 0.2
@@ -69,15 +70,6 @@ def check_band(band: LineBand, height: int) -> None:
         raise ValueError(
             f"band {band.row_start}..{band.row_end} outside image rows 0..{height - 1}"
         )
-
-
-def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end indices (inclusive) of the maximal True runs of a 1-D mask."""
-    padded = np.zeros(len(mask) + 2, dtype=bool)
-    padded[1:-1] = mask
-    # Edges alternate: a run starts at one and ends just before the next.
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return edges[::2], edges[1::2] - 1
 
 
 def row_profile(img: BinaryImage) -> np.ndarray:

@@ -19,7 +19,7 @@ words are laid end to end in arrays allocated once per call; per word it
 only thresholds its box and reduces it into its own columns, in one loop
 (`_page_columns`, the one box-reduction rule), and the valley cut, merge
 and zone-reach rules run once over all of them. Body bands and valley runs
-are maximal runs of a mask, found by `segment.mask_runs`. `estimate_zones`,
+are maximal runs of a mask, found by `util.mask_runs`. `estimate_zones`,
 `char_region_segment` and `classify_region` apply the same rules to one line
 band, word or region; `classify_region` reduces its region through
 `_page_columns` as a box of one word.
@@ -36,8 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage, GrayImage, ink_raster
-from .segment import LineBand, check_band, column_profile, mask_runs
-from .util import count_dtype, round_half_up
+from .segment import LineBand, check_band, column_profile
+from .util import count_dtype, mask_runs, round_half_up
 
 
 class NoInkError(ValueError):

@@ -19,8 +19,8 @@ from glyphs import (
     word_symbols,
 )
 from wordspot.index import (
+    SIZE_CODES,
     DocEntry,
-    SizeClass,
     WordIndex,
     _size_class_numbers,
     build_index,
@@ -138,7 +138,7 @@ def test_normalization_scale_invariance():
 def test_size_class_boundaries():
     inputs = [0, 79, 80, 239, 240, 319, 320, 479, 480, 481]
     expected = ["VS", "VS", "S", "S", "M", "M", "L", "L", "VL", "VL"]
-    got = [SizeClass(n).code for n in _size_class_numbers(inputs).tolist()]
+    got = [SIZE_CODES[n] for n in _size_class_numbers(inputs).tolist()]
     report("size class boundaries", got == expected, " ".join(got))
     assert got == expected
 
@@ -295,7 +295,7 @@ def retrieval_words_layout():
 @pytest.fixture(scope="module")
 def retrieval_corpus():
     layout = retrieval_words_layout()
-    index = build_index([("page", layout.image)], ref_font=60)
+    index = build_index([("page", layout.image)])
     positions = {
         text: (li, wi)
         for li, line in enumerate(layout.words)

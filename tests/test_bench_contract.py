@@ -4,7 +4,9 @@
 in its wordspot module, and counts a cold query's encoding as calls to
 `word_to_wst`: one per query that has survivors without a token.
 `perfbench/run.py` and `perfbench/oracle.py` read a loaded index's records
-and docs, and a search's matches, by the names pinned here.
+and docs, and a search's matches, by the names pinned here. The oracle
+writes the program's size scale and threshold again, as constants that
+must equal the program's.
 The benchmark is only read here, never changed.
 """
 
@@ -14,23 +16,35 @@ import inspect
 from pathlib import Path
 
 from glyphs import compose_page, metrics
-from wordspot.index import build_index, load_index, save_index
-from wordspot.search import MatchResult, search
+from wordspot.index import REF_FONT, SIZE_BOUNDS, SIZE_CODES, build_index, load_index, save_index
+from wordspot.search import CHAR_WIDTH, DEFAULT_THRESHOLD, MatchResult, search
 
 # The module, not the `search` function the package exports under that name.
 SEARCH = importlib.import_module("wordspot.search")
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_oracle_uses_the_programs_size_scale_and_threshold(monkeypatch):
+    # The oracle imports `corpus` from its own directory.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    oracle = load_perfbench("oracle")
+    assert oracle.REF_FONT == REF_FONT
+    assert oracle.CHAR_WIDTH == CHAR_WIDTH
+    assert oracle.SIZE_BOUNDS == SIZE_BOUNDS
+    assert oracle.SIZE_CODES == SIZE_CODES
+    # Edit distances are integers: the oracle keeps those up to the threshold.
+    assert oracle.MAX_DISTANCE == int(DEFAULT_THRESHOLD)
+
+
 def test_every_traced_name_resolves():
-    layers = load_tracing().LAYERS
+    layers = load_perfbench("tracing").LAYERS
     assert "word_to_wst" in layers["shapecode"]
     for layer, names in layers.items():
         module = importlib.import_module(f"wordspot.{layer}")

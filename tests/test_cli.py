@@ -10,7 +10,7 @@ from glyphs import compose_page, metrics
 from wordspot.cli import main
 from wordspot.index import load_index
 from wordspot.pnm import GrayImage, binarize, load_image, write_gray
-from wordspot.search import SearchParams, search
+from wordspot.search import search
 from wordspot.segment import default_noise_threshold, row_profile, segment_lines, segment_words
 
 
@@ -187,6 +187,34 @@ class TestQueryCommand:
         monkeypatch.setattr("sys.stdin", io.StringIO("help\ndrop\n"))
         assert main(["query", str(index_path), "--stdin"]) == 0
         assert capsys.readouterr().out == expected
+
+    def test_index_writes_k_60_and_a_hand_made_k_30_reads_as_recorded(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        # `index` always writes the reference font 60; a file that records
+        # another K normalizes its lengths to that K. The K 30 stdout below
+        # is what the releases with a --ref-font option printed for it.
+        layout, page, index_path = corpus
+        data = index_path.read_bytes()
+        assert data.split(b"\n")[1] == b"K 60"
+        k30 = tmp_path / "k30.wsidx"
+        k30.write_bytes(data.replace(b"\nK 60\n", b"\nK 30\n", 1))
+        assert load_index(k30.read_bytes()).ref_font == 30
+        views = {}
+        for path in (index_path, k30):
+            for what in ("lines", "words", "zones", "wst"):
+                assert main(["inspect", str(path), "--what", what]) == 0
+                views[path, what] = capsys.readouterr().out
+            assert views[path, "words"].count("\n") == 6
+        for what in ("lines", "words", "zones", "wst"):
+            assert views[k30, what] == views[index_path, what]
+        monkeypatch.setattr("sys.stdin", io.StringIO("help\nnoon\nhe\n"))
+        assert main(["query", str(k30), "--stdin"]) == 0
+        assert capsys.readouterr().out == (
+            "Q help\nCOUNT 0\n"
+            "Q noon\n0 page1 0 2 245 40 349 59\n0 page1 1 2 264 92 368 111\nCOUNT 2\n"
+            "Q he\n2 page1 0 1 147 30 232 69\n2 page1 1 0 30 82 115 121\nCOUNT 2\n"
+        )
 
     def test_stdin_with_no_lines(self, corpus, capsys, monkeypatch):
         layout, page, index_path = corpus
@@ -403,17 +431,43 @@ class TestQueryCommand:
     def test_bad_flag_domains_are_usage_errors(self, corpus, tmp_path, capsys):
         layout, page, index_path = corpus
         assert main(["query", str(index_path), "help", "--threshold", "-1"]) == 1
-        assert main(["index", str(page), "--ref-font", "0",
-                     "--out", str(tmp_path / "x.wsidx")]) == 1
 
-    def test_ref_font_beyond_the_index_format_exits_1_without_a_file(
-        self, corpus, tmp_path, capsys
-    ):
+    @pytest.mark.parametrize("command,flag,value", [("index", "--ref-font", "60"),
+                                                    ("query", "--char-width", "40")])
+    def test_size_scale_is_no_option(self, corpus, tmp_path, capsys, command, flag, value):
+        # The reference font and the character width are constants.
         layout, page, index_path = corpus
         out = tmp_path / "x.wsidx"
-        assert main(["index", str(page), "--ref-font", "2147483648", "--out", str(out)]) == 1
+        argv = {
+            "index": ["index", str(page), "--out", str(out)],
+            "query": ["query", str(index_path), "help"],
+        }[command]
+        assert main(argv + [flag, value]) == 1
         assert list(tmp_path.glob("x.wsidx*")) == []
-        assert "ref_font 2147483648 outside 1..2147483647" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert flag in captured.err and captured.out == ""
+
+    def test_bad_threshold_fails_an_empty_batch(self, corpus, capsys, monkeypatch):
+        layout, page, index_path = corpus
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n"))
+        assert main(["query", str(index_path), "--stdin", "--threshold", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "threshold must be >= 0, got nan" in captured.err
+
+    def test_page_size_no_page_file_can_have_exits_2(self, corpus, tmp_path, capsys):
+        # Refused when the index loads, before a query sizes arrays for it.
+        layout, page, index_path = corpus
+        lines = index_path.read_text().split("\n")
+        doc = lines[2].split(" ")
+        lines[2] = " ".join(doc[:3] + ["2000000000", doc[4]])
+        wide = tmp_path / "wide.wsidx"
+        wide.write_text("\n".join(lines))
+        assert main(["query", str(wide), "help"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"wide.wsidx: doc 0: page size 2000000000x{doc[4]} outside 1..1000000 per "
+                f"side or above 100000000 pixels (line 3)") in captured.err
 
     @pytest.mark.parametrize("command", ["index", "inspect"])
     def test_gap_factor_is_no_option(self, corpus, tmp_path, capsys, command):
@@ -605,7 +659,7 @@ class TestInspect:
         index = load_index(index_path.read_bytes())
         image = binarize(load_image(page.read_bytes()))
         for n in range(1, 20):
-            search(index, lambda doc: image, "x" * n, SearchParams(threshold=0))
+            search(index, lambda doc: image, "x" * n, threshold=0)
         assert [rec.wst for rec in index.records] == tokens
 
     def test_index_input_words(self, corpus, capsys):

@@ -12,11 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wordspot.index import (
+    REF_FONT,
+    SIZE_BOUNDS,
+    SIZE_CODES,
     DocEntry,
     IndexFormatError,
     IndexInvariantError,
     LineEntry,
-    SizeClass,
     WordIndex,
     WordRecord,
     _size_class_numbers,
@@ -63,25 +65,22 @@ class TestNormalizeLength:
             assert normalize_length(L, H, H) == L
 
 
-class TestSizeClass:
+class TestSizeCodes:
     @pytest.mark.parametrize(
         "value,expected",
-        [
-            (79, SizeClass.VERY_SMALL),
-            (250, SizeClass.MEDIUM),
-            (500, SizeClass.VERY_LARGE),
-            (240, SizeClass.MEDIUM),
-        ],
+        [(79, "VS"), (250, "M"), (500, "VL"), (240, "M")],
     )
     def test_examples(self, value, expected):
-        assert _size_class_numbers(value) == expected
+        assert SIZE_CODES[_size_class_numbers(value)] == expected
 
     def test_monotone(self):
         classes = _size_class_numbers(np.arange(600))
-        assert classes[0] == SizeClass.VERY_SMALL and (np.diff(classes) >= 0).all()
+        assert classes[0] == 0 and (np.diff(classes) >= 0).all()
+        assert classes[-1] == len(SIZE_CODES) - 1
 
     def test_codes(self):
-        assert [c.code for c in SizeClass] == ["VS", "S", "M", "L", "VL"]
+        assert SIZE_CODES == ("VS", "S", "M", "L", "VL")
+        assert len(SIZE_BOUNDS) == len(SIZE_CODES) - 1
 
 
 def blob_page(width=200, height=80, x=40, y=20, blob_w=100, blob_h=30):
@@ -92,11 +91,11 @@ def blob_page(width=200, height=80, x=40, y=20, blob_w=100, blob_h=30):
 
 class TestBuildIndex:
     def test_empty_page_list(self):
-        index = build_index([], ref_font=60)
+        index = build_index([])
         assert index.records == [] and index.docs == [] and index.lines == []
 
     def test_single_blob_record(self):
-        index = build_index([("page", blob_page())], ref_font=60)
+        index = build_index([("page", blob_page())])
         assert len(index.records) == 1
         rec = index.records[0]
         assert rec.box == WordBox(40, 20, 139, 49)
@@ -119,14 +118,16 @@ class TestBuildIndex:
             assert np.bincount(index.line_table[:, 0], minlength=2).tolist() == lines_per_page
 
     def test_ref_font_must_fit_the_index_format(self):
+        built = build_index([("page", blob_page())])
+        rows = (built.docs, *own_rows(built), built.tokens)
         with pytest.raises(ValueError, match="ref_font 2147483648 outside 1..2147483647"):
-            build_index([("page", blob_page())], ref_font=2**31)
-        index = build_index([("page", blob_page())], ref_font=2**31 - 1)
+            WordIndex(2**31, *rows)
+        index = WordIndex(2**31 - 1, *rows)
         assert load_index(save_index(index)) == index
 
     def test_two_pages_same_content(self):
         pages = [("a", blob_page()), ("b", blob_page())]
-        index = build_index(pages, ref_font=60)
+        index = build_index(pages)
         assert len(index.records) == 2
         assert {r.doc_id for r in index.records} == {"a", "b"}
 
@@ -248,7 +249,7 @@ class TestPersistence:
         norms = [normalize_length(rec.box.width, rec.box.height, 60) for rec in again.records]
         assert again.norm_lengths.tolist() == norms
         classes = _size_class_numbers(norms).tolist()
-        assert again.size_class_counts() == [classes.count(cls) for cls in SizeClass]
+        assert again.size_class_counts() == [classes.count(n) for n in range(len(SIZE_CODES))]
         assert sum(again.size_class_counts()) == 3
 
 
@@ -559,12 +560,15 @@ class TestArrayParseEdges:
         assert self.load_with(5, 3, value) == (f"{message} (line 5)", 5)
 
     def test_ten_digit_fields_within_a_wide_page(self):
-        data = (b"WSIDX 3\nK 60\nDOC d d.pgm 2147483647 2147483647\n"
-                b"L 1000000000 2147483646 1000000000 2147483646\n"
-                b"W 1999999999 2000000000 2147483646 2147483646 -\n")
+        # No page is wider or taller than pnm.MAX_SIDE, so ten-digit fields
+        # inside one start with zeros.
+        data = (b"WSIDX 3\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
+                b"L 0000000000 0000000099 0000000010 0000000089\n"
+                b"W 0000999998 0000000011 0000999999 0000000088 -\n")
         index = assert_loads_as_reference(data)
-        assert index.line_table[0, 2:].tolist() == [1000000000, 2147483646] * 2
-        assert index.record_table[0, 3:].tolist() == [1999999999, 2000000000] + [2147483646] * 2
+        assert index.docs[0] == DocEntry("d", "d.pgm", 1_000_000, 100)
+        assert index.line_table[0, 2:].tolist() == [0, 99, 10, 89]
+        assert index.record_table[0, 3:].tolist() == [999998, 11, 999999, 88]
 
     def test_digits_in_encoded_doc_ids_and_paths_are_not_numbers(self):
         data = (b"WSIDX 3\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
@@ -769,20 +773,29 @@ class TestDirectConstruction:
         with pytest.raises(ValueError):
             WordIndex(60, [doc, doc], [], [], [])
 
-    @pytest.mark.parametrize("size", [0, -5, 2**31])
+    @pytest.mark.parametrize("size", [0, -5, 1_000_001, 2**31])
     @pytest.mark.parametrize("side", ["width", "height"])
     def test_page_size_the_file_cannot_hold_rejected(self, size, side):
-        # The index file holds each page side as 1..2147483647, so an index
-        # that saves any other size would not load again.
+        # A page file holds each side as 1..1000000 (`pnm.MAX_SIDE`), so no
+        # page of any other size can be loaded for a query.
         width, height = (size, 100) if side == "width" else (100, size)
         docs = [self.doc, DocEntry("e", "e.pgm", width, height)]
         with pytest.raises(IndexInvariantError) as err:
             WordIndex(60, docs, [], [], [])
-        assert str(err.value) == f"doc 1: page size {width}x{height} outside 1..2147483647"
+        assert str(err.value) == (f"doc 1: page size {width}x{height} outside 1..1000000 "
+                                  f"per side or above 100000000 pixels")
         assert (err.value.kind, err.value.position) == ("doc", 1)
 
-    def test_largest_page_size_saved_and_loaded(self):
-        doc = DocEntry("e", "e.pgm", 2**31 - 1, 2**31 - 1)
+    @pytest.mark.parametrize("width,height", [(10_001, 10_000), (1_000_000, 101)])
+    def test_page_of_more_pixels_than_a_page_file_rejected(self, width, height):
+        with pytest.raises(IndexInvariantError, match=f"page size {width}x{height} outside"):
+            WordIndex(60, [DocEntry("e", "e.pgm", width, height)], [], [], [])
+
+    @pytest.mark.parametrize("width,height", [(1_000_000, 100), (100, 1_000_000),
+                                              (10_000, 10_000)])
+    def test_largest_page_size_saved_and_loaded(self, width, height):
+        # Each side at most pnm.MAX_SIDE, and MAX_PIXELS pixels in all.
+        doc = DocEntry("e", "e.pgm", width, height)
         index = WordIndex(60, [doc], [line_row(0, 0, 99)], [word_row(0)], [None])
         assert load_index(save_index(index)) == index
 
@@ -896,9 +909,9 @@ class TestColumns:
         assert load_index(save_index(index)).tokens == ["xA", "AxxgA", None]
 
     def test_built_loaded_and_rebuilt_indexes_agree(self):
-        built = build_index([("a", blob_page()), ("b", blob_page(x=10))], ref_font=50)
+        built = build_index([("a", blob_page()), ("b", blob_page(x=10))])
         lines, words = own_rows(built)
-        again = WordIndex(50, built.docs, lines, words, built.tokens)
+        again = WordIndex(REF_FONT, built.docs, lines, words, built.tokens)
         lines[:], words[:] = 0, 0  # the index holds copies
         assert again == built == load_index(save_index(built))
         assert again.record_lines.tolist() == built.record_lines.tolist() == [0, 1]

@@ -499,3 +499,171 @@ class TestDecodeProperties:
             return
         assert isinstance(img, GrayImage)
         assert int(img.pixels.max()) <= img.maxval
+
+
+# The byte loops that read P1, P2 and P3 files before the array passes,
+# kept as their reference: one call per header number, sample or digit.
+_WS = b" \t\n\r\x0b\x0c"
+
+
+class LoopReader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0
+
+    def skip_filler(self):
+        data, n = self.data, len(self.data)
+        while self.pos < n:
+            c = data[self.pos]
+            if c in _WS:
+                self.pos += 1
+            elif c == 0x23:  # '#' comment runs to end of line
+                while self.pos < n and data[self.pos] not in b"\r\n":
+                    self.pos += 1
+            else:
+                break
+
+    def token(self, what):
+        self.skip_filler()
+        data, n = self.data, len(self.data)
+        if self.pos >= n:
+            raise PnmError(f"unexpected end of file while reading {what}", n)
+        start = self.pos
+        while self.pos < n and data[self.pos] not in _WS and data[self.pos] != 0x23:
+            self.pos += 1
+        return data[start : self.pos], start
+
+    def integer(self, what, lo, hi):
+        tok, start = self.token(what)
+        if not tok.isdigit():
+            raise PnmError(f"malformed {what}: {tok!r}", start)
+        value = int(tok)
+        if not lo <= value <= hi:
+            raise PnmError(f"{what} {value} outside {lo}..{hi}", start)
+        return value
+
+
+def loop_ascii_samples(r, count, maxval):
+    vals = np.empty(count, dtype=np.uint16)
+    for i in range(count):
+        vals[i] = r.integer("sample", 0, maxval)
+    return vals
+
+
+def loop_ascii_bits(r, count):
+    # P1 bits may be packed without separators; read digit by digit.
+    vals = np.empty(count, dtype=np.uint16)
+    for i in range(count):
+        r.skip_filler()
+        if r.pos >= len(r.data):
+            raise PnmError("truncated bitmap", len(r.data))
+        c = r.data[r.pos]
+        if c == 0x30:  # '0' = white
+            vals[i] = 1
+        elif c == 0x31:  # '1' = ink
+            vals[i] = 0
+        else:
+            raise PnmError(f"invalid bitmap digit {chr(c)!r}", r.pos)
+        r.pos += 1
+    return vals
+
+
+def loop_load_ascii(data):
+    """What the byte loops make of a P1, P2 or P3 file: (width, height,
+    maxval, gray values) or the PnmError's (message, offset)."""
+    r = LoopReader(data)
+    try:
+        magic, _ = r.token("magic number")
+        width = r.integer("width", 1, 1_000_000)
+        height = r.integer("height", 1, 1_000_000)
+        if width * height > 100_000_000:
+            raise PnmError(f"image too large: {width}x{height}", r.pos)
+        if magic == b"P1":
+            return width, height, 1, loop_ascii_bits(r, width * height).tolist()
+        maxval = r.integer("maxval", 1, 65535)
+        channels = 3 if magic == b"P3" else 1
+        samples = loop_ascii_samples(r, width * height * channels, maxval).tolist()
+    except PnmError as exc:
+        return exc.message, exc.offset
+    if channels == 3:
+        samples = [
+            (299 * red + 587 * green + 114 * blue + 500) // 1000
+            for red, green, blue in zip(samples[0::3], samples[1::3], samples[2::3])
+        ]
+    return width, height, maxval, samples
+
+
+def array_load_ascii(data):
+    try:
+        img = load_image(data)
+    except PnmError as exc:
+        return exc.message, exc.offset
+    return img.width, img.height, img.maxval, img.pixels.ravel().tolist()
+
+
+# Separators: whitespace of each kind, and comments that end at \n or at \r,
+# that hold `#` again, or that follow a token with no space. Between
+# samples, a comment may also run on into the next sample or to the end of
+# the file.
+_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"\x0b", b"\x0c", b"  \n ", b"#c\n", b" # c # d\r",
+               b"#\n", b"\r#x\n "]
+
+
+@st.composite
+def ascii_files(draw):
+    """A P1, P2 or P3 file of about as many samples as its size needs, some
+    of them bad, with comments and mixed whitespace around them."""
+    magic = draw(st.sampled_from([b"P1", b"P2", b"P3"]))
+    width, height = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    maxval = 1
+    if magic != b"P1":
+        maxval = draw(st.sampled_from([1, 255, 65535]) | st.integers(1, 65535))
+    count = width * height * (3 if magic == b"P3" else 1)
+    size = draw(st.integers(max(0, count - 2), count + 1))
+    if magic == b"P1":
+        piece = st.sampled_from([b"0", b"1"]) | st.sampled_from([b"2", b"x", b"\xff", b"01"])
+        # Packed (no separator) as often as spaced.
+        separator = st.just(b"") | st.sampled_from(_SEPARATORS + [b"\n#"])
+    else:
+        value = st.integers(0, maxval)
+        piece = st.one_of(
+            value.map(lambda v: str(v).encode()),
+            # Leading zeros, to a run of up to 25 digits.
+            st.tuples(st.integers(1, 24), value).map(lambda z: b"0" * z[0] + str(z[1]).encode()),
+            st.integers(maxval + 1, 10**25).map(lambda v: str(v).encode()),
+            st.sampled_from([b"x", b"+5", b"-1", b"1a", b"\x00", b"\xff7", "٥".encode()]),
+        )
+        separator = st.sampled_from(_SEPARATORS + [b"\n#"]) | st.just(b"")
+    pieces = draw(st.lists(piece, min_size=size, max_size=size))
+    head = [magic, str(width).encode(), str(height).encode()]
+    if magic != b"P1":
+        head.append(str(maxval).encode())
+    data = draw(st.sampled_from(_SEPARATORS)).join(head) + draw(st.sampled_from(_SEPARATORS))
+    for piece in pieces:
+        data += piece + draw(separator)
+    return data
+
+
+class TestAsciiRasters:
+    @given(ascii_files())
+    @example(b"P2 1 1 255 0000000000000000000000255")
+    @example(b"P2 2 1 255 0000000000000000000000256 1")
+    @example(b"P2 1 1 65535 000000000000000065535")
+    @example(b"P2 1 1 255\n1000000000000000000000")
+    @example(b"P2 1 1 255 100000000")
+    @example(b"P2 1 1 255 10000000000000000")
+    @example(b"P2 2 1 9 7#c\n5#")
+    @example(b"P1 3 1\n1#0\n0\r1")
+    @example(b"P1 2 2 01\n1")
+    def test_reads_as_the_per_sample_loops(self, data):
+        assert array_load_ascii(data) == loop_load_ascii(data)
+
+    @pytest.mark.parametrize("data,error", [
+        (b"P2\n2 1\n255\n7 x", ("malformed sample: b'x'", 13)),
+        (b"P2\n2 1\n255\n7 256", ("sample 256 outside 0..255", 13)),
+        (b"P2\n2 1\n255\n7 #", ("unexpected end of file while reading sample", 14)),
+        (b"P1\n2 1\n1 # 1\n2", ("invalid bitmap digit '2'", 13)),
+        (b"P1\n2 1\n1", ("truncated bitmap", 8)),
+    ])
+    def test_errors_name_their_byte(self, data, error):
+        assert array_load_ascii(data) == loop_load_ascii(data) == error

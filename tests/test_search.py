@@ -21,7 +21,6 @@ from wordspot.pnm import BinaryImage, GrayImage, binarize, ink_cut
 from wordspot.search import (
     MatchResult,
     MissingPageError,
-    SearchParams,
     distances,
     format_result,
     levenshtein,
@@ -148,12 +147,12 @@ def index_with_norms(norms, tokens=None):
 class TestSizePrefilter:
     def test_window_for_five_letters(self):
         index = index_with_norms([159, 160, 200, 240, 241, 300])
-        kept = size_prefilter(index, 5, SearchParams(char_width=40))
+        kept = size_prefilter(index, 5)
         assert [index.records[p].box.width for p in kept] == [160, 200, 240]
 
     def test_single_letter_window_starts_at_zero(self):
         index = index_with_norms([1, 40, 80, 81])
-        kept = size_prefilter(index, 1, SearchParams(char_width=40))
+        kept = size_prefilter(index, 1)
         assert [index.records[p].box.width for p in kept] == [1, 40, 80]
 
     def test_matches_brute_force_over_all_records(self):
@@ -181,7 +180,7 @@ def corpus_page(words_by_line, font=40, width=1400):
 
 def build_corpus(words_by_line, doc_id="page"):
     layout = corpus_page(words_by_line)
-    index = build_index([(doc_id, layout.image)], ref_font=60)
+    index = build_index([(doc_id, layout.image)])
     positions = {}
     for li, line in enumerate(layout.words):
         for wi, text in enumerate(line):
@@ -209,9 +208,9 @@ class TestSearch:
             [["dipped", "help", "sauce"], ["drop", "paper", "noon"]]
         )
         wide = search(index, lambda doc: layout.image, "drop",
-                      SearchParams(threshold=5.0))
+                      threshold=5.0)
         narrow = search(index, lambda doc: layout.image, "drop",
-                        SearchParams(threshold=1.0))
+                        threshold=1.0)
         wide_keys = {(m.record.line_idx, m.record.word_idx) for m in wide}
         narrow_keys = {(m.record.line_idx, m.record.word_idx) for m in narrow}
         assert narrow_keys <= wide_keys
@@ -285,15 +284,15 @@ class TestFormatResult:
         assert line == "1 doc1 2 7 0 0 99 59"
 
 
-def brute_force_matches(index, text, params):
+def brute_force_matches(index, text, threshold):
     """Every prefilter survivor scored by the reference DP, no gate, no
     memo."""
     query = query_to_wst(text)
     scored = [
         (reference_distance(query, rec.wst), rec.doc_id, rec.line_idx, rec.word_idx)
-        for rec in map(index.record, size_prefilter(index, len(text), params))
+        for rec in map(index.record, size_prefilter(index, len(text)))
     ]
-    return sorted(m for m in scored if m[0] <= params.threshold)
+    return sorted(m for m in scored if m[0] <= threshold)
 
 
 class TestDistanceGateAndMemo:
@@ -311,16 +310,14 @@ class TestDistanceGateAndMemo:
         # Few distinct token lengths and repeats, so both the gate and the
         # per-query memo are exercised.
         index = index_with_norms([n for n, _ in words], [wst for _, wst in words])
-        params = SearchParams(threshold=threshold)
-
         def no_pages(doc):
             raise AssertionError("every token is cached")
 
         got = sorted(
             (m.distance, m.record.doc_id, m.record.line_idx, m.record.word_idx)
-            for m in search(index, no_pages, text, params)
+            for m in search(index, no_pages, text, threshold)
         )
-        assert got == brute_force_matches(index, text, params)
+        assert got == brute_force_matches(index, text, threshold)
 
 
 class TestBuildLines:
@@ -350,7 +347,7 @@ class TestBuildLines:
         ]
 
         for n in range(1, 12):
-            search(index, lambda doc: page, "x" * n, SearchParams(threshold=0))
+            search(index, lambda doc: page, "x" * n, threshold=0)
         for rec, n in zip(index.records, index.record_lines.tolist()):
             line = index.lines[n]
             box, zones = rec.box, line.zones
@@ -365,13 +362,13 @@ class TestBuildLines:
         # With each line's body band widened to the whole line, no ink
         # reaches an ascender or descender zone: every token is all `x`.
         layout = corpus_page([["dipped", "help", "sauce"], ["drop", "paper", "noon"]])
-        built = build_index([("page", layout.image)], ref_font=60)
+        built = build_index([("page", layout.image)])
         # Page, rows and rows again as the body band, of each line.
         lines = built.line_table[:, [0, 2, 3, 2, 3]]
         words = np.column_stack((built.record_lines, built.record_table[:, 3:]))
         index = WordIndex(60, built.docs, lines, words, built.tokens)
         for n in range(1, 12):
-            search(index, lambda doc: layout.image, "x" * n, SearchParams(threshold=0))
+            search(index, lambda doc: layout.image, "x" * n, threshold=0)
         assert [set(rec.wst) for rec in index.records] == [{"x"}] * 6
 
 
@@ -393,7 +390,7 @@ def two_page_index():
         "one": corpus_page([["dipped", "help", "sauce"], ["drop", "paper", "noon"]]).image,
         "two": corpus_page([["help", "dotted", "noon"], ["python", "drop", "tenth"]]).image,
     }
-    return build_index(list(images.items()), ref_font=60), images
+    return build_index(list(images.items())), images
 
 
 def tokens_and_matches(index, provider, queries):
