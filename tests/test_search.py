@@ -197,6 +197,12 @@ class TestSearch:
         assert (top.record.line_idx, top.record.word_idx) == pos["help"]
         assert top.distance == 0
 
+    @pytest.mark.parametrize("threshold", [-1, float("nan")])
+    def test_threshold_below_zero_or_nan_rejected(self, threshold):
+        layout, index, pos = build_corpus([["help"]])
+        with pytest.raises(ValueError, match=f"threshold must be >= 0, got {threshold}"):
+            search(index, lambda doc: layout.image, "help", threshold)
+
     def test_no_match_when_all_far(self):
         layout, index, pos = build_corpus([["dipped", "python", "sauce"]])
         # "mummy" -> xxxxxxxxg: far from everything planted of similar size
