@@ -428,7 +428,7 @@ class TestQueryCommand:
             assert main(["query", str(index_path), "help", flag, "1"]) == 1
             assert main(["inspect", str(page), "--what", "wst", flag, "1"]) == 1
 
-    def test_bad_flag_domains_are_usage_errors(self, corpus, tmp_path, capsys):
+    def test_bad_flag_domains_are_usage_errors(self, corpus, capsys):
         layout, page, index_path = corpus
         assert main(["query", str(index_path), "help", "--threshold", "-1"]) == 1
 
