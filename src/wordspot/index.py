@@ -15,22 +15,26 @@ the unit of `wordspot index`'s counts (`WordIndex.size_class_counts`).
 
 Index file format (UTF-8, LF, space-separated fields), nested by position:
 
-    WSIDX 3
+    WSIDX 4
     K <ref_font_pixels>
     DOC <doc_id> <path> <width> <height>
-    L <row_start> <row_end> <body_top> <body_bottom>
-    W <x1> <y1> <x2> <y2> <wst>
+    L <row_start> <height> <body_offset> <body_height>
+    W <x1> <y_offset> <width> <height> [<wst>]
 
 DOC opens a page, L the page's next text line and W that line's next word;
-line and word numbers are these positions, from 0. `build_index` writes K
-as REF_FONT; `load_index` reads each file's own K and normalizes its
-lengths to it. wst is a string over
-{A, x, g} or `-` when not cached. doc_id and path (as file-system bytes)
+line and word numbers are these positions, from 0. Each nested extent is an
+offset from its parent plus a size: a body band starts body_offset rows
+below its line's row_start, and a box y_offset rows below it. `load_index`
+turns them into absolute page rows once, so a WordIndex, query output and
+`inspect` hold absolute coordinates only. `build_index` writes K as
+REF_FONT; `load_index` reads each file's own K and normalizes its lengths
+to it. wst, the cached shape token, is a string over {A, x, g}, present
+only once a query has computed it. doc_id and path (as file-system bytes)
 are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with a
-value of at most 2**31 - 1 (and at least 1 for K and a page's size). A
-page's size must also be one a page file can have: at most MAX_SIDE per
-side and MAX_PIXELS in all, as `pnm.load_image` reads. Files of another
-version are refused; rebuild them.
+value of at most 2**31 - 1 and at least 1 for K, a page's size and every
+other size, or 0 for an offset and x1. A page's size must also be one a
+page file can have: at most MAX_SIDE per side and MAX_PIXELS in all, as
+`pnm.load_image` reads. Files of another version are refused; rebuild them.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ SIZE_BOUNDS = (80, 240, 320, 480)
 SIZE_CODES = ("VS", "S", "M", "L", "VL")
 
 FORMAT_MAGIC = "WSIDX"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 # The largest number an index file may hold; products such as the
 # normalized length's 2 * K * width stay far inside int64.
@@ -429,22 +433,27 @@ def _encode(text: str | bytes) -> str:
 def save_index(index: WordIndex) -> bytes:
     """Serialize to the text index format; load_index inverts this exactly."""
     out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", f"K {index.ref_font}"]
-    words = [
-        f"W {x1} {y1} {x2} {y2} {wst or '-'}"
-        for (_, _, _, x1, y1, x2, y2), wst in zip(index.record_table.tolist(), index.tokens)
-    ]
+    _, _, row_start, row_end, body_top, body_bottom = index.line_table.T
+    x1, y1, x2, y2 = index.record_table[:, 3:].T
+    lines = np.column_stack(
+        (row_start, row_end - row_start + 1, body_top - row_start, body_bottom - body_top + 1)
+    ).tolist()
+    lines = [f"L {y} {height} {body} {body_height}" for y, height, body, body_height in lines]
+    words = np.column_stack(
+        (x1, y1 - row_start[index.record_lines], x2 - x1 + 1, y2 - y1 + 1)
+    ).tolist()
+    words = [f"W {x} {y} {width} {height}" for x, y, width, height in words]
+    if index.tokens.count(None) != len(words):
+        words = [word if wst is None else f"{word} {wst}" for word, wst in zip(words, index.tokens)]
     # Records are in page order, so each line's words are one run of them.
-    line_count = len(index.line_table)
-    word_starts = np.searchsorted(index.record_lines, np.arange(line_count + 1)).tolist()
+    word_starts = np.searchsorted(index.record_lines, np.arange(len(lines) + 1)).tolist()
     line_starts = np.searchsorted(index.line_table[:, 0], np.arange(len(index.docs) + 1))
-    lines = index.line_table.tolist()
     for rank, doc in enumerate(index.docs):
         # File-system bytes, so that a name that is not UTF-8 reloads the file.
         path = _encode(os.fsencode(doc.path))
         out.append(f"DOC {_encode(doc.doc_id)} {path} {doc.width} {doc.height}")
         for n in range(line_starts[rank], line_starts[rank + 1]):
-            _, _, row_start, row_end, body_top, body_bottom = lines[n]
-            out.append(f"L {row_start} {row_end} {body_top} {body_bottom}")
+            out.append(lines[n])
             out.extend(words[word_starts[n] : word_starts[n + 1]])
     return ("\n".join(out) + "\n").encode("utf-8")
 
@@ -458,15 +467,20 @@ def _number_error(field: str, value: int, what: str, lo: int) -> str:
 
 
 # Line kinds by code, with the fields that follow the kind; any other kind
-# gets code 3.
+# gets code 3. The least value of each number field: 1 for a size, 0 for an
+# offset and x1.
 _FIELDS = (
     ("doc_id", "path", "doc width", "doc height"),
-    ("row_start", "row_end", "body_top", "body_bottom"),
-    ("x1", "y1", "x2", "y2", "wst"),
+    ("row_start", "height", "body_offset", "body_height"),
+    ("x1", "y_offset", "width", "height", "wst"),
 )
-_FIELD_COUNTS = np.array([len(names) + 1 for names in _FIELDS] + [0])
-# The bytes that end a field, end a line, and stand for no token.
-_SPACE, _NEWLINE, _DASH = b" \n-"
+_LOWS = ((1, 1), (0, 1, 0, 1), (0, 0, 1, 1))
+# The least and the most fields of each kind, the kind's own included: a W
+# line's token is optional.
+_LEAST_FIELDS = np.array([5, 5, 5, 0])
+_MOST_FIELDS = np.array([5, 5, 6, 0])
+# The bytes that end a field and end a line.
+_SPACE, _NEWLINE = b" \n"
 
 
 def load_index(data: bytes) -> WordIndex:
@@ -477,16 +491,18 @@ def load_index(data: bytes) -> WordIndex:
     their count, and a line's first bytes its kind. Each L line gets its
     page's position and each W line its text line's position by cumulative
     counts. Every number in the file is read by `util.ascii_decimals`,
-    eight bytes at a time. Shape tokens are read one by one only when the
-    file holds some, and the ids and paths of DOC lines, which are few,
-    always.
+    eight bytes at a time, and the offsets and sizes of L and W lines
+    become absolute rows and columns once, as columns. Shape tokens are
+    read one by one only when the file holds some, and the ids and paths of
+    DOC lines, which are few, always.
 
     Every check of a single line runs over all lines at once, and the first
     bad line in file order is reported; only its fields are split to word
-    the message. Only then are the invariants across entries (unique doc
-    ids, bands inside their page, boxes inside their page and line) checked,
-    by WordIndex's validator, so that a parse error is reported before an
-    invariant error.
+    the message. The number rule's least values (1 for a size) leave no
+    empty band or box to check. Only then are the invariants across entries
+    (unique doc ids, bands inside their page, bodies inside their band,
+    boxes inside their page and line) checked, by WordIndex's validator, so
+    that a parse error is reported before an invariant error.
     """
     try:
         data.decode("utf-8")
@@ -525,7 +541,7 @@ def load_index(data: bytes) -> WordIndex:
     kinds[doc_like] = np.where(
         (buf[doc_starts + 1] == ord("O")) & (buf[doc_starts + 2] == ord("C")), 0, 3
     )
-    whole = counts == _FIELD_COUNTS[kinds]
+    whole = (counts >= _LEAST_FIELDS[kinds]) & (counts <= _MOST_FIELDS[kinds])
     is_doc, is_line, is_word = kinds == 0, kinds == 1, kinds == 2
 
     def fields(i: int) -> list[str]:
@@ -543,11 +559,15 @@ def load_index(data: bytes) -> WordIndex:
             n = int(mask.argmax())
             errors.append((n if at is None else int(at[n]), len(errors), message(n)))
 
+    def needs(i: int) -> str:
+        """How many fields line i's kind takes."""
+        least, most = _LEAST_FIELDS[kinds[i]], _MOST_FIELDS[kinds[i]]
+        return f"{least}" if least == most else f"{least} or {most}"
+
     first_bad(kinds == 3, lambda i: f"unknown line kind {fields(i)[0]!r}")
     first_bad(
         (kinds != 3) & ~whole,
-        lambda i: f"{fields(i)[0]} line needs {_FIELD_COUNTS[kinds[i]]} fields, "
-                  f"got {counts[i]}",
+        lambda i: f"{fields(i)[0]} line needs {needs(i)} fields, got {counts[i]}",
     )
 
     # Position of each row's page and of its text line, from counts of the
@@ -564,13 +584,14 @@ def load_index(data: bytes) -> WordIndex:
     # whole DOC, L and W line, its last fields up to field 4. A field's
     # bytes lie between the end of the field before it and its own. The K
     # line counts as row -1, so that its error, on line 2, comes first. A
-    # number is 1..10 ASCII digits with a value in lo.._MAX_NUMBER.
+    # number is 1..10 ASCII digits with a value in lo.._MAX_NUMBER, where lo
+    # is its field's least value.
     doc_at, line_at, word_at = (np.flatnonzero(whole & (kinds == kind)) for kind in range(3))
     groups = [
-        (np.array([-1]), ("reference font size",), 1),
-        (doc_at, _FIELDS[0][2:], 1),
-        (line_at, _FIELDS[1], 0),
-        (word_at, _FIELDS[2][:4], 0),
+        (np.array([-1]), ("reference font size",), (1,)),
+        (doc_at, _FIELDS[0][2:], _LOWS[0]),
+        (line_at, _FIELDS[1], _LOWS[1]),
+        (word_at, _FIELDS[2][:4], _LOWS[2]),
     ]
     bounds = [np.array([[header_end + 2, font_end]])] + [
         ends[first[at, None] + np.arange(4 - len(names), 5)] for at, names, _ in groups[1:]
@@ -582,7 +603,7 @@ def load_index(data: bytes) -> WordIndex:
         np.concatenate([b[:, 1:].ravel() for b in bounds]),
         10,
     )
-    lows = np.repeat([lo for _, _, lo in groups], group_sizes)
+    lows = np.concatenate([np.tile(lows, len(at)) for at, _, lows in groups])
     ok = (values >= lows) & (values <= _MAX_NUMBER)
     offsets = np.cumsum([0] + group_sizes).tolist()
     tables = [
@@ -590,7 +611,7 @@ def load_index(data: bytes) -> WordIndex:
         for i, j, (_, names, _) in zip(offsets, offsets[1:], groups)
     ]
     if not ok.all():
-        for (at, names, lo), table, i, j, field_bounds in zip(
+        for (at, names, lows), table, i, j, field_bounds in zip(
             groups, tables, offsets, offsets[1:], bounds
         ):
             bad = ~ok[i:j].reshape(table.shape)
@@ -598,32 +619,18 @@ def load_index(data: bytes) -> WordIndex:
             def message(n: int) -> str:
                 k = int(bad[n].argmax())
                 field = data[field_bounds[n, k] + 1 : field_bounds[n, k + 1]].decode()
-                return _number_error(field, table[n, k], names[k], lo)
+                return _number_error(field, table[n, k], names[k], lows[k])
 
             first_bad(bad.any(axis=1), message, at)
     ref_font, sizes, line_numbers, word_numbers = tables
-    row_start, row_end, body_top, body_bottom = line_numbers.T
-    x1, y1, x2, y2 = word_numbers.T
-    first_bad(row_start > row_end, lambda n: f"empty band {row_start[n]}..{row_end[n]}", line_at)
-    first_bad(
-        body_top > body_bottom,
-        lambda n: f"empty body band {body_top[n]}..{body_bottom[n]}",
-        line_at,
-    )
-    first_bad(
-        (x1 > x2) | (y1 > y2),
-        lambda n: f"degenerate box {x1[n]} {y1[n]} {x2[n]} {y2[n]}",
-        word_at,
-    )
-    # The last field of a W line is its token; `-` in every W line (a file
-    # no query has filled) is one check.
-    token_ends = ends[last[word_at]]
-    token_starts = ends[last[word_at] - 1] + 1
-    if np.all(token_ends - token_starts == 1) and np.all(buf[token_starts] == _DASH):
-        tokens = [None] * len(word_at)
-    else:
-        tokens = [data[s:e].decode() for s, e in zip(token_starts.tolist(), token_ends.tolist())]
-        tokens = [None if token == "-" else token for token in tokens]
+    # A W line of six fields ends in its token.
+    has_token = counts[word_at] == _MOST_FIELDS[2]
+    tokens = [None] * len(word_at)
+    if has_token.any():
+        token_lines = last[word_at[has_token]]
+        for n, start, end in zip(np.flatnonzero(has_token).tolist(),
+                                 (ends[token_lines - 1] + 1).tolist(), ends[token_lines].tolist()):
+            tokens[n] = data[start:end].decode()
         first_bad(_bad_tokens(tokens), lambda n: f"invalid shape token {tokens[n]!r}", word_at)
 
     if errors:
@@ -634,8 +641,16 @@ def load_index(data: bytes) -> WordIndex:
     for (_, doc_id, path, _, _), size in zip(map(fields, doc_at), sizes.tolist()):
         path = os.fsdecode(urllib.parse.unquote_to_bytes(path))
         docs.append(DocEntry(urllib.parse.unquote(doc_id), path, *size))
-    lines = np.column_stack((page[line_at], line_numbers))
-    words = np.column_stack((line[word_at], word_numbers))
+    # Offsets and sizes become absolute rows and columns. Every L line is
+    # whole here, so a W line's text line position is its row in `line_at`.
+    row_start, height, body_offset, body_height = line_numbers.T
+    body_top = row_start + body_offset
+    lines = np.column_stack((page[line_at], row_start, row_start + height - 1,
+                             body_top, body_top + body_height - 1))
+    x1, y_offset, width, height = word_numbers.T
+    word_line = line[word_at]
+    y1 = row_start[word_line] + y_offset
+    words = np.column_stack((word_line, x1, y1, x1 + width - 1, y1 + height - 1))
     try:
         return WordIndex(int(ref_font[0, 0]), docs, lines, words, tokens)
     except IndexInvariantError as exc:

@@ -3,8 +3,9 @@
 Supports the uncompressed NetPBM family only: magics P1-P6, `#` comments,
 arbitrary whitespace between header tokens, and for the raw formats a single
 whitespace byte between the header and the raster. ASCII rasters (P1-P3)
-are read in array passes over the bytes after the header. Output is always
-binary PGM (P5) with maxval 255.
+are read in array passes over blocks of the bytes after the header, so
+that reading one takes memory in proportion to a block, not to the file.
+Output is always binary PGM (P5) with maxval 255.
 
 Pixel conventions used throughout the pipeline:
   - grayscale: 0 is black, maxval is white
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -48,6 +50,10 @@ _WS = b" \t\n\r\x0b\x0c"
 _COMMENT = re.compile(rb"#[^\r\n]*")
 _FILLER = re.compile(b"(?:[%s]|%s)*" % (_WS, _COMMENT.pattern))
 _TOKEN = re.compile(b"[^#%s]*" % _WS)
+# ASCII rasters are read in blocks of about this many bytes: each block's
+# arrays take memory in proportion to it, not to the file.
+_ASCII_BLOCK = 1 << 18
+_LINE_REST = re.compile(rb"[^\r\n]*")
 # The largest page side and page a file may describe.
 MAX_SIDE = 1_000_000
 MAX_PIXELS = 100_000_000
@@ -191,49 +197,80 @@ class _Reader:
         return start
 
 
-def _token_bytes(data: bytes | mmap.mmap, start: int) -> np.ndarray:
-    """Which bytes of data[start:] belong to tokens, as the header reader
-    takes them: bytes that are neither whitespace nor in a comment. `start`
-    follows a header token, so it is not inside a comment."""
-    buf = np.frombuffer(data, np.uint8)[start:]
+def _ascii_blocks(data: bytes | mmap.mmap, start: int) -> Iterator[tuple[int, int]]:
+    """(start, end) of each block of data[start:], in order: about
+    _ASCII_BLOCK bytes each, every one ending at whitespace outside a
+    comment, at a comment's `#` or at the end of the data, so that no token
+    or comment spans two blocks. `start` follows a header token, so it is
+    not inside a comment or a token."""
+    while start < len(data):
+        end = min(start + _ASCII_BLOCK, len(data))
+        comment = data.rfind(b"#", start, end)
+        if comment >= 0 and _LINE_REST.match(data, comment).end() >= end:
+            # Inside a comment, which ends at its line's end.
+            end = _LINE_REST.match(data, end).end()
+        else:
+            end = _TOKEN.match(data, end).end()  # the end of a token there
+        yield start, end
+        start = end
+
+
+def _token_bytes(data: bytes | mmap.mmap, start: int, end: int) -> np.ndarray:
+    """Which bytes of data[start:end] belong to tokens, as the header reader
+    takes them: bytes that are neither whitespace nor in a comment. Neither
+    bound is inside a comment."""
+    buf = np.frombuffer(data, np.uint8)[start:end]
     mask = (buf - 9 > 4) & (buf != 32)  # not _WS: bytes 9..13 and 32
-    for comment in _COMMENT.finditer(data, start):
+    for comment in _COMMENT.finditer(data, start, end):
         mask[comment.start() - start : comment.end() - start] = False
     return mask
 
 
 def _ascii_samples(r: _Reader, count: int, maxval: int) -> np.ndarray:
     """The first `count` P2/P3 samples after r.pos, each 0..maxval, found
-    and read in array passes. A PnmError names the first bad sample, or else
-    a file that ends before `count` samples."""
-    data, start = r.data, r.pos
-    starts, ends = mask_runs(_token_bytes(data, start))
-    starts, ends = starts[:count] + start, ends[:count] + start + 1
-    values = ascii_decimals(data, starts, ends, 18)
-    # A bad sample, or one of more than 18 digits, is read again as the
-    # header reads a number: the first bad one raises its error, and a long
-    # one in range has leading zeros.
-    for i in np.flatnonzero((values < 0) | (values > maxval)).tolist():
-        r.pos = int(starts[i])
-        values[i] = r.integer("sample", 0, maxval)
-    if len(values) < count:
-        raise PnmError("unexpected end of file while reading sample", len(data))
-    return values.astype(np.uint16)
+    and read in array passes, one block at a time. A PnmError names the
+    first bad sample, or else a file that ends before `count` samples."""
+    data = r.data
+    values = np.empty(count, dtype=np.uint16)
+    done = 0
+    for start, end in _ascii_blocks(data, r.pos):
+        starts, ends = mask_runs(_token_bytes(data, start, end))
+        starts, ends = starts[: count - done] + start, ends[: count - done] + start + 1
+        block = ascii_decimals(data, starts, ends, 18)
+        # A bad sample, or one of more than 18 digits, is read again as the
+        # header reads a number: the first bad one raises its error, and a
+        # long one in range has leading zeros.
+        for i in np.flatnonzero((block < 0) | (block > maxval)).tolist():
+            r.pos = int(starts[i])
+            block[i] = r.integer("sample", 0, maxval)
+        values[done : done + len(block)] = block
+        done += len(block)
+        if done == count:
+            return values
+    raise PnmError("unexpected end of file while reading sample", len(data))
 
 
 def _ascii_bits(r: _Reader, count: int) -> np.ndarray:
     """The first `count` P1 digits after r.pos as gray values (a `0` is
-    white, 1; a `1` is ink, 0). Digits may be packed without separators. A
-    PnmError names the first bad digit, or else a file that ends early."""
-    at = np.flatnonzero(_token_bytes(r.data, r.pos))[:count] + r.pos
-    digits = np.frombuffer(r.data, np.uint8)[at]
-    bad = (digits != ord("0")) & (digits != ord("1"))
-    if bad.any():
-        i = int(at[bad.argmax()])
-        raise PnmError(f"invalid bitmap digit {chr(r.data[i])!r}", i)
-    if len(at) < count:
-        raise PnmError("truncated bitmap", len(r.data))
-    return (digits == ord("0")).astype(np.uint16)
+    white, 1; a `1` is ink, 0), one block at a time. Digits may be packed
+    without separators. A PnmError names the first bad digit, or else a
+    file that ends early."""
+    data = r.data
+    buf = np.frombuffer(data, np.uint8)
+    gray = np.empty(count, dtype=np.uint16)
+    done = 0
+    for start, end in _ascii_blocks(data, r.pos):
+        at = np.flatnonzero(_token_bytes(data, start, end))[: count - done] + start
+        digits = buf[at]
+        bad = (digits != ord("0")) & (digits != ord("1"))
+        if bad.any():
+            i = int(at[bad.argmax()])
+            raise PnmError(f"invalid bitmap digit {chr(data[i])!r}", i)
+        gray[done : done + len(at)] = digits == ord("0")
+        done += len(at)
+        if done == count:
+            return gray
+    raise PnmError("truncated bitmap", len(data))
 
 
 def _raw_samples(r: _Reader, count: int, maxval: int) -> np.ndarray:

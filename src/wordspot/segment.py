@@ -150,7 +150,8 @@ def segment_words(img: BinaryImage, bands: Sequence[LineBand]) -> np.ndarray:
             continue
         # Column slices x1s[i]..x1s[i+1]-1 add only blank columns to word i,
         # so a word's least bit in a row is 0 iff the word has ink there.
-        word_rows = np.minimum.reduceat(
+        # Bits are 0 or 1, so their AND is their least, and cheaper.
+        word_rows = np.bitwise_and.reduceat(
             img.bits[band.row_start : band.row_end + 1], x1s[lo:hi], axis=1
         )
         y1s[lo:hi] = band.row_start + word_rows.argmin(axis=0)

@@ -232,7 +232,7 @@ class TestQueryCommand:
 
     def test_garbage_index_exits_2(self, tmp_path):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 3\nK 60\njunk line\n")
+        bad.write_bytes(b"WSIDX 4\nK 60\njunk line\n")
         assert main(["query", str(bad), "help"]) == 2
 
     def test_missing_page_file_exits_3(self, corpus, capsys):
@@ -390,12 +390,10 @@ class TestQueryCommand:
         layout, page, index_path = corpus
         lines = index_path.read_text().splitlines()
         # Line 6 is the record of "help": DOC, L, then the line's words.
-        # Move its box past the page's last row, keeping its height.
+        # Move its box past the page's last column, keeping its width.
         assert [line.split(" ")[0] for line in lines[2:6]] == ["DOC", "L", "W", "W"]
         fields = lines[5].split(" ")
-        height = int(fields[4]) - int(fields[2]) + 1
-        y1 = layout.image.height - 5
-        fields[2], fields[4] = str(y1), str(y1 + height - 1)
+        fields[1] = str(layout.image.width - 5)
         lines[5] = " ".join(fields)
         index_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -653,8 +651,11 @@ class TestInspect:
         out = capsys.readouterr().out.splitlines()
         zones, tokens, index_zones = out[6:9], out[9:18], out[18:]
 
-        index_text = index_path.read_text().splitlines()
-        assert [line[2:] for line in index_text if line.startswith("L ")] == zones
+        # An L line holds row_start, height, body_offset and body_height.
+        index_lines = [[int(v) for v in line.split()[1:]]
+                       for line in index_path.read_text().splitlines() if line.startswith("L ")]
+        assert [f"{y} {y + h - 1} {y + b} {y + b + bh - 1}"
+                for y, h, b, bh in index_lines] == zones
         assert index_zones == zones
         index = load_index(index_path.read_bytes())
         image = binarize(load_image(page.read_bytes()))
@@ -695,7 +696,7 @@ class TestBadInputNamesTheFile:
     )
     def test_bad_index_exits_2_naming_file_and_line(self, tmp_path, capsys, monkeypatch, argv):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 3\nK 60\nX what\n")
+        bad.write_bytes(b"WSIDX 4\nK 60\nX what\n")
         monkeypatch.setattr("sys.stdin", io.StringIO("help\n"))
         out = tmp_path / "out.pgm"
         assert main([arg.format(index=bad, out=out) for arg in argv]) == 2
@@ -703,9 +704,24 @@ class TestBadInputNamesTheFile:
         assert captured.err == f"wordspot: {bad}: unknown line kind 'X' (line 3)\n"
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["query", "{index}", "help"], ["inspect", "{index}", "--what", "words"]]
+    )
+    def test_version_3_index_exits_2_naming_line_1(self, tmp_path, capsys, argv):
+        # Version 3 wrote absolute rows and columns and `-` for no token;
+        # there is one reader, for version 4.
+        old = tmp_path / "old.wsidx"
+        old.write_bytes(b"WSIDX 3\nK 60\nDOC a a.pgm 100 50\nL 0 20 5 15\nW 1 2 30 11 -\n")
+        assert main([arg.format(index=old) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"wordspot: {old}: expected header 'WSIDX' version 4, got 'WSIDX 3' (line 1)\n"
+        )
+        assert captured.out == ""
+
     def test_index_that_breaks_an_invariant_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 3\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
+        bad.write_bytes(b"WSIDX 4\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
         assert main(["query", str(bad), "help"]) == 2
         assert capsys.readouterr().err == (
             f"wordspot: {bad}: duplicate doc_id 'a' (line 4)\n"

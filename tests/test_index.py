@@ -214,7 +214,7 @@ def small_index():
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex(60, [], [], [], [])) == b"WSIDX 3\nK 60\n"
+        assert save_index(WordIndex(60, [], [], [], [])) == b"WSIDX 4\nK 60\n"
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
@@ -234,8 +234,9 @@ class TestPersistence:
                           [word_row(0, x=1, y=2, w=30, h=10)], [None])
         lines = save_index(index).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
-        assert lines[3] == "L 0 20 5 15"
-        assert lines[4] == "W 1 2 30 11 -"
+        # Rows 0..20 with the body 5..15, and a 30x10 box 2 rows below row 0.
+        assert lines[3] == "L 0 21 5 11"
+        assert lines[4] == "W 1 2 30 10"
 
     def test_path_that_is_not_utf8_round_trips(self):
         path = os.fsdecode(b"pages/a\xff b.pgm")
@@ -254,16 +255,18 @@ class TestPersistence:
 
 
 # A row-by-row loader, kept as the specification of `load_index`: each row
-# is split in Python and each number must be 1..10 ASCII digits with a value
-# in range. `load_index` must give an equal index, or the same message and
+# is split in Python, checked in turn and turned into absolute rows at once,
+# and each number must be 1..10 ASCII digits with a value in its field's
+# range. `load_index` must give an equal index, or the same message and
 # line, on any bytes.
 MAX_NUMBER = 2**31 - 1
-FIELDS = (
-    ("doc_id", "path", "doc width", "doc height"),
-    ("row_start", "row_end", "body_top", "body_bottom"),
-    ("x1", "y1", "x2", "y2", "wst"),
+NUMBER_FIELDS = (
+    ("doc width", "doc height"),
+    ("row_start", "height", "body_offset", "body_height"),
+    ("x1", "y_offset", "width", "height"),
 )
-FIELD_COUNTS = np.array([len(names) + 1 for names in FIELDS] + [0])
+LOWS = ((1, 1), (0, 1, 0, 1), (0, 0, 1, 1))
+FIELD_COUNTS = ((5,), (5,), (5, 6))
 
 
 def number_error(token, what, lo=0):
@@ -275,19 +278,6 @@ def number_error(token, what, lo=0):
     return None
 
 
-def reference_numbers(rows):
-    """Fields 1..4 of each row as a (rows, 4) array; a field that is not a
-    number in 0..MAX_NUMBER reads -1."""
-    flat = [field for row in rows for field in row[1:5]]
-    values = np.array([-1 if number_error(f, "") else int(f) for f in flat], dtype=np.int64)
-    return values.reshape(-1, 4)
-
-
-def bad_tokens(tokens):
-    return np.array([wst is not None and not (wst and set(wst) <= set("Axg")) for wst in tokens],
-                    dtype=bool)
-
-
 def reference_load_index(data: bytes) -> WordIndex:
     try:
         text = data.decode("utf-8")
@@ -296,9 +286,9 @@ def reference_load_index(data: bytes) -> WordIndex:
     rows = text.split("\n")
     if rows and rows[-1] == "":
         rows.pop()
-    if not rows or rows[0] != "WSIDX 3":
+    if not rows or rows[0] != "WSIDX 4":
         got = rows[0] if rows else ""
-        raise IndexFormatError(f"expected header 'WSIDX' version 3, got {got!r}", 1)
+        raise IndexFormatError(f"expected header 'WSIDX' version 4, got {got!r}", 1)
     if len(rows) < 2 or not rows[1].startswith("K "):
         raise IndexFormatError("expected reference font line 'K <pixels>'", 2)
     error = number_error(rows[1][2:], "reference font size", 1)
@@ -306,72 +296,54 @@ def reference_load_index(data: bytes) -> WordIndex:
         raise IndexFormatError(error, 2)
     ref_font = int(rows[1][2:])
 
-    fields = [row.split(" ") for row in rows[2:]]
-    kinds = np.array([{"DOC": 0, "L": 1, "W": 2}.get(row[0], 3) for row in fields], dtype=np.int64)
-    counts = np.array([len(row) for row in fields], dtype=np.int64)
-    whole = counts == FIELD_COUNTS[kinds]
-    is_doc, is_line, is_word = kinds == 0, kinds == 1, kinds == 2
-    errors = []  # (row, check number, message); the least is reported
+    docs, lines, words, tokens = [], [], [], []
+    doc_lines, page_lines = [], 0  # file lines of DOC rows; L rows on this page
+    for line_no, row in enumerate(rows[2:], start=3):
+        fields = row.split(" ")
+        kind = {"DOC": 0, "L": 1, "W": 2}.get(fields[0])
+        if kind is None:
+            raise IndexFormatError(f"unknown line kind {fields[0]!r}", line_no)
+        if len(fields) not in FIELD_COUNTS[kind]:
+            need = " or ".join(map(str, FIELD_COUNTS[kind]))
+            raise IndexFormatError(f"{fields[0]} line needs {need} fields, got {len(fields)}",
+                                   line_no)
+        if kind == 1 and not docs:
+            raise IndexFormatError("L line before any DOC line", line_no)
+        if kind == 2 and page_lines == 0:
+            raise IndexFormatError("W line before its page's first L line", line_no)
+        numbers = fields[5 - len(NUMBER_FIELDS[kind]) : 5]
+        for token, what, lo in zip(numbers, NUMBER_FIELDS[kind], LOWS[kind]):
+            error = number_error(token, what, lo)
+            if error is not None:
+                raise IndexFormatError(error, line_no)
+        numbers = [int(token) for token in numbers]
+        if kind == 0:
+            path = os.fsdecode(urllib.parse.unquote_to_bytes(fields[2]))
+            docs.append(DocEntry(urllib.parse.unquote(fields[1]), path, *numbers))
+            doc_lines.append(line_no)
+            page_lines = 0
+        elif kind == 1:
+            row_start, height, body_offset, body_height = numbers
+            body_top = row_start + body_offset
+            lines.append((len(docs) - 1, row_start, row_start + height - 1,
+                          body_top, body_top + body_height - 1, line_no))
+            page_lines += 1
+        else:
+            wst = fields[5] if len(fields) == 6 else None
+            if wst is not None and not (wst and set(wst) <= set("Axg")):
+                raise IndexFormatError(f"invalid shape token {wst!r}", line_no)
+            x1, y_offset, width, height = numbers
+            y1 = lines[-1][1] + y_offset
+            words.append((len(lines) - 1, x1, y1, x1 + width - 1, y1 + height - 1, line_no))
+            tokens.append(wst)
 
-    def first_bad(mask, message, at=None):
-        if mask.any():
-            n = int(mask.argmax())
-            errors.append((n if at is None else int(at[n]), len(errors), message(n)))
-
-    first_bad(kinds == 3, lambda i: f"unknown line kind {fields[i][0]!r}")
-    first_bad(
-        (kinds != 3) & ~whole,
-        lambda i: f"{fields[i][0]} line needs {FIELD_COUNTS[kinds[i]]} fields, got {counts[i]}",
-    )
-    docs = []
-    for i in np.flatnonzero(is_doc & whole).tolist():
-        _, doc_id, path, width, height = fields[i]
-        error = number_error(width, "doc width", 1) or number_error(height, "doc height", 1)
-        if error is not None:
-            errors.append((i, len(errors), error))
-            break
-        path = os.fsdecode(urllib.parse.unquote_to_bytes(path))
-        docs.append(DocEntry(urllib.parse.unquote(doc_id), path, int(width), int(height)))
-
-    page = np.cumsum(is_doc) - 1
-    line = np.cumsum(is_line) - 1
-    lines_before_page = np.maximum.accumulate(np.where(is_doc, line + 1, 0))
-    first_bad(is_line & (page < 0), lambda i: "L line before any DOC line")
-    first_bad(
-        is_word & (line < lines_before_page), lambda i: "W line before its page's first L line"
-    )
-
-    def bad_number(row, kind):
-        return next(filter(None, map(number_error, row[1:], FIELDS[kind])))
-
-    line_at = np.flatnonzero(is_line & whole)
-    word_at = np.flatnonzero(is_word & whole)
-    line_rows = [fields[i] for i in line_at.tolist()]
-    word_rows = [fields[i] for i in word_at.tolist()]
-    line_values = reference_numbers(line_rows)
-    word_values = reference_numbers(word_rows)
-    first_bad((line_values < 0).any(axis=1), lambda n: bad_number(line_rows[n], 1), line_at)
-    first_bad((word_values < 0).any(axis=1), lambda n: bad_number(word_rows[n], 2), word_at)
-    row_start, row_end, body_top, body_bottom = line_values.T
-    x1, y1, x2, y2 = word_values.T
-    first_bad(row_start > row_end, lambda n: f"empty band {row_start[n]}..{row_end[n]}", line_at)
-    first_bad(body_top > body_bottom,
-              lambda n: f"empty body band {body_top[n]}..{body_bottom[n]}", line_at)
-    first_bad((x1 > x2) | (y1 > y2),
-              lambda n: f"degenerate box {x1[n]} {y1[n]} {x2[n]} {y2[n]}", word_at)
-    tokens = [None if row[5] == "-" else row[5] for row in word_rows]
-    first_bad(bad_tokens(tokens), lambda n: f"invalid shape token {tokens[n]!r}", word_at)
-    if errors:
-        row, _, message = min(errors)
-        raise IndexFormatError(message, row + 3)
-
-    lines = np.column_stack((page[line_at], line_values))
-    words = np.column_stack((line[word_at], word_values))
     try:
-        return WordIndex(ref_font, docs, lines, words, tokens)
+        return WordIndex(ref_font, docs, [line[:5] for line in lines],
+                         [word[:5] for word in words], tokens)
     except IndexInvariantError as exc:
-        is_kind = {"doc": is_doc, "line": is_line, "record": is_word}[exc.kind]
-        raise IndexFormatError(str(exc), int(np.flatnonzero(is_kind)[exc.position]) + 3) from None
+        entries = {"doc": doc_lines, "line": [line[5] for line in lines],
+                   "record": [word[5] for word in words]}[exc.kind]
+        raise IndexFormatError(str(exc), entries[exc.position]) from None
 
 
 def load_outcome(load, data):
@@ -407,6 +379,7 @@ class TestLoadErrors:
         assert err.value.line == line_no
 
     def test_bad_version(self, lines):
+        self.assert_error_line(corrupt(lines, 1, "WSIDX 3"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 2"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 1"), 1)
 
@@ -422,12 +395,14 @@ class TestLoadErrors:
     def test_short_record_line(self, lines):
         self.assert_error_line(corrupt(lines, 5, "W 1 2 3"), 5)
 
+    def test_long_record_line(self, lines):
+        self.assert_error_line(corrupt(lines, 6, lines[6 - 1] + " A"), 6)
+
     def test_short_L_line(self, lines):
-        self.assert_error_line(corrupt(lines, 4, "L 20 79 30"), 4)
+        self.assert_error_line(corrupt(lines, 4, "L 20 60 10"), 4)
 
     def test_bad_wst_token(self, lines):
-        bad = lines[5 - 1][:-1] + "Q"
-        self.assert_error_line(corrupt(lines, 5, bad), 5)
+        self.assert_error_line(corrupt(lines, 5, lines[5 - 1] + " Q"), 5)
 
     def test_line_before_any_doc(self, lines):
         data = ("\n".join(lines[:2] + [lines[4 - 1]] + lines[2:]) + "\n").encode()
@@ -450,20 +425,20 @@ class TestLoadErrors:
         self.assert_error_line(corrupt(bad, 6, "W 1 2 3"), 6)
 
     def test_record_box_outside_its_page(self, lines):
-        # Line 5 is doc1's first record; doc1 is 640 pixels wide.
+        # Line 5 is doc1's first record, 50 columns wide; doc1 is 640 pixels
+        # wide.
         fields = lines[5 - 1].split(" ")
-        fields[1], fields[3] = "600", "649"
+        fields[1] = "600"
         self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
 
     def test_record_box_outside_its_line(self, lines):
-        # Line 5's box starts on row 20, the first row of line 4's band.
+        # Line 5's box is 25 rows high; line 4's band is 60 rows high.
         fields = lines[5 - 1].split(" ")
-        fields[2] = "19"
+        fields[2] = "36"
         self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
 
     @pytest.mark.parametrize(
-        "bad", ["L 20 480 30 60", "L 20 79 19 60", "L 20 79 30 80", "L 79 20 30 60",
-                "L 20 79 60 30"]
+        "bad", ["L 20 461 10 31", "L 470 11 0 5", "L 20 60 50 11", "L 20 60 10 51"]
     )
     def test_line_band_outside_its_page_or_body_outside_its_band(self, lines, bad):
         # doc1 is 480 rows high; line 4's band is rows 20..79.
@@ -474,7 +449,7 @@ class TestLoadErrors:
             load_index(b"\xff\xfe\x00")
 
     @pytest.mark.parametrize(
-        "bad", ["W 1 2 2147483648 30 -", "W 1 99999999999999999999 3 4 -", "W 1 -2 3 4 -"]
+        "bad", ["W 1 2 2147483648 30", "W 1 99999999999999999999 3 4", "W 1 -2 3 4"]
     )
     def test_number_out_of_range(self, lines, bad):
         self.assert_error_line(corrupt(lines, 5, bad), 5)
@@ -482,12 +457,12 @@ class TestLoadErrors:
     @pytest.mark.parametrize(
         "first,second",
         [
-            ("W 1 2 3 x -", "W 1 2"),  # a malformed number before a short line
-            ("W 1 2", "W 1 2 3 x -"),
-            ("W 20 20 10 30 -", "W 1 2 3 4 Q"),  # a degenerate box before a bad token
-            ("W 1 20 3 30 Q", "W 30 20 10 30 -"),
-            ("L 30 20 30 40", "X"),  # an empty band before an unknown kind
-            ("L 20 79 30 60 9", "W 1 x 3 4 -"),
+            ("W 1 2 3 x", "W 1 2"),  # a malformed number before a short line
+            ("W 1 2", "W 1 2 3 x"),
+            ("W 20 0 0 30", "W 1 2 3 4 Q"),  # an empty box before a bad token
+            ("W 1 0 3 30 Q", "W 30 0 0 30"),
+            ("L 30 0 0 40", "X"),  # an empty band before an unknown kind
+            ("L 20 60 10 31 9", "W 1 x 3 4"),
         ],
     )
     def test_first_bad_line_in_file_order_whatever_its_fault(self, lines, first, second):
@@ -512,24 +487,24 @@ class TestArrayParseEdges:
         fields[field] = value
         return assert_loads_as_reference(corrupt(lines, line_no, " ".join(fields)))
 
-    @pytest.mark.parametrize("field,value", [(1, "010"), (4, "0044"), (3, "0000000059")])
+    @pytest.mark.parametrize("field,value", [(1, "010"), (4, "0025"), (3, "0000000050")])
     def test_leading_zeros_within_ten_digits_are_accepted(self, field, value):
-        # Line 5 is "W 10 20 59 44 -".
+        # Line 5 is "W 10 0 50 25".
         assert self.load_with(5, field, value) == small_index()
 
     @pytest.mark.parametrize(
         "line_no,field,value,message",
         [
-            # Line 5 is "W 10 20 59 44 -": spellings `int()` would take.
+            # Line 5 is "W 10 0 50 25": spellings `int()` would take.
             (5, 1, "+10", "malformed x1: '+10'"),
             (5, 1, "\u0661\u0660", "malformed x1: '\u0661\u0660'"),
             (5, 1, "1_0", "malformed x1: '1_0'"),
             (5, 1, "00000000010", "malformed x1: '00000000010'"),
             (5, 1, "-0", "malformed x1: '-0'"),
-            (5, 2, "20\r", "malformed y1: '20\\r'"),
-            (5, 2, "\t20", "malformed y1: '\\t20'"),
-            # Line 4 is "L 20 79 30 60", line 3 doc1's DOC line and line 2 K.
-            (4, 4, "60\r", "malformed body_bottom: '60\\r'"),
+            (5, 2, "0\r", "malformed y_offset: '0\\r'"),
+            (5, 2, "\t0", "malformed y_offset: '\\t0'"),
+            # Line 4 is "L 20 60 10 31", line 3 doc1's DOC line and line 2 K.
+            (4, 4, "31\r", "malformed body_height: '31\\r'"),
             (3, 3, "\u0665", "malformed doc width: '\u0665'"),
             (3, 4, "480\r", "malformed doc height: '480\\r'"),
             (3, 4, "0", "doc height 0 outside 1..2147483647"),
@@ -545,34 +520,51 @@ class TestArrayParseEdges:
         [
             # Ten digits: the largest number parses, so its box is refused
             # only for leaving the page.
-            ("2147483647", "record 0: box x 10..2147483647, y 20..44 outside its page columns "
+            ("2147483647", "record 0: box x 10..2147483656, y 20..44 outside its page columns "
                            "0..639 or its line rows 20..79"),
-            ("2147483648", "x2 2147483648 outside 0..2147483647"),
-            ("9999999999", "x2 9999999999 outside 0..2147483647"),
-            ("99999999999", "malformed x2: '99999999999'"),
-            ("-1", "malformed x2: '-1'"),
-            ("", "malformed x2: ''"),
-            ("5x", "malformed x2: '5x'"),
-            ("\u00b2", "malformed x2: '\u00b2'"),
+            ("2147483648", "width 2147483648 outside 1..2147483647"),
+            ("9999999999", "width 9999999999 outside 1..2147483647"),
+            ("99999999999", "malformed width: '99999999999'"),
+            ("0", "width 0 outside 1..2147483647"),
+            ("-1", "malformed width: '-1'"),
+            ("", "malformed width: ''"),
+            ("5x", "malformed width: '5x'"),
+            ("\u00b2", "malformed width: '\u00b2'"),
         ],
     )
     def test_numbers_at_the_range_edges(self, value, message):
         assert self.load_with(5, 3, value) == (f"{message} (line 5)", 5)
 
+    @pytest.mark.parametrize(
+        "line_no,field,name", [(4, 2, "height"), (4, 4, "body_height"), (5, 3, "width"),
+                               (5, 4, "height")]
+    )
+    def test_empty_band_body_or_box_refused_by_the_number_rule(self, line_no, field, name):
+        # A size of 0 is the one way to write an empty extent.
+        assert self.load_with(line_no, field, "0") == (
+            f"{name} 0 outside 1..2147483647 (line {line_no})", line_no
+        )
+
+    @pytest.mark.parametrize("line_no,field", [(4, 1), (4, 3), (5, 1), (5, 2)])
+    def test_offsets_and_x1_may_be_0(self, line_no, field):
+        # Line 4 becomes a band from row 0 or a body from its first row, and
+        # line 5 a box from column 0 or from its line's first row.
+        assert isinstance(self.load_with(line_no, field, "0"), WordIndex)
+
     def test_ten_digit_fields_within_a_wide_page(self):
         # No page is wider or taller than pnm.MAX_SIDE, so ten-digit fields
         # inside one start with zeros.
-        data = (b"WSIDX 3\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
-                b"L 0000000000 0000000099 0000000010 0000000089\n"
-                b"W 0000999998 0000000011 0000999999 0000000088 -\n")
+        data = (b"WSIDX 4\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
+                b"L 0000000000 0000000100 0000000010 0000000080\n"
+                b"W 0000999998 0000000011 0000000002 0000000078\n")
         index = assert_loads_as_reference(data)
         assert index.docs[0] == DocEntry("d", "d.pgm", 1_000_000, 100)
         assert index.line_table[0, 2:].tolist() == [0, 99, 10, 89]
         assert index.record_table[0, 3:].tolist() == [999998, 11, 999999, 88]
 
     def test_digits_in_encoded_doc_ids_and_paths_are_not_numbers(self):
-        data = (b"WSIDX 3\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
-                b"DOC 12345 0012 640 480\nL 20 79 30 60\nW 10 20 59 44 -\n")
+        data = (b"WSIDX 4\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
+                b"DOC 12345 0012 640 480\nL 20 60 10 31\nW 10 0 50 25\n")
         index = assert_loads_as_reference(data)
         assert index.docs == [DocEntry("page 01", "2024/p 01.pgm", 640, 480),
                               DocEntry("12345", "0012", 640, 480)]
@@ -583,7 +575,7 @@ class TestArrayParseEdges:
         data = save_index(small_index())
         assert assert_loads_as_reference(data[:-1]) == small_index()
 
-    @pytest.mark.parametrize("data", [b"WSIDX 3\nK 60\n", b"WSIDX 3\nK 60"])
+    @pytest.mark.parametrize("data", [b"WSIDX 4\nK 60\n", b"WSIDX 4\nK 60"])
     def test_header_only(self, data):
         assert assert_loads_as_reference(data) == WordIndex(60, [], [], [], [])
 
@@ -595,14 +587,16 @@ class TestArrayParseEdges:
 
     @pytest.mark.parametrize("token", ["Ax\u20ac", "\u00e9", "\U0001f600A", "-\r"])
     def test_bad_token_with_multi_byte_text(self, token):
-        assert self.load_with(5, 5, token) == (f"invalid shape token {token!r} (line 5)", 5)
+        # Line 6 is doc1's second word, which holds the token "AxxgA".
+        assert self.load_with(6, 5, token) == (f"invalid shape token {token!r} (line 6)", 6)
 
-    @pytest.mark.parametrize("token", ["-\r", "--", "-A", "\u2010"])
+    @pytest.mark.parametrize("token", ["-", "", "-\r", "--", "-A", "\u2010"])
     def test_bad_token_in_a_file_without_tokens(self, token):
+        # `-`, which stood for no token in version 3, is no token either.
         index = small_index()
         index.tokens[:] = [None] * 3
         lines = save_index(index).decode().strip().split("\n")
-        lines[4] = lines[4][:-1] + token
+        lines[4] = lines[4] + " " + token
         data = ("\n".join(lines) + "\n").encode()
         assert assert_loads_as_reference(data) == (f"invalid shape token {token!r} (line 5)", 5)
 
@@ -625,17 +619,21 @@ def rows_within(draw, first, last):
     return start, draw(st.integers(start, last))
 
 
+# A cached shape token.
+shape_tokens = st.text("Axg", min_size=1, max_size=12)
+
+
 @st.composite
-def word_indexes(draw):
+def word_indexes(draw, wst=st.none() | shape_tokens, ref_fonts=st.integers(1, 120)):
     """A valid WordIndex: unique doc ids; lines in page order with their
     band inside their page and their body inside the band; words in line
     order with their box inside the page's columns and the line's rows;
-    tokens cached or not."""
+    each word's token drawn from `wst`, and K from `ref_fonts`."""
     docs = [
         DocEntry(doc_id, draw(paths), draw(st.integers(1, 300)), draw(st.integers(1, 300)))
         for doc_id in draw(st.lists(names, max_size=3, unique=True))
     ]
-    lines, words, tokens = [], [], []
+    lines, words, cached = [], [], []
     for page, doc in enumerate(docs):
         for _ in range(draw(st.integers(0, 3))):
             row_start, row_end = draw(rows_within(0, doc.height - 1))
@@ -644,18 +642,26 @@ def word_indexes(draw):
                 x1, x2 = draw(rows_within(0, doc.width - 1))
                 y1, y2 = draw(rows_within(row_start, row_end))
                 words.append((len(lines), x1, y1, x2, y2))
-                tokens.append(draw(st.none() | st.text("Axg", min_size=1, max_size=12)))
+                cached.append(draw(wst))
             lines.append((page, row_start, row_end, body_top, body_bottom))
-    return WordIndex(draw(st.integers(1, 120)), docs, lines, words, tokens)
+    return WordIndex(draw(ref_fonts), docs, lines, words, cached)
 
 
 class TestLoadProperties:
-    @given(word_indexes())
-    def test_round_trip(self, index):
-        data = save_index(index)
-        again = load_index(data)
-        assert again == index
-        assert save_index(again) == data
+    @pytest.mark.parametrize("wst", [st.none(), shape_tokens, st.none() | shape_tokens],
+                             ids=["none", "all", "some"])
+    @given(data=st.data())
+    def test_save_load_save_round_trip(self, wst, data):
+        # Tokens cached for no word, every word or some, and K other than 60.
+        ref_fonts = st.integers(1, MAX_NUMBER).filter(lambda k: k != 60)
+        index = data.draw(word_indexes(wst, ref_fonts))
+        saved = save_index(index)
+        again = load_index(saved)
+        assert again == index and again.ref_font != 60
+        assert save_index(again) == saved
+        # A W line ends in a token exactly when its word's token is cached.
+        words = [line.split(" ") for line in saved.decode().split("\n") if line[:2] == "W "]
+        assert [len(fields) == 6 for fields in words] == [t is not None for t in index.tokens]
 
     @given(word_indexes(), st.data())
     def test_truncated_extended_or_mutated_bytes_give_index_or_format_error(self, index, data):
@@ -710,7 +716,7 @@ class TestLoadProperties:
         # The four numbers of small_index's first L line and first W line.
         lines = save_index(small_index()).decode().strip().split("\n")
         lines[3] = " ".join(["L", *spellings[:4]])
-        lines[4] = " ".join(["W", *spellings[4:], "-"])
+        lines[4] = " ".join(["W", *spellings[4:]])
         assert_loads_as_reference(("\n".join(lines) + "\n").encode())
 
 
@@ -718,7 +724,9 @@ def test_readme_format_example_loads_and_saves_back():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("## Index file format", 1)[1].split("```\n", 2)[1]
     index = load_index(example.encode())
-    assert len(index.records) == 1
+    assert index.lines == [make_line("page1", 0, 172, 248, 190, 232)]
+    assert index.records == [make_record("page1", 0, 0, x=210, y=180, w=321, h=61),
+                             make_record("page1", 0, 1, x=580, y=186, w=240, h=58, wst="AxgA")]
     assert save_index(index) == example.encode()
 
 

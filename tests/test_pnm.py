@@ -2,12 +2,14 @@
 
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from wordspot import pnm
 from wordspot.pnm import (
     BinaryImage,
     GrayImage,
@@ -644,19 +646,60 @@ def ascii_files(draw):
     return data
 
 
+BLOCK = pnm._ASCII_BLOCK
+
+
 class TestAsciiRasters:
-    @given(ascii_files())
-    @example(b"P2 1 1 255 0000000000000000000000255")
-    @example(b"P2 2 1 255 0000000000000000000000256 1")
-    @example(b"P2 1 1 65535 000000000000000065535")
-    @example(b"P2 1 1 255\n1000000000000000000000")
-    @example(b"P2 1 1 255 100000000")
-    @example(b"P2 1 1 255 10000000000000000")
-    @example(b"P2 2 1 9 7#c\n5#")
-    @example(b"P1 3 1\n1#0\n0\r1")
-    @example(b"P1 2 2 01\n1")
-    def test_reads_as_the_per_sample_loops(self, data):
-        assert array_load_ascii(data) == loop_load_ascii(data)
+    # Rasters are read in blocks of `block` bytes: the module's own, or a
+    # few bytes, so that blocks end inside tokens and comments.
+    @given(ascii_files(), st.integers(1, 16) | st.just(BLOCK))
+    @example(b"P2 1 1 255 0000000000000000000000255", BLOCK)
+    @example(b"P2 2 1 255 0000000000000000000000256 1", BLOCK)
+    @example(b"P2 1 1 65535 000000000000000065535", BLOCK)
+    @example(b"P2 1 1 255\n1000000000000000000000", BLOCK)
+    @example(b"P2 1 1 255 100000000", BLOCK)
+    @example(b"P2 1 1 255 10000000000000000", BLOCK)
+    @example(b"P2 2 1 9 7#c\n5#", BLOCK)
+    @example(b"P1 3 1\n1#0\n0\r1", BLOCK)
+    @example(b"P1 2 2 01\n1", BLOCK)
+    # The first block's nominal end, `block` bytes after the header's last
+    # token, falls inside a token, a comment, a bad sample, on a comment's
+    # `#`, or after a comment that has ended.
+    @example(b"P2 3 1 65535 12345 6 7", 3)
+    @example(b"P2 2 1 255 #comment\n1 2", 4)
+    @example(b"P2 2 1 255 #c 9 9\n1 2", 3)
+    @example(b"P2 2 1 255 7#c\r 12x45", 3)
+    @example(b"P1 3 1\n1#0 1\r0 1", 2)
+    @example(b"P2 2 1 9 #a\n5 6", 5)
+    @example(b"P3 1 1 255 1 0000000000000000000002 3", 6)
+    def test_reads_as_the_per_sample_loops(self, data, block):
+        with mock.patch.object(pnm, "_ASCII_BLOCK", block):
+            assert array_load_ascii(data) == loop_load_ascii(data)
+
+    @pytest.mark.parametrize("form", ["P2", "P1"])
+    def test_a_page_takes_memory_in_proportion_to_a_block(self, form):
+        # A 2000x1268 page, the size of the benchmark's pages: 10 MB of P2
+        # text, or 2.5 MB of packed P1 digits. Arrays over the whole raster
+        # would peak at about 145 MB and 41 MB.
+        bits = np.random.default_rng(7).random((1268, 2000)) < 0.1
+        if form == "P2":
+            cells = np.where(bits[..., None], np.frombuffer(b"0   ", np.uint8),
+                             np.frombuffer(b"255 ", np.uint8))
+            cells[:, -1, -1] = ord("\n")
+            data = b"P2\n2000 1268\n255\n" + cells.tobytes()
+        else:
+            digits = np.where(bits, ord("1"), ord("0")).astype(np.uint8)
+            rows = np.column_stack((digits, np.full(1268, ord("\n"), np.uint8)))
+            data = b"P1\n2000 1268\n" + rows.tobytes()
+        tracemalloc.start()
+        try:
+            img = load_image(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(img.pixels == 0, bits)
+        # The gray raster itself is 5 MB of uint16.
+        assert peak < 4 * img.pixels.nbytes
 
     @pytest.mark.parametrize("data,error", [
         (b"P2\n2 1\n255\n7 x", ("malformed sample: b'x'", 13)),
