@@ -41,7 +41,7 @@ from .search import (
     format_result,
     search,
 )
-from .segment import LineBand, WordBox, column_profile, row_profile
+from .segment import WordBox, column_profile, row_profile
 from .shapecode import UnsupportedCharacterError
 
 EXIT_OK = 0
@@ -277,23 +277,6 @@ def _write_annotations(loader: _PageLoader, results, out_arg: str) -> None:
         target.write_bytes(write_gray(annotated))
 
 
-def _run_queries(args, texts: list[str], annotate_out: str | None) -> int:
-    index = _read_index(args.index)
-    loader = _PageLoader(index, Path(args.index).resolve().parent)
-    # Before the first query, so that a bad threshold fails an empty batch too.
-    check_threshold(args.threshold)
-    out = sys.stdout
-    for text in texts:
-        results = search(index, loader, text, args.threshold)
-        out.write(f"Q {text}\n")
-        for match in results:
-            out.write(format_result(match) + "\n")
-        out.write(f"COUNT {len(results)}\n")
-        if annotate_out is not None:
-            _write_annotations(loader, results, annotate_out)
-    return EXIT_OK
-
-
 def _cmd_query(args) -> int:
     if args.stdin and args.text is not None:
         raise _UsageError("give either a query word or --stdin, not both")
@@ -305,7 +288,20 @@ def _cmd_query(args) -> int:
         texts = [line.strip() for line in sys.stdin if line.strip()]
     else:
         texts = [args.text]
-    return _run_queries(args, texts, args.annotate)
+    index = _read_index(args.index)
+    loader = _PageLoader(index, Path(args.index).resolve().parent)
+    # Before the first query, so that a bad threshold fails an empty batch too.
+    check_threshold(args.threshold)
+    out = sys.stdout
+    for text in texts:
+        results = search(index, loader, text, args.threshold)
+        out.write(f"Q {text}\n")
+        for match in results:
+            out.write(format_result(match) + "\n")
+        out.write(f"COUNT {len(results)}\n")
+        if args.annotate is not None:
+            _write_annotations(loader, results, args.annotate)
+    return EXIT_OK
 
 
 def _cmd_inspect(args) -> int:
@@ -319,8 +315,7 @@ def _cmd_inspect(args) -> int:
             print(" ".join(map(str, row_profile(img).tolist())))
             return EXIT_OK
         if what == "cols":
-            full = LineBand(0, img.height - 1)
-            print(" ".join(map(str, column_profile(img, full).tolist())))
+            print(" ".join(map(str, column_profile(img).tolist())))
             return EXIT_OK
         # The lines and words `index` records, with the tokens `query` computes.
         index = build_index([("page", img)])

@@ -16,7 +16,7 @@ the unit of `wordspot index`'s counts (`WordIndex.size_class_counts`).
 Index file format (UTF-8, LF, space-separated fields), nested by position:
 
     WSIDX 4
-    K <ref_font_pixels>
+    K 60
     DOC <doc_id> <path> <width> <height>
     L <row_start> <height> <body_offset> <body_height>
     W <x1> <y_offset> <width> <height> [<wst>]
@@ -26,14 +26,14 @@ line and word numbers are these positions, from 0. Each nested extent is an
 offset from its parent plus a size: a body band starts body_offset rows
 below its line's row_start, and a box y_offset rows below it. `load_index`
 turns them into absolute page rows once, so a WordIndex, query output and
-`inspect` hold absolute coordinates only. `build_index` writes K as
-REF_FONT; `load_index` reads each file's own K and normalizes its lengths
-to it. wst, the cached shape token, is a string over {A, x, g}, present
+`inspect` hold absolute coordinates only. K is REF_FONT: like the header,
+line 2 must be exactly `K 60`, so a word's normalized length comes from its
+box alone. wst, the cached shape token, is a string over {A, x, g}, present
 only once a query has computed it. doc_id and path (as file-system bytes)
 are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with a
-value of at most 2**31 - 1 and at least 1 for K, a page's size and every
-other size, or 0 for an offset and x1. A page's size must also be one a
-page file can have: at most MAX_SIDE per side and MAX_PIXELS in all, as
+value of at most 2**31 - 1 and at least 1 for a page's size and every other
+size, or 0 for an offset and x1. A page's size must also be one a page file
+can have: at most MAX_SIDE per side and MAX_PIXELS in all, as
 `pnm.load_image` reads. Files of another version are refused; rebuild them.
 """
 
@@ -59,7 +59,7 @@ from .shapecode import ZoneBands, zones_from_bands
 from .util import ascii_decimals
 
 # The reference font size in pixels: every word's length is normalized to
-# it, and `wordspot index` writes it as the file's K.
+# it, and line 2 of every index file is `K 60`.
 REF_FONT = 60
 
 # Lower-inclusive size class boundaries in normalized pixels, and the code
@@ -69,9 +69,10 @@ SIZE_CODES = ("VS", "S", "M", "L", "VL")
 
 FORMAT_MAGIC = "WSIDX"
 FORMAT_VERSION = 4
+_FONT_LINE = f"K {REF_FONT}"
 
 # The largest number an index file may hold; products such as the
-# normalized length's 2 * K * width stay far inside int64.
+# normalized length's 2 * REF_FONT * width stay far inside int64.
 _MAX_NUMBER = 2**31 - 1
 
 
@@ -95,19 +96,16 @@ class IndexInvariantError(ValueError):
         self.position = position
 
 
-def normalize_length(length: int | np.ndarray, height: int | np.ndarray, ref_font: int):
+def normalize_length(length: int | np.ndarray, height: int | np.ndarray):
     """Word length rescaled to the reference font size, rounded half-up.
 
-    Computed exactly in integer arithmetic: round(ref_font * length / height).
+    Computed exactly in integer arithmetic: round(REF_FONT * length / height).
     `length` and `height` may be ints or int64 arrays of equal shape; the
     result is the same kind.
     """
-    if np.any(length < 1) or np.any(height < 1) or ref_font < 1:
-        raise ValueError(
-            f"length, height and ref_font must be >= 1 "
-            f"(got {length}, {height}, {ref_font})"
-        )
-    return (2 * ref_font * length + height) // (2 * height)
+    if np.any(length < 1) or np.any(height < 1):
+        raise ValueError(f"length and height must be >= 1 (got {length}, {height})")
+    return (2 * REF_FONT * length + height) // (2 * height)
 
 
 def _size_class_numbers(norm_lengths: int | np.ndarray) -> np.ndarray:
@@ -236,7 +234,7 @@ class WordIndex:
     `record_table`, one per word record, with the columns LINE_COLUMNS and
     RECORD_COLUMNS. `record_lines` is the row of each record's line in
     `line_table`; `norm_lengths` is each record's box length normalized to
-    `ref_font`, and `length_order` the record positions sorted by it (ties
+    REF_FONT, and `length_order` the record positions sorted by it (ties
     in record order), `sorted_lengths` the lengths in that order.
 
     `lines` and `records` are read-only sequences of LineEntry and
@@ -245,20 +243,15 @@ class WordIndex:
 
     def __init__(
         self,
-        ref_font: int,
         docs: list[DocEntry],
         lines: np.ndarray | Sequence[Sequence[int]],
         words: np.ndarray | Sequence[Sequence[int]],
         tokens: Sequence[str | None],
     ):
-        # The index file must be able to hold it.
-        if not 1 <= ref_font <= _MAX_NUMBER:
-            raise ValueError(f"ref_font {ref_font} outside 1..{_MAX_NUMBER}")
         lines = _rows("lines", lines, LINE_ROW)
         words = _rows("words", words, WORD_ROW)
         if len(tokens) != len(words):
             raise ValueError(f"{len(tokens)} tokens for {len(words)} words")
-        self.ref_font = ref_font
         self.docs = list(docs)
         self.tokens = list(tokens)
         self._validate(lines, words)
@@ -273,7 +266,7 @@ class WordIndex:
         )
         self.record_lines = line
         x1, y1, x2, y2 = words[:, 1:].T
-        self.norm_lengths = normalize_length(x2 - x1 + 1, y2 - y1 + 1, ref_font)
+        self.norm_lengths = normalize_length(x2 - x1 + 1, y2 - y1 + 1)
         # Lengths that fit 16 bits sort by radix, about ten times faster.
         keys = self.norm_lengths
         if len(keys) and keys.max() <= 0xFFFF:
@@ -343,8 +336,7 @@ class WordIndex:
         if not isinstance(other, WordIndex):
             return NotImplemented
         return (
-            self.ref_font == other.ref_font
-            and self.docs == other.docs
+            self.docs == other.docs
             and np.array_equal(self.line_table, other.line_table)
             and np.array_equal(self.record_table, other.record_table)
             and self.tokens == other.tokens
@@ -354,8 +346,8 @@ class WordIndex:
 
     def __repr__(self) -> str:
         return (
-            f"WordIndex(ref_font={self.ref_font}, docs={self.docs!r}, "
-            f"lines={list(self.lines)!r}, records={list(self.records)!r})"
+            f"WordIndex(docs={self.docs!r}, lines={list(self.lines)!r}, "
+            f"records={list(self.records)!r})"
         )
 
     def line(self, position: int) -> LineEntry:
@@ -411,19 +403,17 @@ def build_index(
         path = (source_paths or {}).get(doc_id, doc_id)
         docs.append(DocEntry(doc_id, path, img.width, img.height))
         counts = row_profile(img)
-        bands = segment_lines(counts, default_noise_threshold(img.width))
-        starts = np.array([band.row_start for band in bands], dtype=np.int64)
-        ends = np.array([band.row_end for band in bands], dtype=np.int64)
+        starts, ends = segment_lines(counts, default_noise_threshold(img.width))
         tops, bottoms = zones_from_bands(counts, starts, ends)
-        boxes = segment_words(img, bands)
+        boxes = segment_words(img, starts, ends)
         del img  # before the loop takes the next page
         # A word's band becomes its line's position in the whole index.
         boxes[:, 0] += line_count
         words.append(boxes)
         lines.append(np.column_stack((np.full_like(starts, page), starts, ends, tops, bottoms)))
-        line_count += len(bands)
+        line_count += len(starts)
     words = np.concatenate(words)
-    return WordIndex(REF_FONT, docs, np.concatenate(lines), words, [None] * len(words))
+    return WordIndex(docs, np.concatenate(lines), words, [None] * len(words))
 
 
 def _encode(text: str | bytes) -> str:
@@ -432,7 +422,7 @@ def _encode(text: str | bytes) -> str:
 
 def save_index(index: WordIndex) -> bytes:
     """Serialize to the text index format; load_index inverts this exactly."""
-    out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", f"K {index.ref_font}"]
+    out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", _FONT_LINE]
     _, _, row_start, row_end, body_top, body_bottom = index.line_table.T
     x1, y1, x2, y2 = index.record_table[:, 3:].T
     lines = np.column_stack(
@@ -486,7 +476,8 @@ _SPACE, _NEWLINE = b" \n"
 def load_index(data: bytes) -> WordIndex:
     """Parse index bytes; raises IndexFormatError naming the bad line.
 
-    After the header, the lines are found by array passes over the bytes:
+    The header and the K line are compared with the only bytes they may
+    hold. After them, the lines are found by array passes over the bytes:
     the positions of every space and newline give each line's fields and
     their count, and a line's first bytes its kind. Each L line gets its
     page's position and each W line its text line's position by cumulative
@@ -518,8 +509,13 @@ def load_index(data: bytes) -> WordIndex:
             1,
         )
     font_end = data.find(b"\n", header_end + 1)
-    if font_end < 0 or not data.startswith(b"K ", header_end + 1):
-        raise IndexFormatError("expected reference font line 'K <pixels>'", 2)
+    # Empty when the header is the last line: then font_end is -1 and the
+    # header's newline the last byte.
+    font_line = data[header_end + 1 : font_end]
+    if font_line != _FONT_LINE.encode():
+        raise IndexFormatError(
+            f"expected reference font line {_FONT_LINE!r}, got {font_line.decode()!r}", 2
+        )
 
     # `ends` holds the byte position of the space or newline after each
     # field; `first` and `last` hold the places in `ends` of each line's
@@ -580,22 +576,18 @@ def load_index(data: bytes) -> WordIndex:
         is_word & (line < lines_before_page), lambda i: "W line before its page's first L line"
     )
 
-    # Every number in the file is read in one pass: K's, then those of each
-    # whole DOC, L and W line, its last fields up to field 4. A field's
-    # bytes lie between the end of the field before it and its own. The K
-    # line counts as row -1, so that its error, on line 2, comes first. A
-    # number is 1..10 ASCII digits with a value in lo.._MAX_NUMBER, where lo
-    # is its field's least value.
+    # Every number in the file is read in one pass: those of each whole
+    # DOC, L and W line, its last fields up to field 4. A field's bytes lie
+    # between the end of the field before it and its own. A number is 1..10
+    # ASCII digits with a value in lo.._MAX_NUMBER, where lo is its field's
+    # least value.
     doc_at, line_at, word_at = (np.flatnonzero(whole & (kinds == kind)) for kind in range(3))
     groups = [
-        (np.array([-1]), ("reference font size",), (1,)),
         (doc_at, _FIELDS[0][2:], _LOWS[0]),
         (line_at, _FIELDS[1], _LOWS[1]),
         (word_at, _FIELDS[2][:4], _LOWS[2]),
     ]
-    bounds = [np.array([[header_end + 2, font_end]])] + [
-        ends[first[at, None] + np.arange(4 - len(names), 5)] for at, names, _ in groups[1:]
-    ]
+    bounds = [ends[first[at, None] + np.arange(4 - len(names), 5)] for at, names, _ in groups]
     group_sizes = [b[:, 1:].size for b in bounds]
     values = ascii_decimals(
         data,
@@ -622,7 +614,7 @@ def load_index(data: bytes) -> WordIndex:
                 return _number_error(field, table[n, k], names[k], lows[k])
 
             first_bad(bad.any(axis=1), message, at)
-    ref_font, sizes, line_numbers, word_numbers = tables
+    sizes, line_numbers, word_numbers = tables
     # A W line of six fields ends in its token.
     has_token = counts[word_at] == _MOST_FIELDS[2]
     tokens = [None] * len(word_at)
@@ -652,7 +644,7 @@ def load_index(data: bytes) -> WordIndex:
     y1 = row_start[word_line] + y_offset
     words = np.column_stack((word_line, x1, y1, x1 + width - 1, y1 + height - 1))
     try:
-        return WordIndex(int(ref_font[0, 0]), docs, lines, words, tokens)
+        return WordIndex(docs, lines, words, tokens)
     except IndexInvariantError as exc:
         is_kind = {"doc": is_doc, "line": is_line, "record": is_word}[exc.kind]
         raise IndexFormatError(str(exc), int(np.flatnonzero(is_kind)[exc.position]) + 3) from None

@@ -2,8 +2,9 @@
 
 A text query is answered in two passes. The size prefilter keeps only
 records whose normalized pixel length is within one character width,
-CHAR_WIDTH pixels at the reference font, of the query's expected length:
-two binary searches in the index's records sorted by that length.
+CHAR_WIDTH pixels at `index.REF_FONT` (the size scale of every index, whose
+files all record `K 60`), of the query's expected length: two binary
+searches in the index's records sorted by that length.
 Survivors are compared by Levenshtein distance between the query's
 shape token and the word image's (computed lazily and cached in the index).
 A token whose length differs from the query token's by more than the

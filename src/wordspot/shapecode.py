@@ -19,10 +19,13 @@ words are laid end to end in arrays allocated once per call; per word it
 only thresholds its box and reduces it into its own columns, in one loop
 (`_page_columns`, the one box-reduction rule), and the valley cut, merge
 and zone-reach rules run once over all of them. Body bands and valley runs
-are maximal runs of a mask, found by `util.mask_runs`. `estimate_zones`,
-`char_region_segment` and `classify_region` apply the same rules to one line
-band, word or region; `classify_region` reduces its region through
-`_page_columns` as a box of one word.
+are maximal runs of a mask, found by `util.mask_runs`. `zones_from_bands`
+takes a page's line bands as the two arrays of first and last rows that
+`segment.segment_lines` returns, as `segment.segment_words` does.
+`estimate_zones`, `char_region_segment` and `classify_region` apply the same
+rules to one `LineBand`, word or region; `char_region_segment` cuts at the
+word's whole `column_profile`, and `classify_region` reduces its region
+through `_page_columns` as a box of one word.
 
 Query text maps through a fixed per-letter expansion table, one to three
 symbols per letter, so both sides of a search speak the same token alphabet.
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage, GrayImage, ink_raster
-from .segment import LineBand, check_band, column_profile
+from .segment import LineBand, column_profile
 from .util import count_dtype, mask_runs, round_half_up
 
 
@@ -285,15 +288,15 @@ class Region:
 
 def estimate_zones(img: BinaryImage | GrayImage, band: LineBand) -> ZoneBands:
     """Locate the x-height body band inside a line band of `img`, from the
-    ink of its rows (see `zones_from_bands`). `img` may be gray: its band is
-    thresholded as `word_to_wst` thresholds a box. Returned rows use the
-    same coordinate frame as `img`.
+    ink of its rows (see `zones_from_bands`), which raises ValueError for a
+    band outside `img`. `img` may be gray: its rows are thresholded as
+    `word_to_wst` thresholds a box. Returned rows use the same coordinate
+    frame as `img`.
     """
-    check_band(band, img.height)
     raster, cut = ink_raster(img)
-    counts = (raster[band.row_start : band.row_end + 1] < cut).sum(axis=1, dtype=np.int64)
-    tops, bottoms = zones_from_bands(counts, np.array([0]), np.array([band.height - 1]))
-    return ZoneBands(band.row_start + int(tops[0]), band.row_start + int(bottoms[0]))
+    counts = (raster < cut).sum(axis=1, dtype=np.int64)
+    tops, bottoms = zones_from_bands(counts, np.array([band.row_start]), np.array([band.row_end]))
+    return ZoneBands(int(tops[0]), int(bottoms[0]))
 
 
 def char_region_segment(word: BinaryImage, font_size: int) -> list[Region]:
@@ -302,7 +305,7 @@ def char_region_segment(word: BinaryImage, font_size: int) -> list[Region]:
     See `_region_starts` for the valley and merge rules. Over-segmentation
     relative to true characters is expected.
     """
-    counts = column_profile(word, LineBand(0, word.height - 1))
+    counts = column_profile(word)
     firsts = np.array([0])
     _check_ink(counts, firsts)
     starts = _region_starts(counts, firsts, np.array([font_size])).tolist()

@@ -19,6 +19,7 @@ from glyphs import (
     word_symbols,
 )
 from wordspot.index import (
+    REF_FONT,
     SIZE_CODES,
     DocEntry,
     WordIndex,
@@ -126,10 +127,10 @@ def test_normalization_scale_invariance():
     for _ in range(1_000):
         height = rng.randint(10, 200)
         length = rng.randint(10, 600)
-        base = normalize_length(length, height, 60)
+        base = normalize_length(length, height)
         for s in (2, 3, 5):
-            worst = max(worst, abs(normalize_length(s * length, s * height, 60) - base))
-        assert normalize_length(length, height, height) == length
+            worst = max(worst, abs(normalize_length(s * length, s * height) - base))
+        assert normalize_length(length, REF_FONT) == length
     report("normalization scale invariance", worst <= 1,
            f"1000 samples, max rounding drift {worst}")
     assert worst <= 1
@@ -208,13 +209,13 @@ def test_segmentation_fidelity():
         layout = random_blocky_page(100 + seed)
         img = layout.image
         started = time.perf_counter()
-        bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
-        words = segment_words(img, bands).tolist()
+        starts, ends = segment_lines(row_profile(img), default_noise_threshold(img.width))
+        words = segment_words(img, starts, ends).tolist()
         recovered = [[WordBox(*box) for line, *box in words if line == n]
-                     for n in range(len(bands))]
+                     for n in range(len(starts))]
         slowest = max(slowest, time.perf_counter() - started)
 
-        assert len(bands) == len(layout.boxes), f"seed {seed}: line count"
+        assert len(starts) == len(layout.boxes), f"seed {seed}: line count"
         assert 5 <= len(layout.boxes) <= 10
         for truth_line, got_line in zip(layout.boxes, recovered):
             assert 4 <= len(truth_line) <= 8
@@ -371,7 +372,7 @@ def synthetic_index(n_records: int = 1000) -> WordIndex:
             wst = "".join(rng.choice("Axg") for _ in range(rng.randint(1, 20)))
         words.append((len(lines) - 1, x1, y1, x1 + w - 1, y1 + h - 1))
         tokens.append(wst)
-    return WordIndex(60, docs, lines, words, tokens)
+    return WordIndex(docs, lines, words, tokens)
 
 
 def test_persistence_round_trip():

@@ -1,13 +1,16 @@
 """Command-line behavior: exit codes, output formats, atomicity, annotation."""
 
+import argparse
 import io
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from glyphs import compose_page, metrics
-from wordspot.cli import main
+from wordspot.cli import _build_parser, main
 from wordspot.index import load_index
 from wordspot.pnm import GrayImage, binarize, load_image, write_gray
 from wordspot.search import search
@@ -188,33 +191,23 @@ class TestQueryCommand:
         assert main(["query", str(index_path), "--stdin"]) == 0
         assert capsys.readouterr().out == expected
 
-    def test_index_writes_k_60_and_a_hand_made_k_30_reads_as_recorded(
-        self, corpus, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("font_line", [b"K 30", b"K 060", b"K 0"])
+    def test_index_writes_k_60_and_any_other_k_exits_2(
+        self, corpus, tmp_path, capsys, font_line
     ):
-        # `index` always writes the reference font 60; a file that records
-        # another K normalizes its lengths to that K. The K 30 stdout below
-        # is what the releases with a --ref-font option printed for it.
+        # Every index file is written at the reference font 60, so line 2
+        # is exactly `K 60`, checked as the header is.
         layout, page, index_path = corpus
         data = index_path.read_bytes()
         assert data.split(b"\n")[1] == b"K 60"
-        k30 = tmp_path / "k30.wsidx"
-        k30.write_bytes(data.replace(b"\nK 60\n", b"\nK 30\n", 1))
-        assert load_index(k30.read_bytes()).ref_font == 30
-        views = {}
-        for path in (index_path, k30):
-            for what in ("lines", "words", "zones", "wst"):
-                assert main(["inspect", str(path), "--what", what]) == 0
-                views[path, what] = capsys.readouterr().out
-            assert views[path, "words"].count("\n") == 6
-        for what in ("lines", "words", "zones", "wst"):
-            assert views[k30, what] == views[index_path, what]
-        monkeypatch.setattr("sys.stdin", io.StringIO("help\nnoon\nhe\n"))
-        assert main(["query", str(k30), "--stdin"]) == 0
-        assert capsys.readouterr().out == (
-            "Q help\nCOUNT 0\n"
-            "Q noon\n0 page1 0 2 245 40 349 59\n0 page1 1 2 264 92 368 111\nCOUNT 2\n"
-            "Q he\n2 page1 0 1 147 30 232 69\n2 page1 1 0 30 82 115 121\nCOUNT 2\n"
-        )
+        other = tmp_path / "other.wsidx"
+        other.write_bytes(data.replace(b"\nK 60\n", b"\n" + font_line + b"\n", 1))
+        for argv in (["query", str(other), "help"], ["inspect", str(other), "--what", "words"]):
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == (f"wordspot: {other}: expected reference font line 'K 60', "
+                           f"got {font_line.decode()!r} (line 2)\n")
 
     def test_stdin_with_no_lines(self, corpus, capsys, monkeypatch):
         layout, page, index_path = corpus
@@ -610,8 +603,8 @@ class TestInspect:
         printed = capsys.readouterr().out.strip().splitlines()
         img = layout.image
         expected = []
-        bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
-        for _, x1, y1, x2, y2 in segment_words(img, bands).tolist():
+        starts, ends = segment_lines(row_profile(img), default_noise_threshold(img.width))
+        for _, x1, y1, x2, y2 in segment_words(img, starts, ends).tolist():
             expected.append(f"{x1} {y1} {x2} {y2}")
         assert printed == expected
 
@@ -769,3 +762,19 @@ class TestEndToEndThroughFiles:
         # border ring sits right outside the planted box
         assert annotated.pixels[box.y1 - 1, box.x1 - 1] == 0
         assert annotated.pixels[box.y2 + 2, box.x2 + 2] == 0
+
+
+def test_readme_cli_block_names_every_option_and_inspect_view():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    (commands,) = [action for action in _build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    assert sorted(commands.choices) == ["index", "inspect", "query"]
+    for name, command in commands.choices.items():
+        assert f"wordspot {name} " in block, name
+        for action in command._actions:
+            for option in set(action.option_strings) - {"-h", "--help"}:
+                assert re.search(rf"{option}\b", block), (name, option)
+            if "--what" in action.option_strings:
+                for choice in action.choices:
+                    assert f"--what {choice} " in block, choice

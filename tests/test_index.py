@@ -40,29 +40,30 @@ from wordspot.shapecode import ZoneBands, estimate_zones
 
 class TestNormalizeLength:
     def test_reference_height_leaves_length_unchanged(self):
-        assert normalize_length(200, 120, 120) == 200
-        assert normalize_length(200, 33, 33) == 200
+        assert REF_FONT == 60
+        assert normalize_length(200, REF_FONT) == 200
+        assert normalize_length(33, REF_FONT) == 33
 
     def test_halving(self):
-        assert normalize_length(200, 120, 60) == 100
+        assert normalize_length(200, 2 * REF_FONT) == 100
 
     def test_rounds_half_up_after_exact_arithmetic(self):
-        # 2*5/3 = 10/3 = 3.33 -> 3
-        assert normalize_length(5, 3, 2) == 3
-        # 3*1/2 = 1.5 -> 2
-        assert normalize_length(1, 2, 3) == 2
+        # 60*5/9 = 33.33 -> 33
+        assert normalize_length(5, 9) == 33
+        # 60*1/120 = 0.5 -> 1, and 60*1/121 = 0.496 -> 0
+        assert normalize_length(1, 120) == 1
+        assert normalize_length(1, 121) == 0
 
-    @pytest.mark.parametrize("L,H,K", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
-    def test_domain_errors(self, L, H, K):
+    @pytest.mark.parametrize("L,H", [(0, 1), (1, 0)])
+    def test_domain_errors(self, L, H):
         with pytest.raises(ValueError):
-            normalize_length(L, H, K)
+            normalize_length(L, H)
 
     def test_identity_property(self):
         rng = random.Random(1)
         for _ in range(200):
             L = rng.randint(1, 600)
-            H = rng.randint(1, 200)
-            assert normalize_length(L, H, H) == L
+            assert normalize_length(L, REF_FONT) == L
 
 
 class TestSizeCodes:
@@ -117,14 +118,6 @@ class TestBuildIndex:
             index = build_index(pages)
             assert np.bincount(index.line_table[:, 0], minlength=2).tolist() == lines_per_page
 
-    def test_ref_font_must_fit_the_index_format(self):
-        built = build_index([("page", blob_page())])
-        rows = (built.docs, *own_rows(built), built.tokens)
-        with pytest.raises(ValueError, match="ref_font 2147483648 outside 1..2147483647"):
-            WordIndex(2**31, *rows)
-        index = WordIndex(2**31 - 1, *rows)
-        assert load_index(save_index(index)) == index
-
     def test_two_pages_same_content(self):
         pages = [("a", blob_page()), ("b", blob_page())]
         index = build_index(pages)
@@ -141,7 +134,9 @@ class TestBuildIndex:
         page = blob_page()
         page.bits[25:30, 40:140] = 1  # a gap inside the blob's rows
         index = build_index([("a", page)])
-        bands = segment_lines(row_profile(page), default_noise_threshold(page.width))
+        starts, ends = segment_lines(row_profile(page), default_noise_threshold(page.width))
+        bands = [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+        assert len(bands) == 2
         assert index.lines == [
             LineEntry("a", n, band, estimate_zones(page, band)) for n, band in enumerate(bands)
         ]
@@ -209,12 +204,12 @@ def small_index():
         DocEntry("doc1", "pages/doc one.pgm", 640, 480),
         DocEntry("doc2", "d2.pbm", 640, 200),
     ]
-    return WordIndex(60, docs, lines, words, [None, "AxxgA", None])
+    return WordIndex(docs, lines, words, [None, "AxxgA", None])
 
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex(60, [], [], [], [])) == b"WSIDX 4\nK 60\n"
+        assert save_index(WordIndex([], [], [], [])) == b"WSIDX 4\nK 60\n"
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
@@ -230,7 +225,7 @@ class TestPersistence:
             assert len(line.split(" ")) == len(line.split())
 
     def test_known_record_line(self):
-        index = WordIndex(60, [DocEntry("d", "d.pgm", 100, 50)], [line_row(0, 0, 20, 5, 15)],
+        index = WordIndex([DocEntry("d", "d.pgm", 100, 50)], [line_row(0, 0, 20, 5, 15)],
                           [word_row(0, x=1, y=2, w=30, h=10)], [None])
         lines = save_index(index).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
@@ -240,14 +235,14 @@ class TestPersistence:
 
     def test_path_that_is_not_utf8_round_trips(self):
         path = os.fsdecode(b"pages/a\xff b.pgm")
-        index = WordIndex(60, [DocEntry("a", path, 10, 10)], [], [], [])
+        index = WordIndex([DocEntry("a", path, 10, 10)], [], [], [])
         data = save_index(index)
         assert b"DOC a pages/a%FF%20b.pgm 10 10" in data
         assert load_index(data).docs[0].path == path
 
     def test_norm_lengths_and_classes_rebuilt_on_load(self):
         again = load_index(save_index(small_index()))
-        norms = [normalize_length(rec.box.width, rec.box.height, 60) for rec in again.records]
+        norms = [normalize_length(rec.box.width, rec.box.height) for rec in again.records]
         assert again.norm_lengths.tolist() == norms
         classes = _size_class_numbers(norms).tolist()
         assert again.size_class_counts() == [classes.count(n) for n in range(len(SIZE_CODES))]
@@ -289,12 +284,9 @@ def reference_load_index(data: bytes) -> WordIndex:
     if not rows or rows[0] != "WSIDX 4":
         got = rows[0] if rows else ""
         raise IndexFormatError(f"expected header 'WSIDX' version 4, got {got!r}", 1)
-    if len(rows) < 2 or not rows[1].startswith("K "):
-        raise IndexFormatError("expected reference font line 'K <pixels>'", 2)
-    error = number_error(rows[1][2:], "reference font size", 1)
-    if error is not None:
-        raise IndexFormatError(error, 2)
-    ref_font = int(rows[1][2:])
+    if len(rows) < 2 or rows[1] != "K 60":
+        got = rows[1] if len(rows) >= 2 else ""
+        raise IndexFormatError(f"expected reference font line 'K 60', got {got!r}", 2)
 
     docs, lines, words, tokens = [], [], [], []
     doc_lines, page_lines = [], 0  # file lines of DOC rows; L rows on this page
@@ -338,7 +330,7 @@ def reference_load_index(data: bytes) -> WordIndex:
             tokens.append(wst)
 
     try:
-        return WordIndex(ref_font, docs, [line[:5] for line in lines],
+        return WordIndex(docs, [line[:5] for line in lines],
                          [word[:5] for word in words], tokens)
     except IndexInvariantError as exc:
         entries = {"doc": doc_lines, "line": [line[5] for line in lines],
@@ -388,6 +380,14 @@ class TestLoadErrors:
 
     def test_bad_ref_font(self, lines):
         self.assert_error_line(corrupt(lines, 2, "K zero"), 2)
+
+    @pytest.mark.parametrize("font_line", ["K 30", "K 060", "K 0", "K 60 ", "K  60", "K 60\r",
+                                           "K", "", "W 1 2 3 4"])
+    def test_font_line_other_than_k_60_refused(self, lines, font_line):
+        # Every index file is written at REF_FONT, so line 2 has one spelling.
+        assert assert_loads_as_reference(corrupt(lines, 2, font_line)) == (
+            f"expected reference font line 'K 60', got {font_line!r} (line 2)", 2
+        )
 
     def test_unknown_line_kind(self, lines):
         self.assert_error_line(corrupt(lines, 5, "X what"), 5)
@@ -503,13 +503,11 @@ class TestArrayParseEdges:
             (5, 1, "-0", "malformed x1: '-0'"),
             (5, 2, "0\r", "malformed y_offset: '0\\r'"),
             (5, 2, "\t0", "malformed y_offset: '\\t0'"),
-            # Line 4 is "L 20 60 10 31", line 3 doc1's DOC line and line 2 K.
+            # Line 4 is "L 20 60 10 31" and line 3 doc1's DOC line.
             (4, 4, "31\r", "malformed body_height: '31\\r'"),
             (3, 3, "\u0665", "malformed doc width: '\u0665'"),
             (3, 4, "480\r", "malformed doc height: '480\\r'"),
             (3, 4, "0", "doc height 0 outside 1..2147483647"),
-            (2, 1, "+60", "malformed reference font size: '+60'"),
-            (2, 1, "0", "reference font size 0 outside 1..2147483647"),
         ],
     )
     def test_numbers_outside_the_rule_are_refused(self, line_no, field, value, message):
@@ -577,7 +575,13 @@ class TestArrayParseEdges:
 
     @pytest.mark.parametrize("data", [b"WSIDX 4\nK 60\n", b"WSIDX 4\nK 60"])
     def test_header_only(self, data):
-        assert assert_loads_as_reference(data) == WordIndex(60, [], [], [], [])
+        assert assert_loads_as_reference(data) == WordIndex([], [], [], [])
+
+    @pytest.mark.parametrize("data", [b"WSIDX 4\n", b"WSIDX 4"])
+    def test_no_font_line(self, data):
+        assert assert_loads_as_reference(data) == (
+            "expected reference font line 'K 60', got '' (line 2)", 2
+        )
 
     @pytest.mark.parametrize("tokens", [["g", "AxxgA", None], ["g", "A", "x"], [None, None, "A"]])
     def test_index_that_holds_tokens(self, tokens):
@@ -624,11 +628,11 @@ shape_tokens = st.text("Axg", min_size=1, max_size=12)
 
 
 @st.composite
-def word_indexes(draw, wst=st.none() | shape_tokens, ref_fonts=st.integers(1, 120)):
+def word_indexes(draw, wst=st.none() | shape_tokens):
     """A valid WordIndex: unique doc ids; lines in page order with their
     band inside their page and their body inside the band; words in line
     order with their box inside the page's columns and the line's rows;
-    each word's token drawn from `wst`, and K from `ref_fonts`."""
+    each word's token drawn from `wst`."""
     docs = [
         DocEntry(doc_id, draw(paths), draw(st.integers(1, 300)), draw(st.integers(1, 300)))
         for doc_id in draw(st.lists(names, max_size=3, unique=True))
@@ -644,7 +648,7 @@ def word_indexes(draw, wst=st.none() | shape_tokens, ref_fonts=st.integers(1, 12
                 words.append((len(lines), x1, y1, x2, y2))
                 cached.append(draw(wst))
             lines.append((page, row_start, row_end, body_top, body_bottom))
-    return WordIndex(draw(ref_fonts), docs, lines, words, cached)
+    return WordIndex(docs, lines, words, cached)
 
 
 class TestLoadProperties:
@@ -652,12 +656,11 @@ class TestLoadProperties:
                              ids=["none", "all", "some"])
     @given(data=st.data())
     def test_save_load_save_round_trip(self, wst, data):
-        # Tokens cached for no word, every word or some, and K other than 60.
-        ref_fonts = st.integers(1, MAX_NUMBER).filter(lambda k: k != 60)
-        index = data.draw(word_indexes(wst, ref_fonts))
+        # Tokens cached for no word, every word or some.
+        index = data.draw(word_indexes(wst))
         saved = save_index(index)
         again = load_index(saved)
-        assert again == index and again.ref_font != 60
+        assert again == index
         assert save_index(again) == saved
         # A W line ends in a token exactly when its word's token is cached.
         words = [line.split(" ") for line in saved.decode().split("\n") if line[:2] == "W "]
@@ -737,7 +740,7 @@ class TestDirectConstruction:
 
     def test_token_for_each_word_required(self):
         with pytest.raises(ValueError, match="1 tokens for 2 words"):
-            WordIndex(60, [self.doc], [self.line], [word_row(0), word_row(0)], [None])
+            WordIndex([self.doc], [self.line], [word_row(0), word_row(0)], [None])
 
     @pytest.mark.parametrize(
         "lines,words",
@@ -751,35 +754,35 @@ class TestDirectConstruction:
     )
     def test_rows_of_other_widths_rejected(self, lines, words):
         with pytest.raises(ValueError, match="need the columns"):
-            WordIndex(60, [self.doc], lines, words, [None] * len(words))
+            WordIndex([self.doc], lines, words, [None] * len(words))
 
     @pytest.mark.parametrize("token", ["", "AxQ"])
     def test_invalid_token_rejected(self, token):
         with pytest.raises(IndexInvariantError, match="record 1: invalid shape token"):
-            WordIndex(60, [self.doc], [self.line], [word_row(0), word_row(0)], ["Ax", token])
+            WordIndex([self.doc], [self.line], [word_row(0), word_row(0)], ["Ax", token])
 
     @pytest.mark.parametrize("x,y", [(51, 20), (10, 76), (-1, 20), (10, -1)])
     def test_box_outside_its_page_rejected(self, x, y):
         # word_row's box is 50 wide and 25 high; the page is 100x100.
         with pytest.raises(ValueError, match="outside its page"):
-            WordIndex(60, [self.doc], [self.line], [word_row(0, x=x, y=y)], [None])
+            WordIndex([self.doc], [self.line], [word_row(0, x=x, y=y)], [None])
 
     def test_box_touching_page_edges_accepted(self):
-        WordIndex(60, [self.doc], [self.line],
+        WordIndex([self.doc], [self.line],
                   [word_row(0, x=50, y=75), word_row(0, x=0, y=0)], [None, None])
 
     @pytest.mark.parametrize("box", [(30, 5, 20, 30), (10, 30, 40, 29)])
     def test_degenerate_box_rejected(self, box):
         words = [word_row(0), (0, *box)]
         with pytest.raises(IndexInvariantError) as err:
-            WordIndex(60, [self.doc], [self.line], words, [None, None])
+            WordIndex([self.doc], [self.line], words, [None, None])
         assert str(err.value) == "record 1: degenerate box {} {} {} {}".format(*box)
         assert (err.value.kind, err.value.position) == ("record", 1)
 
     def test_duplicate_doc_rejected(self):
         doc = DocEntry("d", "d.pgm", 10, 10)
         with pytest.raises(ValueError):
-            WordIndex(60, [doc, doc], [], [], [])
+            WordIndex([doc, doc], [], [], [])
 
     @pytest.mark.parametrize("size", [0, -5, 1_000_001, 2**31])
     @pytest.mark.parametrize("side", ["width", "height"])
@@ -789,7 +792,7 @@ class TestDirectConstruction:
         width, height = (size, 100) if side == "width" else (100, size)
         docs = [self.doc, DocEntry("e", "e.pgm", width, height)]
         with pytest.raises(IndexInvariantError) as err:
-            WordIndex(60, docs, [], [], [])
+            WordIndex(docs, [], [], [])
         assert str(err.value) == (f"doc 1: page size {width}x{height} outside 1..1000000 "
                                   f"per side or above 100000000 pixels")
         assert (err.value.kind, err.value.position) == ("doc", 1)
@@ -797,14 +800,14 @@ class TestDirectConstruction:
     @pytest.mark.parametrize("width,height", [(10_001, 10_000), (1_000_000, 101)])
     def test_page_of_more_pixels_than_a_page_file_rejected(self, width, height):
         with pytest.raises(IndexInvariantError, match=f"page size {width}x{height} outside"):
-            WordIndex(60, [DocEntry("e", "e.pgm", width, height)], [], [], [])
+            WordIndex([DocEntry("e", "e.pgm", width, height)], [], [], [])
 
     @pytest.mark.parametrize("width,height", [(1_000_000, 100), (100, 1_000_000),
                                               (10_000, 10_000)])
     def test_largest_page_size_saved_and_loaded(self, width, height):
         # Each side at most pnm.MAX_SIDE, and MAX_PIXELS pixels in all.
         doc = DocEntry("e", "e.pgm", width, height)
-        index = WordIndex(60, [doc], [line_row(0, 0, 99)], [word_row(0)], [None])
+        index = WordIndex([doc], [line_row(0, 0, 99)], [word_row(0)], [None])
         assert load_index(save_index(index)) == index
 
     @pytest.mark.parametrize(
@@ -822,7 +825,7 @@ class TestDirectConstruction:
     def test_page_or_line_out_of_range_rejected(self, lines, words, kind, position, match):
         docs = [self.doc, DocEntry("e", "e.pgm", 100, 100)]
         with pytest.raises(IndexInvariantError, match=match) as err:
-            WordIndex(60, docs, lines, words, [None] * len(words))
+            WordIndex(docs, lines, words, [None] * len(words))
         assert (err.value.kind, err.value.position) == (kind, position)
 
     @pytest.mark.parametrize(
@@ -839,7 +842,7 @@ class TestDirectConstruction:
     def test_page_or_line_that_decreases_rejected(self, lines, words, kind, position):
         docs = [self.doc, DocEntry("e", "e.pgm", 100, 100)]
         with pytest.raises(IndexInvariantError, match="out of page order") as err:
-            WordIndex(60, docs, lines, words, [None] * len(words))
+            WordIndex(docs, lines, words, [None] * len(words))
         assert (err.value.kind, err.value.position) == (kind, position)
 
     def test_empty_pages_and_lines_and_repeated_positions_accepted(self):
@@ -848,7 +851,7 @@ class TestDirectConstruction:
         docs = [DocEntry("c", "c.pgm", 100, 100), self.doc, DocEntry("e", "e.pgm", 100, 100)]
         lines = [line_row(1, 0, 9), line_row(1, 10, 49), line_row(1, 50, 99), line_row(2, 0, 99)]
         words = [word_row(2, y=50), word_row(2, y=60), word_row(3)]
-        index = WordIndex(60, docs, lines, words, [None] * 3)
+        index = WordIndex(docs, lines, words, [None] * 3)
         assert index.record_lines.tolist() == [2, 2, 3]
         assert index.line_table[:, :2].tolist() == [[1, 0], [1, 1], [1, 2], [2, 0]]
         assert index.record_table[:, :3].tolist() == [[1, 2, 0], [1, 2, 1], [2, 0, 0]]
@@ -863,14 +866,14 @@ class TestDirectConstruction:
     )
     def test_band_outside_its_page_or_body_outside_its_band_rejected(self, line, match):
         with pytest.raises(IndexInvariantError, match=match) as err:
-            WordIndex(60, [self.doc], [line], [], [])
+            WordIndex([self.doc], [line], [], [])
         assert (err.value.kind, err.value.position) == ("line", 0)
 
     @pytest.mark.parametrize("y", [9, 41])
     def test_box_outside_its_line_rejected(self, y):
         # The box is 25 rows high; the line holds rows 10..64.
         with pytest.raises(IndexInvariantError, match="its line rows 10..64"):
-            WordIndex(60, [self.doc], [line_row(0, 10, 64)], [word_row(0, y=y)], [None])
+            WordIndex([self.doc], [line_row(0, 10, 64)], [word_row(0, y=y)], [None])
 
 
 class TestColumns:
@@ -898,7 +901,7 @@ class TestColumns:
     def test_length_order_breaks_ties_by_record_order(self):
         doc = DocEntry("d", "d.pgm", 900, 100)
         words = [word_row(0, x=0, y=0, w=w, h=60) for w in [60, 30, 60, 10, 30]]
-        index = WordIndex(60, [doc], [line_row(0, 0, 99)], words, [None] * 5)
+        index = WordIndex([doc], [line_row(0, 0, 99)], words, [None] * 5)
         assert index.length_order.tolist() == [3, 1, 4, 0, 2]
 
     def test_record_count_builds_no_record(self, monkeypatch):
@@ -919,14 +922,14 @@ class TestColumns:
     def test_built_loaded_and_rebuilt_indexes_agree(self):
         built = build_index([("a", blob_page()), ("b", blob_page(x=10))])
         lines, words = own_rows(built)
-        again = WordIndex(REF_FONT, built.docs, lines, words, built.tokens)
+        again = WordIndex(built.docs, lines, words, built.tokens)
         lines[:], words[:] = 0, 0  # the index holds copies
         assert again == built == load_index(save_index(built))
         assert again.record_lines.tolist() == built.record_lines.tolist() == [0, 1]
 
     @given(word_indexes())
     def test_rebuilt_from_its_own_rows(self, index):
-        again = WordIndex(index.ref_font, index.docs, *own_rows(index), index.tokens)
+        again = WordIndex(index.docs, *own_rows(index), index.tokens)
         assert again == index
         assert again.record_lines.tolist() == index.record_lines.tolist()
 
@@ -937,6 +940,6 @@ class TestScaleInvariance:
         for _ in range(300):
             H = rng.randint(10, 200)
             L = rng.randint(10, 600)
-            base = normalize_length(L, H, 60)
+            base = normalize_length(L, H)
             for s in (2, 3, 5):
-                assert abs(normalize_length(s * L, s * H, 60) - base) <= 1
+                assert abs(normalize_length(s * L, s * H) - base) <= 1

@@ -28,6 +28,7 @@ from wordspot.search import (
     size_prefilter,
 )
 from wordspot.segment import (
+    LineBand,
     WordBox,
     default_noise_threshold,
     row_profile,
@@ -141,7 +142,7 @@ def index_with_norms(norms, tokens=None):
     normalized length: a box 60 rows high is as wide as its length."""
     words = [(0, 0, 0, norm - 1, 59) for norm in norms]
     tokens = [None] * len(norms) if tokens is None else tokens
-    return WordIndex(60, [DocEntry("d", "d", 800, 600)], [(0, 0, 59, 0, 59)], words, tokens)
+    return WordIndex([DocEntry("d", "d", 800, 600)], [(0, 0, 59, 0, 59)], words, tokens)
 
 
 class TestSizePrefilter:
@@ -337,15 +338,14 @@ class TestBuildLines:
         )
         page = layout.image
         counts = row_profile(page)
-        build_bands = segment_lines(counts, 30)
-        starts = np.array([band.row_start for band in build_bands])
-        ends = np.array([band.row_end for band in build_bands])
+        starts, ends = segment_lines(counts, 30)
+        build_bands = [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
         tops, bottoms = zones_from_bands(counts, starts, ends)
         lines = np.column_stack((np.zeros_like(starts), starts, ends, tops, bottoms))
-        words = segment_words(page, build_bands)
+        words = segment_words(page, starts, ends)
         doc = DocEntry("page", "page", page.width, page.height)
-        index = WordIndex(60, [doc], lines, words, [None] * len(words))
-        assert len(segment_lines(counts, default_noise_threshold(page.width))) == 3
+        index = WordIndex([doc], lines, words, [None] * len(words))
+        assert len(segment_lines(counts, default_noise_threshold(page.width))[0]) == 3
         assert len(build_bands) == 2
         assert [line.band for line in index.lines] == build_bands
         assert [line.zones for line in index.lines] == [
@@ -372,7 +372,7 @@ class TestBuildLines:
         # Page, rows and rows again as the body band, of each line.
         lines = built.line_table[:, [0, 2, 3, 2, 3]]
         words = np.column_stack((built.record_lines, built.record_table[:, 3:]))
-        index = WordIndex(60, built.docs, lines, words, built.tokens)
+        index = WordIndex(built.docs, lines, words, built.tokens)
         for n in range(1, 12):
             search(index, lambda doc: layout.image, "x" * n, threshold=0)
         assert [set(rec.wst) for rec in index.records] == [{"x"}] * 6

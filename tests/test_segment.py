@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from wordspot.index import build_index, save_index
 from wordspot.pnm import BinaryImage
 from wordspot.segment import (
-    LineBand,
     WordBox,
     column_profile,
     default_noise_threshold,
@@ -56,36 +55,16 @@ class TestProfiles:
         img = image_from_rows([[0] * 5, [0] * 5])
         assert row_profile(img).tolist() == [5, 5]
 
-    def test_column_profile_restricted_to_band(self):
-        img = image_from_rows(
-            [
-                [0, 1, 1, 1],
-                [0, 0, 1, 1],
-                [1, 1, 1, 1],
-                [0, 0, 0, 1],
-            ]
-        )
-        assert column_profile(img, LineBand(0, 1)).tolist() == [2, 1, 0, 0]
-
-    def test_column_profile_empty_band(self):
-        img = image_from_rows([[0, 0], [1, 1]])
-        assert column_profile(img, LineBand(1, 1)).tolist() == [0, 0]
-
     def test_full_band_matches_transpose_count(self):
         img = random_image(random.Random(5), 9, 7)
-        full = column_profile(img, LineBand(0, 6)).tolist()
+        full = column_profile(img).tolist()
         expected = [int((img.bits[:, c] == 0).sum()) for c in range(9)]
         assert full == expected
-
-    def test_band_out_of_range(self):
-        img = image_from_rows([[0, 1]])
-        with pytest.raises(ValueError):
-            column_profile(img, LineBand(0, 1))
 
     def test_profile_sums_equal_ink_total(self):
         img = random_image(random.Random(6), 11, 8)
         rows = row_profile(img)
-        cols = column_profile(img, LineBand(0, 7))
+        cols = column_profile(img)
         assert sum(rows) == sum(cols) == int((img.bits == 0).sum())
 
     @pytest.mark.parametrize("width", [255, 256, 65_535, 65_536])
@@ -104,7 +83,7 @@ class TestProfiles:
         bits = np.ones((height, 3), dtype=np.uint8)
         bits[:, 0] = 0
         bits[height - 1, 2] = 0
-        counts = column_profile(BinaryImage(3, height, bits), LineBand(0, height - 1))
+        counts = column_profile(BinaryImage(3, height, bits))
         assert counts.dtype == np.int32
         assert counts.tolist() == [height, 0, 1]
 
@@ -114,20 +93,32 @@ class TestProfiles:
         ]
 
 
+def line_bands(counts, threshold):
+    """segment_lines' bands as (first row, last row) pairs."""
+    starts, ends = segment_lines(np.array(counts, dtype=np.int32), threshold)
+    assert starts.dtype == ends.dtype == np.int64
+    return list(zip(starts.tolist(), ends.tolist()))
+
+
+def band_arrays(bands):
+    """The starts and ends arrays segment_words takes, from (first row,
+    last row) pairs."""
+    rows = np.array(bands, dtype=np.int64).reshape(-1, 2)
+    return rows[:, 0], rows[:, 1]
+
+
 class TestSegmentLines:
     def test_runs_between_gaps(self):
-        counts = np.array([0, 3, 4, 0, 0, 5, 6, 0])
-        assert segment_lines(counts, 0) == [LineBand(1, 2), LineBand(5, 6)]
+        assert line_bands([0, 3, 4, 0, 0, 5, 6, 0], 0) == [(1, 2), (5, 6)]
 
     def test_empty_page(self):
-        assert segment_lines(np.array([0, 0, 0]), 0) == []
+        assert line_bands([0, 0, 0], 0) == []
 
     def test_single_run(self):
-        assert segment_lines(np.array([2, 2, 2]), 0) == [LineBand(0, 2)]
+        assert line_bands([2, 2, 2], 0) == [(0, 2)]
 
     def test_threshold_suppresses_noise_rows(self):
-        counts = np.array([1, 9, 9, 1, 9, 9])
-        assert segment_lines(counts, 1) == [LineBand(1, 2), LineBand(4, 5)]
+        assert line_bands([1, 9, 9, 1, 9, 9], 1) == [(1, 2), (4, 5)]
 
     def test_default_noise_threshold(self):
         assert default_noise_threshold(100) == 1
@@ -136,22 +127,22 @@ class TestSegmentLines:
 
     def test_every_ink_row_in_some_band_at_zero_threshold(self):
         img = random_image(random.Random(8), 12, 20, ink_prob=0.1)
-        bands = segment_lines(row_profile(img), 0)
+        bands = line_bands(row_profile(img), 0)
         covered = set()
-        for band in bands:
-            covered.update(range(band.row_start, band.row_end + 1))
+        for start, end in bands:
+            covered.update(range(start, end + 1))
         for r, count in enumerate(row_profile(img)):
             if count > 0:
                 assert r in covered
         # bands are disjoint and ordered
-        flat = [(b.row_start, b.row_end) for b in bands]
-        assert flat == sorted(flat)
-        assert len(covered) == sum(b.height for b in bands)
+        assert bands == sorted(bands)
+        assert len(covered) == sum(end - start + 1 for start, end in bands)
 
 
 def line_boxes(img, band):
-    """The word boxes segment_words finds in a single band."""
-    rows = segment_words(img, [band]).tolist()
+    """The word boxes segment_words finds in a single (first row, last row)
+    band."""
+    rows = segment_words(img, *band_arrays([band])).tolist()
     assert all(row[0] == 0 for row in rows)
     return [WordBox(*row[1:]) for row in rows]
 
@@ -160,12 +151,12 @@ class TestSegmentWords:
     def test_gap_rule_example(self):
         counts = [3, 4, 0, 5, 6, 0, 0, 0, 2, 3]
         img = image_with_column_counts(counts, 10)
-        boxes = line_boxes(img, LineBand(0, 9))  # gap limit 2
+        boxes = line_boxes(img, (0, 9))  # gap limit 2
         assert [(b.x1, b.x2) for b in boxes] == [(0, 4), (8, 9)]
 
     def test_single_word_no_gaps(self):
         img = image_with_column_counts([2, 3, 1, 4], 5)
-        boxes = line_boxes(img, LineBand(0, 4))
+        boxes = line_boxes(img, (0, 4))
         assert len(boxes) == 1
         assert (boxes[0].x1, boxes[0].x2) == (0, 3)
 
@@ -173,13 +164,13 @@ class TestSegmentWords:
         # band height 10 -> limit 2; a 2-column gap does not split.
         counts = [3, 3, 0, 0, 3, 3]
         img = image_with_column_counts(counts, 10)
-        boxes = line_boxes(img, LineBand(0, 9))
+        boxes = line_boxes(img, (0, 9))
         assert len(boxes) == 1
 
     def test_gap_above_limit_splits(self):
         counts = [3, 3, 0, 0, 0, 3, 3]
         img = image_with_column_counts(counts, 10)
-        boxes = line_boxes(img, LineBand(0, 9))
+        boxes = line_boxes(img, (0, 9))
         assert len(boxes) == 2
 
     @pytest.mark.parametrize("height,limit", [(1, 0), (3, 1), (8, 2), (13, 3), (25, 5)])
@@ -187,32 +178,46 @@ class TestSegmentWords:
         # round(0.2 x height), never a tie: a gap of the limit joins, one more splits.
         for gap, words in ((limit, 1), (limit + 1, 2)):
             img = image_with_column_counts([1] + [0] * gap + [1], height)
-            assert len(line_boxes(img, LineBand(0, height - 1))) == words
+            assert len(line_boxes(img, (0, height - 1))) == words
 
     def test_boxes_are_tight_both_axes(self):
         bits = np.ones((8, 6), dtype=np.uint8)
         bits[2:5, 1:3] = 0  # blob away from every edge of the band
         img = BinaryImage(6, 8, bits)
-        boxes = line_boxes(img, LineBand(0, 7))
+        boxes = line_boxes(img, (0, 7))
         assert boxes == [WordBox(1, 2, 2, 4)]
 
     def test_empty_band_yields_no_words(self):
         img = image_from_rows([[1, 1, 1]])
-        assert line_boxes(img, LineBand(0, 0)) == []
+        assert line_boxes(img, (0, 0)) == []
 
     def test_no_bands_yield_no_rows(self):
         img = image_from_rows([[0, 1, 0]])
-        rows = segment_words(img, [])
+        rows = segment_words(img, *band_arrays([]))
         assert rows.shape == (0, 5) and rows.dtype == np.int64
 
     def test_band_outside_the_image_rejected(self):
         img = image_from_rows([[0, 1], [1, 0]])
         with pytest.raises(ValueError, match="outside image rows"):
-            segment_words(img, [LineBand(0, 0), LineBand(1, 2)])
+            segment_words(img, *band_arrays([(0, 0), (1, 2)]))
+
+    @pytest.mark.parametrize(
+        "bands,bad",
+        [
+            ([(0, 1), (1, 0)], "1..0"),  # inverted
+            ([(2, 2)], "2..2"),  # past the last row
+            ([(0, 1), (2, 5), (3, 2)], "2..5"),  # the first bad band is named
+            ([(-1, 0)], "-1..0"),
+        ],
+    )
+    def test_inverted_band_or_band_past_the_last_row_rejected(self, bands, bad):
+        img = image_from_rows([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match=f"band {bad} empty or outside image rows 0..1"):
+            segment_words(img, *band_arrays(bands))
 
     def test_boxes_disjoint_and_ordered(self):
         img = random_image(random.Random(10), 60, 12, ink_prob=0.12)
-        boxes = line_boxes(img, LineBand(0, 11))
+        boxes = line_boxes(img, (0, 11))
         for left, right in zip(boxes, boxes[1:]):
             assert left.x2 < right.x1
 
@@ -224,7 +229,7 @@ class TestSegmentWords:
         bits[0:10, [0, 1, 4, 5]] = 0
         bits[12:17, [0, 1, 4, 5]] = 0
         img = BinaryImage(6, 17, bits)
-        rows = segment_words(img, [LineBand(0, 9), LineBand(12, 16)])
+        rows = segment_words(img, *band_arrays([(0, 9), (12, 16)]))
         assert rows.tolist() == [[0, 0, 0, 5, 9], [1, 0, 12, 1, 16], [1, 4, 12, 5, 16]]
 
     def test_runs_do_not_join_across_bands(self):
@@ -235,7 +240,7 @@ class TestSegmentWords:
         bits[0, 3] = 0
         bits[9, 0] = 0
         img = BinaryImage(4, 10, bits)
-        rows = segment_words(img, [LineBand(0, 4), LineBand(5, 9)])
+        rows = segment_words(img, *band_arrays([(0, 4), (5, 9)]))
         assert rows.tolist() == [[0, 3, 0, 3, 0], [1, 0, 9, 0, 9]]
 
 
@@ -259,12 +264,13 @@ def reference_segment_words(img, band):
     """Word boxes one group at a time: split ink-column runs at gaps longer
     than the limit, 0.2 of the band height, then tighten each group's rows
     over its own columns."""
-    rows = img.bits[band.row_start : band.row_end + 1]
+    row_start, row_end = band
+    rows = img.bits[row_start : row_end + 1]
     counts = [int((rows[:, c] == 0).sum()) for c in range(img.width)]
     runs = reference_runs_above(counts, 0)
     if not runs:
         return []
-    gap_limit = round_half_up(0.2 * band.height)
+    gap_limit = round_half_up(0.2 * len(rows))
     groups = [[runs[0]]]
     for run in runs[1:]:
         if run[0] - groups[-1][-1][1] - 1 <= gap_limit:
@@ -274,17 +280,18 @@ def reference_segment_words(img, band):
     boxes = []
     for group in groups:
         x1, x2 = group[0][0], group[-1][1]
-        ink_rows = [r for r in range(band.height) if (rows[r, x1 : x2 + 1] == 0).any()]
-        boxes.append(WordBox(x1, band.row_start + ink_rows[0], x2, band.row_start + ink_rows[-1]))
+        ink_rows = [r for r in range(len(rows)) if (rows[r, x1 : x2 + 1] == 0).any()]
+        boxes.append(WordBox(x1, row_start + ink_rows[0], x2, row_start + ink_rows[-1]))
     return boxes
 
 
 @st.composite
 def pages_and_bands(draw):
-    """A random page and several bands, always one at row 0 and one at the
-    last row (in any order, possibly overlapping), with ink in the first
-    and last columns and, in one band, two ink columns whose gap is one
-    less than, equal to or one more than that band's gap limit."""
+    """A random page and several (first row, last row) bands, always one at
+    row 0 and one at the last row (in any order, possibly overlapping), with
+    ink in the first and last columns and, in one band, two ink columns
+    whose gap is one less than, equal to or one more than that band's gap
+    limit."""
     width = draw(st.integers(1, 40))
     height = draw(st.integers(1, 30))
     ink_share = draw(st.floats(0.05, 0.6))
@@ -293,19 +300,18 @@ def pages_and_bands(draw):
     bits[draw(st.integers(0, height - 1)), 0] = 0
     bits[draw(st.integers(0, height - 1)), width - 1] = 0
     row_ends = st.integers(0, height - 1)
-    bands = [LineBand(0, draw(row_ends)), LineBand(draw(row_ends), height - 1)]
+    bands = [(0, draw(row_ends)), (draw(row_ends), height - 1)]
     for _ in range(draw(st.integers(0, 3))):
         row_start = draw(row_ends)
-        bands.append(LineBand(row_start, draw(st.integers(row_start, height - 1))))
+        bands.append((row_start, draw(st.integers(row_start, height - 1))))
     bands = draw(st.permutations(bands))
-    band = draw(st.sampled_from(bands))
-    limit = round_half_up(0.2 * band.height)
+    row_start, row_end = draw(st.sampled_from(bands))
+    limit = round_half_up(0.2 * (row_end - row_start + 1))
     gap = draw(st.integers(max(0, limit - 1), limit + 1))
     if gap + 2 <= width:
         x = draw(st.integers(0, width - gap - 2))
-        rows = slice(band.row_start, band.row_end + 1)
-        bits[rows, x + 1 : x + gap + 1] = 1
-        bits[draw(st.integers(band.row_start, band.row_end)), [x, x + gap + 1]] = 0
+        bits[row_start : row_end + 1, x + 1 : x + gap + 1] = 1
+        bits[draw(st.integers(row_start, row_end)), [x, x + gap + 1]] = 0
     return BinaryImage(width, height, bits), bands
 
 
@@ -316,13 +322,12 @@ class TestReferenceEquivalence:
     @example([1, 0, 0, 1], 0)
     @example([2, 0, 2, 0, 2], 1)
     def test_runs_above_matches_loop(self, counts, threshold):
-        expected = [LineBand(a, b) for a, b in reference_runs_above(counts, threshold)]
-        assert segment_lines(np.array(counts, dtype=np.int32), threshold) == expected
+        assert line_bands(counts, threshold) == reference_runs_above(counts, threshold)
 
     @given(pages_and_bands())
     def test_segment_words_matches_reference_band_by_band(self, page_bands):
         img, bands = page_bands
-        rows = segment_words(img, bands)
+        rows = segment_words(img, *band_arrays(bands))
         assert rows.dtype == np.int64 and rows.shape[1:] == (5,)
         expected = [
             [n, box.x1, box.y1, box.x2, box.y2]

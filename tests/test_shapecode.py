@@ -99,6 +99,12 @@ class TestEstimateZones:
         with pytest.raises(NoInkError):
             estimate_zones(img, LineBand(0, 1))
 
+    @pytest.mark.parametrize("band", [LineBand(0, 6), LineBand(-1, 3)])
+    def test_band_outside_the_image_raises(self, band):
+        img = image_with_row_counts([1, 1, 8, 9, 8, 1], 10)
+        with pytest.raises(ValueError, match="band outside rows 0..5"):
+            estimate_zones(img, band)
+
 
 class TestCharRegionSegment:
     # The valley slack is 1 column pixel: columns of the least ink count of a
@@ -251,11 +257,11 @@ class TestShapeTable:
 def render_line_page(words, font=40):
     layout = compose_page([(metrics(font), words)], width=1200)
     img = layout.image
-    bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
-    assert len(bands) == 1
-    boxes = [WordBox(*box) for _, *box in segment_words(img, bands).tolist()]
+    starts, ends = segment_lines(row_profile(img), default_noise_threshold(img.width))
+    assert len(starts) == 1
+    boxes = [WordBox(*box) for _, *box in segment_words(img, starts, ends).tolist()]
     assert len(boxes) == len(words)
-    return img, bands[0], boxes
+    return img, LineBand(int(starts[0]), int(ends[0])), boxes
 
 
 def encode_words(page, words):
@@ -306,9 +312,10 @@ class TestWordToWst:
             line_specs.append((metrics(40), probes + ["essence"]))
         layout = compose_page(line_specs, width=900)
         img = layout.image
-        bands = segment_lines(row_profile(img), default_noise_threshold(img.width))
-        assert len(bands) == len(line_specs)
-        rows = segment_words(img, bands).tolist()
+        starts, ends = segment_lines(row_profile(img), default_noise_threshold(img.width))
+        assert len(starts) == len(line_specs)
+        rows = segment_words(img, starts, ends).tolist()
+        bands = [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
         for n, (band, (_, words)) in enumerate(zip(bands, line_specs)):
             boxes = [WordBox(*box) for line, *box in rows if line == n]
             assert len(boxes) == len(words)
