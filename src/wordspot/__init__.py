@@ -12,7 +12,6 @@ from .index import (
     SIZE_CODES,
     DocEntry,
     IndexFormatError,
-    LineEntry,
     WordIndex,
     WordRecord,
     build_index,
@@ -32,7 +31,6 @@ from .search import (
     size_prefilter,
 )
 from .segment import (
-    LineBand,
     WordBox,
     column_profile,
     row_profile,
@@ -43,7 +41,6 @@ from .shapecode import (
     LETTER_CODES,
     NoInkError,
     UnsupportedCharacterError,
-    ZoneBands,
     query_to_wst,
     word_to_wst,
 )
@@ -55,8 +52,6 @@ __all__ = [
     "GrayImage",
     "IndexFormatError",
     "LETTER_CODES",
-    "LineBand",
-    "LineEntry",
     "MatchResult",
     "MissingPageError",
     "NoInkError",
@@ -67,7 +62,6 @@ __all__ = [
     "WordBox",
     "WordIndex",
     "WordRecord",
-    "ZoneBands",
     "binarize",
     "build_index",
     "column_profile",

@@ -189,7 +189,7 @@ def _cmd_index(args) -> int:
 
     for code, count in zip(SIZE_CODES, index.size_class_counts()):
         print(f"{code} {count}")
-    print(f"TOTAL {len(index.records)}")
+    print(f"TOTAL {len(index.tokens)}")
     return EXIT_OK
 
 
@@ -321,15 +321,19 @@ def _cmd_inspect(args) -> int:
         index = build_index([("page", img)])
         if what == "wst":
             encode_missing(index, lambda doc_id: img, list(range(len(index.tokens))))
-    if what in ("lines", "zones"):
-        for line in index.lines:
-            band, zones = line.band, line.zones
-            body = f" {zones.body_top} {zones.body_bottom}" if what == "zones" else ""
-            print(f"{band.row_start} {band.row_end}{body}")
-    elif what in ("words", "wst"):
-        for rec in index.records:
-            b = rec.box
-            print(f"{b.x1} {b.y1} {b.x2} {b.y2}" if what == "words" else rec.wst or "-")
+    # Columns of the index's tables: each line's rows, and its body band,
+    # and each word's box.
+    tables = {
+        "lines": index.line_table[:, 2:4],
+        "zones": index.line_table[:, 2:6],
+        "words": index.record_table[:, 3:7],
+    }
+    if what in tables:
+        for row in tables[what].tolist():
+            print(*row)
+    elif what == "wst":
+        for wst in index.tokens:
+            print(wst or "-")
     else:
         raise _UsageError(f"--what {what} needs a page image, not an index file")
     return EXIT_OK

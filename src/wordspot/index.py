@@ -1,17 +1,18 @@
 """Word records, text lines, size classification, and the searchable index.
 
-A line holds its rows and x-height body band, against which queries encode
-its words. A record holds only where its word is (doc, line, word, box) and
-its cached shape token. The word's length is normalized from its box to
-the reference font size, REF_FONT (`normalize_length`, applied to all
-records at once), so that one pixel-length scale applies across documents
-with varying handwriting sizes. WordIndex is built from positions alone
-(each line's page, each word's line), so the numbers it derives from them
-cannot disagree; it holds lines and records as integer columns, checks their
-invariants once, as array checks, and sorts the records by normalized
-length once, so that a query's size prefilter is a binary search
-and a cold query builds objects only for its matches. Size classes remain
-the unit of `wordspot index`'s counts (`WordIndex.size_class_counts`).
+A line is one row of integers: its page, its rows and its x-height body
+band, against which queries encode its words. A record holds only where its
+word is (doc, line, word, box) and its cached shape token. The word's length
+is normalized from its box to the reference font size, REF_FONT
+(`normalize_length`, applied to all records at once), so that one
+pixel-length scale applies across documents with varying handwriting sizes.
+WordIndex is built from positions alone (each line's page, each word's
+line), so the numbers it derives from them cannot disagree; it holds lines
+and records as integer columns, checks their invariants once, as array
+checks, and sorts the records by normalized length once, so that a query's
+size prefilter is a binary search and a cold query builds objects only for
+its matches. Size classes remain the unit of `wordspot index`'s counts
+(`WordIndex.size_class_counts`).
 
 Index file format (UTF-8, LF, space-separated fields), nested by position:
 
@@ -48,14 +49,13 @@ import numpy as np
 
 from .pnm import MAX_PIXELS, MAX_SIDE, BinaryImage
 from .segment import (
-    LineBand,
     WordBox,
     default_noise_threshold,
     row_profile,
     segment_lines,
     segment_words,
 )
-from .shapecode import ZoneBands, zones_from_bands
+from .shapecode import zones_from_bands
 from .util import ascii_decimals
 
 # The reference font size in pixels: every word's length is normalized to
@@ -151,17 +151,6 @@ class DocEntry:
     height: int
 
 
-@dataclass(frozen=True)
-class LineEntry:
-    """One text line of a page: its rows and the x-height body band inside
-    them, both in page rows. The line's words are encoded against them."""
-
-    doc_id: str
-    line_idx: int
-    band: LineBand
-    zones: ZoneBands
-
-
 class _Entries(Sequence):
     """A read-only sequence whose items are built when they are read."""
 
@@ -237,8 +226,8 @@ class WordIndex:
     REF_FONT, and `length_order` the record positions sorted by it (ties
     in record order), `sorted_lengths` the lengths in that order.
 
-    `lines` and `records` are read-only sequences of LineEntry and
-    WordRecord objects, built when they are read.
+    A line is its row of `line_table` only. `records` is a read-only
+    sequence of WordRecord objects, built when they are read.
     """
 
     def __init__(
@@ -346,23 +335,14 @@ class WordIndex:
 
     def __repr__(self) -> str:
         return (
-            f"WordIndex(docs={self.docs!r}, lines={list(self.lines)!r}, "
+            f"WordIndex(docs={self.docs!r}, line_table={self.line_table.tolist()!r}, "
             f"records={list(self.records)!r})"
         )
-
-    def line(self, position: int) -> LineEntry:
-        doc, line, row_start, row_end, body_top, body_bottom = self.line_table[position].tolist()
-        band, zones = LineBand(row_start, row_end), ZoneBands(body_top, body_bottom)
-        return LineEntry(self.docs[doc].doc_id, line, band, zones)
 
     def record(self, position: int) -> WordRecord:
         doc, line, word, x1, y1, x2, y2 = self.record_table[position].tolist()
         box = WordBox(x1, y1, x2, y2)
         return WordRecord(self.docs[doc].doc_id, line, word, box, self.tokens[position])
-
-    @property
-    def lines(self) -> Sequence[LineEntry]:
-        return _Entries(len(self.line_table), self.line)
 
     @property
     def records(self) -> Sequence[WordRecord]:

@@ -7,9 +7,10 @@ columns inside a line band, where zero-ink column gaps longer than
 GAP_FACTOR (0.2) x band height separate words and shorter gaps are kept
 inside a word. A page's line bands are two arrays, their first and last
 rows, and `segment_words` finds the words of all of them in one call, as
-one row of integers per word. Lines and words are runs of `util.mask_runs`,
-the one "maximal runs of a mask" implementation, which also finds
-`shapecode`'s body bands and valley runs and `pnm`'s ASCII raster tokens.
+one row of integers per word; no class wraps a band. Lines and words are
+runs of `util.mask_runs`, the one "maximal runs of a mask" implementation,
+which also finds `shapecode`'s body bands and valley runs and `pnm`'s ASCII
+raster tokens.
 """
 
 from __future__ import annotations
@@ -23,22 +24,6 @@ from .util import count_dtype, mask_runs, round_half_up
 
 # The inter-character gap limit, as a fraction of the band height.
 GAP_FACTOR = 0.2
-
-
-@dataclass(frozen=True)
-class LineBand:
-    """Inclusive row range of one text line."""
-
-    row_start: int
-    row_end: int
-
-    def __post_init__(self):
-        if self.row_start > self.row_end:
-            raise ValueError(f"empty band {self.row_start}..{self.row_end}")
-
-    @property
-    def height(self) -> int:
-        return self.row_end - self.row_start + 1
 
 
 @dataclass(frozen=True)

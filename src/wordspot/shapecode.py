@@ -23,8 +23,10 @@ are maximal runs of a mask, found by `util.mask_runs`. `zones_from_bands`
 takes a page's line bands as the two arrays of first and last rows that
 `segment.segment_lines` returns, as `segment.segment_words` does.
 `estimate_zones`, `char_region_segment` and `classify_region` apply the same
-rules to one `LineBand`, word or region; `char_region_segment` cuts at the
-word's whole `column_profile`, and `classify_region` reduces its region
+rules to one line band, word or region. Bands, bodies and regions are
+`(first, last)` pairs of ints, inclusive, as `util.mask_runs` returns runs,
+and each function checks the pairs it takes; `char_region_segment` cuts at
+the word's whole `column_profile`, and `classify_region` reduces its region
 through `_page_columns` as a box of one word.
 
 Query text maps through a fixed per-letter expansion table, one to three
@@ -34,12 +36,11 @@ symbols per letter, so both sides of a search speak the same token alphabet.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 import numpy as np
 
 from .pnm import BinaryImage, GrayImage, ink_raster
-from .segment import LineBand, column_profile
+from .segment import column_profile
 from .util import count_dtype, mask_runs, round_half_up
 
 
@@ -60,19 +61,6 @@ class UnsupportedCharacterError(ValueError):
         super().__init__(f"unsupported character {char!r} at position {position}")
         self.char = char
         self.position = position
-
-
-@dataclass(frozen=True)
-class ZoneBands:
-    """Row range of the x-height body band; rows above are the ascender
-    zone, rows below the descender zone."""
-
-    body_top: int
-    body_bottom: int
-
-    def __post_init__(self):
-        if self.body_top > self.body_bottom:
-            raise ValueError(f"empty body band {self.body_top}..{self.body_bottom}")
 
 
 # Token parameters. Columns within VALLEY_SLACK of the least ink count are
@@ -124,12 +112,17 @@ def zones_from_bands(
     A band's body is the maximal contiguous run of its rows whose count is
     at least ZONE_FRACTION of the band's peak count, containing its (first)
     peak row. The bands' rows are laid end to end; each peak's body is the
-    `mask_runs` run that holds it, clipped to the peak's band.
+    `mask_runs` run that holds it, clipped to the peak's band. A band that
+    is empty or outside the rows raises ValueError.
     """
+    bad = (starts < 0) | (starts > ends) | (ends >= len(row_counts))
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            f"band {starts[i]}..{ends[i]} empty or outside rows 0..{len(row_counts) - 1}"
+        )
     if len(starts) == 0:
         return starts, ends
-    if starts.min() < 0 or ends.max() >= len(row_counts):
-        raise ValueError(f"band outside rows 0..{len(row_counts) - 1}")
     lengths = ends - starts + 1
     firsts = np.concatenate(([0], np.cumsum(lengths[:-1])))
     lasts = firsts + lengths - 1
@@ -159,9 +152,9 @@ def _region_starts(counts: np.ndarray, firsts: np.ndarray, font_sizes: np.ndarra
     Per word, m is the minimum count over its ink-bearing columns; its
     columns with count <= m + VALLEY_SLACK are valleys. Each interior
     maximal valley run of a word is cut at its midpoint column (the midpoint
-    itself starts the right-hand region). Regions narrower than
-    round(MIN_REGION_WIDTH * font size) of their word are merged into their
-    left neighbor, or right neighbor for a word's leftmost. Every word must
+    itself starts the right-hand region). A region narrower than
+    round(MIN_REGION_WIDTH * font size) of its word is merged into its left
+    neighbor, or right neighbor for a word's leftmost. Every word must
     have ink (`_check_ink`).
     """
     width = len(counts)
@@ -191,7 +184,7 @@ def _region_starts(counts: np.ndarray, firsts: np.ndarray, font_sizes: np.ndarra
     # word's first kept cut stops being a boundary.
     leftmost = np.append(True, kept_words[1:] != kept_words[:-1])
     narrow = kept - firsts[kept_words] < min_widths[kept_words]
-    # Regions start at each word's first column and at its remaining cuts.
+    # A word's regions start at its first column and at its remaining cuts.
     region_start = np.zeros(width, dtype=bool)
     region_start[firsts] = True
     region_start[kept[~(leftmost & narrow)]] = True
@@ -251,7 +244,7 @@ def _page_columns(
             np.logical_or.reduce(ink[below_from:], axis=0, out=below[first:end])
 
 
-# Region code by index: 0 plain, 1 ascender, 2 descender.
+# A region's code by index: 0 plain, 1 ascender, 2 descender.
 _CODE_BYTES = np.frombuffer(b"xAg", dtype=np.uint8)
 
 
@@ -270,37 +263,23 @@ def _zone_codes(above: np.ndarray, below: np.ndarray, starts: np.ndarray) -> str
 # Single-word helpers, with no caller in the package: perfbench/tracing.py wraps them by name.
 
 
-@dataclass(frozen=True)
-class Region:
-    """Inclusive column range within a word image."""
-
-    col_start: int
-    col_end: int
-
-    def __post_init__(self):
-        if self.col_start > self.col_end:
-            raise ValueError(f"empty region {self.col_start}..{self.col_end}")
-
-    @property
-    def width(self) -> int:
-        return self.col_end - self.col_start + 1
-
-
-def estimate_zones(img: BinaryImage | GrayImage, band: LineBand) -> ZoneBands:
-    """Locate the x-height body band inside a line band of `img`, from the
-    ink of its rows (see `zones_from_bands`), which raises ValueError for a
-    band outside `img`. `img` may be gray: its rows are thresholded as
+def estimate_zones(img: BinaryImage | GrayImage, row_start: int, row_end: int) -> tuple[int, int]:
+    """The `(body_top, body_bottom)` rows of the x-height body band inside
+    the line band row_start..row_end of `img`, from the ink of its rows (see
+    `zones_from_bands`, which raises ValueError for a band that is empty or
+    outside `img`). `img` may be gray: its rows are thresholded as
     `word_to_wst` thresholds a box. Returned rows use the same coordinate
     frame as `img`.
     """
     raster, cut = ink_raster(img)
     counts = (raster < cut).sum(axis=1, dtype=np.int64)
-    tops, bottoms = zones_from_bands(counts, np.array([band.row_start]), np.array([band.row_end]))
-    return ZoneBands(int(tops[0]), int(bottoms[0]))
+    tops, bottoms = zones_from_bands(counts, np.array([row_start]), np.array([row_end]))
+    return int(tops[0]), int(bottoms[0])
 
 
-def char_region_segment(word: BinaryImage, font_size: int) -> list[Region]:
-    """Cut a word image into regions at near-minimum column-profile valleys.
+def char_region_segment(word: BinaryImage, font_size: int) -> list[tuple[int, int]]:
+    """Cut a word image into regions at near-minimum column-profile valleys:
+    the `(col_start, col_end)` columns of each, left to right.
 
     See `_region_starts` for the valley and merge rules. Over-segmentation
     relative to true characters is expected.
@@ -309,29 +288,33 @@ def char_region_segment(word: BinaryImage, font_size: int) -> list[Region]:
     firsts = np.array([0])
     _check_ink(counts, firsts)
     starts = _region_starts(counts, firsts, np.array([font_size])).tolist()
-    ends = [s - 1 for s in starts[1:]] + [word.width - 1]
-    return [Region(s, e) for s, e in zip(starts, ends)]
+    return list(zip(starts, [s - 1 for s in starts[1:]] + [word.width - 1]))
 
 
-def classify_region(word: BinaryImage, region: Region, zones: ZoneBands) -> str:
-    """Classify one region as 'A', 'x' or 'g' by its zone reach.
+def classify_region(word: BinaryImage, region: tuple[int, int], body: tuple[int, int]) -> str:
+    """Classify the columns `(col_start, col_end)` of a word image as 'A',
+    'x' or 'g' by their zone reach, against the `(body_top, body_bottom)`
+    rows of the body band.
 
-    `zones` must be expressed in the same row coordinate frame as `word`
-    (shift line-level zones by -box.y1 before calling); see `_zone_limits`
-    and `_zone_codes`. Raises ValueError for a region outside the word's
-    columns.
+    `body` must be expressed in the same row coordinate frame as `word`
+    (shift a line's body by -box.y1 before calling); see `_zone_limits`
+    and `_zone_codes`. Raises ValueError for a region that is empty or
+    outside the word's columns, and for an empty body band.
     """
-    if region.col_start < 0 or region.col_end >= word.width:
+    (col_start, col_end), (body_top, body_bottom) = region, body
+    if not 0 <= col_start <= col_end < word.width:
         raise ValueError(
-            f"region {region.col_start}..{region.col_end} outside word columns "
-            f"0..{word.width - 1}"
+            f"region {col_start}..{col_end} empty or outside word columns 0..{word.width - 1}"
         )
-    ascender_end, descender_start = _zone_limits(zones.body_top, zones.body_bottom)
-    box = [region.col_start, 0, region.col_end, word.height - 1]
-    counts = np.empty(region.width, dtype=count_dtype(word.height))
-    above, below = np.zeros((2, region.width), dtype=bool)
+    if body_top > body_bottom:
+        raise ValueError(f"empty body band {body_top}..{body_bottom}")
+    ascender_end, descender_start = _zone_limits(body_top, body_bottom)
+    width = col_end - col_start + 1
+    counts = np.empty(width, dtype=count_dtype(word.height))
+    above, below = np.zeros((2, width), dtype=bool)
+    box = [col_start, 0, col_end, word.height - 1]
     _page_columns(
-        word, [box + [max(0, ascender_end), max(0, descender_start), 0, region.width]],
+        word, [box + [max(0, ascender_end), max(0, descender_start), 0, width]],
         counts, above, below,
     )
     return _zone_codes(above, below, np.array([0]))

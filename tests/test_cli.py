@@ -11,7 +11,7 @@ import pytest
 
 from glyphs import compose_page, metrics
 from wordspot.cli import _build_parser, main
-from wordspot.index import load_index
+from wordspot.index import WordIndex, load_index
 from wordspot.pnm import GrayImage, binarize, load_image, write_gray
 from wordspot.search import search
 from wordspot.segment import default_noise_threshold, row_profile, segment_lines, segment_words
@@ -666,6 +666,20 @@ class TestInspect:
         assert main(["inspect", str(index_path), "--what", "wst"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines == ["-"] * 6  # fresh index: nothing cached yet
+
+    def test_index_and_inspect_build_no_record(self, corpus, capsys, monkeypatch):
+        # Both print the index's tables and tokens as they are: only a
+        # query's matches become WordRecord objects.
+        layout, page, index_path = corpus
+
+        def refuse(self, position):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(WordIndex, "record", refuse)
+        assert main(["index", str(page), "--out", str(index_path)]) == 0
+        for what in ("lines", "zones", "words", "wst"):
+            assert main(["inspect", str(index_path), "--what", what]) == 0
+            assert main(["inspect", str(page), "--what", what]) == 0
 
     def test_index_input_rows_is_usage_error(self, corpus, capsys):
         layout, page, index_path = corpus

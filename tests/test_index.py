@@ -18,7 +18,6 @@ from wordspot.index import (
     DocEntry,
     IndexFormatError,
     IndexInvariantError,
-    LineEntry,
     WordIndex,
     WordRecord,
     _size_class_numbers,
@@ -29,13 +28,12 @@ from wordspot.index import (
 )
 from wordspot.pnm import BinaryImage
 from wordspot.segment import (
-    LineBand,
     WordBox,
     default_noise_threshold,
     row_profile,
     segment_lines,
 )
-from wordspot.shapecode import ZoneBands, estimate_zones
+from wordspot.shapecode import estimate_zones
 
 
 class TestNormalizeLength:
@@ -93,7 +91,7 @@ def blob_page(width=200, height=80, x=40, y=20, blob_w=100, blob_h=30):
 class TestBuildIndex:
     def test_empty_page_list(self):
         index = build_index([])
-        assert index.records == [] and index.docs == [] and index.lines == []
+        assert index.records == [] and index.docs == [] and index.line_table.shape == (0, 6)
 
     def test_single_blob_record(self):
         index = build_index([("page", blob_page())])
@@ -135,12 +133,13 @@ class TestBuildIndex:
         page.bits[25:30, 40:140] = 1  # a gap inside the blob's rows
         index = build_index([("a", page)])
         starts, ends = segment_lines(row_profile(page), default_noise_threshold(page.width))
-        bands = [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+        bands = list(zip(starts.tolist(), ends.tolist()))
         assert len(bands) == 2
-        assert index.lines == [
-            LineEntry("a", n, band, estimate_zones(page, band)) for n, band in enumerate(bands)
+        assert index.line_table.tolist() == [
+            [0, n, *band, *estimate_zones(page, *band)] for n, band in enumerate(bands)
         ]
-        assert [index.lines[n] for n in index.record_lines.tolist()] == index.lines
+        # One word on each line, in line order.
+        assert index.record_lines.tolist() == [0, 1]
 
     def test_duplicate_doc_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -174,17 +173,9 @@ def word_row(line, *, x=10, y=20, w=50, h=25):
     return (line, x, y, x + w - 1, y + h - 1)
 
 
-def make_line(doc, line, row_start, row_end, body_top=None, body_bottom=None):
-    """A line whose body band is its whole band unless given."""
-    body = (
-        row_start if body_top is None else body_top,
-        row_end if body_bottom is None else body_bottom,
-    )
-    return LineEntry(doc, line, LineBand(row_start, row_end), ZoneBands(*body))
-
-
 def line_row(page, row_start, row_end, body_top=None, body_bottom=None):
-    """The row WordIndex takes for make_line's line, on page position `page`."""
+    """The row WordIndex takes for a line on page position `page`, whose
+    body band is its whole band unless given."""
     body_top = row_start if body_top is None else body_top
     return (page, row_start, row_end, body_top, row_end if body_bottom is None else body_bottom)
 
@@ -217,7 +208,7 @@ class TestPersistence:
         assert again == index
         assert again.records[1].wst == "AxxgA"
         assert again.docs[0].path == "pages/doc one.pgm"
-        assert again.lines[2] == make_line("doc2", 1, 20, 80, 40, 60)
+        assert again.line_table[2].tolist() == [1, 1, 20, 80, 40, 60]
 
     def test_no_whitespace_in_encoded_lines(self):
         data = save_index(small_index()).decode()
@@ -727,7 +718,7 @@ def test_readme_format_example_loads_and_saves_back():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("## Index file format", 1)[1].split("```\n", 2)[1]
     index = load_index(example.encode())
-    assert index.lines == [make_line("page1", 0, 172, 248, 190, 232)]
+    assert index.line_table.tolist() == [[0, 0, 172, 248, 190, 232]]
     assert index.records == [make_record("page1", 0, 0, x=210, y=180, w=321, h=61),
                              make_record("page1", 0, 1, x=580, y=186, w=240, h=58, wst="AxgA")]
     assert save_index(index) == example.encode()
@@ -893,10 +884,16 @@ class TestColumns:
         assert index.sorted_lengths.tolist() == [120, 300, 546]
         assert index.records[1] == make_record("doc1", 0, 1, w=300, h=60, wst="AxxgA")
         assert index.records[-1] == index.records[2] == make_record("doc2", 1, 0, w=555, h=61)
-        assert index.lines[1:] == [make_line("doc2", 0, 0, 10, 2, 8),
-                                   make_line("doc2", 1, 20, 80, 40, 60)]
         with pytest.raises(IndexError):
             index.records[3]
+
+    def test_repr_shows_line_table_rows(self):
+        text = repr(small_index())
+        assert text.startswith("WordIndex(docs=[DocEntry(doc_id='doc1', ")
+        assert (
+            "line_table=[[0, 0, 20, 79, 30, 60], [1, 0, 0, 10, 2, 8], [1, 1, 20, 80, 40, 60]], "
+            "records=[WordRecord(doc_id='doc1', " in text
+        )
 
     def test_length_order_breaks_ties_by_record_order(self):
         doc = DocEntry("d", "d.pgm", 900, 100)

@@ -3,7 +3,7 @@
 import wordspot
 import wordspot.shapecode
 
-SINGLE_WORD_HELPERS = ("Region", "char_region_segment", "classify_region", "estimate_zones")
+SINGLE_WORD_HELPERS = ("char_region_segment", "classify_region", "estimate_zones")
 
 
 def test_star_import_gives_exactly_the_names_in_all():

@@ -28,7 +28,6 @@ from wordspot.search import (
     size_prefilter,
 )
 from wordspot.segment import (
-    LineBand,
     WordBox,
     default_noise_threshold,
     row_profile,
@@ -339,7 +338,7 @@ class TestBuildLines:
         page = layout.image
         counts = row_profile(page)
         starts, ends = segment_lines(counts, 30)
-        build_bands = [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+        build_bands = list(zip(starts.tolist(), ends.tolist()))
         tops, bottoms = zones_from_bands(counts, starts, ends)
         lines = np.column_stack((np.zeros_like(starts), starts, ends, tops, bottoms))
         words = segment_words(page, starts, ends)
@@ -347,21 +346,17 @@ class TestBuildLines:
         index = WordIndex([doc], lines, words, [None] * len(words))
         assert len(segment_lines(counts, default_noise_threshold(page.width))[0]) == 3
         assert len(build_bands) == 2
-        assert [line.band for line in index.lines] == build_bands
-        assert [line.zones for line in index.lines] == [
-            estimate_zones(page, band) for band in build_bands
+        assert index.line_table[:, 2:].tolist() == [
+            [*band, *estimate_zones(page, *band)] for band in build_bands
         ]
 
         for n in range(1, 12):
             search(index, lambda doc: page, "x" * n, threshold=0)
         for rec, n in zip(index.records, index.record_lines.tolist()):
-            line = index.lines[n]
-            box, zones = rec.box, line.zones
+            _, _, row_start, row_end, *body = index.line_table[n].tolist()
+            box = rec.box
             assert [rec.wst] == word_to_wst(
-                [(page, 1)],
-                [(box.x1, box.y1, box.x2, box.y2)],
-                [(zones.body_top, zones.body_bottom)],
-                [line.band.height],
+                [(page, 1)], [(box.x1, box.y1, box.x2, box.y2)], [body], [row_end - row_start + 1]
             )
 
     def test_tokens_follow_the_zones_the_index_records(self):

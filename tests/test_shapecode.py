@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from glyphs import compose_page, metrics, word_symbols
 from wordspot.pnm import BinaryImage, GrayImage, binarize, ink_cut
 from wordspot.segment import (
-    LineBand,
     WordBox,
     default_noise_threshold,
     row_profile,
@@ -21,9 +20,7 @@ from wordspot.shapecode import (
     LETTER_CODES,
     SHAPE_CODE_ROWS,
     NoInkError,
-    Region,
     UnsupportedCharacterError,
-    ZoneBands,
     char_region_segment,
     classify_region,
     estimate_zones,
@@ -68,42 +65,55 @@ def image_with_column_counts(counts, height):
 class TestEstimateZones:
     def test_half_peak_run_containing_peak(self):
         img = image_with_row_counts([1, 1, 8, 9, 8, 1], 10)
-        zones = estimate_zones(img, LineBand(0, 5))
-        assert (zones.body_top, zones.body_bottom) == (2, 4)
+        assert estimate_zones(img, 0, 5) == (2, 4)
 
     def test_rows_are_absolute(self):
         pad = np.ones((10, 10), dtype=np.uint8)
         inner = image_with_row_counts([1, 1, 8, 9, 8, 1], 10)
         bits = np.vstack([pad, inner.bits])
         img = BinaryImage(10, 16, bits)
-        zones = estimate_zones(img, LineBand(10, 15))
-        assert (zones.body_top, zones.body_bottom) == (12, 14)
+        assert estimate_zones(img, 10, 15) == (12, 14)
 
     def test_uniform_counts_fill_band(self):
         img = image_with_row_counts([4, 4, 4, 4], 6)
-        zones = estimate_zones(img, LineBand(0, 3))
-        assert (zones.body_top, zones.body_bottom) == (0, 3)
+        assert estimate_zones(img, 0, 3) == (0, 3)
 
     def test_rows_at_half_the_peak_join_the_body(self):
         img = image_with_row_counts([3, 4, 8, 5, 3], 10)
-        zones = estimate_zones(img, LineBand(0, 4))
-        assert (zones.body_top, zones.body_bottom) == (1, 3)
+        assert estimate_zones(img, 0, 4) == (1, 3)
 
     def test_single_ink_row(self):
         img = image_with_row_counts([0, 3, 0], 5)
-        zones = estimate_zones(img, LineBand(0, 2))
-        assert (zones.body_top, zones.body_bottom) == (1, 1)
+        assert estimate_zones(img, 0, 2) == (1, 1)
 
     def test_no_ink_raises(self):
         img = image_with_row_counts([0, 0], 4)
         with pytest.raises(NoInkError):
-            estimate_zones(img, LineBand(0, 1))
+            estimate_zones(img, 0, 1)
 
-    @pytest.mark.parametrize("band", [LineBand(0, 6), LineBand(-1, 3)])
-    def test_band_outside_the_image_raises(self, band):
+    @pytest.mark.parametrize("band", [(0, 6), (-1, 3), (3, 2), (5, 1)])
+    def test_band_empty_or_outside_the_image_raises(self, band):
         img = image_with_row_counts([1, 1, 8, 9, 8, 1], 10)
-        with pytest.raises(ValueError, match="band outside rows 0..5"):
-            estimate_zones(img, band)
+        with pytest.raises(ValueError) as err:
+            estimate_zones(img, *band)
+        assert str(err.value) == f"band {band[0]}..{band[1]} empty or outside rows 0..5"
+
+
+class TestZonesFromBands:
+    @pytest.mark.parametrize(
+        "starts, ends, named",
+        [
+            ([1, 7], [4, 6], "7..6"),  # an empty band after a whole one
+            ([5], [3], "5..3"),
+            ([2, 0], [4, 10], "0..10"),
+            ([-1], [2], "-1..2"),
+        ],
+    )
+    def test_band_empty_or_outside_the_rows_refused(self, starts, ends, named):
+        counts = np.array([1, 2, 3, 2, 1, 0, 2, 3, 2, 1], dtype=np.int32)
+        with pytest.raises(ValueError) as err:
+            zones_from_bands(counts, np.array(starts), np.array(ends))
+        assert str(err.value) == f"band {named} empty or outside rows 0..9"
 
 
 class TestCharRegionSegment:
@@ -114,16 +124,16 @@ class TestCharRegionSegment:
     def test_valley_columns_cut_to_right_region(self):
         img = image_with_column_counts([5, 6, 1, 5, 6, 2, 5], 6)
         regions = char_region_segment(img, font_size=10)
-        assert regions == [Region(0, 1), Region(2, 4), Region(5, 6)]
+        assert regions == [(0, 1), (2, 4), (5, 6)]
 
     def test_wide_valley_cut_at_midpoint(self):
         img = image_with_column_counts([5, 5, 5, 1, 2, 1, 5, 5], 6)
         regions = char_region_segment(img, font_size=10)
-        assert regions == [Region(0, 3), Region(4, 7)]
+        assert regions == [(0, 3), (4, 7)]
 
     def test_monotone_bump_single_region(self):
         img = image_with_column_counts([1, 2, 5], 6)
-        assert char_region_segment(img, 10) == [Region(0, 2)]
+        assert char_region_segment(img, 10) == [(0, 2)]
 
     def test_valleys_are_within_one_of_the_least_count(self):
         assert len(char_region_segment(image_with_column_counts([5, 1, 5, 2, 5], 6), 10)) == 3
@@ -132,12 +142,12 @@ class TestCharRegionSegment:
     def test_narrow_regions_merge_left(self):
         img = image_with_column_counts([9, 9, 1, 9, 2, 9, 9], 9)
         regions = char_region_segment(img, font_size=30)
-        assert regions == [Region(0, 3), Region(4, 6)]
+        assert regions == [(0, 3), (4, 6)]
 
     def test_leftmost_narrow_region_merges_right(self):
         img = image_with_column_counts([9, 1, 9, 9, 9, 9], 9)
         regions = char_region_segment(img, font_size=30)
-        assert regions == [Region(0, 5)]
+        assert regions == [(0, 5)]
 
     def test_no_ink_raises(self):
         img = image_with_column_counts([0, 0], 3)
@@ -152,15 +162,15 @@ class TestCharRegionSegment:
                 counts[0] = 1
             img = image_with_column_counts(counts, 8)
             regions = char_region_segment(img, 20)
-            assert regions[0].col_start == 0
-            assert regions[-1].col_end == img.width - 1
-            for a, b in zip(regions, regions[1:]):
-                assert a.col_end + 1 == b.col_start
+            assert regions[0][0] == 0
+            assert regions[-1][1] == img.width - 1
+            for (_, end), (start, _) in zip(regions, regions[1:]):
+                assert end + 1 == start
 
 
 class TestClassifyRegion:
     def zones(self):
-        return ZoneBands(3, 6)  # body height 4 -> margin delta 0
+        return (3, 6)  # body height 4 -> margin delta 0
 
     def word(self, ink_rows, height=10, width=4):
         bits = np.ones((height, width), dtype=np.uint8)
@@ -170,36 +180,42 @@ class TestClassifyRegion:
 
     def test_body_only_is_x(self):
         word = self.word(range(3, 7))
-        assert classify_region(word, Region(0, 3), self.zones()) == "x"
+        assert classify_region(word, (0, 3), self.zones()) == "x"
 
     def test_ascender_only_is_A(self):
         word = self.word(range(0, 7))
-        assert classify_region(word, Region(0, 3), self.zones()) == "A"
+        assert classify_region(word, (0, 3), self.zones()) == "A"
 
     def test_descender_only_is_g(self):
         word = self.word(range(3, 10))
-        assert classify_region(word, Region(0, 3), self.zones()) == "g"
+        assert classify_region(word, (0, 3), self.zones()) == "g"
 
     def test_both_zones_is_g(self):
         word = self.word(range(0, 10))
-        assert classify_region(word, Region(0, 3), self.zones()) == "g"
+        assert classify_region(word, (0, 3), self.zones()) == "g"
 
     def test_margin_absorbs_near_body_ink(self):
         # body 10..29, height 20 -> delta 2: rows 8, 9, 30 and 31 are inside
         # the margin.
-        zones = ZoneBands(10, 29)
+        zones = (10, 29)
         word = self.word(range(8, 32), height=40)
-        assert classify_region(word, Region(0, 3), zones) == "x"
+        assert classify_region(word, (0, 3), zones) == "x"
         word = self.word(range(7, 33), height=40)
-        assert classify_region(word, Region(0, 3), zones) == "g"
+        assert classify_region(word, (0, 3), zones) == "g"
 
-    @pytest.mark.parametrize("region", [Region(2, 9), Region(5, 6), Region(-1, 2)])
-    def test_region_outside_the_word_rejected(self, region):
+    @pytest.mark.parametrize("region", [(2, 9), (5, 6), (-1, 2), (2, 1), (3, 0)])
+    def test_region_empty_or_outside_the_word_rejected(self, region):
         with pytest.raises(ValueError) as err:
             classify_region(self.word(range(3, 7)), region, self.zones())
         assert str(err.value) == (
-            f"region {region.col_start}..{region.col_end} outside word columns 0..3"
+            f"region {region[0]}..{region[1]} empty or outside word columns 0..3"
         )
+
+    @pytest.mark.parametrize("body", [(4, 3), (6, 3), (12, -5)])
+    def test_empty_body_band_rejected(self, body):
+        with pytest.raises(ValueError) as err:
+            classify_region(self.word(range(3, 7)), (0, 3), body)
+        assert str(err.value) == f"empty body band {body[0]}..{body[1]}"
 
 
 class TestQueryToWst:
@@ -261,7 +277,7 @@ def render_line_page(words, font=40):
     assert len(starts) == 1
     boxes = [WordBox(*box) for _, *box in segment_words(img, starts, ends).tolist()]
     assert len(boxes) == len(words)
-    return img, LineBand(int(starts[0]), int(ends[0])), boxes
+    return img, (int(starts[0]), int(ends[0])), boxes
 
 
 def encode_words(page, words):
@@ -275,17 +291,17 @@ def encode_runs(runs, words):
     return word_to_wst(
         runs,
         [(box.x1, box.y1, box.x2, box.y2) for box, _, _ in words],
-        [(zones.body_top, zones.body_bottom) for _, zones, _ in words],
+        [zones for _, zones, _ in words],
         [font for _, _, font in words],
     )
 
 
 def encode_word(page, band, box, zones=None):
-    """word_to_wst on one word, against its line band's height and zones
-    (estimated from the page when not given)."""
+    """word_to_wst on one word, against its (first, last) line band's height
+    and its zones (estimated from the page when not given)."""
     if zones is None:
-        zones = estimate_zones(page, band)
-    (wst,) = encode_words(page, [(box, zones, band.height)])
+        zones = estimate_zones(page, *band)
+    (wst,) = encode_words(page, [(box, zones, band[1] - band[0] + 1)])
     return wst
 
 
@@ -315,7 +331,7 @@ class TestWordToWst:
         starts, ends = segment_lines(row_profile(img), default_noise_threshold(img.width))
         assert len(starts) == len(line_specs)
         rows = segment_words(img, starts, ends).tolist()
-        bands = [LineBand(a, b) for a, b in zip(starts.tolist(), ends.tolist())]
+        bands = zip(starts.tolist(), ends.tolist())
         for n, (band, (_, words)) in enumerate(zip(bands, line_specs)):
             boxes = [WordBox(*box) for line, *box in rows if line == n]
             assert len(boxes) == len(words)
@@ -330,8 +346,9 @@ class TestWordToWst:
 
     def test_a_line_in_one_call_matches_word_by_word(self):
         img, band, boxes = render_line_page(["dipped", "the", "sauce", "mummy"])
-        zones = estimate_zones(img, band)
-        tokens = encode_words(img, [(box, zones, band.height) for box in boxes])
+        zones = estimate_zones(img, *band)
+        font = band[1] - band[0] + 1
+        tokens = encode_words(img, [(box, zones, font) for box in boxes])
         assert tokens == [encode_word(img, band, b) for b in boxes]
         assert word_to_wst([], np.empty((0, 4)), np.empty((0, 2)), []) == []
 
@@ -403,21 +420,23 @@ def reference_zone_run(counts):
 
 
 def reference_band_zones(counts, band):
-    """ZoneBands of the row walk over the rows of one (start, end) band."""
+    """The (top, bottom) body rows of the row walk over the rows of one
+    (start, end) band."""
     start, end = band
     top, bottom = reference_zone_run(counts[start : end + 1])
-    return ZoneBands(start + top, start + bottom)
+    return start + top, start + bottom
 
 
 def reference_estimate_zones(img, band):
-    counts = [
-        int((img.bits[r] == 0).sum()) for r in range(band.row_start, band.row_end + 1)
-    ]
+    """The (top, bottom) body rows of the (start, end) band of `img`."""
+    start, end = band
+    counts = [int((img.bits[r] == 0).sum()) for r in range(start, end + 1)]
     top, bottom = reference_zone_run(counts)
-    return ZoneBands(band.row_start + top, band.row_start + bottom)
+    return start + top, start + bottom
 
 
 def reference_char_region_segment(word, font_size):
+    """The (start, end) columns of each region of a word, left to right."""
     counts = [int((word.bits[:, c] == 0).sum()) for c in range(word.width)]
     ink_counts = [c for c in counts if c > 0]
     if not ink_counts:
@@ -435,44 +454,43 @@ def reference_char_region_segment(word, font_size):
         run_start = None
     starts = [0] + cuts
     ends = [s - 1 for s in cuts] + [word.width - 1]
-    regions = [Region(s, e) for s, e in zip(starts, ends)]
     min_width = round_half_up(0.1 * font_size)
     merged = []
-    for region in regions:
-        if merged and region.width < min_width:
-            merged[-1] = Region(merged[-1].col_start, region.col_end)
+    for start, end in zip(starts, ends):
+        if merged and end - start + 1 < min_width:
+            merged[-1] = (merged[-1][0], end)
         else:
-            merged.append(region)
-    if len(merged) > 1 and merged[0].width < min_width:
-        merged[1] = Region(merged[0].col_start, merged[1].col_end)
+            merged.append((start, end))
+    if len(merged) > 1 and merged[0][1] - merged[0][0] + 1 < min_width:
+        merged[1] = (merged[0][0], merged[1][1])
         merged.pop(0)
     return merged
 
 
 def reference_classify_region(word, region, zones):
-    delta = round_half_up(0.1 * (zones.body_bottom - zones.body_top + 1))
-    ink_rows = [
-        r
-        for r in range(word.height)
-        if (word.bits[r, region.col_start : region.col_end + 1] == 0).any()
-    ]
+    """The code of the (start, end) columns of a word against the (top,
+    bottom) rows of its body band."""
+    (start, end), (top, bottom) = region, zones
+    delta = round_half_up(0.1 * (bottom - top + 1))
+    ink_rows = [r for r in range(word.height) if (word.bits[r, start : end + 1] == 0).any()]
     if not ink_rows:
         return "x"
-    if ink_rows[-1] > zones.body_bottom + delta:
+    if ink_rows[-1] > bottom + delta:
         return "g"
-    if ink_rows[0] < zones.body_top - delta:
+    if ink_rows[0] < top - delta:
         return "A"
     return "x"
 
 
 def reference_word_to_wst(page, band, box, zones):
-    """The shape coder's specification, one word and one region at a time."""
+    """The shape coder's specification, one word and one region at a time,
+    for a box on a (first, last) line band with (top, bottom) body rows."""
     if zones is None:
         zones = reference_estimate_zones(page, band)
     bits = page.bits[box.y1 : box.y2 + 1, box.x1 : box.x2 + 1]
     word = BinaryImage(box.width, box.height, bits)
-    local = ZoneBands(zones.body_top - box.y1, zones.body_bottom - box.y1)
-    regions = reference_char_region_segment(word, band.height)
+    local = (zones[0] - box.y1, zones[1] - box.y1)
+    regions = reference_char_region_segment(word, band[1] - band[0] + 1)
     return "".join(reference_classify_region(word, region, local) for region in regions)
 
 
@@ -512,19 +530,19 @@ def stroke_images(draw, max_height=30, max_width=60):
 @st.composite
 def random_zones(draw, height):
     top = draw(st.integers(-3, height + 2))
-    return ZoneBands(top, draw(st.integers(top, height + 3)))
+    return top, draw(st.integers(top, height + 3))
 
 
 @st.composite
 def pages_bands_boxes(draw):
     page = draw(random_images(max_height=30))
     row_start = draw(st.integers(0, page.height - 1))
-    band = LineBand(row_start, draw(st.integers(row_start, page.height - 1)))
-    y1 = draw(st.integers(band.row_start, band.row_end))
-    y2 = draw(st.integers(y1, band.row_end))
+    row_end = draw(st.integers(row_start, page.height - 1))
+    y1 = draw(st.integers(row_start, row_end))
+    y2 = draw(st.integers(y1, row_end))
     x1 = draw(st.integers(0, page.width - 1))
     x2 = draw(st.integers(x1, page.width - 1))
-    return page, band, WordBox(x1, y1, x2, y2)
+    return page, (row_start, row_end), WordBox(x1, y1, x2, y2)
 
 
 @st.composite
@@ -564,11 +582,12 @@ def counts_and_bands(draw):
 
 
 def zones_of_bands(row_counts, bands):
-    """ZoneBands of each (start, end) band, from one zones_from_bands pass."""
+    """The (top, bottom) body rows of each (start, end) band, from one
+    zones_from_bands pass."""
     starts = np.array([start for start, _ in bands], dtype=np.int64)
     ends = np.array([end for _, end in bands], dtype=np.int64)
     tops, bottoms = zones_from_bands(row_counts, starts, ends)
-    return list(map(ZoneBands, tops.tolist(), bottoms.tolist()))
+    return list(zip(tops.tolist(), bottoms.tolist()))
 
 
 def gray_version(img, maxval, rng):
@@ -595,7 +614,7 @@ def words_of_columns(*words, font=1):
     page = image_with_column_counts(counts, height)
     firsts = np.cumsum([0] + [len(word) for word in words]).tolist()
     boxes = [WordBox(a, 0, b - 1, height - 1) for a, b in zip(firsts, firsts[1:])]
-    return page, [(box, ZoneBands(0, height - 1), font) for box in boxes]
+    return page, [(box, (0, height - 1), font) for box in boxes]
 
 
 class TestReferenceEquivalence:
@@ -659,11 +678,11 @@ class TestReferenceEquivalence:
     def test_one_call_applies_the_merge_rules_within_each_word(self, first, second, font):
         page = image_with_column_counts(first + second, 9)
         words = [
-            (WordBox(0, 0, len(first) - 1, 8), ZoneBands(0, 8), font),
-            (WordBox(len(first), 0, len(first) + len(second) - 1, 8), ZoneBands(0, 8), font),
+            (WordBox(0, 0, len(first) - 1, 8), (0, 8), font),
+            (WordBox(len(first), 0, len(first) + len(second) - 1, 8), (0, 8), font),
         ]
         expected = [
-            reference_word_to_wst(page, LineBand(0, font - 1), box, zones)
+            reference_word_to_wst(page, (0, font - 1), box, zones)
             for box, zones, _ in words
         ]
         assert encode_words(page, words) == expected
@@ -683,7 +702,7 @@ class TestReferenceEquivalence:
     ):
         page, words = page_words
         per_word = [
-            outcome(reference_word_to_wst, page, LineBand(0, font - 1), box, zones)
+            outcome(reference_word_to_wst, page, (0, font - 1), box, zones)
             for box, zones, font in words
         ]
 
@@ -713,8 +732,8 @@ class TestReferenceEquivalence:
     @given(random_images(), st.data())
     def test_estimate_zones_matches_reference(self, img, data):
         row_start = data.draw(st.integers(0, img.height - 1))
-        band = LineBand(row_start, data.draw(st.integers(row_start, img.height - 1)))
-        assert outcome(estimate_zones, img, band) == outcome(reference_estimate_zones, img, band)
+        band = (row_start, data.draw(st.integers(row_start, img.height - 1)))
+        assert outcome(estimate_zones, img, *band) == outcome(reference_estimate_zones, img, band)
 
     @given(random_images() | stroke_images(), st.integers(1, 60))
     def test_char_region_segment_matches_column_loop(self, word, font_size):
@@ -725,7 +744,7 @@ class TestReferenceEquivalence:
     @given(random_images() | stroke_images(), st.data())
     def test_classify_region_matches_reference(self, word, data):
         col_start = data.draw(st.integers(0, word.width - 1))
-        region = Region(col_start, data.draw(st.integers(col_start, word.width - 1)))
+        region = (col_start, data.draw(st.integers(col_start, word.width - 1)))
         zones = data.draw(random_zones(word.height))
         assert classify_region(word, region, zones) == reference_classify_region(
             word, region, zones
@@ -756,8 +775,8 @@ class TestReferenceEquivalence:
         bits[100:200, 4] = 0
         page = BinaryImage(8, 300, bits)
         boxes = [WordBox(0, 0, 2, 299), WordBox(4, 100, 6, 199)]
-        zones = ZoneBands(100, 199)
-        expected = [reference_word_to_wst(page, LineBand(0, 9), box, zones) for box in boxes]
+        zones = (100, 199)
+        expected = [reference_word_to_wst(page, (0, 9), box, zones) for box in boxes]
         assert expected == ["gx", "xx"]
         assert encode_words(page, [(box, zones, 10) for box in boxes]) == expected
         # A count dtype taken from the first box would be uint8 here.
@@ -782,7 +801,7 @@ class TestReferenceEquivalence:
         boxes = [WordBox(x, 5, x + 2, 24) for x in (0, 4, 8)] * 2
         bodies = [(10, 19), (6, 15), (7, 16)] + [(10, 19), (13, 22), (14, 23)]
         expected = [
-            reference_word_to_wst(page, LineBand(0, 9), box, ZoneBands(*body))
+            reference_word_to_wst(page, (0, 9), box, body)
             for page, box, body in zip([first] * 3 + [second] * 3, boxes, bodies)
         ]
         assert expected == ["g", "x", "A", "g", "g", "x"]
