@@ -16,26 +16,32 @@ its matches. Size classes remain the unit of `wordspot index`'s counts
 
 Index file format (UTF-8, LF, space-separated fields), nested by position:
 
-    WSIDX 4
+    WSIDX 5
     K 60
     DOC <doc_id> <path> <width> <height>
-    L <row_start> <height> <body_offset> <body_height>
-    W <x1> <y_offset> <width> <height> [<wst>]
+    L <row_start> <height> <body_top> <body_bottom>
+    <x1> <top> <width> <bottom> [<wst>]
 
-DOC opens a page, L the page's next text line and W that line's next word;
-line and word numbers are these positions, from 0. Each nested extent is an
-offset from its parent plus a size: a body band starts body_offset rows
-below its line's row_start, and a box y_offset rows below it. `load_index`
-turns them into absolute page rows once, so a WordIndex, query output and
-`inspect` hold absolute coordinates only. K is REF_FONT: like the header,
-line 2 must be exactly `K 60`, so a word's normalized length comes from its
-box alone. wst, the cached shape token, is a string over {A, x, g}, present
-only once a query has computed it. doc_id and path (as file-system bytes)
-are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with a
-value of at most 2**31 - 1 and at least 1 for a page's size and every other
-size, or 0 for an offset and x1. A page's size must also be one a page file
-can have: at most MAX_SIDE per side and MAX_PIXELS in all, as
-`pnm.load_image` reads. Files of another version are refused; rebuild them.
+DOC opens a page, L the page's next text line and a word row, a line that
+starts with an ASCII digit, that line's next word; line and word numbers
+are these positions, from 0. A line gives its first row and its number of
+rows. Its body band and each of its words' boxes are insets into those
+rows: `body_top` and a box's `top` count rows down from row_start,
+`body_bottom` and a box's `bottom` count rows up from the line's last row.
+A box gives its first column and its width. `load_index` turns them into
+absolute page rows once, so a WordIndex, query output and `inspect` hold
+absolute coordinates only, and no box can lie outside its line's rows. K
+is REF_FONT: like the header, line 2 must be exactly `K 60`, so a word's
+normalized length comes from its box alone. wst, the cached shape token,
+is a string over {A, x, g}, present only once a query has computed it.
+doc_id and path (as file-system bytes) are percent-encoded. Numbers are
+decimal: 1 to 10 ASCII digits, with a value of at most 2**31 - 1 and at
+least 1 for a page's size, a line's height and a box's width, or 0 for
+row_start, x1 and an inset. Insets that leave a body or a box no rows are
+refused as WordIndex refuses them. A page's size must also be one a page
+file can have: at most MAX_SIDE per side and MAX_PIXELS in all, as
+`pnm.load_image` reads. Files of another version are refused; rebuild
+them.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ SIZE_BOUNDS = (80, 240, 320, 480)
 SIZE_CODES = ("VS", "S", "M", "L", "VL")
 
 FORMAT_MAGIC = "WSIDX"
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 _FONT_LINE = f"K {REF_FONT}"
 
 # The largest number an index file may hold; products such as the
@@ -406,13 +412,14 @@ def save_index(index: WordIndex) -> bytes:
     _, _, row_start, row_end, body_top, body_bottom = index.line_table.T
     x1, y1, x2, y2 = index.record_table[:, 3:].T
     lines = np.column_stack(
-        (row_start, row_end - row_start + 1, body_top - row_start, body_bottom - body_top + 1)
+        (row_start, row_end - row_start + 1, body_top - row_start, row_end - body_bottom)
     ).tolist()
-    lines = [f"L {y} {height} {body} {body_height}" for y, height, body, body_height in lines]
+    lines = [f"L {y} {height} {top} {bottom}" for y, height, top, bottom in lines]
+    word_line = index.record_lines
     words = np.column_stack(
-        (x1, y1 - row_start[index.record_lines], x2 - x1 + 1, y2 - y1 + 1)
+        (x1, y1 - row_start[word_line], x2 - x1 + 1, row_end[word_line] - y2)
     ).tolist()
-    words = [f"W {x} {y} {width} {height}" for x, y, width, height in words]
+    words = [f"{x} {top} {width} {bottom}" for x, top, width, bottom in words]
     if index.tokens.count(None) != len(words):
         words = [word if wst is None else f"{word} {wst}" for word, wst in zip(words, index.tokens)]
     # Records are in page order, so each line's words are one run of them.
@@ -436,19 +443,23 @@ def _number_error(field: str, value: int, what: str, lo: int) -> str:
     return f"{what} {value} outside {lo}..{_MAX_NUMBER}"
 
 
-# Line kinds by code, with the fields that follow the kind; any other kind
-# gets code 3. The least value of each number field: 1 for a size, 0 for an
-# offset and x1.
-_FIELDS = (
-    ("doc_id", "path", "doc width", "doc height"),
-    ("row_start", "height", "body_offset", "body_height"),
-    ("x1", "y_offset", "width", "height", "wst"),
+# Line kinds by code: DOC, L and word rows; any other line gets code 3.
+# Each kind's name in messages, the number fields it holds from field
+# _FIRST_NUMBER on (after a DOC line's tag, id and path, an L line's tag,
+# and from a word row's first field), and the least value of each: 1 for a
+# size, 0 for row_start, x1 and an inset.
+_KIND_NAMES = ("DOC", "L", "word")
+_NUMBERS = (
+    ("doc width", "doc height"),
+    ("row_start", "height", "body_top", "body_bottom"),
+    ("x1", "top", "width", "bottom"),
 )
-_LOWS = ((1, 1), (0, 1, 0, 1), (0, 0, 1, 1))
-# The least and the most fields of each kind, the kind's own included: a W
-# line's token is optional.
-_LEAST_FIELDS = np.array([5, 5, 5, 0])
-_MOST_FIELDS = np.array([5, 5, 6, 0])
+_FIRST_NUMBER = (3, 1, 0)
+_LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
+# The least and the most fields of each kind, a tag included: a word row's
+# token is optional.
+_LEAST_FIELDS = np.array([5, 5, 4, 0])
+_MOST_FIELDS = np.array([5, 5, 5, 0])
 # The bytes that end a field and end a line.
 _SPACE, _NEWLINE = b" \n"
 
@@ -460,20 +471,21 @@ def load_index(data: bytes) -> WordIndex:
     hold. After them, the lines are found by array passes over the bytes:
     the positions of every space and newline give each line's fields and
     their count, and a line's first bytes its kind. Each L line gets its
-    page's position and each W line its text line's position by cumulative
-    counts. Every number in the file is read by `util.ascii_decimals`,
-    eight bytes at a time, and the offsets and sizes of L and W lines
-    become absolute rows and columns once, as columns. Shape tokens are
-    read one by one only when the file holds some, and the ids and paths of
-    DOC lines, which are few, always.
+    page's position and each word row its text line's position by
+    cumulative counts. Every number in the file is read by
+    `util.ascii_decimals`, eight bytes at a time, and the sizes and insets
+    of L lines and word rows become absolute rows and columns once, as
+    columns. Shape tokens are read one by one only when the file holds
+    some, and the ids and paths of DOC lines, which are few, always.
 
     Every check of a single line runs over all lines at once, and the first
     bad line in file order is reported; only its fields are split to word
-    the message. The number rule's least values (1 for a size) leave no
-    empty band or box to check. Only then are the invariants across entries
-    (unique doc ids, bands inside their page, bodies inside their band,
-    boxes inside their page and line) checked, by WordIndex's validator, so
-    that a parse error is reported before an invariant error.
+    the message. The number rule's least values leave no empty band or box
+    column range to check, and its insets no box outside its line's rows.
+    Only then are the invariants across entries (unique doc ids, bands
+    inside their page, bodies and boxes that are not empty, boxes inside
+    their page's columns) checked, by WordIndex's validator, so that a
+    parse error is reported before an invariant error.
     """
     try:
         data.decode("utf-8")
@@ -497,22 +509,25 @@ def load_index(data: bytes) -> WordIndex:
             f"expected reference font line {_FONT_LINE!r}, got {font_line.decode()!r}", 2
         )
 
-    # `ends` holds the byte position of the space or newline after each
-    # field; `first` and `last` hold the places in `ends` of each line's
-    # first and last field, and `starts` each line's first byte.
+    # `seps` holds the byte position of the newline that ends the K line,
+    # then of the space or newline after each field, so that field k of a
+    # line whose first field is field j of the file lies between seps[j + k]
+    # and seps[j + k + 1]. `first` and `last` hold each line's first and
+    # last field in the file, and `starts` each line's first byte.
     buf = np.frombuffer(data, np.uint8)
     body = buf[font_end + 1 :]
-    ends = np.flatnonzero((body == _SPACE) | (body == _NEWLINE)) + (font_end + 1)
-    last = np.flatnonzero(buf[ends] == _NEWLINE)
+    seps = np.flatnonzero((body == _SPACE) | (body == _NEWLINE)) + (font_end + 1)
+    seps = np.append(font_end, seps)
+    last = np.flatnonzero(buf[seps[1:]] == _NEWLINE)
     counts = np.diff(last, prepend=-1)
     first = last - counts + 1
-    starts = np.append(font_end, ends[last])[:-1] + 1
+    starts = seps[first] + 1
     head = buf[starts]
-    head_length = ends[first] - starts
+    head_length = seps[first + 1] - starts
     kinds = np.full(len(last), 3)
     one, doc_like = head_length == 1, (head_length == 3) & (head == ord("D"))
     kinds[one & (head == ord("L"))] = 1
-    kinds[one & (head == ord("W"))] = 2
+    kinds[(head >= ord("0")) & (head <= ord("9"))] = 2
     doc_starts = starts[doc_like]
     kinds[doc_like] = np.where(
         (buf[doc_starts + 1] == ord("O")) & (buf[doc_starts + 2] == ord("C")), 0, 3
@@ -522,7 +537,7 @@ def load_index(data: bytes) -> WordIndex:
 
     def fields(i: int) -> list[str]:
         """Line i's fields, split only for DOC lines and error messages."""
-        return data[starts[i] : ends[last[i]]].decode().split(" ")
+        return data[starts[i] : seps[last[i] + 1]].decode().split(" ")
 
     # (row, check number, message) of each check's first bad row; the least
     # is reported. On one row, checks are tried in the order they are added.
@@ -543,31 +558,30 @@ def load_index(data: bytes) -> WordIndex:
     first_bad(kinds == 3, lambda i: f"unknown line kind {fields(i)[0]!r}")
     first_bad(
         (kinds != 3) & ~whole,
-        lambda i: f"{fields(i)[0]} line needs {needs(i)} fields, got {counts[i]}",
+        lambda i: f"{_KIND_NAMES[kinds[i]]} line needs {needs(i)} fields, got {counts[i]}",
     )
 
     # Position of each row's page and of its text line, from counts of the
-    # DOC and L lines so far; a W line's text line must be on its page.
+    # DOC and L lines so far; a word row's text line must be on its page.
     page = np.cumsum(is_doc) - 1
     line = np.cumsum(is_line) - 1
     lines_before_page = np.maximum.accumulate(np.where(is_doc, line + 1, 0))
     first_bad(is_line & (page < 0), lambda i: "L line before any DOC line")
     first_bad(
-        is_word & (line < lines_before_page), lambda i: "W line before its page's first L line"
+        is_word & (line < lines_before_page),
+        lambda i: "word line before its page's first L line",
     )
 
-    # Every number in the file is read in one pass: those of each whole
-    # DOC, L and W line, its last fields up to field 4. A field's bytes lie
-    # between the end of the field before it and its own. A number is 1..10
-    # ASCII digits with a value in lo.._MAX_NUMBER, where lo is its field's
-    # least value.
+    # Every number in the file is read in one pass: the _NUMBERS fields of
+    # each whole DOC line, L line and word row, from its field _FIRST_NUMBER
+    # on. A number is 1..10 ASCII digits with a value in lo.._MAX_NUMBER,
+    # where lo is its field's least value.
     doc_at, line_at, word_at = (np.flatnonzero(whole & (kinds == kind)) for kind in range(3))
-    groups = [
-        (doc_at, _FIELDS[0][2:], _LOWS[0]),
-        (line_at, _FIELDS[1], _LOWS[1]),
-        (word_at, _FIELDS[2][:4], _LOWS[2]),
+    groups = list(zip((doc_at, line_at, word_at), _NUMBERS, _LOWS))
+    bounds = [
+        seps[first[at, None] + np.arange(field, field + len(names) + 1)]
+        for (at, names, _), field in zip(groups, _FIRST_NUMBER)
     ]
-    bounds = [ends[first[at, None] + np.arange(4 - len(names), 5)] for at, names, _ in groups]
     group_sizes = [b[:, 1:].size for b in bounds]
     values = ascii_decimals(
         data,
@@ -595,13 +609,14 @@ def load_index(data: bytes) -> WordIndex:
 
             first_bad(bad.any(axis=1), message, at)
     sizes, line_numbers, word_numbers = tables
-    # A W line of six fields ends in its token.
+    # A word row of five fields ends in its token.
     has_token = counts[word_at] == _MOST_FIELDS[2]
     tokens = [None] * len(word_at)
     if has_token.any():
-        token_lines = last[word_at[has_token]]
+        token_fields = last[word_at[has_token]]
         for n, start, end in zip(np.flatnonzero(has_token).tolist(),
-                                 (ends[token_lines - 1] + 1).tolist(), ends[token_lines].tolist()):
+                                 (seps[token_fields] + 1).tolist(),
+                                 seps[token_fields + 1].tolist()):
             tokens[n] = data[start:end].decode()
         first_bad(_bad_tokens(tokens), lambda n: f"invalid shape token {tokens[n]!r}", word_at)
 
@@ -613,16 +628,17 @@ def load_index(data: bytes) -> WordIndex:
     for (_, doc_id, path, _, _), size in zip(map(fields, doc_at), sizes.tolist()):
         path = os.fsdecode(urllib.parse.unquote_to_bytes(path))
         docs.append(DocEntry(urllib.parse.unquote(doc_id), path, *size))
-    # Offsets and sizes become absolute rows and columns. Every L line is
-    # whole here, so a W line's text line position is its row in `line_at`.
-    row_start, height, body_offset, body_height = line_numbers.T
-    body_top = row_start + body_offset
-    lines = np.column_stack((page[line_at], row_start, row_start + height - 1,
-                             body_top, body_top + body_height - 1))
-    x1, y_offset, width, height = word_numbers.T
+    # Sizes and insets become absolute rows and columns. Every L line is
+    # whole here, so a word row's text line position is its row in
+    # `line_at`.
+    row_start, height, body_top, body_bottom = line_numbers.T
+    row_end = row_start + height - 1
+    lines = np.column_stack((page[line_at], row_start, row_end,
+                             row_start + body_top, row_end - body_bottom))
+    x1, top, width, bottom = word_numbers.T
     word_line = line[word_at]
-    y1 = row_start[word_line] + y_offset
-    words = np.column_stack((word_line, x1, y1, x1 + width - 1, y1 + height - 1))
+    words = np.column_stack((word_line, x1, row_start[word_line] + top, x1 + width - 1,
+                             row_end[word_line] - bottom))
     try:
         return WordIndex(docs, lines, words, tokens)
     except IndexInvariantError as exc:

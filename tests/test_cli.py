@@ -225,7 +225,7 @@ class TestQueryCommand:
 
     def test_garbage_index_exits_2(self, tmp_path):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 4\nK 60\njunk line\n")
+        bad.write_bytes(b"WSIDX 5\nK 60\njunk line\n")
         assert main(["query", str(bad), "help"]) == 2
 
     def test_missing_page_file_exits_3(self, corpus, capsys):
@@ -384,9 +384,10 @@ class TestQueryCommand:
         lines = index_path.read_text().splitlines()
         # Line 6 is the record of "help": DOC, L, then the line's words.
         # Move its box past the page's last column, keeping its width.
-        assert [line.split(" ")[0] for line in lines[2:6]] == ["DOC", "L", "W", "W"]
+        assert [line.split(" ")[0] for line in lines[2:4]] == ["DOC", "L"]
+        assert all(line[0].isdigit() for line in lines[4:6])
         fields = lines[5].split(" ")
-        fields[1] = str(layout.image.width - 5)
+        fields[0] = str(layout.image.width - 5)
         lines[5] = " ".join(fields)
         index_path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
@@ -644,11 +645,12 @@ class TestInspect:
         out = capsys.readouterr().out.splitlines()
         zones, tokens, index_zones = out[6:9], out[9:18], out[18:]
 
-        # An L line holds row_start, height, body_offset and body_height.
+        # An L line holds row_start, height and the body's insets from the
+        # line's first and last rows.
         index_lines = [[int(v) for v in line.split()[1:]]
                        for line in index_path.read_text().splitlines() if line.startswith("L ")]
-        assert [f"{y} {y + h - 1} {y + b} {y + b + bh - 1}"
-                for y, h, b, bh in index_lines] == zones
+        assert [f"{y} {y + h - 1} {y + top} {y + h - 1 - bottom}"
+                for y, h, top, bottom in index_lines] == zones
         assert index_zones == zones
         index = load_index(index_path.read_bytes())
         image = binarize(load_image(page.read_bytes()))
@@ -703,7 +705,7 @@ class TestBadInputNamesTheFile:
     )
     def test_bad_index_exits_2_naming_file_and_line(self, tmp_path, capsys, monkeypatch, argv):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 4\nK 60\nX what\n")
+        bad.write_bytes(b"WSIDX 5\nK 60\nX what\n")
         monkeypatch.setattr("sys.stdin", io.StringIO("help\n"))
         out = tmp_path / "out.pgm"
         assert main([arg.format(index=bad, out=out) for arg in argv]) == 2
@@ -714,21 +716,58 @@ class TestBadInputNamesTheFile:
     @pytest.mark.parametrize(
         "argv", [["query", "{index}", "help"], ["inspect", "{index}", "--what", "words"]]
     )
-    def test_version_3_index_exits_2_naming_line_1(self, tmp_path, capsys, argv):
-        # Version 3 wrote absolute rows and columns and `-` for no token;
-        # there is one reader, for version 4.
+    @pytest.mark.parametrize(
+        "data",
+        [
+            # Version 3 wrote absolute rows and columns and `-` for no token.
+            b"WSIDX 3\nK 60\nDOC a a.pgm 100 50\nL 0 20 5 15\nW 1 2 30 11 -\n",
+            # Version 4 tagged each word line `W` and gave a box's rows and
+            # a body band as an offset plus a height.
+            b"WSIDX 4\nK 60\nDOC a a.pgm 100 50\nL 0 21 5 11\nW 1 2 30 10\n",
+        ],
+        ids=["version 3", "version 4"],
+    )
+    def test_older_version_index_exits_2_naming_line_1(self, tmp_path, capsys, argv, data):
+        # There is one reader, for version 5.
         old = tmp_path / "old.wsidx"
-        old.write_bytes(b"WSIDX 3\nK 60\nDOC a a.pgm 100 50\nL 0 20 5 15\nW 1 2 30 11 -\n")
+        old.write_bytes(data)
         assert main([arg.format(index=old) for arg in argv]) == 2
         captured = capsys.readouterr()
+        got = data.split(b"\n")[0].decode()
         assert captured.err == (
-            f"wordspot: {old}: expected header 'WSIDX' version 4, got 'WSIDX 3' (line 1)\n"
+            f"wordspot: {old}: expected header 'WSIDX' version 5, got {got!r} (line 1)\n"
         )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["query", "{index}", "help"], ["inspect", "{index}", "--what", "zones"]]
+    )
+    @pytest.mark.parametrize(
+        "row,line_no,message",
+        [
+            # The line holds rows 0..20; insets that meet or cross leave
+            # its body or its box no rows.
+            ("L 0 21 11 10", 4, "line 0: body rows 11..10 outside its band"),
+            ("L 0 21 21 0", 4, "line 0: body rows 21..20 outside its band"),
+            ("1 12 30 9", 5, "record 0: degenerate box 1 12 30 11"),
+            ("1 0 30 21", 5, "record 0: degenerate box 1 0 30 -1"),
+        ],
+    )
+    def test_insets_that_empty_a_body_or_box_exit_2_naming_the_line(
+        self, tmp_path, capsys, argv, row, line_no, message
+    ):
+        lines = ["WSIDX 5", "K 60", "DOC a a.pgm 100 50", "L 0 21 5 5", "1 2 30 9"]
+        lines[line_no - 1] = row
+        bad = tmp_path / "bad.wsidx"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main([arg.format(index=bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"wordspot: {bad}: {message} (line {line_no})\n"
         assert captured.out == ""
 
     def test_index_that_breaks_an_invariant_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 4\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
+        bad.write_bytes(b"WSIDX 5\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
         assert main(["query", str(bad), "help"]) == 2
         assert capsys.readouterr().err == (
             f"wordspot: {bad}: duplicate doc_id 'a' (line 4)\n"

@@ -187,8 +187,8 @@ def own_rows(index):
 
 
 def small_index():
-    # Index file lines: 3 DOC doc1, 4 L, 5-6 W, 7 DOC doc2, 8 L (no words),
-    # 9 L, 10 W.
+    # Index file lines: 3 DOC doc1, 4 L, 5-6 word rows, 7 DOC doc2, 8 L (no
+    # words), 9 L, 10 a word row.
     lines = [line_row(0, 20, 79, 30, 60), line_row(1, 0, 10, 2, 8), line_row(1, 20, 80, 40, 60)]
     words = [word_row(0, w=50, h=25), word_row(0, w=300, h=60), word_row(2, w=555, h=61)]
     docs = [
@@ -200,7 +200,7 @@ def small_index():
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex([], [], [], [])) == b"WSIDX 4\nK 60\n"
+        assert save_index(WordIndex([], [], [], [])) == b"WSIDX 5\nK 60\n"
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
@@ -220,9 +220,10 @@ class TestPersistence:
                           [word_row(0, x=1, y=2, w=30, h=10)], [None])
         lines = save_index(index).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
-        # Rows 0..20 with the body 5..15, and a 30x10 box 2 rows below row 0.
-        assert lines[3] == "L 0 21 5 11"
-        assert lines[4] == "W 1 2 30 10"
+        # Rows 0..20 with the body 5..15, 5 rows in from either end, and a
+        # 30x10 box on rows 2..11, 2 rows below row 0 and 9 above row 20.
+        assert lines[3] == "L 0 21 5 5"
+        assert lines[4] == "1 2 30 9"
 
     def test_path_that_is_not_utf8_round_trips(self):
         path = os.fsdecode(b"pages/a\xff b.pgm")
@@ -243,16 +244,18 @@ class TestPersistence:
 # A row-by-row loader, kept as the specification of `load_index`: each row
 # is split in Python, checked in turn and turned into absolute rows at once,
 # and each number must be 1..10 ASCII digits with a value in its field's
-# range. `load_index` must give an equal index, or the same message and
-# line, on any bytes.
+# range. A row that starts with an ASCII digit is a word row. `load_index`
+# must give an equal index, or the same message and line, on any bytes.
 MAX_NUMBER = 2**31 - 1
+KIND_NAMES = ("DOC", "L", "word")
 NUMBER_FIELDS = (
     ("doc width", "doc height"),
-    ("row_start", "height", "body_offset", "body_height"),
-    ("x1", "y_offset", "width", "height"),
+    ("row_start", "height", "body_top", "body_bottom"),
+    ("x1", "top", "width", "bottom"),
 )
-LOWS = ((1, 1), (0, 1, 0, 1), (0, 0, 1, 1))
-FIELD_COUNTS = ((5,), (5,), (5, 6))
+FIRST_NUMBER = (3, 1, 0)
+LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
+FIELD_COUNTS = ((5,), (5,), (4, 5))
 
 
 def number_error(token, what, lo=0):
@@ -272,9 +275,9 @@ def reference_load_index(data: bytes) -> WordIndex:
     rows = text.split("\n")
     if rows and rows[-1] == "":
         rows.pop()
-    if not rows or rows[0] != "WSIDX 4":
+    if not rows or rows[0] != "WSIDX 5":
         got = rows[0] if rows else ""
-        raise IndexFormatError(f"expected header 'WSIDX' version 4, got {got!r}", 1)
+        raise IndexFormatError(f"expected header 'WSIDX' version 5, got {got!r}", 1)
     if len(rows) < 2 or rows[1] != "K 60":
         got = rows[1] if len(rows) >= 2 else ""
         raise IndexFormatError(f"expected reference font line 'K 60', got {got!r}", 2)
@@ -283,18 +286,19 @@ def reference_load_index(data: bytes) -> WordIndex:
     doc_lines, page_lines = [], 0  # file lines of DOC rows; L rows on this page
     for line_no, row in enumerate(rows[2:], start=3):
         fields = row.split(" ")
-        kind = {"DOC": 0, "L": 1, "W": 2}.get(fields[0])
+        kind = 2 if row[:1] in set("0123456789") else {"DOC": 0, "L": 1}.get(fields[0])
         if kind is None:
             raise IndexFormatError(f"unknown line kind {fields[0]!r}", line_no)
         if len(fields) not in FIELD_COUNTS[kind]:
             need = " or ".join(map(str, FIELD_COUNTS[kind]))
-            raise IndexFormatError(f"{fields[0]} line needs {need} fields, got {len(fields)}",
-                                   line_no)
+            raise IndexFormatError(
+                f"{KIND_NAMES[kind]} line needs {need} fields, got {len(fields)}", line_no
+            )
         if kind == 1 and not docs:
             raise IndexFormatError("L line before any DOC line", line_no)
         if kind == 2 and page_lines == 0:
-            raise IndexFormatError("W line before its page's first L line", line_no)
-        numbers = fields[5 - len(NUMBER_FIELDS[kind]) : 5]
+            raise IndexFormatError("word line before its page's first L line", line_no)
+        numbers = fields[FIRST_NUMBER[kind] : FIRST_NUMBER[kind] + len(NUMBER_FIELDS[kind])]
         for token, what, lo in zip(numbers, NUMBER_FIELDS[kind], LOWS[kind]):
             error = number_error(token, what, lo)
             if error is not None:
@@ -306,18 +310,19 @@ def reference_load_index(data: bytes) -> WordIndex:
             doc_lines.append(line_no)
             page_lines = 0
         elif kind == 1:
-            row_start, height, body_offset, body_height = numbers
-            body_top = row_start + body_offset
-            lines.append((len(docs) - 1, row_start, row_start + height - 1,
-                          body_top, body_top + body_height - 1, line_no))
+            row_start, height, body_top, body_bottom = numbers
+            row_end = row_start + height - 1
+            lines.append((len(docs) - 1, row_start, row_end,
+                          row_start + body_top, row_end - body_bottom, line_no))
             page_lines += 1
         else:
-            wst = fields[5] if len(fields) == 6 else None
+            wst = fields[4] if len(fields) == 5 else None
             if wst is not None and not (wst and set(wst) <= set("Axg")):
                 raise IndexFormatError(f"invalid shape token {wst!r}", line_no)
-            x1, y_offset, width, height = numbers
-            y1 = lines[-1][1] + y_offset
-            words.append((len(lines) - 1, x1, y1, x1 + width - 1, y1 + height - 1, line_no))
+            x1, top, width, bottom = numbers
+            _, row_start, row_end = lines[-1][:3]
+            words.append((len(lines) - 1, x1, row_start + top, x1 + width - 1,
+                          row_end - bottom, line_no))
             tokens.append(wst)
 
     try:
@@ -362,6 +367,7 @@ class TestLoadErrors:
         assert err.value.line == line_no
 
     def test_bad_version(self, lines):
+        self.assert_error_line(corrupt(lines, 1, "WSIDX 4"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 3"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 2"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 1"), 1)
@@ -373,7 +379,7 @@ class TestLoadErrors:
         self.assert_error_line(corrupt(lines, 2, "K zero"), 2)
 
     @pytest.mark.parametrize("font_line", ["K 30", "K 060", "K 0", "K 60 ", "K  60", "K 60\r",
-                                           "K", "", "W 1 2 3 4"])
+                                           "K", "", "1 2 3 4"])
     def test_font_line_other_than_k_60_refused(self, lines, font_line):
         # Every index file is written at REF_FONT, so line 2 has one spelling.
         assert assert_loads_as_reference(corrupt(lines, 2, font_line)) == (
@@ -384,7 +390,7 @@ class TestLoadErrors:
         self.assert_error_line(corrupt(lines, 5, "X what"), 5)
 
     def test_short_record_line(self, lines):
-        self.assert_error_line(corrupt(lines, 5, "W 1 2 3"), 5)
+        self.assert_error_line(corrupt(lines, 5, "1 2 3"), 5)
 
     def test_long_record_line(self, lines):
         self.assert_error_line(corrupt(lines, 6, lines[6 - 1] + " A"), 6)
@@ -411,36 +417,58 @@ class TestLoadErrors:
     def test_parse_error_reported_before_invariant_error(self, lines):
         # Line 5's box is moved outside its page; line 6 is short.
         fields = lines[5 - 1].split(" ")
-        fields[1], fields[3] = "600", "649"
+        fields[0], fields[2] = "600", "649"
         bad = corrupt(lines, 5, " ".join(fields)).decode().strip().split("\n")
-        self.assert_error_line(corrupt(bad, 6, "W 1 2 3"), 6)
+        self.assert_error_line(corrupt(bad, 6, "1 2 3"), 6)
 
     def test_record_box_outside_its_page(self, lines):
         # Line 5 is doc1's first record, 50 columns wide; doc1 is 640 pixels
         # wide.
         fields = lines[5 - 1].split(" ")
-        fields[1] = "600"
-        self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
-
-    def test_record_box_outside_its_line(self, lines):
-        # Line 5's box is 25 rows high; line 4's band is 60 rows high.
-        fields = lines[5 - 1].split(" ")
-        fields[2] = "36"
+        fields[0] = "600"
         self.assert_error_line(corrupt(lines, 5, " ".join(fields)), 5)
 
     @pytest.mark.parametrize(
-        "bad", ["L 20 461 10 31", "L 470 11 0 5", "L 20 60 50 11", "L 20 60 10 51"]
+        "row,box",
+        [
+            # Line 4's band is rows 20..79, and line 5's box rows 20..44.
+            ("10 25 50 35", "10 45 59 44"),
+            ("10 0 50 60", "10 20 59 19"),
+            ("10 60 50 0", "10 80 59 79"),
+            ("10 2147483647 50 0", "10 2147483667 59 79"),
+        ],
     )
-    def test_line_band_outside_its_page_or_body_outside_its_band(self, lines, bad):
-        # doc1 is 480 rows high; line 4's band is rows 20..79.
-        self.assert_error_line(corrupt(lines, 4, bad), 4)
+    def test_insets_that_empty_a_box_refused(self, lines, row, box):
+        # Insets keep a box inside its line's rows; insets that meet or
+        # cross leave it no rows, which the degenerate box check refuses.
+        assert assert_loads_as_reference(corrupt(lines, 5, row)) == (
+            f"record 0: degenerate box {box} (line 5)", 5
+        )
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ("L 20 461 10 19", "band 20..480 outside image rows 0..479"),
+            ("L 470 11 0 5", "band 470..480 outside image rows 0..479"),
+            ("L 20 60 50 10", "body rows 70..69 outside its band"),
+            ("L 20 60 10 50", "body rows 30..29 outside its band"),
+            ("L 20 60 60 0", "body rows 80..79 outside its band"),
+            ("L 20 60 0 60", "body rows 20..19 outside its band"),
+        ],
+    )
+    def test_line_band_outside_its_page_or_insets_that_empty_its_body(self, lines, bad, message):
+        # doc1 is 480 rows high; line 4's band is rows 20..79. Insets keep
+        # a body inside its band; insets that cross leave it no rows.
+        assert assert_loads_as_reference(corrupt(lines, 4, bad)) == (
+            f"line 0: {message} (line 4)", 4
+        )
 
     def test_non_utf8(self):
         with pytest.raises(IndexFormatError):
             load_index(b"\xff\xfe\x00")
 
     @pytest.mark.parametrize(
-        "bad", ["W 1 2 2147483648 30", "W 1 99999999999999999999 3 4", "W 1 -2 3 4"]
+        "bad", ["1 2 2147483648 30", "1 99999999999999999999 3 4", "1 -2 3 4"]
     )
     def test_number_out_of_range(self, lines, bad):
         self.assert_error_line(corrupt(lines, 5, bad), 5)
@@ -448,12 +476,12 @@ class TestLoadErrors:
     @pytest.mark.parametrize(
         "first,second",
         [
-            ("W 1 2 3 x", "W 1 2"),  # a malformed number before a short line
-            ("W 1 2", "W 1 2 3 x"),
-            ("W 20 0 0 30", "W 1 2 3 4 Q"),  # an empty box before a bad token
-            ("W 1 0 3 30 Q", "W 30 0 0 30"),
+            ("1 2 3 x", "1 2"),  # a malformed number before a short line
+            ("1 2", "1 2 3 x"),
+            ("20 0 0 30", "1 2 3 4 Q"),  # an empty box before a bad token
+            ("1 0 3 30 Q", "30 0 0 30"),
             ("L 30 0 0 40", "X"),  # an empty band before an unknown kind
-            ("L 20 60 10 31 9", "W 1 x 3 4"),
+            ("L 20 60 10 31 9", "1 x 3 4"),
         ],
     )
     def test_first_bad_line_in_file_order_whatever_its_fault(self, lines, first, second):
@@ -478,24 +506,31 @@ class TestArrayParseEdges:
         fields[field] = value
         return assert_loads_as_reference(corrupt(lines, line_no, " ".join(fields)))
 
-    @pytest.mark.parametrize("field,value", [(1, "010"), (4, "0025"), (3, "0000000050")])
+    @pytest.mark.parametrize("field,value", [(0, "010"), (3, "0035"), (2, "0000000050")])
     def test_leading_zeros_within_ten_digits_are_accepted(self, field, value):
-        # Line 5 is "W 10 0 50 25".
+        # Line 5 is "10 0 50 35".
         assert self.load_with(5, field, value) == small_index()
 
     @pytest.mark.parametrize(
         "line_no,field,value,message",
         [
-            # Line 5 is "W 10 0 50 25": spellings `int()` would take.
-            (5, 1, "+10", "malformed x1: '+10'"),
-            (5, 1, "\u0661\u0660", "malformed x1: '\u0661\u0660'"),
-            (5, 1, "1_0", "malformed x1: '1_0'"),
-            (5, 1, "00000000010", "malformed x1: '00000000010'"),
-            (5, 1, "-0", "malformed x1: '-0'"),
-            (5, 2, "0\r", "malformed y_offset: '0\\r'"),
-            (5, 2, "\t0", "malformed y_offset: '\\t0'"),
-            # Line 4 is "L 20 60 10 31" and line 3 doc1's DOC line.
-            (4, 4, "31\r", "malformed body_height: '31\\r'"),
+            # Line 5 is "10 0 50 35": spellings `int()` would take.
+            (5, 1, "+10", "malformed top: '+10'"),
+            (5, 1, "\u0661\u0660", "malformed top: '\u0661\u0660'"),
+            (5, 0, "1_0", "malformed x1: '1_0'"),
+            (5, 0, "00000000010", "malformed x1: '00000000010'"),
+            (5, 1, "-0", "malformed top: '-0'"),
+            (5, 1, "0\r", "malformed top: '0\\r'"),
+            (5, 3, "\t0", "malformed bottom: '\\t0'"),
+            (5, 3, "35\r", "malformed bottom: '35\\r'"),
+            # A word row is a line that starts with an ASCII digit, so these
+            # spellings of x1 make a line of no known kind.
+            (5, 0, "+10", "unknown line kind '+10'"),
+            (5, 0, "\u0661\u0660", "unknown line kind '\u0661\u0660'"),
+            (5, 0, "-0", "unknown line kind '-0'"),
+            (5, 0, "\t0", "unknown line kind '\\t0'"),
+            # Line 4 is "L 20 60 10 19" and line 3 doc1's DOC line.
+            (4, 4, "19\r", "malformed body_bottom: '19\\r'"),
             (3, 3, "\u0665", "malformed doc width: '\u0665'"),
             (3, 4, "480\r", "malformed doc height: '480\\r'"),
             (3, 4, "0", "doc height 0 outside 1..2147483647"),
@@ -522,38 +557,36 @@ class TestArrayParseEdges:
         ],
     )
     def test_numbers_at_the_range_edges(self, value, message):
-        assert self.load_with(5, 3, value) == (f"{message} (line 5)", 5)
+        assert self.load_with(5, 2, value) == (f"{message} (line 5)", 5)
 
-    @pytest.mark.parametrize(
-        "line_no,field,name", [(4, 2, "height"), (4, 4, "body_height"), (5, 3, "width"),
-                               (5, 4, "height")]
-    )
-    def test_empty_band_body_or_box_refused_by_the_number_rule(self, line_no, field, name):
-        # A size of 0 is the one way to write an empty extent.
+    @pytest.mark.parametrize("line_no,field,name", [(4, 2, "height"), (5, 2, "width")])
+    def test_empty_band_or_box_columns_refused_by_the_number_rule(self, line_no, field, name):
+        # A line's rows and a box's columns are sizes, which are at least 1.
         assert self.load_with(line_no, field, "0") == (
             f"{name} 0 outside 1..2147483647 (line {line_no})", line_no
         )
 
-    @pytest.mark.parametrize("line_no,field", [(4, 1), (4, 3), (5, 1), (5, 2)])
-    def test_offsets_and_x1_may_be_0(self, line_no, field):
-        # Line 4 becomes a band from row 0 or a body from its first row, and
-        # line 5 a box from column 0 or from its line's first row.
+    @pytest.mark.parametrize("line_no,field", [(4, 1), (4, 3), (4, 4), (5, 0), (5, 1), (5, 3)])
+    def test_row_start_x1_and_insets_may_be_0(self, line_no, field):
+        # Line 4 becomes a band from row 0 or a body from its first or to
+        # its last row, and line 5 a box from column 0, or from its line's
+        # first row or to its last.
         assert isinstance(self.load_with(line_no, field, "0"), WordIndex)
 
     def test_ten_digit_fields_within_a_wide_page(self):
         # No page is wider or taller than pnm.MAX_SIDE, so ten-digit fields
         # inside one start with zeros.
-        data = (b"WSIDX 4\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
-                b"L 0000000000 0000000100 0000000010 0000000080\n"
-                b"W 0000999998 0000000011 0000000002 0000000078\n")
+        data = (b"WSIDX 5\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
+                b"L 0000000000 0000000100 0000000010 0000000010\n"
+                b"0000999998 0000000011 0000000002 0000000011\n")
         index = assert_loads_as_reference(data)
         assert index.docs[0] == DocEntry("d", "d.pgm", 1_000_000, 100)
         assert index.line_table[0, 2:].tolist() == [0, 99, 10, 89]
         assert index.record_table[0, 3:].tolist() == [999998, 11, 999999, 88]
 
     def test_digits_in_encoded_doc_ids_and_paths_are_not_numbers(self):
-        data = (b"WSIDX 4\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
-                b"DOC 12345 0012 640 480\nL 20 60 10 31\nW 10 0 50 25\n")
+        data = (b"WSIDX 5\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
+                b"DOC 12345 0012 640 480\nL 20 60 10 19\n10 0 50 35\n")
         index = assert_loads_as_reference(data)
         assert index.docs == [DocEntry("page 01", "2024/p 01.pgm", 640, 480),
                               DocEntry("12345", "0012", 640, 480)]
@@ -564,11 +597,11 @@ class TestArrayParseEdges:
         data = save_index(small_index())
         assert assert_loads_as_reference(data[:-1]) == small_index()
 
-    @pytest.mark.parametrize("data", [b"WSIDX 4\nK 60\n", b"WSIDX 4\nK 60"])
+    @pytest.mark.parametrize("data", [b"WSIDX 5\nK 60\n", b"WSIDX 5\nK 60"])
     def test_header_only(self, data):
         assert assert_loads_as_reference(data) == WordIndex([], [], [], [])
 
-    @pytest.mark.parametrize("data", [b"WSIDX 4\n", b"WSIDX 4"])
+    @pytest.mark.parametrize("data", [b"WSIDX 5\n", b"WSIDX 5"])
     def test_no_font_line(self, data):
         assert assert_loads_as_reference(data) == (
             "expected reference font line 'K 60', got '' (line 2)", 2
@@ -583,7 +616,7 @@ class TestArrayParseEdges:
     @pytest.mark.parametrize("token", ["Ax\u20ac", "\u00e9", "\U0001f600A", "-\r"])
     def test_bad_token_with_multi_byte_text(self, token):
         # Line 6 is doc1's second word, which holds the token "AxxgA".
-        assert self.load_with(6, 5, token) == (f"invalid shape token {token!r} (line 6)", 6)
+        assert self.load_with(6, 4, token) == (f"invalid shape token {token!r} (line 6)", 6)
 
     @pytest.mark.parametrize("token", ["-", "", "-\r", "--", "-A", "\u2010"])
     def test_bad_token_in_a_file_without_tokens(self, token):
@@ -653,9 +686,9 @@ class TestLoadProperties:
         again = load_index(saved)
         assert again == index
         assert save_index(again) == saved
-        # A W line ends in a token exactly when its word's token is cached.
-        words = [line.split(" ") for line in saved.decode().split("\n") if line[:2] == "W "]
-        assert [len(fields) == 6 for fields in words] == [t is not None for t in index.tokens]
+        # A word row ends in a token exactly when its word's token is cached.
+        words = [line.split(" ") for line in saved.decode().split("\n") if line[:1].isdigit()]
+        assert [len(fields) == 5 for fields in words] == [t is not None for t in index.tokens]
 
     @given(word_indexes(), st.data())
     def test_truncated_extended_or_mutated_bytes_give_index_or_format_error(self, index, data):
@@ -707,10 +740,10 @@ class TestLoadProperties:
         min_size=8, max_size=8,
     ))
     def test_any_number_spelling_reads_as_reference(self, spellings):
-        # The four numbers of small_index's first L line and first W line.
+        # The four numbers of small_index's first L line and first word row.
         lines = save_index(small_index()).decode().strip().split("\n")
         lines[3] = " ".join(["L", *spellings[:4]])
-        lines[4] = " ".join(["W", *spellings[4:]])
+        lines[4] = " ".join(spellings[4:])
         assert_loads_as_reference(("\n".join(lines) + "\n").encode())
 
 
