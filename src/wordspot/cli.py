@@ -284,14 +284,15 @@ def _cmd_query(args) -> int:
         raise _UsageError("a query word (or --stdin) is required")
     if args.annotate and args.stdin:
         raise _UsageError("--annotate requires a one-shot query")
+    # Before stdin or the index is read, so that a bad threshold is a usage
+    # error whatever the batch holds and whether or not the index opens.
+    check_threshold(args.threshold)
     if args.stdin:
         texts = [line.strip() for line in sys.stdin if line.strip()]
     else:
         texts = [args.text]
     index = _read_index(args.index)
     loader = _PageLoader(index, Path(args.index).resolve().parent)
-    # Before the first query, so that a bad threshold fails an empty batch too.
-    check_threshold(args.threshold)
     out = sys.stdout
     for text in texts:
         results = search(index, loader, text, args.threshold)

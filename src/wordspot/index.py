@@ -2,8 +2,9 @@
 
 A line is one row of integers: its page, its rows and its x-height body
 band, against which queries encode its words. A record holds only where its
-word is (doc, line, word, box) and its cached shape token. The word's length
-is normalized from its box to the reference font size, REF_FONT
+word is (doc, line, word, box); its shape token is computed per process,
+when a query first needs it, and never stored. The word's length is
+normalized from its box to the reference font size, REF_FONT
 (`normalize_length`, applied to all records at once), so that one
 pixel-length scale applies across documents with varying handwriting sizes.
 WordIndex is built from positions alone (each line's page, each word's
@@ -20,7 +21,7 @@ Index file format (UTF-8, LF, space-separated fields), nested by position:
     K 60
     DOC <doc_id> <path> <width> <height>
     L <row_start> <height> <body_top> <body_bottom>
-    <x1> <top> <width> <bottom> [<wst>]
+    <x1> <top> <width> <bottom>
 
 DOC opens a page, L the page's next text line and a word row, a line that
 starts with an ASCII digit, that line's next word; line and word numbers
@@ -32,16 +33,15 @@ A box gives its first column and its width. `load_index` turns them into
 absolute page rows once, so a WordIndex, query output and `inspect` hold
 absolute coordinates only, and no box can lie outside its line's rows. K
 is REF_FONT: like the header, line 2 must be exactly `K 60`, so a word's
-normalized length comes from its box alone. wst, the cached shape token,
-is a string over {A, x, g}, present only once a query has computed it.
-doc_id and path (as file-system bytes) are percent-encoded. Numbers are
-decimal: 1 to 10 ASCII digits, with a value of at most 2**31 - 1 and at
-least 1 for a page's size, a line's height and a box's width, or 0 for
-row_start, x1 and an inset. Insets that leave a body or a box no rows are
-refused as WordIndex refuses them. A page's size must also be one a page
-file can have: at most MAX_SIDE per side and MAX_PIXELS in all, as
-`pnm.load_image` reads. Files of another version are refused; rebuild
-them.
+normalized length comes from its box alone. A word row has exactly these
+four fields: no file holds a shape token. doc_id and path (as file-system
+bytes) are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with
+a value of at most 2**31 - 1 and at least 1 for a page's size, a line's
+height and a box's width, or 0 for row_start, x1 and an inset. Insets
+that leave a body or a box no rows are refused as WordIndex refuses them. A
+page's size must also be one a page file can have: at most MAX_SIDE per
+side and MAX_PIXELS in all, as `pnm.load_image` reads. Files of another
+version are refused; rebuild them.
 """
 
 from __future__ import annotations
@@ -118,20 +118,6 @@ def _size_class_numbers(norm_lengths: int | np.ndarray) -> np.ndarray:
     """Size class number of each normalized length: how many of the
     lower-inclusive SIZE_BOUNDS it reaches."""
     return np.searchsorted(SIZE_BOUNDS, norm_lengths, side="right")
-
-
-_WST_ALPHABET = set("Axg")
-
-
-def _bad_tokens(tokens: Sequence[str | None]) -> np.ndarray:
-    """Whether each token is neither None nor a string over {A, x, g}."""
-    if tokens.count(None) == len(tokens):  # nothing cached, as a new index
-        return np.zeros(len(tokens), dtype=bool)
-    cached = [wst for wst in tokens if wst is not None]
-    if all(cached) and set("".join(cached)) <= _WST_ALPHABET:
-        return np.zeros(len(tokens), dtype=bool)
-    return np.array([wst is not None and not (wst and set(wst) <= _WST_ALPHABET)
-                     for wst in tokens])
 
 
 @dataclass
@@ -220,8 +206,7 @@ class WordIndex:
 
     An index comes from `build_index` or `load_index`. Its constructor takes
     positions, not numbers: `lines` has one int row per line with the
-    columns LINE_ROW, `words` one per word with the columns WORD_ROW, and
-    `tokens` each word's shape token, or None until a query computes it.
+    columns LINE_ROW and `words` one per word with the columns WORD_ROW.
     A line's page is a position in `docs` and a word's line a position in
     `lines`; neither may decrease, so lines and words come in page order.
 
@@ -233,7 +218,10 @@ class WordIndex:
     in record order), `sorted_lengths` the lengths in that order.
 
     A line is its row of `line_table` only. `records` is a read-only
-    sequence of WordRecord objects, built when they are read.
+    sequence of WordRecord objects, built when they are read. `tokens`
+    holds each word's shape token, None until a query computes it: a cache
+    of this process, which `save_index` does not write and `==` does not
+    compare.
     """
 
     def __init__(
@@ -241,15 +229,12 @@ class WordIndex:
         docs: list[DocEntry],
         lines: np.ndarray | Sequence[Sequence[int]],
         words: np.ndarray | Sequence[Sequence[int]],
-        tokens: Sequence[str | None],
     ):
         lines = _rows("lines", lines, LINE_ROW)
         words = _rows("words", words, WORD_ROW)
-        if len(tokens) != len(words):
-            raise ValueError(f"{len(tokens)} tokens for {len(words)} words")
         self.docs = list(docs)
-        self.tokens = list(tokens)
         self._validate(lines, words)
+        self.tokens: list[str | None] = [None] * len(words)
         page, line = lines[:, 0], words[:, 0]
         # Positions never decrease, so a page's (a line's) first position is
         # where its number 0 sits.
@@ -275,7 +260,7 @@ class WordIndex:
         lines and for words in turn, a position in range that does not
         decrease, and a band inside its page (a body inside its band) or a
         box that is not empty, inside its page's columns and its line's
-        rows, and a valid token.
+        rows.
 
         Raises IndexInvariantError for the first failing entry, which
         `load_index` maps back to its line."""
@@ -324,7 +309,6 @@ class WordIndex:
              lambda i: f"box x {x1[i]}..{x2[i]}, y {y1[i]}..{y2[i]} outside its page "
                        f"columns 0..{widths[page[i]] - 1} or its line rows "
                        f"{line_start[i]}..{line_end[i]}"),
-            (_bad_tokens(self.tokens), lambda i: f"invalid shape token {self.tokens[i]!r}"),
         ])
 
     def __eq__(self, other: object) -> bool:
@@ -334,7 +318,6 @@ class WordIndex:
             self.docs == other.docs
             and np.array_equal(self.line_table, other.line_table)
             and np.array_equal(self.record_table, other.record_table)
-            and self.tokens == other.tokens
         )
 
     __hash__ = None
@@ -398,8 +381,7 @@ def build_index(
         words.append(boxes)
         lines.append(np.column_stack((np.full_like(starts, page), starts, ends, tops, bottoms)))
         line_count += len(starts)
-    words = np.concatenate(words)
-    return WordIndex(docs, np.concatenate(lines), words, [None] * len(words))
+    return WordIndex(docs, np.concatenate(lines), np.concatenate(words))
 
 
 def _encode(text: str | bytes) -> str:
@@ -407,7 +389,8 @@ def _encode(text: str | bytes) -> str:
 
 
 def save_index(index: WordIndex) -> bytes:
-    """Serialize to the text index format; load_index inverts this exactly."""
+    """Serialize to the text index format; load_index inverts this exactly.
+    Shape tokens are not written."""
     out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", _FONT_LINE]
     _, _, row_start, row_end, body_top, body_bottom = index.line_table.T
     x1, y1, x2, y2 = index.record_table[:, 3:].T
@@ -420,8 +403,6 @@ def save_index(index: WordIndex) -> bytes:
         (x1, y1 - row_start[word_line], x2 - x1 + 1, row_end[word_line] - y2)
     ).tolist()
     words = [f"{x} {top} {width} {bottom}" for x, top, width, bottom in words]
-    if index.tokens.count(None) != len(words):
-        words = [word if wst is None else f"{word} {wst}" for word, wst in zip(words, index.tokens)]
     # Records are in page order, so each line's words are one run of them.
     word_starts = np.searchsorted(index.record_lines, np.arange(len(lines) + 1)).tolist()
     line_starts = np.searchsorted(index.line_table[:, 0], np.arange(len(index.docs) + 1))
@@ -456,10 +437,8 @@ _NUMBERS = (
 )
 _FIRST_NUMBER = (3, 1, 0)
 _LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
-# The least and the most fields of each kind, a tag included: a word row's
-# token is optional.
-_LEAST_FIELDS = np.array([5, 5, 4, 0])
-_MOST_FIELDS = np.array([5, 5, 5, 0])
+# The number of fields of each kind, a tag included.
+_FIELDS = np.array([5, 5, 4, 0])
 # The bytes that end a field and end a line.
 _SPACE, _NEWLINE = b" \n"
 
@@ -475,8 +454,8 @@ def load_index(data: bytes) -> WordIndex:
     cumulative counts. Every number in the file is read by
     `util.ascii_decimals`, eight bytes at a time, and the sizes and insets
     of L lines and word rows become absolute rows and columns once, as
-    columns. Shape tokens are read one by one only when the file holds
-    some, and the ids and paths of DOC lines, which are few, always.
+    columns. Only the ids and paths of DOC lines, which are few, are read
+    one by one.
 
     Every check of a single line runs over all lines at once, and the first
     bad line in file order is reported; only its fields are split to word
@@ -532,7 +511,7 @@ def load_index(data: bytes) -> WordIndex:
     kinds[doc_like] = np.where(
         (buf[doc_starts + 1] == ord("O")) & (buf[doc_starts + 2] == ord("C")), 0, 3
     )
-    whole = (counts >= _LEAST_FIELDS[kinds]) & (counts <= _MOST_FIELDS[kinds])
+    whole = counts == _FIELDS[kinds]
     is_doc, is_line, is_word = kinds == 0, kinds == 1, kinds == 2
 
     def fields(i: int) -> list[str]:
@@ -550,15 +529,11 @@ def load_index(data: bytes) -> WordIndex:
             n = int(mask.argmax())
             errors.append((n if at is None else int(at[n]), len(errors), message(n)))
 
-    def needs(i: int) -> str:
-        """How many fields line i's kind takes."""
-        least, most = _LEAST_FIELDS[kinds[i]], _MOST_FIELDS[kinds[i]]
-        return f"{least}" if least == most else f"{least} or {most}"
-
     first_bad(kinds == 3, lambda i: f"unknown line kind {fields(i)[0]!r}")
     first_bad(
         (kinds != 3) & ~whole,
-        lambda i: f"{_KIND_NAMES[kinds[i]]} line needs {needs(i)} fields, got {counts[i]}",
+        lambda i: f"{_KIND_NAMES[kinds[i]]} line needs {_FIELDS[kinds[i]]} fields, "
+                  f"got {counts[i]}",
     )
 
     # Position of each row's page and of its text line, from counts of the
@@ -609,16 +584,6 @@ def load_index(data: bytes) -> WordIndex:
 
             first_bad(bad.any(axis=1), message, at)
     sizes, line_numbers, word_numbers = tables
-    # A word row of five fields ends in its token.
-    has_token = counts[word_at] == _MOST_FIELDS[2]
-    tokens = [None] * len(word_at)
-    if has_token.any():
-        token_fields = last[word_at[has_token]]
-        for n, start, end in zip(np.flatnonzero(has_token).tolist(),
-                                 (seps[token_fields] + 1).tolist(),
-                                 seps[token_fields + 1].tolist()):
-            tokens[n] = data[start:end].decode()
-        first_bad(_bad_tokens(tokens), lambda n: f"invalid shape token {tokens[n]!r}", word_at)
 
     if errors:
         row, _, message = min(errors)
@@ -640,7 +605,7 @@ def load_index(data: bytes) -> WordIndex:
     words = np.column_stack((word_line, x1, row_start[word_line] + top, x1 + width - 1,
                              row_end[word_line] - bottom))
     try:
-        return WordIndex(docs, lines, words, tokens)
+        return WordIndex(docs, lines, words)
     except IndexInvariantError as exc:
         is_kind = {"doc": is_doc, "line": is_line, "record": is_word}[exc.kind]
         raise IndexFormatError(str(exc), int(np.flatnonzero(is_kind)[exc.position]) + 3) from None

@@ -6,7 +6,9 @@ CHAR_WIDTH pixels at `index.REF_FONT` (the size scale of every index, whose
 files all record `K 60`), of the query's expected length: two binary
 searches in the index's records sorted by that length.
 Survivors are compared by Levenshtein distance between the query's
-shape token and the word image's (computed lazily and cached in the index).
+shape token and the word image's, computed when a query first needs it and
+kept in the index's `tokens` for the rest of the process; no index file
+stores one.
 A token whose length differs from the query token's by more than the
 threshold is rejected without a DP: the edit distance is at least the
 length difference. The distinct tokens left are scored in one `distances`

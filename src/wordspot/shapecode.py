@@ -39,7 +39,7 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .pnm import BinaryImage, GrayImage, ink_raster
+from .pnm import MAX_SIDE, BinaryImage, GrayImage, ink_raster
 from .segment import column_profile
 from .util import count_dtype, mask_runs, round_half_up
 
@@ -348,9 +348,9 @@ def word_to_wst(
     all the columns, so a word's token does not depend on which other
     words share the call.
     Raises NoInkError, whose `position` is the first box without ink,
-    before the next page is taken, and ValueError for a box that is empty
-    or outside its page, an empty body band, or runs that do not cover the
-    boxes.
+    before the next page is taken, and ValueError for an empty body band, a
+    box that is empty or reaches outside 0..MAX_SIDE - 1 (before any array
+    is sized), a box outside its page, or runs that do not cover the boxes.
     """
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
     bodies = np.asarray(bodies, dtype=np.int64).reshape(-1, 2)
@@ -364,14 +364,21 @@ def word_to_wst(
         i = int((body_top > body_bottom).argmax())
         raise ValueError(f"empty body band {body_top[i]}..{body_bottom[i]}")
 
-    ascender_end, descender_start = _zone_limits(body_top, body_bottom)
     x1, y1, x2, y2 = boxes.T
+    # Before the boxes size any array: no page has a side above MAX_SIDE.
+    bad = (x1 > x2) | (y1 > y2) | (np.minimum(x1, y1) < 0) | (np.maximum(x2, y2) >= MAX_SIDE)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(
+            f"box {i}: {x1[i]} {y1[i]} {x2[i]} {y2[i]} empty or outside 0..{MAX_SIDE - 1}"
+        )
+
+    ascender_end, descender_start = _zone_limits(body_top, body_bottom)
     above_rows = np.maximum(ascender_end - y1, 0)
     below_from = np.maximum(descender_start - y1, 0)
     # The columns of all words laid end to end, counted in a dtype that
-    # holds the tallest box. An empty box gets no columns; `_page_columns`
-    # refuses it before writing any.
-    offsets = np.append(0, np.cumsum(np.maximum(x2 - x1 + 1, 0)))
+    # holds the tallest box.
+    offsets = np.append(0, np.cumsum(x2 - x1 + 1))
     width = int(offsets[-1])
     counts = np.empty(width, dtype=count_dtype(int((y2 - y1).max()) + 1))
     above = np.zeros(width, dtype=bool)

@@ -356,7 +356,6 @@ def synthetic_index(n_records: int = 1000) -> WordIndex:
     docs = [DocEntry(f"doc{d}", f"pages/doc{d}.pgm", 1200, 1600) for d in range(5)]
     lines = []
     words = []
-    tokens = []
     for i in range(n_records):
         page, rest = divmod(i, n_records // 5)
         line, word = divmod(rest, 10)
@@ -367,22 +366,15 @@ def synthetic_index(n_records: int = 1000) -> WordIndex:
         y1 = top + rng.randint(0, 10)
         w = rng.randint(5, 299)
         h = rng.randint(8, 64)
-        wst = None
-        if rng.random() < 0.5:
-            wst = "".join(rng.choice("Axg") for _ in range(rng.randint(1, 20)))
         words.append((len(lines) - 1, x1, y1, x1 + w - 1, y1 + h - 1))
-        tokens.append(wst)
-    return WordIndex(docs, lines, words, tokens)
+    return WordIndex(docs, lines, words)
 
 
 def test_persistence_round_trip():
     index = synthetic_index(1000)
     data = save_index(index)
     again = load_index(data)
-    ok_fields = (
-        again == index
-        and [r.wst for r in again.records] == [r.wst for r in index.records]
-    )
+    ok_fields = again == index
 
     lines = data.decode().split("\n")
     bad_line_no = 300

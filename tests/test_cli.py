@@ -474,6 +474,16 @@ class TestQueryCommand:
         captured = capsys.readouterr()
         assert "--gap-factor" in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("threshold", ["-1", "nan"])
+    def test_bad_threshold_exits_1_before_the_index_is_read(self, tmp_path, capsys, threshold):
+        # Checked with the other usage checks, so a missing index does not
+        # turn it into an I/O error.
+        missing = tmp_path / "missing.wsidx"
+        assert main(["query", str(missing), "foo", "--threshold", threshold]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"threshold must be >= 0, got {float(threshold)}" in captured.err
+
     def test_nan_threshold_exits_1(self, corpus, capsys):
         layout, page, index_path = corpus
         assert main(["query", str(index_path), "help", "--threshold", "nan"]) == 1
@@ -663,11 +673,13 @@ class TestInspect:
         assert main(["inspect", str(index_path), "--what", "words"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 6
 
-    def test_index_input_wst_shows_cache_state(self, corpus, capsys):
+    def test_index_input_wst_prints_a_dash_per_word(self, corpus, capsys):
         layout, page, index_path = corpus
+        assert main(["query", str(index_path), "help"]) == 0
+        capsys.readouterr()
         assert main(["inspect", str(index_path), "--what", "wst"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines == ["-"] * 6  # fresh index: nothing cached yet
+        assert lines == ["-"] * 6  # no index file holds a token, queried or not
 
     def test_index_and_inspect_build_no_record(self, corpus, capsys, monkeypatch):
         # Both print the index's tables and tokens as they are: only a
@@ -763,6 +775,18 @@ class TestBadInputNamesTheFile:
         assert main([arg.format(index=bad) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"wordspot: {bad}: {message} (line {line_no})\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["query", "{index}", "help"], ["inspect", "{index}", "--what", "wst"]]
+    )
+    def test_word_row_with_a_token_exits_2_naming_file_and_line(self, tmp_path, capsys, argv):
+        # No index file holds a shape token: a word row has four fields.
+        bad = tmp_path / "bad.wsidx"
+        bad.write_text("WSIDX 5\nK 60\nDOC a a.pgm 100 50\nL 0 21 5 5\n1 2 30 9 AxgA\n")
+        assert main([arg.format(index=bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"wordspot: {bad}: word line needs 4 fields, got 5 (line 5)\n"
         assert captured.out == ""
 
     def test_index_that_breaks_an_invariant_names_file_and_line(self, tmp_path, capsys):

@@ -164,8 +164,8 @@ class TestBuildIndex:
         assert all(ref() is None for ref in refs)
 
 
-def make_record(doc, line, word, *, x=10, y=20, w=50, h=25, wst=None):
-    return WordRecord(doc, line, word, WordBox(x, y, x + w - 1, y + h - 1), wst)
+def make_record(doc, line, word, *, x=10, y=20, w=50, h=25):
+    return WordRecord(doc, line, word, WordBox(x, y, x + w - 1, y + h - 1))
 
 
 def word_row(line, *, x=10, y=20, w=50, h=25):
@@ -195,18 +195,17 @@ def small_index():
         DocEntry("doc1", "pages/doc one.pgm", 640, 480),
         DocEntry("doc2", "d2.pbm", 640, 200),
     ]
-    return WordIndex(docs, lines, words, [None, "AxxgA", None])
+    return WordIndex(docs, lines, words)
 
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex([], [], [], [])) == b"WSIDX 5\nK 60\n"
+        assert save_index(WordIndex([], [], [])) == b"WSIDX 5\nK 60\n"
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
         again = load_index(save_index(index))
         assert again == index
-        assert again.records[1].wst == "AxxgA"
         assert again.docs[0].path == "pages/doc one.pgm"
         assert again.line_table[2].tolist() == [1, 1, 20, 80, 40, 60]
 
@@ -217,7 +216,7 @@ class TestPersistence:
 
     def test_known_record_line(self):
         index = WordIndex([DocEntry("d", "d.pgm", 100, 50)], [line_row(0, 0, 20, 5, 15)],
-                          [word_row(0, x=1, y=2, w=30, h=10)], [None])
+                          [word_row(0, x=1, y=2, w=30, h=10)])
         lines = save_index(index).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
         # Rows 0..20 with the body 5..15, 5 rows in from either end, and a
@@ -227,7 +226,7 @@ class TestPersistence:
 
     def test_path_that_is_not_utf8_round_trips(self):
         path = os.fsdecode(b"pages/a\xff b.pgm")
-        index = WordIndex([DocEntry("a", path, 10, 10)], [], [], [])
+        index = WordIndex([DocEntry("a", path, 10, 10)], [], [])
         data = save_index(index)
         assert b"DOC a pages/a%FF%20b.pgm 10 10" in data
         assert load_index(data).docs[0].path == path
@@ -255,7 +254,7 @@ NUMBER_FIELDS = (
 )
 FIRST_NUMBER = (3, 1, 0)
 LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
-FIELD_COUNTS = ((5,), (5,), (4, 5))
+FIELD_COUNTS = (5, 5, 4)
 
 
 def number_error(token, what, lo=0):
@@ -282,17 +281,17 @@ def reference_load_index(data: bytes) -> WordIndex:
         got = rows[1] if len(rows) >= 2 else ""
         raise IndexFormatError(f"expected reference font line 'K 60', got {got!r}", 2)
 
-    docs, lines, words, tokens = [], [], [], []
+    docs, lines, words = [], [], []
     doc_lines, page_lines = [], 0  # file lines of DOC rows; L rows on this page
     for line_no, row in enumerate(rows[2:], start=3):
         fields = row.split(" ")
         kind = 2 if row[:1] in set("0123456789") else {"DOC": 0, "L": 1}.get(fields[0])
         if kind is None:
             raise IndexFormatError(f"unknown line kind {fields[0]!r}", line_no)
-        if len(fields) not in FIELD_COUNTS[kind]:
-            need = " or ".join(map(str, FIELD_COUNTS[kind]))
+        if len(fields) != FIELD_COUNTS[kind]:
             raise IndexFormatError(
-                f"{KIND_NAMES[kind]} line needs {need} fields, got {len(fields)}", line_no
+                f"{KIND_NAMES[kind]} line needs {FIELD_COUNTS[kind]} fields, got {len(fields)}",
+                line_no,
             )
         if kind == 1 and not docs:
             raise IndexFormatError("L line before any DOC line", line_no)
@@ -316,18 +315,13 @@ def reference_load_index(data: bytes) -> WordIndex:
                           row_start + body_top, row_end - body_bottom, line_no))
             page_lines += 1
         else:
-            wst = fields[4] if len(fields) == 5 else None
-            if wst is not None and not (wst and set(wst) <= set("Axg")):
-                raise IndexFormatError(f"invalid shape token {wst!r}", line_no)
             x1, top, width, bottom = numbers
             _, row_start, row_end = lines[-1][:3]
             words.append((len(lines) - 1, x1, row_start + top, x1 + width - 1,
                           row_end - bottom, line_no))
-            tokens.append(wst)
 
     try:
-        return WordIndex(docs, [line[:5] for line in lines],
-                         [word[:5] for word in words], tokens)
+        return WordIndex(docs, [line[:5] for line in lines], [word[:5] for word in words])
     except IndexInvariantError as exc:
         entries = {"doc": doc_lines, "line": [line[5] for line in lines],
                    "record": [word[5] for word in words]}[exc.kind]
@@ -397,9 +391,6 @@ class TestLoadErrors:
 
     def test_short_L_line(self, lines):
         self.assert_error_line(corrupt(lines, 4, "L 20 60 10"), 4)
-
-    def test_bad_wst_token(self, lines):
-        self.assert_error_line(corrupt(lines, 5, lines[5 - 1] + " Q"), 5)
 
     def test_line_before_any_doc(self, lines):
         data = ("\n".join(lines[:2] + [lines[4 - 1]] + lines[2:]) + "\n").encode()
@@ -478,8 +469,8 @@ class TestLoadErrors:
         [
             ("1 2 3 x", "1 2"),  # a malformed number before a short line
             ("1 2", "1 2 3 x"),
-            ("20 0 0 30", "1 2 3 4 Q"),  # an empty box before a bad token
-            ("1 0 3 30 Q", "30 0 0 30"),
+            ("20 0 0 30", "1 2 3 4 A"),  # an empty box before a long row
+            ("1 0 3 30 A", "30 0 0 30"),
             ("L 30 0 0 40", "X"),  # an empty band before an unknown kind
             ("L 20 60 10 31 9", "1 x 3 4"),
         ],
@@ -493,8 +484,8 @@ class TestLoadErrors:
 
 class TestArrayParseEdges:
     """Fields at the edges of the format's number rule (1..10 ASCII digits
-    in range) and of its tokens; each case also agrees with the reference
-    loader."""
+    in range) and word rows of more fields; each case also agrees with the
+    reference loader."""
 
     def lines(self):
         # Line 3 opens doc1 (640 x 480), 4 is its first L line, 5 its first word.
@@ -599,7 +590,7 @@ class TestArrayParseEdges:
 
     @pytest.mark.parametrize("data", [b"WSIDX 5\nK 60\n", b"WSIDX 5\nK 60"])
     def test_header_only(self, data):
-        assert assert_loads_as_reference(data) == WordIndex([], [], [], [])
+        assert assert_loads_as_reference(data) == WordIndex([], [], [])
 
     @pytest.mark.parametrize("data", [b"WSIDX 5\n", b"WSIDX 5"])
     def test_no_font_line(self, data):
@@ -607,26 +598,18 @@ class TestArrayParseEdges:
             "expected reference font line 'K 60', got '' (line 2)", 2
         )
 
-    @pytest.mark.parametrize("tokens", [["g", "AxxgA", None], ["g", "A", "x"], [None, None, "A"]])
-    def test_index_that_holds_tokens(self, tokens):
-        index = small_index()
-        index.tokens[:] = tokens
-        assert assert_loads_as_reference(save_index(index)).tokens == tokens
-
-    @pytest.mark.parametrize("token", ["Ax\u20ac", "\u00e9", "\U0001f600A", "-\r"])
-    def test_bad_token_with_multi_byte_text(self, token):
-        # Line 6 is doc1's second word, which holds the token "AxxgA".
-        assert self.load_with(6, 4, token) == (f"invalid shape token {token!r} (line 6)", 6)
-
-    @pytest.mark.parametrize("token", ["-", "", "-\r", "--", "-A", "\u2010"])
-    def test_bad_token_in_a_file_without_tokens(self, token):
-        # `-`, which stood for no token in version 3, is no token either.
-        index = small_index()
-        index.tokens[:] = [None] * 3
-        lines = save_index(index).decode().strip().split("\n")
-        lines[4] = lines[4] + " " + token
-        data = ("\n".join(lines) + "\n").encode()
-        assert assert_loads_as_reference(data) == (f"invalid shape token {token!r} (line 5)", 5)
+    @pytest.mark.parametrize(
+        "field", ["AxxgA", "g", "Q", "Ax\u20ac", "\u00e9", "\U0001f600A", "-", "", "-\r"]
+    )
+    @pytest.mark.parametrize("line_no", [5, 6])
+    def test_word_row_with_a_fifth_field_refused(self, line_no, field):
+        # No file holds a shape token, whether it is one, is not, is
+        # multi-byte text or is version 3's `-` for none.
+        lines = self.lines()
+        lines[line_no - 1] += " " + field
+        assert assert_loads_as_reference(("\n".join(lines) + "\n").encode()) == (
+            f"word line needs 4 fields, got 5 (line {line_no})", line_no
+        )
 
 
 # Doc ids and paths mix plain characters with the ones the format must
@@ -647,21 +630,20 @@ def rows_within(draw, first, last):
     return start, draw(st.integers(start, last))
 
 
-# A cached shape token.
+# A shape token a query may compute.
 shape_tokens = st.text("Axg", min_size=1, max_size=12)
 
 
 @st.composite
-def word_indexes(draw, wst=st.none() | shape_tokens):
+def word_indexes(draw):
     """A valid WordIndex: unique doc ids; lines in page order with their
     band inside their page and their body inside the band; words in line
-    order with their box inside the page's columns and the line's rows;
-    each word's token drawn from `wst`."""
+    order with their box inside the page's columns and the line's rows."""
     docs = [
         DocEntry(doc_id, draw(paths), draw(st.integers(1, 300)), draw(st.integers(1, 300)))
         for doc_id in draw(st.lists(names, max_size=3, unique=True))
     ]
-    lines, words, cached = [], [], []
+    lines, words = [], []
     for page, doc in enumerate(docs):
         for _ in range(draw(st.integers(0, 3))):
             row_start, row_end = draw(rows_within(0, doc.height - 1))
@@ -670,25 +652,27 @@ def word_indexes(draw, wst=st.none() | shape_tokens):
                 x1, x2 = draw(rows_within(0, doc.width - 1))
                 y1, y2 = draw(rows_within(row_start, row_end))
                 words.append((len(lines), x1, y1, x2, y2))
-                cached.append(draw(wst))
             lines.append((page, row_start, row_end, body_top, body_bottom))
-    return WordIndex(docs, lines, words, cached)
+    return WordIndex(docs, lines, words)
 
 
 class TestLoadProperties:
-    @pytest.mark.parametrize("wst", [st.none(), shape_tokens, st.none() | shape_tokens],
-                             ids=["none", "all", "some"])
-    @given(data=st.data())
-    def test_save_load_save_round_trip(self, wst, data):
-        # Tokens cached for no word, every word or some.
-        index = data.draw(word_indexes(wst))
+    @given(word_indexes(), st.data())
+    def test_save_load_save_round_trip(self, index, data):
         saved = save_index(index)
+        # Tokens computed for no word, some or all leave the file as it is.
+        index.tokens[:] = data.draw(
+            st.lists(st.none() | shape_tokens, min_size=len(index.tokens),
+                     max_size=len(index.tokens))
+        )
+        assert save_index(index) == saved
         again = load_index(saved)
         assert again == index
         assert save_index(again) == saved
-        # A word row ends in a token exactly when its word's token is cached.
+        assert again.tokens == [None] * len(index.tokens)
+        # A word row holds its box's four numbers and nothing else.
         words = [line.split(" ") for line in saved.decode().split("\n") if line[:1].isdigit()]
-        assert [len(fields) == 5 for fields in words] == [t is not None for t in index.tokens]
+        assert [len(fields) for fields in words] == [4] * len(index.tokens)
 
     @given(word_indexes(), st.data())
     def test_truncated_extended_or_mutated_bytes_give_index_or_format_error(self, index, data):
@@ -702,8 +686,8 @@ class TestLoadProperties:
         if how == "field":
             # Replace one whole field of one line, often with a number in a
             # spelling the format refuses (a sign, `_`, other digits, white
-            # space, more than 10 digits), one at the edge of the range, or a
-            # token with multi-byte text.
+            # space, more than 10 digits), one at the edge of the range, or
+            # multi-byte text.
             lines = [line.split(" ") for line in original.decode().split("\n")]
             fields = data.draw(st.sampled_from(lines))
             fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(
@@ -753,7 +737,7 @@ def test_readme_format_example_loads_and_saves_back():
     index = load_index(example.encode())
     assert index.line_table.tolist() == [[0, 0, 172, 248, 190, 232]]
     assert index.records == [make_record("page1", 0, 0, x=210, y=180, w=321, h=61),
-                             make_record("page1", 0, 1, x=580, y=186, w=240, h=58, wst="AxgA")]
+                             make_record("page1", 0, 1, x=580, y=186, w=240, h=58)]
     assert save_index(index) == example.encode()
 
 
@@ -761,10 +745,6 @@ class TestDirectConstruction:
     # A 100x100 page with one line over all its rows.
     doc = DocEntry("d", "d.pgm", 100, 100)
     line = line_row(0, 0, 99)
-
-    def test_token_for_each_word_required(self):
-        with pytest.raises(ValueError, match="1 tokens for 2 words"):
-            WordIndex([self.doc], [self.line], [word_row(0), word_row(0)], [None])
 
     @pytest.mark.parametrize(
         "lines,words",
@@ -778,35 +758,30 @@ class TestDirectConstruction:
     )
     def test_rows_of_other_widths_rejected(self, lines, words):
         with pytest.raises(ValueError, match="need the columns"):
-            WordIndex([self.doc], lines, words, [None] * len(words))
-
-    @pytest.mark.parametrize("token", ["", "AxQ"])
-    def test_invalid_token_rejected(self, token):
-        with pytest.raises(IndexInvariantError, match="record 1: invalid shape token"):
-            WordIndex([self.doc], [self.line], [word_row(0), word_row(0)], ["Ax", token])
+            WordIndex([self.doc], lines, words)
 
     @pytest.mark.parametrize("x,y", [(51, 20), (10, 76), (-1, 20), (10, -1)])
     def test_box_outside_its_page_rejected(self, x, y):
         # word_row's box is 50 wide and 25 high; the page is 100x100.
         with pytest.raises(ValueError, match="outside its page"):
-            WordIndex([self.doc], [self.line], [word_row(0, x=x, y=y)], [None])
+            WordIndex([self.doc], [self.line], [word_row(0, x=x, y=y)])
 
     def test_box_touching_page_edges_accepted(self):
         WordIndex([self.doc], [self.line],
-                  [word_row(0, x=50, y=75), word_row(0, x=0, y=0)], [None, None])
+                  [word_row(0, x=50, y=75), word_row(0, x=0, y=0)])
 
     @pytest.mark.parametrize("box", [(30, 5, 20, 30), (10, 30, 40, 29)])
     def test_degenerate_box_rejected(self, box):
         words = [word_row(0), (0, *box)]
         with pytest.raises(IndexInvariantError) as err:
-            WordIndex([self.doc], [self.line], words, [None, None])
+            WordIndex([self.doc], [self.line], words)
         assert str(err.value) == "record 1: degenerate box {} {} {} {}".format(*box)
         assert (err.value.kind, err.value.position) == ("record", 1)
 
     def test_duplicate_doc_rejected(self):
         doc = DocEntry("d", "d.pgm", 10, 10)
         with pytest.raises(ValueError):
-            WordIndex([doc, doc], [], [], [])
+            WordIndex([doc, doc], [], [])
 
     @pytest.mark.parametrize("size", [0, -5, 1_000_001, 2**31])
     @pytest.mark.parametrize("side", ["width", "height"])
@@ -816,7 +791,7 @@ class TestDirectConstruction:
         width, height = (size, 100) if side == "width" else (100, size)
         docs = [self.doc, DocEntry("e", "e.pgm", width, height)]
         with pytest.raises(IndexInvariantError) as err:
-            WordIndex(docs, [], [], [])
+            WordIndex(docs, [], [])
         assert str(err.value) == (f"doc 1: page size {width}x{height} outside 1..1000000 "
                                   f"per side or above 100000000 pixels")
         assert (err.value.kind, err.value.position) == ("doc", 1)
@@ -824,14 +799,14 @@ class TestDirectConstruction:
     @pytest.mark.parametrize("width,height", [(10_001, 10_000), (1_000_000, 101)])
     def test_page_of_more_pixels_than_a_page_file_rejected(self, width, height):
         with pytest.raises(IndexInvariantError, match=f"page size {width}x{height} outside"):
-            WordIndex([DocEntry("e", "e.pgm", width, height)], [], [], [])
+            WordIndex([DocEntry("e", "e.pgm", width, height)], [], [])
 
     @pytest.mark.parametrize("width,height", [(1_000_000, 100), (100, 1_000_000),
                                               (10_000, 10_000)])
     def test_largest_page_size_saved_and_loaded(self, width, height):
         # Each side at most pnm.MAX_SIDE, and MAX_PIXELS pixels in all.
         doc = DocEntry("e", "e.pgm", width, height)
-        index = WordIndex([doc], [line_row(0, 0, 99)], [word_row(0)], [None])
+        index = WordIndex([doc], [line_row(0, 0, 99)], [word_row(0)])
         assert load_index(save_index(index)) == index
 
     @pytest.mark.parametrize(
@@ -849,7 +824,7 @@ class TestDirectConstruction:
     def test_page_or_line_out_of_range_rejected(self, lines, words, kind, position, match):
         docs = [self.doc, DocEntry("e", "e.pgm", 100, 100)]
         with pytest.raises(IndexInvariantError, match=match) as err:
-            WordIndex(docs, lines, words, [None] * len(words))
+            WordIndex(docs, lines, words)
         assert (err.value.kind, err.value.position) == (kind, position)
 
     @pytest.mark.parametrize(
@@ -866,7 +841,7 @@ class TestDirectConstruction:
     def test_page_or_line_that_decreases_rejected(self, lines, words, kind, position):
         docs = [self.doc, DocEntry("e", "e.pgm", 100, 100)]
         with pytest.raises(IndexInvariantError, match="out of page order") as err:
-            WordIndex(docs, lines, words, [None] * len(words))
+            WordIndex(docs, lines, words)
         assert (err.value.kind, err.value.position) == (kind, position)
 
     def test_empty_pages_and_lines_and_repeated_positions_accepted(self):
@@ -875,7 +850,7 @@ class TestDirectConstruction:
         docs = [DocEntry("c", "c.pgm", 100, 100), self.doc, DocEntry("e", "e.pgm", 100, 100)]
         lines = [line_row(1, 0, 9), line_row(1, 10, 49), line_row(1, 50, 99), line_row(2, 0, 99)]
         words = [word_row(2, y=50), word_row(2, y=60), word_row(3)]
-        index = WordIndex(docs, lines, words, [None] * 3)
+        index = WordIndex(docs, lines, words)
         assert index.record_lines.tolist() == [2, 2, 3]
         assert index.line_table[:, :2].tolist() == [[1, 0], [1, 1], [1, 2], [2, 0]]
         assert index.record_table[:, :3].tolist() == [[1, 2, 0], [1, 2, 1], [2, 0, 0]]
@@ -890,14 +865,14 @@ class TestDirectConstruction:
     )
     def test_band_outside_its_page_or_body_outside_its_band_rejected(self, line, match):
         with pytest.raises(IndexInvariantError, match=match) as err:
-            WordIndex([self.doc], [line], [], [])
+            WordIndex([self.doc], [line], [])
         assert (err.value.kind, err.value.position) == ("line", 0)
 
     @pytest.mark.parametrize("y", [9, 41])
     def test_box_outside_its_line_rejected(self, y):
         # The box is 25 rows high; the line holds rows 10..64.
         with pytest.raises(IndexInvariantError, match="its line rows 10..64"):
-            WordIndex([self.doc], [line_row(0, 10, 64)], [word_row(0, y=y)], [None])
+            WordIndex([self.doc], [line_row(0, 10, 64)], [word_row(0, y=y)])
 
 
 class TestColumns:
@@ -911,11 +886,11 @@ class TestColumns:
         assert index.line_table.tolist() == [
             [0, 0, 20, 79, 30, 60], [1, 0, 0, 10, 2, 8], [1, 1, 20, 80, 40, 60],
         ]
-        assert index.tokens == [None, "AxxgA", None]
+        assert index.tokens == [None] * 3
         assert index.record_lines.tolist() == [0, 0, 2]
         assert index.norm_lengths.tolist() == [120, 300, 546]
         assert index.sorted_lengths.tolist() == [120, 300, 546]
-        assert index.records[1] == make_record("doc1", 0, 1, w=300, h=60, wst="AxxgA")
+        assert index.records[1] == make_record("doc1", 0, 1, w=300, h=60)
         assert index.records[-1] == index.records[2] == make_record("doc2", 1, 0, w=555, h=61)
         with pytest.raises(IndexError):
             index.records[3]
@@ -931,7 +906,7 @@ class TestColumns:
     def test_length_order_breaks_ties_by_record_order(self):
         doc = DocEntry("d", "d.pgm", 900, 100)
         words = [word_row(0, x=0, y=0, w=w, h=60) for w in [60, 30, 60, 10, 30]]
-        index = WordIndex([doc], [line_row(0, 0, 99)], words, [None] * 5)
+        index = WordIndex([doc], [line_row(0, 0, 99)], words)
         assert index.length_order.tolist() == [3, 1, 4, 0, 2]
 
     def test_record_count_builds_no_record(self, monkeypatch):
@@ -943,23 +918,17 @@ class TestColumns:
         monkeypatch.setattr(index, "record", refuse)
         assert len(index.records) == 3
 
-    def test_tokens_written_show_in_records_and_saved_file(self):
-        index = small_index()
-        index.tokens[0] = "xA"
-        assert index.records[0].wst == "xA"
-        assert load_index(save_index(index)).tokens == ["xA", "AxxgA", None]
-
     def test_built_loaded_and_rebuilt_indexes_agree(self):
         built = build_index([("a", blob_page()), ("b", blob_page(x=10))])
         lines, words = own_rows(built)
-        again = WordIndex(built.docs, lines, words, built.tokens)
+        again = WordIndex(built.docs, lines, words)
         lines[:], words[:] = 0, 0  # the index holds copies
         assert again == built == load_index(save_index(built))
         assert again.record_lines.tolist() == built.record_lines.tolist() == [0, 1]
 
     @given(word_indexes())
     def test_rebuilt_from_its_own_rows(self, index):
-        again = WordIndex(index.docs, *own_rows(index), index.tokens)
+        again = WordIndex(index.docs, *own_rows(index))
         assert again == index
         assert again.record_lines.tolist() == index.record_lines.tolist()
 

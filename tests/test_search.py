@@ -16,6 +16,8 @@ from wordspot.index import (
     WordIndex,
     WordRecord,
     build_index,
+    load_index,
+    save_index,
 )
 from wordspot.pnm import BinaryImage, GrayImage, binarize, ink_cut
 from wordspot.search import (
@@ -138,10 +140,13 @@ class TestDistances:
 
 def index_with_norms(norms, tokens=None):
     """An 800x600 page "d" with one line of 60 rows, holding a word of each
-    normalized length: a box 60 rows high is as wide as its length."""
+    normalized length: a box 60 rows high is as wide as its length. `tokens`,
+    if given, are the words' tokens, as a query would have computed them."""
     words = [(0, 0, 0, norm - 1, 59) for norm in norms]
-    tokens = [None] * len(norms) if tokens is None else tokens
-    return WordIndex([DocEntry("d", "d", 800, 600)], [(0, 0, 59, 0, 59)], words, tokens)
+    index = WordIndex([DocEntry("d", "d", 800, 600)], [(0, 0, 59, 0, 59)], words)
+    if tokens is not None:
+        index.tokens[:] = tokens
+    return index
 
 
 class TestSizePrefilter:
@@ -343,7 +348,7 @@ class TestBuildLines:
         lines = np.column_stack((np.zeros_like(starts), starts, ends, tops, bottoms))
         words = segment_words(page, starts, ends)
         doc = DocEntry("page", "page", page.width, page.height)
-        index = WordIndex([doc], lines, words, [None] * len(words))
+        index = WordIndex([doc], lines, words)
         assert len(segment_lines(counts, default_noise_threshold(page.width))[0]) == 3
         assert len(build_bands) == 2
         assert index.line_table[:, 2:].tolist() == [
@@ -367,7 +372,7 @@ class TestBuildLines:
         # Page, rows and rows again as the body band, of each line.
         lines = built.line_table[:, [0, 2, 3, 2, 3]]
         words = np.column_stack((built.record_lines, built.record_table[:, 3:]))
-        index = WordIndex(built.docs, lines, words, built.tokens)
+        index = WordIndex(built.docs, lines, words)
         for n in range(1, 12):
             search(index, lambda doc: layout.image, "x" * n, threshold=0)
         assert [set(rec.wst) for rec in index.records] == [{"x"}] * 6
@@ -420,6 +425,17 @@ class TestGrayPages:
         )
         assert from_gray == from_binary
         assert None not in from_gray[1]
+
+    def test_tokens_a_search_filled_are_not_saved(self):
+        # Tokens live in the process that computed them: the file an index
+        # saves to is the same before and after a search fills them.
+        index, images = two_page_index()
+        before = save_index(index)
+        search(index, images.__getitem__, "help")
+        assert any(index.tokens) and None in index.tokens
+        assert save_index(index) == before
+        again = load_index(before)
+        assert again == index and again.tokens == [None] * len(index.tokens)
 
     def test_match_records_are_word_records_with_their_tokens(self):
         index, images = two_page_index()

@@ -395,6 +395,26 @@ class TestWordToWst:
         with pytest.raises(ValueError):
             word_to_wst([(img, 1)], [box], [body], [10])
 
+    @pytest.mark.parametrize(
+        "box",
+        [(0, 0, 10**12, 5), (-(10**12), 0, 5, 5), (0, 0, 5, 10**12), (0, 0, 1_000_000, 5),
+         (0, -1, 5, 5), (6, 0, 5, 5), (0, 6, 5, 5)],
+    )
+    def test_box_no_page_can_hold_refused_before_arrays_are_sized(self, box):
+        # No page has a side above pnm.MAX_SIDE (1000000), so a box that is
+        # empty or reaches outside 0..999999 is refused before its width
+        # sizes the column arrays, and before any page is taken.
+        taken = []
+
+        def pages():
+            taken.append(True)
+            yield BinaryImage(20, 10, np.zeros((10, 20), dtype=np.uint8)), 2
+
+        with pytest.raises(ValueError) as err:
+            word_to_wst(pages(), [(0, 0, 5, 5), box], [(0, 5)] * 2, [6] * 2)
+        assert str(err.value) == "box 1: {} {} {} {} empty or outside 0..999999".format(*box)
+        assert taken == []
+
 
 # Plain per-column and per-region reference of the shape coder: the valley
 # cut, merge and zone-reach rules written one column, row or region at a time,
