@@ -17,31 +17,38 @@ its matches. Size classes remain the unit of `wordspot index`'s counts
 
 Index file format (UTF-8, LF, space-separated fields), nested by position:
 
-    WSIDX 5
+    WSIDX 6
     K 60
     DOC <doc_id> <path> <width> <height>
-    L <row_start> <height> <body_top> <body_bottom>
-    <x1> <top> <width> <bottom>
+    L <gap> <height> <body_top> <body_bottom>
+    <gap> <top> <width> <bottom>
 
 DOC opens a page, L the page's next text line and a word row, a line that
 starts with an ASCII digit, that line's next word; line and word numbers
-are these positions, from 0. A line gives its first row and its number of
-rows. Its body band and each of its words' boxes are insets into those
-rows: `body_top` and a box's `top` count rows down from row_start,
-`body_bottom` and a box's `bottom` count rows up from the line's last row.
-A box gives its first column and its width. `load_index` turns them into
-absolute page rows once, so a WordIndex, query output and `inspect` hold
-absolute coordinates only, and no box can lie outside its line's rows. K
-is REF_FONT: like the header, line 2 must be exactly `K 60`, so a word's
-normalized length comes from its box alone. A word row has exactly these
-four fields: no file holds a shape token. doc_id and path (as file-system
-bytes) are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with
-a value of at most 2**31 - 1 and at least 1 for a page's size, a line's
-height and a box's width, or 0 for row_start, x1 and an inset. Insets
-that leave a body or a box no rows are refused as WordIndex refuses them. A
-page's size must also be one a page file can have: at most MAX_SIDE per
-side and MAX_PIXELS in all, as `pnm.load_image` reads. Files of another
-version are refused; rebuild them.
+are these positions, from 0. Within a page, lines run top to bottom without
+sharing a row, and within a line, words run left to right without sharing a
+column. So a line gives its first row as the gap after the page's previous
+line (the rows between that line's last row and its own first, or its
+first row for a page's first line), then its number of rows, and a box
+gives its first column as the gap after its line's previous word's last
+column (or its first column for a line's first word), then its width. A
+line's body band and each of its words' boxes are insets into the line's
+rows: `body_top` and a box's `top` count rows down from its first row,
+`body_bottom` and a box's `bottom` count rows up from its last row.
+`load_index` turns gaps, sizes and insets into absolute page rows and
+columns once, so a WordIndex, query output and `inspect` hold absolute
+coordinates only, and no box can lie outside its line's rows, nor any two
+lines or words overlap. K is REF_FONT: like the header, line 2 must be
+exactly `K 60`, so a word's normalized length comes from its box alone. A
+word row has exactly these four fields: no file holds a shape token. doc_id
+and path (as file-system bytes) are percent-encoded. Numbers are decimal: 1
+to 10 ASCII digits, with a value of at most 2**31 - 1 and at least 1 for a
+page's size, a line's height and a box's width, or 0 for a gap and an
+inset. Insets that leave a body or a box no rows are refused as WordIndex
+refuses them, and so are gaps that take a line past its page's rows or a
+box past its page's columns. A page's size must also be one a page file can
+have: at most MAX_SIDE per side and MAX_PIXELS in all, as `pnm.load_image`
+reads. Files of another version are refused; rebuild them.
 """
 
 from __future__ import annotations
@@ -74,7 +81,7 @@ SIZE_BOUNDS = (80, 240, 320, 480)
 SIZE_CODES = ("VS", "S", "M", "L", "VL")
 
 FORMAT_MAGIC = "WSIDX"
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 _FONT_LINE = f"K {REF_FONT}"
 
 # The largest number an index file may hold; products such as the
@@ -182,6 +189,16 @@ def _first_violation(kind: str, checks) -> None:
         raise IndexInvariantError(f"{kind} {position}: {message(position)}", kind, position)
 
 
+def _gaps(groups: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
+    """The gap before each run firsts[i]..lasts[i]: its first position less
+    the one after the last of the run before it in the same group (page or
+    line), or its first position for the first run of its group. A run
+    that shares a position with the run before it has a negative gap."""
+    gaps = firsts.copy()
+    gaps[1:] -= np.where(groups[1:] == groups[:-1], lasts[:-1] + 1, 0)
+    return gaps
+
+
 # Columns of the rows WordIndex takes and of the tables it derives from
 # them. "page" and "doc" are positions in `docs` and a row's "line" is a
 # position in `lines`; a table's "line" and "word" count from 0 within the
@@ -209,6 +226,9 @@ class WordIndex:
     columns LINE_ROW and `words` one per word with the columns WORD_ROW.
     A line's page is a position in `docs` and a word's line a position in
     `lines`; neither may decrease, so lines and words come in page order.
+    Within a page, lines run top to bottom without sharing a row, and
+    within a line, words run left to right without sharing a column, as
+    the index file format needs.
 
     From these it derives `line_table`, one int64 row per line, and
     `record_table`, one per word record, with the columns LINE_COLUMNS and
@@ -258,9 +278,11 @@ class WordIndex:
         """Checks every invariant across entries, once, as array checks:
         unique doc ids and page sizes a page file can have, then for
         lines and for words in turn, a position in range that does not
-        decrease, and a band inside its page (a body inside its band) or a
-        box that is not empty, inside its page's columns and its line's
-        rows.
+        decrease, and a band inside its page (a body inside its band) and
+        below its page's previous line, or a box that is not empty, inside
+        its page's columns and its line's rows, and right of its line's
+        previous word: no two lines of a page share a row, and no two
+        words of a line a column.
 
         Raises IndexInvariantError for the first failing entry, which
         `load_index` maps back to its line."""
@@ -293,6 +315,9 @@ class WordIndex:
                        f"0..{heights[page[i]] - 1}"),
             ((body_top < row_start) | (body_top > body_bottom) | (body_bottom > row_end),
              lambda i: f"body rows {body_top[i]}..{body_bottom[i]} outside its band"),
+            (_gaps(page, row_start, row_end) < 0,
+             lambda i: f"band {row_start[i]}..{row_end[i]} not below its page's previous "
+                       f"line, rows {row_start[i - 1]}..{row_end[i - 1]}"),
         ])
 
         line, x1, y1, x2, y2 = words.T
@@ -309,6 +334,9 @@ class WordIndex:
              lambda i: f"box x {x1[i]}..{x2[i]}, y {y1[i]}..{y2[i]} outside its page "
                        f"columns 0..{widths[page[i]] - 1} or its line rows "
                        f"{line_start[i]}..{line_end[i]}"),
+            (_gaps(line, x1, x2) < 0,
+             lambda i: f"box x {x1[i]}..{x2[i]} not right of its line's previous word, "
+                       f"x {x1[i - 1]}..{x2[i - 1]}"),
         ])
 
     def __eq__(self, other: object) -> bool:
@@ -390,22 +418,26 @@ def _encode(text: str | bytes) -> str:
 
 def save_index(index: WordIndex) -> bytes:
     """Serialize to the text index format; load_index inverts this exactly.
-    Shape tokens are not written."""
+    A line's first row and a box's first column are written as gaps after
+    the page's previous line and the line's previous word, each table's in
+    one array pass. Shape tokens are not written."""
     out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", _FONT_LINE]
-    _, _, row_start, row_end, body_top, body_bottom = index.line_table.T
+    page, _, row_start, row_end, body_top, body_bottom = index.line_table.T
     x1, y1, x2, y2 = index.record_table[:, 3:].T
-    lines = np.column_stack(
-        (row_start, row_end - row_start + 1, body_top - row_start, row_end - body_bottom)
-    ).tolist()
-    lines = [f"L {y} {height} {top} {bottom}" for y, height, top, bottom in lines]
+    lines = np.column_stack((
+        _gaps(page, row_start, row_end), row_end - row_start + 1,
+        body_top - row_start, row_end - body_bottom,
+    )).tolist()
+    lines = [f"L {gap} {height} {top} {bottom}" for gap, height, top, bottom in lines]
     word_line = index.record_lines
-    words = np.column_stack(
-        (x1, y1 - row_start[word_line], x2 - x1 + 1, row_end[word_line] - y2)
-    ).tolist()
-    words = [f"{x} {top} {width} {bottom}" for x, top, width, bottom in words]
+    words = np.column_stack((
+        _gaps(word_line, x1, x2), y1 - row_start[word_line], x2 - x1 + 1,
+        row_end[word_line] - y2,
+    )).tolist()
+    words = [f"{gap} {top} {width} {bottom}" for gap, top, width, bottom in words]
     # Records are in page order, so each line's words are one run of them.
-    word_starts = np.searchsorted(index.record_lines, np.arange(len(lines) + 1)).tolist()
-    line_starts = np.searchsorted(index.line_table[:, 0], np.arange(len(index.docs) + 1))
+    word_starts = np.searchsorted(word_line, np.arange(len(lines) + 1)).tolist()
+    line_starts = np.searchsorted(page, np.arange(len(index.docs) + 1))
     for rank, doc in enumerate(index.docs):
         # File-system bytes, so that a name that is not UTF-8 reloads the file.
         path = _encode(os.fsencode(doc.path))
@@ -428,12 +460,12 @@ def _number_error(field: str, value: int, what: str, lo: int) -> str:
 # Each kind's name in messages, the number fields it holds from field
 # _FIRST_NUMBER on (after a DOC line's tag, id and path, an L line's tag,
 # and from a word row's first field), and the least value of each: 1 for a
-# size, 0 for row_start, x1 and an inset.
+# size, 0 for a gap and an inset.
 _KIND_NAMES = ("DOC", "L", "word")
 _NUMBERS = (
     ("doc width", "doc height"),
-    ("row_start", "height", "body_top", "body_bottom"),
-    ("x1", "top", "width", "bottom"),
+    ("gap", "height", "body_top", "body_bottom"),
+    ("gap", "top", "width", "bottom"),
 )
 _FIRST_NUMBER = (3, 1, 0)
 _LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
@@ -441,6 +473,16 @@ _LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
 _FIELDS = np.array([5, 5, 4, 0])
 # The bytes that end a field and end a line.
 _SPACE, _NEWLINE = b" \n"
+
+
+def _running_sums(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
+    """Cumulative sums of int64 `values`, each at least 0, that start again
+    at each group's first entry; `groups` never decreases."""
+    sums = np.cumsum(values)
+    # What was summed before each group's first entry: as no value is
+    # negative, the largest such sum so far is that of the entry's group.
+    firsts = np.diff(groups, prepend=-1) != 0
+    return sums - np.maximum.accumulate(np.where(firsts, sums - values, 0))
 
 
 def load_index(data: bytes) -> WordIndex:
@@ -452,19 +494,22 @@ def load_index(data: bytes) -> WordIndex:
     their count, and a line's first bytes its kind. Each L line gets its
     page's position and each word row its text line's position by
     cumulative counts. Every number in the file is read by
-    `util.ascii_decimals`, eight bytes at a time, and the sizes and insets
-    of L lines and word rows become absolute rows and columns once, as
-    columns. Only the ids and paths of DOC lines, which are few, are read
-    one by one.
+    `util.ascii_decimals`, eight bytes at a time. The gaps, sizes and
+    insets of L lines and word rows become absolute rows and columns once,
+    as columns: each line's last row is a cumulative sum of the gaps and
+    heights of its page's lines so far, and each box's last column one of
+    the gaps and widths of its line's words so far. Only the ids and paths
+    of DOC lines, which are few, are read one by one.
 
     Every check of a single line runs over all lines at once, and the first
     bad line in file order is reported; only its fields are split to word
     the message. The number rule's least values leave no empty band or box
     column range to check, and its insets no box outside its line's rows.
-    Only then are the invariants across entries (unique doc ids, bands
-    inside their page, bodies and boxes that are not empty, boxes inside
-    their page's columns) checked, by WordIndex's validator, so that a
-    parse error is reported before an invariant error.
+    Gaps are at least 0, so no two lines of a page and no two words of a
+    line can overlap. Only then are the invariants across entries (unique
+    doc ids, bands inside their page, bodies and boxes that are not empty,
+    boxes inside their page's columns) checked, by WordIndex's validator,
+    so that a parse error is reported before an invariant error.
     """
     try:
         data.decode("utf-8")
@@ -593,16 +638,19 @@ def load_index(data: bytes) -> WordIndex:
     for (_, doc_id, path, _, _), size in zip(map(fields, doc_at), sizes.tolist()):
         path = os.fsdecode(urllib.parse.unquote_to_bytes(path))
         docs.append(DocEntry(urllib.parse.unquote(doc_id), path, *size))
-    # Sizes and insets become absolute rows and columns. Every L line is
-    # whole here, so a word row's text line position is its row in
+    # Gaps, sizes and insets become absolute rows and columns. Every L line
+    # is whole here, so a word row's text line position is its row in
     # `line_at`.
-    row_start, height, body_top, body_bottom = line_numbers.T
-    row_end = row_start + height - 1
-    lines = np.column_stack((page[line_at], row_start, row_end,
+    gap, height, body_top, body_bottom = line_numbers.T
+    line_page = page[line_at]
+    row_end = _running_sums(gap + height, line_page) - 1
+    row_start = row_end - height + 1
+    lines = np.column_stack((line_page, row_start, row_end,
                              row_start + body_top, row_end - body_bottom))
-    x1, top, width, bottom = word_numbers.T
+    gap, top, width, bottom = word_numbers.T
     word_line = line[word_at]
-    words = np.column_stack((word_line, x1, row_start[word_line] + top, x1 + width - 1,
+    x2 = _running_sums(gap + width, word_line) - 1
+    words = np.column_stack((word_line, x2 - width + 1, row_start[word_line] + top, x2,
                              row_end[word_line] - bottom))
     try:
         return WordIndex(docs, lines, words)

@@ -18,7 +18,9 @@ boxes on pages taken one at a time, in one call. The columns of all its
 words are laid end to end in arrays allocated once per call; per word it
 only thresholds its box and reduces it into its own columns, in one loop
 (`_page_columns`, the one box-reduction rule), and the valley cut, merge
-and zone-reach rules run once over all of them. Body bands and valley runs
+and zone-reach rules run once over all of them. The reduction
+(`_reduce_columns`) and the rules (`_token_rules`) are two functions, each
+called once per call of `word_to_wst`. Body bands and valley runs
 are maximal runs of a mask, found by `util.mask_runs`. `zones_from_bands`
 takes a page's line bands as the two arrays of first and last rows that
 `segment.segment_lines` returns, as `segment.segment_words` does.
@@ -320,45 +322,14 @@ def classify_region(word: BinaryImage, region: tuple[int, int], body: tuple[int,
     return _zone_codes(above, below, np.array([0]))
 
 
-def word_to_wst(
-    pages: Iterable[tuple[BinaryImage | GrayImage, int]],
-    boxes: np.ndarray,
-    bodies: np.ndarray,
-    font_sizes: np.ndarray,
-) -> list[str]:
-    """Shape tokens of words, each left to right, in box order.
-
-    Row i of `boxes` is word i's inclusive box `x1 y1 x2 y2`, row i of
-    `bodies` the `body_top body_bottom` rows of its line's x-height band
-    (both in page coordinates) and `font_sizes[i]` its line band's height;
-    int arrays of n rows. `pages` yields `(page, n)` for each run of n
-    consecutive boxes on one page, in box order: `[(page, n)]` when all n
-    words are on one page. A page may be gray: only the boxes' pixels are
-    thresholded, by binarize's rule (`pnm.ink_raster`).
-
-    The columns of all words are laid end to end in three arrays, each
-    allocated once for the call and as wide as all boxes together: ink
-    counts, in the `count_dtype` of the tallest box, and whether a column
-    has ink in its word's ascender zone and in its descender zone, both
-    starting False. Per word, one slice of its page is thresholded and
-    reduced over its rows into the word's own columns (`_page_columns`);
-    a zone with no rows inside the box keeps its False columns unread. A
-    page is dropped before the next is taken, so one page at a time is
-    held. The valley cut, merge and zone-reach rules then run once over
-    all the columns, so a word's token does not depend on which other
-    words share the call.
-    Raises NoInkError, whose `position` is the first box without ink,
-    before the next page is taken, and ValueError for an empty body band, a
-    box that is empty or reaches outside 0..MAX_SIDE - 1 (before any array
-    is sized), a box outside its page, or runs that do not cover the boxes.
-    """
-    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
-    bodies = np.asarray(bodies, dtype=np.int64).reshape(-1, 2)
-    font_sizes = np.asarray(font_sizes, dtype=np.int64).reshape(-1)
-    if not len(boxes) == len(bodies) == len(font_sizes):
-        raise ValueError("boxes, bodies and font_sizes differ in length")
-    if len(boxes) == 0:
-        return []
+def _reduce_columns(
+    pages: Iterable[tuple[BinaryImage | GrayImage, int]], boxes: np.ndarray, bodies: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The column reduction of `word_to_wst`, for at least one word: the
+    `counts`, `above` and `below` columns of all its words laid end to end,
+    and `firsts`, each word's first column in them. `boxes` and `bodies`
+    are int64 arrays of 4 and 2 columns and as many rows; it raises what
+    `word_to_wst` raises for them and for `pages`."""
     body_top, body_bottom = bodies.T
     if (body_top > body_bottom).any():
         i = int((body_top > body_bottom).argmax())
@@ -396,7 +367,20 @@ def word_to_wst(
         first = end
     if first != len(boxes):
         raise ValueError(f"pages hold {first} of {len(boxes)} boxes")
-    firsts = offsets[:-1]
+    return counts, above, below, offsets[:-1]
+
+
+def _token_rules(
+    counts: np.ndarray,
+    above: np.ndarray,
+    below: np.ndarray,
+    firsts: np.ndarray,
+    font_sizes: np.ndarray,
+) -> list[str]:
+    """The token rules of `word_to_wst`: each word's token from the columns
+    `_reduce_columns` returns and its line band's height in `font_sizes`.
+    The valley cut and merge rules (`_region_starts`) and the zone-reach
+    rule (`_zone_codes`) run once over the columns of all the words."""
     # The valley rule adds the slack to counts, so they leave their narrow
     # sum dtype here, once.
     starts = _region_starts(counts.astype(np.int32), firsts, font_sizes)
@@ -404,3 +388,46 @@ def word_to_wst(
     # Word i's codes are those of its regions, from the one at firsts[i].
     bounds = np.searchsorted(starts, firsts).tolist() + [len(starts)]
     return [codes[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def word_to_wst(
+    pages: Iterable[tuple[BinaryImage | GrayImage, int]],
+    boxes: np.ndarray,
+    bodies: np.ndarray,
+    font_sizes: np.ndarray,
+) -> list[str]:
+    """Shape tokens of words, each left to right, in box order.
+
+    Row i of `boxes` is word i's inclusive box `x1 y1 x2 y2`, row i of
+    `bodies` the `body_top body_bottom` rows of its line's x-height band
+    (both in page coordinates) and `font_sizes[i]` its line band's height;
+    int arrays of n rows. `pages` yields `(page, n)` for each run of n
+    consecutive boxes on one page, in box order: `[(page, n)]` when all n
+    words are on one page. A page may be gray: only the boxes' pixels are
+    thresholded, by binarize's rule (`pnm.ink_raster`).
+
+    Two steps, one call each: the column reduction (`_reduce_columns`),
+    then the token rules (`_token_rules`). The columns of all words are
+    laid end to end in three arrays, each allocated once for the call and
+    as wide as all boxes together: ink counts, in the `count_dtype` of the
+    tallest box, and whether a column has ink in its word's ascender zone
+    and in its descender zone, both starting False. Per word, one slice of
+    its page is thresholded and reduced over its rows into the word's own
+    columns (`_page_columns`); a zone with no rows inside the box keeps its
+    False columns unread. A page is dropped before the next is taken, so
+    one page at a time is held. The valley cut, merge and zone-reach rules
+    then run once over all the columns, so a word's token does not depend
+    on which other words share the call.
+    Raises NoInkError, whose `position` is the first box without ink,
+    before the next page is taken, and ValueError for an empty body band, a
+    box that is empty or reaches outside 0..MAX_SIDE - 1 (before any array
+    is sized), a box outside its page, or runs that do not cover the boxes.
+    """
+    boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
+    bodies = np.asarray(bodies, dtype=np.int64).reshape(-1, 2)
+    font_sizes = np.asarray(font_sizes, dtype=np.int64).reshape(-1)
+    if not len(boxes) == len(bodies) == len(font_sizes):
+        raise ValueError("boxes, bodies and font_sizes differ in length")
+    if len(boxes) == 0:
+        return []
+    return _token_rules(*_reduce_columns(pages, boxes, bodies), font_sizes)

@@ -351,9 +351,10 @@ def test_short_query_behavior(retrieval_corpus):
 
 def synthetic_index(n_records: int = 1000) -> WordIndex:
     """Records in page order: 5 pages of 20 lines of 10 words, each line a
-    75-row band whose boxes start in its first 11 rows."""
+    75-row band whose boxes start in its first 11 rows, left to right with
+    0 to 20 columns before each."""
     rng = random.Random(20242)
-    docs = [DocEntry(f"doc{d}", f"pages/doc{d}.pgm", 1200, 1600) for d in range(5)]
+    docs = [DocEntry(f"doc{d}", f"pages/doc{d}.pgm", 3200, 1600) for d in range(5)]
     lines = []
     words = []
     for i in range(n_records):
@@ -362,11 +363,13 @@ def synthetic_index(n_records: int = 1000) -> WordIndex:
         top = 75 * line
         if word == 0:
             lines.append((page, top, top + 74, top + 20, top + 50))
-        x1 = rng.randint(0, 900)
+            x1 = 0
+        x1 += rng.randint(0, 20)
         y1 = top + rng.randint(0, 10)
         w = rng.randint(5, 299)
         h = rng.randint(8, 64)
         words.append((len(lines) - 1, x1, y1, x1 + w - 1, y1 + h - 1))
+        x1 += w
     return WordIndex(docs, lines, words)
 
 

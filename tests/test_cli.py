@@ -225,7 +225,7 @@ class TestQueryCommand:
 
     def test_garbage_index_exits_2(self, tmp_path):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 5\nK 60\njunk line\n")
+        bad.write_bytes(b"WSIDX 6\nK 60\njunk line\n")
         assert main(["query", str(bad), "help"]) == 2
 
     def test_missing_page_file_exits_3(self, corpus, capsys):
@@ -655,12 +655,16 @@ class TestInspect:
         out = capsys.readouterr().out.splitlines()
         zones, tokens, index_zones = out[6:9], out[9:18], out[18:]
 
-        # An L line holds row_start, height and the body's insets from the
-        # line's first and last rows.
+        # An L line holds its first row as the gap after the previous line's
+        # last, its height and the body's insets from its first and last rows.
         index_lines = [[int(v) for v in line.split()[1:]]
                        for line in index_path.read_text().splitlines() if line.startswith("L ")]
-        assert [f"{y} {y + h - 1} {y + top} {y + h - 1 - bottom}"
-                for y, h, top, bottom in index_lines] == zones
+        next_row, file_zones = 0, []
+        for gap, h, top, bottom in index_lines:
+            y = next_row + gap
+            file_zones.append(f"{y} {y + h - 1} {y + top} {y + h - 1 - bottom}")
+            next_row = y + h
+        assert file_zones == zones
         assert index_zones == zones
         index = load_index(index_path.read_bytes())
         image = binarize(load_image(page.read_bytes()))
@@ -717,7 +721,7 @@ class TestBadInputNamesTheFile:
     )
     def test_bad_index_exits_2_naming_file_and_line(self, tmp_path, capsys, monkeypatch, argv):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 5\nK 60\nX what\n")
+        bad.write_bytes(b"WSIDX 6\nK 60\nX what\n")
         monkeypatch.setattr("sys.stdin", io.StringIO("help\n"))
         out = tmp_path / "out.pgm"
         assert main([arg.format(index=bad, out=out) for arg in argv]) == 2
@@ -736,18 +740,21 @@ class TestBadInputNamesTheFile:
             # Version 4 tagged each word line `W` and gave a box's rows and
             # a body band as an offset plus a height.
             b"WSIDX 4\nK 60\nDOC a a.pgm 100 50\nL 0 21 5 11\nW 1 2 30 10\n",
+            # Version 5 gave a line's first row and a box's first column as
+            # absolute numbers.
+            b"WSIDX 5\nK 60\nDOC a a.pgm 100 50\nL 30 20 5 5\n1 2 30 9\n60 2 30 9\n",
         ],
-        ids=["version 3", "version 4"],
+        ids=["version 3", "version 4", "version 5"],
     )
     def test_older_version_index_exits_2_naming_line_1(self, tmp_path, capsys, argv, data):
-        # There is one reader, for version 5.
+        # There is one reader, for version 6.
         old = tmp_path / "old.wsidx"
         old.write_bytes(data)
         assert main([arg.format(index=old) for arg in argv]) == 2
         captured = capsys.readouterr()
         got = data.split(b"\n")[0].decode()
         assert captured.err == (
-            f"wordspot: {old}: expected header 'WSIDX' version 5, got {got!r} (line 1)\n"
+            f"wordspot: {old}: expected header 'WSIDX' version 6, got {got!r} (line 1)\n"
         )
         assert captured.out == ""
 
@@ -768,7 +775,7 @@ class TestBadInputNamesTheFile:
     def test_insets_that_empty_a_body_or_box_exit_2_naming_the_line(
         self, tmp_path, capsys, argv, row, line_no, message
     ):
-        lines = ["WSIDX 5", "K 60", "DOC a a.pgm 100 50", "L 0 21 5 5", "1 2 30 9"]
+        lines = ["WSIDX 6", "K 60", "DOC a a.pgm 100 50", "L 0 21 5 5", "1 2 30 9"]
         lines[line_no - 1] = row
         bad = tmp_path / "bad.wsidx"
         bad.write_text("\n".join(lines) + "\n")
@@ -783,15 +790,44 @@ class TestBadInputNamesTheFile:
     def test_word_row_with_a_token_exits_2_naming_file_and_line(self, tmp_path, capsys, argv):
         # No index file holds a shape token: a word row has four fields.
         bad = tmp_path / "bad.wsidx"
-        bad.write_text("WSIDX 5\nK 60\nDOC a a.pgm 100 50\nL 0 21 5 5\n1 2 30 9 AxgA\n")
+        bad.write_text("WSIDX 6\nK 60\nDOC a a.pgm 100 50\nL 0 21 5 5\n1 2 30 9 AxgA\n")
         assert main([arg.format(index=bad) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"wordspot: {bad}: word line needs 4 fields, got 5 (line 5)\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv", [["query", "{index}", "help"], ["inspect", "{index}", "--what", "words"]]
+    )
+    @pytest.mark.parametrize(
+        "row,line_no,message",
+        [
+            # The page is 100 columns wide and 50 rows high. Line 5's box
+            # holds columns 1..30 and line 4's band rows 0..20; line 6 is a
+            # second word, or a second line.
+            ("70 2 30 9", 6, "record 1: box x 101..130, y 2..11 outside its page columns "
+                             "0..99 or its line rows 0..20"),
+            ("L 9 21 5 5", 6, "line 1: band 30..50 outside image rows 0..49"),
+        ],
+        ids=["box past the page's width", "line past the page's height"],
+    )
+    def test_gap_past_the_page_exits_2_naming_file_and_line(
+        self, tmp_path, capsys, argv, row, line_no, message
+    ):
+        # A gap counts from the column after the line's previous word or the
+        # row after the page's previous line, so it can take a box or a line
+        # off its page.
+        lines = ["WSIDX 6", "K 60", "DOC a a.pgm 100 50", "L 0 21 5 5", "1 2 30 9", row]
+        bad = tmp_path / "bad.wsidx"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main([arg.format(index=bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"wordspot: {bad}: {message} (line {line_no})\n"
+        assert captured.out == ""
+
     def test_index_that_breaks_an_invariant_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 5\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
+        bad.write_bytes(b"WSIDX 6\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
         assert main(["query", str(bad), "help"]) == 2
         assert capsys.readouterr().err == (
             f"wordspot: {bad}: duplicate doc_id 'a' (line 4)\n"

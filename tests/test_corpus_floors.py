@@ -25,9 +25,10 @@ PAGES = 2
 # 0.4473 on seed 17, and 0.4485, 0.0734 and 0.4341 on seed 23.
 QUALITY_FLOORS = {17: (0.449, 0.067, 0.447), 23: (0.448, 0.073, 0.434)}
 
-# Index file bytes per ground-truth word on the PAGES pages of SIZE_SEED.
+# Index file bytes per ground-truth word on the PAGES pages of SIZE_SEED:
+# measured as 12.77 with WSIDX 6, where WSIDX 5 wrote 14.19.
 SIZE_SEED = 17
-MAX_BYTES_PER_WORD = 14.5
+MAX_BYTES_PER_WORD = 13.0
 
 
 @pytest.fixture(scope="module")

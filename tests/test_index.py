@@ -190,7 +190,7 @@ def small_index():
     # Index file lines: 3 DOC doc1, 4 L, 5-6 word rows, 7 DOC doc2, 8 L (no
     # words), 9 L, 10 a word row.
     lines = [line_row(0, 20, 79, 30, 60), line_row(1, 0, 10, 2, 8), line_row(1, 20, 80, 40, 60)]
-    words = [word_row(0, w=50, h=25), word_row(0, w=300, h=60), word_row(2, w=555, h=61)]
+    words = [word_row(0, w=50, h=25), word_row(0, x=70, w=300, h=60), word_row(2, w=555, h=61)]
     docs = [
         DocEntry("doc1", "pages/doc one.pgm", 640, 480),
         DocEntry("doc2", "d2.pbm", 640, 200),
@@ -200,7 +200,7 @@ def small_index():
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex([], [], [])) == b"WSIDX 5\nK 60\n"
+        assert save_index(WordIndex([], [], [])) == b"WSIDX 6\nK 60\n"
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
@@ -215,14 +215,21 @@ class TestPersistence:
             assert len(line.split(" ")) == len(line.split())
 
     def test_known_record_line(self):
-        index = WordIndex([DocEntry("d", "d.pgm", 100, 50)], [line_row(0, 0, 20, 5, 15)],
-                          [word_row(0, x=1, y=2, w=30, h=10)])
+        index = WordIndex([DocEntry("d", "d.pgm", 100, 50)],
+                          [line_row(0, 0, 20, 5, 15), line_row(0, 24, 30)],
+                          [word_row(0, x=1, y=2, w=30, h=10), word_row(0, x=40, y=5, w=10, h=3)])
         lines = save_index(index).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
         # Rows 0..20 with the body 5..15, 5 rows in from either end, and a
         # 30x10 box on rows 2..11, 2 rows below row 0 and 9 above row 20.
+        # A page's first line and a line's first word give their first row
+        # and column as the gap after row and column -1.
         assert lines[3] == "L 0 21 5 5"
         assert lines[4] == "1 2 30 9"
+        # Columns 40..49, 9 after the previous word's last column, 31.
+        assert lines[5] == "9 5 10 13"
+        # Rows 24..30, 3 after the previous line's last row, 21.
+        assert lines[6] == "L 3 7 0 0"
 
     def test_path_that_is_not_utf8_round_trips(self):
         path = os.fsdecode(b"pages/a\xff b.pgm")
@@ -241,16 +248,19 @@ class TestPersistence:
 
 
 # A row-by-row loader, kept as the specification of `load_index`: each row
-# is split in Python, checked in turn and turned into absolute rows at once,
-# and each number must be 1..10 ASCII digits with a value in its field's
-# range. A row that starts with an ASCII digit is a word row. `load_index`
-# must give an equal index, or the same message and line, on any bytes.
+# is split in Python, checked in turn and turned into absolute rows and
+# columns at once, and each number must be 1..10 ASCII digits with a value
+# in its field's range. A row that starts with an ASCII digit is a word row.
+# A line's first row counts on from the row after its page's previous line,
+# and a box's first column from the column after its line's previous word.
+# `load_index` must give an equal index, or the same message and line, on
+# any bytes.
 MAX_NUMBER = 2**31 - 1
 KIND_NAMES = ("DOC", "L", "word")
 NUMBER_FIELDS = (
     ("doc width", "doc height"),
-    ("row_start", "height", "body_top", "body_bottom"),
-    ("x1", "top", "width", "bottom"),
+    ("gap", "height", "body_top", "body_bottom"),
+    ("gap", "top", "width", "bottom"),
 )
 FIRST_NUMBER = (3, 1, 0)
 LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
@@ -274,15 +284,16 @@ def reference_load_index(data: bytes) -> WordIndex:
     rows = text.split("\n")
     if rows and rows[-1] == "":
         rows.pop()
-    if not rows or rows[0] != "WSIDX 5":
+    if not rows or rows[0] != "WSIDX 6":
         got = rows[0] if rows else ""
-        raise IndexFormatError(f"expected header 'WSIDX' version 5, got {got!r}", 1)
+        raise IndexFormatError(f"expected header 'WSIDX' version 6, got {got!r}", 1)
     if len(rows) < 2 or rows[1] != "K 60":
         got = rows[1] if len(rows) >= 2 else ""
         raise IndexFormatError(f"expected reference font line 'K 60', got {got!r}", 2)
 
     docs, lines, words = [], [], []
     doc_lines, page_lines = [], 0  # file lines of DOC rows; L rows on this page
+    next_row = next_column = 0  # after the page's last line, the line's last word
     for line_no, row in enumerate(rows[2:], start=3):
         fields = row.split(" ")
         kind = 2 if row[:1] in set("0123456789") else {"DOC": 0, "L": 1}.get(fields[0])
@@ -307,18 +318,22 @@ def reference_load_index(data: bytes) -> WordIndex:
             path = os.fsdecode(urllib.parse.unquote_to_bytes(fields[2]))
             docs.append(DocEntry(urllib.parse.unquote(fields[1]), path, *numbers))
             doc_lines.append(line_no)
-            page_lines = 0
+            page_lines = next_row = 0
         elif kind == 1:
-            row_start, height, body_top, body_bottom = numbers
+            gap, height, body_top, body_bottom = numbers
+            row_start = next_row + gap
             row_end = row_start + height - 1
             lines.append((len(docs) - 1, row_start, row_end,
                           row_start + body_top, row_end - body_bottom, line_no))
             page_lines += 1
+            next_row, next_column = row_end + 1, 0
         else:
-            x1, top, width, bottom = numbers
+            gap, top, width, bottom = numbers
             _, row_start, row_end = lines[-1][:3]
+            x1 = next_column + gap
             words.append((len(lines) - 1, x1, row_start + top, x1 + width - 1,
                           row_end - bottom, line_no))
+            next_column = x1 + width
 
     try:
         return WordIndex(docs, [line[:5] for line in lines], [word[:5] for word in words])
@@ -361,6 +376,7 @@ class TestLoadErrors:
         assert err.value.line == line_no
 
     def test_bad_version(self, lines):
+        self.assert_error_line(corrupt(lines, 1, "WSIDX 5"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 4"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 3"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 2"), 1)
@@ -454,6 +470,34 @@ class TestLoadErrors:
             f"line 0: {message} (line 4)", 4
         )
 
+    @pytest.mark.parametrize(
+        "line_no,row,message",
+        [
+            # doc1 is 640 columns wide; line 5's box holds columns 10..59
+            # and line 6's 300 columns from 10 after it.
+            (6, "281 0 300 0", "record 1: box x 341..640, y 20..79 outside its page columns "
+                               "0..639 or its line rows 20..79"),
+            (5, "591 0 50 35", "record 0: box x 591..640, y 20..44 outside its page columns "
+                               "0..639 or its line rows 20..79"),
+            # doc2 is 200 rows high; line 8's band holds rows 0..10, and
+            # line 9's 61 rows from 9 after it.
+            (9, "L 129 61 20 20", "line 2: band 140..200 outside image rows 0..199"),
+        ],
+    )
+    def test_gap_that_takes_a_box_or_band_past_its_page_refused(self, lines, line_no, row,
+                                                               message):
+        assert assert_loads_as_reference(corrupt(lines, line_no, row)) == (
+            f"{message} (line {line_no})", line_no
+        )
+
+    def test_gaps_count_from_each_page_and_each_line(self, lines):
+        # Line 8 opens doc2 at row 0 and line 10 opens line 9's words at
+        # column 10, whatever came before on doc1 and on line 4.
+        assert lines[7:] == ["L 0 11 2 2", "L 9 61 20 20", "10 0 555 0"]
+        index = assert_loads_as_reference(("\n".join(lines) + "\n").encode())
+        assert index.line_table[1:, 2:4].tolist() == [[0, 10], [20, 80]]
+        assert index.record_table[2, 3:].tolist() == [10, 20, 564, 80]
+
     def test_non_utf8(self):
         with pytest.raises(IndexFormatError):
             load_index(b"\xff\xfe\x00")
@@ -508,14 +552,14 @@ class TestArrayParseEdges:
             # Line 5 is "10 0 50 35": spellings `int()` would take.
             (5, 1, "+10", "malformed top: '+10'"),
             (5, 1, "\u0661\u0660", "malformed top: '\u0661\u0660'"),
-            (5, 0, "1_0", "malformed x1: '1_0'"),
-            (5, 0, "00000000010", "malformed x1: '00000000010'"),
+            (5, 0, "1_0", "malformed gap: '1_0'"),
+            (5, 0, "00000000010", "malformed gap: '00000000010'"),
             (5, 1, "-0", "malformed top: '-0'"),
             (5, 1, "0\r", "malformed top: '0\\r'"),
             (5, 3, "\t0", "malformed bottom: '\\t0'"),
             (5, 3, "35\r", "malformed bottom: '35\\r'"),
             # A word row is a line that starts with an ASCII digit, so these
-            # spellings of x1 make a line of no known kind.
+            # spellings of its gap make a line of no known kind.
             (5, 0, "+10", "unknown line kind '+10'"),
             (5, 0, "\u0661\u0660", "unknown line kind '\u0661\u0660'"),
             (5, 0, "-0", "unknown line kind '-0'"),
@@ -567,7 +611,7 @@ class TestArrayParseEdges:
     def test_ten_digit_fields_within_a_wide_page(self):
         # No page is wider or taller than pnm.MAX_SIDE, so ten-digit fields
         # inside one start with zeros.
-        data = (b"WSIDX 5\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
+        data = (b"WSIDX 6\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
                 b"L 0000000000 0000000100 0000000010 0000000010\n"
                 b"0000999998 0000000011 0000000002 0000000011\n")
         index = assert_loads_as_reference(data)
@@ -576,7 +620,7 @@ class TestArrayParseEdges:
         assert index.record_table[0, 3:].tolist() == [999998, 11, 999999, 88]
 
     def test_digits_in_encoded_doc_ids_and_paths_are_not_numbers(self):
-        data = (b"WSIDX 5\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
+        data = (b"WSIDX 6\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
                 b"DOC 12345 0012 640 480\nL 20 60 10 19\n10 0 50 35\n")
         index = assert_loads_as_reference(data)
         assert index.docs == [DocEntry("page 01", "2024/p 01.pgm", 640, 480),
@@ -588,11 +632,11 @@ class TestArrayParseEdges:
         data = save_index(small_index())
         assert assert_loads_as_reference(data[:-1]) == small_index()
 
-    @pytest.mark.parametrize("data", [b"WSIDX 5\nK 60\n", b"WSIDX 5\nK 60"])
+    @pytest.mark.parametrize("data", [b"WSIDX 6\nK 60\n", b"WSIDX 6\nK 60"])
     def test_header_only(self, data):
         assert assert_loads_as_reference(data) == WordIndex([], [], [])
 
-    @pytest.mark.parametrize("data", [b"WSIDX 5\n", b"WSIDX 5"])
+    @pytest.mark.parametrize("data", [b"WSIDX 6\n", b"WSIDX 6"])
     def test_no_font_line(self, data):
         assert assert_loads_as_reference(data) == (
             "expected reference font line 'K 60', got '' (line 2)", 2
@@ -635,21 +679,33 @@ shape_tokens = st.text("Axg", min_size=1, max_size=12)
 
 
 @st.composite
+def runs_after(draw, first, last, most):
+    """Up to `most` inclusive ranges inside first..last, one after another
+    with 0 or more positions between them."""
+    runs = []
+    for _ in range(draw(st.integers(0, most))):
+        if first > last:
+            break
+        runs.append(draw(rows_within(first, last)))
+        first = runs[-1][1] + 1
+    return runs
+
+
+@st.composite
 def word_indexes(draw):
-    """A valid WordIndex: unique doc ids; lines in page order with their
-    band inside their page and their body inside the band; words in line
-    order with their box inside the page's columns and the line's rows."""
+    """A valid WordIndex: unique doc ids; lines in page order, top to
+    bottom, with their band inside their page and their body inside the
+    band; words in line order, left to right, with their box inside the
+    page's columns and the line's rows."""
     docs = [
         DocEntry(doc_id, draw(paths), draw(st.integers(1, 300)), draw(st.integers(1, 300)))
         for doc_id in draw(st.lists(names, max_size=3, unique=True))
     ]
     lines, words = [], []
     for page, doc in enumerate(docs):
-        for _ in range(draw(st.integers(0, 3))):
-            row_start, row_end = draw(rows_within(0, doc.height - 1))
+        for row_start, row_end in draw(runs_after(0, doc.height - 1, 3)):
             body_top, body_bottom = draw(rows_within(row_start, row_end))
-            for _ in range(draw(st.integers(0, 3))):
-                x1, x2 = draw(rows_within(0, doc.width - 1))
+            for x1, x2 in draw(runs_after(0, doc.width - 1, 3)):
                 y1, y2 = draw(rows_within(row_start, row_end))
                 words.append((len(lines), x1, y1, x2, y2))
             lines.append((page, row_start, row_end, body_top, body_bottom))
@@ -735,9 +791,11 @@ def test_readme_format_example_loads_and_saves_back():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("## Index file format", 1)[1].split("```\n", 2)[1]
     index = load_index(example.encode())
-    assert index.line_table.tolist() == [[0, 0, 172, 248, 190, 232]]
+    assert index.line_table.tolist() == [[0, 0, 172, 248, 190, 232],
+                                         [0, 1, 280, 359, 300, 341]]
     assert index.records == [make_record("page1", 0, 0, x=210, y=180, w=321, h=61),
-                             make_record("page1", 0, 1, x=580, y=186, w=240, h=58)]
+                             make_record("page1", 0, 1, x=580, y=186, w=240, h=58),
+                             make_record("page1", 1, 0, x=195, y=290, w=400, h=58)]
     assert save_index(index) == example.encode()
 
 
@@ -768,7 +826,7 @@ class TestDirectConstruction:
 
     def test_box_touching_page_edges_accepted(self):
         WordIndex([self.doc], [self.line],
-                  [word_row(0, x=50, y=75), word_row(0, x=0, y=0)])
+                  [word_row(0, x=0, y=0), word_row(0, x=50, y=75)])
 
     @pytest.mark.parametrize("box", [(30, 5, 20, 30), (10, 30, 40, 29)])
     def test_degenerate_box_rejected(self, box):
@@ -835,7 +893,8 @@ class TestDirectConstruction:
             ([line_row(0, 0, 49), line_row(0, 50, 99)],
              [word_row(1, y=50), word_row(0)], "record", 1),
             ([line_row(0, 0, 99), line_row(1, 0, 99)],
-             [word_row(0), word_row(1), word_row(1), word_row(0)], "record", 3),
+             [word_row(0), word_row(1, w=20), word_row(1, x=40, w=20), word_row(0, x=70, w=20)],
+             "record", 3),
         ],
     )
     def test_page_or_line_that_decreases_rejected(self, lines, words, kind, position):
@@ -849,7 +908,7 @@ class TestDirectConstruction:
         # page or a line may have none.
         docs = [DocEntry("c", "c.pgm", 100, 100), self.doc, DocEntry("e", "e.pgm", 100, 100)]
         lines = [line_row(1, 0, 9), line_row(1, 10, 49), line_row(1, 50, 99), line_row(2, 0, 99)]
-        words = [word_row(2, y=50), word_row(2, y=60), word_row(3)]
+        words = [word_row(2, y=50), word_row(2, x=60, y=60, w=30), word_row(3)]
         index = WordIndex(docs, lines, words)
         assert index.record_lines.tolist() == [2, 2, 3]
         assert index.line_table[:, :2].tolist() == [[1, 0], [1, 1], [1, 2], [2, 0]]
@@ -868,6 +927,58 @@ class TestDirectConstruction:
             WordIndex([self.doc], [line], [])
         assert (err.value.kind, err.value.position) == ("line", 0)
 
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            # The first word holds columns 10..59.
+            (word_row(0, x=59, w=20), "box x 59..78 not right of its line's previous word, "
+                                      "x 10..59"),
+            (word_row(0, x=10, w=50), "box x 10..59 not right of its line's previous word, "
+                                      "x 10..59"),
+            (word_row(0, x=0, w=5), "box x 0..4 not right of its line's previous word, "
+                                    "x 10..59"),
+        ],
+        ids=["overlaps", "same columns", "precedes"],
+    )
+    def test_word_that_overlaps_or_precedes_its_lines_previous_word_rejected(
+        self, second, message
+    ):
+        with pytest.raises(IndexInvariantError) as err:
+            WordIndex([self.doc], [self.line], [word_row(0), second, word_row(0, x=90, w=5)])
+        assert str(err.value) == f"record 1: {message}"
+        assert (err.value.kind, err.value.position) == ("record", 1)
+
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            # The first line holds rows 10..49.
+            (line_row(0, 49, 60), "band 49..60 not below its page's previous line, rows 10..49"),
+            (line_row(0, 10, 49), "band 10..49 not below its page's previous line, rows 10..49"),
+            (line_row(0, 0, 5), "band 0..5 not below its page's previous line, rows 10..49"),
+        ],
+        ids=["overlaps", "same rows", "precedes"],
+    )
+    def test_line_that_overlaps_or_precedes_its_pages_previous_line_rejected(
+        self, second, message
+    ):
+        with pytest.raises(IndexInvariantError) as err:
+            WordIndex([self.doc], [line_row(0, 10, 49), second, line_row(0, 90, 99)], [])
+        assert str(err.value) == f"line 1: {message}"
+        assert (err.value.kind, err.value.position) == ("line", 1)
+
+    def test_runs_that_touch_or_are_on_other_lines_and_pages_accepted(self):
+        # Words and lines with no position between them follow one another;
+        # the order rule holds within a line and within a page only.
+        docs = [self.doc, DocEntry("e", "e.pgm", 100, 100)]
+        lines = [line_row(0, 0, 49), line_row(0, 50, 99), line_row(1, 0, 99)]
+        words = [word_row(0, x=0), word_row(0, x=50), word_row(1, x=0, y=50), word_row(2, x=0)]
+        index = WordIndex(docs, lines, words)
+        assert load_index(save_index(index)) == index
+        assert save_index(index).decode().splitlines()[3:] == [
+            "L 0 50 0 0", "0 20 50 5", "0 20 50 5", "L 0 50 0 0", "0 0 50 25",
+            "DOC e e.pgm 100 100", "L 0 100 0 0", "0 20 50 55",
+        ]
+
     @pytest.mark.parametrize("y", [9, 41])
     def test_box_outside_its_line_rejected(self, y):
         # The box is 25 rows high; the line holds rows 10..64.
@@ -880,7 +991,7 @@ class TestColumns:
         index = small_index()
         assert index.record_table.tolist() == [
             [0, 0, 0, 10, 20, 59, 44],
-            [0, 0, 1, 10, 20, 309, 79],
+            [0, 0, 1, 70, 20, 369, 79],
             [1, 1, 0, 10, 20, 564, 80],
         ]
         assert index.line_table.tolist() == [
@@ -890,7 +1001,7 @@ class TestColumns:
         assert index.record_lines.tolist() == [0, 0, 2]
         assert index.norm_lengths.tolist() == [120, 300, 546]
         assert index.sorted_lengths.tolist() == [120, 300, 546]
-        assert index.records[1] == make_record("doc1", 0, 1, w=300, h=60)
+        assert index.records[1] == make_record("doc1", 0, 1, x=70, w=300, h=60)
         assert index.records[-1] == index.records[2] == make_record("doc2", 1, 0, w=555, h=61)
         with pytest.raises(IndexError):
             index.records[3]
@@ -905,7 +1016,9 @@ class TestColumns:
 
     def test_length_order_breaks_ties_by_record_order(self):
         doc = DocEntry("d", "d.pgm", 900, 100)
-        words = [word_row(0, x=0, y=0, w=w, h=60) for w in [60, 30, 60, 10, 30]]
+        widths = [60, 30, 60, 10, 30]
+        words = [word_row(0, x=x, y=0, w=w, h=60)
+                 for x, w in zip(np.cumsum([0] + widths[:-1]).tolist(), widths)]
         index = WordIndex([doc], [line_row(0, 0, 99)], words)
         assert index.length_order.tolist() == [3, 1, 4, 0, 2]
 

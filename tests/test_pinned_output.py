@@ -25,7 +25,7 @@ PAGES = {
 ABSENT = ["zebra", "mmmmmmmm", "A"]
 
 DIGESTS = {
-    "index file": "63d82d8c5b259af4456acc595429e37a370613b22917cf9661c767e282c77efc",
+    "index file": "5365bc64a7f9da04c4e43705c5dd50c814330c69776a0ac18b27abb62f6d71ca",
     "index stdout": "e8b55aba3438928170e17ef5f0ae3890209aa3009ee5ca9da38b9f2780a14329",
     "query stdin": "bffbb2b072512b60391dca90ad925fea680039feba870a881a80a96c7aa8eb60",
     "inspect p40.pgm rows": "215848e51ff3ee40e2ce095b959fbaf08298aadb11051caaf5338d41ecdbdbd7",

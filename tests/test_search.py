@@ -139,11 +139,14 @@ class TestDistances:
 
 
 def index_with_norms(norms, tokens=None):
-    """An 800x600 page "d" with one line of 60 rows, holding a word of each
-    normalized length: a box 60 rows high is as wide as its length. `tokens`,
-    if given, are the words' tokens, as a query would have computed them."""
-    words = [(0, 0, 0, norm - 1, 59) for norm in norms]
-    index = WordIndex([DocEntry("d", "d", 800, 600)], [(0, 0, 59, 0, 59)], words)
+    """A page "d" of one line of 60 rows, holding a word of each normalized
+    length, left to right with no columns between them: a box 60 rows high
+    is as wide as its length. `tokens`, if given, are the words' tokens, as
+    a query would have computed them."""
+    ends = np.cumsum(norms).tolist()
+    words = [(0, end - norm, 0, end - 1, 59) for norm, end in zip(norms, ends)]
+    doc = DocEntry("d", "d", max(1, sum(norms)), 60)
+    index = WordIndex([doc], [(0, 0, 59, 0, 59)], words)
     if tokens is not None:
         index.tokens[:] = tokens
     return index
