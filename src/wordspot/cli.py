@@ -6,8 +6,8 @@ Commands:
             with --annotate write page copies with the match boxes drawn
   inspect   dump pipeline intermediates for debugging
 
-Exit codes: 0 success, 1 usage, 2 input parse, 3 I/O, 4 unsupported query
-character.
+Exit codes: 0 success, 1 usage, 2 input parse, 3 I/O (also a page that is
+not the size its index records), 4 unsupported query character.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .pnm import GrayImage, PnmError, binarize, load_image, rescale_to_255, writ
 from .search import (
     DEFAULT_THRESHOLD,
     MissingPageError,
+    PageProvider,
     check_threshold,
     encode_missing,
     format_result,
@@ -193,46 +194,25 @@ def _cmd_index(args) -> int:
     return EXIT_OK
 
 
-class _PageLoader:
-    """Loads the gray page images recorded in an index; caches nothing.
-
-    A page's recorded path is opened as given and, only when that open
-    finds no file there (`FileNotFoundError`, `NotADirectoryError`),
-    relative to the index file's directory. When neither opens, the page
-    is missing; any other failure to open (a directory, no permission) is
-    reported as it is. A page whose
-    size differs from the one the index recorded is refused: the index's
-    boxes no longer describe it. A query thresholds only the
-    pixels inside its candidates' boxes, so no page is binarized, and each
-    page file is mapped, not read: an 8-bit P5 page's pixels are a view of
-    the map, and only the rows under the boxes are read from the file. The
-    map is released with the page image; a query encodes all of its words
-    in one call that holds one page at a time.
+def _page_file(base_dir: Path, paths: dict[str, str], doc_id: str) -> GrayImage:
+    """The gray page image at a doc's recorded path, `paths[doc_id]`, opened
+    as given and, only when that open finds no file there
+    (`FileNotFoundError`, `NotADirectoryError`), relative to the index
+    file's directory, `base_dir`. When neither opens, the page is missing;
+    any other failure to open (a directory, no permission) is reported as
+    it is. `search` checks the page's size. A query thresholds only the
+    pixels inside its candidates' boxes, so no page is binarized or cached,
+    and the file is mapped, not read: an 8-bit P5 page's pixels are a view
+    of the map, released with them, and only the rows under the boxes are
+    read from the file.
     """
-
-    def __init__(self, index: WordIndex, base_dir: Path):
-        self._docs = {doc.doc_id: doc for doc in index.docs}
-        self._base_dir = base_dir
-
-    def __call__(self, doc_id: str) -> GrayImage:
-        # A record's page is a position in the index's docs, so its doc is here.
-        doc = self._docs[doc_id]
-        for path in (str(Path(doc.path)), str(self._base_dir / doc.path)):
-            try:
-                data = _map_file(path)
-                break
-            except (FileNotFoundError, NotADirectoryError):
-                pass
-        else:
-            raise MissingPageError(doc_id, f"page file {doc.path!r} not found")
-        img = _load_page(path, data)
-        if (img.width, img.height) != (doc.width, doc.height):
-            raise MissingPageError(
-                doc_id,
-                f"page is {img.width}x{img.height}, "
-                f"index recorded {doc.width}x{doc.height}",
-            )
-        return img
+    for path in (str(Path(paths[doc_id])), str(base_dir / paths[doc_id])):
+        try:
+            data = _map_file(path)
+        except (FileNotFoundError, NotADirectoryError):
+            continue
+        return _load_page(path, data)
+    raise MissingPageError(doc_id, f"page file {paths[doc_id]!r} not found")
 
 
 def _read_index(path: str, data: bytes | None = None) -> WordIndex:
@@ -259,7 +239,8 @@ def draw_box_border(pixels: np.ndarray, box: WordBox) -> None:
     pixels[box.y1 : box.y2 + 1, box.x2 + 1 : ox2 + 1] = 0
 
 
-def _write_annotations(loader: _PageLoader, results, out_arg: str) -> None:
+def _write_annotations(load_page: PageProvider, results, out_arg: str) -> None:
+    # The query that found `results` has just loaded and checked each page.
     by_doc: dict[str, list[WordBox]] = defaultdict(list)
     for match in results:
         by_doc[match.record.doc_id].append(match.record.box)
@@ -269,7 +250,7 @@ def _write_annotations(loader: _PageLoader, results, out_arg: str) -> None:
     single = len(by_doc) == 1
     for doc_id in sorted(by_doc):
         # rescale_to_255 returns a fresh copy, so its pixels can be drawn on.
-        annotated = rescale_to_255(loader(doc_id))
+        annotated = rescale_to_255(load_page(doc_id))
         for box in by_doc[doc_id]:
             draw_box_border(annotated.pixels, box)
         name = f"{out.stem}.{doc_id.translate(_NAME_ESCAPES)}{out.suffix}"
@@ -292,16 +273,17 @@ def _cmd_query(args) -> int:
     else:
         texts = [args.text]
     index = _read_index(args.index)
-    loader = _PageLoader(index, Path(args.index).resolve().parent)
+    paths = {doc.doc_id: doc.path for doc in index.docs}
+    load_page = functools.partial(_page_file, Path(args.index).resolve().parent, paths)
     out = sys.stdout
     for text in texts:
-        results = search(index, loader, text, args.threshold)
+        results = search(index, load_page, text, args.threshold)
         out.write(f"Q {text}\n")
         for match in results:
             out.write(format_result(match) + "\n")
         out.write(f"COUNT {len(results)}\n")
         if args.annotate is not None:
-            _write_annotations(loader, results, args.annotate)
+            _write_annotations(load_page, results, args.annotate)
     return EXIT_OK
 
 

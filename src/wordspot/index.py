@@ -41,14 +41,15 @@ coordinates only, and no box can lie outside its line's rows, nor any two
 lines or words overlap. K is REF_FONT: like the header, line 2 must be
 exactly `K 60`, so a word's normalized length comes from its box alone. A
 word row has exactly these four fields: no file holds a shape token. doc_id
-and path (as file-system bytes) are percent-encoded. Numbers are decimal: 1
-to 10 ASCII digits, with a value of at most 2**31 - 1 and at least 1 for a
-page's size, a line's height and a box's width, or 0 for a gap and an
-inset. Insets that leave a body or a box no rows are refused as WordIndex
-refuses them, and so are gaps that take a line past its page's rows or a
-box past its page's columns. A page's size must also be one a page file can
-have: at most MAX_SIDE per side and MAX_PIXELS in all, as `pnm.load_image`
-reads. Files of another version are refused; rebuild them.
+(not empty, without white space) and path (as file-system bytes, without a
+NUL) are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with a
+value of at most 2**31 - 1 and at least 1 for a page's size, a line's
+height and a box's width, or 0 for a gap and an inset. Insets that leave a
+body or a box no rows are refused as WordIndex refuses them, and so are
+gaps that take a line past its page's rows or a box past its page's
+columns. A page's size must also be one a page file can have: at most
+MAX_SIDE per side and MAX_PIXELS in all, as `pnm.load_image` reads. Files
+of another version are refused; rebuild them.
 """
 
 from __future__ import annotations
@@ -276,13 +277,13 @@ class WordIndex:
 
     def _validate(self, lines: np.ndarray, words: np.ndarray) -> None:
         """Checks every invariant across entries, once, as array checks:
-        unique doc ids and page sizes a page file can have, then for
-        lines and for words in turn, a position in range that does not
-        decrease, and a band inside its page (a body inside its band) and
-        below its page's previous line, or a box that is not empty, inside
-        its page's columns and its line's rows, and right of its line's
-        previous word: no two lines of a page share a row, and no two
-        words of a line a column.
+        unique doc ids without white space, paths without a NUL and page sizes
+        a page file can have, then for lines and for words in turn, a position
+        in range that does not decrease, and a band inside its page (a body
+        inside its band) and below its page's previous line, or a box that is
+        not empty, inside its page's columns and its line's rows, and right of
+        its line's previous word: no two lines of a page share a row, and no
+        two words of a line a column.
 
         Raises IndexInvariantError for the first failing entry, which
         `load_index` maps back to its line."""
@@ -290,6 +291,13 @@ class WordIndex:
         for position, doc in enumerate(self.docs):
             if doc.doc_id in seen:
                 raise IndexInvariantError(f"duplicate doc_id {doc.doc_id!r}", "doc", position)
+            # An id is one field of a query's result line; no file path holds a NUL.
+            if doc.doc_id.split() != [doc.doc_id]:
+                raise IndexInvariantError(f"doc {position}: doc_id {doc.doc_id!r} empty or "
+                                          "holding whitespace", "doc", position)
+            if "\0" in doc.path:
+                raise IndexInvariantError(f"doc {position}: path {doc.path!r} holding a NUL",
+                                          "doc", position)
             # `load_image`'s limits, so that no query sizes arrays for a
             # page that no page file can hold.
             if not (1 <= doc.width <= MAX_SIDE and 1 <= doc.height <= MAX_SIDE

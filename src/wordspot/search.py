@@ -21,7 +21,8 @@ encoded in one `word_to_wst` call from the index's integer columns. It
 loads each page that holds them once, as a gray image (the command line
 maps the page file, so only the rows under their boxes are read), takes
 ink only inside their boxes, and releases the page before it loads the
-next. Objects for records are built only for the matches.
+next; a page of another size than the index records is refused. Objects
+for records are built only for the matches.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .index import WordIndex, WordRecord
+from .index import DocEntry, WordIndex, WordRecord
 from .pnm import BinaryImage, GrayImage
 from .shapecode import NoInkError, query_to_wst, word_to_wst
 
@@ -121,13 +122,18 @@ def size_prefilter(index: WordIndex, query_len: int) -> np.ndarray:
     return np.sort(index.length_order[first:last])
 
 
-def _load(provider: PageProvider, doc_id: str) -> GrayImage | BinaryImage:
+def _load(provider: PageProvider, doc: DocEntry) -> GrayImage | BinaryImage:
     try:
-        return provider(doc_id)
+        page = provider(doc.doc_id)
     except MissingPageError:
         raise
     except (OSError, LookupError) as exc:
-        raise MissingPageError(doc_id, str(exc)) from exc
+        raise MissingPageError(doc.doc_id, str(exc)) from exc
+    # The index's boxes describe only a page of the size it records.
+    if (page.width, page.height) != (doc.width, doc.height):
+        sizes = f"page is {page.width}x{page.height}, index recorded {doc.width}x{doc.height}"
+        raise MissingPageError(doc.doc_id, sizes)
+    return page
 
 
 def encode_missing(index: WordIndex, load_page: PageProvider, positions: list[int]) -> None:
@@ -136,9 +142,10 @@ def encode_missing(index: WordIndex, load_page: PageProvider, positions: list[in
     loaded in record order, each once, as the call reaches their words, and
     each is released before the next is loaded.
 
-    A box without ink on its page raises MissingPageError naming the first
-    such record in record order, its box, line and word, before any later
-    page is loaded.
+    A page whose size differs from the one the index recorded raises
+    MissingPageError before any of its boxes is read. So does a box without
+    ink on its page, naming the first such record in record order, its box,
+    line and word. Neither loads a later page.
     """
     if not len(positions):
         return
@@ -148,12 +155,12 @@ def encode_missing(index: WordIndex, load_page: PageProvider, positions: list[in
     # Records are in page order, so each page's records are one run of them.
     bounds = np.flatnonzero(np.diff(records[:, 0], prepend=-1)).tolist() + [len(positions)]
 
-    def doc_id(row: int) -> str:
-        return index.docs[records[row, 0]].doc_id
+    def doc(row: int) -> DocEntry:
+        return index.docs[records[row, 0]]
 
     # The generator keeps no page: each is yielded straight from its load.
     pages = (
-        (_load(load_page, doc_id(first)), end - first)
+        (_load(load_page, doc(first)), end - first)
         for first, end in zip(bounds, bounds[1:])
     )
     try:
@@ -161,7 +168,7 @@ def encode_missing(index: WordIndex, load_page: PageProvider, positions: list[in
     except NoInkError as exc:
         _, line_idx, word_idx, x1, y1, x2, y2 = records[exc.position].tolist()
         raise MissingPageError(
-            doc_id(exc.position),
+            doc(exc.position).doc_id,
             f"no ink in word box {x1} {y1} {x2} {y2} "
             f"(line {line_idx}, word {word_idx}) recorded by the index",
         ) from None
@@ -179,12 +186,14 @@ def search(
 
     Candidates come from the size prefilter; each candidate without a cached
     shape token gets one computed from its page image and the line the index
-    records for it (cached write-once in `index.tokens`). A candidate whose
-    token length differs from the query token's by more than `threshold`
-    is rejected without a DP, since the edit distance is at least that
-    difference; the other distinct tokens are scored in one `distances`
-    call. Matches at distance <= `threshold` are returned ordered by
-    distance, then (doc_id, line_idx, word_idx).
+    records for it (cached write-once in `index.tokens`); a page that
+    `load_page` cannot give, or gives at another size than the index
+    records, raises MissingPageError. A candidate whose token length differs
+    from the query token's by more than `threshold` is rejected without a
+    DP, since the edit distance is at least that difference; the other
+    distinct tokens are scored in one `distances` call. Matches at distance
+    <= `threshold` are returned ordered by distance, then (doc_id, line_idx,
+    word_idx).
     """
     check_threshold(threshold)
     if not text:

@@ -4,6 +4,8 @@ import argparse
 import io
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -825,6 +827,34 @@ class TestBadInputNamesTheFile:
         assert captured.err == f"wordspot: {bad}: {message} (line {line_no})\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv", [["query", "{index}", "help"], ["inspect", "{index}", "--what", "lines"]]
+    )
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            # A query writes a doc id as one space-separated field of a
+            # result line, so an id that would split it is refused.
+            ("DOC a%20b a.pgm 100 50", "doc 0: doc_id 'a b' empty or holding whitespace"),
+            ("DOC a%0A1%202 a.pgm 100 50",
+             "doc 0: doc_id 'a\\n1 2' empty or holding whitespace"),
+            ("DOC %E2%80%83 a.pgm 100 50",
+             "doc 0: doc_id '\\u2003' empty or holding whitespace"),
+            # No file-system path holds a NUL.
+            ("DOC a a%00b.pgm 100 50", "doc 0: path 'a\\x00b.pgm' holding a NUL"),
+        ],
+        ids=["space in id", "line break in id", "em space id", "NUL in path"],
+    )
+    def test_doc_id_with_white_space_or_path_with_a_nul_exits_2_naming_line_3(
+        self, tmp_path, capsys, argv, doc, message
+    ):
+        bad = tmp_path / "bad.wsidx"
+        bad.write_text("\n".join(["WSIDX 6", "K 60", doc, "L 0 21 5 5", "1 2 30 9"]) + "\n")
+        assert main([arg.format(index=bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"wordspot: {bad}: {message} (line 3)\n"
+        assert captured.out == ""
+
     def test_index_that_breaks_an_invariant_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.wsidx"
         bad.write_bytes(b"WSIDX 6\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
@@ -891,3 +921,23 @@ def test_readme_cli_block_names_every_option_and_inspect_view():
             if "--what" in action.option_strings:
                 for choice in action.choices:
                     assert f"--what {choice} " in block, choice
+
+
+@pytest.mark.parametrize(
+    "flags,code,err",
+    [
+        ([], 3, "wordspot: [Errno 2] No such file or directory: 'missing.wsidx'\n"),
+        (["--threshold", "-1"], 1, "wordspot: error: threshold must be >= 0, got -1.0\n"),
+    ],
+    ids=["missing index", "threshold below 0"],
+)
+def test_the_shell_gets_mains_exit_code(tmp_path, flags, code, err):
+    # Every other test calls main in process; this one runs the module as a
+    # process, so that `run` must hand main's code to the shell.
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "wordspot.cli", "query", "missing.wsidx", "help", *flags],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (code, "", err)

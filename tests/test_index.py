@@ -620,10 +620,10 @@ class TestArrayParseEdges:
         assert index.record_table[0, 3:].tolist() == [999998, 11, 999999, 88]
 
     def test_digits_in_encoded_doc_ids_and_paths_are_not_numbers(self):
-        data = (b"WSIDX 6\nK 60\nDOC page%2001 2024/p%2001.pgm 640 480\n"
+        data = (b"WSIDX 6\nK 60\nDOC page%2B01 2024/p%2001.pgm 640 480\n"
                 b"DOC 12345 0012 640 480\nL 20 60 10 19\n10 0 50 35\n")
         index = assert_loads_as_reference(data)
-        assert index.docs == [DocEntry("page 01", "2024/p 01.pgm", 640, 480),
+        assert index.docs == [DocEntry("page+01", "2024/p 01.pgm", 640, 480),
                               DocEntry("12345", "0012", 640, 480)]
         assert index.line_table.tolist() == [[1, 0, 20, 79, 30, 60]]
         assert index.record_table.tolist() == [[1, 0, 0, 10, 20, 59, 44]]
@@ -657,14 +657,20 @@ class TestArrayParseEdges:
 
 
 # Doc ids and paths mix plain characters with the ones the format must
-# percent-encode: spaces, `%` (also before hex digits), line breaks, non-ASCII.
-names = st.lists(
-    st.sampled_from([" ", "%", "%41", "%zz", "+", "/", ".", "\n", "\t", "a", "é", "€"])
-    | st.characters(blacklist_categories=("Cs",)),
-    max_size=6,
-).map("".join)
+# percent-encode: `%` (also before hex digits), control characters,
+# non-ASCII, and in paths spaces and line breaks. A doc id is not empty and
+# holds no white space, and a path holds no NUL, as WordIndex requires.
+pieces = st.sampled_from(["%", "%41", "%zz", "+", "/", ".", "a", "é", "€"]) | st.characters(
+    blacklist_categories=("Cs",)
+)
+names = st.lists(pieces, min_size=1, max_size=6).map("".join).filter(
+    lambda name: name.split() == [name]
+)
 # A path may also be any file-system name, UTF-8 or not.
-paths = names | st.binary(max_size=6).map(os.fsdecode)
+paths = (
+    st.lists(pieces | st.sampled_from([" ", "\n", "\t"]), max_size=6).map("".join)
+    | st.binary(max_size=6).map(os.fsdecode)
+).filter(lambda path: "\0" not in path)
 
 
 @st.composite
@@ -840,6 +846,22 @@ class TestDirectConstruction:
         doc = DocEntry("d", "d.pgm", 10, 10)
         with pytest.raises(ValueError):
             WordIndex([doc, doc], [], [])
+
+    @pytest.mark.parametrize("doc_id", ["", " ", "a b", "a\tb", "a\nb", "\u2003"])
+    def test_doc_id_empty_or_holding_white_space_rejected(self, doc_id):
+        # A query writes a doc id as one space-separated field of a result line.
+        with pytest.raises(IndexInvariantError) as err:
+            WordIndex([self.doc, DocEntry(doc_id, "e.pgm", 10, 10)], [], [])
+        assert str(err.value) == f"doc 1: doc_id {doc_id!r} empty or holding whitespace"
+        assert (err.value.kind, err.value.position) == ("doc", 1)
+
+    def test_path_holding_a_nul_rejected(self):
+        # No file-system path holds a NUL; white space is allowed.
+        WordIndex([DocEntry("e", "a b\n.pgm", 10, 10)], [], [])
+        with pytest.raises(IndexInvariantError) as err:
+            WordIndex([self.doc, DocEntry("e", "a\0b.pgm", 10, 10)], [], [])
+        assert str(err.value) == "doc 1: path 'a\\x00b.pgm' holding a NUL"
+        assert (err.value.kind, err.value.position) == ("doc", 1)
 
     @pytest.mark.parametrize("size", [0, -5, 1_000_001, 2**31])
     @pytest.mark.parametrize("side", ["width", "height"])

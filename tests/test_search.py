@@ -509,3 +509,47 @@ class TestPageLoads:
         survivors = size_prefilter(index, 4).tolist()
         first_seen = list(dict.fromkeys(index.records[p].doc_id for p in survivors))
         assert order == first_seen == ["one", "two"]
+
+
+class TestRecordedPageSize:
+    """`search` refuses a page whose size differs from the one the index
+    recorded, whatever provider gave it: the index's boxes do not describe
+    it."""
+
+    def corpus(self):
+        layout = corpus_page([["dipped", "help", "sauce"]], width=900)
+        return layout.image, build_index([("page", layout.image)])
+
+    def test_page_shifted_on_a_larger_canvas_refused(self):
+        # Read through the index's boxes, this page would match `help` with
+        # word 0, `dipped`, at distance 2, and miss word 1.
+        image, index = self.corpus()
+        bits = np.ones((image.height + 50, image.width + 50), dtype=np.uint8)
+        bits[:image.height, 30 : 30 + image.width] = image.bits
+        shifted = BinaryImage(image.width + 50, image.height + 50, bits)
+        with pytest.raises(MissingPageError) as err:
+            search(index, lambda doc: shifted, "help")
+        assert str(err.value) == (
+            f"cannot load page image for doc 'page': page is 950x{image.height + 50}, "
+            f"index recorded 900x{image.height}"
+        )
+        assert err.value.doc_id == "page"
+        assert index.tokens == [None] * len(index.tokens)
+
+    def test_cropped_page_refused(self):
+        # `help` lies inside the crop, so a search that read it would find it.
+        image, index = self.corpus()
+        cropped = BinaryImage(500, image.height, image.bits[:, :500])
+        with pytest.raises(MissingPageError) as err:
+            search(index, lambda doc: cropped, "help")
+        assert str(err.value) == (
+            f"cannot load page image for doc 'page': page is 500x{image.height}, "
+            f"index recorded 900x{image.height}"
+        )
+
+    def test_binarized_page_of_the_recorded_size_accepted(self):
+        image, index = self.corpus()
+        gray = gray_page(image, 255, seed=0)
+        results = search(index, lambda doc: binarize(gray), "help")
+        assert results[0].distance == 0
+        assert (results[0].record.line_idx, results[0].record.word_idx) == (0, 1)
