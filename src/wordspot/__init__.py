@@ -26,7 +26,6 @@ from .search import (
     MissingPageError,
     distances,
     format_result,
-    levenshtein,
     search,
     size_prefilter,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "column_profile",
     "distances",
     "format_result",
-    "levenshtein",
     "load_image",
     "load_index",
     "normalize_length",

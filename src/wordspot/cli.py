@@ -304,15 +304,15 @@ def _cmd_inspect(args) -> int:
         index = build_index([("page", img)])
         if what == "wst":
             encode_missing(index, lambda doc_id: img, list(range(len(index.tokens))))
-    # Columns of the index's tables: each line's rows, and its body band,
+    # Columns of the index's rows: each line's rows, and its body band,
     # and each word's box.
-    tables = {
-        "lines": index.line_table[:, 2:4],
-        "zones": index.line_table[:, 2:6],
-        "words": index.record_table[:, 3:7],
+    columns = {
+        "lines": index.lines[:, 1:3],
+        "zones": index.lines[:, 1:5],
+        "words": index.words[:, 1:5],
     }
-    if what in tables:
-        for row in tables[what].tolist():
+    if what in columns:
+        for row in columns[what].tolist():
             print(*row)
     elif what == "wst":
         for wst in index.tokens:

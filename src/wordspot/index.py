@@ -7,12 +7,13 @@ when a query first needs it, and never stored. The word's length is
 normalized from its box to the reference font size, REF_FONT
 (`normalize_length`, applied to all records at once), so that one
 pixel-length scale applies across documents with varying handwriting sizes.
-WordIndex is built from positions alone (each line's page, each word's
-line), so the numbers it derives from them cannot disagree; it holds lines
-and records as integer columns, checks their invariants once, as array
-checks, and sorts the records by normalized length once, so that a query's
-size prefilter is a binary search and a cold query builds objects only for
-its matches. Size classes remain the unit of `wordspot index`'s counts
+WordIndex holds its lines and words as the rows it is built from,
+positions alone (each line's page, each word's line), so no line or word
+number is stored to disagree with them; a record's numbers are derived
+when it is built. It checks the rows' invariants once, as array checks,
+and sorts the words by normalized length once, so that a query's size
+prefilter is a binary search and a cold query builds objects only for its
+matches. Size classes remain the unit of `wordspot index`'s counts
 (`WordIndex.size_class_counts`).
 
 Index file format (UTF-8, LF, space-separated fields), nested by position:
@@ -133,7 +134,7 @@ class WordRecord:
     """One segmented word: its place on its page and its shape token.
 
     A WordIndex builds these on request (`WordIndex.records`, a match's
-    `record`) from its columns, with the token it holds at that moment.
+    `record`) from its rows, with the token it holds at that moment.
     """
 
     doc_id: str
@@ -168,6 +169,9 @@ class _Entries(Sequence):
             raise IndexError("index entry out of range")
         return self._make(i % self._count)
 
+    def __iter__(self):
+        return map(self._make, range(self._count))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
@@ -176,18 +180,18 @@ class _Entries(Sequence):
     __hash__ = None
 
 
-def _first_violation(kind: str, checks) -> None:
-    """Raise IndexInvariantError for the first entry that fails any check.
+def _first_failure(checks) -> tuple[int, str] | None:
+    """The first entry that fails any check, and the message of its first
+    failed check, or None when every entry passes.
 
     `checks` holds (bad mask over entries, message of a position) pairs in
-    the order they are tried on one entry; the entry's first failed check
-    names the error.
+    the order they are tried on one entry.
     """
     failed = np.logical_or.reduce([mask for mask, _ in checks])
-    if failed.any():
-        position = int(failed.argmax())
-        message = next(message for mask, message in checks if mask[position])
-        raise IndexInvariantError(f"{kind} {position}: {message(position)}", kind, position)
+    if not failed.any():
+        return None
+    position = int(failed.argmax())
+    return position, next(message for mask, message in checks if mask[position])(position)
 
 
 def _gaps(groups: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarray:
@@ -200,14 +204,10 @@ def _gaps(groups: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> np.ndarr
     return gaps
 
 
-# Columns of the rows WordIndex takes and of the tables it derives from
-# them. "page" and "doc" are positions in `docs` and a row's "line" is a
-# position in `lines`; a table's "line" and "word" count from 0 within the
-# page and within the line.
+# Columns of the rows WordIndex holds. "page" is a position in `docs` and
+# "line" a position in the lines.
 LINE_ROW = ("page", "row_start", "row_end", "body_top", "body_bottom")
 WORD_ROW = ("line", "x1", "y1", "x2", "y2")
-LINE_COLUMNS = ("doc", "line", "row_start", "row_end", "body_top", "body_bottom")
-RECORD_COLUMNS = ("doc", "line", "word", "x1", "y1", "x2", "y2")
 
 
 def _rows(name: str, rows, columns: tuple[str, ...]) -> np.ndarray:
@@ -220,25 +220,22 @@ def _rows(name: str, rows, columns: tuple[str, ...]) -> np.ndarray:
 
 
 class WordIndex:
-    """All text lines and word records of a document set, as columns.
+    """All text lines and word records of a document set, as rows.
 
-    An index comes from `build_index` or `load_index`. Its constructor takes
-    positions, not numbers: `lines` has one int row per line with the
-    columns LINE_ROW and `words` one per word with the columns WORD_ROW.
-    A line's page is a position in `docs` and a word's line a position in
-    `lines`; neither may decrease, so lines and words come in page order.
-    Within a page, lines run top to bottom without sharing a row, and
-    within a line, words run left to right without sharing a column, as
-    the index file format needs.
+    An index comes from `build_index` or `load_index`. It holds exactly the
+    rows its constructor takes, as its own checked copies: `lines`, one
+    int64 row per line with the columns LINE_ROW, and `words`, one per word
+    with the columns WORD_ROW. These are positions, not numbers: a line's
+    page is a position in `docs` and a word's line a position in `lines`;
+    neither may decrease, so lines and words come in page order. Within a
+    page, lines run top to bottom without sharing a row, and within a line,
+    words run left to right without sharing a column, as the index file
+    format needs. A line's number on its page and a word's on its line are
+    derived only when a record is built (`record`).
 
-    From these it derives `line_table`, one int64 row per line, and
-    `record_table`, one per word record, with the columns LINE_COLUMNS and
-    RECORD_COLUMNS. `record_lines` is the row of each record's line in
-    `line_table`; `norm_lengths` is each record's box length normalized to
-    REF_FONT, and `length_order` the record positions sorted by it (ties
-    in record order), `sorted_lengths` the lengths in that order.
-
-    A line is its row of `line_table` only. `records` is a read-only
+    `norm_lengths` is each word's box length normalized to REF_FONT, and
+    `length_order` the word positions sorted by it (ties in word order),
+    `sorted_lengths` the lengths in that order. `records` is a read-only
     sequence of WordRecord objects, built when they are read. `tokens`
     holds each word's shape token, None until a query computes it: a cache
     of this process, which `save_index` does not write and `==` does not
@@ -251,22 +248,21 @@ class WordIndex:
         lines: np.ndarray | Sequence[Sequence[int]],
         words: np.ndarray | Sequence[Sequence[int]],
     ):
-        lines = _rows("lines", lines, LINE_ROW)
-        words = _rows("words", words, WORD_ROW)
         self.docs = list(docs)
-        self._validate(lines, words)
-        self.tokens: list[str | None] = [None] * len(words)
-        page, line = lines[:, 0], words[:, 0]
-        # Positions never decrease, so a page's (a line's) first position is
-        # where its number 0 sits.
-        line_numbers = np.arange(len(page)) - np.searchsorted(page, page)
-        word_numbers = np.arange(len(line)) - np.searchsorted(line, line)
-        self.line_table = np.column_stack((page, line_numbers, lines[:, 1:]))
-        self.record_table = np.column_stack(
-            (page[line], line_numbers[line], word_numbers, words[:, 1:])
-        )
-        self.record_lines = line
-        x1, y1, x2, y2 = words[:, 1:].T
+        self.lines = _rows("lines", lines, LINE_ROW)
+        self.words = _rows("words", words, WORD_ROW)
+        self._validate()
+        self.tokens: list[str | None] = [None] * len(self.words)
+        page, line = self.lines[:, 0], self.words[:, 0]
+        # Per line: its page's doc id, its page's first line and its own
+        # first word, where `record` counts the line's and a word's number
+        # from. Positions never decrease, so each is one binary search.
+        self._line_firsts = list(zip(
+            [self.docs[p].doc_id for p in page.tolist()],
+            np.searchsorted(page, page).tolist(),
+            np.searchsorted(line, np.arange(len(page))).tolist(),
+        ))
+        x1, y1, x2, y2 = self.words[:, 1:].T
         self.norm_lengths = normalize_length(x2 - x1 + 1, y2 - y1 + 1)
         # Lengths that fit 16 bits sort by radix, about ten times faster.
         keys = self.norm_lengths
@@ -275,7 +271,7 @@ class WordIndex:
         self.length_order = np.argsort(keys, kind="stable")
         self.sorted_lengths = self.norm_lengths[self.length_order]
 
-    def _validate(self, lines: np.ndarray, words: np.ndarray) -> None:
+    def _validate(self) -> None:
         """Checks every invariant across entries, once, as array checks:
         unique doc ids without white space, paths without a NUL and page sizes
         a page file can have, then for lines and for words in turn, a position
@@ -307,6 +303,7 @@ class WordIndex:
                     f"1..{MAX_SIDE} per side or above {MAX_PIXELS} pixels", "doc", position,
                 )
             seen.add(doc.doc_id)
+        lines, words = self.lines, self.words
         n_docs, n_lines = len(self.docs), len(lines)
         # One extra slot stands in for a position out of range in the lookups.
         widths = np.array([doc.width for doc in self.docs] + [1], dtype=np.int64)
@@ -315,7 +312,7 @@ class WordIndex:
         page, row_start, row_end, body_top, body_bottom = lines.T
         known = (page >= 0) & (page < n_docs)
         page = np.where(known, page, n_docs)
-        _first_violation("line", [
+        line_checks = [
             (~known, lambda i: f"page {lines[i, 0]} outside 0..{n_docs - 1}"),
             (np.diff(page, prepend=page[:1]) < 0, lambda i: "out of page order"),
             ((row_start < 0) | (row_end >= heights[page]),
@@ -326,48 +323,57 @@ class WordIndex:
             (_gaps(page, row_start, row_end) < 0,
              lambda i: f"band {row_start[i]}..{row_end[i]} not below its page's previous "
                        f"line, rows {row_start[i - 1]}..{row_end[i - 1]}"),
-        ])
+        ]
 
         line, x1, y1, x2, y2 = words.T
         known = (line >= 0) & (line < n_lines)
         line = np.where(known, line, n_lines)
-        page = np.append(page, n_docs)[line]
+        word_page = np.append(page, n_docs)[line]
         line_start = np.append(row_start, 0)[line]
         line_end = np.append(row_end, 0)[line]
-        _first_violation("record", [
+        record_checks = [
             (~known, lambda i: f"line {words[i, 0]} outside 0..{n_lines - 1}"),
             (np.diff(line, prepend=line[:1]) < 0, lambda i: "out of page order"),
             ((x1 > x2) | (y1 > y2), lambda i: f"degenerate box {x1[i]} {y1[i]} {x2[i]} {y2[i]}"),
-            ((x1 < 0) | (x2 >= widths[page]) | (y1 < line_start) | (y2 > line_end),
+            ((x1 < 0) | (x2 >= widths[word_page]) | (y1 < line_start) | (y2 > line_end),
              lambda i: f"box x {x1[i]}..{x2[i]}, y {y1[i]}..{y2[i]} outside its page "
-                       f"columns 0..{widths[page[i]] - 1} or its line rows "
+                       f"columns 0..{widths[word_page[i]] - 1} or its line rows "
                        f"{line_start[i]}..{line_end[i]}"),
             (_gaps(line, x1, x2) < 0,
              lambda i: f"box x {x1[i]}..{x2[i]} not right of its line's previous word, "
                        f"x {x1[i - 1]}..{x2[i - 1]}"),
-        ])
+        ]
+        for kind, checks in (("line", line_checks), ("record", record_checks)):
+            failure = _first_failure(checks)
+            if failure:
+                position, message = failure
+                raise IndexInvariantError(f"{kind} {position}: {message}", kind, position)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WordIndex):
             return NotImplemented
         return (
             self.docs == other.docs
-            and np.array_equal(self.line_table, other.line_table)
-            and np.array_equal(self.record_table, other.record_table)
+            and np.array_equal(self.lines, other.lines)
+            and np.array_equal(self.words, other.words)
         )
 
     __hash__ = None
 
     def __repr__(self) -> str:
         return (
-            f"WordIndex(docs={self.docs!r}, line_table={self.line_table.tolist()!r}, "
-            f"records={list(self.records)!r})"
+            f"WordIndex(docs={self.docs!r}, lines={self.lines.tolist()!r}, "
+            f"words={self.words.tolist()!r})"
         )
 
     def record(self, position: int) -> WordRecord:
-        doc, line, word, x1, y1, x2, y2 = self.record_table[position].tolist()
-        box = WordBox(x1, y1, x2, y2)
-        return WordRecord(self.docs[doc].doc_id, line, word, box, self.tokens[position])
+        """The record of the word at `position`, with its line's number on
+        its page and its own on its line."""
+        line, x1, y1, x2, y2 = self.words[position].tolist()
+        doc_id, first_line, first_word = self._line_firsts[line]
+        word_idx = position % len(self.tokens) - first_word
+        return WordRecord(doc_id, line - first_line, word_idx, WordBox(x1, y1, x2, y2),
+                          self.tokens[position])
 
     @property
     def records(self) -> Sequence[WordRecord]:
@@ -427,23 +433,22 @@ def _encode(text: str | bytes) -> str:
 def save_index(index: WordIndex) -> bytes:
     """Serialize to the text index format; load_index inverts this exactly.
     A line's first row and a box's first column are written as gaps after
-    the page's previous line and the line's previous word, each table's in
-    one array pass. Shape tokens are not written."""
+    the page's previous line and the line's previous word, each row kind's
+    in one array pass. Shape tokens are not written."""
     out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", _FONT_LINE]
-    page, _, row_start, row_end, body_top, body_bottom = index.line_table.T
-    x1, y1, x2, y2 = index.record_table[:, 3:].T
+    page, row_start, row_end, body_top, body_bottom = index.lines.T
+    word_line, x1, y1, x2, y2 = index.words.T
     lines = np.column_stack((
         _gaps(page, row_start, row_end), row_end - row_start + 1,
         body_top - row_start, row_end - body_bottom,
     )).tolist()
     lines = [f"L {gap} {height} {top} {bottom}" for gap, height, top, bottom in lines]
-    word_line = index.record_lines
     words = np.column_stack((
         _gaps(word_line, x1, x2), y1 - row_start[word_line], x2 - x1 + 1,
         row_end[word_line] - y2,
     )).tolist()
     words = [f"{gap} {top} {width} {bottom}" for gap, top, width, bottom in words]
-    # Records are in page order, so each line's words are one run of them.
+    # Words are in page order, so each line's words are one run of them.
     word_starts = np.searchsorted(word_line, np.arange(len(lines) + 1)).tolist()
     line_starts = np.searchsorted(page, np.arange(len(index.docs) + 1))
     for rank, doc in enumerate(index.docs):
@@ -510,9 +515,11 @@ def load_index(data: bytes) -> WordIndex:
     of DOC lines, which are few, are read one by one.
 
     Every check of a single line runs over all lines at once, and the first
-    bad line in file order is reported; only its fields are split to word
-    the message. The number rule's least values leave no empty band or box
-    column range to check, and its insets no box outside its line's rows.
+    bad line in file order is reported (`_first_failure`, as WordIndex's
+    validator reports its first bad entry); only its fields are split to
+    word the message. The number rule's least values leave no empty band or
+    box column range to check, and its insets no box outside its line's
+    rows.
     Gaps are at least 0, so no two lines of a page and no two words of a
     line can overlap. Only then are the invariants across entries (unique
     doc ids, bands inside their page, bodies and boxes that are not empty,
@@ -571,76 +578,62 @@ def load_index(data: bytes) -> WordIndex:
         """Line i's fields, split only for DOC lines and error messages."""
         return data[starts[i] : seps[last[i] + 1]].decode().split(" ")
 
-    # (row, check number, message) of each check's first bad row; the least
-    # is reported. On one row, checks are tried in the order they are added.
-    errors: list[tuple[int, int, str]] = []
-
-    def first_bad(mask: np.ndarray, message: Callable[[int], str], at=None) -> None:
-        """Note the first True of `mask`, a mask over all rows or over the
-        rows `at`; `message` takes its position in `mask`."""
-        if mask.any():
-            n = int(mask.argmax())
-            errors.append((n if at is None else int(at[n]), len(errors), message(n)))
-
-    first_bad(kinds == 3, lambda i: f"unknown line kind {fields(i)[0]!r}")
-    first_bad(
-        (kinds != 3) & ~whole,
-        lambda i: f"{_KIND_NAMES[kinds[i]]} line needs {_FIELDS[kinds[i]]} fields, "
-                  f"got {counts[i]}",
-    )
-
     # Position of each row's page and of its text line, from counts of the
     # DOC and L lines so far; a word row's text line must be on its page.
     page = np.cumsum(is_doc) - 1
     line = np.cumsum(is_line) - 1
     lines_before_page = np.maximum.accumulate(np.where(is_doc, line + 1, 0))
-    first_bad(is_line & (page < 0), lambda i: "L line before any DOC line")
-    first_bad(
-        is_word & (line < lines_before_page),
-        lambda i: "word line before its page's first L line",
-    )
+    # (bad mask over rows, message of a row) of each check, in the order
+    # they are tried on one row.
+    checks = [
+        (kinds == 3, lambda i: f"unknown line kind {fields(i)[0]!r}"),
+        ((kinds != 3) & ~whole,
+         lambda i: f"{_KIND_NAMES[kinds[i]]} line needs {_FIELDS[kinds[i]]} fields, "
+                   f"got {counts[i]}"),
+        (is_line & (page < 0), lambda i: "L line before any DOC line"),
+        (is_word & (line < lines_before_page),
+         lambda i: "word line before its page's first L line"),
+    ]
 
     # Every number in the file is read in one pass: the _NUMBERS fields of
     # each whole DOC line, L line and word row, from its field _FIRST_NUMBER
     # on. A number is 1..10 ASCII digits with a value in lo.._MAX_NUMBER,
     # where lo is its field's least value.
-    doc_at, line_at, word_at = (np.flatnonzero(whole & (kinds == kind)) for kind in range(3))
-    groups = list(zip((doc_at, line_at, word_at), _NUMBERS, _LOWS))
+    groups = [np.flatnonzero(whole & (kinds == kind)) for kind in range(3)]
     bounds = [
         seps[first[at, None] + np.arange(field, field + len(names) + 1)]
-        for (at, names, _), field in zip(groups, _FIRST_NUMBER)
+        for at, names, field in zip(groups, _NUMBERS, _FIRST_NUMBER)
     ]
-    group_sizes = [b[:, 1:].size for b in bounds]
-    values = ascii_decimals(
-        data,
-        np.concatenate([b[:, :-1].ravel() for b in bounds]) + 1,
-        np.concatenate([b[:, 1:].ravel() for b in bounds]),
-        10,
-    )
-    lows = np.concatenate([np.tile(lows, len(at)) for at, _, lows in groups])
+    number_starts = np.concatenate([b[:, :-1].ravel() for b in bounds]) + 1
+    number_ends = np.concatenate([b[:, 1:].ravel() for b in bounds])
+    values = ascii_decimals(data, number_starts, number_ends, 10)
+    lows = np.concatenate([np.tile(lows, len(at)) for at, lows in zip(groups, _LOWS)])
     ok = (values >= lows) & (values <= _MAX_NUMBER)
-    offsets = np.cumsum([0] + group_sizes).tolist()
-    tables = [
-        values[i:j].reshape(-1, len(names))
-        for i, j, (_, names, _) in zip(offsets, offsets[1:], groups)
-    ]
     if not ok.all():
-        for (at, names, lows), table, i, j, field_bounds in zip(
-            groups, tables, offsets, offsets[1:], bounds
-        ):
-            bad = ~ok[i:j].reshape(table.shape)
+        # The row of each number; a row's numbers are one run of them.
+        number_rows = np.concatenate([np.repeat(at, len(names))
+                                      for at, names in zip(groups, _NUMBERS)])
 
-            def message(n: int) -> str:
-                k = int(bad[n].argmax())
-                field = data[field_bounds[n, k] + 1 : field_bounds[n, k + 1]].decode()
-                return _number_error(field, table[n, k], names[k], lows[k])
+        def number_message(i: int) -> str:
+            numbers = np.flatnonzero(number_rows == i)
+            k = int(ok[numbers].argmin())
+            n = numbers[k]
+            field = data[number_starts[n] : number_ends[n]].decode()
+            return _number_error(field, values[n], _NUMBERS[kinds[i]][k], lows[n])
 
-            first_bad(bad.any(axis=1), message, at)
-    sizes, line_numbers, word_numbers = tables
+        bad_rows = np.zeros(len(kinds), dtype=bool)
+        bad_rows[number_rows[~ok]] = True
+        checks.append((bad_rows, number_message))
 
-    if errors:
-        row, _, message = min(errors)
+    failure = _first_failure(checks)
+    if failure:
+        row, message = failure
         raise IndexFormatError(message, row + 3)
+    doc_at, line_at, word_at = groups
+    ends = np.cumsum([0] + [len(at) * len(names) for at, names in zip(groups, _NUMBERS)])
+    sizes, line_numbers, word_numbers = (
+        values[i:j].reshape(-1, len(names)) for i, j, names in zip(ends, ends[1:], _NUMBERS)
+    )
 
     docs = []
     for (_, doc_id, path, _, _), size in zip(map(fields, doc_at), sizes.tolist()):

@@ -17,7 +17,7 @@ symbols; `levenshtein` is its one-word case.
 
 A word is encoded against the line band and x-height zones its index
 records, so a query segments no page. All survivors without a token are
-encoded in one `word_to_wst` call from the index's integer columns. It
+encoded in one `word_to_wst` call from the index's line and word rows. It
 loads each page that holds them once, as a gray image (the command line
 maps the page file, so only the rows under their boxes are read), takes
 ink only inside their boxes, and releases the page before it loads the
@@ -150,27 +150,25 @@ def encode_missing(index: WordIndex, load_page: PageProvider, positions: list[in
     if not len(positions):
         return
     positions = np.sort(np.asarray(positions, dtype=np.int64))
-    records = index.record_table[positions]
-    lines = index.line_table[index.record_lines[positions]]
-    # Records are in page order, so each page's records are one run of them.
-    bounds = np.flatnonzero(np.diff(records[:, 0], prepend=-1)).tolist() + [len(positions)]
-
-    def doc(row: int) -> DocEntry:
-        return index.docs[records[row, 0]]
+    words = index.words[positions]
+    lines = index.lines[words[:, 0]]
+    # Words are in page order, so each page's words are one run of them.
+    bounds = np.flatnonzero(np.diff(lines[:, 0], prepend=-1)).tolist() + [len(positions)]
 
     # The generator keeps no page: each is yielded straight from its load.
     pages = (
-        (_load(load_page, doc(first)), end - first)
+        (_load(load_page, index.docs[lines[first, 0]]), end - first)
         for first, end in zip(bounds, bounds[1:])
     )
     try:
-        tokens = word_to_wst(pages, records[:, 3:], lines[:, 4:], lines[:, 3] - lines[:, 2] + 1)
+        tokens = word_to_wst(pages, words[:, 1:], lines[:, 3:], lines[:, 2] - lines[:, 1] + 1)
     except NoInkError as exc:
-        _, line_idx, word_idx, x1, y1, x2, y2 = records[exc.position].tolist()
+        record = index.record(int(positions[exc.position]))
+        box = record.box
         raise MissingPageError(
-            doc(exc.position).doc_id,
-            f"no ink in word box {x1} {y1} {x2} {y2} "
-            f"(line {line_idx}, word {word_idx}) recorded by the index",
+            record.doc_id,
+            f"no ink in word box {box.x1} {box.y1} {box.x2} {box.y2} "
+            f"(line {record.line_idx}, word {record.word_idx}) recorded by the index",
         ) from None
     for position, token in zip(positions.tolist(), tokens):
         index.tokens[position] = token

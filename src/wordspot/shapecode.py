@@ -228,15 +228,10 @@ def _page_columns(
     ink in the box's first `above_rows` rows (the ascender zone), `below`
     whether it has ink in its rows from `below_from` on (the descender
     zone). Both must start False: a zone with no rows in the box is not
-    read. Raises ValueError for a box that is empty or outside the page.
+    read. Every box must lie inside the page.
     """
     raster, cut = ink_raster(page)
-    width, height = page.width, page.height
     for left, top, right, bottom, above_rows, below_from, first, end in words:
-        if not (0 <= left <= right < width and 0 <= top <= bottom < height):
-            raise ValueError(
-                f"box {left} {top} {right} {bottom} empty or outside image {width}x{height}"
-            )
         ink = raster[top : bottom + 1, left : right + 1] < cut
         # Bools are bytes of 0 or 1: summed into uint8 counts with no cast.
         np.add.reduce(ink.view(np.uint8), axis=0, out=counts[first:end])
@@ -360,6 +355,14 @@ def _reduce_columns(
         end = first + n
         if not first < end <= len(boxes):
             raise ValueError(f"a run of {n} boxes from box {first} of {len(boxes)}")
+        # The MAX_SIDE check leaves boxes that are not empty and start at 0
+        # or after, so only their last column and row can leave the page.
+        bad = (x2[first:end] >= page.width) | (y2[first:end] >= page.height)
+        if bad.any():
+            i = first + int(bad.argmax())
+            raise ValueError(
+                f"box {i}: {x1[i]} {y1[i]} {x2[i]} {y2[i]} outside page {page.width}x{page.height}"
+            )
         _page_columns(page, words[first:end], counts, above, below)
         del page  # else it would live on while the next page is taken
         page_firsts = offsets[first:end] - offsets[first]
@@ -421,7 +424,8 @@ def word_to_wst(
     Raises NoInkError, whose `position` is the first box without ink,
     before the next page is taken, and ValueError for an empty body band, a
     box that is empty or reaches outside 0..MAX_SIDE - 1 (before any array
-    is sized), a box outside its page, or runs that do not cover the boxes.
+    is sized), a box outside its page (before any box of the page is read),
+    or runs that do not cover the boxes.
     """
     boxes = np.asarray(boxes, dtype=np.int64).reshape(-1, 4)
     bodies = np.asarray(bodies, dtype=np.int64).reshape(-1, 2)

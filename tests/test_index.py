@@ -4,6 +4,7 @@ import os
 import random
 import urllib.parse
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -91,7 +92,8 @@ def blob_page(width=200, height=80, x=40, y=20, blob_w=100, blob_h=30):
 class TestBuildIndex:
     def test_empty_page_list(self):
         index = build_index([])
-        assert index.records == [] and index.docs == [] and index.line_table.shape == (0, 6)
+        assert index.records == [] and index.docs == []
+        assert index.lines.shape == index.words.shape == (0, 5)
 
     def test_single_blob_record(self):
         index = build_index([("page", blob_page())])
@@ -114,7 +116,7 @@ class TestBuildIndex:
             ([("w", wide), ("n", narrow)], [0, 1]),
         ):
             index = build_index(pages)
-            assert np.bincount(index.line_table[:, 0], minlength=2).tolist() == lines_per_page
+            assert np.bincount(index.lines[:, 0], minlength=2).tolist() == lines_per_page
 
     def test_two_pages_same_content(self):
         pages = [("a", blob_page()), ("b", blob_page())]
@@ -135,11 +137,10 @@ class TestBuildIndex:
         starts, ends = segment_lines(row_profile(page), default_noise_threshold(page.width))
         bands = list(zip(starts.tolist(), ends.tolist()))
         assert len(bands) == 2
-        assert index.line_table.tolist() == [
-            [0, n, *band, *estimate_zones(page, *band)] for n, band in enumerate(bands)
-        ]
+        assert index.lines.tolist() == [[0, *band, *estimate_zones(page, *band)] for band in bands]
         # One word on each line, in line order.
-        assert index.record_lines.tolist() == [0, 1]
+        assert index.words[:, 0].tolist() == [0, 1]
+        assert [(rec.line_idx, rec.word_idx) for rec in index.records] == [(0, 0), (1, 0)]
 
     def test_duplicate_doc_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -180,12 +181,6 @@ def line_row(page, row_start, row_end, body_top=None, body_bottom=None):
     return (page, row_start, row_end, body_top, row_end if body_bottom is None else body_bottom)
 
 
-def own_rows(index):
-    """The lines and words rows an index holds, as its constructor takes them."""
-    lines = index.line_table[:, [0, 2, 3, 4, 5]]
-    return lines, np.column_stack((index.record_lines, index.record_table[:, 3:]))
-
-
 def small_index():
     # Index file lines: 3 DOC doc1, 4 L, 5-6 word rows, 7 DOC doc2, 8 L (no
     # words), 9 L, 10 a word row.
@@ -207,7 +202,7 @@ class TestPersistence:
         again = load_index(save_index(index))
         assert again == index
         assert again.docs[0].path == "pages/doc one.pgm"
-        assert again.line_table[2].tolist() == [1, 1, 20, 80, 40, 60]
+        assert again.lines[2].tolist() == [1, 20, 80, 40, 60]
 
     def test_no_whitespace_in_encoded_lines(self):
         data = save_index(small_index()).decode()
@@ -495,8 +490,8 @@ class TestLoadErrors:
         # column 10, whatever came before on doc1 and on line 4.
         assert lines[7:] == ["L 0 11 2 2", "L 9 61 20 20", "10 0 555 0"]
         index = assert_loads_as_reference(("\n".join(lines) + "\n").encode())
-        assert index.line_table[1:, 2:4].tolist() == [[0, 10], [20, 80]]
-        assert index.record_table[2, 3:].tolist() == [10, 20, 564, 80]
+        assert index.lines[1:, 1:3].tolist() == [[0, 10], [20, 80]]
+        assert index.words[2, 1:].tolist() == [10, 20, 564, 80]
 
     def test_non_utf8(self):
         with pytest.raises(IndexFormatError):
@@ -616,8 +611,8 @@ class TestArrayParseEdges:
                 b"0000999998 0000000011 0000000002 0000000011\n")
         index = assert_loads_as_reference(data)
         assert index.docs[0] == DocEntry("d", "d.pgm", 1_000_000, 100)
-        assert index.line_table[0, 2:].tolist() == [0, 99, 10, 89]
-        assert index.record_table[0, 3:].tolist() == [999998, 11, 999999, 88]
+        assert index.lines[0, 1:].tolist() == [0, 99, 10, 89]
+        assert index.words[0, 1:].tolist() == [999998, 11, 999999, 88]
 
     def test_digits_in_encoded_doc_ids_and_paths_are_not_numbers(self):
         data = (b"WSIDX 6\nK 60\nDOC page%2B01 2024/p%2001.pgm 640 480\n"
@@ -625,8 +620,9 @@ class TestArrayParseEdges:
         index = assert_loads_as_reference(data)
         assert index.docs == [DocEntry("page+01", "2024/p 01.pgm", 640, 480),
                               DocEntry("12345", "0012", 640, 480)]
-        assert index.line_table.tolist() == [[1, 0, 20, 79, 30, 60]]
-        assert index.record_table.tolist() == [[1, 0, 0, 10, 20, 59, 44]]
+        assert index.lines.tolist() == [[1, 20, 79, 30, 60]]
+        assert index.words.tolist() == [[0, 10, 20, 59, 44]]
+        assert index.records == [make_record("12345", 0, 0)]
 
     def test_file_without_a_final_newline(self):
         data = save_index(small_index())
@@ -797,8 +793,7 @@ def test_readme_format_example_loads_and_saves_back():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("## Index file format", 1)[1].split("```\n", 2)[1]
     index = load_index(example.encode())
-    assert index.line_table.tolist() == [[0, 0, 172, 248, 190, 232],
-                                         [0, 1, 280, 359, 300, 341]]
+    assert index.lines.tolist() == [[0, 172, 248, 190, 232], [0, 280, 359, 300, 341]]
     assert index.records == [make_record("page1", 0, 0, x=210, y=180, w=321, h=61),
                              make_record("page1", 0, 1, x=580, y=186, w=240, h=58),
                              make_record("page1", 1, 0, x=195, y=290, w=400, h=58)]
@@ -932,9 +927,10 @@ class TestDirectConstruction:
         lines = [line_row(1, 0, 9), line_row(1, 10, 49), line_row(1, 50, 99), line_row(2, 0, 99)]
         words = [word_row(2, y=50), word_row(2, x=60, y=60, w=30), word_row(3)]
         index = WordIndex(docs, lines, words)
-        assert index.record_lines.tolist() == [2, 2, 3]
-        assert index.line_table[:, :2].tolist() == [[1, 0], [1, 1], [1, 2], [2, 0]]
-        assert index.record_table[:, :3].tolist() == [[1, 2, 0], [1, 2, 1], [2, 0, 0]]
+        assert index.words[:, 0].tolist() == [2, 2, 3]
+        assert [(rec.doc_id, rec.line_idx, rec.word_idx) for rec in index.records] == [
+            ("d", 2, 0), ("d", 2, 1), ("e", 0, 0),
+        ]
 
     @pytest.mark.parametrize(
         "line,match",
@@ -1011,29 +1007,28 @@ class TestDirectConstruction:
 class TestColumns:
     def test_positions_in_columns_out(self):
         index = small_index()
-        assert index.record_table.tolist() == [
-            [0, 0, 0, 10, 20, 59, 44],
-            [0, 0, 1, 70, 20, 369, 79],
-            [1, 1, 0, 10, 20, 564, 80],
+        assert index.words.tolist() == [
+            [0, 10, 20, 59, 44], [0, 70, 20, 369, 79], [2, 10, 20, 564, 80],
         ]
-        assert index.line_table.tolist() == [
-            [0, 0, 20, 79, 30, 60], [1, 0, 0, 10, 2, 8], [1, 1, 20, 80, 40, 60],
+        assert index.lines.tolist() == [
+            [0, 20, 79, 30, 60], [1, 0, 10, 2, 8], [1, 20, 80, 40, 60],
         ]
         assert index.tokens == [None] * 3
-        assert index.record_lines.tolist() == [0, 0, 2]
         assert index.norm_lengths.tolist() == [120, 300, 546]
         assert index.sorted_lengths.tolist() == [120, 300, 546]
+        assert index.records[0] == make_record("doc1", 0, 0)
         assert index.records[1] == make_record("doc1", 0, 1, x=70, w=300, h=60)
         assert index.records[-1] == index.records[2] == make_record("doc2", 1, 0, w=555, h=61)
+        assert index.record(-1) == index.records[2]
         with pytest.raises(IndexError):
             index.records[3]
 
-    def test_repr_shows_line_table_rows(self):
+    def test_repr_shows_its_rows(self):
         text = repr(small_index())
         assert text.startswith("WordIndex(docs=[DocEntry(doc_id='doc1', ")
-        assert (
-            "line_table=[[0, 0, 20, 79, 30, 60], [1, 0, 0, 10, 2, 8], [1, 1, 20, 80, 40, 60]], "
-            "records=[WordRecord(doc_id='doc1', " in text
+        assert text.endswith(
+            "lines=[[0, 20, 79, 30, 60], [1, 0, 10, 2, 8], [1, 20, 80, 40, 60]], "
+            "words=[[0, 10, 20, 59, 44], [0, 70, 20, 369, 79], [2, 10, 20, 564, 80]])"
         )
 
     def test_length_order_breaks_ties_by_record_order(self):
@@ -1055,17 +1050,29 @@ class TestColumns:
 
     def test_built_loaded_and_rebuilt_indexes_agree(self):
         built = build_index([("a", blob_page()), ("b", blob_page(x=10))])
-        lines, words = own_rows(built)
+        lines, words = built.lines.copy(), built.words.copy()
         again = WordIndex(built.docs, lines, words)
         lines[:], words[:] = 0, 0  # the index holds copies
         assert again == built == load_index(save_index(built))
-        assert again.record_lines.tolist() == built.record_lines.tolist() == [0, 1]
+        assert again.words[:, 0].tolist() == built.words[:, 0].tolist() == [0, 1]
 
     @given(word_indexes())
     def test_rebuilt_from_its_own_rows(self, index):
-        again = WordIndex(index.docs, *own_rows(index))
-        assert again == index
-        assert again.record_lines.tolist() == index.record_lines.tolist()
+        assert WordIndex(index.docs, index.lines, index.words) == index
+        # The numbers by a plain walk: a line counts the lines before it on
+        # its page, and a word the words before it on its line.
+        lines_seen, words_seen = Counter(), Counter()
+        line_numbers = []
+        for page in index.lines[:, 0].tolist():
+            line_numbers.append(lines_seen[page])
+            lines_seen[page] += 1
+        expected = []
+        for line, x1, y1, x2, y2 in index.words.tolist():
+            doc_id = index.docs[index.lines[line, 0]].doc_id
+            expected.append(WordRecord(doc_id, line_numbers[line], words_seen[line],
+                                       WordBox(x1, y1, x2, y2)))
+            words_seen[line] += 1
+        assert list(index.records) == expected
 
 
 class TestScaleInvariance:

@@ -1,5 +1,7 @@
 """The names the `wordspot` package exports."""
 
+import importlib
+
 import wordspot
 import wordspot.shapecode
 
@@ -20,3 +22,11 @@ def test_single_word_helpers_live_in_shapecode_only():
         assert name not in wordspot.__all__
         assert not hasattr(wordspot, name), name
         assert callable(getattr(wordspot.shapecode, name))
+
+
+def test_levenshtein_lives_in_search_only():
+    assert "levenshtein" not in wordspot.__all__
+    assert not hasattr(wordspot, "levenshtein")
+    # `wordspot.search` is the search function; the module is imported by name.
+    search_module = importlib.import_module("wordspot.search")
+    assert search_module.levenshtein("ab", "b") == 1

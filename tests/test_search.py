@@ -354,14 +354,14 @@ class TestBuildLines:
         index = WordIndex([doc], lines, words)
         assert len(segment_lines(counts, default_noise_threshold(page.width))[0]) == 3
         assert len(build_bands) == 2
-        assert index.line_table[:, 2:].tolist() == [
+        assert index.lines[:, 1:].tolist() == [
             [*band, *estimate_zones(page, *band)] for band in build_bands
         ]
 
         for n in range(1, 12):
             search(index, lambda doc: page, "x" * n, threshold=0)
-        for rec, n in zip(index.records, index.record_lines.tolist()):
-            _, _, row_start, row_end, *body = index.line_table[n].tolist()
+        for rec, n in zip(index.records, index.words[:, 0].tolist()):
+            _, row_start, row_end, *body = index.lines[n].tolist()
             box = rec.box
             assert [rec.wst] == word_to_wst(
                 [(page, 1)], [(box.x1, box.y1, box.x2, box.y2)], [body], [row_end - row_start + 1]
@@ -373,9 +373,7 @@ class TestBuildLines:
         layout = corpus_page([["dipped", "help", "sauce"], ["drop", "paper", "noon"]])
         built = build_index([("page", layout.image)])
         # Page, rows and rows again as the body band, of each line.
-        lines = built.line_table[:, [0, 2, 3, 2, 3]]
-        words = np.column_stack((built.record_lines, built.record_table[:, 3:]))
-        index = WordIndex(built.docs, lines, words)
+        index = WordIndex(built.docs, built.lines[:, [0, 1, 2, 1, 2]], built.words)
         for n in range(1, 12):
             search(index, lambda doc: layout.image, "x" * n, threshold=0)
         assert [set(rec.wst) for rec in index.records] == [{"x"}] * 6

@@ -386,14 +386,28 @@ class TestWordToWst:
             word_to_wst([(img, n) for n in runs], [(2, 2, 2, 2)] * 3, [(5, 9)] * 3, [5] * 3)
 
     @pytest.mark.parametrize(
-        "box, body",
-        [((0, 0, 10, 0), (0, 0)), ((0, -1, 0, 0), (0, 0)), ((3, 0, 2, 0), (0, 0)),
-         ((0, 0, 0, 0), (1, 0))],
+        "box, body, message",
+        [((0, 0, 10, 0), (0, 0), "box 0: 0 0 10 0 outside page 10x10"),
+         ((0, 2, 9, 10), (2, 2), "box 0: 0 2 9 10 outside page 10x10"),
+         ((0, -1, 0, 0), (0, 0), "box 0: 0 -1 0 0 empty or outside 0..999999"),
+         ((3, 0, 2, 0), (0, 0), "box 0: 3 0 2 0 empty or outside 0..999999"),
+         ((0, 0, 0, 0), (1, 0), "empty body band 1..0")],
     )
-    def test_box_outside_the_page_or_empty_body_rejected(self, box, body):
+    def test_box_outside_the_page_or_empty_body_rejected(self, box, body, message):
         img = BinaryImage(10, 10, np.zeros((10, 10), dtype=np.uint8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             word_to_wst([(img, 1)], [box], [body], [10])
+        assert str(err.value) == message
+
+    def test_box_outside_its_page_named_by_its_place_in_the_call(self):
+        # Box 2 fits the first page, 20x10, but not its own, 10x20; the
+        # first page's words are reduced before the second page is taken.
+        wide = BinaryImage(20, 10, np.zeros((10, 20), dtype=np.uint8))
+        tall = BinaryImage(10, 20, np.zeros((20, 10), dtype=np.uint8))
+        boxes = [(0, 0, 5, 5), (0, 0, 5, 5), (12, 0, 15, 5)]
+        with pytest.raises(ValueError) as err:
+            word_to_wst([(wide, 1), (tall, 2)], boxes, [(0, 5)] * 3, [6] * 3)
+        assert str(err.value) == "box 2: 12 0 15 5 outside page 10x20"
 
     @pytest.mark.parametrize(
         "box",
