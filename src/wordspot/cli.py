@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from .index import (
-    FORMAT_MAGIC,
     SIZE_CODES,
     IndexFormatError,
     WordIndex,
@@ -290,7 +289,9 @@ def _cmd_query(args) -> int:
 def _cmd_inspect(args) -> int:
     data = Path(args.input).read_bytes()
     what = args.what
-    if data.startswith(FORMAT_MAGIC.encode()):
+    # Every NetPBM page starts with `P`; any other file goes to the index
+    # loader, which says what is wrong with a file that is no index.
+    if not data.startswith(b"P"):
         index = _read_index(args.input, data)
     else:
         img = binarize(_load_page(args.input, data))

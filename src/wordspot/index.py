@@ -16,9 +16,10 @@ prefilter is a binary search and a cold query builds objects only for its
 matches. Size classes remain the unit of `wordspot index`'s counts
 (`WordIndex.size_class_counts`).
 
-Index file format (UTF-8, LF, space-separated fields), nested by position:
+An index file is one gzip member (RFC 1952) whose text is the index, in
+UTF-8 with LF line ends and space-separated fields, nested by position:
 
-    WSIDX 6
+    WSIDX 7
     K 60
     DOC <doc_id> <path> <width> <height>
     L <gap> <height> <body_top> <body_bottom>
@@ -50,13 +51,16 @@ body or a box no rows are refused as WordIndex refuses them, and so are
 gaps that take a line past its page's rows or a box past its page's
 columns. A page's size must also be one a page file can have: at most
 MAX_SIDE per side and MAX_PIXELS in all, as `pnm.load_image` reads. Files
-of another version are refused; rebuild them.
+of another version are refused; rebuild them. So is a file that is not one
+whole gzip member, or whose text is longer than MAX_INDEX_TEXT bytes; an
+error in the text names its line in the text.
 """
 
 from __future__ import annotations
 
 import os
 import urllib.parse
+import zlib
 from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
@@ -83,8 +87,22 @@ SIZE_BOUNDS = (80, 240, 320, 480)
 SIZE_CODES = ("VS", "S", "M", "L", "VL")
 
 FORMAT_MAGIC = "WSIDX"
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 _FONT_LINE = f"K {REF_FONT}"
+
+# The first two bytes of every gzip member, and so of every index file.
+_GZIP_MAGIC = b"\x1f\x8b"
+# The headers of the uncompressed text files that earlier versions wrote.
+_OLDER_HEADERS = [f"{FORMAT_MAGIC} {version}".encode() for version in range(1, FORMAT_VERSION)]
+# The most bytes an index file's text may hold. load_index holds up to about
+# 100 bytes per byte of text (for a text of empty lines; a real index takes
+# about 41), so a file of a few kilobytes that inflates to the bound asks
+# for at most about 800 MiB. 8 MiB of text holds about 660,000 words at
+# the 12.7 bytes each of 20 generated pages.
+MAX_INDEX_TEXT = 2**23
+# zlib's window bits for a gzip member, and the deflate level it is written at.
+_GZIP_WBITS = 31
+_LEVEL = 6
 
 # The largest number an index file may hold; products such as the
 # normalized length's 2 * REF_FONT * width stay far inside int64.
@@ -431,10 +449,11 @@ def _encode(text: str | bytes) -> str:
 
 
 def save_index(index: WordIndex) -> bytes:
-    """Serialize to the text index format; load_index inverts this exactly.
-    A line's first row and a box's first column are written as gaps after
-    the page's previous line and the line's previous word, each row kind's
-    in one array pass. Shape tokens are not written."""
+    """Serialize to the index format, one gzip member of its text;
+    load_index inverts this exactly. A line's first row and a box's first
+    column are written as gaps after the page's previous line and the
+    line's previous word, each row kind's in one array pass. Shape tokens
+    are not written."""
     out = [f"{FORMAT_MAGIC} {FORMAT_VERSION}", _FONT_LINE]
     page, row_start, row_end, body_top, body_bottom = index.lines.T
     word_line, x1, y1, x2, y2 = index.words.T
@@ -458,7 +477,12 @@ def save_index(index: WordIndex) -> bytes:
         for n in range(line_starts[rank], line_starts[rank + 1]):
             out.append(lines[n])
             out.extend(words[word_starts[n] : word_starts[n + 1]])
-    return ("\n".join(out) + "\n").encode("utf-8")
+    text = ("\n".join(out) + "\n").encode("utf-8")
+    # zlib's own gzip header, with no name, mtime 0 and zlib's OS byte, is
+    # the same on every Python; `gzip.compress` writes another OS byte on
+    # some versions.
+    deflate = zlib.compressobj(_LEVEL, zlib.DEFLATED, _GZIP_WBITS)
+    return deflate.compress(text) + deflate.flush()
 
 
 def _number_error(field: str, value: int, what: str, lo: int) -> str:
@@ -498,8 +522,38 @@ def _running_sums(values: np.ndarray, groups: np.ndarray) -> np.ndarray:
     return sums - np.maximum.accumulate(np.where(firsts, sums - values, 0))
 
 
+def _index_text(data: bytes) -> bytes:
+    """The text of an index file's one gzip member, at most MAX_INDEX_TEXT
+    bytes; raises IndexFormatError at line 1 for a file that is not one
+    whole member, or whose text is longer."""
+    if not data.startswith(_GZIP_MAGIC):
+        if data[:16].split(b"\n")[0] in _OLDER_HEADERS:
+            raise IndexFormatError(
+                "older uncompressed index file; rebuild it with `wordspot index`", 1
+            )
+        raise IndexFormatError(
+            "not a gzip member: an index file is its text in one gzip member, "
+            "which starts with bytes 1f 8b", 1
+        )
+    inflate = zlib.decompressobj(_GZIP_WBITS)
+    try:
+        # At most one byte more than the bound is made, to tell it is over.
+        text = inflate.decompress(data, MAX_INDEX_TEXT + 1)
+    except zlib.error:
+        raise IndexFormatError("corrupt gzip member", 1) from None
+    if len(text) > MAX_INDEX_TEXT:
+        raise IndexFormatError(f"index text longer than {MAX_INDEX_TEXT} bytes", 1)
+    if not inflate.eof:
+        raise IndexFormatError("truncated gzip member", 1)
+    if inflate.unused_data:
+        raise IndexFormatError("bytes after the gzip member", 1)
+    return text
+
+
 def load_index(data: bytes) -> WordIndex:
-    """Parse index bytes; raises IndexFormatError naming the bad line.
+    """Parse index file bytes; raises IndexFormatError naming the bad line
+    of the file's text, or line 1 when the file is not one whole gzip
+    member of at most MAX_INDEX_TEXT bytes of text (`_index_text`).
 
     The header and the K line are compared with the only bytes they may
     hold. After them, the lines are found by array passes over the bytes:
@@ -526,6 +580,7 @@ def load_index(data: bytes) -> WordIndex:
     boxes inside their page's columns) checked, by WordIndex's validator,
     so that a parse error is reported before an invariant error.
     """
+    data = _index_text(data)
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -18,6 +18,7 @@ from glyphs import (
     word_pixel_width,
     word_symbols,
 )
+from indexfile import index_file, index_text
 from wordspot.index import (
     REF_FONT,
     SIZE_CODES,
@@ -379,13 +380,13 @@ def test_persistence_round_trip():
     again = load_index(data)
     ok_fields = again == index
 
-    lines = data.decode().split("\n")
+    lines = index_text(data).decode().split("\n")
     bad_line_no = 300
     lines[bad_line_no - 1] = lines[bad_line_no - 1] + " extra"
     from wordspot.index import IndexFormatError
 
     try:
-        load_index(("\n".join(lines)).encode())
+        load_index(index_file("\n".join(lines)))
         rejected = False
         line_named = False
     except IndexFormatError as exc:

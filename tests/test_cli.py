@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from glyphs import compose_page, metrics
+from indexfile import index_file, index_text
+from wordspot import index as index_mod
 from wordspot.cli import _build_parser, main
-from wordspot.index import WordIndex, load_index
+from wordspot.index import MAX_INDEX_TEXT, WordIndex, load_index
 from wordspot.pnm import GrayImage, binarize, load_image, write_gray
 from wordspot.search import search
 from wordspot.segment import default_noise_threshold, row_profile, segment_lines, segment_words
@@ -200,10 +202,10 @@ class TestQueryCommand:
         # Every index file is written at the reference font 60, so line 2
         # is exactly `K 60`, checked as the header is.
         layout, page, index_path = corpus
-        data = index_path.read_bytes()
-        assert data.split(b"\n")[1] == b"K 60"
+        text = index_text(index_path.read_bytes())
+        assert text.split(b"\n")[1] == b"K 60"
         other = tmp_path / "other.wsidx"
-        other.write_bytes(data.replace(b"\nK 60\n", b"\n" + font_line + b"\n", 1))
+        other.write_bytes(index_file(text.replace(b"\nK 60\n", b"\n" + font_line + b"\n", 1)))
         for argv in (["query", str(other), "help"], ["inspect", str(other), "--what", "words"]):
             assert main(argv) == 2
             out, err = capsys.readouterr()
@@ -227,7 +229,7 @@ class TestQueryCommand:
 
     def test_garbage_index_exits_2(self, tmp_path):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 6\nK 60\njunk line\n")
+        bad.write_bytes(index_file(b"WSIDX 7\nK 60\njunk line\n"))
         assert main(["query", str(bad), "help"]) == 2
 
     def test_missing_page_file_exits_3(self, corpus, capsys):
@@ -383,7 +385,7 @@ class TestQueryCommand:
 
     def test_record_box_outside_its_page_exits_2_naming_the_line(self, corpus, capsys):
         layout, page, index_path = corpus
-        lines = index_path.read_text().splitlines()
+        lines = index_text(index_path.read_bytes()).decode().splitlines()
         # Line 6 is the record of "help": DOC, L, then the line's words.
         # Move its box past the page's last column, keeping its width.
         assert [line.split(" ")[0] for line in lines[2:4]] == ["DOC", "L"]
@@ -391,7 +393,7 @@ class TestQueryCommand:
         fields = lines[5].split(" ")
         fields[0] = str(layout.image.width - 5)
         lines[5] = " ".join(fields)
-        index_path.write_text("\n".join(lines) + "\n")
+        index_path.write_bytes(index_file("\n".join(lines) + "\n"))
         capsys.readouterr()
         assert main(["query", str(index_path), "help"]) == 2
         err = capsys.readouterr().err
@@ -452,11 +454,11 @@ class TestQueryCommand:
     def test_page_size_no_page_file_can_have_exits_2(self, corpus, tmp_path, capsys):
         # Refused when the index loads, before a query sizes arrays for it.
         layout, page, index_path = corpus
-        lines = index_path.read_text().split("\n")
+        lines = index_text(index_path.read_bytes()).decode().split("\n")
         doc = lines[2].split(" ")
         lines[2] = " ".join(doc[:3] + ["2000000000", doc[4]])
         wide = tmp_path / "wide.wsidx"
-        wide.write_text("\n".join(lines))
+        wide.write_bytes(index_file("\n".join(lines)))
         assert main(["query", str(wide), "help"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -571,9 +573,9 @@ class TestAnnotate:
         p2.write_bytes(data)
         index_path = tmp_path / "two.wsidx"
         assert main(["index", str(p1), str(p2), "--out", str(index_path)]) == 0
-        text = index_path.read_text()
+        text = index_text(index_path.read_bytes()).decode()
         text = text.replace("DOC p1 ", "DOC a%2Fb ").replace("DOC p2 ", "DOC c%00d ")
-        index_path.write_text(text)
+        index_path.write_bytes(index_file(text))
         out = tmp_path / "hits.pgm"
         assert main(["query", str(index_path), "help", "--annotate", str(out)]) == 0
         assert sorted(path.name for path in tmp_path.glob("hits.*")) == [
@@ -592,9 +594,9 @@ class TestAnnotate:
         p2.write_bytes(data)
         index_path = tmp_path / "two.wsidx"
         assert main(["index", str(p1), str(p2), "--out", str(index_path)]) == 0
-        text = index_path.read_text()
+        text = index_text(index_path.read_bytes()).decode()
         text = text.replace("DOC p1 ", "DOC a%2Fb ").replace("DOC p2 ", "DOC a%252Fb ")
-        index_path.write_text(text)
+        index_path.write_bytes(index_file(text))
         out = tmp_path / "hits.pgm"
         assert main(["query", str(index_path), "help", "--annotate", str(out)]) == 0
         assert sorted(path.name for path in tmp_path.glob("hits.*")) == [
@@ -659,8 +661,9 @@ class TestInspect:
 
         # An L line holds its first row as the gap after the previous line's
         # last, its height and the body's insets from its first and last rows.
+        text = index_text(index_path.read_bytes()).decode()
         index_lines = [[int(v) for v in line.split()[1:]]
-                       for line in index_path.read_text().splitlines() if line.startswith("L ")]
+                       for line in text.splitlines() if line.startswith("L ")]
         next_row, file_zones = 0, []
         for gap, h, top, bottom in index_lines:
             y = next_row + gap
@@ -723,7 +726,7 @@ class TestBadInputNamesTheFile:
     )
     def test_bad_index_exits_2_naming_file_and_line(self, tmp_path, capsys, monkeypatch, argv):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 6\nK 60\nX what\n")
+        bad.write_bytes(index_file(b"WSIDX 7\nK 60\nX what\n"))
         monkeypatch.setattr("sys.stdin", io.StringIO("help\n"))
         out = tmp_path / "out.pgm"
         assert main([arg.format(index=bad, out=out) for arg in argv]) == 2
@@ -745,19 +748,69 @@ class TestBadInputNamesTheFile:
             # Version 5 gave a line's first row and a box's first column as
             # absolute numbers.
             b"WSIDX 5\nK 60\nDOC a a.pgm 100 50\nL 30 20 5 5\n1 2 30 9\n60 2 30 9\n",
+            # Version 6 was the text version 7 compresses.
+            b"WSIDX 6\nK 60\nDOC a a.pgm 100 50\nL 0 21 5 5\n1 2 30 9\n29 2 30 9\n",
         ],
-        ids=["version 3", "version 4", "version 5"],
+        ids=["version 3", "version 4", "version 5", "version 6"],
     )
-    def test_older_version_index_exits_2_naming_line_1(self, tmp_path, capsys, argv, data):
-        # There is one reader, for version 6.
+    def test_older_uncompressed_index_exits_2_saying_rebuild(self, tmp_path, capsys, argv, data):
+        # Every version before 7 was uncompressed text, which `inspect` does
+        # not take for a page either.
         old = tmp_path / "old.wsidx"
         old.write_bytes(data)
         assert main([arg.format(index=old) for arg in argv]) == 2
         captured = capsys.readouterr()
-        got = data.split(b"\n")[0].decode()
-        assert captured.err == (
-            f"wordspot: {old}: expected header 'WSIDX' version 6, got {got!r} (line 1)\n"
-        )
+        assert captured.err == (f"wordspot: {old}: older uncompressed index file; rebuild it "
+                                "with `wordspot index` (line 1)\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["query", "{index}", "help"], ["inspect", "{index}", "--what", "words"]]
+    )
+    @pytest.mark.parametrize("what", ["current text", "not an index"])
+    def test_file_that_is_no_gzip_member_exits_2_naming_line_1(
+        self, corpus, tmp_path, capsys, argv, what
+    ):
+        # The text of a current index, as `gzip -dc` prints it, is no index
+        # file; nor is a file that is neither an index nor a page, which
+        # `inspect` takes for an index as it does not start with `P`.
+        layout, page, index_path = corpus
+        bad = tmp_path / "bad.wsidx"
+        bad.write_bytes(index_text(index_path.read_bytes()) if what == "current text"
+                        else b"\x89PNG\r\n\x1a\n")
+        capsys.readouterr()
+        assert main([arg.format(index=bad) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"wordspot: {bad}: not a gzip member: an index file is its text "
+                                "in one gzip member, which starts with bytes 1f 8b (line 1)\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["query", "{index}", "help"], ["inspect", "{index}", "--what", "words"]]
+    )
+    @pytest.mark.parametrize(
+        "damage,bound,message",
+        [
+            (lambda data: data[:-4], MAX_INDEX_TEXT, "truncated gzip member"),
+            (lambda data: data[:-8] + bytes([data[-8] ^ 1]) + data[-7:], MAX_INDEX_TEXT,
+             "corrupt gzip member"),
+            (lambda data: data + b"\n", MAX_INDEX_TEXT, "bytes after the gzip member"),
+            (lambda data: data + data, MAX_INDEX_TEXT, "bytes after the gzip member"),
+            # The bound is lowered, so that no test makes a gibibyte of text.
+            (lambda data: data, 100, "index text longer than 100 bytes"),
+        ],
+        ids=["truncated", "corrupt CRC-32", "a byte after", "a second member", "over the bound"],
+    )
+    def test_damaged_or_oversized_gzip_member_exits_2_naming_line_1(
+        self, corpus, capsys, monkeypatch, argv, damage, bound, message
+    ):
+        layout, page, index_path = corpus
+        index_path.write_bytes(damage(index_path.read_bytes()))
+        monkeypatch.setattr(index_mod, "MAX_INDEX_TEXT", bound)
+        capsys.readouterr()
+        assert main([arg.format(index=index_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"wordspot: {index_path}: {message} (line 1)\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -777,10 +830,10 @@ class TestBadInputNamesTheFile:
     def test_insets_that_empty_a_body_or_box_exit_2_naming_the_line(
         self, tmp_path, capsys, argv, row, line_no, message
     ):
-        lines = ["WSIDX 6", "K 60", "DOC a a.pgm 100 50", "L 0 21 5 5", "1 2 30 9"]
+        lines = ["WSIDX 7", "K 60", "DOC a a.pgm 100 50", "L 0 21 5 5", "1 2 30 9"]
         lines[line_no - 1] = row
         bad = tmp_path / "bad.wsidx"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(index_file("\n".join(lines) + "\n"))
         assert main([arg.format(index=bad) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"wordspot: {bad}: {message} (line {line_no})\n"
@@ -792,7 +845,9 @@ class TestBadInputNamesTheFile:
     def test_word_row_with_a_token_exits_2_naming_file_and_line(self, tmp_path, capsys, argv):
         # No index file holds a shape token: a word row has four fields.
         bad = tmp_path / "bad.wsidx"
-        bad.write_text("WSIDX 6\nK 60\nDOC a a.pgm 100 50\nL 0 21 5 5\n1 2 30 9 AxgA\n")
+        bad.write_bytes(
+            index_file("WSIDX 7\nK 60\nDOC a a.pgm 100 50\nL 0 21 5 5\n1 2 30 9 AxgA\n")
+        )
         assert main([arg.format(index=bad) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"wordspot: {bad}: word line needs 4 fields, got 5 (line 5)\n"
@@ -819,9 +874,9 @@ class TestBadInputNamesTheFile:
         # A gap counts from the column after the line's previous word or the
         # row after the page's previous line, so it can take a box or a line
         # off its page.
-        lines = ["WSIDX 6", "K 60", "DOC a a.pgm 100 50", "L 0 21 5 5", "1 2 30 9", row]
+        lines = ["WSIDX 7", "K 60", "DOC a a.pgm 100 50", "L 0 21 5 5", "1 2 30 9", row]
         bad = tmp_path / "bad.wsidx"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(index_file("\n".join(lines) + "\n"))
         assert main([arg.format(index=bad) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"wordspot: {bad}: {message} (line {line_no})\n"
@@ -849,7 +904,8 @@ class TestBadInputNamesTheFile:
         self, tmp_path, capsys, argv, doc, message
     ):
         bad = tmp_path / "bad.wsidx"
-        bad.write_text("\n".join(["WSIDX 6", "K 60", doc, "L 0 21 5 5", "1 2 30 9"]) + "\n")
+        lines = ["WSIDX 7", "K 60", doc, "L 0 21 5 5", "1 2 30 9"]
+        bad.write_bytes(index_file("\n".join(lines) + "\n"))
         assert main([arg.format(index=bad) for arg in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"wordspot: {bad}: {message} (line 3)\n"
@@ -857,7 +913,7 @@ class TestBadInputNamesTheFile:
 
     def test_index_that_breaks_an_invariant_names_file_and_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.wsidx"
-        bad.write_bytes(b"WSIDX 6\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n")
+        bad.write_bytes(index_file(b"WSIDX 7\nK 60\nDOC a a.pgm 10 10\nDOC a a.pgm 10 10\n"))
         assert main(["query", str(bad), "help"]) == 2
         assert capsys.readouterr().err == (
             f"wordspot: {bad}: duplicate doc_id 'a' (line 4)\n"

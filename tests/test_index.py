@@ -1,9 +1,12 @@
 """Length normalization, size classes, index build and persistence."""
 
+import contextlib
 import os
 import random
 import urllib.parse
+import tracemalloc
 import weakref
+import zlib
 from collections import Counter
 from pathlib import Path
 
@@ -12,6 +15,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from indexfile import index_file, index_text
+from wordspot import index as index_mod
 from wordspot.index import (
     REF_FONT,
     SIZE_BOUNDS,
@@ -195,7 +200,17 @@ def small_index():
 
 class TestPersistence:
     def test_empty_index_header(self):
-        assert save_index(WordIndex([], [], [])) == b"WSIDX 6\nK 60\n"
+        assert index_text(save_index(WordIndex([], [], []))) == b"WSIDX 7\nK 60\n"
+
+    def test_one_gzip_member_with_no_name_and_mtime_0_same_bytes_each_time(self):
+        data = save_index(small_index())
+        assert save_index(small_index()) == data
+        # ID1 ID2, deflate, no flags (so no name), and a modification time
+        # of 0, so the file's bytes do not depend on when it was written.
+        assert data[:8] == bytes.fromhex("1f8b080000000000")
+        inflate = zlib.decompressobj(31)
+        assert inflate.decompress(data) == index_text(data)
+        assert inflate.eof and inflate.unused_data == b""
 
     def test_round_trip_is_field_exact(self):
         index = small_index()
@@ -205,7 +220,7 @@ class TestPersistence:
         assert again.lines[2].tolist() == [1, 20, 80, 40, 60]
 
     def test_no_whitespace_in_encoded_lines(self):
-        data = save_index(small_index()).decode()
+        data = index_text(save_index(small_index())).decode()
         for line in data.strip().split("\n"):
             assert len(line.split(" ")) == len(line.split())
 
@@ -213,7 +228,7 @@ class TestPersistence:
         index = WordIndex([DocEntry("d", "d.pgm", 100, 50)],
                           [line_row(0, 0, 20, 5, 15), line_row(0, 24, 30)],
                           [word_row(0, x=1, y=2, w=30, h=10), word_row(0, x=40, y=5, w=10, h=3)])
-        lines = save_index(index).decode().splitlines()
+        lines = index_text(save_index(index)).decode().splitlines()
         assert lines[2] == "DOC d d.pgm 100 50"
         # Rows 0..20 with the body 5..15, 5 rows in from either end, and a
         # 30x10 box on rows 2..11, 2 rows below row 0 and 9 above row 20.
@@ -230,7 +245,7 @@ class TestPersistence:
         path = os.fsdecode(b"pages/a\xff b.pgm")
         index = WordIndex([DocEntry("a", path, 10, 10)], [], [])
         data = save_index(index)
-        assert b"DOC a pages/a%FF%20b.pgm 10 10" in data
+        assert b"DOC a pages/a%FF%20b.pgm 10 10" in index_text(data)
         assert load_index(data).docs[0].path == path
 
     def test_norm_lengths_and_classes_rebuilt_on_load(self):
@@ -242,14 +257,14 @@ class TestPersistence:
         assert sum(again.size_class_counts()) == 3
 
 
-# A row-by-row loader, kept as the specification of `load_index`: each row
-# is split in Python, checked in turn and turned into absolute rows and
-# columns at once, and each number must be 1..10 ASCII digits with a value
-# in its field's range. A row that starts with an ASCII digit is a word row.
-# A line's first row counts on from the row after its page's previous line,
-# and a box's first column from the column after its line's previous word.
-# `load_index` must give an equal index, or the same message and line, on
-# any bytes.
+# A row-by-row loader of an index file's text, kept as the specification of
+# `load_index` after decompression: each row is split in Python, checked in
+# turn and turned into absolute rows and columns at once, and each number
+# must be 1..10 ASCII digits with a value in its field's range. A row that
+# starts with an ASCII digit is a word row. A line's first row counts on
+# from the row after its page's previous line, and a box's first column
+# from the column after its line's previous word. `load_index` must give an
+# equal index, or the same message and line, on a file of any text.
 MAX_NUMBER = 2**31 - 1
 KIND_NAMES = ("DOC", "L", "word")
 NUMBER_FIELDS = (
@@ -271,17 +286,17 @@ def number_error(token, what, lo=0):
     return None
 
 
-def reference_load_index(data: bytes) -> WordIndex:
+def reference_load_index(text: bytes) -> WordIndex:
     try:
-        text = data.decode("utf-8")
+        text = text.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise IndexFormatError(f"index is not valid UTF-8: {exc}", 1) from None
     rows = text.split("\n")
     if rows and rows[-1] == "":
         rows.pop()
-    if not rows or rows[0] != "WSIDX 6":
+    if not rows or rows[0] != "WSIDX 7":
         got = rows[0] if rows else ""
-        raise IndexFormatError(f"expected header 'WSIDX' version 6, got {got!r}", 1)
+        raise IndexFormatError(f"expected header 'WSIDX' version 7, got {got!r}", 1)
     if len(rows) < 2 or rows[1] != "K 60":
         got = rows[1] if len(rows) >= 2 else ""
         raise IndexFormatError(f"expected reference font line 'K 60', got {got!r}", 2)
@@ -346,11 +361,11 @@ def load_outcome(load, data):
         return str(exc), exc.line
 
 
-def assert_loads_as_reference(data):
-    """`load_index` gives the reference's index, or its message and line;
-    returns that outcome."""
-    outcome = load_outcome(load_index, data)
-    assert outcome == load_outcome(reference_load_index, data)
+def assert_loads_as_reference(text):
+    """`load_index` of a file of `text` gives the reference's index of the
+    text, or its message and line; returns that outcome."""
+    outcome = load_outcome(load_index, index_file(text))
+    assert outcome == load_outcome(reference_load_index, text)
     return outcome
 
 
@@ -363,14 +378,15 @@ def corrupt(lines, line_no, new_value):
 class TestLoadErrors:
     @pytest.fixture()
     def lines(self):
-        return save_index(small_index()).decode().strip().split("\n")
+        return index_text(save_index(small_index())).decode().strip().split("\n")
 
-    def assert_error_line(self, data, line_no):
+    def assert_error_line(self, text, line_no):
         with pytest.raises(IndexFormatError) as err:
-            load_index(data)
+            load_index(index_file(text))
         assert err.value.line == line_no
 
     def test_bad_version(self, lines):
+        self.assert_error_line(corrupt(lines, 1, "WSIDX 6"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 5"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 4"), 1)
         self.assert_error_line(corrupt(lines, 1, "WSIDX 3"), 1)
@@ -495,7 +511,7 @@ class TestLoadErrors:
 
     def test_non_utf8(self):
         with pytest.raises(IndexFormatError):
-            load_index(b"\xff\xfe\x00")
+            load_index(index_file(b"\xff\xfe\x00"))
 
     @pytest.mark.parametrize(
         "bad", ["1 2 2147483648 30", "1 99999999999999999999 3 4", "1 -2 3 4"]
@@ -528,7 +544,7 @@ class TestArrayParseEdges:
 
     def lines(self):
         # Line 3 opens doc1 (640 x 480), 4 is its first L line, 5 its first word.
-        return save_index(small_index()).decode().strip().split("\n")
+        return index_text(save_index(small_index())).decode().strip().split("\n")
 
     def load_with(self, line_no, field, value):
         lines = self.lines()
@@ -606,7 +622,7 @@ class TestArrayParseEdges:
     def test_ten_digit_fields_within_a_wide_page(self):
         # No page is wider or taller than pnm.MAX_SIDE, so ten-digit fields
         # inside one start with zeros.
-        data = (b"WSIDX 6\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
+        data = (b"WSIDX 7\nK 60\nDOC d d.pgm 0001000000 0000000100\n"
                 b"L 0000000000 0000000100 0000000010 0000000010\n"
                 b"0000999998 0000000011 0000000002 0000000011\n")
         index = assert_loads_as_reference(data)
@@ -615,7 +631,7 @@ class TestArrayParseEdges:
         assert index.words[0, 1:].tolist() == [999998, 11, 999999, 88]
 
     def test_digits_in_encoded_doc_ids_and_paths_are_not_numbers(self):
-        data = (b"WSIDX 6\nK 60\nDOC page%2B01 2024/p%2001.pgm 640 480\n"
+        data = (b"WSIDX 7\nK 60\nDOC page%2B01 2024/p%2001.pgm 640 480\n"
                 b"DOC 12345 0012 640 480\nL 20 60 10 19\n10 0 50 35\n")
         index = assert_loads_as_reference(data)
         assert index.docs == [DocEntry("page+01", "2024/p 01.pgm", 640, 480),
@@ -625,14 +641,14 @@ class TestArrayParseEdges:
         assert index.records == [make_record("12345", 0, 0)]
 
     def test_file_without_a_final_newline(self):
-        data = save_index(small_index())
-        assert assert_loads_as_reference(data[:-1]) == small_index()
+        text = index_text(save_index(small_index()))
+        assert assert_loads_as_reference(text[:-1]) == small_index()
 
-    @pytest.mark.parametrize("data", [b"WSIDX 6\nK 60\n", b"WSIDX 6\nK 60"])
+    @pytest.mark.parametrize("data", [b"WSIDX 7\nK 60\n", b"WSIDX 7\nK 60"])
     def test_header_only(self, data):
         assert assert_loads_as_reference(data) == WordIndex([], [], [])
 
-    @pytest.mark.parametrize("data", [b"WSIDX 6\n", b"WSIDX 6"])
+    @pytest.mark.parametrize("data", [b"WSIDX 7\n", b"WSIDX 7"])
     def test_no_font_line(self, data):
         assert assert_loads_as_reference(data) == (
             "expected reference font line 'K 60', got '' (line 2)", 2
@@ -650,6 +666,90 @@ class TestArrayParseEdges:
         assert assert_loads_as_reference(("\n".join(lines) + "\n").encode()) == (
             f"word line needs 4 fields, got 5 (line {line_no})", line_no
         )
+
+
+class TestGzipMember:
+    """An index file is one whole gzip member of at most MAX_INDEX_TEXT
+    bytes of text; any other file is refused at line 1, each fault with its
+    own message, before its text is read."""
+
+    def assert_refused(self, data, message):
+        with pytest.raises(IndexFormatError) as err:
+            load_index(data)
+        assert (err.value.message, err.value.line) == (message, 1)
+
+    @pytest.mark.parametrize("version", range(1, 7))
+    def test_uncompressed_text_of_an_older_version_is_a_file_to_rebuild(self, version):
+        text = index_text(save_index(small_index())).replace(b"7", str(version).encode(), 1)
+        assert text.startswith(f"WSIDX {version}\n".encode())
+        self.assert_refused(text,
+                            "older uncompressed index file; rebuild it with `wordspot index`")
+
+    @pytest.mark.parametrize(
+        "data",
+        [b"", b"\x1f", b"\x8b\x1f\x08", b"P5\n1 1\n255\n\x00", b"wsidx 6\nK 60\n",
+         b"WSIDX 60\nK 60\n", b"WSIDX 8\nK 60\n", b"WSIDX 6\r\nK 60\r\n",
+         # The text of a current index, as `gzip -dc` prints it.
+         index_text(save_index(small_index()))],
+    )
+    def test_bytes_without_the_gzip_magic_refused(self, data):
+        self.assert_refused(data, "not a gzip member: an index file is its text in one gzip "
+                                  "member, which starts with bytes 1f 8b")
+
+    @pytest.mark.parametrize("keep", [2, 9, 10, 20, -8, -1])
+    def test_truncated_member_refused(self, keep):
+        # The 10-byte header, then the deflate stream, then 8 bytes of
+        # CRC-32 and length.
+        self.assert_refused(save_index(small_index())[:keep], "truncated gzip member")
+
+    @pytest.mark.parametrize(
+        "at,value",
+        [(2, 7), (3, 0xE0), (10, 0x07), (-8, None), (-4, None)],
+        ids=["not deflate", "reserved flags", "reserved block type", "CRC-32", "length"],
+    )
+    def test_corrupt_member_refused(self, at, value):
+        data = bytearray(save_index(small_index()))
+        data[at] = data[at] ^ 1 if value is None else value
+        self.assert_refused(bytes(data), "corrupt gzip member")
+
+    @pytest.mark.parametrize("extra", [b"\n", b"\x00" * 8, b"\x1f\x8b", "second member"])
+    def test_bytes_after_the_member_refused(self, extra):
+        data = save_index(small_index())
+        self.assert_refused(data + (data if extra == "second member" else extra),
+                            "bytes after the gzip member")
+
+    def test_text_longer_than_the_bound_refused(self, monkeypatch):
+        data = save_index(small_index())
+        size = len(index_text(data))
+        monkeypatch.setattr(index_mod, "MAX_INDEX_TEXT", size)
+        assert load_index(data) == small_index()
+        monkeypatch.setattr(index_mod, "MAX_INDEX_TEXT", size - 1)
+        self.assert_refused(data, f"index text longer than {size - 1} bytes")
+
+    @pytest.mark.parametrize(
+        "body",
+        [b" ", b"\n", b"    \n", b"1\n", b"0 0 1 0\n"],
+        ids=["spaces", "empty lines", "lines of empty fields", "lines of one field",
+             "the most word rows"],
+    )
+    def test_a_text_at_the_bound_takes_under_a_gibibyte_to_load(self, body):
+        # Separators cost the parser the most per byte of text: an int64
+        # position each, and several per line. A small file of them inflates
+        # to the bound, so the bound must keep what load_index holds for the
+        # worst of them under the budget. Measured on 64 KiB of text, where
+        # the bytes held per byte of text are what they are at the bound.
+        head = b"WSIDX 7\nK 60\nDOC a a.pgm 1000000 100\nL 0 10 0 0\n"
+        text = head + body * (2**16 // len(body))
+        data = index_file(text)
+        assert len(data) < len(text) // 100
+        tracemalloc.start()
+        try:
+            with contextlib.suppress(IndexFormatError):
+                load_index(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / len(text) * index_mod.MAX_INDEX_TEXT < 2**30
 
 
 # Doc ids and paths mix plain characters with the ones the format must
@@ -729,12 +829,14 @@ class TestLoadProperties:
         assert save_index(again) == saved
         assert again.tokens == [None] * len(index.tokens)
         # A word row holds its box's four numbers and nothing else.
-        words = [line.split(" ") for line in saved.decode().split("\n") if line[:1].isdigit()]
+        text = index_text(saved).decode()
+        words = [line.split(" ") for line in text.split("\n") if line[:1].isdigit()]
         assert [len(fields) for fields in words] == [4] * len(index.tokens)
 
     @given(word_indexes(), st.data())
     def test_truncated_extended_or_mutated_bytes_give_index_or_format_error(self, index, data):
-        original = save_index(index)
+        # The text is damaged, then compressed, so that the parser sees it.
+        original = index_text(save_index(index))
         # Bytes the format gives meaning to are drawn often, so that many
         # mutations leave a line that still parses up to a later field.
         byte = st.sampled_from(b" \n\r-+_%0123456789WLDOCKAxg") | st.integers(0, 255)
@@ -776,6 +878,35 @@ class TestLoadProperties:
             return
         assert isinstance(loaded, WordIndex)
 
+    @given(word_indexes(), st.data())
+    def test_truncated_extended_or_mutated_gzip_bytes_give_index_or_format_error(self, index,
+                                                                                  data):
+        # The file's compressed bytes are damaged: its header, its deflate
+        # stream, its CRC-32 and length, or what follows it.
+        original = save_index(index)
+        how = data.draw(st.sampled_from(["truncate", "extend", "mutate", "append member"]))
+        if how == "truncate":
+            damaged = original[: data.draw(st.integers(0, len(original) - 1))]
+        elif how == "extend":
+            damaged = original + data.draw(st.binary(min_size=1, max_size=12))
+        elif how == "append member":
+            damaged = original + index_file(data.draw(st.binary(max_size=12)))
+        else:
+            damaged = bytearray(original)
+            for _ in range(data.draw(st.integers(1, 4))):
+                damaged[data.draw(st.integers(0, len(damaged) - 1))] = data.draw(
+                    st.integers(0, 255))
+            damaged = bytes(damaged)
+        try:
+            loaded = load_index(damaged)
+        except IndexFormatError as exc:
+            assert exc.line >= 1
+            return
+        # A change the CRC-32 does not cover (the header's time, flags
+        # or OS byte) leaves a file of some text, which loads as that text.
+        assert isinstance(loaded, WordIndex)
+        assert loaded == reference_load_index(zlib.decompress(damaged, 31))
+
     @given(st.lists(
         st.text("0123456789+-_\t\r\x0b\x0c\x1c\u0665\u0661\u00b2\u2003\uff15xe.", max_size=12)
         | st.integers(0, 2**34).map(str),
@@ -783,7 +914,7 @@ class TestLoadProperties:
     ))
     def test_any_number_spelling_reads_as_reference(self, spellings):
         # The four numbers of small_index's first L line and first word row.
-        lines = save_index(small_index()).decode().strip().split("\n")
+        lines = index_text(save_index(small_index())).decode().strip().split("\n")
         lines[3] = " ".join(["L", *spellings[:4]])
         lines[4] = " ".join(spellings[4:])
         assert_loads_as_reference(("\n".join(lines) + "\n").encode())
@@ -792,12 +923,12 @@ class TestLoadProperties:
 def test_readme_format_example_loads_and_saves_back():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     example = readme.split("## Index file format", 1)[1].split("```\n", 2)[1]
-    index = load_index(example.encode())
+    index = load_index(index_file(example))
     assert index.lines.tolist() == [[0, 172, 248, 190, 232], [0, 280, 359, 300, 341]]
     assert index.records == [make_record("page1", 0, 0, x=210, y=180, w=321, h=61),
                              make_record("page1", 0, 1, x=580, y=186, w=240, h=58),
                              make_record("page1", 1, 0, x=195, y=290, w=400, h=58)]
-    assert save_index(index) == example.encode()
+    assert index_text(save_index(index)) == example.encode()
 
 
 class TestDirectConstruction:
@@ -992,7 +1123,7 @@ class TestDirectConstruction:
         words = [word_row(0, x=0), word_row(0, x=50), word_row(1, x=0, y=50), word_row(2, x=0)]
         index = WordIndex(docs, lines, words)
         assert load_index(save_index(index)) == index
-        assert save_index(index).decode().splitlines()[3:] == [
+        assert index_text(save_index(index)).decode().splitlines()[3:] == [
             "L 0 50 0 0", "0 20 50 5", "0 20 50 5", "L 0 50 0 0", "0 0 50 25",
             "DOC e e.pgm 100 100", "L 0 100 0 0", "0 20 50 55",
         ]

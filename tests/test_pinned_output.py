@@ -2,7 +2,10 @@
 
 Each digest is the sha256 of one output, recorded once from a known-good
 build. A refactor that keeps every rule keeps every digest; a deliberate
-change of output updates them in the same change and says so.
+change of output updates them in the same change and says so. The index
+file's digest is of its decompressed text, which the format fixes; the
+compressed bytes of the same text may differ from one zlib build to
+another.
 """
 
 import hashlib
@@ -12,6 +15,7 @@ import numpy as np
 import pytest
 
 from glyphs import compose_page, metrics
+from indexfile import index_text
 from wordspot.cli import main
 from wordspot.pnm import GrayImage, write_gray
 
@@ -25,7 +29,7 @@ PAGES = {
 ABSENT = ["zebra", "mmmmmmmm", "A"]
 
 DIGESTS = {
-    "index file": "5365bc64a7f9da04c4e43705c5dd50c814330c69776a0ac18b27abb62f6d71ca",
+    "index text": "0f7589935439556e1141d2e5f134f10d551652499130fc8f6daf0b73b5a41f70",
     "index stdout": "e8b55aba3438928170e17ef5f0ae3890209aa3009ee5ca9da38b9f2780a14329",
     "query stdin": "bffbb2b072512b60391dca90ad925fea680039feba870a881a80a96c7aa8eb60",
     "inspect p40.pgm rows": "215848e51ff3ee40e2ce095b959fbaf08298aadb11051caaf5338d41ecdbdbd7",
@@ -76,7 +80,9 @@ def outputs(tmp_path_factory):
 
     try:
         run("index stdout", ["index", *PAGES, "--out", "pinned.wsidx"])
-        digests["index file"] = _sha((root / "pinned.wsidx").read_bytes())
+        # The text, not the file: another zlib build may deflate the same
+        # text to other bytes.
+        digests["index text"] = _sha(index_text((root / "pinned.wsidx").read_bytes()))
         words = [w for _, lines in PAGES.values() for line in lines for w in line]
         run("query stdin", ["query", "pinned.wsidx", "--stdin"], "\n".join(words + ABSENT))
         for what in ("rows", "cols", "lines", "words", "zones", "wst"):
