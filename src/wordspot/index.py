@@ -44,12 +44,11 @@ lines or words overlap. K is REF_FONT: like the header, line 2 must be
 exactly `K 60`, so a word's normalized length comes from its box alone. A
 word row has exactly these four fields: no file holds a shape token. doc_id
 (not empty, without white space) and path (as file-system bytes, without a
-NUL) are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits, with a
-value of at most 2**31 - 1 and at least 1 for a page's size, a line's
-height and a box's width, or 0 for a gap and an inset. Insets that leave a
-body or a box no rows are refused as WordIndex refuses them, and so are
-gaps that take a line past its page's rows or a box past its page's
-columns. A page's size must also be one a page file can have: at most
+NUL) are percent-encoded. Numbers are decimal: 1 to 10 ASCII digits.
+WordIndex judges every value, as it does for any rows: a size of 0 or
+insets that leave a band, a body or a box no rows are refused, and so are
+gaps and sizes that take a line past its page's rows or a box past its
+page's columns. A page's size must be one a page file can have: at most
 MAX_SIDE per side and MAX_PIXELS in all, as `pnm.load_image` reads. Files
 of another version are refused; rebuild them. So is a file that is not one
 whole gzip member, or whose text is longer than MAX_INDEX_TEXT bytes; an
@@ -103,10 +102,6 @@ MAX_INDEX_TEXT = 2**23
 # zlib's window bits for a gzip member, and the deflate level it is written at.
 _GZIP_WBITS = 31
 _LEVEL = 6
-
-# The largest number an index file may hold; products such as the
-# normalized length's 2 * REF_FONT * width stay far inside int64.
-_MAX_NUMBER = 2**31 - 1
 
 
 class IndexFormatError(ValueError):
@@ -181,8 +176,6 @@ class _Entries(Sequence):
         return self._count
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self._make(j) for j in range(*i.indices(self._count))]
         if not -self._count <= i < self._count:
             raise IndexError("index entry out of range")
         return self._make(i % self._count)
@@ -485,19 +478,10 @@ def save_index(index: WordIndex) -> bytes:
     return deflate.compress(text) + deflate.flush()
 
 
-def _number_error(field: str, value: int, what: str, lo: int) -> str:
-    """Why the number rule refused `field`, which `ascii_decimals` read as
-    `value`."""
-    if value < 0:
-        return f"malformed {what}: {field!r}"
-    return f"{what} {value} outside {lo}..{_MAX_NUMBER}"
-
-
 # Line kinds by code: DOC, L and word rows; any other line gets code 3.
 # Each kind's name in messages, the number fields it holds from field
 # _FIRST_NUMBER on (after a DOC line's tag, id and path, an L line's tag,
-# and from a word row's first field), and the least value of each: 1 for a
-# size, 0 for a gap and an inset.
+# and from a word row's first field).
 _KIND_NAMES = ("DOC", "L", "word")
 _NUMBERS = (
     ("doc width", "doc height"),
@@ -505,7 +489,6 @@ _NUMBERS = (
     ("gap", "top", "width", "bottom"),
 )
 _FIRST_NUMBER = (3, 1, 0)
-_LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
 # The number of fields of each kind, a tag included.
 _FIELDS = np.array([5, 5, 4, 0])
 # The bytes that end a field and end a line.
@@ -571,14 +554,12 @@ def load_index(data: bytes) -> WordIndex:
     Every check of a single line runs over all lines at once, and the first
     bad line in file order is reported (`_first_failure`, as WordIndex's
     validator reports its first bad entry); only its fields are split to
-    word the message. The number rule's least values leave no empty band or
-    box column range to check, and its insets no box outside its line's
-    rows.
-    Gaps are at least 0, so no two lines of a page and no two words of a
-    line can overlap. Only then are the invariants across entries (unique
-    doc ids, bands inside their page, bodies and boxes that are not empty,
-    boxes inside their page's columns) checked, by WordIndex's validator,
-    so that a parse error is reported before an invariant error.
+    word the message. Insets are at least 0, so no box lies outside its
+    line's rows, and gaps are at least 0, so no two lines of a page and no
+    two words of a line can overlap. Only then is every value judged, by
+    WordIndex's validator (unique doc ids, page sizes, and bands, bodies and
+    boxes that are not empty and lie inside their page), so that a parse
+    error is reported before an invariant error.
     """
     data = _index_text(data)
     try:
@@ -652,8 +633,9 @@ def load_index(data: bytes) -> WordIndex:
 
     # Every number in the file is read in one pass: the _NUMBERS fields of
     # each whole DOC line, L line and word row, from its field _FIRST_NUMBER
-    # on. A number is 1..10 ASCII digits with a value in lo.._MAX_NUMBER,
-    # where lo is its field's least value.
+    # on. A number is 1..10 ASCII digits, so below 10**10, and a text of
+    # MAX_INDEX_TEXT bytes holds about 10**6 rows at most (8 bytes each):
+    # the running sums below stay under about 2 * 10**16, inside int64.
     groups = [np.flatnonzero(whole & (kinds == kind)) for kind in range(3)]
     bounds = [
         seps[first[at, None] + np.arange(field, field + len(names) + 1)]
@@ -662,8 +644,7 @@ def load_index(data: bytes) -> WordIndex:
     number_starts = np.concatenate([b[:, :-1].ravel() for b in bounds]) + 1
     number_ends = np.concatenate([b[:, 1:].ravel() for b in bounds])
     values = ascii_decimals(data, number_starts, number_ends, 10)
-    lows = np.concatenate([np.tile(lows, len(at)) for at, lows in zip(groups, _LOWS)])
-    ok = (values >= lows) & (values <= _MAX_NUMBER)
+    ok = values >= 0
     if not ok.all():
         # The row of each number; a row's numbers are one run of them.
         number_rows = np.concatenate([np.repeat(at, len(names))
@@ -674,7 +655,7 @@ def load_index(data: bytes) -> WordIndex:
             k = int(ok[numbers].argmin())
             n = numbers[k]
             field = data[number_starts[n] : number_ends[n]].decode()
-            return _number_error(field, values[n], _NUMBERS[kinds[i]][k], lows[n])
+            return f"malformed {_NUMBERS[kinds[i]][k]}: {field!r}"
 
         bad_rows = np.zeros(len(kinds), dtype=bool)
         bad_rows[number_rows[~ok]] = True

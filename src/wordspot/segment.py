@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pnm import BinaryImage
-from .util import count_dtype, mask_runs, round_half_up
+from .util import check_bands, count_dtype, mask_runs, round_half_up
 
 # The inter-character gap limit, as a fraction of the band height.
 GAP_FACTOR = 0.2
@@ -28,16 +28,13 @@ GAP_FACTOR = 0.2
 
 @dataclass(frozen=True)
 class WordBox:
-    """Inclusive pixel bounding box, tight on both axes."""
+    """Inclusive pixel bounding box, tight on both axes. A WordIndex checks
+    the rows it builds boxes from."""
 
     x1: int
     y1: int
     x2: int
     y2: int
-
-    def __post_init__(self):
-        if self.x1 > self.x2 or self.y1 > self.y2:
-            raise ValueError(f"degenerate box {self}")
 
     @property
     def width(self) -> int:
@@ -93,12 +90,7 @@ def segment_words(img: BinaryImage, starts: np.ndarray, ends: np.ndarray) -> np.
     one blank column so that no run crosses into the next band, and their
     runs are found in one `mask_runs` call.
     """
-    bad = (starts < 0) | (starts > ends) | (ends >= img.height)
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(
-            f"band {starts[i]}..{ends[i]} empty or outside image rows 0..{img.height - 1}"
-        )
+    check_bands(starts, ends, img.height)
     width = img.width
     stride = width + 1
     bands = list(zip(starts.tolist(), ends.tolist()))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .pnm import MAX_SIDE, BinaryImage, GrayImage, ink_raster
 from .segment import column_profile
-from .util import count_dtype, mask_runs, round_half_up
+from .util import check_bands, count_dtype, mask_runs, round_half_up
 
 
 class NoInkError(ValueError):
@@ -117,12 +117,7 @@ def zones_from_bands(
     `mask_runs` run that holds it, clipped to the peak's band. A band that
     is empty or outside the rows raises ValueError.
     """
-    bad = (starts < 0) | (starts > ends) | (ends >= len(row_counts))
-    if bad.any():
-        i = int(bad.argmax())
-        raise ValueError(
-            f"band {starts[i]}..{ends[i]} empty or outside rows 0..{len(row_counts) - 1}"
-        )
+    check_bands(starts, ends, len(row_counts))
     if len(starts) == 0:
         return starts, ends
     lengths = ends - starts + 1

@@ -1,5 +1,5 @@
-"""Small shared numeric helpers: rounding, count dtypes, mask runs and
-ASCII decimal fields."""
+"""Small shared numeric helpers: rounding, count dtypes, mask runs, row
+bands and ASCII decimal fields."""
 
 import math
 
@@ -38,6 +38,15 @@ def mask_runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Edges alternate: a run starts at one and ends just before the next.
     edges = np.flatnonzero(padded[1:] != padded[:-1])
     return edges[::2], edges[1::2] - 1
+
+
+def check_bands(starts: np.ndarray, ends: np.ndarray, rows: int) -> None:
+    """Raises ValueError naming the first band starts[i]..ends[i] that is
+    empty or outside rows 0..rows - 1."""
+    bad = (starts < 0) | (starts > ends) | (ends >= rows)
+    if bad.any():
+        i = int(bad.argmax())
+        raise ValueError(f"band {starts[i]}..{ends[i]} empty or outside rows 0..{rows - 1}")
 
 
 # For a field of n = 0..8 bytes at the end of an 8-byte little-endian word,

@@ -260,12 +260,11 @@ class TestPersistence:
 # A row-by-row loader of an index file's text, kept as the specification of
 # `load_index` after decompression: each row is split in Python, checked in
 # turn and turned into absolute rows and columns at once, and each number
-# must be 1..10 ASCII digits with a value in its field's range. A row that
+# must be 1..10 ASCII digits; WordIndex judges every value. A row that
 # starts with an ASCII digit is a word row. A line's first row counts on
 # from the row after its page's previous line, and a box's first column
 # from the column after its line's previous word. `load_index` must give an
 # equal index, or the same message and line, on a file of any text.
-MAX_NUMBER = 2**31 - 1
 KIND_NAMES = ("DOC", "L", "word")
 NUMBER_FIELDS = (
     ("doc width", "doc height"),
@@ -273,16 +272,12 @@ NUMBER_FIELDS = (
     ("gap", "top", "width", "bottom"),
 )
 FIRST_NUMBER = (3, 1, 0)
-LOWS = ((1, 1), (0, 1, 0, 0), (0, 0, 1, 0))
 FIELD_COUNTS = (5, 5, 4)
 
 
-def number_error(token, what, lo=0):
+def number_error(token, what):
     if not (token.isascii() and token.isdigit() and len(token) <= 10):
         return f"malformed {what}: {token!r}"
-    value = int(token)
-    if not lo <= value <= MAX_NUMBER:
-        return f"{what} {value} outside {lo}..{MAX_NUMBER}"
     return None
 
 
@@ -319,8 +314,8 @@ def reference_load_index(text: bytes) -> WordIndex:
         if kind == 2 and page_lines == 0:
             raise IndexFormatError("word line before its page's first L line", line_no)
         numbers = fields[FIRST_NUMBER[kind] : FIRST_NUMBER[kind] + len(NUMBER_FIELDS[kind])]
-        for token, what, lo in zip(numbers, NUMBER_FIELDS[kind], LOWS[kind]):
-            error = number_error(token, what, lo)
+        for token, what in zip(numbers, NUMBER_FIELDS[kind]):
+            error = number_error(token, what)
             if error is not None:
                 raise IndexFormatError(error, line_no)
         numbers = [int(token) for token in numbers]
@@ -432,12 +427,19 @@ class TestLoadErrors:
         data = ("\n".join(lines + [lines[3 - 1]]) + "\n").encode()
         self.assert_error_line(data, len(lines) + 1)
 
-    def test_parse_error_reported_before_invariant_error(self, lines):
-        # Line 5's box is moved outside its page; line 6 is short.
-        fields = lines[5 - 1].split(" ")
-        fields[0], fields[2] = "600", "649"
-        bad = corrupt(lines, 5, " ".join(fields)).decode().strip().split("\n")
-        self.assert_error_line(corrupt(bad, 6, "1 2 3"), 6)
+    @pytest.mark.parametrize(
+        "at,first,second",
+        [
+            (5, "600 0 649 35", "1 2 3"),  # a box outside its page before a short row
+            (5, "20 0 0 30", "1 2 3 4 A"),  # an empty box before a long row
+            (4, "L 30 0 0 40", "X"),  # an empty band before an unknown kind
+        ],
+    )
+    def test_parse_error_reported_before_invariant_error(self, lines, at, first, second):
+        # Every value, a size of 0 included, is judged only once the whole
+        # text has parsed, so the parse fault on line 6 is reported.
+        data = corrupt(corrupt(lines, at, first).decode().strip().split("\n"), 6, second)
+        assert assert_loads_as_reference(data)[1] == 6
 
     def test_record_box_outside_its_page(self, lines):
         # Line 5 is doc1's first record, 50 columns wide; doc1 is 640 pixels
@@ -524,9 +526,7 @@ class TestLoadErrors:
         [
             ("1 2 3 x", "1 2"),  # a malformed number before a short line
             ("1 2", "1 2 3 x"),
-            ("20 0 0 30", "1 2 3 4 A"),  # an empty box before a long row
             ("1 0 3 30 A", "30 0 0 30"),
-            ("L 30 0 0 40", "X"),  # an empty band before an unknown kind
             ("L 20 60 10 31 9", "1 x 3 4"),
         ],
     )
@@ -538,9 +538,9 @@ class TestLoadErrors:
 
 
 class TestArrayParseEdges:
-    """Fields at the edges of the format's number rule (1..10 ASCII digits
-    in range) and word rows of more fields; each case also agrees with the
-    reference loader."""
+    """Fields at the edges of the format's number rule (1..10 ASCII digits),
+    values at the edges of what WordIndex accepts, and word rows of more
+    fields; each case also agrees with the reference loader."""
 
     def lines(self):
         # Line 3 opens doc1 (640 x 480), 4 is its first L line, 5 its first word.
@@ -579,7 +579,9 @@ class TestArrayParseEdges:
             (4, 4, "19\r", "malformed body_bottom: '19\\r'"),
             (3, 3, "\u0665", "malformed doc width: '\u0665'"),
             (3, 4, "480\r", "malformed doc height: '480\\r'"),
-            (3, 4, "0", "doc height 0 outside 1..2147483647"),
+            # 0 is a number; WordIndex refuses it as a page height.
+            (3, 4, "0", "doc 0: page size 640x0 outside 1..1000000 per side or above "
+                        "100000000 pixels"),
         ],
     )
     def test_numbers_outside_the_rule_are_refused(self, line_no, field, value, message):
@@ -588,14 +590,16 @@ class TestArrayParseEdges:
     @pytest.mark.parametrize(
         "value,message",
         [
-            # Ten digits: the largest number parses, so its box is refused
-            # only for leaving the page.
+            # Any ten digits parse, so a wide box is refused only for
+            # leaving the page, and one of no columns for being empty.
             ("2147483647", "record 0: box x 10..2147483656, y 20..44 outside its page columns "
                            "0..639 or its line rows 20..79"),
-            ("2147483648", "width 2147483648 outside 1..2147483647"),
-            ("9999999999", "width 9999999999 outside 1..2147483647"),
+            ("2147483648", "record 0: box x 10..2147483657, y 20..44 outside its page columns "
+                           "0..639 or its line rows 20..79"),
+            ("9999999999", "record 0: box x 10..10000000008, y 20..44 outside its page columns "
+                           "0..639 or its line rows 20..79"),
             ("99999999999", "malformed width: '99999999999'"),
-            ("0", "width 0 outside 1..2147483647"),
+            ("0", "record 0: degenerate box 10 20 9 44"),
             ("-1", "malformed width: '-1'"),
             ("", "malformed width: ''"),
             ("5x", "malformed width: '5x'"),
@@ -605,12 +609,17 @@ class TestArrayParseEdges:
     def test_numbers_at_the_range_edges(self, value, message):
         assert self.load_with(5, 2, value) == (f"{message} (line 5)", 5)
 
-    @pytest.mark.parametrize("line_no,field,name", [(4, 2, "height"), (5, 2, "width")])
-    def test_empty_band_or_box_columns_refused_by_the_number_rule(self, line_no, field, name):
-        # A line's rows and a box's columns are sizes, which are at least 1.
-        assert self.load_with(line_no, field, "0") == (
-            f"{name} 0 outside 1..2147483647 (line {line_no})", line_no
-        )
+    @pytest.mark.parametrize(
+        "line_no,field,message",
+        [
+            # Line 4's band of no rows, 20..19, holds no body, and line 5's
+            # box of no columns is empty.
+            (4, 2, "line 0: body rows 30..0 outside its band"),
+            (5, 2, "record 0: degenerate box 10 20 9 44"),
+        ],
+    )
+    def test_empty_band_or_box_columns_refused(self, line_no, field, message):
+        assert self.load_with(line_no, field, "0") == (f"{message} (line {line_no})", line_no)
 
     @pytest.mark.parametrize("line_no,field", [(4, 1), (4, 3), (4, 4), (5, 0), (5, 1), (5, 3)])
     def test_row_start_x1_and_insets_may_be_0(self, line_no, field):
@@ -918,6 +927,22 @@ class TestLoadProperties:
         lines[3] = " ".join(["L", *spellings[:4]])
         lines[4] = " ".join(spellings[4:])
         assert_loads_as_reference(("\n".join(lines) + "\n").encode())
+
+    @given(word_indexes().filter(lambda index: index.docs), st.data())
+    def test_a_size_of_0_or_a_number_past_2_31_is_refused_at_its_line(self, index, data):
+        # The number rule reads any ten digits, and WordIndex refuses each
+        # such value: a page, band or box of no rows or columns, or one
+        # past its page. One bad field names its own line.
+        lines = index_text(save_index(index)).decode().split("\n")
+        at = data.draw(st.integers(2, len(lines) - 2))
+        fields = lines[at].split(" ")
+        first, sizes = {"DOC": (3, (3, 4)), "L": (1, (2,))}.get(fields[0], (0, (2,)))
+        field = data.draw(st.integers(first, len(fields) - 1))
+        values = st.integers(2**31, 10**10 - 1)
+        fields[field] = str(data.draw(st.just(0) | values if field in sizes else values))
+        lines[at] = " ".join(fields)
+        loaded = assert_loads_as_reference("\n".join(lines).encode())
+        assert isinstance(loaded, tuple) and loaded[1] == at + 1
 
 
 def test_readme_format_example_loads_and_saves_back():

@@ -198,7 +198,7 @@ class TestSegmentWords:
 
     def test_band_outside_the_image_rejected(self):
         img = image_from_rows([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match="outside image rows"):
+        with pytest.raises(ValueError, match="outside rows"):
             segment_words(img, *band_arrays([(0, 0), (1, 2)]))
 
     @pytest.mark.parametrize(
@@ -212,7 +212,7 @@ class TestSegmentWords:
     )
     def test_inverted_band_or_band_past_the_last_row_rejected(self, bands, bad):
         img = image_from_rows([[0, 1], [1, 0]])
-        with pytest.raises(ValueError, match=f"band {bad} empty or outside image rows 0..1"):
+        with pytest.raises(ValueError, match=f"band {bad} empty or outside rows 0..1"):
             segment_words(img, *band_arrays(bands))
 
     def test_boxes_disjoint_and_ordered(self):
